@@ -5,7 +5,8 @@ The broker owns the ``tasks`` table of a queue database (see
 specs (deduplicated by fingerprint — the queue is content-addressed just
 like the result store); workers :meth:`claim` one task at a time under a
 :class:`~repro.distributed.leases.LeasePolicy`, renew via
-:meth:`heartbeat`, and finish with :meth:`complete` or :meth:`fail`.
+:meth:`heartbeat`, and finish with :meth:`complete` (or a whole claimed
+batch at once with :meth:`complete_many`) or :meth:`fail`.
 
 Crash safety comes from leases rather than connections: a worker that
 dies mid-task simply stops heartbeating, and the next
@@ -306,33 +307,51 @@ class Broker:
         return bool(cursor.rowcount)
 
     def complete(self, fingerprint: str, worker_id: str, result_payload: Dict[str, Any]) -> None:
-        """Record a finished task: store its result and mark it done.
+        """Record one finished task (see :meth:`complete_many`)."""
+        self.complete_many(worker_id, [(fingerprint, result_payload)])
+
+    def complete_many(
+        self, worker_id: str, completions: Sequence[Tuple[str, Dict[str, Any]]]
+    ) -> None:
+        """Record finished tasks: store their results and mark them done.
+
+        One transaction for the whole batch: every result row is
+        upserted, every task marked ``done``, one ``completed`` event is
+        logged per fingerprint in input order, and the worker's
+        ``tasks_done`` grows by the batch size.
 
         Results are content-addressed and scenario execution is
         deterministic, so a completion is accepted even from a worker
         whose lease was lost (the work is identical); the result upsert
         keeps this idempotent.
         """
+        completions = list(completions)
+        if not completions:
+            return
         now = time.time()
         with self._conn:
             self._conn.execute("BEGIN IMMEDIATE")
-            self._conn.execute(
+            self._conn.executemany(
                 "INSERT OR REPLACE INTO results (fingerprint, payload, worker_id, created_at) "
                 "VALUES (?, ?, ?, ?)",
-                (fingerprint, json.dumps(result_payload), worker_id, now),
+                [
+                    (fingerprint, json.dumps(payload), worker_id, now)
+                    for fingerprint, payload in completions
+                ],
             )
-            self._conn.execute(
+            self._conn.executemany(
                 "UPDATE tasks SET status = 'done', lease_owner = NULL, lease_expires_at = NULL, "
                 "error = NULL, updated_at = ? WHERE fingerprint = ?",
-                (now, fingerprint),
+                [(now, fingerprint) for fingerprint, _ in completions],
             )
             self._conn.execute(
-                "UPDATE workers SET tasks_done = tasks_done + 1, last_seen_at = ? "
+                "UPDATE workers SET tasks_done = tasks_done + ?, last_seen_at = ? "
                 "WHERE worker_id = ?",
-                (now, worker_id),
+                (len(completions), now, worker_id),
             )
-            self._log_event("completed", fingerprint, worker_id=worker_id, now=now)
-        _COMPLETED.inc()
+            for fingerprint, _ in completions:
+                self._log_event("completed", fingerprint, worker_id=worker_id, now=now)
+        _COMPLETED.inc(len(completions))
 
     def fail(self, fingerprint: str, worker_id: str, error: str) -> bool:
         """Mark a task permanently failed (the scenario itself errored).

@@ -17,8 +17,9 @@ monotonic event log, and the driver tails that log — locally via
 :meth:`~repro.distributed.broker.Broker.events_since`, remotely via the
 service's ``events_since`` RPC — translating queue events into the
 :mod:`repro.api.events` vocabulary as they land.  Completed results come
-back from the shared result store, which also makes an identical re-run
-a pure store read with zero executions.
+back from the shared result store in one ``get_many`` per log batch
+(not one read per completion), which also makes an identical re-run a
+pure, batched store read with zero executions.
 
 Cancellation (a tripped :class:`~repro.api.sweep.CancelToken`, or the
 consumer closing the stream on Ctrl-C) is cooperative and clean: the
@@ -198,9 +199,12 @@ def _stream(
         # scenario: over HTTP that is one round trip, and on sqlite it
         # keeps re-run short-circuiting O(stored) rather than O(todo).
         known = store.fingerprints()
+        stored_results = store.get_many(
+            [fingerprint for fingerprint, _, _ in todo if fingerprint in known]
+        )
         pending: List[Tuple[str, ScenarioSpec, int]] = []
         for fingerprint, spec, index in todo:
-            stored = store.get(fingerprint) if fingerprint in known else None
+            stored = stored_results.get(fingerprint)
             if stored is not None:
                 yield ScenarioCacheHit(
                     fingerprint=fingerprint, index=index, result=stored, elapsed_s=clock()
@@ -212,18 +216,10 @@ def _stream(
 
         # Remember where the queue log stands *before* we enqueue, so the
         # tail below replays every transition of this run and none of an
-        # earlier one.  Older brokers/services without an event log fall
-        # back to polling the result store for completions (a version
-        # mismatch, not a fault — no warning for that).
+        # earlier one.
         events_supported = True
         tail_failures = 0
-        try:
-            since = broker_client.last_event_seq()
-        except Exception as error:
-            if _is_auth_error(error):
-                raise
-            events_supported = False
-            since = 0
+        since = broker_client.last_event_seq()
 
         broker_client.enqueue(
             [spec.to_dict() for _, spec, _ in pending],
@@ -262,6 +258,17 @@ def _stream(
                     yield from collect_from_store()
                     return
                 tail_failures = 0
+                # One batched read for every result this batch completed,
+                # instead of a store round trip per completion.
+                results = store.get_many(
+                    [
+                        row["fingerprint"]
+                        for row in batch
+                        if row.get("kind") == "completed"
+                        and row.get("fingerprint") in position_of
+                        and row["fingerprint"] not in collected
+                    ]
+                )
                 for row in batch:
                     since = max(since, int(row["seq"]))
                     fingerprint = row.get("fingerprint")
@@ -298,7 +305,7 @@ def _stream(
                             elapsed_s=clock(),
                         )
                     elif kind == "completed" and fingerprint not in collected:
-                        result = store.get(fingerprint)
+                        result = results.get(fingerprint)
                         if result is not None:
                             collected.add(fingerprint)
                             yield ScenarioCompleted(
@@ -314,8 +321,9 @@ def _stream(
         def collect_from_store() -> Iterator[SweepEvent]:
             """Event-log-free fallback: diff the result store's contents."""
             fresh = (store.fingerprints() & position_of.keys()) - collected
+            results = store.get_many(fresh)
             for fingerprint in fresh:
-                result = store.get(fingerprint)
+                result = results.get(fingerprint)
                 if result is not None:
                     collected.add(fingerprint)
                     yield ScenarioCompleted(
@@ -401,7 +409,7 @@ def _stream(
                 pool.terminate()
         yield from tail_log()
         # Safety net: anything completed without a visible log transition
-        # (e.g. a mixed-version service) is still collected by store diff.
+        # (e.g. events pruned mid-run) is still collected by store diff.
         yield from collect_from_store()
         if cancelled():
             release_on_cancel()

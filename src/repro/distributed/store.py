@@ -27,7 +27,7 @@ import json
 import sqlite3
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 from repro.api.facade import ScenarioResult, result_from_dict
 from repro.simulator.metrics import net_utility
@@ -35,6 +35,10 @@ from repro.strategies import StrategyParameters
 
 #: Milliseconds a connection waits on a locked database before failing.
 BUSY_TIMEOUT_MS = 10_000
+
+#: Fingerprints per ``IN (…)`` select of a batched read (well under
+#: sqlite's bound-parameter limit).
+READ_CHUNK = 500
 
 #: Optional scheme prefix accepted wherever a queue database path is taken
 #: (``db="sqlite:queue.sqlite"``), mirroring the ``http://`` broker URLs of
@@ -201,7 +205,19 @@ def connect(path: Union[str, Path]) -> sqlite3.Connection:
     )
     conn.row_factory = sqlite3.Row
     conn.execute(f"PRAGMA busy_timeout = {BUSY_TIMEOUT_MS}")
-    conn.execute("PRAGMA journal_mode = WAL")
+    deadline = time.monotonic() + BUSY_TIMEOUT_MS / 1000.0
+    while True:
+        try:
+            conn.execute("PRAGMA journal_mode = WAL")
+            break
+        except sqlite3.OperationalError as error:
+            # Switching a fresh file to WAL needs an exclusive lock that
+            # sqlite does not wait for (the busy handler is skipped), so
+            # processes opening a new queue together retry here.
+            if "locked" not in str(error) or time.monotonic() > deadline:
+                conn.close()
+                raise
+            time.sleep(0.01)
     conn.execute("PRAGMA synchronous = NORMAL")
     conn.executescript(SCHEMA)
     conn.commit()
@@ -232,37 +248,58 @@ class SqliteResultStore:
 
     def get(self, fingerprint: str) -> Optional[ScenarioResult]:
         """The stored result for a fingerprint, or ``None`` on a miss."""
-        if fingerprint in self._memory:
-            return self._memory[fingerprint]
-        row = self._conn.execute(
-            "SELECT payload FROM results WHERE fingerprint = ?", (fingerprint,)
-        ).fetchone()
-        if row is None:
-            return None
-        try:
-            result = result_from_dict(json.loads(row["payload"]))
-        except (ValueError, TypeError, KeyError):
-            return None  # corrupt row: treat as a miss, like ResultCache
-        self._memory[fingerprint] = result
-        return result
+        return self.get_many([fingerprint]).get(fingerprint)
+
+    def get_many(self, fingerprints: Iterable[str]) -> Dict[str, ScenarioResult]:
+        """Stored results by fingerprint; misses (and corrupt rows) are absent.
+
+        The in-memory layer answers first; the rest is one ``IN (…)``
+        select per :data:`READ_CHUNK` fingerprints — the sweep driver's
+        batched replacement for one point read per completion.
+        """
+        wanted = list(dict.fromkeys(fingerprints))
+        found = {fp: self._memory[fp] for fp in wanted if fp in self._memory}
+        for fingerprint, payload in self._stored_payloads(fp for fp in wanted if fp not in found):
+            try:
+                result = result_from_dict(payload)
+            except (ValueError, TypeError, KeyError):
+                continue  # corrupt row: treat as a miss, like ResultCache
+            self._memory[fingerprint] = found[fingerprint] = result
+        return found
 
     def get_payload(self, fingerprint: str) -> Optional[Dict[str, Any]]:
-        """The raw stored result payload (no :class:`ScenarioResult` parse).
+        """The raw stored result payload (no :class:`ScenarioResult` parse)."""
+        return self.get_payload_many([fingerprint]).get(fingerprint)
+
+    def get_payload_many(self, fingerprints: Iterable[str]) -> Dict[str, Dict[str, Any]]:
+        """Raw stored payloads by fingerprint (no :class:`ScenarioResult` parse).
 
         This is what the HTTP front-end serves: the wire format is the
         stored JSON itself, so the server never pays deserialization for
-        results it only relays.  Corrupt rows are a miss, like :meth:`get`.
+        results it only relays.  Misses and corrupt rows are absent.
         """
-        row = self._conn.execute(
-            "SELECT payload FROM results WHERE fingerprint = ?", (fingerprint,)
-        ).fetchone()
-        if row is None:
-            return None
-        try:
-            payload = json.loads(row["payload"])
-        except ValueError:
-            return None
-        return payload if isinstance(payload, dict) else None
+        return dict(self._stored_payloads(dict.fromkeys(fingerprints)))
+
+    def _stored_payloads(self, fingerprints: Iterable[str]) -> Iterator[Tuple[str, Dict[str, Any]]]:
+        """``(fingerprint, payload dict)`` per stored row, read in chunks.
+
+        Rows are decoded one at a time, so a caller that parses as it
+        goes never holds a whole chunk of decoded payloads.
+        """
+        wanted = list(fingerprints)
+        for start in range(0, len(wanted), READ_CHUNK):
+            chunk = wanted[start:start + READ_CHUNK]
+            for row in self._conn.execute(
+                "SELECT fingerprint, payload FROM results WHERE fingerprint IN "
+                f"({', '.join('?' for _ in chunk)})",
+                chunk,
+            ):
+                try:
+                    payload = json.loads(row["payload"])
+                except ValueError:
+                    continue
+                if isinstance(payload, dict):
+                    yield row["fingerprint"], payload
 
     def put(self, result: ScenarioResult, worker_id: Optional[str] = None) -> None:
         """Store a result under its fingerprint (idempotent upsert)."""

@@ -3,7 +3,7 @@
 A :class:`Worker` repeatedly claims a batch of tasks from the broker,
 rebuilds each :class:`~repro.api.spec.ScenarioSpec` from the stored
 payload, runs it through the :func:`repro.api.run` façade and writes the
-result back — all while a
+batch's results back in one ``complete_many`` commit — all while a
 :class:`~repro.distributed.leases.LeaseKeeper` thread renews the leases
 of the batch so slow scenarios are not mistaken for crashes.
 
@@ -145,7 +145,8 @@ class Worker:
         # Lazily-created second broker used only by the heartbeat thread
         # (sqlite Broker instances are not thread safe); one long-lived
         # connection rather than a fresh one per task.  HttpBroker *is*
-        # thread safe (a request per call), so it is simply shared.
+        # thread safe (each thread gets its own keep-alive connection),
+        # so it is simply shared.
         self._keeper_broker = None
         self.tasks_done = 0
 
@@ -235,6 +236,7 @@ class Worker:
             self._broker.policy.heartbeat_interval,
         )
         keeper = LeaseKeeper(renew=renew, interval=interval)
+        finished: List[Tuple[str, Dict[str, Any]]] = []
         try:
             with keeper:
                 for task in tasks:
@@ -247,14 +249,17 @@ class Worker:
                         outstanding.discard(task.fingerprint)
                         _WORKER_TASKS.labels(outcome="failed").inc()
                         continue
-                    # Execution is deterministic, so the result is committed
-                    # even if the lease was lost mid-run (the upsert is
-                    # idempotent and whoever re-claimed the task will
-                    # produce the same bytes).
-                    self._broker.complete(task.fingerprint, self.worker_id, result.to_dict())
-                    outstanding.discard(task.fingerprint)
-                    self.tasks_done += 1
-                    _WORKER_TASKS.labels(outcome="executed").inc()
+                    finished.append((task.fingerprint, result.to_dict()))
+                # One commit for the batch; the keeper renews every lease
+                # until it lands.  Execution is deterministic, so results
+                # are committed even if a lease was lost mid-run (the
+                # upsert is idempotent and whoever re-claimed the task
+                # will produce the same bytes).
+                if finished:
+                    self._broker.complete_many(self.worker_id, finished)
+                    outstanding.clear()
+                    self.tasks_done += len(finished)
+                    _WORKER_TASKS.labels(outcome="executed").inc(len(finished))
         finally:
             keeper.stop()
 

@@ -6,7 +6,8 @@ federated re-run's cache probe is one point read on one shard, and the
 store and the queue stay colocated per shard exactly like the single
 sqlite database they federate.
 
-Point operations (``get``/``put``/``__contains__``) route; collection
+Point operations (``get``/``put``/``__contains__``) route, ``get_many``
+groups its fingerprints by owning shard (one batched read each); collection
 operations (``fingerprints``/``results``/``summary_rows``/``len``)
 scatter-gather.  Column selection is pushed down to each shard's SQL
 where the shard supports it (sqlite), and merged rows are ordered by
@@ -65,7 +66,17 @@ class FederatedResultStore:
     # ------------------------------------------------------------------
     def get(self, fingerprint: str) -> Optional[ScenarioResult]:
         """The stored result for a fingerprint, from its owning shard."""
-        return self._owner(fingerprint).get(fingerprint)
+        return self.get_many([fingerprint]).get(fingerprint)
+
+    def get_many(self, fingerprints: Iterable[str]) -> Dict[str, ScenarioResult]:
+        """Stored results by fingerprint: one batched read per owning shard."""
+        groups: Dict[int, List[str]] = {}
+        for fingerprint in fingerprints:
+            groups.setdefault(self._topology.owner_of(fingerprint), []).append(fingerprint)
+        found: Dict[str, ScenarioResult] = {}
+        for shard_index, group in groups.items():
+            found.update(self._shards[shard_index].get_many(group))
+        return found
 
     def get_payload(self, fingerprint: str) -> Optional[Dict[str, Any]]:
         """The raw result payload from the owning shard (parse-free)."""
@@ -103,11 +114,8 @@ class FederatedResultStore:
         for shard in self._shards:
             if hasattr(shard, "results"):
                 gathered.extend(shard.results())
-            else:  # point-surface shard (HTTP): fetch by fingerprint
-                for fingerprint in sorted(shard.fingerprints()):
-                    result = shard.get(fingerprint)
-                    if result is not None:
-                        gathered.append(result)
+            else:  # point-surface shard (HTTP): fetch by fingerprint, batched
+                gathered.extend(shard.get_many(shard.fingerprints()).values())
         gathered.sort(key=lambda result: result.fingerprint)
         return gathered
 
@@ -141,10 +149,7 @@ class FederatedResultStore:
             if hasattr(shard, "summary_rows"):
                 merged.extend(shard.summary_rows(pushdown))
                 continue
-            for fingerprint in sorted(shard.fingerprints()):
-                result = shard.get(fingerprint)
-                if result is None:
-                    continue
+            for fingerprint, result in shard.get_many(shard.fingerprints()).items():
                 summary = summary_from_payload(result.to_dict(), fingerprint=fingerprint)
                 if summary is not None:
                     merged.append({column: summary[column] for column in pushdown})

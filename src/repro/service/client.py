@@ -8,12 +8,30 @@ surface as :class:`~repro.distributed.Broker` and
 :func:`repro.distributed.execute` and the CLI run unchanged against a
 remote URL.
 
-Both clients are stateless between calls (plain ``urllib`` requests, no
-shared connection), which makes them thread safe: one instance can be
-shared by a worker loop and its heartbeat thread.  Transient transport
-errors surface as :class:`ServiceError`; the lease protocol is already
-built for missed beats, so callers treat them like any other lost
-heartbeat.  Rejected credentials surface as the sharper
+Round trips reuse persistent HTTP/1.1 connections: :func:`rpc_call`
+keeps one :class:`http.client.HTTPConnection` (or ``HTTPSConnection``)
+open per process, thread and endpoint — scheme, host, port and SSL
+context — instead of paying a TCP (and TLS) handshake per call.  The
+cache is thread local, so one client instance stays safe to share
+between a worker loop and its heartbeat thread (each thread talks over
+its own socket), and it is keyed by pid, so a process forked after its
+parent made RPCs opens its own socket instead of writing into the
+parent's.  ``TCP_NODELAY`` is set on every socket: a request is one
+small write answered by one small response, exactly the pattern Nagle's
+algorithm plus delayed ACKs stalls by tens of milliseconds.  When a
+*reused* connection turns out to be dead before any response byte
+arrives (the server closed it while idle, or restarted), the call
+reconnects once and resends; a failure on a fresh connection is
+reported, never retried.
+
+Results move in batches: :meth:`HttpResultStore.get_many` fetches up to
+:data:`RESULT_BATCH` stored results per ``result_get_many`` round trip,
+and :meth:`HttpBroker.complete_many` commits a worker's whole claimed
+batch in one ``complete_many`` call.
+
+Transient transport errors surface as :class:`ServiceError`; the lease
+protocol is already built for missed beats, so callers treat them like
+any other lost heartbeat.  Rejected credentials surface as the sharper
 :class:`~repro.service.protocol.ServiceAuthError`, which is *not*
 transient — retrying a bad token only hammers the server.
 
@@ -27,12 +45,16 @@ credentials without plumbing.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
+import socket
 import ssl
+import threading
 import urllib.error
+import urllib.parse
 import urllib.request
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.api.facade import ScenarioResult, result_from_dict
 from repro.distributed.broker import Task, TaskRecord
@@ -51,6 +73,122 @@ from repro.service.security import Credentials, client_ssl_context
 #: Seconds an RPC waits on the socket before failing.
 RPC_TIMEOUT_S = 30.0
 
+#: Fingerprints per ``result_get_many`` round trip.  Bounds the size of
+#: one response body, and so the sweep driver's peak memory.
+RESULT_BATCH = 64
+
+_AUTH_HINT = "missing or rejected bearer token — pass token=/--token or set CHRONOS_TOKEN"
+
+
+class _ThreadConnections(dict):
+    """One thread's open connections, by endpoint; closed with the thread."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.pid = os.getpid()
+
+    def close_all(self) -> None:
+        for connection in self.values():
+            connection.close()
+        self.clear()
+
+    def __del__(self) -> None:
+        try:
+            self.close_all()
+        except Exception:
+            pass  # interpreter teardown: the sockets die with the process
+
+
+_LOCAL = threading.local()
+
+
+def _thread_connections() -> _ThreadConnections:
+    """The calling thread's connection cache, fresh after a fork."""
+    connections = getattr(_LOCAL, "connections", None)
+    if connections is None or connections.pid != os.getpid():
+        if connections is not None:
+            # Inherited across fork: closing drops this process's copy of
+            # the descriptors; the parent's sockets stay open and unshared.
+            connections.close_all()
+        connections = _LOCAL.connections = _ThreadConnections()
+    return connections
+
+
+def _endpoint(url: str, context: Optional[ssl.SSLContext]) -> Tuple[Any, ...]:
+    """The connection-cache key of ``url``: scheme, host, port, SSL context."""
+    try:
+        parts = urllib.parse.urlsplit(url)
+        port = parts.port
+    except ValueError as error:
+        raise ServiceError(f"cannot reach sweep service at {url}: {error}") from error
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ServiceError(f"cannot reach sweep service at {url}: not an http(s) URL")
+    return (parts.scheme, parts.hostname, port, context)
+
+
+def _connect(endpoint: Tuple[Any, ...], timeout: float) -> http.client.HTTPConnection:
+    scheme, host, port, context = endpoint
+    if scheme == "https":
+        connection: http.client.HTTPConnection = http.client.HTTPSConnection(
+            host, port, timeout=timeout, context=context
+        )
+    else:
+        connection = http.client.HTTPConnection(host, port, timeout=timeout)
+    connection.connect()
+    connection.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return connection
+
+
+def _close_connection(url: str, context: Optional[ssl.SSLContext] = None) -> None:
+    """Close the calling thread's cached connection to ``url`` (if any)."""
+    try:
+        endpoint = _endpoint(url, context)
+    except ServiceError:
+        return
+    connection = _thread_connections().pop(endpoint, None)
+    if connection is not None:
+        connection.close()
+
+
+def _exchange(
+    url: str, body: bytes, headers: Dict[str, str], timeout: float,
+    context: Optional[ssl.SSLContext],
+) -> Tuple[int, bytes]:
+    """POST ``body`` over a cached connection; returns ``(status, body)``.
+
+    A reused connection that fails before any response byte arrives is
+    replaced once; any other transport failure is a :class:`ServiceError`.
+    """
+    endpoint = _endpoint(url, context)
+    path = urllib.parse.urlsplit(url).path.rstrip("/") + RPC_PATH
+    connections = _thread_connections()
+    while True:
+        connection = connections.pop(endpoint, None)
+        reused = connection is not None
+        try:
+            if connection is None:
+                connection = _connect(endpoint, timeout)
+            else:
+                connection.sock.settimeout(timeout)
+            connection.request("POST", path, body=body, headers=headers)
+            response = connection.getresponse()
+        except (OSError, http.client.HTTPException) as error:
+            if connection is not None:
+                connection.close()
+            if reused and isinstance(error, OSError) and not isinstance(error, TimeoutError):
+                continue  # stale keep-alive socket: one fresh connection
+            raise ServiceError(f"cannot reach sweep service at {url}: {error}") from error
+        try:
+            data = response.read()
+        except (OSError, http.client.HTTPException) as error:
+            connection.close()
+            raise ServiceError(f"cannot reach sweep service at {url}: {error}") from error
+        if response.will_close:
+            connection.close()
+        else:
+            connections[endpoint] = connection
+        return response.status, data
+
 
 def rpc_call(
     url: str,
@@ -62,46 +200,35 @@ def rpc_call(
 ) -> Any:
     """One ``POST /rpc`` round trip; returns the ``result`` field.
 
-    ``token`` is sent as an ``Authorization: Bearer`` header; ``context``
-    is the SSL context for ``https://`` URLs (``None`` uses stdlib
-    defaults — the system trust store).  Raises :class:`ServiceError` on
-    transport failures and on error responses, with the server's message
-    attached when there is one, and :class:`ServiceAuthError` when the
-    service rejects the credentials.
+    The request travels over the calling thread's persistent connection
+    to the endpoint (opened on first use).  ``token`` is sent as an
+    ``Authorization: Bearer`` header; ``context`` is the SSL context for
+    ``https://`` URLs (``None`` uses stdlib defaults — the system trust
+    store).  Raises :class:`ServiceError` on transport failures and on
+    error responses, with the server's message attached when there is
+    one, and :class:`ServiceAuthError` when the service rejects the
+    credentials.
     """
     headers = {"Content-Type": "application/json"}
     if token:
         headers["Authorization"] = f"Bearer {token}"
-    request = urllib.request.Request(
-        url.rstrip("/") + RPC_PATH,
-        data=json.dumps({"method": method, "params": params or {}}).encode("utf-8"),
-        headers=headers,
-        method="POST",
-    )
-    try:
-        with urllib.request.urlopen(request, timeout=timeout, context=context) as response:
-            body = json.loads(response.read().decode("utf-8"))
-    except urllib.error.HTTPError as error:
+    body = json.dumps({"method": method, "params": params or {}}).encode("utf-8")
+    status, data = _exchange(url, body, headers, timeout, context)
+    if status != 200:
         try:
-            detail = json.loads(error.read().decode("utf-8")).get("error", "")
+            detail = json.loads(data.decode("utf-8")).get("error", "")
         except Exception:
             detail = ""
-        if error.code in (401, 403):
-            hint = (
-                "missing or rejected bearer token — pass token=/--token "
-                "or set CHRONOS_TOKEN"
-            )
-            raise ServiceAuthError(
-                f"{method} failed: HTTP {error.code} ({detail or hint})"
-            ) from error
-        raise ServiceError(
-            f"{method} failed: HTTP {error.code}" + (f" — {detail}" if detail else "")
-        ) from error
-    except (urllib.error.URLError, OSError, ValueError) as error:
-        raise ServiceError(f"cannot reach sweep service at {url}: {error}") from error
-    if not isinstance(body, dict) or "result" not in body:
+        if status in (401, 403):
+            raise ServiceAuthError(f"{method} failed: HTTP {status} ({detail or _AUTH_HINT})")
+        raise ServiceError(f"{method} failed: HTTP {status}" + (f" — {detail}" if detail else ""))
+    try:
+        reply = json.loads(data.decode("utf-8"))
+    except ValueError as error:
+        raise ServiceError(f"{method}: malformed response from {url}: {error}") from error
+    if not isinstance(reply, dict) or "result" not in reply:
         raise ServiceError(f"{method}: malformed response from {url}")
-    return body["result"]
+    return reply["result"]
 
 
 def fetch_metrics(
@@ -235,11 +362,16 @@ class HttpBroker:
         return bool(self._call("heartbeat", fingerprint=fingerprint, worker_id=worker_id))
 
     def complete(self, fingerprint: str, worker_id: str, result_payload: Dict[str, Any]) -> None:
+        self.complete_many(worker_id, [(fingerprint, result_payload)])
+
+    def complete_many(
+        self, worker_id: str, completions: Sequence[Tuple[str, Dict[str, Any]]]
+    ) -> None:
+        """Commit finished tasks in one round trip (one server transaction)."""
         self._call(
-            "complete",
-            fingerprint=fingerprint,
+            "complete_many",
             worker_id=worker_id,
-            result_payload=result_payload,
+            completions=[[fingerprint, payload] for fingerprint, payload in completions],
         )
 
     def fail(self, fingerprint: str, worker_id: str, error: str) -> bool:
@@ -377,7 +509,8 @@ class HttpBroker:
         )
 
     def close(self) -> None:
-        """Nothing to release: calls are independent requests."""
+        """Close the calling thread's connection to the service."""
+        _close_connection(self._url, self._context)
 
     def __enter__(self) -> "HttpBroker":
         return self
@@ -390,8 +523,8 @@ class HttpResultStore:
     """The :class:`~repro.distributed.SqliteResultStore` interface over HTTP.
 
     Parsed results are memoized locally (like the sqlite store's memory
-    layer), so repeated ``get`` calls for collected fingerprints do not
-    re-fetch or re-parse.
+    layer), so repeated ``get``/``get_many`` calls for collected
+    fingerprints do not re-fetch or re-parse.
     """
 
     def __init__(
@@ -428,17 +561,26 @@ class HttpResultStore:
         )
 
     def get(self, fingerprint: str) -> Optional[ScenarioResult]:
-        if fingerprint in self._memory:
-            return self._memory[fingerprint]
-        payload = self._call("result_get", fingerprint=fingerprint)
-        if payload is None:
-            return None
-        try:
-            result = result_from_dict(payload)
-        except (ValueError, TypeError, KeyError):
-            return None  # corrupt row: treat as a miss, like the local stores
-        self._memory[fingerprint] = result
-        return result
+        return self.get_many([fingerprint]).get(fingerprint)
+
+    def get_many(self, fingerprints: Iterable[str]) -> Dict[str, ScenarioResult]:
+        """Stored results by fingerprint; misses (and corrupt rows) are absent.
+
+        Memoized fingerprints are answered locally; the rest cost one
+        ``result_get_many`` round trip per :data:`RESULT_BATCH`.
+        """
+        wanted = list(dict.fromkeys(fingerprints))
+        found = {fp: self._memory[fp] for fp in wanted if fp in self._memory}
+        missing = [fp for fp in wanted if fp not in found]
+        for start in range(0, len(missing), RESULT_BATCH):
+            chunk = missing[start:start + RESULT_BATCH]
+            for fingerprint, payload in self._call("result_get_many", fingerprints=chunk).items():
+                try:
+                    result = result_from_dict(payload)
+                except (ValueError, TypeError, KeyError):
+                    continue  # corrupt row: treat as a miss, like the local stores
+                self._memory[fingerprint] = found[fingerprint] = result
+        return found
 
     def put(self, result: ScenarioResult, worker_id: Optional[str] = None) -> None:
         self._memory[result.fingerprint] = result
@@ -458,7 +600,8 @@ class HttpResultStore:
         return isinstance(fingerprint, str) and self.get(fingerprint) is not None
 
     def close(self) -> None:
-        """Nothing to release: calls are independent requests."""
+        """Close the calling thread's connection to the service."""
+        _close_connection(self._url, self._context)
 
     def __enter__(self) -> "HttpResultStore":
         return self

@@ -23,9 +23,14 @@ Queue *progress* crosses the same way: the ``events_since`` method
 relays the broker's monotonic event log as plain dicts (``{"seq", "ts",
 "kind", "fingerprint", "worker_id", "detail"}``), ``last_event_seq``
 answers where the log stands, and ``release_pending`` lets a cancelled
-remote sweep withdraw its unclaimed tasks.  All three are additive —
-protocol version 1 clients keep working against newer servers, and the
-sweep driver degrades to result-store polling against older ones.
+remote sweep withdraw its unclaimed tasks.
+
+Results cross in batches: ``result_get_many`` (``{"fingerprints":
+[...]}`` → ``{fingerprint: payload}``, misses and corrupt rows absent)
+and ``complete_many`` (``{"worker_id", "completions": [[fingerprint,
+payload], ...]}``).  Every method is additive — the server keeps the
+one-at-a-time ``result_get`` and ``complete`` for older clients — but
+current clients need a server that has the batch methods.
 """
 
 from __future__ import annotations

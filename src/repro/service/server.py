@@ -12,8 +12,15 @@ filesystem.
 Broker connections are not thread safe, so the service serializes every
 operation under one lock.  That is not the bottleneck it sounds like:
 each operation is a sub-millisecond sqlite transaction, the server
-threads only exist to overlap network I/O, and batch claims
-(``claim_many``) amortize the round trip for short scenarios.
+threads only exist to overlap network I/O, and the batch methods
+(``claim_many``, ``complete_many``, ``result_get_many``) amortize the
+round trip for short scenarios.  ``chronos_rpc_seconds{method=}`` and
+``chronos_rpc_lock_wait_seconds{method=}`` on ``/metrics`` show both
+halves of every call.
+
+Connections are HTTP/1.1 keep-alive with ``TCP_NODELAY``: a client
+sends many RPCs over one socket, and an idle one is closed after
+:data:`KEEPALIVE_IDLE_S` (clients reconnect on their next call).
 
 The transport hardens on demand: ``token=`` requires ``Authorization:
 Bearer …`` on every RPC, ``/status`` and ``/metrics`` request (compared
@@ -33,10 +40,13 @@ Run it from the CLI (``chronos-experiments serve --db queue.sqlite
 from __future__ import annotations
 
 import json
+import socket
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Union
+from time import perf_counter
+from typing import Any, Callable, Dict, List, Optional, Set, Union
 
 from repro import telemetry
 from repro.distributed.broker import Broker
@@ -54,6 +64,29 @@ from repro.service.protocol import (
     task_to_wire,
 )
 from repro.service.security import bearer_token, server_ssl_context, token_matches
+
+
+#: Most RPCs are sub-millisecond sqlite transactions, hence the fine low end.
+RPC_BUCKETS = (0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.1, 0.5, 2.5)
+
+# Per-RPC latency, split at the service lock: work done holding it, and
+# time spent queued for it behind other requests.
+_RPC_SECONDS = telemetry.histogram(
+    "chronos_rpc_seconds",
+    "Seconds one RPC held the service lock",
+    labelnames=("method",),
+    buckets=RPC_BUCKETS,
+)
+_RPC_LOCK_WAIT = telemetry.histogram(
+    "chronos_rpc_lock_wait_seconds",
+    "Seconds one RPC waited for the service lock",
+    labelnames=("method",),
+    buckets=RPC_BUCKETS,
+)
+
+#: Seconds a keep-alive connection may sit idle before the server closes
+#: it (clients reconnect transparently on their next call).
+KEEPALIVE_IDLE_S = 120.0
 
 
 class UnknownMethodError(KeyError):
@@ -87,7 +120,11 @@ class BrokerService:
                 task_to_wire(task) for task in broker.claim_many(worker_id, int(limit))
             ],
             "heartbeat": broker.heartbeat,
+            # ``complete`` serves clients from before ``complete_many``
             "complete": broker.complete,
+            "complete_many": lambda worker_id, completions: broker.complete_many(
+                worker_id, [(str(fingerprint), payload) for fingerprint, payload in completions]
+            ),
             "fail": broker.fail,
             "requeue_expired": lambda now=None, dry_run=False: list(
                 broker.requeue_expired(
@@ -135,8 +172,12 @@ class BrokerService:
             "prune_events": lambda before_seq=None: broker.prune_events(
                 None if before_seq is None else int(before_seq)
             ),
-            # result store
+            # result store (``result_get`` serves clients from before
+            # ``result_get_many``)
             "result_get": store.get_payload,
+            "result_get_many": lambda fingerprints: store.get_payload_many(
+                [str(fingerprint) for fingerprint in fingerprints]
+            ),
             "result_put": lambda payload, worker_id=None: store.put_payload(
                 payload, worker_id=worker_id
             ),
@@ -159,12 +200,24 @@ class BrokerService:
         return sorted(self._methods)
 
     def call(self, method: str, params: Optional[Dict[str, Any]] = None) -> Any:
-        """Invoke one method by wire name under the service lock."""
+        """Invoke one method by wire name under the service lock.
+
+        Observes ``chronos_rpc_lock_wait_seconds{method=}`` (time queued
+        for the lock) and ``chronos_rpc_seconds{method=}`` (time holding
+        it), so lock contention is visible separately from work.
+        """
         handler = self._methods.get(method)
         if handler is None:
             raise UnknownMethodError(method)
+        queued = perf_counter()
         with self._lock:
-            return handler(**(params or {}))
+            started = perf_counter()
+            try:
+                return handler(**(params or {}))
+            finally:
+                finished = perf_counter()
+                _RPC_LOCK_WAIT.labels(method=method).observe(started - queued)
+                _RPC_SECONDS.labels(method=method).observe(finished - started)
 
     def close(self) -> None:
         """Release the underlying database connections."""
@@ -190,10 +243,37 @@ class ServiceHTTPServer(ThreadingHTTPServer):
         self.service = service
         self.token = token
         self.tls = False
+        self._connections: Set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
         super().__init__(address, handler)
 
-    def server_close(self) -> None:  # releases sqlite handles with the socket
+    def process_request(self, request, client_address) -> None:
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def handle_error(self, request, client_address) -> None:
+        if isinstance(sys.exc_info()[1], OSError):
+            return  # a client vanished mid-connection; nothing to report
+        super().handle_error(request, client_address)
+
+    def server_close(self) -> None:
+        """Stop listening, end open keep-alive connections, release sqlite."""
         super().server_close()
+        with self._connections_lock:
+            open_connections = list(self._connections)
+        for connection in open_connections:
+            try:
+                # The raw TCP shutdown wakes a handler blocked reading the
+                # next request (TLS state is left to the handler thread).
+                socket.socket.shutdown(connection, socket.SHUT_RDWR)
+            except OSError:
+                pass
         self.service.close()
 
 
@@ -202,6 +282,11 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "chronos-sweep-service/1"
     protocol_version = "HTTP/1.1"  # keep-alive; responses carry Content-Length
+    #: Headers and body go out as separate writes; with Nagle's algorithm
+    #: on, the body waits for the client's delayed ACK (~40 ms per RPC).
+    disable_nagle_algorithm = True
+    #: Idle keep-alive connections are closed after this many seconds.
+    timeout = KEEPALIVE_IDLE_S
 
     def _authorized(self) -> bool:
         """Check the request's bearer token against the server's.

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import shutil
+import subprocess
+
 import numpy as np
 import pytest
 
@@ -101,3 +104,23 @@ def unbounded_cluster() -> ClusterConfig:
 def fast_hadoop() -> HadoopConfig:
     """Hadoop config with zero overheads (matches the analytical model)."""
     return HadoopConfig.instantaneous()
+
+
+@pytest.fixture(scope="session")
+def tls_material(tmp_path_factory):
+    """A self-signed cert/key pair for 127.0.0.1 (needs the openssl CLI)."""
+    openssl = shutil.which("openssl")
+    if openssl is None:
+        pytest.skip("openssl CLI not available to mint a test certificate")
+    directory = tmp_path_factory.mktemp("tls")
+    certfile, keyfile = directory / "cert.pem", directory / "key.pem"
+    subprocess.run(
+        [
+            openssl, "req", "-x509", "-newkey", "rsa:2048", "-nodes",
+            "-keyout", str(keyfile), "-out", str(certfile), "-days", "2",
+            "-subj", "/CN=127.0.0.1", "-addext", "subjectAltName=IP:127.0.0.1",
+        ],
+        check=True,
+        capture_output=True,
+    )
+    return certfile, keyfile

@@ -1,0 +1,209 @@
+"""One contract for the batch methods, run against every queue target.
+
+``get_many`` and ``complete_many`` must behave the same whether the
+target is a sqlite file, an ``http://`` service, an ``https://`` service
+with a bearer token, or a ``shards:`` federation:
+
+- ``get_many`` answers hits, omits misses, and treats a corrupt stored
+  row (unparseable JSON, or JSON that is not a result) as a miss;
+- ``complete_many`` logs one ``completed`` event per fingerprint, in
+  input order (per owning shard), and is idempotent when re-completed;
+- the completing worker's ``tasks_done`` grows by the batch size.
+"""
+
+from __future__ import annotations
+
+import sqlite3
+import threading
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable, List
+
+import pytest
+
+from repro.api import ScenarioSpec, WorkloadSpec, job_spec_to_dict, run
+from repro.distributed import LeasePolicy, open_broker, open_store
+from repro.federation import ShardTopology
+from repro.service import make_server
+from repro.simulator.entities import JobSpec
+
+TOKEN = "contract-secret-0123456789abcdef"
+
+FAST = LeasePolicy(timeout=5.0, heartbeat_interval=0.5, max_attempts=3)
+
+
+def _spec(seed: int) -> ScenarioSpec:
+    jobs = [
+        job_spec_to_dict(
+            JobSpec(job_id=f"j{i}", num_tasks=3, deadline=90.0, tmin=15.0, beta=1.5,
+                    submit_time=2.0 * i)
+        )
+        for i in range(2)
+    ]
+    return ScenarioSpec(
+        workload=WorkloadSpec("explicit", {"jobs": jobs}),
+        strategy="s-resume",
+        strategy_params={"tau_est": 30.0, "tau_kill": 60.0, "fixed_r": 1},
+        cluster={"num_nodes": 0},
+        seed=seed,
+    )
+
+
+@dataclass
+class Backend:
+    target: str
+    credentials: dict
+    #: The sqlite file holding a fingerprint's rows.
+    db_of: Callable[[str], Path]
+    #: Index of the shard owning a fingerprint (0 for single backends).
+    shard_of: Callable[[str], int]
+
+    def broker(self):
+        return open_broker(self.target, policy=FAST, **self.credentials)
+
+    def store(self):
+        return open_store(self.target, **self.credentials)
+
+
+@pytest.fixture(params=["sqlite", "http", "https+token", "shards"])
+def backend(request, tmp_path, monkeypatch):
+    for variable in ("CHRONOS_TOKEN", "CHRONOS_CAFILE", "CHRONOS_TLS_VERIFY"):
+        monkeypatch.delenv(variable, raising=False)
+    db = tmp_path / "queue.sqlite"
+    if request.param == "sqlite":
+        yield Backend(f"sqlite:{db}", {}, lambda fp: db, lambda fp: 0)
+        return
+    if request.param == "shards":
+        paths = [tmp_path / f"shard{i}.sqlite" for i in range(3)]
+        target = "shards:" + ",".join(str(path) for path in paths)
+        topology = ShardTopology.parse(target)
+        yield Backend(
+            target, {}, lambda fp: paths[topology.owner_of(fp)], topology.owner_of
+        )
+        return
+    kwargs, credentials = {}, {}
+    if request.param == "https+token":
+        certfile, keyfile = request.getfixturevalue("tls_material")
+        kwargs = {"token": TOKEN, "certfile": certfile, "keyfile": keyfile}
+        credentials = {"token": TOKEN, "cafile": str(certfile)}
+    server = make_server(db, host="127.0.0.1", port=0, policy=FAST, **kwargs)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    scheme = "https" if server.tls else "http"
+    try:
+        yield Backend(
+            f"{scheme}://127.0.0.1:{server.server_address[1]}",
+            credentials,
+            lambda fp: db,
+            lambda fp: 0,
+        )
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5.0)
+
+
+def _complete(backend: Backend, specs: List[ScenarioSpec], worker_id: str = "w1"):
+    """Enqueue, claim and batch-complete ``specs``; returns their results."""
+    results = [run(spec) for spec in specs]
+    broker = backend.broker()
+    try:
+        broker.register_worker(worker_id)
+        broker.enqueue([s.to_dict() for s in specs], [s.fingerprint() for s in specs])
+        assert len(broker.claim_many(worker_id, len(specs))) == len(specs)
+        broker.complete_many(worker_id, [(r.fingerprint, r.to_dict()) for r in results])
+    finally:
+        broker.close()
+    return results
+
+
+def _write_row(db: Path, fingerprint: str, payload: str) -> None:
+    with sqlite3.connect(str(db)) as conn:
+        conn.execute(
+            "INSERT OR REPLACE INTO results (fingerprint, payload, worker_id, created_at) "
+            "VALUES (?, ?, NULL, 0)",
+            (fingerprint, payload),
+        )
+
+
+class TestGetMany:
+    def test_hits_misses_and_corrupt_rows(self, backend):
+        results = _complete(backend, [_spec(seed) for seed in range(3)])
+        not_json, not_a_result = _spec(10).fingerprint(), _spec(11).fingerprint()
+        _write_row(backend.db_of(not_json), not_json, "{not json")
+        _write_row(backend.db_of(not_a_result), not_a_result, '{"spec": 1}')
+        missing = _spec(12).fingerprint()
+        asked = [results[0].fingerprint, missing, not_json, results[1].fingerprint,
+                 not_a_result, results[2].fingerprint]
+        store = backend.store()
+        try:
+            found = store.get_many(asked)
+            assert set(found) == {result.fingerprint for result in results}
+            for result in results:
+                assert found[result.fingerprint].to_dict() == result.to_dict()
+            # the point read is the same path: corrupt rows are misses
+            assert store.get(not_json) is None and store.get(not_a_result) is None
+            assert store.get(missing) is None
+            assert store.get_many([]) == {}
+        finally:
+            store.close()
+
+
+class TestCompleteMany:
+    def test_one_completed_event_per_fingerprint_in_input_order(self, backend):
+        specs = [_spec(seed) for seed in range(5)]
+        broker = backend.broker()
+        try:
+            since = broker.last_event_seq()
+            broker.register_worker("w1")
+            broker.enqueue([s.to_dict() for s in specs], [s.fingerprint() for s in specs])
+            broker.claim_many("w1", len(specs))
+            # deliberately not the claim (fingerprint) order
+            order = [specs[i].fingerprint() for i in (3, 0, 4, 1, 2)]
+            results = {s.fingerprint(): run(s).to_dict() for s in specs}
+            broker.complete_many("w1", [(fp, results[fp]) for fp in order])
+            completed = [
+                row["fingerprint"]
+                for row in broker.events_since(since, limit=1000)
+                if row["kind"] == "completed"
+            ]
+        finally:
+            broker.close()
+        assert sorted(completed) == sorted(order)  # exactly one each
+        for shard in {backend.shard_of(fp) for fp in order}:
+            assert [fp for fp in completed if backend.shard_of(fp) == shard] == [
+                fp for fp in order if backend.shard_of(fp) == shard
+            ]
+
+    def test_tasks_done_grows_by_batch_size(self, backend):
+        specs = [_spec(seed) for seed in range(4)]
+        _complete(backend, specs, worker_id="w-count")
+        broker = backend.broker()
+        try:
+            (row,) = [w for w in broker.workers() if w["worker_id"] == "w-count"]
+            assert row["tasks_done"] == len(specs)
+        finally:
+            broker.close()
+
+    def test_recompletion_is_idempotent(self, backend):
+        specs = [_spec(seed) for seed in range(3)]
+        results = _complete(backend, specs)
+        broker, store = backend.broker(), backend.store()
+        try:
+            before = broker.counts()
+            # a second worker whose leases were lost commits identical work
+            broker.complete_many("w2", [(r.fingerprint, r.to_dict()) for r in results])
+            assert broker.counts() == before == {
+                "pending": 0, "leased": 0, "done": 3, "failed": 0
+            }
+            assert len(store) == 3
+            store.clear()
+            found = store.get_many([r.fingerprint for r in results])
+            assert [found[r.fingerprint].to_dict() for r in results] == [
+                r.to_dict() for r in results
+            ]
+            assert all(broker.task(r.fingerprint).status == "done" for r in results)
+            assert broker.complete_many("w2", []) is None  # empty batch: no-op
+        finally:
+            broker.close()
+            store.close()

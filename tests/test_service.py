@@ -162,6 +162,19 @@ class TestEndpoints:
         with pytest.raises(ServiceError, match="cannot reach"):
             rpc_call("http://127.0.0.1:9", "settled", timeout=0.5)
 
+    def test_per_rpc_latency_metrics(self, service):
+        from repro.service import fetch_metrics
+
+        rpc_call(service.url, "settled")
+        HttpResultStore(service.url).get_many(["f" * 64])
+        with pytest.raises(ServiceError, match="unknown method"):
+            rpc_call(service.url, "carrier_pigeon")
+        body = fetch_metrics(service.url)
+        for method in ("settled", "result_get_many"):
+            assert f'chronos_rpc_seconds_count{{method="{method}"}}' in body
+            assert f'chronos_rpc_lock_wait_seconds_count{{method="{method}"}}' in body
+        assert 'method="carrier_pigeon"' not in body  # unknown methods are not labels
+
 
 class TestHttpBrokerParity:
     """Every Broker operation behaves identically through the front-end."""
@@ -681,3 +694,174 @@ class TestFleetlessStallObservability:
         retried = [e for e in events if isinstance(e, ScenarioRetried)]
         assert any("draining inline" in e.reason for e in retried)
         assert events[-1].executed == 1  # the drain still completed the sweep
+
+
+KEEPALIVE_TOKEN = "keepalive-secret-0123456789abcdef"
+
+
+@dataclass
+class KeepAliveService:
+    url: str
+    server: object
+    credentials: dict
+    #: Client ports of every accepted TCP connection, in accept order.
+    accepted: list
+    #: ``(rpc method, server thread ident)`` per call — one server thread
+    #: per connection, so the ident names the connection a call rode on.
+    calls: list
+
+    def broker(self) -> HttpBroker:
+        return HttpBroker(self.url, **self.credentials)
+
+
+@pytest.fixture(params=["http", "https+token"])
+def keepalive(request, tmp_path, monkeypatch):
+    """A service recording its connections, over http or https with a token."""
+    from repro.service import ServiceHTTPServer
+    from repro.service.server import BrokerService
+
+    for variable in ("CHRONOS_TOKEN", "CHRONOS_CAFILE", "CHRONOS_TLS_VERIFY"):
+        monkeypatch.delenv(variable, raising=False)
+    accepted, calls = [], []
+    process_request = ServiceHTTPServer.process_request
+    call = BrokerService.call
+
+    def recording_process_request(self, connection, client_address):
+        accepted.append(client_address[1])
+        process_request(self, connection, client_address)
+
+    def recording_call(self, method, params=None):
+        calls.append((method, threading.get_ident()))
+        return call(self, method, params)
+
+    monkeypatch.setattr(ServiceHTTPServer, "process_request", recording_process_request)
+    monkeypatch.setattr(BrokerService, "call", recording_call)
+    kwargs, credentials = {}, {}
+    if request.param == "https+token":
+        certfile, keyfile = request.getfixturevalue("tls_material")
+        kwargs = {"token": KEEPALIVE_TOKEN, "certfile": certfile, "keyfile": keyfile}
+        credentials = {"token": KEEPALIVE_TOKEN, "cafile": str(certfile)}
+    server = make_server(tmp_path / "queue.sqlite", host="127.0.0.1", port=0, policy=FAST, **kwargs)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    scheme = "https" if server.tls else "http"
+    url = f"{scheme}://127.0.0.1:{server.server_address[1]}"
+    try:
+        yield KeepAliveService(url, server, credentials, accepted, calls)
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5.0)
+
+
+def _fork_settled(broker: HttpBroker, out) -> None:
+    out.put(broker.settled())
+
+
+class TestKeepAlive:
+    """Persistent RPC connections: reuse, reconnects, forks and threads."""
+
+    def test_calls_reuse_one_connection(self, keepalive):
+        broker = keepalive.broker()
+        for _ in range(5):
+            assert broker.settled() is True
+        assert len(keepalive.accepted) == 1
+
+    def test_idle_close_reconnects_exactly_once(self, keepalive, monkeypatch):
+        from repro.service import ServiceRequestHandler
+
+        monkeypatch.setattr(ServiceRequestHandler, "timeout", 0.3)
+        broker = keepalive.broker()
+        assert broker.settled() is True
+        time.sleep(0.8)  # the server closes the idle connection
+        assert broker.settled() is True  # transparent: no error surfaces
+        assert len(keepalive.accepted) == 2  # one reconnect, not more
+        assert broker.settled() is True
+        assert len(keepalive.accepted) == 2
+
+    def test_forked_child_opens_its_own_socket(self, keepalive):
+        broker = keepalive.broker()
+        assert broker.settled() is True
+        context = multiprocessing.get_context("fork")
+        out = context.Queue()
+        child = context.Process(target=_fork_settled, args=(broker, out))
+        child.start()
+        assert out.get(timeout=30.0) is True
+        child.join(timeout=30.0)
+        assert child.exitcode == 0
+        assert len(keepalive.accepted) == 2  # the child did not reuse ours
+        # ... and the parent's own connection survived the child's exit
+        assert broker.settled() is True
+        assert len(keepalive.accepted) == 2
+
+    def test_worker_and_heartbeat_thread_use_separate_connections(
+        self, keepalive, slow_workload, monkeypatch
+    ):
+        # workers take their credentials from the environment
+        if keepalive.credentials:
+            monkeypatch.setenv("CHRONOS_TOKEN", keepalive.credentials["token"])
+            monkeypatch.setenv("CHRONOS_CAFILE", keepalive.credentials["cafile"])
+        spec = ScenarioSpec(
+            workload=WorkloadSpec(slow_workload, {"jobs": _job_dicts(), "delay_s": 0.8}),
+            strategy="s-resume",
+            strategy_params={"tau_est": 30.0, "tau_kill": 60.0, "fixed_r": 1},
+            cluster={"num_nodes": 0},
+        )
+        keepalive.broker().enqueue([spec.to_dict()], [spec.fingerprint()])
+        worker = Worker(
+            keepalive.url, worker_id="w-ka", config=WorkerConfig(policy=FAST, poll_interval=0.01)
+        )
+        assert worker._heartbeat_broker() is worker._broker  # one shared client
+        try:
+            assert worker.run() == 1
+        finally:
+            worker.close()
+        loop = {ident for method, ident in keepalive.calls if method == "complete_many"}
+        beats = {ident for method, ident in keepalive.calls if method == "heartbeat"}
+        assert loop and beats
+        assert loop.isdisjoint(beats)
+
+    def test_fresh_connection_failure_is_not_retried(self, keepalive):
+        """A peer that hangs up at once is an error on the first try."""
+        import socket
+
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(8)
+        hangups = []
+
+        def hang_up():
+            while True:
+                try:
+                    connection, _ = listener.accept()
+                except OSError:
+                    return
+                hangups.append(connection)
+                connection.close()
+
+        threading.Thread(target=hang_up, daemon=True).start()
+        scheme = keepalive.url.split(":")[0]
+        url = f"{scheme}://127.0.0.1:{listener.getsockname()[1]}"
+        try:
+            with pytest.raises(ServiceError, match="cannot reach"):
+                HttpBroker(url, **keepalive.credentials).settled()
+            time.sleep(0.2)
+            assert len(hangups) == 1
+        finally:
+            listener.close()
+
+    def test_dead_server_after_reuse_is_a_service_error(self, keepalive):
+        """The one reconnect of a stale socket fails cleanly, too."""
+        broker = keepalive.broker()
+        assert broker.settled() is True
+        keepalive.server.shutdown()
+        keepalive.server.server_close()  # also ends the open keep-alive socket
+        with pytest.raises(ServiceError, match="cannot reach"):
+            broker.settled()
+
+    def test_close_drops_only_the_calling_threads_connection(self, keepalive):
+        broker = keepalive.broker()
+        assert broker.settled() is True
+        broker.close()
+        assert broker.settled() is True  # a fresh connection, not an error
+        assert len(keepalive.accepted) == 2

@@ -12,8 +12,6 @@ exhausting a budget.
 from __future__ import annotations
 
 import json
-import shutil
-import subprocess
 import threading
 import time
 import urllib.error
@@ -104,26 +102,6 @@ def secured(tmp_path, clean_env):
     finally:
         server.shutdown()
         server.server_close()
-
-
-@pytest.fixture(scope="module")
-def tls_material(tmp_path_factory):
-    """A self-signed cert/key pair for 127.0.0.1 (needs the openssl CLI)."""
-    openssl = shutil.which("openssl")
-    if openssl is None:
-        pytest.skip("openssl CLI not available to mint a test certificate")
-    directory = tmp_path_factory.mktemp("tls")
-    certfile, keyfile = directory / "cert.pem", directory / "key.pem"
-    subprocess.run(
-        [
-            openssl, "req", "-x509", "-newkey", "rsa:2048", "-nodes",
-            "-keyout", str(keyfile), "-out", str(certfile), "-days", "2",
-            "-subj", "/CN=127.0.0.1", "-addext", "subjectAltName=IP:127.0.0.1",
-        ],
-        check=True,
-        capture_output=True,
-    )
-    return certfile, keyfile
 
 
 class TestTokenPrimitives:
