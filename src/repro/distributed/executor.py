@@ -55,6 +55,7 @@ from repro.api.spec import ScenarioSpec
 from repro.distributed.broker import TaskFailedError
 from repro.distributed.leases import LeasePolicy
 from repro.distributed.targets import (
+    is_auth_error,
     is_federation_target,
     is_service_url,
     open_broker,
@@ -238,7 +239,7 @@ def _stream(
                 try:
                     batch = broker_client.events_since(since, limit=EVENT_BATCH)
                 except Exception as error:
-                    if _is_auth_error(error):
+                    if is_auth_error(error):
                         raise
                     # One transport blip must not silently kill live
                     # progress for the rest of the sweep: ride it out on
@@ -496,15 +497,6 @@ def execute(
             done[event.index] = event.result
             commit(event.index, event.result)
     return done, served_from_store
-
-
-def _is_auth_error(error: Exception) -> bool:
-    """Whether an exception is a credential rejection (never retried)."""
-    try:
-        from repro.service.protocol import ServiceAuthError
-    except Exception:  # service layer absent/broken: treat as transient
-        return False
-    return isinstance(error, ServiceAuthError)
 
 
 def _announce_inline_drain(

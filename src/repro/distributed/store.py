@@ -27,7 +27,7 @@ import json
 import sqlite3
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.api.facade import ScenarioResult, result_from_dict
 from repro.simulator.metrics import net_utility
@@ -179,6 +179,26 @@ def summary_from_payload(
         }
     except (AttributeError, KeyError, TypeError, ValueError):
         return None
+
+
+def summary_columns(columns: Optional[Iterable[str]] = None) -> List[str]:
+    """The :data:`SUMMARY_COLUMNS` a ``summary_rows(columns)`` call selects.
+
+    ``None`` selects every column.  Unknown names, or an empty
+    selection, raise :class:`ValueError` on every result-store backend.
+    """
+    if columns is None:
+        return list(SUMMARY_COLUMNS)
+    selected = list(columns)
+    unknown = [column for column in selected if column not in SUMMARY_COLUMNS]
+    if unknown:
+        raise ValueError(
+            f"unknown summary column(s) {', '.join(unknown)} "
+            f"(available: {', '.join(SUMMARY_COLUMNS)})"
+        )
+    if not selected:
+        raise ValueError("columns must name at least one summary column")
+    return selected
 
 
 def connect(path: Union[str, Path]) -> sqlite3.Connection:
@@ -380,18 +400,7 @@ class SqliteResultStore:
         column names raise :class:`ValueError`.  Old rows are backfilled
         first, so the answer is complete regardless of who wrote them.
         """
-        if columns is None:
-            selected = list(SUMMARY_COLUMNS)
-        else:
-            selected = list(columns)
-            unknown = [column for column in selected if column not in SUMMARY_COLUMNS]
-            if unknown:
-                raise ValueError(
-                    f"unknown summary column(s) {', '.join(unknown)} "
-                    f"(available: {', '.join(SUMMARY_COLUMNS)})"
-                )
-            if not selected:
-                raise ValueError("columns must name at least one summary column")
+        selected = summary_columns(columns)
         self.backfill_summaries()
         rows = self._conn.execute(
             "SELECT " + ", ".join(f"s.{column}" for column in selected) + " "
@@ -400,7 +409,7 @@ class SqliteResultStore:
         ).fetchall()
         return [{column: row[column] for column in selected} for row in rows]
 
-    def fingerprints(self) -> set:
+    def fingerprints(self) -> Set[str]:
         """All stored fingerprints in one query (cheap presence check)."""
         rows = self._conn.execute("SELECT fingerprint FROM results").fetchall()
         return {row["fingerprint"] for row in rows}

@@ -84,6 +84,15 @@ def target_uses_service(target: Union[str, Path]) -> bool:
     return False
 
 
+def is_auth_error(error: Exception) -> bool:
+    """Whether an exception is a credential rejection (never retried or masked)."""
+    try:
+        from repro.service.protocol import ServiceAuthError
+    except Exception:  # service layer absent/broken: treat as transient
+        return False
+    return isinstance(error, ServiceAuthError)
+
+
 def _check_sqlite_target(target: Union[str, Path]) -> Union[str, Path]:
     """Reject scheme-carrying targets that no backend recognizes."""
     text = str(target)

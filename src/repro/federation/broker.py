@@ -40,6 +40,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from repro import telemetry
 from repro.distributed.broker import EVENT_KINDS, TRIAL_EVENT_KINDS, Task, TaskRecord
 from repro.distributed.leases import LeasePolicy
+from repro.distributed.targets import is_auth_error, open_broker
 from repro.federation.events import merge_event_batches, pack_cursor, unpack_cursor
 from repro.federation.topology import ShardTopology
 
@@ -58,15 +59,6 @@ _SHARD_QUEUE_DEPTH = telemetry.gauge(
 _INSTANCE_COUNTER = itertools.count()
 
 
-def _is_auth_error(error: Exception) -> bool:
-    """Whether an exception is a credential rejection (never masked)."""
-    try:
-        from repro.service.protocol import ServiceAuthError
-    except Exception:
-        return False
-    return isinstance(error, ServiceAuthError)
-
-
 class FederatedBroker:
     """The :class:`~repro.distributed.Broker` interface over N shards."""
 
@@ -79,8 +71,6 @@ class FederatedBroker:
         cafile: Optional[str] = None,
         verify: Optional[bool] = None,
     ):
-        from repro.distributed.targets import open_broker
-
         self._topology = (
             target if isinstance(target, ShardTopology) else ShardTopology.parse(target)
         )
@@ -213,7 +203,7 @@ class FederatedBroker:
             try:
                 got = self._shards[shard_index].claim_many(worker_id, want)
             except Exception as error:
-                if _is_auth_error(error):
+                if is_auth_error(error):
                     raise
                 self._mark_unavailable(shard_index, "claim", error)
                 dry.add(shard_index)
@@ -433,11 +423,10 @@ class FederatedBroker:
         return sorted(merged.values(), key=lambda row: (row["started_at"], row["worker_id"]))
 
     def leased(self, now: Optional[float] = None) -> List[Dict[str, Any]]:
-        """Per-lease detail gathered from every shard."""
-        del now  # each shard reports against its own clock
+        """Per-lease detail gathered from every shard, against one clock."""
         leases: List[Dict[str, Any]] = []
         for shard in self._shards:
-            leases.extend(shard.leased())
+            leases.extend(shard.leased(now))
         return sorted(leases, key=lambda item: (item["expires_in_s"], item["fingerprint"]))
 
     def telemetry_summary(self, window_s: float = 300.0) -> Dict[str, Any]:

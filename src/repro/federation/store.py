@@ -9,13 +9,11 @@ sqlite database they federate.
 Point operations (``get``/``put``/``__contains__``) route, ``get_many``
 groups its fingerprints by owning shard (one batched read each); collection
 operations (``fingerprints``/``results``/``summary_rows``/``len``)
-scatter-gather.  Column selection is pushed down to each shard's SQL
-where the shard supports it (sqlite), and merged rows are ordered by
+scatter-gather.  Every shard, sqlite or HTTP, has the full store
+surface, so column selection is pushed down to each shard (to its SQL,
+through the service for an HTTP shard), and merged rows are ordered by
 fingerprint — a total order every process agrees on regardless of
-which shard answered first or when each row was written.  HTTP-backed
-shards, whose remote stores only expose the point surface, degrade
-transparently: their rows are fetched by fingerprint and summarized
-client-side, so exports work against any shard mix.
+which shard answered first or when each row was written.
 """
 
 from __future__ import annotations
@@ -23,7 +21,8 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, List, Optional, Set, Union
 
 from repro.api.facade import ScenarioResult
-from repro.distributed.store import SUMMARY_COLUMNS, summary_from_payload
+from repro.distributed.store import summary_columns
+from repro.distributed.targets import open_store
 from repro.federation.topology import ShardTopology
 
 
@@ -38,8 +37,6 @@ class FederatedResultStore:
         cafile: Optional[str] = None,
         verify: Optional[bool] = None,
     ):
-        from repro.distributed.targets import open_store
-
         self._topology = (
             target if isinstance(target, ShardTopology) else ShardTopology.parse(target)
         )
@@ -80,11 +77,7 @@ class FederatedResultStore:
 
     def get_payload(self, fingerprint: str) -> Optional[Dict[str, Any]]:
         """The raw result payload from the owning shard (parse-free)."""
-        shard = self._owner(fingerprint)
-        if hasattr(shard, "get_payload"):
-            return shard.get_payload(fingerprint)
-        result = shard.get(fingerprint)
-        return None if result is None else result.to_dict()
+        return self._owner(fingerprint).get_payload_many([fingerprint]).get(fingerprint)
 
     def put(self, result: ScenarioResult, worker_id: Optional[str] = None) -> None:
         """Store a result on its fingerprint's owning shard."""
@@ -112,10 +105,7 @@ class FederatedResultStore:
         """
         gathered: List[ScenarioResult] = []
         for shard in self._shards:
-            if hasattr(shard, "results"):
-                gathered.extend(shard.results())
-            else:  # point-surface shard (HTTP): fetch by fingerprint, batched
-                gathered.extend(shard.get_many(shard.fingerprints()).values())
+            gathered.extend(shard.results())
         gathered.sort(key=lambda result: result.fingerprint)
         return gathered
 
@@ -124,35 +114,17 @@ class FederatedResultStore:
     ) -> List[Dict[str, Any]]:
         """Columnar summaries merged across shards, ordered by fingerprint.
 
-        The column selection is pushed down to each sqlite shard's SQL;
-        shards without a columnar surface are summarized client-side
-        from their stored payloads.  Unknown columns raise
-        :class:`ValueError`, exactly like the single-store surface.
+        The column selection is pushed down to each shard.  Unknown
+        columns raise :class:`ValueError`, exactly like the single-store
+        surface.
         """
-        if columns is None:
-            selected = list(SUMMARY_COLUMNS)
-        else:
-            selected = list(columns)
-            unknown = [column for column in selected if column not in SUMMARY_COLUMNS]
-            if unknown:
-                raise ValueError(
-                    f"unknown summary column(s) {', '.join(unknown)} "
-                    f"(available: {', '.join(SUMMARY_COLUMNS)})"
-                )
-            if not selected:
-                raise ValueError("columns must name at least one summary column")
+        selected = summary_columns(columns)
         # The merge key must ride along even when the caller did not ask
         # for it; it is stripped again below.
         pushdown = selected if "fingerprint" in selected else ["fingerprint", *selected]
         merged: List[Dict[str, Any]] = []
         for shard in self._shards:
-            if hasattr(shard, "summary_rows"):
-                merged.extend(shard.summary_rows(pushdown))
-                continue
-            for fingerprint, result in shard.get_many(shard.fingerprints()).items():
-                summary = summary_from_payload(result.to_dict(), fingerprint=fingerprint)
-                if summary is not None:
-                    merged.append({column: summary[column] for column in pushdown})
+            merged.extend(shard.summary_rows(pushdown))
         merged.sort(key=lambda row: row["fingerprint"])
         if "fingerprint" not in selected:
             merged = [
@@ -161,12 +133,8 @@ class FederatedResultStore:
         return merged
 
     def backfill_summaries(self) -> int:
-        """Backfill columnar summaries on every shard that supports them."""
-        return sum(
-            shard.backfill_summaries()
-            for shard in self._shards
-            if hasattr(shard, "backfill_summaries")
-        )
+        """Backfill columnar summaries on every shard."""
+        return sum(shard.backfill_summaries() for shard in self._shards)
 
     def clear(self) -> None:
         """Drop every shard's in-memory layer (rows are left alone)."""

@@ -8,6 +8,21 @@ surface as :class:`~repro.distributed.Broker` and
 :func:`repro.distributed.execute` and the CLI run unchanged against a
 remote URL.
 
+Neither class writes out the broker contract.  Every pass-through
+method is generated from the wire table,
+:data:`repro.service.protocol.WIRE_METHODS`: it carries the signature
+and docstring of the sqlite method it mirrors, binds its arguments
+against that signature, and sends them by name through the module-level
+:func:`rpc_call` after the row's parameter coercions; the row's
+``from_wire`` codec decodes the answer.  Only methods with client-side
+logic are written out: the constructors and ``url``/``credentials``;
+``HttpBroker.policy`` (cached server policy), ``enqueue`` and
+``claim_many`` (argument checks before the round trip), ``register_worker``
+(defaults to this process's pid), ``complete`` (the one-element
+``complete_many``), ``stats`` (adds ``url``) and ``metrics``; the
+store's memoizing ``get``/``get_many``/``put``/``clear``/``__contains__``;
+and ``close``/``__enter__``/``__exit__``.
+
 Round trips reuse persistent HTTP/1.1 connections: :func:`rpc_call`
 keeps one :class:`http.client.HTTPConnection` (or ``HTTPSConnection``)
 open per process, thread and endpoint — scheme, host, port and SSL
@@ -45,7 +60,9 @@ credentials without plumbing.
 
 from __future__ import annotations
 
+import functools
 import http.client
+import inspect
 import json
 import os
 import socket
@@ -54,19 +71,20 @@ import threading
 import urllib.error
 import urllib.parse
 import urllib.request
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.api.facade import ScenarioResult, result_from_dict
-from repro.distributed.broker import Task, TaskRecord
+from repro.distributed.broker import Broker, Task
 from repro.distributed.leases import LeasePolicy
+from repro.distributed.store import SqliteResultStore
 from repro.service.protocol import (
+    BROKER,
     METRICS_PATH,
     RPC_PATH,
+    STORE,
+    WIRE_METHODS,
     ServiceAuthError,
     ServiceError,
-    policy_from_wire,
-    record_from_wire,
-    task_from_wire,
 )
 from repro.service.security import Credentials, client_ssl_context
 
@@ -266,8 +284,62 @@ def fetch_metrics(
         raise ServiceError(f"cannot reach sweep service at {url}: {error}") from error
 
 
-class HttpBroker:
+class _ServiceClient:
+    """What both HTTP clients share: endpoint, credentials, one RPC path."""
+
+    def __init__(
+        self,
+        url: str,
+        token: Optional[str] = None,
+        cafile: Optional[str] = None,
+        verify: Optional[bool] = None,
+    ):
+        self._url = url.rstrip("/")
+        self._credentials = Credentials.resolve(token=token, cafile=cafile, verify=verify)
+        self._context = client_ssl_context(
+            self._url, cafile=self._credentials.cafile, verify=self._credentials.verify
+        )
+
+    @property
+    def url(self) -> str:
+        """Base URL of the sweep service."""
+        return self._url
+
+    @property
+    def credentials(self) -> Credentials:
+        """The resolved security settings this client sends with."""
+        return self._credentials
+
+    def _call(self, method: str, **params: Any) -> Any:
+        """One RPC by wire name, coerced and decoded by its table row."""
+        wire = WIRE_METHODS[method]
+        return wire.from_wire(
+            rpc_call(
+                self._url,
+                method,
+                wire.coerce(params),
+                token=self._credentials.token,
+                context=self._context,
+            )
+        )
+
+    def close(self) -> None:
+        """Close the calling thread's connection to the service."""
+        _close_connection(self._url, self._context)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+
+class HttpBroker(_ServiceClient):
     """The :class:`~repro.distributed.Broker` interface over HTTP.
+
+    Every method without client-side logic is generated from
+    :data:`~repro.service.protocol.WIRE_METHODS` (see
+    :func:`_derive_rpc_methods`).
 
     Lease timing is enforced by the *server* (it owns the database and
     grants the leases); :attr:`policy` reports the server's policy so
@@ -283,46 +355,20 @@ class HttpBroker:
         cafile: Optional[str] = None,
         verify: Optional[bool] = None,
     ):
-        self._url = url.rstrip("/")
+        super().__init__(url, token=token, cafile=cafile, verify=verify)
         self._fallback_policy = policy if policy is not None else LeasePolicy()
         self._server_policy: Optional[LeasePolicy] = None
-        self._credentials = Credentials.resolve(token=token, cafile=cafile, verify=verify)
-        self._context = client_ssl_context(
-            self._url, cafile=self._credentials.cafile, verify=self._credentials.verify
-        )
-
-    @property
-    def url(self) -> str:
-        """Base URL of the sweep service."""
-        return self._url
 
     @property
     def policy(self) -> LeasePolicy:
         """The server's lease policy (fetched once, then cached)."""
         if self._server_policy is None:
             try:
-                self._server_policy = policy_from_wire(self._call("policy"))
+                self._server_policy = self._call("policy")
             except ServiceError:
                 return self._fallback_policy
         return self._server_policy
 
-    @property
-    def credentials(self) -> Credentials:
-        """The resolved security settings this client sends with."""
-        return self._credentials
-
-    def _call(self, method: str, **params: Any) -> Any:
-        return rpc_call(
-            self._url,
-            method,
-            params,
-            token=self._credentials.token,
-            context=self._context,
-        )
-
-    # ------------------------------------------------------------------
-    # Producer side
-    # ------------------------------------------------------------------
     def enqueue(
         self,
         payloads: Sequence[Dict[str, Any]],
@@ -331,120 +377,23 @@ class HttpBroker:
     ) -> int:
         if len(payloads) != len(fingerprints):
             raise ValueError("payloads and fingerprints must have equal length")
-        return int(
-            self._call(
-                "enqueue",
-                payloads=list(payloads),
-                fingerprints=list(fingerprints),
-                span=None if span is None else dict(span),
-            )
-        )
-
-    def drain(self) -> None:
-        self._call("drain")
-
-    def is_draining(self) -> bool:
-        return bool(self._call("is_draining"))
-
-    # ------------------------------------------------------------------
-    # Consumer side
-    # ------------------------------------------------------------------
-    def claim(self, worker_id: str) -> Optional[Task]:
-        return task_from_wire(self._call("claim", worker_id=worker_id))
+        return self._call("enqueue", payloads=payloads, fingerprints=fingerprints, span=span)
 
     def claim_many(self, worker_id: str, limit: int) -> List[Task]:
         if limit < 1:
             raise ValueError("claim limit must be a positive integer")
-        wire = self._call("claim_many", worker_id=worker_id, limit=int(limit))
-        return [task_from_wire(item) for item in wire]
+        return self._call("claim_many", worker_id=worker_id, limit=limit)
 
-    def heartbeat(self, fingerprint: str, worker_id: str) -> bool:
-        return bool(self._call("heartbeat", fingerprint=fingerprint, worker_id=worker_id))
+    def register_worker(self, worker_id: str, pid: Optional[int] = None) -> None:
+        self._call("register_worker", worker_id=worker_id, pid=os.getpid() if pid is None else pid)
 
     def complete(self, fingerprint: str, worker_id: str, result_payload: Dict[str, Any]) -> None:
         self.complete_many(worker_id, [(fingerprint, result_payload)])
 
-    def complete_many(
-        self, worker_id: str, completions: Sequence[Tuple[str, Dict[str, Any]]]
-    ) -> None:
-        """Commit finished tasks in one round trip (one server transaction)."""
-        self._call(
-            "complete_many",
-            worker_id=worker_id,
-            completions=[[fingerprint, payload] for fingerprint, payload in completions],
-        )
-
-    def fail(self, fingerprint: str, worker_id: str, error: str) -> bool:
-        return bool(
-            self._call("fail", fingerprint=fingerprint, worker_id=worker_id, error=str(error))
-        )
-
-    def requeue_expired(
-        self, now: Optional[float] = None, dry_run: bool = False
-    ) -> Tuple[int, int]:
-        # ``now`` crosses the wire (it used to be silently dropped, which
-        # made lease debugging against a remote broker lie); ``None``
-        # still means "the server's clock rules".  ``dry_run`` reports
-        # what a sweep *would* do without touching any lease — the mode
-        # behind ``workers status --expiring``.
-        requeued, exhausted = self._call("requeue_expired", now=now, dry_run=dry_run)
-        return int(requeued), int(exhausted)
-
-    def release_worker(self, worker_id: str) -> Tuple[int, int]:
-        requeued, exhausted = self._call("release_worker", worker_id=worker_id)
-        return int(requeued), int(exhausted)
-
-    def release_pending(self, fingerprints: Sequence[str]) -> int:
-        return int(self._call("release_pending", fingerprints=list(fingerprints)))
-
-    # ------------------------------------------------------------------
-    # Worker liveness
-    # ------------------------------------------------------------------
-    def register_worker(self, worker_id: str, pid: Optional[int] = None) -> None:
-        self._call(
-            "register_worker",
-            worker_id=worker_id,
-            pid=os.getpid() if pid is None else int(pid),
-        )
-
-    def touch_worker(self, worker_id: str) -> None:
-        self._call("touch_worker", worker_id=worker_id)
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def counts(self) -> Dict[str, int]:
-        return {state: int(count) for state, count in self._call("counts").items()}
-
-    def settled(self) -> bool:
-        return bool(self._call("settled"))
-
-    def task(self, fingerprint: str) -> Optional[TaskRecord]:
-        return record_from_wire(self._call("task", fingerprint=fingerprint))
-
-    def tasks(self, status: Optional[str] = None) -> List[TaskRecord]:
-        return [record_from_wire(item) for item in self._call("tasks", status=status)]
-
-    def failed_payloads(self) -> List[Tuple[str, Dict[str, Any], str]]:
-        return [
-            (str(fingerprint), dict(payload), str(error))
-            for fingerprint, payload, error in self._call("failed_payloads")
-        ]
-
-    def workers(self) -> List[Dict[str, Any]]:
-        return list(self._call("workers"))
-
-    def leased(self) -> List[Dict[str, Any]]:
-        return list(self._call("leased"))
-
     def stats(self) -> Dict[str, Any]:
-        stats = dict(self._call("stats"))
+        stats = self._call("stats")
         stats["url"] = self._url  # where the answer came from, for status output
         return stats
-
-    def telemetry_summary(self, window_s: float = 300.0) -> Dict[str, Any]:
-        """Recent queue activity, computed server-side from the event log."""
-        return dict(self._call("telemetry_summary", window_s=float(window_s)))
 
     def metrics(self) -> Dict[str, Any]:
         """JSON snapshot of the *server's* telemetry registry.
@@ -452,79 +401,16 @@ class HttpBroker:
         The same data ``GET /metrics`` renders as Prometheus text; this
         form is for programmatic consumers (the ``metrics --json`` CLI).
         """
-        return dict(self._call("metrics"))
-
-    # ------------------------------------------------------------------
-    # Event log
-    # ------------------------------------------------------------------
-    def last_event_seq(self) -> int:
-        return int(self._call("last_event_seq"))
-
-    def events_since(self, seq: int = 0, limit: int = 500) -> List[Dict[str, Any]]:
-        """Queue-log rows newer than ``seq`` — live progress over HTTP.
-
-        Same contract as :meth:`repro.distributed.Broker.events_since`:
-        strictly monotonic ``seq``, oldest first, at most ``limit`` rows
-        per round trip (batching keeps a hot sweep from ballooning one
-        response).  Tailing this is how a sweep driver — or ``curl`` in a
-        CI job — watches a remote, authenticated sweep make progress.
-        """
-        return [dict(row) for row in self._call("events_since", seq=int(seq), limit=int(limit))]
-
-    def record_event(
-        self,
-        kind: str,
-        fingerprint: Optional[str] = None,
-        worker_id: Optional[str] = None,
-        detail: Optional[str] = None,
-    ) -> int:
-        """Append an out-of-band event (adaptive-search trial decisions)."""
-        return int(
-            self._call(
-                "record_event",
-                kind=str(kind),
-                fingerprint=fingerprint,
-                worker_id=worker_id,
-                detail=detail,
-            )
-        )
-
-    def events_for(self, fingerprint: str, limit: int = 1000) -> List[Dict[str, Any]]:
-        """Every retained event-log row about one fingerprint, oldest first."""
-        return [
-            dict(row)
-            for row in self._call("events_for", fingerprint=str(fingerprint), limit=int(limit))
-        ]
-
-    def done_watermark(self) -> int:
-        return int(self._call("done_watermark"))
-
-    def prune_events(self, before_seq: Optional[int] = None) -> int:
-        """Prune settled event-log history on the server; returns the count."""
-        return int(
-            self._call(
-                "prune_events",
-                before_seq=None if before_seq is None else int(before_seq),
-            )
-        )
-
-    def close(self) -> None:
-        """Close the calling thread's connection to the service."""
-        _close_connection(self._url, self._context)
-
-    def __enter__(self) -> "HttpBroker":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+        return self._call("metrics")
 
 
-class HttpResultStore:
+class HttpResultStore(_ServiceClient):
     """The :class:`~repro.distributed.SqliteResultStore` interface over HTTP.
 
     Parsed results are memoized locally (like the sqlite store's memory
     layer), so repeated ``get``/``get_many`` calls for collected
-    fingerprints do not re-fetch or re-parse.
+    fingerprints do not re-fetch or re-parse.  Every other method is
+    generated from :data:`~repro.service.protocol.WIRE_METHODS`.
     """
 
     def __init__(
@@ -534,31 +420,8 @@ class HttpResultStore:
         cafile: Optional[str] = None,
         verify: Optional[bool] = None,
     ):
-        self._url = url.rstrip("/")
+        super().__init__(url, token=token, cafile=cafile, verify=verify)
         self._memory: Dict[str, ScenarioResult] = {}
-        self._credentials = Credentials.resolve(token=token, cafile=cafile, verify=verify)
-        self._context = client_ssl_context(
-            self._url, cafile=self._credentials.cafile, verify=self._credentials.verify
-        )
-
-    @property
-    def url(self) -> str:
-        """Base URL of the sweep service."""
-        return self._url
-
-    @property
-    def credentials(self) -> Credentials:
-        """The resolved security settings this client sends with."""
-        return self._credentials
-
-    def _call(self, method: str, **params: Any) -> Any:
-        return rpc_call(
-            self._url,
-            method,
-            params,
-            token=self._credentials.token,
-            context=self._context,
-        )
 
     def get(self, fingerprint: str) -> Optional[ScenarioResult]:
         return self.get_many([fingerprint]).get(fingerprint)
@@ -586,25 +449,48 @@ class HttpResultStore:
         self._memory[result.fingerprint] = result
         self._call("result_put", payload=result.to_dict(), worker_id=worker_id)
 
-    def fingerprints(self) -> Set[str]:
-        return set(self._call("result_fingerprints"))
-
     def clear(self) -> None:
         """Drop the local memo (server rows are left alone)."""
         self._memory.clear()
 
-    def __len__(self) -> int:
-        return int(self._call("result_len"))
-
     def __contains__(self, fingerprint: object) -> bool:
         return isinstance(fingerprint, str) and self.get(fingerprint) is not None
 
-    def close(self) -> None:
-        """Close the calling thread's connection to the service."""
-        _close_connection(self._url, self._context)
 
-    def __enter__(self) -> "HttpResultStore":
-        return self
+def _rpc_method(name: str, mirrored: Callable[..., Any]) -> Callable[..., Any]:
+    """A client method sending its arguments, by name, as RPC ``name``.
 
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+    It takes the signature and docstring of ``mirrored``, the sqlite
+    method the RPC runs on the server, and binds its arguments (defaults
+    included) against that signature before the round trip.
+    """
+    signature = inspect.signature(mirrored)
+    unbound = signature.replace(parameters=list(signature.parameters.values())[1:])
+
+    @functools.wraps(mirrored, assigned=("__name__", "__doc__"))
+    def method(self: _ServiceClient, *args: Any, **kwargs: Any) -> Any:
+        bound = unbound.bind(*args, **kwargs)
+        bound.apply_defaults()
+        return self._call(name, **bound.arguments)
+
+    return method
+
+
+def _derive_rpc_methods(cls: type, owner: str, contract: type) -> None:
+    """Give ``cls`` a generated method for each of ``owner``'s wire methods.
+
+    A method ``cls`` writes out itself (client-side checks, memoizing)
+    is kept, and so is any row whose target is not a plain method of
+    ``contract`` (``policy`` is a property).
+    """
+    for wire in WIRE_METHODS.values():
+        mirrored = contract.__dict__.get(wire.target)
+        if wire.owner != owner or wire.target in cls.__dict__ or not inspect.isfunction(mirrored):
+            continue
+        method = _rpc_method(wire.name, mirrored)
+        method.__qualname__ = f"{cls.__name__}.{wire.target}"
+        setattr(cls, wire.target, method)
+
+
+_derive_rpc_methods(HttpBroker, BROKER, Broker)
+_derive_rpc_methods(HttpResultStore, STORE, SqliteResultStore)

@@ -13,11 +13,30 @@ The service speaks a deliberately small JSON-over-HTTP dialect:
   the bearer token when one is configured; scrapers pass
   ``Authorization: Bearer <token>``.
 
+Every RPC is one row of :data:`WIRE_METHODS`, and both ends are built
+from that table.  The sqlite :class:`~repro.distributed.Broker` and
+:class:`~repro.distributed.SqliteResultStore` are the contract: a row
+names the wire method, its owner on the server (the broker, the result
+store, or the telemetry registry), the owner's method that answers it,
+the coercions applied to its named parameters, and a result codec pair
+(``to_wire`` on the server, ``from_wire`` on the client; identity when
+absent).  :class:`~repro.service.server.BrokerService` dispatches by
+looking the row up, and :mod:`repro.service.client` generates every
+pass-through method of ``HttpBroker``/``HttpResultStore`` from the
+rows, with the signature and docstring of the sqlite method it mirrors
+(the few methods with client-side logic — argument checks, the pid
+default, the memoizing result reads — are written out there).
+
+Parameter coercions run on both ends: the client sends canonical JSON
+and reports a bad argument as :class:`ValueError`/:class:`TypeError`
+before the round trip, and the server applies them again against any
+HTTP client, answering a malformed parameter with HTTP 400.
+
 Everything on the wire is JSON-native: :class:`~repro.distributed.Task`,
 :class:`~repro.distributed.TaskRecord` and
 :class:`~repro.distributed.LeasePolicy` cross as plain dicts via the
-``*_to_wire`` / ``*_from_wire`` helpers here, so the server never pickles
-and any HTTP client can drive a queue.
+``*_to_wire`` / ``*_from_wire`` codecs of their rows, so the server
+never pickles and any HTTP client can drive a queue.
 
 Queue *progress* crosses the same way: the ``events_since`` method
 relays the broker's monotonic event log as plain dicts (``{"seq", "ts",
@@ -28,17 +47,19 @@ remote sweep withdraw its unclaimed tasks.
 Results cross in batches: ``result_get_many`` (``{"fingerprints":
 [...]}`` → ``{fingerprint: payload}``, misses and corrupt rows absent)
 and ``complete_many`` (``{"worker_id", "completions": [[fingerprint,
-payload], ...]}``).  Every method is additive — the server keeps the
-one-at-a-time ``result_get`` and ``complete`` for older clients — but
-current clients need a server that has the batch methods.
+payload], ...]}``).  There is no one-at-a-time result read or
+completion on the wire.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Optional
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, Mapping, Optional
 
+from repro.api.facade import result_from_dict
 from repro.distributed.broker import Task, TaskRecord
 from repro.distributed.leases import Lease, LeasePolicy
+from repro.distributed.store import summary_columns
 
 #: URL paths of the four endpoints.
 RPC_PATH = "/rpc"
@@ -147,3 +168,128 @@ def policy_from_wire(data: Mapping[str, Any]) -> LeasePolicy:
         heartbeat_interval=float(data["heartbeat_interval"]),
         max_attempts=int(data["max_attempts"]),
     )
+
+
+#: Owners of wire methods on the server side.
+BROKER, STORE, TELEMETRY = "broker", "store", "telemetry"
+
+
+def _identity(value: Any) -> Any:
+    return value
+
+
+def _optional(convert: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    return lambda value: None if value is None else convert(value)
+
+
+def _each(convert: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    return lambda items: [convert(item) for item in items]
+
+
+_strings = _each(str)
+
+
+def _completions(completions: Any) -> Any:
+    return [(str(fingerprint), payload) for fingerprint, payload in completions]
+
+
+@dataclass(frozen=True)
+class WireMethod:
+    """One RPC: who answers it, how its parameters and result cross.
+
+    ``owner`` is :data:`BROKER`, :data:`STORE` or :data:`TELEMETRY`;
+    ``attr`` names the owner's method answering the call (the wire name
+    when empty; a property such as the broker's ``policy`` is read, not
+    called).  ``params`` maps parameter names to coercions; parameters
+    it does not name pass through as decoded from JSON.
+    """
+
+    name: str
+    owner: str
+    params: Mapping[str, Callable[[Any], Any]] = field(default_factory=dict)
+    to_wire: Callable[[Any], Any] = _identity
+    from_wire: Callable[[Any], Any] = _identity
+    attr: str = ""
+
+    @property
+    def target(self) -> str:
+        """The owner's attribute answering this method."""
+        return self.attr or self.name
+
+    def coerce(self, params: Dict[str, Any]) -> Dict[str, Any]:
+        """``params`` with this method's coercions applied."""
+        if not self.params:
+            return params
+        return {
+            name: self.params[name](value) if name in self.params else value
+            for name, value in params.items()
+        }
+
+
+#: Every RPC the service exports, by wire name.
+WIRE_METHODS: Dict[str, WireMethod] = {
+    method.name: method
+    for method in (
+        # producer side
+        WireMethod(
+            "enqueue", BROKER,
+            {"payloads": list, "fingerprints": _strings, "span": _optional(dict)},
+        ),
+        WireMethod("drain", BROKER),
+        WireMethod("is_draining", BROKER),
+        # consumer side
+        WireMethod("claim", BROKER, to_wire=task_to_wire, from_wire=task_from_wire),
+        WireMethod(
+            "claim_many", BROKER, {"limit": int}, _each(task_to_wire), _each(task_from_wire)
+        ),
+        WireMethod("heartbeat", BROKER),
+        WireMethod("complete_many", BROKER, {"completions": _completions}),
+        WireMethod("fail", BROKER, {"error": str}),
+        WireMethod(
+            "requeue_expired", BROKER,
+            {"now": _optional(float), "dry_run": bool}, from_wire=tuple,
+        ),
+        WireMethod("release_worker", BROKER, from_wire=tuple),
+        WireMethod("release_pending", BROKER, {"fingerprints": _strings}),
+        # worker liveness (remote pid travels with the registration)
+        WireMethod("register_worker", BROKER, {"pid": _optional(int)}),
+        WireMethod("touch_worker", BROKER),
+        # introspection
+        WireMethod("counts", BROKER),
+        WireMethod("settled", BROKER),
+        WireMethod("task", BROKER, to_wire=record_to_wire, from_wire=record_from_wire),
+        WireMethod(
+            "tasks", BROKER, to_wire=_each(record_to_wire), from_wire=_each(record_from_wire)
+        ),
+        WireMethod("failed_payloads", BROKER, from_wire=_each(tuple)),
+        WireMethod("workers", BROKER),
+        WireMethod("leased", BROKER, {"now": _optional(float)}),
+        WireMethod("stats", BROKER),
+        WireMethod("telemetry_summary", BROKER, {"window_s": float}),
+        WireMethod("policy", BROKER, to_wire=policy_to_wire, from_wire=policy_from_wire),
+        # telemetry (JSON snapshot of the same registry /metrics renders)
+        WireMethod("metrics", TELEMETRY, attr="snapshot"),
+        # event log (live sweep progress over the wire)
+        WireMethod("events_since", BROKER, {"seq": int, "limit": int}),
+        WireMethod("last_event_seq", BROKER),
+        WireMethod("record_event", BROKER, {"kind": str}),
+        WireMethod("events_for", BROKER, {"fingerprint": str, "limit": int}),
+        WireMethod("done_watermark", BROKER),
+        WireMethod("prune_events", BROKER, {"before_seq": _optional(int)}),
+        # result store
+        WireMethod(
+            "result_get_many", STORE, {"fingerprints": _strings}, attr="get_payload_many"
+        ),
+        WireMethod("result_put", STORE, attr="put_payload"),
+        WireMethod(
+            "result_fingerprints", STORE, to_wire=sorted, from_wire=set, attr="fingerprints"
+        ),
+        WireMethod("result_len", STORE, attr="__len__"),
+        WireMethod(
+            "results", STORE,
+            to_wire=_each(lambda result: result.to_dict()), from_wire=_each(result_from_dict),
+        ),
+        WireMethod("summary_rows", STORE, {"columns": summary_columns}),
+        WireMethod("backfill_summaries", STORE),
+    )
+}

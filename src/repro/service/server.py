@@ -1,7 +1,13 @@
 """The HTTP broker front-end: one process owning the queue database.
 
 :class:`BrokerService` wraps one :class:`~repro.distributed.Broker` and
-one :class:`~repro.distributed.SqliteResultStore` behind a method table;
+one :class:`~repro.distributed.SqliteResultStore` and dispatches each
+RPC through its row of the wire table,
+:data:`repro.service.protocol.WIRE_METHODS`: the row's parameter
+coercions run first (a malformed parameter is an HTTP 400), then the
+owner's method runs under the service lock — looked up on the instance
+at call time, so instrumentation that patches the classes later still
+sees every call — and the row's ``to_wire`` codec encodes the answer.
 :func:`make_server` mounts it on a stdlib
 :class:`~http.server.ThreadingHTTPServer` speaking the JSON protocol of
 :mod:`repro.service.protocol`.  The server is the only process that
@@ -46,22 +52,23 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Set, Union
+from typing import Any, Dict, List, Optional, Set, Union
 
 from repro import telemetry
 from repro.distributed.broker import Broker
 from repro.distributed.leases import LeasePolicy
 from repro.distributed.store import SqliteResultStore, normalize_db_path
 from repro.service.protocol import (
+    BROKER,
     HEALTH_PATH,
     METRICS_CONTENT_TYPE,
     METRICS_PATH,
     PROTOCOL_VERSION,
     RPC_PATH,
     STATUS_PATH,
-    policy_to_wire,
-    record_to_wire,
-    task_to_wire,
+    STORE,
+    TELEMETRY,
+    WIRE_METHODS,
 )
 from repro.service.security import bearer_token, server_ssl_context, token_matches
 
@@ -108,82 +115,10 @@ class BrokerService:
         self._lock = threading.Lock()
         self._broker = Broker(self._db, policy=self._policy)
         self._store = SqliteResultStore(self._db)
-        broker, store = self._broker, self._store
-        self._methods: Dict[str, Callable[..., Any]] = {
-            # producer side
-            "enqueue": broker.enqueue,
-            "drain": broker.drain,
-            "is_draining": broker.is_draining,
-            # consumer side
-            "claim": lambda worker_id: task_to_wire(broker.claim(worker_id)),
-            "claim_many": lambda worker_id, limit: [
-                task_to_wire(task) for task in broker.claim_many(worker_id, int(limit))
-            ],
-            "heartbeat": broker.heartbeat,
-            # ``complete`` serves clients from before ``complete_many``
-            "complete": broker.complete,
-            "complete_many": lambda worker_id, completions: broker.complete_many(
-                worker_id, [(str(fingerprint), payload) for fingerprint, payload in completions]
-            ),
-            "fail": broker.fail,
-            "requeue_expired": lambda now=None, dry_run=False: list(
-                broker.requeue_expired(
-                    None if now is None else float(now), dry_run=bool(dry_run)
-                )
-            ),
-            "release_worker": lambda worker_id: list(broker.release_worker(worker_id)),
-            "release_pending": lambda fingerprints: broker.release_pending(
-                [str(fingerprint) for fingerprint in fingerprints]
-            ),
-            # worker liveness (remote pid travels with the registration)
-            "register_worker": broker.register_worker,
-            "touch_worker": broker.touch_worker,
-            # introspection
-            "counts": broker.counts,
-            "settled": broker.settled,
-            "task": lambda fingerprint: record_to_wire(broker.task(fingerprint)),
-            "tasks": lambda status=None: [
-                record_to_wire(record) for record in broker.tasks(status)
-            ],
-            "failed_payloads": lambda: [list(item) for item in broker.failed_payloads()],
-            "workers": broker.workers,
-            "leased": broker.leased,
-            "stats": broker.stats,
-            "telemetry_summary": lambda window_s=300.0: broker.telemetry_summary(
-                float(window_s)
-            ),
-            "policy": lambda: policy_to_wire(self._policy),
-            # telemetry (JSON snapshot of the same registry /metrics renders)
-            "metrics": telemetry.REGISTRY.snapshot,
-            # event log (live sweep progress over the wire)
-            "events_since": lambda seq=0, limit=500: broker.events_since(
-                int(seq), int(limit)
-            ),
-            "last_event_seq": broker.last_event_seq,
-            "record_event": lambda kind, fingerprint=None, worker_id=None, detail=None: (
-                broker.record_event(
-                    str(kind), fingerprint=fingerprint, worker_id=worker_id, detail=detail
-                )
-            ),
-            "events_for": lambda fingerprint, limit=1000: broker.events_for(
-                str(fingerprint), int(limit)
-            ),
-            "done_watermark": broker.done_watermark,
-            "prune_events": lambda before_seq=None: broker.prune_events(
-                None if before_seq is None else int(before_seq)
-            ),
-            # result store (``result_get`` serves clients from before
-            # ``result_get_many``)
-            "result_get": store.get_payload,
-            "result_get_many": lambda fingerprints: store.get_payload_many(
-                [str(fingerprint) for fingerprint in fingerprints]
-            ),
-            "result_put": lambda payload, worker_id=None: store.put_payload(
-                payload, worker_id=worker_id
-            ),
-            "result_fingerprints": lambda: sorted(store.fingerprints()),
-            "result_len": lambda: len(store),
-        }
+        # Methods are looked up on these per call, never bound up front:
+        # instrumentation may patch the Broker/SqliteResultStore classes
+        # after this module is imported.
+        self._owners = {BROKER: self._broker, STORE: self._store, TELEMETRY: telemetry.REGISTRY}
 
     @property
     def db(self) -> Path:
@@ -197,7 +132,7 @@ class BrokerService:
 
     def methods(self) -> List[str]:
         """Names of the exported RPC methods."""
-        return sorted(self._methods)
+        return sorted(WIRE_METHODS)
 
     def call(self, method: str, params: Optional[Dict[str, Any]] = None) -> Any:
         """Invoke one method by wire name under the service lock.
@@ -206,18 +141,22 @@ class BrokerService:
         for the lock) and ``chronos_rpc_seconds{method=}`` (time holding
         it), so lock contention is visible separately from work.
         """
-        handler = self._methods.get(method)
-        if handler is None:
+        wire = WIRE_METHODS.get(method)
+        if wire is None:
             raise UnknownMethodError(method)
+        kwargs = wire.coerce(params or {})
+        owner = self._owners[wire.owner]
         queued = perf_counter()
         with self._lock:
             started = perf_counter()
             try:
-                return handler(**(params or {}))
+                answer = getattr(owner, wire.target)
+                result = answer(**kwargs) if callable(answer) else answer
             finally:
                 finished = perf_counter()
                 _RPC_LOCK_WAIT.labels(method=method).observe(started - queued)
                 _RPC_SECONDS.labels(method=method).observe(finished - started)
+        return wire.to_wire(result)
 
     def close(self) -> None:
         """Release the underlying database connections."""

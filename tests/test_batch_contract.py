@@ -1,18 +1,24 @@
-"""One contract for the batch methods, run against every queue target.
+"""One contract for every queue target, run against all four of them.
 
-``get_many`` and ``complete_many`` must behave the same whether the
-target is a sqlite file, an ``http://`` service, an ``https://`` service
-with a bearer token, or a ``shards:`` federation:
+The sqlite ``Broker``/``SqliteResultStore`` are the contract.  The HTTP
+and federated backends expose the same public methods with the same
+signatures (transport-specific members aside), and behave the same
+whether the target is a sqlite file, an ``http://`` service, an
+``https://`` service with a bearer token, or a ``shards:`` federation:
 
 - ``get_many`` answers hits, omits misses, and treats a corrupt stored
   row (unparseable JSON, or JSON that is not a result) as a miss;
 - ``complete_many`` logs one ``completed`` event per fingerprint, in
   input order (per owning shard), and is idempotent when re-completed;
-- the completing worker's ``tasks_done`` grows by the batch size.
+- the completing worker's ``tasks_done`` grows by the batch size;
+- ``leased(now)`` reports lease expiry against the caller's clock;
+- ``results()`` and ``summary_rows(columns)`` return every stored row,
+  and an unknown summary column is a ``ValueError``.
 """
 
 from __future__ import annotations
 
+import inspect
 import sqlite3
 import threading
 from dataclasses import dataclass
@@ -22,9 +28,16 @@ from typing import Callable, List
 import pytest
 
 from repro.api import ScenarioSpec, WorkloadSpec, job_spec_to_dict, run
-from repro.distributed import LeasePolicy, open_broker, open_store
-from repro.federation import ShardTopology
-from repro.service import make_server
+from repro.distributed import (
+    Broker,
+    LeasePolicy,
+    SqliteResultStore,
+    open_broker,
+    open_store,
+    summary_from_payload,
+)
+from repro.federation import FederatedBroker, FederatedResultStore, ShardTopology
+from repro.service import HttpBroker, HttpResultStore, make_server
 from repro.simulator.entities import JobSpec
 
 TOKEN = "contract-secret-0123456789abcdef"
@@ -206,4 +219,93 @@ class TestCompleteMany:
             assert broker.complete_many("w2", []) is None  # empty batch: no-op
         finally:
             broker.close()
+            store.close()
+
+
+#: Members only some transports have: endpoint identity, credentials,
+#: the server-side telemetry snapshot, and the store's raw-payload and
+#: maintenance methods.
+TRANSPORT_SPECIFIC = {
+    "url", "credentials", "path", "topology", "metrics", "put_payload", "backfill_summaries",
+}
+
+
+def _surface(cls) -> dict:
+    """Public members of ``cls``: name → signature (or ``"property"``)."""
+    surface = {}
+    for name in dir(cls):
+        if name.startswith("_") and name not in ("__len__", "__contains__"):
+            continue
+        if name in TRANSPORT_SPECIFIC or name.startswith("get_payload"):
+            continue
+        member = inspect.getattr_static(cls, name)
+        surface[name] = (
+            "property" if isinstance(member, property) else inspect.signature(getattr(cls, name))
+        )
+    return surface
+
+
+@pytest.mark.parametrize(
+    "contract, implementations",
+    [
+        (Broker, (HttpBroker, FederatedBroker)),
+        (SqliteResultStore, (HttpResultStore, FederatedResultStore)),
+    ],
+    ids=["broker", "result-store"],
+)
+def test_every_backend_exposes_the_sqlite_surface(contract, implementations):
+    expected = _surface(contract)
+    for implementation in implementations:
+        actual = _surface(implementation)
+        assert sorted(actual) == sorted(expected), implementation.__name__
+        for name, signature in expected.items():
+            assert actual[name] == signature, f"{implementation.__name__}.{name}"
+
+
+class TestSurfaceBehaviour:
+    def test_leased_reports_against_the_given_clock(self, backend):
+        specs = [_spec(seed) for seed in range(4)]
+        fixed = 1_000.0
+        broker = backend.broker()
+        try:
+            broker.register_worker("w1")
+            broker.enqueue([s.to_dict() for s in specs], [s.fingerprint() for s in specs])
+            claimed = broker.claim_many("w1", len(specs))
+            assert len(claimed) == len(specs)
+            leased = {row["fingerprint"]: row["expires_in_s"] for row in broker.leased(now=fixed)}
+            expected = {
+                task.fingerprint: broker.task(task.fingerprint).lease_expires_at - fixed
+                for task in claimed
+            }
+        finally:
+            broker.close()
+        assert leased == expected
+
+    def test_results_and_summary_rows_agree(self, backend):
+        results = sorted(
+            _complete(backend, [_spec(seed) for seed in range(4)]),
+            key=lambda result: result.fingerprint,
+        )
+        store = backend.store()
+        try:
+            stored = sorted(store.results(), key=lambda result: result.fingerprint)
+            rows = sorted(
+                store.summary_rows(["fingerprint", "pocd"]), key=lambda row: row["fingerprint"]
+            )
+        finally:
+            store.close()
+        assert [result.to_dict() for result in stored] == [r.to_dict() for r in results]
+        assert rows == [
+            {"fingerprint": r.fingerprint, "pocd": summary_from_payload(r.to_dict())["pocd"]}
+            for r in results
+        ]
+
+    def test_unknown_summary_column_is_a_value_error(self, backend):
+        store = backend.store()
+        try:
+            with pytest.raises(ValueError, match="unknown summary column"):
+                store.summary_rows(["fingerprint", "no_such_column"])
+            with pytest.raises(ValueError, match="at least one"):
+                store.summary_rows([])
+        finally:
             store.close()

@@ -158,6 +158,28 @@ class TestEndpoints:
         # the server thread survives and keeps answering
         assert rpc_call(service.url, "settled") is True
 
+    @pytest.mark.parametrize(
+        "method, params",
+        [
+            ("claim_many", {"worker_id": "w", "limit": "many"}),
+            ("complete_many", {"worker_id": "w", "completions": [["fp"]]}),
+            ("requeue_expired", {"now": "soon"}),
+            ("release_pending", {"fingerprints": 7}),
+            ("register_worker", {"worker_id": "w", "pid": "self"}),
+            ("leased", {"now": "soon"}),
+            ("telemetry_summary", {"window_s": "long"}),
+            ("events_since", {"seq": "start"}),
+            ("events_for", {"fingerprint": "fp", "limit": "all"}),
+            ("prune_events", {"before_seq": "later"}),
+            ("result_get_many", {"fingerprints": 7}),
+            ("summary_rows", {"columns": ["no_such_column"]}),
+        ],
+    )
+    def test_malformed_params_are_a_400(self, service, method, params):
+        with pytest.raises(ServiceError, match="HTTP 400"):
+            rpc_call(service.url, method, params)
+        assert rpc_call(service.url, "settled") is True
+
     def test_unreachable_service(self):
         with pytest.raises(ServiceError, match="cannot reach"):
             rpc_call("http://127.0.0.1:9", "settled", timeout=0.5)

@@ -209,6 +209,12 @@ class TestTokenGuardedService:
         store = HttpResultStore(secured, token=TOKEN)
         assert store.get(spec.fingerprint()).report == result.report
 
+    @pytest.mark.parametrize("method", ["result_get", "complete"])
+    def test_one_at_a_time_rpcs_are_gone(self, secured, method):
+        # the result path is batched on the wire: result_get_many, complete_many
+        with pytest.raises(ServiceError, match=f"HTTP 400 — unknown method '{method}'"):
+            rpc_call(secured, method, {"fingerprint": "f" * 64}, token=TOKEN)
+
     def test_env_token_secures_open_broker_and_store(self, secured, clean_env):
         clean_env.setenv(TOKEN_ENV, TOKEN)
         assert open_broker(secured).settled() is True
