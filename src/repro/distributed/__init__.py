@@ -26,9 +26,10 @@ Queue *targets* are strings: a sqlite path (``"queue.sqlite"`` /
 ``http://host:port`` URL of a :mod:`repro.service` broker front-end for
 multi-host fleets, or a ``shards:`` spec federating N of either behind
 :mod:`repro.federation` — :func:`open_broker` / :func:`open_store`
-dispatch, and :class:`Worker`, :class:`WorkerPool` and :func:`execute`
-accept any of them.  The pieces are public for anyone building a custom topology
-(remote workers pointed at a shared service, worker recycling, etc.).
+dispatch, and :class:`Worker`, :class:`WorkerPool` and
+:func:`execute_stream` accept any of them.  The pieces are public for
+anyone building a custom topology (remote workers pointed at a shared
+service, worker recycling, etc.).
 """
 
 from repro.distributed.broker import (
@@ -39,7 +40,7 @@ from repro.distributed.broker import (
     TaskFailedError,
     TaskRecord,
 )
-from repro.distributed.executor import default_db_path, execute, execute_stream
+from repro.distributed.executor import default_db_path, execute_stream
 from repro.distributed.leases import Lease, LeaseKeeper, LeasePolicy
 from repro.distributed.store import (
     SUMMARY_COLUMNS,
@@ -98,7 +99,6 @@ __all__ = [
     "open_broker",
     "open_store",
     # driver
-    "execute",
     "execute_stream",
     "default_db_path",
 ]

@@ -1,35 +1,46 @@
-"""The distributed sweep driver: enqueue, supervise, stream, collect.
+"""The distributed sweep driver: enqueue, then reconcile until settled.
 
 :func:`execute_stream` is the backend behind ``run_specs(...,
 executor="distributed")`` and ``Sweep.stream``.  It enqueues the
-uncached scenarios on a queue *target* — a sqlite database path, or the
-``http(s)://`` URL of a :mod:`repro.service` broker front-end — spins up
-a :class:`~repro.distributed.worker.WorkerPool` (unless the caller
-relies on remote fleets already attached to the service) and supervises
-the run: sweeping expired leases, fast-releasing the leases of workers
-the parent reaps, and falling back to executing the remainder inline if
-the pool dies or a fleetless remote queue stalls, so a sweep never
-deadlocks.
+uncached scenarios on a queue *target* — a sqlite database path, the
+``http(s)://`` URL of a :mod:`repro.service` broker front-end, or a
+``shards:`` federation — spins up a
+:class:`~repro.distributed.worker.WorkerPool` (unless the caller relies
+on remote fleets already attached to the service), and then runs one
+loop until the queue settles.  Each turn of the loop is a single,
+idempotent *reconcile pass* over (event log, store, fleet health):
 
-Progress is *observed*, not polled per result: every queue transition
-(claim, completion, failure, lease requeue) is appended to the broker's
-monotonic event log, and the driver tails that log — locally via
-:meth:`~repro.distributed.broker.Broker.events_since`, remotely via the
-service's ``events_since`` RPC — translating queue events into the
-:mod:`repro.api.events` vocabulary as they land.  Completed results come
-back from the shared result store in one ``get_many`` per log batch
-(not one read per completion), which also makes an identical re-run a
-pure, batched store read with zero executions.
+1. **Observe.**  Tail the broker's monotonic event log
+   (:meth:`~repro.distributed.broker.Broker.events_since`, or the
+   service's ``events_since`` RPC) and translate queue transitions into
+   the :mod:`repro.api.events` vocabulary, fetching every result a log
+   batch completed with one ``get_many``.  If the log cannot be read
+   (a non-auth error), the pass diffs the result store instead;
+   :data:`TAIL_FAILURE_LIMIT` consecutive failures disable tailing for
+   the rest of the sweep, with a warning.
+2. **Heal.**  Requeue expired leases and supervise the local pool
+   (reaping a dead worker releases its leases at once).
+3. **Drain when stalled.**  The fleet is stalled when no local worker
+   is alive, or when a fleetless remote queue has nothing leased and
+   nothing done for one lease timeout.  The stall is announced once (a
+   :class:`RuntimeWarning` and one ``ScenarioRetried`` per unresolved
+   scenario); from then on each pass runs one claimed task in the driver
+   instead of sleeping, so a sweep never deadlocks.
 
-Cancellation (a tripped :class:`~repro.api.sweep.CancelToken`, or the
-consumer closing the stream on Ctrl-C) is cooperative and clean: the
-local pool is terminated and its leases drained, and — on a locally
-owned queue database — tasks nobody claimed yet are withdrawn, so a
-follow-up run completes exactly the remaining scenarios.  A shared
-``broker`` URL's pending tasks are deliberately left in place: the
-queue is content-addressed infrastructure other sweeps and attached
-fleets may be counting on, and leftovers simply land in the result
-store.
+The loop ends on ``settled()``, observed before the pass's final log
+read, and one last store diff collects anything whose log row was
+pruned.  Tasks a fleet worker *failed* then get one retry in the
+driver; a scenario that fails inside the driver is final.
+
+Cleanup has one path — normal end, cancellation (a tripped
+:class:`~repro.api.sweep.CancelToken`), the consumer closing the stream
+(Ctrl-C, an early ``break``) and errors alike: the local pool is
+terminated and its leases released, and — on a locally owned queue
+database — tasks nobody claimed yet are withdrawn, so a follow-up run
+completes exactly the remaining scenarios.  A shared ``broker`` URL's
+pending tasks are deliberately left in place: the queue is
+content-addressed infrastructure other sweeps and attached fleets may be
+counting on, and leftovers simply land in the result store.
 """
 
 from __future__ import annotations
@@ -80,6 +91,9 @@ EVENT_BATCH = 500
 #: is disabled for the rest of the sweep — with a warning, never silently.
 TAIL_FAILURE_LIMIT = 3
 
+#: Lease owner of the tasks the driver runs itself.
+DRIVER_ID = "parent-inline"
+
 
 def default_db_path() -> Path:
     """A fresh throwaway queue database (per-call temp directory)."""
@@ -113,27 +127,32 @@ def execute_stream(
     ``broker`` URL, ``workers=None`` spawns *no* local pool — the fleets
     already attached to the service do the work, which is the multi-host
     topology; a positive ``workers`` spawns a local fleet speaking HTTP,
-    which composes with remote fleets.  If a fleetless remote queue makes
-    no progress for a full lease timeout, the parent drains it inline so
-    a sweep against an idle service still completes — announced by
-    ``ScenarioRetried`` events and a :class:`RuntimeWarning` rather than
-    happening silently.
+    which composes with remote fleets.
+
+    The stream comes from the reconcile loop described in the module
+    docstring: each pass observes the event log (or diffs the store),
+    heals expired leases and dead local workers, and — once the fleet
+    is stalled — runs one claimed task in the driver.  A stall (every
+    local worker dead, or a fleetless remote queue idle for a full lease
+    timeout) is announced by ``ScenarioRetried`` events and a
+    :class:`RuntimeWarning` rather than happening silently.
 
     Tasks whose workers crash are requeued by lease expiry (or
     immediately, when the parent reaps the dead process) with bounded
-    attempts; tasks that *fail* (the scenario itself raised) are retried
-    once inline in the parent — which also covers plugins registered only
-    in the parent process under ``spawn`` start methods — and raise
-    :class:`TaskFailedError` only if the inline retry fails too (with
-    ``on_failure="continue"`` the stream records the failure and keeps
-    going instead).
+    attempts.  Tasks a fleet worker *fails* (the scenario itself raised)
+    are retried once in the driver after the queue settles — which also
+    covers plugins registered only in the parent process under
+    ``spawn`` start methods.  A failure inside the driver, whether that
+    retry or a stall drain, is final: one :class:`ScenarioFailed`, and
+    :class:`TaskFailedError` unless ``on_failure="continue"``, in which
+    case the stream records the failure and keeps going.
 
     ``cancel`` is a :class:`~repro.api.sweep.CancelToken` checked every
-    supervision pass; tripping it (or closing the generator) terminates
-    the local pool and drains its leases before the stream ends.  On a
-    local ``db`` target the run's unclaimed tasks are also withdrawn
-    from the queue; on a shared ``broker`` URL they are left for the
-    attached fleets (and any concurrent sweeps) to finish.
+    pass; tripping it (or closing the generator) ends the stream, and
+    the one cleanup path terminates the local pool and releases its
+    leases.  On a local ``db`` target the run's unclaimed tasks are also
+    withdrawn from the queue; on a shared ``broker`` URL they are left
+    for the attached fleets (and any concurrent sweeps) to finish.
     """
     if broker is not None and db is not None:
         raise ValueError("pass either db (sqlite path) or broker (service URL), not both")
@@ -192,9 +211,136 @@ def _stream(
 
     broker_client = open_broker(target, policy=policy)
     store = open_store(target)
-    collected: Set[str] = set()
+    # Fingerprints whose terminal event (completed or failed) was yielded.
+    resolved: Set[str] = set()
     position_of: Dict[str, int] = {}
     pool: Optional[WorkerPool] = None
+
+    def unresolved() -> List[str]:
+        return [fingerprint for fingerprint in position_of if fingerprint not in resolved]
+
+    def completed(
+        fingerprint: str, result: ScenarioResult, worker_id: Optional[str] = None
+    ) -> SweepEvent:
+        resolved.add(fingerprint)
+        return ScenarioCompleted(
+            fingerprint=fingerprint,
+            index=position_of[fingerprint],
+            result=result,
+            worker_id=worker_id,
+            elapsed_s=clock(),
+        )
+
+    def retried(fingerprint: str, reason: str, worker_id: Optional[str] = None) -> SweepEvent:
+        return ScenarioRetried(
+            fingerprint=fingerprint,
+            index=position_of[fingerprint],
+            reason=reason,
+            worker_id=worker_id,
+            elapsed_s=clock(),
+        )
+
+    def store_diff() -> Iterator[SweepEvent]:
+        """Collect finished results straight from the store, log or no log."""
+        fresh = (store.fingerprints() & position_of.keys()) - resolved
+        results = store.get_many(fresh)
+        for fingerprint in fresh:
+            if results.get(fingerprint) is not None:
+                yield completed(fingerprint, results[fingerprint])
+
+    def observe() -> Iterator[SweepEvent]:
+        """Translate fresh queue-log rows into sweep events.
+
+        A non-auth ``events_since`` error makes this pass a store diff
+        instead; :data:`TAIL_FAILURE_LIMIT` consecutive ones disable
+        tailing for the rest of the sweep, with a warning.
+        """
+        nonlocal since, tail_failures
+        while tail_failures < TAIL_FAILURE_LIMIT:
+            try:
+                batch = broker_client.events_since(since, limit=EVENT_BATCH)
+            except Exception as error:
+                if is_auth_error(error):
+                    raise
+                tail_failures += 1
+                if tail_failures >= TAIL_FAILURE_LIMIT:
+                    warnings.warn(
+                        f"disabling sweep event tailing after {tail_failures} "
+                        f"consecutive events_since failures ({error}); progress "
+                        "degrades to result-store polling",
+                        RuntimeWarning,
+                        stacklevel=2,
+                    )
+                break
+            tail_failures = 0
+            # One batched read for every result this batch completed.
+            results = store.get_many(
+                [
+                    row["fingerprint"]
+                    for row in batch
+                    if row.get("kind") == "completed"
+                    and row.get("fingerprint") in position_of
+                    and row["fingerprint"] not in resolved
+                ]
+            )
+            for row in batch:
+                since = max(since, int(row["seq"]))
+                fingerprint, kind = row.get("fingerprint"), row.get("kind")
+                index = position_of.get(fingerprint)
+                if index is None or fingerprint in resolved:
+                    continue  # another run's task, or already final here
+                if kind == "started":
+                    yield ScenarioStarted(
+                        fingerprint=fingerprint,
+                        index=index,
+                        worker_id=row.get("worker_id"),
+                        elapsed_s=clock(),
+                    )
+                elif kind == "retried":
+                    reason = row.get("detail") or "lease expired; task requeued"
+                    yield retried(fingerprint, reason, row.get("worker_id"))
+                elif kind == "failed":
+                    # Terminal in the queue, but a fleet failure gets one
+                    # retry in the driver once the queue settles.
+                    detail = row.get("detail") or "task failed"
+                    reason = f"{detail}; will retry inline in the parent"
+                    yield retried(fingerprint, reason, row.get("worker_id"))
+                elif kind == "completed" and results.get(fingerprint) is not None:
+                    yield completed(fingerprint, results[fingerprint], row.get("worker_id"))
+            if len(batch) < EVENT_BATCH:
+                return
+        yield from store_diff()
+
+    def run_in_driver(
+        fingerprint: str, payload: Dict[str, Any], fleet_error: Optional[str] = None
+    ) -> Iterator[SweepEvent]:
+        """Execute one scenario in this process; its outcome is final.
+
+        ``fleet_error`` marks the retry of a task a fleet worker failed;
+        without it the driver holds the task's lease (a stall drain).
+        """
+        index = position_of.get(fingerprint)
+        try:
+            result = execute_spec(spec_from_dict(payload))
+        except Exception as error:
+            if fleet_error is None:
+                detail = f"{type(error).__name__}: {error}"
+                broker_client.fail(fingerprint, DRIVER_ID, detail)
+            else:
+                detail = f"{fleet_error}; inline retry: {error}"
+            if index is None or fingerprint in resolved:
+                return  # another run's task, or one a late fleet commit resolved
+            resolved.add(fingerprint)
+            yield ScenarioFailed(
+                fingerprint=fingerprint, index=index, error=detail, elapsed_s=clock()
+            )
+            if on_failure == "raise":
+                raise TaskFailedError(fingerprint, detail) from error
+            return
+        broker_client.complete(fingerprint, DRIVER_ID, result.to_dict())
+        if index is not None and fingerprint not in resolved:
+            yield completed(fingerprint, result, DRIVER_ID)
+
     try:
         # One fingerprint-set query up front instead of a point read per
         # scenario: over HTTP that is one round trip, and on sqlite it
@@ -216,246 +362,87 @@ def _stream(
             return
 
         # Remember where the queue log stands *before* we enqueue, so the
-        # tail below replays every transition of this run and none of an
+        # tail replays every transition of this run and none of an
         # earlier one.
-        events_supported = True
-        tail_failures = 0
         since = broker_client.last_event_seq()
-
+        tail_failures = 0
         broker_client.enqueue(
             [spec.to_dict() for _, spec, _ in pending],
             [fingerprint for fingerprint, _, _ in pending],
             span=span,
         )
         position_of.update({fingerprint: index for fingerprint, _, index in pending})
-
-        def tail_log() -> Iterator[SweepEvent]:
-            """Translate fresh queue-log rows into sweep events."""
-            nonlocal since, events_supported, tail_failures
-            if not events_supported:
-                yield from collect_from_store()
-                return
-            while True:
-                try:
-                    batch = broker_client.events_since(since, limit=EVENT_BATCH)
-                except Exception as error:
-                    if is_auth_error(error):
-                        raise
-                    # One transport blip must not silently kill live
-                    # progress for the rest of the sweep: ride it out on
-                    # the store fallback and retry next pass; only a
-                    # persistent failure disables tailing, and loudly.
-                    tail_failures += 1
-                    if tail_failures >= TAIL_FAILURE_LIMIT:
-                        events_supported = False
-                        warnings.warn(
-                            f"disabling sweep event tailing after "
-                            f"{tail_failures} consecutive events_since "
-                            f"failures ({error}); progress degrades to "
-                            "result-store polling",
-                            RuntimeWarning,
-                            stacklevel=2,
-                        )
-                    yield from collect_from_store()
-                    return
-                tail_failures = 0
-                # One batched read for every result this batch completed,
-                # instead of a store round trip per completion.
-                results = store.get_many(
-                    [
-                        row["fingerprint"]
-                        for row in batch
-                        if row.get("kind") == "completed"
-                        and row.get("fingerprint") in position_of
-                        and row["fingerprint"] not in collected
-                    ]
-                )
-                for row in batch:
-                    since = max(since, int(row["seq"]))
-                    fingerprint = row.get("fingerprint")
-                    index = position_of.get(fingerprint)
-                    if index is None:
-                        continue  # another run's task sharing the queue
-                    kind = row.get("kind")
-                    if kind == "started":
-                        yield ScenarioStarted(
-                            fingerprint=fingerprint,
-                            index=index,
-                            worker_id=row.get("worker_id"),
-                            elapsed_s=clock(),
-                        )
-                    elif kind == "retried":
-                        yield ScenarioRetried(
-                            fingerprint=fingerprint,
-                            index=index,
-                            reason=row.get("detail") or "lease expired; task requeued",
-                            worker_id=row.get("worker_id"),
-                            elapsed_s=clock(),
-                        )
-                    elif kind == "failed" and fingerprint not in collected:
-                        # Terminal in the queue, but the parent retries it
-                        # inline after the fleet settles — announce that.
-                        yield ScenarioRetried(
-                            fingerprint=fingerprint,
-                            index=index,
-                            reason=(
-                                f"{row.get('detail') or 'task failed'};"
-                                " will retry inline in the parent"
-                            ),
-                            worker_id=row.get("worker_id"),
-                            elapsed_s=clock(),
-                        )
-                    elif kind == "completed" and fingerprint not in collected:
-                        result = results.get(fingerprint)
-                        if result is not None:
-                            collected.add(fingerprint)
-                            yield ScenarioCompleted(
-                                fingerprint=fingerprint,
-                                index=index,
-                                result=result,
-                                worker_id=row.get("worker_id"),
-                                elapsed_s=clock(),
-                            )
-                if len(batch) < EVENT_BATCH:
-                    return
-
-        def collect_from_store() -> Iterator[SweepEvent]:
-            """Event-log-free fallback: diff the result store's contents."""
-            fresh = (store.fingerprints() & position_of.keys()) - collected
-            results = store.get_many(fresh)
-            for fingerprint in fresh:
-                result = results.get(fingerprint)
-                if result is not None:
-                    collected.add(fingerprint)
-                    yield ScenarioCompleted(
-                        fingerprint=fingerprint,
-                        index=position_of[fingerprint],
-                        result=result,
-                        elapsed_s=clock(),
-                    )
-
-        def remaining() -> List[str]:
-            return [fingerprint for fingerprint in position_of if fingerprint not in collected]
-
-        def release_on_cancel() -> None:
-            # On a *local* queue this driver is the producer, so unclaimed
-            # tasks are withdrawn outright.  A broker URL is shared
-            # infrastructure: another sweep may be waiting on the same
-            # content-addressed fingerprints and attached fleets will land
-            # leftovers in the result store anyway, so pending tasks are
-            # left for them rather than deleted out from under anyone.
-            _release_unfinished(
-                broker_client, pool, [] if remote else remaining()
-            )
-
-        config = WorkerConfig(policy=policy, exit_when_idle=True)
         if workers > 0:
-            pool = WorkerPool(target, workers=min(workers, len(pending)), config=config)
+            pool = WorkerPool(
+                target,
+                workers=min(workers, len(pending)),
+                config=WorkerConfig(policy=policy, exit_when_idle=True),
+            ).start()
 
-        supervise_interval = REMOTE_SUPERVISE_INTERVAL if remote else SUPERVISE_INTERVAL
-        last_done = -1
-        last_progress = time.monotonic()
-        drained_inline = False
-        try:
+        interval = REMOTE_SUPERVISE_INTERVAL if remote else SUPERVISE_INTERVAL
+        stall: Optional[str] = None  # the announced cause, once stalled
+        last_done, last_progress = -1, time.monotonic()
+        while True:
+            if cancelled():
+                return
+            settled = broker_client.settled()
+            yield from observe()
+            if settled:
+                break
+            broker_client.requeue_expired()
             if pool is not None:
-                pool.start()
-            while not broker_client.settled():
-                if cancelled():
-                    release_on_cancel()
-                    return
-                broker_client.requeue_expired()
+                pool.supervise(broker_client)
+            if stall is None:
                 if pool is not None:
-                    pool.supervise(broker_client)
-                yield from tail_log()
-                if pool is not None:
+                    # The re-check matters: exit_when_idle workers leave
+                    # as soon as the queue settles.
                     if pool.alive_count() == 0 and not broker_client.settled():
-                        # Pool wiped out (or workers exited early): finish the
-                        # remaining queue inline so the sweep still completes.
-                        yield from _announce_inline_drain(
-                            "local worker pool died", remaining(), position_of, clock
-                        )
-                        yield from _drain_inline(broker_client, cancel, tail_log)
-                        drained_inline = True
-                        break
+                        stall = "local worker pool died"
                 else:
-                    # Fleetless remote queue: remote workers own the work, but
-                    # if nothing is leased and nothing completes for a full
-                    # lease timeout, assume no fleet is attached and drain
-                    # inline rather than hanging forever.
+                    # Fleetless remote queue: nothing leased and nothing
+                    # done for a full lease timeout means no fleet is
+                    # attached.
                     counts = broker_client.counts()
                     if counts["leased"] > 0 or counts["done"] != last_done:
-                        last_done = counts["done"]
-                        last_progress = time.monotonic()
+                        last_done, last_progress = counts["done"], time.monotonic()
                     elif time.monotonic() - last_progress > policy.timeout:
-                        yield from _announce_inline_drain(
-                            f"no worker fleet attached to {target}",
-                            remaining(),
-                            position_of,
-                            clock,
-                        )
-                        yield from _drain_inline(broker_client, cancel, tail_log)
-                        drained_inline = True
-                        break
-                time.sleep(supervise_interval)
-            if pool is not None and not drained_inline:
-                pool.join(timeout=policy.timeout)
-        except (GeneratorExit, KeyboardInterrupt):
-            # The consumer closed the stream mid-run (early break, tripped
-            # stop condition), or Ctrl-C landed inside this frame: either
-            # way, leave the queue consistent before unwinding.
-            release_on_cancel()
-            raise
-        finally:
-            if pool is not None:
-                pool.terminate()
-        yield from tail_log()
-        # Safety net: anything completed without a visible log transition
-        # (e.g. events pruned mid-run) is still collected by store diff.
-        yield from collect_from_store()
-        if cancelled():
-            release_on_cancel()
-            return
+                        stall = f"no worker fleet attached to {target}"
+                if stall is not None:
+                    warnings.warn(
+                        f"distributed sweep stalled ({stall}); draining the remaining "
+                        f"{len(unresolved())} task(s) inline in the sweep driver",
+                        RuntimeWarning,
+                        stacklevel=2,
+                    )
+                    for fingerprint in unresolved():
+                        yield retried(fingerprint, f"{stall}; draining inline in the sweep driver")
+                    broker_client.register_worker(DRIVER_ID)
+            task = broker_client.claim(DRIVER_ID) if stall is not None else None
+            if task is None:
+                time.sleep(interval)
+            else:
+                yield from run_in_driver(task.fingerprint, task.payload)
+        # Anything completed without a visible log row (events pruned
+        # mid-run) is still collected.
+        yield from store_diff()
 
-        # Failed tasks get one inline retry in the parent: it sees plugins
-        # the workers may not (spawn start method), and a genuine scenario
-        # error surfaces here exactly like the inline executor's would.
+        # Tasks a fleet worker failed get one retry in the driver: it sees
+        # plugins the workers may not (spawn start method), and a genuine
+        # scenario error surfaces here exactly like the inline executor's.
         for fingerprint, payload, error in broker_client.failed_payloads():
-            index = position_of.get(fingerprint)
-            if index is None or fingerprint in collected:
+            if fingerprint not in position_of or fingerprint in resolved:
                 continue
             if cancelled():
-                release_on_cancel()
                 return
-            yield ScenarioRetried(
-                fingerprint=fingerprint,
-                index=index,
-                reason=f"{error}; retrying inline in the parent",
-                elapsed_s=clock(),
-            )
-            try:
-                result = execute_spec(spec_from_dict(payload))
-            except Exception as retry_error:
-                yield ScenarioFailed(
-                    fingerprint=fingerprint,
-                    index=index,
-                    error=f"{error}; inline retry: {retry_error}",
-                    elapsed_s=clock(),
-                )
-                if on_failure == "raise":
-                    raise TaskFailedError(
-                        fingerprint, f"{error}; inline retry: {retry_error}"
-                    ) from retry_error
-                continue
-            broker_client.complete(fingerprint, "parent-inline", result.to_dict())
-            collected.add(fingerprint)
-            yield ScenarioCompleted(
-                fingerprint=fingerprint,
-                index=index,
-                result=result,
-                worker_id="parent-inline",
-                elapsed_s=clock(),
-            )
+            yield retried(fingerprint, f"{error}; retrying inline in the parent")
+            yield from run_in_driver(fingerprint, payload, fleet_error=error)
     finally:
+        # The one cleanup path: normal end, cancellation, a closed stream
+        # and errors alike.  On a *local* queue this driver is the
+        # producer, so its unclaimed tasks are withdrawn; a broker URL is
+        # shared infrastructure whose fleets and concurrent sweeps may
+        # count on them, so they are left in place.
+        _release(broker_client, pool, [] if remote else unresolved())
         store.close()
         broker_client.close()
         if throwaway:
@@ -464,73 +451,10 @@ def _stream(
             shutil.rmtree(Path(target).parent, ignore_errors=True)
 
 
-def execute(
-    todo: Sequence[Tuple[str, ScenarioSpec]],
-    commit: Callable[[int, ScenarioResult], None],
-    *,
-    workers: Optional[int] = 3,
-    db: Optional[Union[str, Path]] = None,
-    broker: Optional[str] = None,
-    policy: Optional[LeasePolicy] = None,
-) -> Tuple[Dict[int, ScenarioResult], Set[int]]:
-    """Blocking wrapper over :func:`execute_stream` (the PR 2/3 surface).
+def _release(broker_client, pool: Optional[WorkerPool], unresolved: List[str]) -> None:
+    """Stop the local pool, drain its leases, withdraw unclaimed tasks.
 
-    ``commit(position, result)`` is called once per finished scenario, in
-    completion order.  Returns the results by position plus the set of
-    positions answered straight from the result store (work a previous
-    run already paid for — callers report those as cache hits, not
-    executions).
-    """
-    done: Dict[int, ScenarioResult] = {}
-    served_from_store: Set[int] = set()
-    triples = [
-        (fingerprint, spec, position) for position, (fingerprint, spec) in enumerate(todo)
-    ]
-    for event in execute_stream(
-        triples, workers=workers, db=db, broker=broker, policy=policy
-    ):
-        if isinstance(event, ScenarioCacheHit):
-            done[event.index] = event.result
-            served_from_store.add(event.index)
-            commit(event.index, event.result)
-        elif isinstance(event, ScenarioCompleted):
-            done[event.index] = event.result
-            commit(event.index, event.result)
-    return done, served_from_store
-
-
-def _announce_inline_drain(
-    cause: str,
-    remaining: Sequence[str],
-    position_of: Dict[str, int],
-    clock: Callable[[], float],
-) -> Iterator[SweepEvent]:
-    """Make a stall fallback observable: warn once, one event per task.
-
-    The fleetless inline-drain fallback used to be silent — a remote
-    sweep that stalled simply got slower with no trace of why.  Now the
-    stream carries a :class:`ScenarioRetried` per affected scenario and
-    the process gets a :class:`RuntimeWarning` naming the cause.
-    """
-    warnings.warn(
-        f"distributed sweep stalled ({cause}); draining the remaining "
-        f"{len(remaining)} task(s) inline in the sweep driver",
-        RuntimeWarning,
-        stacklevel=2,
-    )
-    for fingerprint in remaining:
-        yield ScenarioRetried(
-            fingerprint=fingerprint,
-            index=position_of[fingerprint],
-            reason=f"{cause}; draining inline in the sweep driver",
-            elapsed_s=clock(),
-        )
-
-
-def _release_unfinished(broker_client, pool: Optional[WorkerPool], remaining: List[str]) -> None:
-    """Cancellation cleanup: drain local leases, release unclaimed tasks.
-
-    Best effort by design — cancellation must never raise over a half-
+    Best effort by design — cleanup must never raise over a half-
     reachable broker; anything missed here is healed by lease expiry and
     the content-addressed re-enqueue of a follow-up run.
     """
@@ -541,36 +465,8 @@ def _release_unfinished(broker_client, pool: Optional[WorkerPool], remaining: Li
                 broker_client.release_worker(worker_id)
             except Exception:
                 pass
-    if remaining:
+    if unresolved:
         try:
-            broker_client.release_pending(remaining)
+            broker_client.release_pending(unresolved)
         except Exception:
             pass
-
-
-def _drain_inline(broker, cancel, tail_log) -> Iterator[SweepEvent]:
-    """Claim-and-run the remaining queue in the current process.
-
-    Interleaves a log tail after every task so the stream keeps moving
-    while the parent does the work itself.
-    """
-    worker_id = "parent-inline"
-    broker.register_worker(worker_id)
-    while True:
-        if cancel is not None and cancel.cancelled():
-            return
-        task = broker.claim(worker_id)
-        if task is None:
-            yield from tail_log()
-            if broker.settled():
-                return
-            # Only expired-in-the-future leases remain; wait them out.
-            time.sleep(SUPERVISE_INTERVAL)
-            continue
-        try:
-            result = execute_spec(spec_from_dict(task.payload))
-        except Exception as error:
-            broker.fail(task.fingerprint, worker_id, f"{type(error).__name__}: {error}")
-        else:
-            broker.complete(task.fingerprint, worker_id, result.to_dict())
-        yield from tail_log()

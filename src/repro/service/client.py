@@ -5,7 +5,7 @@ surface as :class:`~repro.distributed.Broker` and
 :class:`~repro.distributed.SqliteResultStore`, but every call is one
 ``POST /rpc`` round trip to a :mod:`repro.service.server` — so
 :class:`~repro.distributed.Worker`, ``WorkerPool.supervise``,
-:func:`repro.distributed.execute` and the CLI run unchanged against a
+:func:`repro.distributed.execute_stream` and the CLI run unchanged against a
 remote URL.
 
 Neither class writes out the broker contract.  Every pass-through

@@ -18,8 +18,11 @@ import time
 import pytest
 
 from repro.api import (
+    ScenarioCompleted,
+    ScenarioRetried,
     ScenarioSpec,
     Sweep,
+    SweepFinished,
     WorkloadSpec,
     default_executor,
     job_spec_to_dict,
@@ -185,6 +188,82 @@ class TestWorkerCrashRecovery:
             record = broker.task(killed["fingerprint"])
             assert record.status == "done"
             assert record.attempts >= 2
+
+    def test_dead_pool_is_drained_inline_and_announced(self, slow_workload, tmp_path):
+        """Every local worker SIGKILLed mid-sweep: the driver finishes the queue.
+
+        The stall is announced once (one warning, one ``ScenarioRetried``
+        per scenario still unresolved at that point) and the results are
+        the inline executor's.
+        """
+        base = ScenarioSpec(
+            workload=WorkloadSpec(slow_workload, {"jobs": _job_dicts(), "delay_s": 0.2}),
+            strategy="s-resume",
+            strategy_params={"tau_est": 30.0, "tau_kill": 60.0, "fixed_r": 1},
+            cluster={"num_nodes": 0},
+        )
+        sweep = twelve_scenario_sweep(base)
+        db = tmp_path / "queue.sqlite"
+        killed = []
+
+        def kill_whole_pool():
+            """Once both workers exist and one holds a lease, SIGKILL them all.
+
+            No sqlite call is made until both workers are forked: a fork
+            taken while this thread is inside sqlite could inherit a held
+            sqlite mutex and hang the child.
+            """
+            deadline = time.monotonic() + 30.0
+            while len(multiprocessing.active_children()) < 2:
+                if time.monotonic() > deadline:
+                    return
+                time.sleep(0.005)
+            pids = [child.pid for child in multiprocessing.active_children()]
+            with Broker(db) as watcher:
+                while not watcher.tasks("leased"):
+                    if time.monotonic() > deadline:
+                        return
+                    time.sleep(0.005)
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+                killed.append(pid)
+
+        assassin = threading.Thread(target=kill_whole_pool)
+        assassin.start()
+        try:
+            with pytest.warns(RuntimeWarning) as caught:
+                events = list(
+                    sweep.stream(executor="distributed", workers=2, db=db, lease_timeout=2.0)
+                )
+        finally:
+            assassin.join()
+
+        assert len(killed) == 2, "the pool was never observed at work"
+        pool_died = [w for w in caught if "local worker pool died" in str(w.message)]
+        assert len(pool_died) == 1
+
+        draining = [
+            e for e in events
+            if isinstance(e, ScenarioRetried) and "draining inline" in e.reason
+        ]
+        assert draining, "no scenario was left for the driver to drain"
+        first = events.index(draining[0])
+        done_before = {
+            e.fingerprint for e in events[:first] if isinstance(e, ScenarioCompleted)
+        }
+        unresolved = {spec.fingerprint() for spec in sweep.specs} - done_before
+        assert sorted(e.fingerprint for e in draining) == sorted(unresolved)
+
+        finished = events[-1]
+        assert isinstance(finished, SweepFinished)
+        assert not finished.cancelled and finished.failures == 0
+        assert finished.executed == 12
+        completed = {e.index: e.result for e in events if isinstance(e, ScenarioCompleted)}
+        inline = sweep.run(executor="inline")
+        assert [completed[i].fingerprint for i in range(12)] == [
+            r.fingerprint for r in inline.results
+        ]
+        assert [completed[i].report for i in range(12)] == [r.report for r in inline.results]
 
     def test_unsupervised_recovery_goes_through_lease_expiry(self, tmp_path):
         """Without a reaping parent, an orphaned lease expires and requeues."""

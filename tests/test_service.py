@@ -717,6 +717,51 @@ class TestFleetlessStallObservability:
         assert any("draining inline" in e.reason for e in retried)
         assert events[-1].executed == 1  # the drain still completed the sweep
 
+    def test_failure_inside_the_driver_is_final(self, service):
+        """A scenario the stall drain runs and that fails is not retried.
+
+        It executes once in the driver and ends in exactly one
+        ``ScenarioFailed`` — or ``TaskFailedError`` under the default
+        ``on_failure="raise"`` — with the drain announcement as its only
+        ``ScenarioRetried``.
+        """
+        from repro.api import ScenarioFailed, ScenarioRetried, stream_specs
+
+        runs = []
+
+        def build(seed, **params):
+            runs.append(seed)
+            raise RuntimeError("doomed scenario")
+
+        register_workload("test-doomed", build)
+        try:
+            doomed = _tiny_spec().with_overrides(
+                {"workload": {"kind": "test-doomed", "params": {}}}
+            )
+            with pytest.warns(RuntimeWarning, match="no worker fleet attached"):
+                events = list(
+                    stream_specs(
+                        [doomed], executor="distributed", broker=service.url,
+                        lease_timeout=1.0, on_failure="continue",
+                    )
+                )
+            assert runs == [0]
+            failed = [e for e in events if isinstance(e, ScenarioFailed)]
+            assert len(failed) == 1 and "doomed scenario" in failed[0].error
+            retried = [e for e in events if isinstance(e, ScenarioRetried)]
+            assert len(retried) == 1 and "draining inline" in retried[0].reason
+            assert events[-1].failures == 1
+
+            with pytest.warns(RuntimeWarning, match="no worker fleet attached"):
+                with pytest.raises(TaskFailedError, match="doomed scenario"):
+                    run_specs(
+                        [doomed.with_overrides({"seed": 1})], executor="distributed",
+                        broker=service.url, lease_timeout=1.0,
+                    )
+            assert runs == [0, 1]
+        finally:
+            WORKLOADS.unregister("test-doomed")
+
 
 KEEPALIVE_TOKEN = "keepalive-secret-0123456789abcdef"
 
