@@ -7,7 +7,8 @@ shows how much the parallel backends buy — and what the queue's
 durability costs — on this machine.  A second benchmark isolates the
 queue itself: claim/complete cycles at different ``claim_many`` batch
 sizes, quantifying how much batch claims amortize the per-transaction
-overhead.
+overhead.  A third times the spec/result codec round trip that wraps
+every scenario on its way through a worker, with no simulation in it.
 
 Two streaming benchmarks track the PR 5 event redesign: the cost of
 consuming a sweep as an event stream versus the blocking call built on
@@ -118,6 +119,40 @@ def test_broker_claim_batch_throughput(benchmark, batch, tmp_path):
     benchmark.extra_info["claim_batch"] = batch
     benchmark.extra_info["tasks"] = QUEUE_TASKS
     benchmark.extra_info["tasks_per_sec"] = QUEUE_TASKS / max(mean_s, 1e-9)
+
+
+#: Codec round trips per round of the codec benchmark.
+CODEC_ROUNDTRIPS = 256
+
+
+def test_codec_roundtrip_throughput(benchmark):
+    """Per-scenario codec cost: the wire work around one tiny scenario.
+
+    A fleet worker decodes a spec payload, fingerprints it and encodes
+    the result; the sweep driver decodes that result.  This times
+    ``spec_from_dict`` -> ``fingerprint`` -> ``result.to_dict`` ->
+    ``result_from_dict`` with the simulation done beforehand, so the
+    number is the ``api`` layer's per-scenario overhead alone.
+    """
+    from repro.api import ScenarioResult, result_from_dict, run, spec_from_dict
+
+    reports = {spec.fingerprint(): run(spec).report for spec in _sweep_specs()}
+    payloads = [spec.to_dict() for spec in _sweep_specs()]
+    payloads = (payloads * (CODEC_ROUNDTRIPS // len(payloads) + 1))[:CODEC_ROUNDTRIPS]
+
+    def roundtrip_all() -> int:
+        for payload in payloads:
+            spec = spec_from_dict(payload)
+            fingerprint = spec.fingerprint()
+            result = ScenarioResult(spec, reports[fingerprint], fingerprint, 0.001)
+            result_from_dict(result.to_dict())
+        return len(payloads)
+
+    done = benchmark.pedantic(roundtrip_all, rounds=5, iterations=1)
+    assert done == CODEC_ROUNDTRIPS
+    best_s = benchmark.stats.stats.min
+    benchmark.extra_info["roundtrips"] = CODEC_ROUNDTRIPS
+    benchmark.extra_info["codec_roundtrips_per_sec"] = CODEC_ROUNDTRIPS / max(best_s, 1e-9)
 
 
 #: Rounds of the streaming-vs-blocking comparison (min-of-N is compared,

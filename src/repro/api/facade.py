@@ -24,7 +24,14 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro import telemetry
 from repro.api import registry as _registry
-from repro.api.spec import ScenarioSpec, SpecValidationError, canonical_json
+from repro.api.spec import (
+    ScenarioSpec,
+    SpecValidationError,
+    _dump_canonical,
+    _normalize_json,
+    _scalar_asdict,
+    _spec_fingerprint,
+)
 from repro.core.model import StrategyName
 from repro.simulator.entities import JobSpec
 from repro.simulator.metrics import JobRecord, SimulationReport
@@ -90,10 +97,10 @@ class ScenarioResult:
 
 def report_to_dict(report: SimulationReport) -> Dict[str, Any]:
     """Serialize a :class:`SimulationReport` to JSON-native types."""
-    data = dataclasses.asdict(report)
+    data = _scalar_asdict(report)
     data["strategy"] = getattr(report.strategy, "value", str(report.strategy))
     data["r_histogram"] = {str(r): count for r, count in report.r_histogram.items()}
-    data["job_records"] = [dataclasses.asdict(record) for record in report.job_records]
+    data["job_records"] = [_scalar_asdict(record) for record in report.job_records]
     return data
 
 
@@ -178,8 +185,11 @@ class RunnerTemplate:
             raise SpecValidationError(
                 "spec", f"expected ScenarioSpec, got {type(spec).__name__}"
             )
-        family = dict(spec.to_dict(), seed=0)
-        key = (_registry.registry_epoch(), canonical_json(family))
+        # One normalization serves both the family key and the spec's
+        # (memoized) fingerprint, which the run reports.
+        normalized = _normalize_json(spec.to_dict(), "spec")
+        _spec_fingerprint(spec, normalized)
+        key = (_registry.registry_epoch(), _dump_canonical(dict(normalized, seed=0)))
         template = _TEMPLATES.get(key)
         if template is None:
             template = cls(spec)

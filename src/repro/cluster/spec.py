@@ -10,23 +10,25 @@ single-job specs already use (see :func:`repro.api.spec_from_dict`).
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
 import json
-from dataclasses import dataclass, field, fields as _dataclass_fields
-from typing import Any, Dict, List, Mapping, Optional
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Optional
 
 from repro.api import registry as _registry
 from repro.api.spec import (
     SpecValidationError,
-    _apply_override,
+    _canonical_strategy,
+    _canonicalize_common,
+    _field_names,
     _normalize_json,
-    _section_from_mapping,
-    canonical_json,
+    _scalar_asdict,
+    _spec_fingerprint,
+    _state_without_memo,
+    _with_overrides,
 )
 from repro.cluster.arrivals import ARRIVALS, available_arrivals, build_arrivals
 from repro.cluster.scheduling import SCHEDULERS, available_cluster_schedulers
-from repro.core.model import StrategyName
 from repro.hadoop.config import HadoopConfig
 from repro.simulator.cluster import ClusterConfig
 from repro.simulator.entities import JobSpec
@@ -126,16 +128,7 @@ class ClusterSpec:
                 "arrival", f"expected ArrivalSpec or mapping, got {type(arrival).__name__}"
             )
 
-        strategy = self.strategy
-        if isinstance(strategy, StrategyName):
-            strategy = strategy.value
-        if not isinstance(strategy, str) or not strategy.strip():
-            raise SpecValidationError("strategy", "must be a non-empty string")
-        try:
-            canonical = _registry.resolve_strategy_name(strategy)
-        except _registry.UnknownPluginError as error:
-            raise SpecValidationError("strategy", str(error)) from error
-        object.__setattr__(self, "strategy", canonical)
+        object.__setattr__(self, "strategy", _canonical_strategy(self.strategy))
 
         scheduler = self.scheduler
         if not isinstance(scheduler, str) or not scheduler.strip():
@@ -156,39 +149,9 @@ class ClusterSpec:
             _normalize_json(dict(self.scheduler_params), "scheduler_params"),
         )
 
-        for section, cls in (
-            ("strategy_params", StrategyParameters),
-            ("cluster", ClusterConfig),
-            ("hadoop", HadoopConfig),
-        ):
-            value = getattr(self, section)
-            if isinstance(value, Mapping):
-                object.__setattr__(self, section, _section_from_mapping(section, cls, value))
-            elif not isinstance(value, cls):
-                raise SpecValidationError(
-                    section, f"expected {cls.__name__} or mapping, got {type(value).__name__}"
-                )
+        _canonicalize_common(self)
 
-        if self.estimator is not None:
-            if not isinstance(self.estimator, str) or not self.estimator.strip():
-                raise SpecValidationError("estimator", "must be a non-empty string or None")
-            estimator = self.estimator.strip().lower()
-            if estimator not in _registry.ESTIMATORS:
-                raise SpecValidationError(
-                    "estimator",
-                    f"unknown estimator {self.estimator!r}; available: "
-                    f"{', '.join(_registry.available_estimators())}",
-                )
-            object.__setattr__(self, "estimator", estimator)
-
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
-            raise SpecValidationError("seed", "must be a non-negative integer")
-        if self.max_events is not None and (
-            not isinstance(self.max_events, int)
-            or isinstance(self.max_events, bool)
-            or self.max_events < 1
-        ):
-            raise SpecValidationError("max_events", "must be a positive integer or None")
+    __getstate__ = _state_without_memo
 
     # ------------------------------------------------------------------
     # Serialization and identity
@@ -199,11 +162,11 @@ class ClusterSpec:
             "kind": CLUSTER_KIND,
             "arrival": self.arrival.to_dict(),
             "strategy": self.strategy,
-            "strategy_params": dataclasses.asdict(self.strategy_params),
+            "strategy_params": _scalar_asdict(self.strategy_params),
             "scheduler": self.scheduler,
             "scheduler_params": dict(self.scheduler_params),
-            "cluster": dataclasses.asdict(self.cluster),
-            "hadoop": dataclasses.asdict(self.hadoop),
+            "cluster": _scalar_asdict(self.cluster),
+            "hadoop": _scalar_asdict(self.hadoop),
             "estimator": self.estimator,
             "seed": self.seed,
             "max_events": self.max_events,
@@ -218,7 +181,7 @@ class ClusterSpec:
         kind = payload.pop("kind", CLUSTER_KIND)
         if kind != CLUSTER_KIND:
             raise SpecValidationError("kind", f"expected {CLUSTER_KIND!r}, got {kind!r}")
-        allowed = {f.name for f in _dataclass_fields(cls)}
+        allowed = set(_field_names(cls))
         unknown = sorted(set(payload) - allowed)
         if unknown:
             raise SpecValidationError(
@@ -246,10 +209,10 @@ class ClusterSpec:
 
         The serialized form includes the ``"kind"`` discriminator, so
         cluster fingerprints can never collide with single-job scenario
-        fingerprints for structurally similar payloads.
+        fingerprints for structurally similar payloads.  Computed once
+        per (frozen) instance.
         """
-        digest = hashlib.sha256(canonical_json(self.to_dict()).encode("utf-8"))
-        return digest.hexdigest()[:16]
+        return _spec_fingerprint(self)
 
     # ------------------------------------------------------------------
     # Derivation
@@ -258,13 +221,7 @@ class ClusterSpec:
         self, overrides: Optional[Mapping[str, Any]] = None, **kwargs: Any
     ) -> "ClusterSpec":
         """A copy with dotted-path overrides applied (sweep/search axes)."""
-        merged: Dict[str, Any] = dict(overrides or {})
-        for key, value in kwargs.items():
-            merged[key.replace("__", ".")] = value
-        data = self.to_dict()
-        for path, value in merged.items():
-            _apply_override(data, path, value)
-        return ClusterSpec.from_dict(data)
+        return _with_overrides(self, overrides, kwargs)
 
     def build_arrivals(self) -> List[JobSpec]:
         """Materialize the arrival stream via the arrival registry."""
