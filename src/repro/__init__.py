@@ -40,13 +40,14 @@ Quick start — describe a scenario declaratively and run it::
 Sweep a grid of scenarios across worker processes, with results cached
 by content fingerprint::
 
-    from repro import ResultCache, Sweep
+    from repro import Sweep
+    from repro.distributed import SqliteResultStore
 
     sweep = Sweep.grid(spec, {
         "strategy": ["clone", "s-restart", "s-resume"],
         "strategy_params.theta": [1e-5, 1e-4],
     })
-    outcome = sweep.run(jobs=4, cache=ResultCache("results/cache"))
+    outcome = sweep.run(jobs=4, cache=SqliteResultStore("results/cache.sqlite"))
     print(outcome.to_text())
 
 The closed-form analysis remains available for pen-and-paper checks::
@@ -63,18 +64,9 @@ Specs serialize to JSON (``spec.to_dict()`` / ``ScenarioSpec.from_dict``)
 and new strategies, estimators and workloads plug in through
 ``repro.register_strategy`` / ``register_estimator`` /
 ``register_workload`` — no edits to this package required.
-
-.. deprecated:: 1.1
-    ``repro.SimulationRunner`` and ``repro.build_strategy`` are thin
-    shims kept for backwards compatibility; new code should go through
-    :mod:`repro.api` (``ScenarioSpec`` / ``run`` / ``Sweep``).
 """
 
-import importlib
-import warnings
-
 from repro.api import (
-    ResultCache,
     ScenarioResult,
     ScenarioSpec,
     SpecValidationError,
@@ -106,28 +98,7 @@ from repro.distributions import ParetoDistribution
 from repro.simulator import ClusterConfig, JobSpec, SimulationReport
 from repro.strategies import StrategyParameters
 
-__version__ = "1.11.0"
-
-#: Deprecated top-level names -> (module, attribute) they now live at.
-_DEPRECATED_SHIMS = {
-    "SimulationRunner": ("repro.simulator.runner", "SimulationRunner"),
-    "build_strategy": ("repro.strategies", "build_strategy"),
-}
-
-
-def __getattr__(name):
-    """Resolve deprecated shims lazily, warning on first use per call site."""
-    if name in _DEPRECATED_SHIMS:
-        module_name, attribute = _DEPRECATED_SHIMS[name]
-        warnings.warn(
-            f"repro.{name} is deprecated; use the declarative API instead "
-            "(repro.ScenarioSpec / repro.run / repro.Sweep)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(importlib.import_module(module_name), attribute)
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
-
+__version__ = "2.0.0"
 
 __all__ = [
     "__version__",
@@ -140,7 +111,6 @@ __all__ = [
     "run_specs",
     "Sweep",
     "SweepResult",
-    "ResultCache",
     "set_default_executor",
     "register_strategy",
     "register_estimator",
@@ -164,7 +134,4 @@ __all__ = [
     "JobSpec",
     "ClusterConfig",
     "StrategyParameters",
-    # deprecated shims
-    "SimulationRunner",
-    "build_strategy",
 ]

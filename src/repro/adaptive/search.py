@@ -54,7 +54,7 @@ from repro.api.facade import ScenarioResult
 from repro.api.spec import ScenarioSpec, SpecValidationError
 from repro.api.sweep import (
     CancelToken,
-    ResultCache,
+    ResultStore,
     StopCondition,
     _is_sweepable_spec,
     _resolve_stop,
@@ -119,7 +119,7 @@ def stream_search(
     seed: int = 0,
     ledger: Optional[Union[str, Path, TrialLedger]] = None,
     jobs: int = 1,
-    cache: Optional[ResultCache] = None,
+    cache: Optional[ResultStore] = None,
     executor: Optional[str] = None,
     workers: Optional[int] = None,
     db: Optional[Union[str, Path]] = None,
@@ -167,7 +167,8 @@ def stream_search(
     jobs / cache / executor / workers / db / broker / lease_timeout:
         Executor options, passed to :func:`repro.api.stream_specs`
         unchanged — a search runs anywhere a sweep does.  ``cache``
-        defaults to a fresh in-memory :class:`ResultCache` so duplicate
+        defaults to a fresh in-memory
+        :class:`~repro.distributed.SqliteResultStore` so duplicate
         fingerprints across batches never re-execute.
     cancel / stop / on_failure:
         Control surface, as in :func:`stream_specs` — the stop condition
@@ -203,9 +204,13 @@ def stream_search(
         raise
     token = cancel if cancel is not None else CancelToken()
     stop_condition = _resolve_stop(stop)
+    if cache is None:
+        from repro.distributed import SqliteResultStore
+
+        cache = SqliteResultStore(":memory:")
     exec_opts = dict(
         jobs=jobs,
-        cache=cache if cache is not None else ResultCache(),
+        cache=cache,
         executor=executor,
         workers=workers,
         db=db,
@@ -550,7 +555,7 @@ def run_search(
     seed: int = 0,
     ledger: Optional[Union[str, Path, TrialLedger]] = None,
     jobs: int = 1,
-    cache: Optional[ResultCache] = None,
+    cache: Optional[ResultStore] = None,
     executor: Optional[str] = None,
     workers: Optional[int] = None,
     db: Optional[Union[str, Path]] = None,

@@ -103,7 +103,7 @@ from repro.api.sweep import (
     EXECUTORS,
     STOP_CONDITIONS,
     CancelToken,
-    ResultCache,
+    ResultStore,
     StopCondition,
     Sweep,
     SweepResult,
@@ -140,7 +140,7 @@ __all__ = [
     # sweeps
     "Sweep",
     "SweepResult",
-    "ResultCache",
+    "ResultStore",
     "run_specs",
     "stream_specs",
     "EXECUTORS",

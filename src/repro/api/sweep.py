@@ -7,8 +7,8 @@ executor backend — ``"inline"`` (this process), ``"pool"`` (a
 ``concurrent.futures`` process pool; specs are plain serializable data,
 so they pickle cheaply) or ``"distributed"`` (a durable sqlite queue
 shared by worker processes, see :mod:`repro.distributed`) — optionally
-against a fingerprint-keyed :class:`ResultCache` so repeated sweeps only
-pay for scenarios they have not seen before.
+against a fingerprint-keyed result store (:class:`ResultStore`) so
+repeated sweeps only pay for scenarios they have not seen before.
 
 Execution is *event driven*: every backend reports progress through one
 stream of :class:`~repro.api.events.SweepEvent` objects.
@@ -46,21 +46,20 @@ import concurrent.futures
 import csv
 import io
 import itertools
-import json
-import os
 import threading
 import time
-import uuid
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import (
     Any,
     Callable,
     Dict,
+    Iterable,
     Iterator,
     List,
     Mapping,
     Optional,
+    Protocol,
     Sequence,
     Tuple,
     Union,
@@ -98,67 +97,19 @@ _SWEEP_HIT_RATIO = telemetry.gauge(
 )
 
 
-class ResultCache:
-    """Fingerprint-keyed cache of scenario results.
+class ResultStore(Protocol):
+    """The ``cache=`` contract: a fingerprint-keyed result store.
 
-    Always caches in memory; when given a directory it also persists each
-    result as ``<fingerprint>.json`` so later processes (or a re-run of
-    the same sweep command) skip finished scenarios entirely.  Corrupt or
-    unreadable cache files are treated as misses, never as errors.
+    :class:`repro.distributed.SqliteResultStore` (``":memory:"`` or a
+    file), :class:`repro.service.HttpResultStore` and
+    :class:`repro.federation.FederatedResultStore` all implement it.
     """
 
-    def __init__(self, directory: Optional[Union[str, Path]] = None):
-        self._memory: Dict[str, ScenarioResult] = {}
-        self._directory = Path(directory) if directory is not None else None
-        if self._directory is not None:
-            self._directory.mkdir(parents=True, exist_ok=True)
-
-    @property
-    def directory(self) -> Optional[Path]:
-        """On-disk location, or ``None`` for a memory-only cache."""
-        return self._directory
-
-    def get(self, fingerprint: str) -> Optional[ScenarioResult]:
-        """The cached result for a fingerprint, or ``None`` on a miss."""
-        if fingerprint in self._memory:
-            return self._memory[fingerprint]
-        if self._directory is not None:
-            path = self._directory / f"{fingerprint}.json"
-            if path.is_file():
-                try:
-                    result = result_from_dict(json.loads(path.read_text()))
-                except (ValueError, TypeError, KeyError):
-                    return None
-                self._memory[fingerprint] = result
-                return result
-        return None
+    def get_many(self, fingerprints: Iterable[str]) -> Dict[str, ScenarioResult]:
+        """Stored results by fingerprint; misses are absent."""
 
     def put(self, result: ScenarioResult) -> None:
-        """Store a result under its fingerprint (memory and, if set, disk).
-
-        The disk write goes through a uniquely-named temp file in the
-        same directory followed by an atomic rename, so concurrent
-        writers of one fingerprint (two sweeps sharing a cache dir) can
-        never leave — or let a reader observe — interleaved partial JSON.
-        """
-        self._memory[result.fingerprint] = result
-        if self._directory is not None:
-            path = self._directory / f"{result.fingerprint}.json"
-            temp = self._directory / f"{result.fingerprint}.{os.getpid()}.{uuid.uuid4().hex}.tmp"
-            temp.write_text(json.dumps(result.to_dict()))
-            os.replace(temp, path)
-
-    def clear(self) -> None:
-        """Drop the in-memory entries (on-disk files are left alone)."""
-        self._memory.clear()
-
-    def __len__(self) -> int:
-        """Number of in-memory entries (on-disk-only entries not counted)."""
-        return len(self._memory)
-
-    def __contains__(self, fingerprint: object) -> bool:
-        """Whether a result for ``fingerprint`` is available (memory or disk)."""
-        return isinstance(fingerprint, str) and self.get(fingerprint) is not None
+        """Store a result under its fingerprint."""
 
 
 def _execute_spec_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -545,7 +496,7 @@ def stream_specs(
     specs: Sequence[ScenarioSpec],
     *,
     jobs: int = 1,
-    cache: Optional[ResultCache] = None,
+    cache: Optional[ResultStore] = None,
     executor: Optional[str] = None,
     workers: Optional[int] = None,
     db: Optional[Union[str, Path]] = None,
@@ -610,7 +561,7 @@ def _event_stream(
     specs: List[ScenarioSpec],
     *,
     jobs: int,
-    cache: Optional[ResultCache],
+    cache: Optional[ResultStore],
     executor: str,
     workers: Optional[int],
     db: Optional[Union[str, Path]],
@@ -651,12 +602,13 @@ def _event_stream(
     yield event
     note(event)
 
+    fingerprints = [spec.fingerprint() for spec in specs]
+    stored = cache.get_many(fingerprints) if cache is not None else {}
     pending_by_fp: Dict[str, List[int]] = {}
-    for index, spec in enumerate(specs):
+    for index, fingerprint in enumerate(fingerprints):
         if token.cancelled():
             break
-        fingerprint = spec.fingerprint()
-        cached = cache.get(fingerprint) if cache is not None else None
+        cached = stored.get(fingerprint)
         if cached is not None:
             cache_hits += 1
             _SWEEP_SCENARIOS.labels(outcome="cache_hit").inc()
@@ -901,7 +853,7 @@ def run_specs(
     specs: Sequence[ScenarioSpec],
     *,
     jobs: int = 1,
-    cache: Optional[ResultCache] = None,
+    cache: Optional[ResultStore] = None,
     executor: Optional[str] = None,
     workers: Optional[int] = None,
     db: Optional[Union[str, Path]] = None,
@@ -927,10 +879,10 @@ def run_specs(
         Worker processes.  ``1`` runs inline (no pickling); ``>1`` fans
         the uncached scenarios out over a process pool.
     cache:
-        Optional :class:`ResultCache` (or any object with the same
-        ``get``/``put`` surface, e.g.
-        :class:`repro.distributed.SqliteResultStore`) consulted before
-        executing and updated afterwards.
+        Optional :class:`ResultStore` — e.g.
+        :class:`repro.distributed.SqliteResultStore` — probed once with
+        ``get_many`` before executing and updated with ``put`` as
+        results arrive.
     executor:
         Backend: ``"inline"``, ``"pool"`` or ``"distributed"``.  ``None``
         follows :func:`set_default_executor` (and a ``broker`` URL
@@ -1127,7 +1079,7 @@ class Sweep:
         self,
         *,
         jobs: int = 1,
-        cache: Optional[ResultCache] = None,
+        cache: Optional[ResultStore] = None,
         executor: Optional[str] = None,
         workers: Optional[int] = None,
         db: Optional[Union[str, Path]] = None,
@@ -1158,7 +1110,7 @@ class Sweep:
         self,
         *,
         jobs: int = 1,
-        cache: Optional[ResultCache] = None,
+        cache: Optional[ResultStore] = None,
         executor: Optional[str] = None,
         workers: Optional[int] = None,
         db: Optional[Union[str, Path]] = None,

@@ -23,7 +23,7 @@ from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from repro.core.cost import expected_machine_time
 from repro.core.model import StragglerModel, StrategyName
-from repro.core.pocd import pocd
+from repro.core.pocd import log_miss_probability_slope, pocd, task_miss_probability
 from repro.core.utility import (
     UtilityParameters,
     concavity_threshold,
@@ -223,10 +223,18 @@ class ChronosOptimizer:
                 evaluations[r] = utility_fn(r)
             return evaluations[r]
 
-        # Phase 1: gradient-based search over the concave region.
+        # Below r_feasible the PoCD does not exceed Rmin (utility -inf),
+        # so neither phase searches there.
+        r_feasible = self._smallest_feasible_r(strategy)
         candidates = set()
-        if math.isfinite(gamma):
-            start = max(0, math.ceil(gamma))
+        if r_feasible > self._r_max:
+            # No r meets Rmin: report the infeasible r = 0, as
+            # brute_force_optimum does, without searching.
+            candidates.add(0)
+            non_concave_upper = 0
+        elif math.isfinite(gamma):
+            # Phase 1: gradient-based search over the concave region.
+            start = max(0, math.ceil(gamma), r_feasible)
             start = min(start, self._r_max)
             r_continuous = gradient_line_search(
                 self._model,
@@ -248,8 +256,9 @@ class ChronosOptimizer:
             # to a full exhaustive scan.
             non_concave_upper = self._r_max + 1
 
-        # Phase 2: exhaustive scan over the non-concave region [0, ceil(Gamma)).
-        for r in range(0, non_concave_upper):
+        # Phase 2: exhaustive scan over the non-concave region
+        # [r_feasible, ceil(Gamma)).
+        for r in range(r_feasible, non_concave_upper):
             candidates.add(r)
 
         for r in sorted(candidates):
@@ -287,6 +296,32 @@ class ChronosOptimizer:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _smallest_feasible_r(self, strategy: StrategyName) -> int:
+        """Smallest ``r`` whose PoCD exceeds ``Rmin`` (``r_max + 1`` if none).
+
+        PoCD is monotone in ``r``: with ``P_miss(r) = A * q**r``, the
+        condition ``(1 - P_miss(r))**N > Rmin`` solves in closed form.  A
+        check against the exact PoCD absorbs rounding at the boundary, and
+        decides alone where there is no closed form (``q >= 1``, or
+        ``Rmin**(1/N)`` rounding to 1).  ``Rmin = 0`` returns 0 without
+        evaluating anything.
+        """
+        r_min = self._params.r_min_pocd
+        if r_min <= 0.0:
+            return 0
+        model = self._model
+        miss0 = task_miss_probability(model, strategy, 0.0)
+        allowed = 1.0 - r_min ** (1.0 / model.num_tasks)
+        slope = log_miss_probability_slope(model, strategy)
+        r = 0
+        if 0.0 < allowed <= miss0 and slope < 0.0:
+            r = min(math.floor(math.log(allowed / miss0) / slope) + 1, self._r_max + 1)
+        while r <= self._r_max and pocd(model, strategy, r) <= r_min:
+            r += 1
+        while r > 0 and pocd(model, strategy, r - 1) > r_min:
+            r -= 1
+        return r
+
     def _hill_climb(self, strategy, start: int, record) -> set:
         """Integer hill climb from ``start`` within the concave region."""
         visited = {start}

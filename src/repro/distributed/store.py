@@ -7,11 +7,10 @@ table (used by ``drain``).  The file is opened in WAL mode so one writer
 and many readers — broker, workers and the supervising parent — can share
 it without blocking each other.
 
-:class:`SqliteResultStore` is the piece visible outside this package: a
-drop-in replacement for :class:`repro.api.ResultCache` (same ``get`` /
-``put`` / ``clear`` / ``in`` / ``len`` surface) that keeps every scenario
-result as one row instead of one JSON file per fingerprint, so sweeps of
-thousands of scenarios do not degenerate into directory scans.
+:class:`SqliteResultStore` is the piece visible outside this package:
+the sweep layer's result cache (``cache=`` of :func:`repro.api.run_specs`,
+``--cache-dir`` of the CLI).  It keeps every scenario result as one row,
+in a file or — with ``":memory:"`` — for the life of the process only.
 
 Alongside the full JSON blobs, the store maintains a *columnar*
 ``summaries`` table — one flat row of scalar metrics per fingerprint,
@@ -247,13 +246,13 @@ def connect(path: Union[str, Path]) -> sqlite3.Connection:
 class SqliteResultStore:
     """Fingerprint-keyed scenario results in one sqlite database.
 
-    Implements the same protocol as :class:`repro.api.ResultCache`, so it
-    can be passed anywhere a cache is accepted (``run_specs(...,
-    cache=SqliteResultStore("queue.sqlite"))``).  Rows are written inside
-    a transaction (no partially-written JSON, unlike a naive file-per-
-    fingerprint layout) and shared with the broker's queue tables, which
-    is what lets a re-run of a distributed sweep answer every scenario
-    without executing anything.
+    Implements :class:`repro.api.ResultStore`, so it can be passed
+    anywhere a cache is accepted (``run_specs(...,
+    cache=SqliteResultStore("queue.sqlite"))``); ``":memory:"`` gives a
+    process-local cache that creates no file.  Rows are written inside a
+    transaction, so readers never see a partial result, and are shared
+    with the broker's queue tables, which is what lets a re-run of a
+    distributed sweep answer every scenario without executing anything.
     """
 
     def __init__(self, path: Union[str, Path]):
@@ -283,7 +282,7 @@ class SqliteResultStore:
             try:
                 result = result_from_dict(payload)
             except (ValueError, TypeError, KeyError):
-                continue  # corrupt row: treat as a miss, like ResultCache
+                continue  # corrupt row: a miss, never an error
             self._memory[fingerprint] = found[fingerprint] = result
         return found
 

@@ -102,7 +102,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.api import (
     EXECUTORS,
-    ResultCache,
     ScenarioCacheHit,
     ScenarioCompleted,
     ScenarioFailed,
@@ -289,7 +288,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--cache-dir",
-        help="fingerprint-keyed result cache directory (used by the 'sweep' command)",
+        help=(
+            "directory of the fingerprint-keyed result cache, kept as "
+            "DIR/results.sqlite (used by 'sweep' and 'search')"
+        ),
     )
     parser.add_argument(
         "--csv",
@@ -686,7 +688,7 @@ def run_sweep_command(args: argparse.Namespace) -> int:
     except SpecValidationError as error:
         print(f"{path}: {error}", file=sys.stderr)
         return 2
-    cache = ResultCache(args.cache_dir) if args.cache_dir else None
+    cache = open_cache(args.cache_dir)
     distributed = args.executor == "distributed" or args.broker
     from repro.service import ServiceAuthError, ServiceError
 
@@ -737,6 +739,15 @@ def run_sweep_command(args: argparse.Namespace) -> int:
         )
         return 130
     return 0
+
+
+def open_cache(cache_dir: Optional[str]):
+    """The ``--cache-dir`` result store (``DIR/results.sqlite``), or ``None``."""
+    if not cache_dir:
+        return None
+    from repro.distributed import SqliteResultStore
+
+    return SqliteResultStore(Path(cache_dir) / "results.sqlite")
 
 
 def parse_algo_params(items: Optional[Sequence[str]]) -> Dict[str, object]:
@@ -801,7 +812,7 @@ def run_search_command(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"search: {error}", file=sys.stderr)
         return 2
-    cache = ResultCache(args.cache_dir) if args.cache_dir else None
+    cache = open_cache(args.cache_dir)
     distributed = args.executor == "distributed" or args.broker
     from repro.adaptive import run_search
     from repro.service import ServiceAuthError, ServiceError

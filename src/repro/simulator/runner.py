@@ -89,9 +89,6 @@ class SpeculationStrategyProtocol(Protocol):
         ...
 
 
-#: Deprecated alias kept for backwards compatibility; use the Protocol.
-SpeculationStrategyLike = SpeculationStrategyProtocol
-
 _NULL_CONTEXT = nullcontext()
 
 

@@ -490,9 +490,9 @@ class TestRunSearch:
         assert len(result.completed) == 2 and result.executed == 2
 
     def test_shared_cache_turns_reruns_into_cache_hits(self, tmp_path):
-        from repro.api import ResultCache
+        from repro.distributed import SqliteResultStore
 
-        cache = ResultCache(tmp_path / "cache")
+        cache = SqliteResultStore(tmp_path / "cache.sqlite")
         first = run_search(_tiny_spec(), AXES, algorithm="grid", cache=cache)
         assert first.executed == 4 and first.cache_hits == 0
         second = run_search(_tiny_spec(), AXES, algorithm="grid", cache=cache)

@@ -7,7 +7,6 @@ import json
 import pytest
 
 from repro.api import (
-    ResultCache,
     ScenarioSpec,
     SpecValidationError,
     Sweep,
@@ -15,6 +14,7 @@ from repro.api import (
     job_spec_to_dict,
     run_specs,
 )
+from repro.distributed import SqliteResultStore
 from repro.simulator.entities import JobSpec
 
 
@@ -136,7 +136,7 @@ class TestProcessPoolExecution:
 class TestCaching:
     def test_second_run_executes_zero_simulations(self, base):
         """Acceptance: a repeated sweep is answered entirely from the cache."""
-        cache = ResultCache()
+        cache = SqliteResultStore(":memory:")
         sweep = Sweep.grid(base, {"strategy": ["hadoop-ns", "clone"], "seed": [0, 1]})
         first = sweep.run(cache=cache)
         assert first.executed == 4 and first.cache_hits == 0
@@ -146,24 +146,18 @@ class TestCaching:
 
     def test_disk_cache_survives_a_fresh_cache_object(self, base, tmp_path):
         sweep = Sweep.grid(base, {"seed": [0, 1]})
-        first = sweep.run(cache=ResultCache(tmp_path / "cache"))
+        with SqliteResultStore(tmp_path / "cache.sqlite") as cache:
+            first = sweep.run(cache=cache)
         assert first.executed == 2
-        # a brand-new cache instance (think: a new process) reads the files
-        second = sweep.run(cache=ResultCache(tmp_path / "cache"))
+        # a brand-new store instance (think: a new process) reads the file
+        with SqliteResultStore(tmp_path / "cache.sqlite") as cache:
+            second = sweep.run(cache=cache)
         assert second.executed == 0 and second.cache_hits == 2
         assert [r.report for r in first.results] == [r.report for r in second.results]
 
-    def test_corrupt_cache_file_is_a_miss(self, base, tmp_path):
-        directory = tmp_path / "cache"
-        cache = ResultCache(directory)
-        (directory / f"{base.fingerprint()}.json").write_text("{ not json")
-        assert cache.get(base.fingerprint()) is None
-        outcome = run_specs([base], cache=cache)
-        assert outcome.executed == 1
-
     def test_completed_results_cached_before_a_later_failure(self, base):
         """A failing scenario must not discard work that already finished."""
-        cache = ResultCache()
+        cache = SqliteResultStore(":memory:")
         # num_jobs=0 passes spec validation (it's just a workload param) but
         # fails when the workload is materialized at run time.
         bad = base.with_overrides(
@@ -177,31 +171,33 @@ class TestCaching:
         assert retry.executed == 0 and retry.cache_hits == 1
 
     def test_concurrent_writers_never_expose_partial_json(self, base, tmp_path):
-        """Same-fingerprint writers must not interleave partial JSON.
+        """Same-fingerprint writers on one file never hide a stored result.
 
-        ``put`` writes a temp file and atomically renames it, so once a
-        fingerprint's file exists, readers can never observe a truncated
-        in-progress write (which ``get`` would report as a miss).
+        ``put`` upserts the row in one transaction, so once a fingerprint
+        is stored, readers of the same file can never observe it missing
+        or half-written (which ``get`` would report as a miss).
         """
         import threading
 
-        directory = tmp_path / "cache"
+        path = tmp_path / "cache.sqlite"
         result = run_specs([base]).results[0]
-        ResultCache(directory).put(result)  # fully present before the storm
+        with SqliteResultStore(path) as store:
+            store.put(result)  # fully present before the storm
         fingerprint = base.fingerprint()
         stop = threading.Event()
         misses = []
 
         def reader():
             while not stop.is_set():
-                # a fresh cache per read: no in-memory layer, disk only
-                if ResultCache(directory).get(fingerprint) is None:
-                    misses.append(1)
+                # a fresh store per read: no in-memory layer, file only
+                with SqliteResultStore(path) as store:
+                    if store.get(fingerprint) is None:
+                        misses.append(1)
 
         def writer():
-            cache = ResultCache(directory)
-            for _ in range(100):
-                cache.put(result)
+            with SqliteResultStore(path) as store:
+                for _ in range(100):
+                    store.put(result)
 
         readers = [threading.Thread(target=reader) for _ in range(2)]
         writers = [threading.Thread(target=writer) for _ in range(4)]
@@ -213,14 +209,31 @@ class TestCaching:
         for thread in readers:
             thread.join()
         assert not misses
-        assert list(directory.glob("*.tmp")) == []  # no temp-file litter
 
     def test_cache_contains_and_len(self, base):
-        cache = ResultCache()
+        cache = SqliteResultStore(":memory:")
         assert base.fingerprint() not in cache
         run_specs([base], cache=cache)
         assert base.fingerprint() in cache
         assert len(cache) == 1
+
+    def test_batch_is_probed_with_one_get_many(self, base):
+        """The sweep asks the cache once per batch, never per spec."""
+        calls = []
+
+        class CountingStore(SqliteResultStore):
+            def get_many(self, fingerprints):
+                fingerprints = list(fingerprints)
+                calls.append(fingerprints)
+                return super().get_many(fingerprints)
+
+        specs = [base.with_overrides(seed=seed) for seed in (0, 1, 0)]
+        with CountingStore(":memory:") as cache:
+            run_specs(specs, cache=cache)
+            assert calls == [[spec.fingerprint() for spec in specs]]
+            again = run_specs(specs, cache=cache)
+        assert again.executed == 0 and again.cache_hits == 3
+        assert len(calls) == 2
 
 
 class TestExports:

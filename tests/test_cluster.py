@@ -15,7 +15,6 @@ from repro.api import (
     JobArrived,
     JobFinished,
     JobStarted,
-    ResultCache,
     ScenarioCompleted,
     ScenarioSpec,
     SpecValidationError,
@@ -424,7 +423,9 @@ class TestSweepIntegration:
         assert all(row["workload"] == "cluster:poisson" for row in rows)
 
     def test_cache_yields_zero_execution_rerun(self, tmp_path):
-        cache = ResultCache(str(tmp_path / "cache"))
+        from repro.distributed import SqliteResultStore
+
+        cache = SqliteResultStore(tmp_path / "cache.sqlite")
         sweep = Sweep.grid(small_cluster_spec(), {"seed": [0, 1]})
         first = sweep.run(cache=cache)
         assert first.executed == 2

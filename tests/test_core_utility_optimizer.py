@@ -192,6 +192,28 @@ class TestAlgorithm1:
         result = optimizer.optimize(StrategyName.CLONE)
         assert not result.feasible or result.pocd > 0.999999999
 
+    def test_r_min_above_the_concavity_threshold(self):
+        """Regression: Rmin = 0.9 makes every r below 6 infeasible.
+
+        Phase 1 used to start at ceil(Gamma) = 4, where the utility is
+        -inf and flat, and return r = 0 with U = -inf.
+        """
+        model = StragglerModel(
+            tmin=30, beta=1.5, num_tasks=100, deadline=60, tau_est=12, tau_kill=12
+        )
+        optimizer = ChronosOptimizer(model, theta=1e-4, r_min_pocd=0.9)
+        result = optimizer.optimize(StrategyName.CLONE)
+        best_r, best_u = brute_force_optimum(model, StrategyName.CLONE, optimizer.parameters)
+        assert (result.r_opt, result.utility) == (best_r, best_u)
+        assert best_r == 7 and best_u == pytest.approx(-2.2872, abs=1e-4)
+        assert pocd(model, StrategyName.CLONE, 5) <= 0.9 < pocd(model, StrategyName.CLONE, 6)
+
+    def test_unreachable_r_min_is_infeasible_without_search(self, model):
+        optimizer = ChronosOptimizer(model, theta=1e-4, r_min_pocd=0.9, r_max=0)
+        result = optimizer.optimize(StrategyName.CLONE)
+        assert not result.feasible
+        assert result.r_opt == 0 and result.evaluations == 1
+
     def test_optimize_all_and_best(self, model):
         optimizer = ChronosOptimizer(model, theta=1e-4)
         results = optimizer.optimize_all()

@@ -120,9 +120,9 @@ class TestDistributedMatchesInline:
         assert outcome.executed == 1
 
     def test_external_cache_still_consulted(self, base, tmp_path):
-        from repro.api import ResultCache
+        from repro.distributed import SqliteResultStore
 
-        cache = ResultCache()
+        cache = SqliteResultStore(":memory:")
         first = run_specs([base], executor="distributed", workers=1, cache=cache)
         assert first.executed == 1
         second = run_specs(

@@ -218,6 +218,7 @@ class TestSweepCommand:
         assert main(["sweep", "--spec", path.as_posix(), "--cache-dir", cache_dir]) == 0
         out = capsys.readouterr().out
         assert "0 executed, 4 cache hits" in out
+        assert (tmp_path / "cache" / "results.sqlite").is_file()
 
     def test_sweep_requires_spec(self, capsys):
         assert main(["sweep"]) == 2

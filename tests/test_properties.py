@@ -175,14 +175,19 @@ class TestOptimizerProperties:
         model=models,
         strategy=chronos_strategies,
         theta=st.sampled_from([1e-6, 1e-5, 1e-4, 1e-3]),
+        r_min=st.sampled_from([0.0, 0.5, 0.9]),
     )
-    def test_algorithm1_matches_brute_force(self, model, strategy, theta):
+    def test_algorithm1_matches_brute_force(self, model, strategy, theta, r_min):
         """Theorem 9 as a property: the hybrid optimizer is globally optimal."""
-        optimizer = ChronosOptimizer(model, theta=theta, unit_price=1.0, r_max=32)
+        optimizer = ChronosOptimizer(
+            model, theta=theta, unit_price=1.0, r_min_pocd=r_min, r_max=32
+        )
         result = optimizer.optimize(strategy)
         _, best_utility = brute_force_optimum(model, strategy, optimizer.parameters, r_max=32)
         if math.isfinite(best_utility):
             assert result.utility == pytest.approx(best_utility, abs=1e-9)
+        else:
+            assert not result.feasible
 
     @SETTINGS
     @given(model=models, strategy=chronos_strategies, r=r_values)

@@ -12,13 +12,10 @@ import pytest
 import repro
 from repro import (
     ChronosOptimizer,
-    ClusterConfig,
-    JobSpec,
     ParetoDistribution,
     ScenarioSpec,
     StragglerModel,
     StrategyName,
-    StrategyParameters,
     Sweep,
     WorkloadSpec,
     expected_cost,
@@ -32,7 +29,7 @@ from repro import (
 
 class TestPackageSurface:
     def test_version_string(self):
-        assert repro.__version__ == "1.11.0"
+        assert repro.__version__ == "2.0.0"
 
     def test_declared_dependencies_suffice(self):
         """A fresh interpreter imports ``repro.api`` and runs S-Restart without scipy.
@@ -58,6 +55,20 @@ class TestPackageSurface:
             [sys.executable, "-c", program], capture_output=True, text=True, check=True, env=env
         )
         assert child.stdout.split("\n")[:2] == ["[]", "[]"]
+
+    def test_api_import_loads_no_sqlite(self):
+        """``import repro.api`` leaves sqlite and the distributed layer unloaded."""
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        program = (
+            "import sys, repro.api; "
+            "print(sorted({'sqlite3', 'repro.distributed'} & set(sys.modules)))"
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", program], capture_output=True, text=True, check=True, env=env
+        )
+        assert child.stdout.strip() == "[]"
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:
@@ -111,37 +122,17 @@ class TestPackageSurface:
 
 
 class TestDeprecatedShims:
-    def test_simulation_runner_shim_warns_and_works(self):
-        with pytest.warns(DeprecationWarning, match="SimulationRunner is deprecated"):
-            runner_cls = repro.SimulationRunner
-        from repro.simulator.runner import SimulationRunner
+    """The 1.x top-level shims and the in-memory ``ResultCache`` are gone in 2.0."""
 
-        assert runner_cls is SimulationRunner
+    @pytest.mark.parametrize("name", ["SimulationRunner", "build_strategy", "ResultCache"])
+    def test_removed_names_raise(self, name):
+        import repro.api
 
-    def test_build_strategy_shim_warns_and_works(self):
-        with pytest.warns(DeprecationWarning, match="build_strategy is deprecated"):
-            factory = repro.build_strategy
-        strategy = factory(
-            StrategyName.SPECULATIVE_RESUME, StrategyParameters(tau_est=40.0, tau_kill=80.0)
-        )
-        assert strategy.name is StrategyName.SPECULATIVE_RESUME
-
-    def test_deprecated_flow_still_runs(self):
-        """The pre-1.1 hand-wired flow keeps working through the shims."""
-        jobs = [
-            JobSpec(job_id=f"j{i}", num_tasks=5, deadline=100.0, tmin=20.0, beta=1.4, submit_time=i)
-            for i in range(5)
-        ]
-        with pytest.warns(DeprecationWarning):
-            runner = repro.SimulationRunner(cluster=ClusterConfig(num_nodes=0), seed=0)
-            report = runner.run(
-                jobs,
-                repro.build_strategy(
-                    StrategyName.SPECULATIVE_RESUME,
-                    StrategyParameters(tau_est=40.0, tau_kill=80.0),
-                ),
-            )
-        assert report.num_jobs == 5
+        assert name not in repro.__all__ and name not in repro.api.__all__
+        with pytest.raises(AttributeError):
+            getattr(repro, name)
+        with pytest.raises(AttributeError):
+            getattr(repro.api, name)
 
     def test_unknown_attribute_still_raises(self):
         with pytest.raises(AttributeError):

@@ -28,6 +28,7 @@ from repro.api import (
     ScenarioSpec,
     Sweep,
     WorkloadSpec,
+    clear_template_cache,
     job_spec_to_dict,
     run_specs,
 )
@@ -56,7 +57,11 @@ def _job_dicts(count: int = 3):
     ]
 
 
-def _slow_builder(seed, jobs, delay_s=0.25):
+#: Seconds the slow workload builder sleeps per scenario.
+SLOW_DELAY_S = 0.25
+
+
+def _slow_builder(seed, jobs, delay_s=SLOW_DELAY_S):
     time.sleep(delay_s)
     from repro.api.spec import job_spec_from_dict
 
@@ -72,7 +77,7 @@ def slow_workload():
         WORKLOADS.unregister(SLOW_WORKLOAD)
 
 
-def eight_slow_scenarios(delay_s: float = 0.25) -> Sweep:
+def eight_slow_scenarios(delay_s: float = SLOW_DELAY_S) -> Sweep:
     base = ScenarioSpec(
         workload=WorkloadSpec(SLOW_WORKLOAD, {"jobs": _job_dicts(), "delay_s": delay_s}),
         strategy="s-resume",
@@ -95,15 +100,30 @@ def _stripped(result) -> dict:
 
 
 def _cancel_after(token: CancelToken, completions: int):
+    """An ``on_event`` that cancels after ``completions`` completions.
+
+    Also returns the list of completion events it saw.
+    """
     seen = []
 
     def on_event(event):
         if isinstance(event, ScenarioCompleted):
-            seen.append(event.fingerprint)
+            seen.append(event)
             if len(seen) >= completions:
                 token.cancel()
 
-    return on_event
+    return on_event, seen
+
+
+def _assert_delay_paid(completed) -> None:
+    """Every completion came after the workload builder's sleep.
+
+    The builder is memoized per seed in the ``RunnerTemplate`` cache, so
+    workers forked after an inline run would inherit built jobs and
+    never sleep; callers clear that cache before the cancelled run.
+    """
+    assert completed
+    assert all(event.elapsed_s >= SLOW_DELAY_S for event in completed)
 
 
 class TestCancelToken:
@@ -121,10 +141,11 @@ class TestCancelToken:
             result.fingerprint: _stripped(result)
             for result in require_complete(sweep.run(executor="inline"))
         }
+        clear_template_cache()
         token = CancelToken()
-        partial = sweep.run(
-            executor="pool", workers=2, cancel=token, on_event=_cancel_after(token, 1)
-        )
+        on_event, completed = _cancel_after(token, 1)
+        partial = sweep.run(executor="pool", workers=2, cancel=token, on_event=on_event)
+        _assert_delay_paid(completed)
         assert partial.cancelled and partial.partial
         assert 1 <= len(partial.results) < len(sweep)
         assert len(partial.results) + len(partial.pending) == len(sweep)
@@ -143,15 +164,18 @@ class TestCancelToken:
             for result in require_complete(sweep.run(executor="inline"))
         }
         db = tmp_path / "queue.sqlite"
+        clear_template_cache()
         token = CancelToken()
+        on_event, completed = _cancel_after(token, 1)
         partial = sweep.run(
             executor="distributed",
             workers=2,
             db=db,
             lease_timeout=10.0,
             cancel=token,
-            on_event=_cancel_after(token, 1),
+            on_event=on_event,
         )
+        _assert_delay_paid(completed)
         assert partial.cancelled and len(partial.results) >= 1
         for result in partial.results:
             assert _stripped(result) == reference[result.fingerprint]
