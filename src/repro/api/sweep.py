@@ -101,8 +101,7 @@ class ResultStore(Protocol):
     """The ``cache=`` contract: a fingerprint-keyed result store.
 
     :class:`repro.distributed.SqliteResultStore` (``":memory:"`` or a
-    file), :class:`repro.service.HttpResultStore` and
-    :class:`repro.federation.FederatedResultStore` all implement it.
+    file) and :class:`repro.service.HttpResultStore` both implement it.
     """
 
     def get_many(self, fingerprints: Iterable[str]) -> Dict[str, ScenarioResult]:
@@ -153,15 +152,8 @@ _default_on_event: Optional[Callable[[SweepEvent], None]] = None
 
 def _validate_broker_url(broker: Union[str, Path]) -> str:
     text = str(broker)
-    if not (
-        text.startswith("http://")
-        or text.startswith("https://")
-        or text.startswith("shards:")
-    ):
-        raise ValueError(
-            f"broker must be an http(s):// sweep-service URL or a 'shards:' "
-            f"federation spec, got {broker!r}"
-        )
+    if not text.startswith(("http://", "https://")):
+        raise ValueError(f"broker must be an http(s):// sweep-service URL, got {broker!r}")
     return text
 
 
@@ -705,12 +697,11 @@ def _open_backend(
         # Imported lazily: repro.distributed depends on repro.api.
         from repro.distributed import executor as _distributed
 
-        if broker is not None and not str(broker).startswith("shards:"):
+        if broker is not None:
             # None means "the service's attached fleets do the work".
             fleet = workers
         else:
-            # A local db — or a shard federation, which has no implicit
-            # attached fleet — defaults to a local worker pool.
+            # A local db defaults to a local worker pool.
             fleet = workers if workers is not None else (jobs if jobs > 1 else 3)
         policy = None
         if lease_timeout is not None:

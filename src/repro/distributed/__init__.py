@@ -24,10 +24,9 @@ or drive long-lived workers from the CLI::
 Queue *targets* are strings: a sqlite path (``"queue.sqlite"`` /
 ``"sqlite:queue.sqlite"``) for workers sharing a filesystem, the
 ``http://host:port`` URL of a :mod:`repro.service` broker front-end for
-multi-host fleets, or a ``shards:`` spec federating N of either behind
-:mod:`repro.federation` — :func:`open_broker` / :func:`open_store`
-dispatch, and :class:`Worker`, :class:`WorkerPool` and
-:func:`execute_stream` accept any of them.  The pieces are public for
+multi-host fleets — :func:`open_broker` / :func:`open_store` dispatch,
+and :class:`Worker`, :class:`WorkerPool` and :func:`execute_stream`
+accept either.  The pieces are public for
 anyone building a custom topology (remote workers pointed at a shared
 service, worker recycling, etc.).
 """
@@ -49,13 +48,7 @@ from repro.distributed.store import (
     normalize_db_path,
     summary_from_payload,
 )
-from repro.distributed.targets import (
-    is_federation_target,
-    is_service_url,
-    open_broker,
-    open_store,
-    target_uses_service,
-)
+from repro.distributed.targets import is_service_url, open_broker, open_store
 from repro.distributed.worker import (
     RestartPolicy,
     RestartRateLimiter,
@@ -94,8 +87,6 @@ __all__ = [
     # targets
     "normalize_db_path",
     "is_service_url",
-    "is_federation_target",
-    "target_uses_service",
     "open_broker",
     "open_store",
     # driver

@@ -2,9 +2,8 @@
 
 :func:`execute_stream` is the backend behind ``run_specs(...,
 executor="distributed")`` and ``Sweep.stream``.  It enqueues the
-uncached scenarios on a queue *target* — a sqlite database path, the
-``http(s)://`` URL of a :mod:`repro.service` broker front-end, or a
-``shards:`` federation — spins up a
+uncached scenarios on a queue *target* — a sqlite database path or the
+``http(s)://`` URL of a :mod:`repro.service` broker front-end — spins up a
 :class:`~repro.distributed.worker.WorkerPool` (unless the caller relies
 on remote fleets already attached to the service), and then runs one
 loop until the queue settles.  Each turn of the loop is a single,
@@ -67,7 +66,6 @@ from repro.distributed.broker import TaskFailedError
 from repro.distributed.leases import LeasePolicy
 from repro.distributed.targets import (
     is_auth_error,
-    is_federation_target,
     is_service_url,
     open_broker,
     open_store,
@@ -156,11 +154,8 @@ def execute_stream(
     """
     if broker is not None and db is not None:
         raise ValueError("pass either db (sqlite path) or broker (service URL), not both")
-    if broker is not None and not (is_service_url(broker) or is_federation_target(broker)):
-        raise ValueError(
-            f"broker must be an http(s):// service URL or a 'shards:' federation "
-            f"spec, got {broker!r}"
-        )
+    if broker is not None and not is_service_url(broker):
+        raise ValueError(f"broker must be an http(s):// service URL, got {broker!r}")
     if on_failure not in ("raise", "continue"):
         raise ValueError(f"on_failure must be 'raise' or 'continue', got {on_failure!r}")
     remote = broker is not None

@@ -1,4 +1,4 @@
-"""Queue targets: one string names a sqlite file, a service, or a federation.
+"""Queue targets: one string names a sqlite file or a sweep service.
 
 Everything in the distributed subsystem that used to take a database
 *path* now takes a *target*:
@@ -8,19 +8,15 @@ Everything in the distributed subsystem that used to take a database
   :class:`SqliteResultStore`;
 - ``"http://host:port"`` or ``https://…`` — a remote
   :mod:`repro.service` broker front-end, reached through
-  :class:`~repro.service.HttpBroker` / ``HttpResultStore``;
-- ``"shards:a.sqlite,b.sqlite"`` (or ``shards:topology.json``) — a
-  :mod:`repro.federation` of N such backends behind one
-  :class:`~repro.federation.FederatedBroker` /
-  ``FederatedResultStore``, routed by content fingerprint.
+  :class:`~repro.service.HttpBroker` / ``HttpResultStore``.
 
 :func:`open_broker` and :func:`open_store` are the only dispatch points,
 so :class:`~repro.distributed.worker.Worker`, ``WorkerPool`` and the
-sweep executor run unchanged against any transport.  The service and
-federation layers are imported lazily: plain sqlite topologies never
-load them.  A target that *looks* like it carries a scheme but matches
-none of the known ones raises a :class:`ValueError` that enumerates the
-valid forms, instead of being silently treated as a filename.
+sweep executor run unchanged against either transport.  The service
+layer is imported lazily: plain sqlite topologies never load it.  A
+target that *looks* like it carries a scheme but matches none of the
+known ones raises a :class:`ValueError` that enumerates the valid
+forms, instead of being silently treated as a filename.
 
 Credentials ride with the target rather than with the call tree: a
 secured service (bearer token, TLS) is reached by passing ``token=`` /
@@ -29,7 +25,7 @@ exporting ``CHRONOS_TOKEN`` (and ``CHRONOS_CAFILE`` for a self-signed
 cert) and letting every process in the tree, including spawned workers,
 pick them up from the environment (see
 :class:`repro.service.security.Credentials`).  Sqlite targets ignore
-all three; a federation forwards them to each of its service shards.
+all three.
 """
 
 from __future__ import annotations
@@ -42,9 +38,6 @@ from repro.distributed.broker import Broker
 from repro.distributed.leases import LeasePolicy
 from repro.distributed.store import SQLITE_PREFIX, SqliteResultStore, normalize_db_path
 
-#: Scheme prefix naming a broker federation (see :mod:`repro.federation`).
-SHARDS_PREFIX = "shards:"
-
 #: Anything that looks like ``scheme:…`` (two or more scheme characters,
 #: so Windows drive letters still parse as paths).
 _SCHEME_RE = re.compile(r"^([A-Za-z][A-Za-z0-9+.-]+):")
@@ -53,7 +46,6 @@ _SCHEME_RE = re.compile(r"^([A-Za-z][A-Za-z0-9+.-]+):")
 VALID_TARGET_FORMS = (
     "a sqlite path ('queue.sqlite' or 'sqlite:queue.sqlite')",
     "an 'http://' or 'https://' sweep-service URL",
-    "a 'shards:' federation spec ('shards:a.sqlite,b.sqlite' or 'shards:topology.json')",
 )
 
 
@@ -61,27 +53,6 @@ def is_service_url(target: Union[str, Path]) -> bool:
     """Whether a queue target names an HTTP broker service (vs a file)."""
     text = str(target)
     return text.startswith("http://") or text.startswith("https://")
-
-
-def is_federation_target(target: Union[str, Path]) -> bool:
-    """Whether a queue target names a shard federation (``shards:…``)."""
-    return str(target).startswith(SHARDS_PREFIX)
-
-
-def target_uses_service(target: Union[str, Path]) -> bool:
-    """Whether reaching a target involves HTTP (directly or via shards).
-
-    Workers use this to pick their error taxonomy: transport blips on
-    any HTTP leg are transient, credential rejections fatal — and a
-    federation inherits that as soon as one shard is a service.
-    """
-    if is_service_url(target):
-        return True
-    if is_federation_target(target):
-        from repro.federation import ShardTopology
-
-        return any(is_service_url(shard) for shard in ShardTopology.parse(target).shards)
-    return False
 
 
 def is_auth_error(error: Exception) -> bool:
@@ -113,7 +84,7 @@ def open_broker(
     cafile: Optional[str] = None,
     verify: Optional[bool] = None,
 ):
-    """A broker for a queue target: sqlite, HTTP, or federated — same interface.
+    """A broker for a queue target: sqlite or HTTP — same interface.
 
     For service URLs the returned :class:`~repro.service.HttpBroker`'s
     lease timing is governed by the *server's* policy (it owns the
@@ -121,20 +92,13 @@ def open_broker(
     used before the server has been asked.  ``token``/``cafile``/
     ``verify`` authenticate against a secured service, each falling back
     to its environment variable (``CHRONOS_TOKEN`` etc.) when ``None``;
-    sqlite targets ignore them and ``shards:`` federations forward them
-    to every service shard.  Unrecognized schemes raise
+    sqlite targets ignore them.  Unrecognized schemes raise
     :class:`ValueError` naming the valid target forms.
     """
     if is_service_url(target):
         from repro.service import HttpBroker
 
         return HttpBroker(str(target), policy=policy, token=token, cafile=cafile, verify=verify)
-    if is_federation_target(target):
-        from repro.federation import FederatedBroker
-
-        return FederatedBroker(
-            str(target), policy=policy, token=token, cafile=cafile, verify=verify
-        )
     return Broker(normalize_db_path(_check_sqlite_target(target)), policy=policy)
 
 
@@ -145,7 +109,7 @@ def open_store(
     cafile: Optional[str] = None,
     verify: Optional[bool] = None,
 ):
-    """A result store for a queue target (sqlite, HTTP, or federated).
+    """A result store for a queue target (sqlite or HTTP).
 
     Credential kwargs behave exactly as in :func:`open_broker`.
     """
@@ -153,8 +117,4 @@ def open_store(
         from repro.service import HttpResultStore
 
         return HttpResultStore(str(target), token=token, cafile=cafile, verify=verify)
-    if is_federation_target(target):
-        from repro.federation import FederatedResultStore
-
-        return FederatedResultStore(str(target), token=token, cafile=cafile, verify=verify)
     return SqliteResultStore(normalize_db_path(_check_sqlite_target(target)))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Tuple
 
@@ -135,42 +136,26 @@ class SimulationEngine:
         max_events:
             Optional safety cap on the number of events to execute.
         """
-        if max_events is not None:
-            # Legacy per-event loop: an event cap could strand pre-popped
-            # batch members, so capped runs stay strictly one-at-a-time.
-            executed = 0
-            while self._queue:
-                if executed >= max_events:
-                    return
-                event = self._queue[0][2]
-                if event.cancelled:
-                    heapq.heappop(self._queue)
-                    continue
-                if until is not None and event.time > until:
-                    self._now = until
-                    return
-                heapq.heappop(self._queue)
-                self._now = event.time
-                event.callback(*event.args)
-                self._processed += 1
-                executed += 1
-            if until is not None and until > self._now:
-                self._now = until
-            return
-
-        # Hot path (no event cap): pop the whole run of same-timestamp
-        # events in one sweep instead of re-peeking the heap after every
-        # callback.  Events scheduled *by* a batch member at the same
-        # timestamp carry a higher sequence number, so they form the next
-        # sweep — overall execution order is identical to the one-at-a-time
-        # loop.  Cancellation by an earlier batch member is honoured by
-        # re-checking ``cancelled`` immediately before each callback runs.
+        # Pop the whole run of same-timestamp events in one sweep instead
+        # of re-peeking the heap after every callback.  Events scheduled
+        # *by* a batch member at the same timestamp carry a higher sequence
+        # number, so they form the next sweep — overall execution order is
+        # identical to a one-at-a-time loop.  Cancellation by an earlier
+        # batch member is honoured by re-checking ``cancelled`` immediately
+        # before each callback runs.  Under an event cap a sweep pops at
+        # most the cap's remaining room; members left behind keep their
+        # heap keys, so they still run before anything scheduled later at
+        # the same timestamp, and the cap counts executed callbacks only.
         queue = self._queue
         pop = heapq.heappop
+        cap = sys.maxsize if max_events is None else max_events
         processed = 0
         batch: List[Event] = []
         try:
             while queue:
+                room = cap - processed
+                if room <= 0:
+                    return
                 head_time, _, event = queue[0]
                 if event.cancelled:
                     pop(queue)
@@ -180,7 +165,7 @@ class SimulationEngine:
                     return
                 pop(queue)
                 batch.append(event)
-                while queue and queue[0][0] == head_time:
+                while queue and queue[0][0] == head_time and len(batch) < room:
                     batch.append(pop(queue)[2])
                 self._now = head_time
                 for member in batch:

@@ -1,15 +1,15 @@
-"""One contract for every queue target, run against all four of them.
+"""One contract for every queue target, run against all three of them.
 
 The sqlite ``Broker``/``SqliteResultStore`` are the contract.  The HTTP
-and federated backends expose the same public methods with the same
-signatures (transport-specific members aside), and behave the same
-whether the target is a sqlite file, an ``http://`` service, an
-``https://`` service with a bearer token, or a ``shards:`` federation:
+backends expose the same public methods with the same signatures
+(transport-specific members aside), and behave the same whether the
+target is a sqlite file, an ``http://`` service, or an ``https://``
+service with a bearer token:
 
 - ``get_many`` answers hits, omits misses, and treats a corrupt stored
   row (unparseable JSON, or JSON that is not a result) as a miss;
 - ``complete_many`` logs one ``completed`` event per fingerprint, in
-  input order (per owning shard), and is idempotent when re-completed;
+  input order, and is idempotent when re-completed;
 - the completing worker's ``tasks_done`` grows by the batch size;
 - ``leased(now)`` reports lease expiry against the caller's clock;
 - ``results()`` and ``summary_rows(columns)`` return every stored row,
@@ -23,7 +23,7 @@ import sqlite3
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, List
+from typing import List
 
 import pytest
 
@@ -36,7 +36,6 @@ from repro.distributed import (
     open_store,
     summary_from_payload,
 )
-from repro.federation import FederatedBroker, FederatedResultStore, ShardTopology
 from repro.service import HttpBroker, HttpResultStore, make_server
 from repro.simulator.entities import JobSpec
 
@@ -66,10 +65,8 @@ def _spec(seed: int) -> ScenarioSpec:
 class Backend:
     target: str
     credentials: dict
-    #: The sqlite file holding a fingerprint's rows.
-    db_of: Callable[[str], Path]
-    #: Index of the shard owning a fingerprint (0 for single backends).
-    shard_of: Callable[[str], int]
+    #: The sqlite file holding the backend's rows.
+    db: Path
 
     def broker(self):
         return open_broker(self.target, policy=FAST, **self.credentials)
@@ -78,21 +75,13 @@ class Backend:
         return open_store(self.target, **self.credentials)
 
 
-@pytest.fixture(params=["sqlite", "http", "https+token", "shards"])
+@pytest.fixture(params=["sqlite", "http", "https+token"])
 def backend(request, tmp_path, monkeypatch):
     for variable in ("CHRONOS_TOKEN", "CHRONOS_CAFILE", "CHRONOS_TLS_VERIFY"):
         monkeypatch.delenv(variable, raising=False)
     db = tmp_path / "queue.sqlite"
     if request.param == "sqlite":
-        yield Backend(f"sqlite:{db}", {}, lambda fp: db, lambda fp: 0)
-        return
-    if request.param == "shards":
-        paths = [tmp_path / f"shard{i}.sqlite" for i in range(3)]
-        target = "shards:" + ",".join(str(path) for path in paths)
-        topology = ShardTopology.parse(target)
-        yield Backend(
-            target, {}, lambda fp: paths[topology.owner_of(fp)], topology.owner_of
-        )
+        yield Backend(f"sqlite:{db}", {}, db)
         return
     kwargs, credentials = {}, {}
     if request.param == "https+token":
@@ -104,12 +93,7 @@ def backend(request, tmp_path, monkeypatch):
     thread.start()
     scheme = "https" if server.tls else "http"
     try:
-        yield Backend(
-            f"{scheme}://127.0.0.1:{server.server_address[1]}",
-            credentials,
-            lambda fp: db,
-            lambda fp: 0,
-        )
+        yield Backend(f"{scheme}://127.0.0.1:{server.server_address[1]}", credentials, db)
     finally:
         server.shutdown()
         server.server_close()
@@ -143,8 +127,8 @@ class TestGetMany:
     def test_hits_misses_and_corrupt_rows(self, backend):
         results = _complete(backend, [_spec(seed) for seed in range(3)])
         not_json, not_a_result = _spec(10).fingerprint(), _spec(11).fingerprint()
-        _write_row(backend.db_of(not_json), not_json, "{not json")
-        _write_row(backend.db_of(not_a_result), not_a_result, '{"spec": 1}')
+        _write_row(backend.db, not_json, "{not json")
+        _write_row(backend.db, not_a_result, '{"spec": 1}')
         missing = _spec(12).fingerprint()
         asked = [results[0].fingerprint, missing, not_json, results[1].fingerprint,
                  not_a_result, results[2].fingerprint]
@@ -182,11 +166,7 @@ class TestCompleteMany:
             ]
         finally:
             broker.close()
-        assert sorted(completed) == sorted(order)  # exactly one each
-        for shard in {backend.shard_of(fp) for fp in order}:
-            assert [fp for fp in completed if backend.shard_of(fp) == shard] == [
-                fp for fp in order if backend.shard_of(fp) == shard
-            ]
+        assert completed == order
 
     def test_tasks_done_grows_by_batch_size(self, backend):
         specs = [_spec(seed) for seed in range(4)]
@@ -226,7 +206,7 @@ class TestCompleteMany:
 #: the server-side telemetry snapshot, and the store's raw-payload and
 #: maintenance methods.
 TRANSPORT_SPECIFIC = {
-    "url", "credentials", "path", "topology", "metrics", "put_payload", "backfill_summaries",
+    "url", "credentials", "path", "metrics", "put_payload", "backfill_summaries",
 }
 
 
@@ -248,8 +228,8 @@ def _surface(cls) -> dict:
 @pytest.mark.parametrize(
     "contract, implementations",
     [
-        (Broker, (HttpBroker, FederatedBroker)),
-        (SqliteResultStore, (HttpResultStore, FederatedResultStore)),
+        (Broker, (HttpBroker,)),
+        (SqliteResultStore, (HttpResultStore,)),
     ],
     ids=["broker", "result-store"],
 )

@@ -14,6 +14,8 @@ from repro.distributed import (
     SqliteResultStore,
     Worker,
     WorkerConfig,
+    open_broker,
+    open_store,
 )
 from repro.simulator.entities import JobSpec
 
@@ -48,6 +50,22 @@ def broker(db):
 
 def _enqueue(broker, specs):
     return broker.enqueue([s.to_dict() for s in specs], [s.fingerprint() for s in specs])
+
+
+class TestTargets:
+    @pytest.mark.parametrize(
+        "target", ["redis://localhost:6379", "shards:a.sqlite,b.sqlite"], ids=["redis", "shards"]
+    )
+    @pytest.mark.parametrize("opener", [open_broker, open_store], ids=["broker", "store"])
+    def test_unknown_scheme_names_the_valid_forms(self, target, opener, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValueError) as excinfo:
+            opener(target)
+        message = str(excinfo.value)
+        assert "unknown queue target scheme" in message and target in message
+        assert "sqlite path" in message and "'http://' or 'https://'" in message
+        # rejected, never opened as a filename
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestLeasePolicy:

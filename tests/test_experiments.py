@@ -408,6 +408,17 @@ class TestServiceCli:
         assert main(argv) == 2
         assert "not both" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "target", ["redis://localhost:6379", "shards:a.sqlite,b.sqlite"], ids=["redis", "shards"]
+    )
+    def test_unknown_scheme_is_an_exit_2_diagnostic(self, target, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["workers", "status", "--broker", target]) == 2
+        err = capsys.readouterr().err
+        assert "unknown queue target scheme" in err
+        assert "sqlite path" in err and "'http://' or 'https://'" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_workers_status_unreachable_broker_is_a_diagnostic(self, capsys):
         assert main(["workers", "status", "--broker", "http://127.0.0.1:9"]) == 2
         assert "cannot reach sweep service" in capsys.readouterr().err

@@ -119,6 +119,35 @@ class TestRunLimits:
         engine.run(max_events=2)
         assert calls == [0, 1]
 
+    @staticmethod
+    def _same_time_batches(engine, log):
+        """Two same-time batches whose members schedule and cancel each other."""
+        record = log.append
+        victim = []
+        engine.schedule_at(1.0, lambda: (record("a"), engine.schedule_at(1.0, record, "a2")))
+        engine.schedule_at(1.0, lambda: (record("b"), victim[0].cancel()))
+        engine.schedule_at(1.0, record, "c").cancel()  # cancelled before the run
+        engine.schedule_at(1.0, record, "d")
+        victim.append(engine.schedule_at(1.0, record, "e"))
+        engine.schedule_at(1.0, record, "f")
+        engine.schedule_at(2.0, record, "g")
+        engine.schedule_at(2.0, record, "h")
+
+    @pytest.mark.parametrize("cap", range(8))
+    def test_cap_mid_batch_executes_exactly_k_then_resumes_in_order(self, cap):
+        uncapped, expected = SimulationEngine(), []
+        self._same_time_batches(uncapped, expected)
+        uncapped.run()
+        assert expected == ["a", "b", "d", "f", "a2", "g", "h"]
+
+        engine, calls = SimulationEngine(), []
+        self._same_time_batches(engine, calls)
+        engine.run(max_events=cap)
+        assert len(calls) == engine.processed_events == min(cap, len(expected))
+        engine.run()
+        assert calls == expected
+        assert engine.processed_events == len(expected)
+
     def test_step_returns_false_when_idle(self):
         engine = SimulationEngine()
         assert engine.step() is False
