@@ -83,6 +83,12 @@ _QUEUE_DEPTH = telemetry.gauge(
 #: Event-log kinds, in roughly the order they occur for one task.
 EVENT_KINDS = ("queued", "started", "completed", "failed", "retried", "released")
 
+#: Rows one :meth:`Broker.events_since` call returns by default.
+EVENT_LIMIT = 500
+
+#: Seconds between change probes while :meth:`Broker.events_since` waits.
+SETTLE_POLL_S = 0.005
+
 #: Out-of-band event kinds an adaptive search mirrors into the log via
 #: :meth:`Broker.record_event` (see :mod:`repro.adaptive.search`).
 TRIAL_EVENT_KINDS = ("trial-proposed", "trial-pruned", "search-finished")
@@ -643,7 +649,9 @@ class Broker:
         ).fetchone()
         return int(row["seq"]) if row is not None else 0
 
-    def events_since(self, seq: int = 0, limit: int = 500) -> List[Dict[str, Any]]:
+    def events_since(
+        self, seq: int = 0, limit: int = EVENT_LIMIT, wait_s: float = 0.0
+    ) -> List[Dict[str, Any]]:
         """Event-log rows newer than ``seq``, oldest first (at most ``limit``).
 
         Each row is a JSON-native dict — ``{"seq", "ts", "kind",
@@ -652,15 +660,40 @@ class Broker:
         even across deletes), so ``events_since(last_seen)`` is a
         complete, gap-free resume point for any observer, including the
         HTTP service's RPC of the same name.
+
+        ``wait_s > 0`` makes it a long poll: with fewer than ``limit``
+        new rows on an unsettled queue, the call waits until the queue
+        settles or ``wait_s`` passes, then reads.  It probes ``PRAGMA
+        data_version`` every :data:`SETTLE_POLL_S` and asks
+        :meth:`settled` only after another connection committed.
         """
         if limit < 1:
             raise ValueError("event limit must be a positive integer")
+        rows = self._events_after(seq, limit)
+        if wait_s <= 0 or len(rows) >= limit or self.settled():
+            return rows
+        deadline = time.monotonic() + wait_s
+        version = self._data_version()
+        while time.monotonic() < deadline:
+            time.sleep(SETTLE_POLL_S)
+            seen = self._data_version()
+            if seen != version:
+                version = seen
+                if self.settled():
+                    break
+        return self._events_after(seq, limit)
+
+    def _events_after(self, seq: int, limit: int) -> List[Dict[str, Any]]:
         rows = self._conn.execute(
             "SELECT seq, ts, kind, fingerprint, worker_id, detail FROM events "
             "WHERE seq > ? ORDER BY seq LIMIT ?",
             (int(seq), int(limit)),
         ).fetchall()
         return [{key: row[key] for key in row.keys()} for row in rows]
+
+    def _data_version(self) -> int:
+        """Changes whenever another connection commits to the database."""
+        return int(self._conn.execute("PRAGMA data_version").fetchone()[0])
 
     def events_for(self, fingerprint: str, limit: int = 1000) -> List[Dict[str, Any]]:
         """Every retained event-log row about one fingerprint, oldest first.

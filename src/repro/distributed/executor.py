@@ -13,8 +13,13 @@ idempotent *reconcile pass* over (event log, store, fleet health):
    (:meth:`~repro.distributed.broker.Broker.events_since`, or the
    service's ``events_since`` RPC) and translate queue transitions into
    the :mod:`repro.api.events` vocabulary, fetching every result a log
-   batch completed with one ``get_many``.  If the log cannot be read
-   (a non-auth error), the pass diffs the result store instead;
+   batch completed with one ``get_many``.  The pass's first read is a
+   long poll: it waits up to the pass interval (:data:`SUPERVISE_INTERVAL`
+   locally, :data:`REMOTE_SUPERVISE_INTERVAL` against a service) unless
+   the queue settles first, so the driver paces itself without sleeping
+   and learns that a sweep is done as soon as its last task commits.
+   If the log cannot be read (a non-auth error), the pass waits out the
+   interval and diffs the result store instead;
    :data:`TAIL_FAILURE_LIMIT` consecutive failures disable tailing for
    the rest of the sweep, with a warning.
 2. **Heal.**  Requeue expired leases and supervise the local pool
@@ -24,7 +29,7 @@ idempotent *reconcile pass* over (event log, store, fleet health):
    nothing done for one lease timeout.  The stall is announced once (a
    :class:`RuntimeWarning` and one ``ScenarioRetried`` per unresolved
    scenario); from then on each pass runs one claimed task in the driver
-   instead of sleeping, so a sweep never deadlocks.
+   instead of waiting, so a sweep never deadlocks.
 
 The loop ends on ``settled()``, observed before the pass's final log
 read, and one last store diff collects anything whose log row was
@@ -72,13 +77,14 @@ from repro.distributed.targets import (
 )
 from repro.distributed.worker import WorkerConfig, WorkerPool
 
-#: Seconds between supervision passes while workers run.
+#: Longest wait of one reconcile pass's event-log long poll (the pass
+#: ends sooner when the queue settles).
 SUPERVISE_INTERVAL = 0.05
 
-#: Supervision interval against an HTTP broker: each pass costs a few
-#: RPCs through the service's single lock (one of them a write
-#: transaction), so polling 20x/sec would tax the server for nothing
-#: more than faster end-of-sweep detection.
+#: The long-poll wait against an HTTP broker: each pass costs a few RPCs
+#: through the service's single lock (one of them a write transaction),
+#: so healing 20x/sec would tax the server for nothing; the end of the
+#: sweep still wakes the driver at once.
 REMOTE_SUPERVISE_INTERVAL = 0.25
 
 #: Queue-log rows fetched per ``events_since`` batch while supervising.
@@ -243,17 +249,19 @@ def _stream(
             if results.get(fingerprint) is not None:
                 yield completed(fingerprint, results[fingerprint])
 
-    def observe() -> Iterator[SweepEvent]:
+    def observe(wait_s: float) -> Iterator[SweepEvent]:
         """Translate fresh queue-log rows into sweep events.
 
+        The first read waits up to ``wait_s`` for the queue to settle.
         A non-auth ``events_since`` error makes this pass a store diff
-        instead; :data:`TAIL_FAILURE_LIMIT` consecutive ones disable
-        tailing for the rest of the sweep, with a warning.
+        instead, after the same wait; :data:`TAIL_FAILURE_LIMIT`
+        consecutive ones disable tailing for the rest of the sweep, with
+        a warning.
         """
         nonlocal since, tail_failures
         while tail_failures < TAIL_FAILURE_LIMIT:
             try:
-                batch = broker_client.events_since(since, limit=EVENT_BATCH)
+                batch = broker_client.events_since(since, limit=EVENT_BATCH, wait_s=wait_s)
             except Exception as error:
                 if is_auth_error(error):
                     raise
@@ -267,7 +275,7 @@ def _stream(
                         stacklevel=2,
                     )
                 break
-            tail_failures = 0
+            tail_failures, wait_s = 0, 0.0
             # One batched read for every result this batch completed.
             results = store.get_many(
                 [
@@ -304,6 +312,8 @@ def _stream(
                     yield completed(fingerprint, results[fingerprint], row.get("worker_id"))
             if len(batch) < EVENT_BATCH:
                 return
+        # No long poll paced this pass, so wait as it would have.
+        time.sleep(wait_s)
         yield from store_diff()
 
     def run_in_driver(
@@ -375,13 +385,14 @@ def _stream(
             ).start()
 
         interval = REMOTE_SUPERVISE_INTERVAL if remote else SUPERVISE_INTERVAL
+        wait_s = interval  # the next pass's long-poll wait
         stall: Optional[str] = None  # the announced cause, once stalled
         last_done, last_progress = -1, time.monotonic()
         while True:
             if cancelled():
                 return
             settled = broker_client.settled()
-            yield from observe()
+            yield from observe(0.0 if settled else wait_s)
             if settled:
                 break
             broker_client.requeue_expired()
@@ -413,9 +424,8 @@ def _stream(
                         yield retried(fingerprint, f"{stall}; draining inline in the sweep driver")
                     broker_client.register_worker(DRIVER_ID)
             task = broker_client.claim(DRIVER_ID) if stall is not None else None
-            if task is None:
-                time.sleep(interval)
-            else:
+            wait_s = interval if task is None else 0.0
+            if task is not None:
                 yield from run_in_driver(task.fingerprint, task.payload)
         # Anything completed without a visible log row (events pruned
         # mid-run) is still collected.

@@ -3,9 +3,18 @@
 A :class:`Worker` repeatedly claims a batch of tasks from the broker,
 rebuilds each :class:`~repro.api.spec.ScenarioSpec` from the stored
 payload, runs it through the :func:`repro.api.run` façade and writes the
-batch's results back in one ``complete_many`` commit — all while a
+batch's results back with ``complete_many`` — all while a
 :class:`~repro.distributed.leases.LeaseKeeper` thread renews the leases
 of the batch so slow scenarios are not mistaken for crashes.
+
+Claims are sized by time, not by count.  The first claim takes one
+task; each later one takes about :data:`CLAIM_TARGET_S` worth of work at
+the last batch's measured seconds per task, at most doubling per claim
+and never more than ``WorkerConfig.claim_batch``.  Sub-millisecond
+scenarios therefore go a few dozen to a round trip, and long ones go one
+at a time, so a batch never sits on finished results for long.  A batch
+that still runs past :data:`CLAIM_TARGET_S` (one scenario was slower than
+its neighbours) commits the results it already has each time it does.
 
 Workers are transport-agnostic: the queue target may be a sqlite path
 (workers on one machine, or a shared filesystem) or an ``http://`` URL
@@ -49,6 +58,18 @@ _WORKER_TASKS = telemetry.counter(
 _CLAIM_LATENCY = telemetry.histogram(
     "chronos_claim_batch_seconds", "Wall-clock of one claim_many round trip"
 )
+_CLAIM_SIZE = telemetry.histogram(
+    "chronos_claim_batch_tasks",
+    "Tasks taken by one non-empty claim_many",
+    buckets=(1, 2, 4, 8, 16, 32, 64),
+)
+
+#: Seconds of work one claim aims to take, and how long a batch may hold
+#: finished results before it commits them.
+CLAIM_TARGET_S = 0.05
+
+#: The worker's clock (module level, so tests can substitute one).
+_clock = time.perf_counter
 
 
 def make_worker_id(prefix: str = "worker") -> str:
@@ -80,17 +101,18 @@ class WorkerConfig:
         Optional cap on tasks executed before exiting (useful in tests
         and for worker recycling).
     claim_batch:
-        Tasks claimed per broker round trip (one transaction, one lease
-        each).  Batching amortizes the ~ms/task queue overhead for short
-        scenarios; recovery is unchanged because every task in the batch
-        still has its own lease.
+        The most tasks one claim may take (one transaction, one lease
+        each).  Claims are sized by time up to this bound (see the module
+        docstring): batching amortizes the ~ms/task queue overhead for
+        short scenarios, and recovery is unchanged because every task in
+        a batch still has its own lease.
     """
 
     policy: LeasePolicy = field(default_factory=LeasePolicy)
     poll_interval: float = 0.05
     exit_when_idle: bool = True
     max_tasks: Optional[int] = None
-    claim_batch: int = 4
+    claim_batch: int = 64
 
     def __post_init__(self) -> None:
         if self.claim_batch < 1:
@@ -148,6 +170,25 @@ class Worker:
         # so it is simply shared.
         self._keeper_broker = None
         self.tasks_done = 0
+        # Size and measured seconds per task of the last non-empty batch
+        # (0 before the first), from which the next claim is sized.
+        self._last_batch = 0
+        self._last_task_s = 0.0
+
+    def _claim_size(self) -> int:
+        """Tasks the next claim asks for (0 once ``max_tasks`` is spent).
+
+        One at first; then at most twice the last batch, and no more than
+        :data:`CLAIM_TARGET_S` of work at the last batch's pace; always
+        within ``claim_batch`` and what ``max_tasks`` has left.
+        """
+        size = max(1, 2 * self._last_batch)
+        if self._last_task_s > 0:
+            size = max(1, min(size, int(CLAIM_TARGET_S / self._last_task_s)))
+        size = min(size, self.config.claim_batch)
+        if self.config.max_tasks is not None:
+            size = min(size, self.config.max_tasks - self.tasks_done)
+        return size
 
     def run(self) -> int:
         """Process tasks until the exit condition; returns tasks executed.
@@ -165,12 +206,9 @@ class Worker:
         transient_failures = 0
         registered = False
         while True:
-            limit = self.config.claim_batch
-            if self.config.max_tasks is not None:
-                remaining = self.config.max_tasks - self.tasks_done
-                if remaining <= 0:
-                    return self.tasks_done
-                limit = min(limit, remaining)
+            limit = self._claim_size()
+            if limit <= 0:
+                return self.tasks_done
             try:
                 if not registered:
                     self._broker.register_worker(self.worker_id)
@@ -185,7 +223,11 @@ class Worker:
                     self._broker.touch_worker(self.worker_id)
                     time.sleep(self.config.poll_interval)
                     continue
+                _CLAIM_SIZE.observe(len(tasks))
+                started = _clock()
                 self._execute_batch(tasks)
+                self._last_batch = len(tasks)
+                self._last_task_s = (_clock() - started) / len(tasks)
                 transient_failures = 0
             except self._fatal_errors:
                 raise
@@ -236,8 +278,20 @@ class Worker:
         )
         keeper = LeaseKeeper(renew=renew, interval=interval)
         finished: List[Tuple[str, Dict[str, Any]]] = []
+
+        def commit() -> None:
+            # Execution is deterministic, so results are committed even if
+            # a lease was lost mid-run (the upsert is idempotent and
+            # whoever re-claimed the task will produce the same bytes).
+            self._broker.complete_many(self.worker_id, finished)
+            outstanding.difference_update(fingerprint for fingerprint, _ in finished)
+            self.tasks_done += len(finished)
+            _WORKER_TASKS.labels(outcome="executed").inc(len(finished))
+            finished.clear()
+
         try:
             with keeper:
+                committed_at = _clock()
                 for task in tasks:
                     try:
                         result = execute(spec_from_dict(task.payload))
@@ -249,16 +303,15 @@ class Worker:
                         _WORKER_TASKS.labels(outcome="failed").inc()
                         continue
                     finished.append((task.fingerprint, result.to_dict()))
-                # One commit for the batch; the keeper renews every lease
-                # until it lands.  Execution is deterministic, so results
-                # are committed even if a lease was lost mid-run (the
-                # upsert is idempotent and whoever re-claimed the task
-                # will produce the same bytes).
+                    # A batch running past its time budget (a scenario
+                    # slower than the claim was sized for) commits what it
+                    # has rather than holding it to the end.
+                    if _clock() - committed_at >= CLAIM_TARGET_S:
+                        commit()
+                        committed_at = _clock()
+                # The keeper renews every lease until the last commit lands.
                 if finished:
-                    self._broker.complete_many(self.worker_id, finished)
-                    outstanding.clear()
-                    self.tasks_done += len(finished)
-                    _WORKER_TASKS.labels(outcome="executed").inc(len(finished))
+                    commit()
         finally:
             keeper.stop()
 
@@ -279,17 +332,20 @@ def worker_main(
     """Process entry point: run one worker to completion.
 
     ``config`` is a :meth:`WorkerConfig.to_dict` payload so the argument
-    list stays picklable under the ``spawn`` start method.
+    list stays picklable under the ``spawn`` start method.  Under
+    ``CHRONOS_PROFILE=path`` the worker writes its phases to
+    ``<stem>.<pid><suffix>`` (see :func:`repro.telemetry.profile_worker`).
     """
-    worker = Worker(
-        target,
-        worker_id=worker_id,
-        config=WorkerConfig.from_dict(config) if config is not None else None,
-    )
-    try:
-        worker.run()
-    finally:
-        worker.close()
+    with telemetry.profile_worker():
+        worker = Worker(
+            target,
+            worker_id=worker_id,
+            config=WorkerConfig.from_dict(config) if config is not None else None,
+        )
+        try:
+            worker.run()
+        finally:
+            worker.close()
 
 
 @dataclass(frozen=True)

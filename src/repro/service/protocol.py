@@ -42,7 +42,12 @@ Queue *progress* crosses the same way: the ``events_since`` method
 relays the broker's monotonic event log as plain dicts (``{"seq", "ts",
 "kind", "fingerprint", "worker_id", "detail"}``), ``last_event_seq``
 answers where the log stands, and ``release_pending`` lets a cancelled
-remote sweep withdraw its unclaimed tasks.
+remote sweep withdraw its unclaimed tasks.  ``events_since`` with
+``wait_s > 0`` is a long poll: the service parks the call until the
+queue settles or ``wait_s`` passes, and the rows marked ``settles``
+(the RPCs that can leave nothing pending or leased) wake it.  A 3.0
+service rejects the parameter, and a sweep driver then falls back to
+polling the result store.
 
 Results cross in batches: ``result_get_many`` (``{"fingerprints":
 [...]}`` → ``{fingerprint: payload}``, misses and corrupt rows absent)
@@ -201,7 +206,9 @@ class WireMethod:
     ``attr`` names the owner's method answering the call (the wire name
     when empty; a property such as the broker's ``policy`` is read, not
     called).  ``params`` maps parameter names to coercions; parameters
-    it does not name pass through as decoded from JSON.
+    it does not name pass through as decoded from JSON.  ``settles``
+    marks a method after which the queue may be settled, so the service
+    wakes the ``events_since`` calls parked on it.
     """
 
     name: str
@@ -210,6 +217,7 @@ class WireMethod:
     to_wire: Callable[[Any], Any] = _identity
     from_wire: Callable[[Any], Any] = _identity
     attr: str = ""
+    settles: bool = False
 
     @property
     def target(self) -> str:
@@ -243,14 +251,14 @@ WIRE_METHODS: Dict[str, WireMethod] = {
             "claim_many", BROKER, {"limit": int}, _each(task_to_wire), _each(task_from_wire)
         ),
         WireMethod("heartbeat", BROKER),
-        WireMethod("complete_many", BROKER, {"completions": _completions}),
-        WireMethod("fail", BROKER, {"error": str}),
+        WireMethod("complete_many", BROKER, {"completions": _completions}, settles=True),
+        WireMethod("fail", BROKER, {"error": str}, settles=True),
         WireMethod(
             "requeue_expired", BROKER,
-            {"now": _optional(float), "dry_run": bool}, from_wire=tuple,
+            {"now": _optional(float), "dry_run": bool}, from_wire=tuple, settles=True,
         ),
-        WireMethod("release_worker", BROKER, from_wire=tuple),
-        WireMethod("release_pending", BROKER, {"fingerprints": _strings}),
+        WireMethod("release_worker", BROKER, from_wire=tuple, settles=True),
+        WireMethod("release_pending", BROKER, {"fingerprints": _strings}, settles=True),
         # worker liveness (remote pid travels with the registration)
         WireMethod("register_worker", BROKER, {"pid": _optional(int)}),
         WireMethod("touch_worker", BROKER),
@@ -270,7 +278,7 @@ WIRE_METHODS: Dict[str, WireMethod] = {
         # telemetry (JSON snapshot of the same registry /metrics renders)
         WireMethod("metrics", TELEMETRY, attr="snapshot"),
         # event log (live sweep progress over the wire)
-        WireMethod("events_since", BROKER, {"seq": int, "limit": int}),
+        WireMethod("events_since", BROKER, {"seq": int, "limit": int, "wait_s": float}),
         WireMethod("last_event_seq", BROKER),
         WireMethod("record_event", BROKER, {"kind": str}),
         WireMethod("events_for", BROKER, {"fingerprint": str, "limit": int}),

@@ -24,6 +24,15 @@ round trip for short scenarios.  ``chronos_rpc_seconds{method=}`` and
 ``chronos_rpc_lock_wait_seconds{method=}`` on ``/metrics`` show both
 halves of every call.
 
+``events_since`` with ``wait_s > 0`` (the sweep driver's long poll)
+parks on a :class:`threading.Condition` over that lock, so a parked call
+holds no lock.  The RPCs that can settle the queue (the wire rows marked
+``settles``) notify it, and it reads once the queue is settled or
+``wait_s`` (clamped to :data:`MAX_EVENT_WAIT_S`) has passed.  It is not
+woken per new row: a driver woken on every commit would compete with the
+workers for the lock and the CPUs.  Parked time counts toward neither
+latency histogram.
+
 Connections are HTTP/1.1 keep-alive with ``TCP_NODELAY``: a client
 sends many RPCs over one socket, and an idle one is closed after
 :data:`KEEPALIVE_IDLE_S` (clients reconnect on their next call).
@@ -55,7 +64,7 @@ from time import perf_counter
 from typing import Any, Dict, List, Optional, Set, Union
 
 from repro import telemetry
-from repro.distributed.broker import Broker
+from repro.distributed.broker import EVENT_LIMIT, Broker
 from repro.distributed.leases import LeasePolicy
 from repro.distributed.store import SqliteResultStore, normalize_db_path
 from repro.service.protocol import (
@@ -95,6 +104,10 @@ _RPC_LOCK_WAIT = telemetry.histogram(
 #: it (clients reconnect transparently on their next call).
 KEEPALIVE_IDLE_S = 120.0
 
+#: Longest an ``events_since`` call may park, well inside the clients'
+#: ``RPC_TIMEOUT_S`` so a long poll never reads as a dead server.
+MAX_EVENT_WAIT_S = 10.0
+
 
 class UnknownMethodError(KeyError):
     """The RPC body named a method the service does not export."""
@@ -113,6 +126,8 @@ class BrokerService:
         self._db = normalize_db_path(db)
         self._policy = policy if policy is not None else LeasePolicy()
         self._lock = threading.Lock()
+        # Parked events_since calls wait here, the lock released.
+        self._settling = threading.Condition(self._lock)
         self._broker = Broker(self._db, policy=self._policy)
         self._store = SqliteResultStore(self._db)
         # Methods are looked up on these per call, never bound up front:
@@ -139,30 +154,60 @@ class BrokerService:
 
         Observes ``chronos_rpc_lock_wait_seconds{method=}`` (time queued
         for the lock) and ``chronos_rpc_seconds{method=}`` (time holding
-        it), so lock contention is visible separately from work.
+        it), so lock contention is visible separately from work.  A long
+        poll's parked time (see the module docstring) is in neither.
         """
         wire = WIRE_METHODS.get(method)
         if wire is None:
             raise UnknownMethodError(method)
         kwargs = wire.coerce(params or {})
+        wait_s = 0.0
+        if method == "events_since":
+            wait_s = min(max(kwargs.pop("wait_s", 0.0), 0.0), MAX_EVENT_WAIT_S)
         owner = self._owners[wire.owner]
         queued = perf_counter()
         with self._lock:
             started = perf_counter()
+            parked = 0.0
             try:
+                if wait_s > 0:
+                    parked = self._park(kwargs, wait_s)
                 answer = getattr(owner, wire.target)
                 result = answer(**kwargs) if callable(answer) else answer
+                if wire.settles:
+                    self._settling.notify_all()
             finally:
                 finished = perf_counter()
                 _RPC_LOCK_WAIT.labels(method=method).observe(started - queued)
-                _RPC_SECONDS.labels(method=method).observe(finished - started)
+                _RPC_SECONDS.labels(method=method).observe(finished - started - parked)
         return wire.to_wire(result)
+
+    def _park(self, kwargs: Dict[str, Any], wait_s: float) -> float:
+        """Wait for an ``events_since`` long poll; returns the seconds parked.
+
+        Returns at once when ``limit`` rows are already there or the
+        queue is settled; otherwise waits, the lock released, until a
+        settling RPC leaves the queue settled or ``wait_s`` passes.
+        """
+        if len(self._broker.events_since(**kwargs)) >= kwargs.get("limit", EVENT_LIMIT):
+            return 0.0
+        deadline = perf_counter() + wait_s
+        parked = 0.0
+        while not self._broker.settled():
+            remaining = deadline - perf_counter()
+            if remaining <= 0:
+                break
+            waited_from = perf_counter()
+            self._settling.wait(remaining)
+            parked += perf_counter() - waited_from
+        return parked
 
     def close(self) -> None:
         """Release the underlying database connections."""
         with self._lock:
             self._broker.close()
             self._store.close()
+            self._settling.notify_all()
 
 
 class ServiceHTTPServer(ThreadingHTTPServer):

@@ -34,6 +34,7 @@ from repro.telemetry.profiler import (
     active_profiler,
     disable_profiling,
     enable_profiling,
+    profile_worker,
 )
 from repro.telemetry.registry import (
     DEFAULT_BUCKETS,
@@ -70,6 +71,7 @@ __all__ = [
     "new_span_id",
     "new_sweep_id",
     "parse_span_detail",
+    "profile_worker",
     "span_detail",
 ]
 

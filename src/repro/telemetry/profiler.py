@@ -16,9 +16,14 @@ Activation is either programmatic::
 
 or environmental: ``CHRONOS_PROFILE=1`` enables profiling at import
 time, and ``CHRONOS_PROFILE=/path/profile.json`` additionally dumps the
-accumulated phases as JSON at interpreter exit (one file per process —
-worker subprocesses inherit the variable and would overwrite each
-other, so point the variable at a single-process run).
+accumulated phases as JSON, one file per process.  The process that
+imported :mod:`repro` first (the sweep driver, or a single-process run)
+writes ``/path/profile.json`` at interpreter exit.  Each distributed
+fleet worker writes ``/path/profile.<pid>.json`` when its
+``worker_main`` returns or the worker is stopped with SIGTERM
+(:func:`profile_worker`): forked children leave through ``os._exit``,
+which skips ``atexit``, and a worker starts from a fresh profiler, so
+its file holds only the scenarios it ran.  Pool children write nothing.
 """
 
 from __future__ import annotations
@@ -26,9 +31,12 @@ from __future__ import annotations
 import atexit
 import json
 import os
+import signal
 import threading
+from contextlib import contextmanager
+from pathlib import Path
 from time import perf_counter
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Iterator, Optional
 
 #: Environment variable that switches profiling on process-wide.
 PROFILE_ENV = "CHRONOS_PROFILE"
@@ -92,6 +100,9 @@ class Profiler:
 
 _active: Optional[Profiler] = None
 
+#: The dump path ``CHRONOS_PROFILE`` names (``None`` when it names none).
+_dump_path: Optional[str] = None
+
 
 def active_profiler() -> Optional[Profiler]:
     """The process-wide profiler, or ``None`` when profiling is off.
@@ -128,12 +139,56 @@ def _dump_profile(path: str) -> None:
         pass  # a broken dump path must not turn process exit into a crash
 
 
+def process_dump_path(path: str, pid: Optional[int] = None) -> str:
+    """``path`` with a pid before its suffix: ``p.json`` -> ``p.<pid>.json``."""
+    target = Path(path)
+    pid = os.getpid() if pid is None else pid
+    return str(target.with_name(f"{target.stem}.{pid}{target.suffix}"))
+
+
+def _exit_on_sigterm(signum: int, frame: Any) -> None:
+    raise SystemExit(128 + signum)
+
+
+@contextmanager
+def profile_worker() -> Iterator[None]:
+    """Profile one worker process into its own file (see the module doc).
+
+    With profiling on, a fresh profiler replaces the one inherited from
+    the parent; on exit its phases go to :func:`process_dump_path` of
+    the ``CHRONOS_PROFILE`` path (when one is set), and profiling stops,
+    so an inherited ``atexit`` dump, should it run, writes nothing.
+    While a dump path is set, SIGTERM exits through this block too: a
+    sweep driver stops its fleet with SIGTERM as soon as the queue
+    settles, often while a worker waits for work.
+    """
+    if _active is None:
+        yield
+        return
+    enable_profiling()
+    previous = None
+    if _dump_path is not None and threading.current_thread() is threading.main_thread():
+        previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
+    try:
+        yield
+    finally:
+        if previous is not None:
+            signal.signal(signal.SIGTERM, signal.SIG_IGN)  # never cut the dump short
+        if _dump_path is not None:
+            _dump_profile(process_dump_path(_dump_path))
+        disable_profiling()
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
+
+
 def _activate_from_environment() -> None:
+    global _dump_path
     value = os.environ.get(PROFILE_ENV, "").strip()
     if value.lower() in _FALSEY:
         return
     enable_profiling()
     if value.lower() not in _TRUTHY:  # anything else is an output path
+        _dump_path = value
         atexit.register(_dump_profile, value)
 
 

@@ -355,7 +355,7 @@ class TestEventTailDegradation:
         from repro.distributed import executor as executor_module
         from repro.distributed.broker import Broker
 
-        def boom(self, seq=0, limit=500):
+        def boom(self, seq=0, limit=500, wait_s=0.0):
             raise RuntimeError("simulated events_since outage")
 
         monkeypatch.setattr(Broker, "events_since", boom)
@@ -377,11 +377,11 @@ class TestEventTailDegradation:
         real = Broker.events_since
         calls = {"n": 0}
 
-        def flaky(self, seq=0, limit=500):
+        def flaky(self, seq=0, limit=500, wait_s=0.0):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise RuntimeError("one-off blip")
-            return real(self, seq, limit)
+            return real(self, seq, limit, wait_s)
 
         monkeypatch.setattr(Broker, "events_since", flaky)
         import warnings as warnings_module

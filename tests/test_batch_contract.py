@@ -13,7 +13,10 @@ service with a bearer token:
 - the completing worker's ``tasks_done`` grows by the batch size;
 - ``leased(now)`` reports lease expiry against the caller's clock;
 - ``results()`` and ``summary_rows(columns)`` return every stored row,
-  and an unknown summary column is a ``ValueError``.
+  and an unknown summary column is a ``ValueError``;
+- ``events_since(..., wait_s)`` is a long poll that returns when the
+  queue settles, when ``wait_s`` passes, or at once when ``limit`` rows
+  are already there, and a parked call blocks no other call.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import inspect
 import sqlite3
 import threading
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List
@@ -289,3 +293,115 @@ class TestSurfaceBehaviour:
                 store.summary_rows([])
         finally:
             store.close()
+
+
+class TestLongPoll:
+    """``events_since(seq, limit, wait_s)``: wait for the queue to settle."""
+
+    def _leased(self, broker, count: int = 1):
+        """Enqueue ``count`` specs and claim them all; returns (since, specs)."""
+        specs = [_spec(seed) for seed in range(count)]
+        since = broker.last_event_seq()
+        broker.register_worker("w1")
+        broker.enqueue([s.to_dict() for s in specs], [s.fingerprint() for s in specs])
+        assert len(broker.claim_many("w1", count)) == count
+        return since, specs
+
+    def test_zero_wait_behaves_as_a_plain_read(self, backend):
+        broker = backend.broker()
+        try:
+            since, specs = self._leased(broker, 2)
+            started = time.monotonic()
+            rows = broker.events_since(since, limit=1000, wait_s=0)
+            assert time.monotonic() - started < 0.5
+            assert rows == broker.events_since(since, limit=1000)
+            assert [row["kind"] for row in rows] == ["queued"] * 2 + ["started"] * 2
+        finally:
+            broker.close()
+
+    def test_returns_when_another_thread_settles_the_queue(self, backend):
+        broker = backend.broker()
+        try:
+            since, (spec,) = self._leased(broker)
+            payload = run(spec).to_dict()
+            completed_at = []
+
+            def complete_later():
+                time.sleep(0.3)
+                other = backend.broker()
+                try:
+                    other.complete_many("w1", [(spec.fingerprint(), payload)])
+                    completed_at.append(time.monotonic())
+                finally:
+                    other.close()
+
+            thread = threading.Thread(target=complete_later)
+            thread.start()
+            rows = broker.events_since(since, limit=1000, wait_s=5)
+            returned_at = time.monotonic()
+            thread.join()
+        finally:
+            broker.close()
+        assert completed_at and returned_at - completed_at[0] < 1.0
+        assert rows[-1]["kind"] == "completed"
+        assert rows[-1]["fingerprint"] == spec.fingerprint()
+
+    def test_unsettled_queue_returns_at_the_timeout(self, backend):
+        broker = backend.broker()
+        try:
+            since, (spec,) = self._leased(broker)
+            started = time.monotonic()
+            rows = broker.events_since(since, limit=1000, wait_s=0.4)
+            elapsed = time.monotonic() - started
+        finally:
+            broker.close()
+        assert 0.35 <= elapsed < 3.0
+        assert [(row["kind"], row["fingerprint"]) for row in rows] == [
+            ("queued", spec.fingerprint()), ("started", spec.fingerprint())
+        ]
+
+    def test_full_batch_returns_at_once(self, backend):
+        broker = backend.broker()
+        try:
+            since, _ = self._leased(broker, 3)
+            started = time.monotonic()
+            rows = broker.events_since(since, limit=2, wait_s=5)
+            assert time.monotonic() - started < 1.0
+        finally:
+            broker.close()
+        assert [row["kind"] for row in rows] == ["queued", "queued"]
+
+    def test_settled_queue_returns_at_once(self, backend):
+        broker = backend.broker()
+        try:
+            since = broker.last_event_seq()
+            started = time.monotonic()
+            assert broker.events_since(since, limit=10, wait_s=5) == []
+            assert time.monotonic() - started < 1.0
+        finally:
+            broker.close()
+
+    def test_a_parked_call_blocks_no_other_call(self, backend):
+        broker = backend.broker()
+        try:
+            since, _ = self._leased(broker)
+
+            def long_poll():
+                other = backend.broker()
+                try:
+                    other.events_since(since, limit=1000, wait_s=1.5)
+                finally:
+                    other.close()
+
+            parked = threading.Thread(target=long_poll)
+            parked.start()
+            time.sleep(0.2)  # let the poll park
+            assert parked.is_alive()
+            started = time.monotonic()
+            counts = broker.counts()
+            answered_in = time.monotonic() - started
+            parked.join()
+        finally:
+            broker.close()
+        assert counts["leased"] == 1
+        assert answered_in < 0.1

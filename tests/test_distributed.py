@@ -397,6 +397,90 @@ class TestWorkerLoop:
         assert WorkerConfig.from_dict(config.to_dict()) == config
 
 
+class TestClaimSizing:
+    """Claims sized by time on a fake clock: each scenario costs what we say."""
+
+    def _drain(self, db, monkeypatch, count, seconds_of, **config):
+        """Run one worker over ``count`` specs; returns (asked, committed).
+
+        Tasks are claimed in fingerprint order, and ``seconds_of(i)`` is
+        the fake time the ``i``-th one takes.  ``asked`` lists the limit
+        of every claim that returned tasks, and ``committed`` the claim
+        positions in every ``complete_many`` batch.
+        """
+        import repro.distributed.worker as worker_module
+
+        specs = sorted((_tiny_spec(seed=s) for s in range(count)), key=ScenarioSpec.fingerprint)
+        position = {spec.fingerprint(): i for i, spec in enumerate(specs)}
+        now = [0.0]
+        real_execute = worker_module.execute
+
+        def execute(spec):
+            now[0] += seconds_of(position[spec.fingerprint()])
+            return real_execute(spec)
+
+        monkeypatch.setattr(worker_module, "_clock", lambda: now[0])
+        monkeypatch.setattr(worker_module, "execute", execute)
+        with Broker(db, policy=FAST) as broker:
+            _enqueue(broker, specs)
+        worker = Worker(db, config=WorkerConfig(policy=FAST, **config))
+        asked, committed = [], []
+        claim_many, complete_many = worker._broker.claim_many, worker._broker.complete_many
+
+        def sized_claim(worker_id, limit):
+            tasks = claim_many(worker_id, limit)
+            if tasks:
+                asked.append(limit)
+            return tasks
+
+        def recorded_complete(worker_id, completions):
+            committed.append([position[fingerprint] for fingerprint, _ in completions])
+            return complete_many(worker_id, completions)
+
+        worker._broker.claim_many = sized_claim
+        worker._broker.complete_many = recorded_complete
+        try:
+            worker.run()
+        finally:
+            worker.close()
+        return asked, committed
+
+    # Fake durations are binary fractions, so the clock sums them exactly.
+    def test_fast_tasks_double_the_claim(self, db, monkeypatch):
+        asked, _ = self._drain(db, monkeypatch, 40, lambda i: 2 ** -10)
+        assert asked == [1, 2, 4, 8, 16, 32]
+
+    def test_time_budget_caps_the_growth(self, db, monkeypatch):
+        # 1/128 s a scenario: CLAIM_TARGET_S (50 ms) holds 6.4 of them
+        asked, _ = self._drain(db, monkeypatch, 30, lambda i: 2 ** -7)
+        assert asked == [1, 2, 4, 6, 6, 6, 6]
+
+    def test_slow_tasks_go_one_at_a_time(self, db, monkeypatch):
+        asked, committed = self._drain(db, monkeypatch, 4, lambda i: 0.25)
+        assert asked == [1, 1, 1, 1]
+        assert committed == [[0], [1], [2], [3]]
+
+    def test_claims_never_exceed_claim_batch(self, db, monkeypatch):
+        asked, _ = self._drain(db, monkeypatch, 12, lambda i: 2 ** -10, claim_batch=3)
+        assert asked == [1, 2, 3, 3, 3]
+
+    def test_claims_never_exceed_the_max_tasks_remainder(self, db, monkeypatch):
+        asked, _ = self._drain(db, monkeypatch, 20, lambda i: 2 ** -10, max_tasks=6)
+        assert asked == [1, 2, 3]  # 1 + 2 done, then only 3 left of max_tasks
+        with Broker(db, policy=FAST) as broker:
+            assert broker.counts() == {"pending": 14, "leased": 0, "done": 6, "failed": 0}
+
+    def test_one_slow_task_commits_what_the_batch_has(self, db, monkeypatch):
+        # batches of 1, 2 and 4; the third batch's second scenario is slow
+        asked, committed = self._drain(
+            db, monkeypatch, 7, lambda i: 0.5 if i == 4 else 2 ** -10
+        )
+        assert asked == [1, 2, 4]
+        # the slow scenario commits itself and the one before it at once,
+        # instead of holding them until the rest of the batch is done
+        assert committed == [[0], [1, 2], [3, 4], [5, 6]]
+
+
 class TestSupervisedPool:
     """WorkerPool service mode: crashed members are replaced, clean exits not."""
 

@@ -197,6 +197,57 @@ class TestEndpoints:
             assert f'chronos_rpc_lock_wait_seconds_count{{method="{method}"}}' in body
         assert 'method="carrier_pigeon"' not in body  # unknown methods are not labels
 
+    def test_parked_long_poll_time_is_not_rpc_time(self, service):
+        from repro import telemetry
+
+        broker = HttpBroker(service.url)
+        spec = _tiny_spec()
+        since = broker.last_event_seq()
+        broker.register_worker("w1")
+        broker.enqueue([spec.to_dict()], [spec.fingerprint()])
+        assert broker.claim_many("w1", 1)  # leased: the queue cannot settle
+
+        def totals():
+            return [
+                telemetry.REGISTRY.get(name).labels(method="events_since").sum
+                for name in ("chronos_rpc_seconds", "chronos_rpc_lock_wait_seconds")
+            ]
+
+        before = totals()
+        started = time.monotonic()
+        rows = broker.events_since(since, limit=100, wait_s=0.5)
+        assert time.monotonic() - started >= 0.45  # it did park
+        assert [row["kind"] for row in rows] == ["queued", "started"]
+        held, queued = (after - was for after, was in zip(totals(), before))
+        assert held < 0.1 and queued < 0.1
+
+    def test_claim_sizes_are_a_histogram(self, service):
+        from repro import telemetry
+
+        broker = HttpBroker(service.url)
+        specs = [_tiny_spec(seed) for seed in range(5)]
+        broker.enqueue([s.to_dict() for s in specs], [s.fingerprint() for s in specs])
+        sizes = telemetry.REGISTRY.get("chronos_claim_batch_tasks")
+        count, total = sizes.count, sizes.sum
+        worker = Worker(service.url, config=WorkerConfig(policy=FAST))
+        claims = []
+        claim_many = worker._broker.claim_many
+
+        def recorded_claim(worker_id, limit):
+            claims.append(claim_many(worker_id, limit))
+            return claims[-1]
+
+        worker._broker.claim_many = recorded_claim
+        try:
+            assert worker.run() == 5
+        finally:
+            worker.close()
+        nonempty = [len(tasks) for tasks in claims if tasks]
+        assert nonempty[0] == 1 and sum(nonempty) == 5
+        assert sizes.count - count == len(nonempty)  # empty claims are not observed
+        assert sizes.sum - total == 5
+        assert "chronos_claim_batch_tasks_bucket" in telemetry.REGISTRY.render()
+
 
 class TestHttpBrokerParity:
     """Every Broker operation behaves identically through the front-end."""

@@ -200,6 +200,47 @@ class TestProfiler:
         assert {"build", "simulate", "report"} <= set(phases)
         assert all(entry["calls"] == 1 for entry in phases.values())
 
+    def test_process_dump_path_puts_the_pid_before_the_suffix(self):
+        from repro.telemetry.profiler import process_dump_path
+
+        assert process_dump_path("/tmp/p/profile.json", pid=42) == "/tmp/p/profile.42.json"
+        assert process_dump_path("prof", pid=7) == "prof.7"
+
+    def test_each_fleet_worker_writes_its_own_profile(self, tmp_path):
+        """A 2-worker sqlite sweep: the driver writes the path, each worker
+        ``<stem>.<pid><suffix>``, and every scenario is profiled once."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        child = (
+            "import json, os, sys\n"
+            "from repro.api import ScenarioSpec, run_specs\n"
+            "specs = [ScenarioSpec.from_dict(d) for d in json.loads(sys.argv[1])]\n"
+            "outcome = run_specs(specs, executor='distributed', workers=2, db=sys.argv[2])\n"
+            "assert outcome.executed == len(specs)\n"
+            "print(os.getpid())\n"
+        )
+        specs = [_tiny_spec(seed).to_dict() for seed in range(8)]
+        profile = tmp_path / "profile.json"
+        env = dict(os.environ, CHRONOS_PROFILE=str(profile))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        done = subprocess.run(
+            [sys.executable, "-c", child, json.dumps(specs), str(tmp_path / "q.sqlite")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        driver_pid = int(done.stdout.split()[-1])
+        assert json.loads(profile.read_text())["phases"] == {}  # the driver ran nothing
+        workers = sorted(tmp_path.glob("profile.*.json"))
+        assert len(workers) == 2
+        pids = {int(path.name.split(".")[1]) for path in workers}
+        assert len(pids) == 2 and driver_pid not in pids
+        builds = [json.loads(path.read_text())["phases"].get("build", {}) for path in workers]
+        assert sum(phase.get("calls", 0) for phase in builds) == len(specs)
+
 
 class TestSpans:
     def test_span_id_shape(self):
