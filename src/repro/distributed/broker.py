@@ -262,10 +262,21 @@ class Broker:
         whole batch expires and is requeued.  Returns fewer than ``limit``
         tasks (possibly none) when the queue runs dry.
         """
+        return [
+            Task(fingerprint=fingerprint, payload=json.loads(text), attempts=attempts, lease=lease)
+            for fingerprint, text, attempts, lease in self._claim_texts(worker_id, limit)
+        ]
+
+    def _claim_texts(self, worker_id: str, limit: int) -> List[Tuple[str, str, int, Lease]]:
+        """:meth:`claim_many`, each spec payload left as its stored JSON text.
+
+        Returns ``(fingerprint, payload text, attempts, lease)`` per
+        claimed task.  The HTTP front-end relays the text undecoded.
+        """
         if limit < 1:
             raise ValueError("claim limit must be a positive integer")
         now = time.time()
-        tasks: List[Task] = []
+        claimed: List[Tuple[str, str, int, Lease]] = []
         with self._conn:
             self._conn.execute("BEGIN IMMEDIATE")
             self._sweep_expired_locked(now)
@@ -282,21 +293,19 @@ class Broker:
                     (worker_id, expires_at, now, row["fingerprint"]),
                 )
                 self._log_event("started", row["fingerprint"], worker_id=worker_id, now=now)
-                tasks.append(
-                    Task(
-                        fingerprint=row["fingerprint"],
-                        payload=json.loads(row["payload"]),
-                        attempts=row["attempts"] + 1,
-                        lease=Lease(
-                            fingerprint=row["fingerprint"],
-                            owner=worker_id,
-                            expires_at=expires_at,
+                claimed.append(
+                    (
+                        row["fingerprint"],
+                        row["payload"],
+                        row["attempts"] + 1,
+                        Lease(
+                            fingerprint=row["fingerprint"], owner=worker_id, expires_at=expires_at
                         ),
                     )
                 )
-        if tasks:
-            _CLAIMED.inc(len(tasks))
-        return tasks
+        if claimed:
+            _CLAIMED.inc(len(claimed))
+        return claimed
 
     def heartbeat(self, fingerprint: str, worker_id: str) -> bool:
         """Renew a lease; returns ``False`` if the lease is no longer ours."""
@@ -331,6 +340,25 @@ class Broker:
         whose lease was lost (the work is identical); the result upsert
         keeps this idempotent.
         """
+        self._commit_texts(
+            worker_id, [(fingerprint, json.dumps(payload)) for fingerprint, payload in completions]
+        )
+
+    def _complete_texts(self, worker_id: str, completions: Sequence[Tuple[str, str]]) -> None:
+        """:meth:`complete_many` for payloads already encoded as JSON text.
+
+        The HTTP front-end's path: each text is stored as it is, so it
+        must decode to a JSON object; otherwise :class:`ValueError` is
+        raised and nothing is stored (the leases stay held).
+        """
+        completions = list(completions)
+        for fingerprint, text in completions:
+            if _store.payload_from_text(text) is None:
+                raise ValueError(f"completion payload of {fingerprint} is not a JSON object")
+        self._commit_texts(worker_id, completions)
+
+    def _commit_texts(self, worker_id: str, completions: Sequence[Tuple[str, str]]) -> None:
+        """Store ``(fingerprint, payload text)`` results and mark the tasks done."""
         completions = list(completions)
         if not completions:
             return
@@ -340,10 +368,7 @@ class Broker:
             self._conn.executemany(
                 "INSERT OR REPLACE INTO results (fingerprint, payload, worker_id, created_at) "
                 "VALUES (?, ?, ?, ?)",
-                [
-                    (fingerprint, json.dumps(payload), worker_id, now)
-                    for fingerprint, payload in completions
-                ],
+                [(fingerprint, text, worker_id, now) for fingerprint, text in completions],
             )
             self._conn.executemany(
                 "UPDATE tasks SET status = 'done', lease_owner = NULL, lease_expires_at = NULL, "

@@ -12,8 +12,11 @@ idempotent *reconcile pass* over (event log, store, fleet health):
 1. **Observe.**  Tail the broker's monotonic event log
    (:meth:`~repro.distributed.broker.Broker.events_since`, or the
    service's ``events_since`` RPC) and translate queue transitions into
-   the :mod:`repro.api.events` vocabulary, fetching every result a log
-   batch completed with one ``get_many``.  The pass's first read is a
+   the :mod:`repro.api.events` vocabulary, reading the payload of every
+   result a log batch completed in :data:`RESULT_BATCH` chunks.  Each
+   result is built from the spec the driver enqueued, not from the
+   payload's copy of it: a payload whose ``fingerprint`` names another
+   spec, or a corrupt one, is a miss.  The pass's first read is a
    long poll: it waits up to the pass interval (:data:`SUPERVISE_INTERVAL`
    locally, :data:`REMOTE_SUPERVISE_INTERVAL` against a service) unless
    the queue settles first, so the driver paces itself without sleeping
@@ -54,7 +57,19 @@ import tempfile
 import time
 import warnings
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.api.events import (
     ScenarioCacheHit,
@@ -64,11 +79,12 @@ from repro.api.events import (
     ScenarioStarted,
     SweepEvent,
 )
-from repro.api.facade import ScenarioResult, spec_from_dict
+from repro.api.facade import ScenarioResult, report_from_dict, spec_from_dict
 from repro.api.facade import execute as execute_spec
 from repro.api.spec import ScenarioSpec
 from repro.distributed.broker import TaskFailedError
 from repro.distributed.leases import LeasePolicy
+from repro.distributed.store import RESULT_BATCH
 from repro.distributed.targets import (
     is_auth_error,
     is_service_url,
@@ -102,6 +118,45 @@ DRIVER_ID = "parent-inline"
 def default_db_path() -> Path:
     """A fresh throwaway queue database (per-call temp directory)."""
     return Path(tempfile.mkdtemp(prefix="chronos-queue-")) / "queue.sqlite"
+
+
+def _result_from_payload(fingerprint: str, spec: Any, payload: Mapping[str, Any]) -> Any:
+    """``spec``'s result rebuilt from its stored payload, or ``None``.
+
+    The driver holds the spec it enqueued, so the payload's copy of it is
+    neither rebuilt nor validated: the payload's ``fingerprint`` must
+    name ``spec``, and only the report and the wall time are decoded.  A
+    payload of another spec, or a corrupt one, is ``None`` (a miss).
+    """
+    try:
+        if payload["fingerprint"] != fingerprint:
+            return None
+        report, wall_time_s = payload["report"], float(payload["wall_time_s"])
+        if isinstance(spec, ScenarioSpec):
+            return ScenarioResult(spec, report_from_dict(report), fingerprint, wall_time_s)
+        from repro.cluster import ClusterResult, cluster_report_from_dict
+
+        return ClusterResult(spec, cluster_report_from_dict(report), fingerprint, wall_time_s)
+    except (AttributeError, KeyError, TypeError, ValueError):
+        return None
+
+
+def _stored_results(store, specs: Mapping[str, Any]) -> Dict[str, Any]:
+    """Stored results of ``specs`` (fingerprint → held spec), by fingerprint.
+
+    Payloads are read :data:`RESULT_BATCH` at a time, so the driver never
+    holds more decoded payloads than one chunk.  Misses, corrupt payloads
+    and payloads of another spec are absent.
+    """
+    wanted = list(specs)
+    found: Dict[str, Any] = {}
+    for start in range(0, len(wanted), RESULT_BATCH):
+        payloads = store.get_payload_many(wanted[start:start + RESULT_BATCH])
+        for fingerprint, payload in payloads.items():
+            result = _result_from_payload(fingerprint, specs[fingerprint], payload)
+            if result is not None:
+                found[fingerprint] = result
+    return found
 
 
 def execute_stream(
@@ -215,6 +270,7 @@ def _stream(
     # Fingerprints whose terminal event (completed or failed) was yielded.
     resolved: Set[str] = set()
     position_of: Dict[str, int] = {}
+    spec_of: Dict[str, Any] = {}
     pool: Optional[WorkerPool] = None
 
     def unresolved() -> List[str]:
@@ -244,10 +300,9 @@ def _stream(
     def store_diff() -> Iterator[SweepEvent]:
         """Collect finished results straight from the store, log or no log."""
         fresh = (store.fingerprints() & position_of.keys()) - resolved
-        results = store.get_many(fresh)
-        for fingerprint in fresh:
-            if results.get(fingerprint) is not None:
-                yield completed(fingerprint, results[fingerprint])
+        results = _stored_results(store, {fp: spec_of[fp] for fp in fresh})
+        for fingerprint, result in results.items():
+            yield completed(fingerprint, result)
 
     def observe(wait_s: float) -> Iterator[SweepEvent]:
         """Translate fresh queue-log rows into sweep events.
@@ -277,14 +332,15 @@ def _stream(
                 break
             tail_failures, wait_s = 0, 0.0
             # One batched read for every result this batch completed.
-            results = store.get_many(
-                [
-                    row["fingerprint"]
+            results = _stored_results(
+                store,
+                {
+                    row["fingerprint"]: spec_of[row["fingerprint"]]
                     for row in batch
                     if row.get("kind") == "completed"
                     and row.get("fingerprint") in position_of
                     and row["fingerprint"] not in resolved
-                ]
+                },
             )
             for row in batch:
                 since = max(since, int(row["seq"]))
@@ -351,8 +407,8 @@ def _stream(
         # scenario: over HTTP that is one round trip, and on sqlite it
         # keeps re-run short-circuiting O(stored) rather than O(todo).
         known = store.fingerprints()
-        stored_results = store.get_many(
-            [fingerprint for fingerprint, _, _ in todo if fingerprint in known]
+        stored_results = _stored_results(
+            store, {fingerprint: spec for fingerprint, spec, _ in todo if fingerprint in known}
         )
         pending: List[Tuple[str, ScenarioSpec, int]] = []
         for fingerprint, spec, index in todo:
@@ -377,6 +433,7 @@ def _stream(
             span=span,
         )
         position_of.update({fingerprint: index for fingerprint, _, index in pending})
+        spec_of.update({fingerprint: spec for fingerprint, spec, _ in pending})
         if workers > 0:
             pool = WorkerPool(
                 target,

@@ -39,6 +39,11 @@ BUSY_TIMEOUT_MS = 10_000
 #: sqlite's bound-parameter limit).
 READ_CHUNK = 500
 
+#: Fingerprints per batched result read over HTTP (one ``result_texts``
+#: round trip), and per chunk the sweep driver decodes.  Bounds one
+#: response body, and so the sweep driver's peak memory.
+RESULT_BATCH = 64
+
 #: Optional scheme prefix accepted wherever a queue database path is taken
 #: (``db="sqlite:queue.sqlite"``), mirroring the ``http://`` broker URLs of
 #: :mod:`repro.service`.
@@ -129,6 +134,21 @@ SUMMARY_COLUMNS = (
 #: Default strategy parameters: the utility column needs r_min_pocd and
 #: theta even for payloads that omit them.
 _DEFAULT_PARAMS = StrategyParameters()
+
+
+def payload_from_text(text: Any) -> Optional[Dict[str, Any]]:
+    """A stored payload's JSON text decoded, or ``None`` unless it is an object.
+
+    The payload reads of both result stores, and the service's check of
+    a completion's text, decode through here: a corrupt row (unparseable
+    text, or JSON that is not an object) is a miss on every backend,
+    never an error.
+    """
+    try:
+        payload = json.loads(text)
+    except (TypeError, ValueError):
+        return None
+    return payload if isinstance(payload, dict) else None
 
 
 def summary_from_payload(
@@ -293,18 +313,34 @@ class SqliteResultStore:
     def get_payload_many(self, fingerprints: Iterable[str]) -> Dict[str, Dict[str, Any]]:
         """Raw stored payloads by fingerprint (no :class:`ScenarioResult` parse).
 
-        This is what the HTTP front-end serves: the wire format is the
-        stored JSON itself, so the server never pays deserialization for
-        results it only relays.  Misses and corrupt rows are absent.
+        The sweep driver reads these and rebuilds each result from the
+        spec it already holds.  Misses and corrupt rows are absent.
         """
         return dict(self._stored_payloads(dict.fromkeys(fingerprints)))
 
+    def _payload_texts(self, fingerprints: Iterable[str]) -> Dict[str, str]:
+        """Stored payload texts by fingerprint, exactly as stored.
+
+        The HTTP front-end serves these undecoded, so it pays no JSON
+        work for results it only relays; each client decodes the text
+        once (:func:`payload_from_text`), and a corrupt row is a miss
+        there.  Misses are absent.
+        """
+        return dict(self._stored_texts(dict.fromkeys(fingerprints)))
+
     def _stored_payloads(self, fingerprints: Iterable[str]) -> Iterator[Tuple[str, Dict[str, Any]]]:
-        """``(fingerprint, payload dict)`` per stored row, read in chunks.
+        """``(fingerprint, payload dict)`` per stored row, corrupt rows skipped.
 
         Rows are decoded one at a time, so a caller that parses as it
         goes never holds a whole chunk of decoded payloads.
         """
+        for fingerprint, text in self._stored_texts(fingerprints):
+            payload = payload_from_text(text)
+            if payload is not None:
+                yield fingerprint, payload
+
+    def _stored_texts(self, fingerprints: Iterable[str]) -> Iterator[Tuple[str, str]]:
+        """``(fingerprint, payload text)`` per stored row, read in chunks."""
         wanted = list(fingerprints)
         for start in range(0, len(wanted), READ_CHUNK):
             chunk = wanted[start:start + READ_CHUNK]
@@ -313,12 +349,7 @@ class SqliteResultStore:
                 f"({', '.join('?' for _ in chunk)})",
                 chunk,
             ):
-                try:
-                    payload = json.loads(row["payload"])
-                except ValueError:
-                    continue
-                if isinstance(payload, dict):
-                    yield row["fingerprint"], payload
+                yield row["fingerprint"], row["payload"]
 
     def put(self, result: ScenarioResult, worker_id: Optional[str] = None) -> None:
         """Store a result under its fingerprint (idempotent upsert)."""
@@ -373,11 +404,8 @@ class SqliteResultStore:
         ).fetchall()
         written = 0
         for row in rows:
-            try:
-                payload = json.loads(row["payload"])
-            except ValueError:
-                continue
-            if not isinstance(payload, dict):
+            payload = payload_from_text(row["payload"])
+            if payload is None:
                 continue
             summary = summary_from_payload(payload, fingerprint=row["fingerprint"])
             if summary is None:

@@ -14,12 +14,10 @@ small and free of simulator plumbing.
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.core.model import StrategyName
 from repro.distributions import SampleBuffer, vectorized_batch_size
 from repro.hadoop.config import HadoopConfig
 from repro.hadoop.node_manager import NodeManager
@@ -33,6 +31,9 @@ from repro.simulator.progress import (
     chronos_estimate_completion,
     observed_progress,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - imports for type checking only
+    from repro.simulator.runner import SpeculationStrategyProtocol
 
 
 class ApplicationMaster:
@@ -232,14 +233,6 @@ class ApplicationMaster:
         """Estimated absolute completion time of an attempt."""
         return self._estimator(attempt, self._engine.now)
 
-    def estimate_task_completion(self, task: Task) -> float:
-        """Most optimistic estimated completion time across live attempts."""
-        estimates = [self.estimate_completion(a) for a in task.live_attempts]
-        finite = [e for e in estimates if math.isfinite(e)]
-        if not finite:
-            return math.inf
-        return min(finite)
-
     def completed_task_durations(self) -> List[float]:
         """Execution durations of already-finished tasks (for baselines)."""
         durations = []
@@ -294,31 +287,3 @@ class ApplicationMaster:
         if self._on_job_complete is not None:
             self._on_job_complete(self._job, record)
 
-
-class SpeculationStrategyProtocol:
-    """Documentation-only protocol describing what the AM expects.
-
-    Concrete strategies live in :mod:`repro.strategies`; this class exists
-    so that the AM module documents the contract without importing the
-    strategies package (avoiding a circular dependency).
-    """
-
-    name: StrategyName
-
-    def plan_job(self, am: ApplicationMaster) -> int:  # pragma: no cover - protocol
-        """Return the number of extra attempts ``r`` to use for this job."""
-        raise NotImplementedError
-
-    def initial_attempt_count(self, am: ApplicationMaster, task: Task) -> int:  # pragma: no cover
-        """How many attempts to launch for ``task`` at job start."""
-        raise NotImplementedError
-
-    def on_job_start(self, am: ApplicationMaster) -> None:  # pragma: no cover - protocol
-        """Schedule any strategy-specific checks (tau_est, tau_kill, ...)."""
-        raise NotImplementedError
-
-    def on_task_complete(
-        self, am: ApplicationMaster, task: Task, attempt: Attempt
-    ) -> None:  # pragma: no cover - protocol
-        """Hook invoked when a task finishes."""
-        raise NotImplementedError

@@ -17,11 +17,16 @@ against that signature, and sends them by name through the module-level
 ``from_wire`` codec decodes the answer.  Only methods with client-side
 logic are written out: the constructors and ``url``/``credentials``;
 ``HttpBroker.policy`` (cached server policy), ``enqueue`` and
-``claim_many`` (argument checks before the round trip), ``register_worker``
-(defaults to this process's pid), ``complete`` (the one-element
-``complete_many``), ``stats`` (adds ``url``) and ``metrics``; the
-store's memoizing ``get``/``get_many``/``put``/``clear``/``__contains__``;
-and ``close``/``__enter__``/``__exit__``.
+``claim_many`` (argument checks before the round trip), ``claim`` (the
+one-task ``claim_many``), ``register_worker`` (defaults to this
+process's pid), ``complete_many`` (encodes each result as JSON text),
+``complete`` (the one-element ``complete_many``), ``stats`` (adds
+``url``) and ``metrics``; the store's chunked payload reads
+``get_payload_many`` and memoizing ``get``/``get_many``, and its
+``put``/``clear``/``__contains__``; and ``close``/``__enter__``/``__exit__``.
+Wire rows whose server-side target is private (the service's text
+paths, such as ``Broker._complete_texts``) get no generated method:
+the written-out methods above reach them.
 
 Round trips reuse persistent HTTP/1.1 connections: :func:`rpc_call`
 keeps one :class:`http.client.HTTPConnection` (or ``HTTPSConnection``)
@@ -39,10 +44,11 @@ arrives (the server closed it while idle, or restarted), the call
 reconnects once and resends; a failure on a fresh connection is
 reported, never retried.
 
-Results move in batches: :meth:`HttpResultStore.get_many` fetches up to
-:data:`RESULT_BATCH` stored results per ``result_get_many`` round trip,
-and :meth:`HttpBroker.complete_many` commits a worker's whole claimed
-batch in one ``complete_many`` call.
+Payloads cross as JSON text, decoded once by the receiving client, and
+results move in batches: :meth:`HttpResultStore.get_payload_many` and
+``get_many`` fetch up to :data:`RESULT_BATCH` stored payload texts per
+``result_texts`` round trip, and :meth:`HttpBroker.complete_many`
+commits a worker's whole claimed batch in one ``complete_texts`` call.
 
 Transient transport errors surface as :class:`ServiceError`; the lease
 protocol is already built for missed beats, so callers treat them like
@@ -71,12 +77,12 @@ import threading
 import urllib.error
 import urllib.parse
 import urllib.request
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.api.facade import ScenarioResult, result_from_dict
 from repro.distributed.broker import Broker, Task
 from repro.distributed.leases import LeasePolicy
-from repro.distributed.store import SqliteResultStore
+from repro.distributed.store import RESULT_BATCH, SqliteResultStore, payload_from_text
 from repro.service.protocol import (
     BROKER,
     METRICS_PATH,
@@ -90,10 +96,6 @@ from repro.service.security import Credentials, client_ssl_context
 
 #: Seconds an RPC waits on the socket before failing.
 RPC_TIMEOUT_S = 30.0
-
-#: Fingerprints per ``result_get_many`` round trip.  Bounds the size of
-#: one response body, and so the sweep driver's peak memory.
-RESULT_BATCH = 64
 
 _AUTH_HINT = "missing or rejected bearer token — pass token=/--token or set CHRONOS_TOKEN"
 
@@ -379,6 +381,10 @@ class HttpBroker(_ServiceClient):
             raise ValueError("payloads and fingerprints must have equal length")
         return self._call("enqueue", payloads=payloads, fingerprints=fingerprints, span=span)
 
+    def claim(self, worker_id: str) -> Optional[Task]:
+        tasks = self.claim_many(worker_id, 1)
+        return tasks[0] if tasks else None
+
     def claim_many(self, worker_id: str, limit: int) -> List[Task]:
         if limit < 1:
             raise ValueError("claim limit must be a positive integer")
@@ -389,6 +395,12 @@ class HttpBroker(_ServiceClient):
 
     def complete(self, fingerprint: str, worker_id: str, result_payload: Dict[str, Any]) -> None:
         self.complete_many(worker_id, [(fingerprint, result_payload)])
+
+    def complete_many(
+        self, worker_id: str, completions: Sequence[Tuple[str, Dict[str, Any]]]
+    ) -> None:
+        texts = [(fingerprint, json.dumps(payload)) for fingerprint, payload in completions]
+        self._call("complete_texts", worker_id=worker_id, completions=texts)
 
     def stats(self) -> Dict[str, Any]:
         stats = self._call("stats")
@@ -409,7 +421,8 @@ class HttpResultStore(_ServiceClient):
 
     Parsed results are memoized locally (like the sqlite store's memory
     layer), so repeated ``get``/``get_many`` calls for collected
-    fingerprints do not re-fetch or re-parse.  Every other method is
+    fingerprints do not re-fetch or re-parse.  Payload reads share one
+    chunked path, :meth:`_stored_payloads`.  Every other method is
     generated from :data:`~repro.service.protocol.WIRE_METHODS`.
     """
 
@@ -430,20 +443,39 @@ class HttpResultStore(_ServiceClient):
         """Stored results by fingerprint; misses (and corrupt rows) are absent.
 
         Memoized fingerprints are answered locally; the rest cost one
-        ``result_get_many`` round trip per :data:`RESULT_BATCH`.
+        ``result_texts`` round trip per :data:`RESULT_BATCH`.
         """
         wanted = list(dict.fromkeys(fingerprints))
         found = {fp: self._memory[fp] for fp in wanted if fp in self._memory}
-        missing = [fp for fp in wanted if fp not in found]
-        for start in range(0, len(missing), RESULT_BATCH):
-            chunk = missing[start:start + RESULT_BATCH]
-            for fingerprint, payload in self._call("result_get_many", fingerprints=chunk).items():
-                try:
-                    result = result_from_dict(payload)
-                except (ValueError, TypeError, KeyError):
-                    continue  # corrupt row: treat as a miss, like the local stores
-                self._memory[fingerprint] = found[fingerprint] = result
+        for fingerprint, payload in self._stored_payloads(fp for fp in wanted if fp not in found):
+            try:
+                result = result_from_dict(payload)
+            except (ValueError, TypeError, KeyError):
+                continue  # corrupt row: a miss, never an error
+            self._memory[fingerprint] = found[fingerprint] = result
         return found
+
+    def get_payload_many(self, fingerprints: Iterable[str]) -> Dict[str, Dict[str, Any]]:
+        """Raw stored payloads by fingerprint (no :class:`ScenarioResult` parse).
+
+        One ``result_texts`` round trip per :data:`RESULT_BATCH`; misses
+        and corrupt rows are absent.
+        """
+        return dict(self._stored_payloads(dict.fromkeys(fingerprints)))
+
+    def _stored_payloads(self, fingerprints: Iterable[str]) -> Iterator[Tuple[str, Dict[str, Any]]]:
+        """``(fingerprint, payload dict)`` per stored row, corrupt rows skipped.
+
+        Fetches :data:`RESULT_BATCH` payload texts per round trip and
+        decodes each one once, as it goes.
+        """
+        wanted = list(fingerprints)
+        for start in range(0, len(wanted), RESULT_BATCH):
+            texts = self._call("result_texts", fingerprints=wanted[start:start + RESULT_BATCH])
+            for fingerprint, text in texts.items():
+                payload = payload_from_text(text)
+                if payload is not None:
+                    yield fingerprint, payload
 
     def put(self, result: ScenarioResult, worker_id: Optional[str] = None) -> None:
         self._memory[result.fingerprint] = result
@@ -481,11 +513,18 @@ def _derive_rpc_methods(cls: type, owner: str, contract: type) -> None:
 
     A method ``cls`` writes out itself (client-side checks, memoizing)
     is kept, and so is any row whose target is not a plain method of
-    ``contract`` (``policy`` is a property).
+    ``contract`` (``policy`` is a property) or is private (a text path
+    that a written-out method reaches through ``_call``).
     """
     for wire in WIRE_METHODS.values():
         mirrored = contract.__dict__.get(wire.target)
-        if wire.owner != owner or wire.target in cls.__dict__ or not inspect.isfunction(mirrored):
+        private = wire.target.startswith("_") and not wire.target.endswith("__")
+        if (
+            wire.owner != owner
+            or private
+            or wire.target in cls.__dict__
+            or not inspect.isfunction(mirrored)
+        ):
             continue
         method = _rpc_method(wire.name, mirrored)
         method.__qualname__ = f"{cls.__name__}.{wire.target}"

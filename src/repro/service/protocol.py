@@ -49,17 +49,33 @@ queue settles or ``wait_s`` passes, and the rows marked ``settles``
 service rejects the parameter, and a sweep driver then falls back to
 polling the result store.
 
-Results cross in batches: ``result_get_many`` (``{"fingerprints":
-[...]}`` → ``{fingerprint: payload}``, misses and corrupt rows absent)
-and ``complete_many`` (``{"worker_id", "completions": [[fingerprint,
-payload], ...]}``).  There is no one-at-a-time result read or
-completion on the wire.
+Spec and result payloads cross as JSON *text* that the service neither
+rebuilds nor re-encodes: ``claim_many`` answers each task's stored spec
+text, and results cross in batches, ``result_texts``
+(``{"fingerprints": [...]}`` → ``{fingerprint: payload text}``, misses
+absent) and
+``complete_texts`` (``{"worker_id", "completions": [[fingerprint,
+payload text], ...]}``).  The service stores a completion's text as it
+is, after checking that it decodes to a JSON object (a completion that
+does not is an HTTP 400: nothing is stored and the leases stay held),
+and each client decodes a payload it receives exactly once, so a
+corrupt stored row is a miss on the client.  There is no one-at-a-time
+result read, completion or claim on the wire.
+
+Protocol 2 (version 4.0) introduced the text payloads.  The methods
+whose payloads changed type were renamed (protocol 1's
+``result_get_many`` and ``complete_many`` are unknown methods now, an
+HTTP 400), and a protocol-2 client reading a protocol-1 ``claim_many``
+raises instead of guessing, so mixing versions fails loudly rather
+than dropping results.  Upgrade the service, fleets and drivers
+together.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping, Optional
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.api.facade import result_from_dict
 from repro.distributed.broker import Task, TaskRecord
@@ -76,7 +92,7 @@ METRICS_PATH = "/metrics"
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 #: Protocol revision, reported by ``/healthz`` (bump on breaking change).
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 
 class ServiceError(RuntimeError):
@@ -94,30 +110,41 @@ class ServiceAuthError(ServiceError):
     """
 
 
-def task_to_wire(task: Optional[Task]) -> Optional[Dict[str, Any]]:
-    """A claimed task as a JSON-native dict (``None`` passes through)."""
-    if task is None:
-        return None
+def claimed_to_wire(claimed: Tuple[str, str, int, Lease]) -> Dict[str, Any]:
+    """One task claimed by ``Broker._claim_texts`` as a JSON-native dict.
+
+    The spec payload stays the JSON text the queue stored.
+    """
+    fingerprint, payload, attempts, lease = claimed
     return {
-        "fingerprint": task.fingerprint,
-        "payload": task.payload,
-        "attempts": task.attempts,
+        "fingerprint": fingerprint,
+        "payload": payload,
+        "attempts": attempts,
         "lease": {
-            "fingerprint": task.lease.fingerprint,
-            "owner": task.lease.owner,
-            "expires_at": task.lease.expires_at,
+            "fingerprint": lease.fingerprint,
+            "owner": lease.owner,
+            "expires_at": lease.expires_at,
         },
     }
 
 
-def task_from_wire(data: Optional[Mapping[str, Any]]) -> Optional[Task]:
-    """Rebuild a :class:`Task` from :func:`task_to_wire` output."""
-    if data is None:
-        return None
+def task_from_wire(data: Mapping[str, Any]) -> Task:
+    """Rebuild a :class:`Task` from :func:`claimed_to_wire` output.
+
+    The payload text is decoded here, once.  A decoded payload means a
+    protocol-1 service: a :class:`TypeError`, which a worker does not
+    retry (it would only lease more tasks it cannot read).
+    """
+    payload = data["payload"]
+    if not isinstance(payload, str):
+        raise TypeError(
+            f"claim_many answered a decoded payload: the service speaks an older protocol "
+            f"than {PROTOCOL_VERSION}; upgrade the service, fleets and drivers together"
+        )
     lease = data["lease"]
     return Task(
         fingerprint=str(data["fingerprint"]),
-        payload=dict(data["payload"]),
+        payload=json.loads(payload),
         attempts=int(data["attempts"]),
         lease=Lease(
             fingerprint=str(lease["fingerprint"]),
@@ -194,8 +221,8 @@ def _each(convert: Callable[[Any], Any]) -> Callable[[Any], Any]:
 _strings = _each(str)
 
 
-def _completions(completions: Any) -> Any:
-    return [(str(fingerprint), payload) for fingerprint, payload in completions]
+def _text_pairs(completions: Any) -> Any:
+    return [(str(fingerprint), text) for fingerprint, text in completions]
 
 
 @dataclass(frozen=True)
@@ -246,12 +273,15 @@ WIRE_METHODS: Dict[str, WireMethod] = {
         WireMethod("drain", BROKER),
         WireMethod("is_draining", BROKER),
         # consumer side
-        WireMethod("claim", BROKER, to_wire=task_to_wire, from_wire=task_from_wire),
         WireMethod(
-            "claim_many", BROKER, {"limit": int}, _each(task_to_wire), _each(task_from_wire)
+            "claim_many", BROKER, {"limit": int}, _each(claimed_to_wire), _each(task_from_wire),
+            attr="_claim_texts",
         ),
         WireMethod("heartbeat", BROKER),
-        WireMethod("complete_many", BROKER, {"completions": _completions}, settles=True),
+        WireMethod(
+            "complete_texts", BROKER, {"completions": _text_pairs}, attr="_complete_texts",
+            settles=True,
+        ),
         WireMethod("fail", BROKER, {"error": str}, settles=True),
         WireMethod(
             "requeue_expired", BROKER,
@@ -285,9 +315,7 @@ WIRE_METHODS: Dict[str, WireMethod] = {
         WireMethod("done_watermark", BROKER),
         WireMethod("prune_events", BROKER, {"before_seq": _optional(int)}),
         # result store
-        WireMethod(
-            "result_get_many", STORE, {"fingerprints": _strings}, attr="get_payload_many"
-        ),
+        WireMethod("result_texts", STORE, {"fingerprints": _strings}, attr="_payload_texts"),
         WireMethod("result_put", STORE, attr="put_payload"),
         WireMethod(
             "result_fingerprints", STORE, to_wire=sorted, from_wire=set, attr="fingerprints"

@@ -19,10 +19,16 @@ Broker connections are not thread safe, so the service serializes every
 operation under one lock.  That is not the bottleneck it sounds like:
 each operation is a sub-millisecond sqlite transaction, the server
 threads only exist to overlap network I/O, and the batch methods
-(``claim_many``, ``complete_many``, ``result_get_many``) amortize the
+(``claim_many``, ``complete_texts``, ``result_texts``) amortize the
 round trip for short scenarios.  ``chronos_rpc_seconds{method=}`` and
 ``chronos_rpc_lock_wait_seconds{method=}`` on ``/metrics`` show both
 halves of every call.
+
+Results cross in batches as JSON text the service does not decode or
+re-encode: a ``complete_texts`` payload is stored as it arrives, once a
+decode check has shown it is a JSON object (anything else is an HTTP
+400, with nothing stored), and ``claim_many`` and ``result_texts``
+answer the stored spec and result texts as they are.
 
 ``events_since`` with ``wait_s > 0`` (the sweep driver's long poll)
 parks on a :class:`threading.Condition` over that lock, so a parked call
@@ -264,7 +270,7 @@ class ServiceHTTPServer(ThreadingHTTPServer):
 class ServiceRequestHandler(BaseHTTPRequestHandler):
     """Dispatch ``POST /rpc`` bodies to the service; quiet by default."""
 
-    server_version = "chronos-sweep-service/1"
+    server_version = f"chronos-sweep-service/{PROTOCOL_VERSION}"
     protocol_version = "HTTP/1.1"  # keep-alive; responses carry Content-Length
     #: Headers and body go out as separate writes; with Nagle's algorithm
     #: on, the body waits for the client's delayed ACK (~40 ms per RPC).

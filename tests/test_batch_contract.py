@@ -7,7 +7,14 @@ target is a sqlite file, an ``http://`` service, or an ``https://``
 service with a bearer token:
 
 - ``get_many`` answers hits, omits misses, and treats a corrupt stored
-  row (unparseable JSON, or JSON that is not a result) as a miss;
+  row (unparseable JSON, or JSON that is not a result) as a miss, and
+  so does a distributed sweep driving the backend; ``get_payload_many``
+  keeps the rows that are JSON objects;
+- a completed result is stored as the same bytes on every backend,
+  ``json.dumps`` of its ``to_dict()`` (what 3.1 stored), and a
+  completion whose text is not a JSON object is rejected (``ValueError``
+  on sqlite, HTTP 400 over the wire) with nothing stored and the lease
+  still held;
 - ``complete_many`` logs one ``completed`` event per fingerprint, in
   input order, and is idempotent when re-completed;
 - the completing worker's ``tasks_done`` grows by the batch size;
@@ -22,6 +29,7 @@ service with a bearer token:
 from __future__ import annotations
 
 import inspect
+import json
 import sqlite3
 import threading
 import time
@@ -31,7 +39,7 @@ from typing import List
 
 import pytest
 
-from repro.api import ScenarioSpec, WorkloadSpec, job_spec_to_dict, run
+from repro.api import ScenarioSpec, WorkloadSpec, job_spec_to_dict, run, run_specs
 from repro.distributed import (
     Broker,
     LeasePolicy,
@@ -40,7 +48,7 @@ from repro.distributed import (
     open_store,
     summary_from_payload,
 )
-from repro.service import HttpBroker, HttpResultStore, make_server
+from repro.service import HttpBroker, HttpResultStore, ServiceError, make_server
 from repro.simulator.entities import JobSpec
 
 TOKEN = "contract-secret-0123456789abcdef"
@@ -77,6 +85,15 @@ class Backend:
 
     def store(self):
         return open_store(self.target, **self.credentials)
+
+    @property
+    def sqlite(self) -> bool:
+        return self.target.startswith("sqlite:")
+
+    def rows(self) -> dict:
+        """Every stored result row's payload text, by fingerprint."""
+        with sqlite3.connect(str(self.db)) as conn:
+            return dict(conn.execute("SELECT fingerprint, payload FROM results"))
 
 
 @pytest.fixture(params=["sqlite", "http", "https+token"])
@@ -131,11 +148,13 @@ class TestGetMany:
     def test_hits_misses_and_corrupt_rows(self, backend):
         results = _complete(backend, [_spec(seed) for seed in range(3)])
         not_json, not_a_result = _spec(10).fingerprint(), _spec(11).fingerprint()
+        not_an_object = _spec(13).fingerprint()
         _write_row(backend.db, not_json, "{not json")
         _write_row(backend.db, not_a_result, '{"spec": 1}')
+        _write_row(backend.db, not_an_object, "[1, 2]")
         missing = _spec(12).fingerprint()
         asked = [results[0].fingerprint, missing, not_json, results[1].fingerprint,
-                 not_a_result, results[2].fingerprint]
+                 not_a_result, not_an_object, results[2].fingerprint]
         store = backend.store()
         try:
             found = store.get_many(asked)
@@ -146,8 +165,68 @@ class TestGetMany:
             assert store.get(not_json) is None and store.get(not_a_result) is None
             assert store.get(missing) is None
             assert store.get_many([]) == {}
+            # raw payload reads keep JSON objects only
+            payloads = store.get_payload_many(asked)
+            assert payloads == {
+                **{result.fingerprint: result.to_dict() for result in results},
+                not_a_result: {"spec": 1},
+            }
         finally:
             store.close()
+
+
+class TestCorruptRows:
+    def test_a_distributed_sweep_reruns_corrupt_rows(self, backend, monkeypatch):
+        corrupt = ("{not json", '"a string"', "[1, 2]", '{"spec": 1}')
+        specs = [_spec(20 + i) for i in range(len(corrupt))]
+        backend.store().close()  # creates the schema of a fresh sqlite file
+        for spec, text in zip(specs, corrupt):
+            _write_row(backend.db, spec.fingerprint(), text)
+        if backend.sqlite:
+            target = {"db": backend.db}
+        else:
+            target = {"broker": backend.target}
+            for name, variable in (("token", "CHRONOS_TOKEN"), ("cafile", "CHRONOS_CAFILE")):
+                if name in backend.credentials:
+                    monkeypatch.setenv(variable, backend.credentials[name])
+        outcome = run_specs(specs, executor="distributed", workers=1, **target)
+        assert outcome.executed == len(specs) and outcome.cache_hits == 0
+        assert [r.report for r in outcome.results] == [run(spec).report for spec in specs]
+
+
+class TestStoredPayloadText:
+    def test_stored_bytes_are_the_same_on_every_backend(self, backend):
+        results = _complete(backend, [_spec(seed) for seed in range(3)])
+        # 3.1 stored json.dumps(result.to_dict()) on every backend
+        assert backend.rows() == {r.fingerprint: json.dumps(r.to_dict()) for r in results}
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]", '"text"', "", {"spec": 1}])
+    def test_completion_text_that_is_not_an_object_is_rejected(self, backend, text):
+        spec, good = _spec(0), run(_spec(1))
+        broker = backend.broker()
+        try:
+            broker.register_worker("w1")
+            broker.enqueue(
+                [spec.to_dict(), good.spec.to_dict()], [spec.fingerprint(), good.fingerprint]
+            )
+            assert len(broker.claim_many("w1", 2)) == 2
+            # one bad text rejects the whole batch, the good result included
+            completions = [
+                (good.fingerprint, json.dumps(good.to_dict())), (spec.fingerprint(), text)
+            ]
+            if backend.sqlite:
+                with pytest.raises(ValueError, match="not a JSON object"):
+                    broker._complete_texts("w1", completions)
+            else:
+                with pytest.raises(ServiceError, match="HTTP 400.*not a JSON object"):
+                    broker._call("complete_texts", worker_id="w1", completions=completions)
+            assert backend.rows() == {}
+            for fingerprint in (spec.fingerprint(), good.fingerprint):
+                record = broker.task(fingerprint)
+                assert (record.status, record.lease_owner) == ("leased", "w1")
+            assert broker.counts()["done"] == 0
+        finally:
+            broker.close()
 
 
 class TestCompleteMany:

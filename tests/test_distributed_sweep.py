@@ -5,19 +5,24 @@ with ``executor="distributed"`` and 3 workers matches the inline
 executor fingerprint-for-fingerprint, survives a worker being SIGKILLed
 mid-task (lease requeue), and an identical second run is answered
 entirely from the sqlite result store with zero scenario executions.
+The driver builds each result from the spec it enqueued, so a stored
+payload of another spec is never reported as this one's result.
 """
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
 import signal
+import sqlite3
 import threading
 import time
 
 import pytest
 
 from repro.api import (
+    ScenarioCacheHit,
     ScenarioCompleted,
     ScenarioRetried,
     ScenarioSpec,
@@ -26,11 +31,12 @@ from repro.api import (
     WorkloadSpec,
     default_executor,
     job_spec_to_dict,
+    run,
     run_specs,
     set_default_executor,
 )
 from repro.api.registry import WORKLOADS, register_workload
-from repro.distributed import Broker, TaskFailedError
+from repro.distributed import Broker, SqliteResultStore, TaskFailedError, execute_stream
 from repro.simulator.entities import JobSpec
 
 SLOW_WORKLOAD = "test-slow-explicit"
@@ -129,6 +135,126 @@ class TestDistributedMatchesInline:
             [base], executor="distributed", workers=1, db=tmp_path / "q.sqlite", cache=cache
         )
         assert second.executed == 0 and second.cache_hits == 1
+
+
+@pytest.fixture
+def service_url(tmp_path):
+    """An HTTP sweep service on an ephemeral port, serving a fresh queue."""
+    from repro.service import make_server
+
+    server = make_server(tmp_path / "service.sqlite", host="127.0.0.1", port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5.0)
+
+
+class TestResultsFromHeldSpecs:
+    def test_cached_payload_of_another_spec_is_not_a_hit(self, base, tmp_path):
+        db = tmp_path / "q.sqlite"
+        other = run(base.with_overrides({"seed": 99}))
+        with SqliteResultStore(db):
+            pass  # creates the schema
+        with sqlite3.connect(str(db)) as conn:
+            conn.execute(
+                "INSERT INTO results (fingerprint, payload, created_at) VALUES (?, ?, 0)",
+                (base.fingerprint(), json.dumps(other.to_dict())),
+            )
+        events = list(execute_stream([(base.fingerprint(), base, 0)], workers=1, db=db))
+        assert not [event for event in events if isinstance(event, ScenarioCacheHit)]
+        (completed,) = [event for event in events if isinstance(event, ScenarioCompleted)]
+        assert completed.result.spec is base
+        assert completed.result.report == run(base).report != other.report
+
+    def test_completion_of_another_spec_is_not_yielded(self, base, service_url):
+        """A worker committing the wrong payload does not complete the scenario."""
+        from repro.service import HttpBroker
+
+        other = run(base.with_overrides({"seed": 99}))
+
+        def wrong_worker():
+            broker = HttpBroker(service_url)
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline:
+                tasks = broker.claim_many("w-wrong", 1)
+                if tasks:
+                    broker.complete_many("w-wrong", [(tasks[0].fingerprint, other.to_dict())])
+                    return
+                time.sleep(0.01)
+
+        thread = threading.Thread(target=wrong_worker)
+        thread.start()
+        try:
+            events = list(
+                execute_stream([(base.fingerprint(), base, 0)], broker=service_url, workers=None)
+            )
+        finally:
+            thread.join()
+        assert not [
+            event for event in events if isinstance(event, (ScenarioCompleted, ScenarioCacheHit))
+        ]
+
+    def test_cached_payloads_are_read_result_batch_at_a_time(
+        self, base, tmp_path, monkeypatch
+    ):
+        from repro.distributed.store import RESULT_BATCH
+
+        db = tmp_path / "q.sqlite"
+        specs = [base.with_overrides({"seed": seed}) for seed in range(2 * RESULT_BATCH + 2)]
+        with SqliteResultStore(db) as store:
+            for spec in specs:
+                store.put(run(spec))
+        asked = []
+        real_read = SqliteResultStore.get_payload_many
+
+        def recording_read(self, fingerprints):
+            fingerprints = list(fingerprints)
+            asked.append(len(fingerprints))
+            return real_read(self, fingerprints)
+
+        monkeypatch.setattr(SqliteResultStore, "get_payload_many", recording_read)
+        todo = [(spec.fingerprint(), spec, index) for index, spec in enumerate(specs)]
+        events = list(execute_stream(todo, workers=1, db=db))
+        assert [type(event) for event in events] == [ScenarioCacheHit] * len(specs)
+        assert [event.result.spec for event in events] == specs
+        assert asked == [RESULT_BATCH, RESULT_BATCH, 2]
+
+    @pytest.mark.parametrize("target", ["sqlite", "http"])
+    def test_cluster_sweep_summary_rows_match_inline(self, target, tmp_path, request):
+        from repro.cluster import ArrivalSpec, ClusterResult, ClusterSpec
+
+        sweep = Sweep.grid(
+            ClusterSpec(
+                arrival=ArrivalSpec(
+                    "poisson", {"benchmark": "sort", "num_jobs": 4, "inter_arrival": 60.0}
+                ),
+                strategy="s-resume",
+                scheduler="fifo",
+                cluster={"num_nodes": 4, "slots_per_node": 4},
+            ),
+            {"scheduler": ["fifo", "deadline_edf"], "seed": [0, 1]},
+        )
+        if target == "sqlite":
+            queue = {"db": tmp_path / "q.sqlite"}
+        else:
+            queue = {"broker": request.getfixturevalue("service_url")}
+
+        def rows(outcome):
+            return json.dumps(
+                [{k: v for k, v in row.items() if k != "wall_time_s"} for row in outcome.to_rows()]
+            )
+
+        inline = sweep.run(executor="inline")
+        distributed = sweep.run(executor="distributed", workers=2, **queue)
+        assert distributed.executed == 4
+        assert all(isinstance(result, ClusterResult) for result in distributed.results)
+        assert rows(distributed) == rows(inline)
+        rerun = sweep.run(executor="distributed", workers=2, **queue)
+        assert rerun.cache_hits == 4 and rows(rerun) == rows(inline)
 
 
 @pytest.mark.skipif(

@@ -154,7 +154,7 @@ class TestEndpoints:
 
     def test_bad_params_are_a_400_not_a_crash(self, service):
         with pytest.raises(ServiceError, match="HTTP 400"):
-            rpc_call(service.url, "claim", {"no_such_param": 1})
+            rpc_call(service.url, "claim_many", {"worker_id": "w", "no_such_param": 1})
         # the server thread survives and keeps answering
         assert rpc_call(service.url, "settled") is True
 
@@ -162,7 +162,7 @@ class TestEndpoints:
         "method, params",
         [
             ("claim_many", {"worker_id": "w", "limit": "many"}),
-            ("complete_many", {"worker_id": "w", "completions": [["fp"]]}),
+            ("complete_texts", {"worker_id": "w", "completions": [["fp"]]}),
             ("requeue_expired", {"now": "soon"}),
             ("release_pending", {"fingerprints": 7}),
             ("register_worker", {"worker_id": "w", "pid": "self"}),
@@ -171,7 +171,7 @@ class TestEndpoints:
             ("events_since", {"seq": "start"}),
             ("events_for", {"fingerprint": "fp", "limit": "all"}),
             ("prune_events", {"before_seq": "later"}),
-            ("result_get_many", {"fingerprints": 7}),
+            ("result_texts", {"fingerprints": 7}),
             ("summary_rows", {"columns": ["no_such_column"]}),
         ],
     )
@@ -192,7 +192,7 @@ class TestEndpoints:
         with pytest.raises(ServiceError, match="unknown method"):
             rpc_call(service.url, "carrier_pigeon")
         body = fetch_metrics(service.url)
-        for method in ("settled", "result_get_many"):
+        for method in ("settled", "result_texts"):
             assert f'chronos_rpc_seconds_count{{method="{method}"}}' in body
             assert f'chronos_rpc_lock_wait_seconds_count{{method="{method}"}}' in body
         assert 'method="carrier_pigeon"' not in body  # unknown methods are not labels
@@ -383,6 +383,79 @@ class TestHttpResultStore:
         fetched = HttpResultStore(service.url).get(spec.fingerprint())  # no local memo
         assert isinstance(fetched, ClusterResult)
         assert fetched.to_dict() == result.to_dict()
+
+
+    def test_payload_reads_take_one_round_trip_per_result_batch(self, service, monkeypatch):
+        import math
+
+        from repro.service import client
+
+        result = run(_tiny_spec())
+        HttpResultStore(service.url).put(result)
+        fingerprints = [result.fingerprint] + [f"{i:064x}" for i in range(199)]
+        calls = []
+        real_rpc_call = client.rpc_call
+
+        def counting_rpc_call(url, method, *args, **kwargs):
+            calls.append(method)
+            return real_rpc_call(url, method, *args, **kwargs)
+
+        monkeypatch.setattr(client, "rpc_call", counting_rpc_call)
+        store = HttpResultStore(service.url)
+        payloads = store.get_payload_many(fingerprints)
+        assert payloads == {result.fingerprint: result.to_dict()}
+        rounds = math.ceil(len(fingerprints) / client.RESULT_BATCH)
+        assert calls == ["result_texts"] * rounds == ["result_texts"] * 4
+        calls.clear()
+        assert set(store.get_many(fingerprints)) == {result.fingerprint}
+        assert calls == ["result_texts"] * rounds
+
+
+class TestProtocolVersion:
+    """Protocol 2 carries payloads as text; protocol-1 peers fail loudly."""
+
+    def test_healthz_reports_protocol_2(self, service):
+        import urllib.request
+
+        from repro.service import PROTOCOL_VERSION
+
+        with urllib.request.urlopen(service.url + "/healthz", timeout=5.0) as response:
+            assert json.loads(response.read())["protocol"] == PROTOCOL_VERSION == 2
+
+    def test_protocol_1_result_read_is_an_unknown_method(self, service):
+        """A 3.x client expecting payload objects gets a 400, not text it would drop."""
+        result = run(_tiny_spec())
+        HttpResultStore(service.url).put(result)
+        with pytest.raises(ServiceError, match="HTTP 400 — unknown method 'result_get_many'"):
+            rpc_call(service.url, "result_get_many", {"fingerprints": [result.fingerprint]})
+        # the protocol-2 read of the same row answers its stored text
+        texts = rpc_call(service.url, "result_texts", {"fingerprints": [result.fingerprint]})
+        assert texts == {result.fingerprint: json.dumps(result.to_dict())}
+
+    def test_protocol_1_completion_is_an_unknown_method(self, service):
+        spec = _tiny_spec()
+        broker = HttpBroker(service.url)
+        broker.enqueue([spec.to_dict()], [spec.fingerprint()])
+        assert broker.claim_many("w1", 1)
+        completions = [[spec.fingerprint(), run(spec).to_dict()]]
+        with pytest.raises(ServiceError, match="unknown method 'complete_many'"):
+            rpc_call(service.url, "complete_many", {"worker_id": "w1", "completions": completions})
+        assert len(HttpResultStore(service.url)) == 0
+        assert broker.task(spec.fingerprint()).status == "leased"
+
+    def test_protocol_1_claim_answer_is_an_error(self):
+        from repro.service.protocol import task_from_wire
+
+        wire = {
+            "fingerprint": "f" * 64,
+            "payload": _tiny_spec().to_dict(),  # protocol 1 decoded the spec
+            "attempts": 1,
+            "lease": {"fingerprint": "f" * 64, "owner": "w1", "expires_at": 0.0},
+        }
+        with pytest.raises(TypeError, match="older protocol"):
+            task_from_wire(wire)
+        wire["payload"] = json.dumps(wire["payload"])
+        assert task_from_wire(wire).payload == _tiny_spec().to_dict()
 
 
 class TestHttpWorker:
@@ -934,7 +1007,7 @@ class TestKeepAlive:
             assert worker.run() == 1
         finally:
             worker.close()
-        loop = {ident for method, ident in keepalive.calls if method == "complete_many"}
+        loop = {ident for method, ident in keepalive.calls if method == "complete_texts"}
         beats = {ident for method, ident in keepalive.calls if method == "heartbeat"}
         assert loop and beats
         assert loop.isdisjoint(beats)
