@@ -101,6 +101,9 @@ def run_cluster(
     simulation = ClusterSimulation(spec, on_job_event=on_job_event)
     started = time.perf_counter()
     report = simulation.run()
+    for job in simulation.jobs:
+        if job.master is not None:
+            job.master.release()
     wall_time = time.perf_counter() - started
     return ClusterResult(
         spec=spec,

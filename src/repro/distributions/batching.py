@@ -19,7 +19,7 @@ asserts identical results.
 from __future__ import annotations
 
 import os
-from typing import Callable
+from typing import Callable, List
 
 import numpy as np
 
@@ -56,6 +56,10 @@ class SampleBuffer:
     Because each underlying RNG must serve exactly one purpose for the
     partition invariance to apply, create one buffer per (RNG, purpose)
     pair — never share an RNG between a buffer and direct draws.
+
+    Each block is converted to a list of Python floats once, when it is
+    drawn, so :meth:`next` is a list read rather than a numpy scalar
+    conversion per sample.
     """
 
     __slots__ = ("_draw", "_batch", "_buffer", "_position")
@@ -65,7 +69,7 @@ class SampleBuffer:
             raise ValueError("batch size must be at least 1")
         self._draw = draw
         self._batch = batch
-        self._buffer: np.ndarray = np.empty(0)
+        self._buffer: List[float] = []
         self._position = 0
 
     def next(self) -> float:
@@ -73,10 +77,10 @@ class SampleBuffer:
         position = self._position
         buffer = self._buffer
         if position >= len(buffer):
-            buffer = self._buffer = self._draw(self._batch)
+            buffer = self._buffer = np.asarray(self._draw(self._batch), dtype=float).tolist()
             position = 0
         self._position = position + 1
-        return float(buffer[position])
+        return buffer[position]
 
     def invalidate(self) -> None:
         """Drop buffered samples (e.g. when the draw parameters change).
@@ -84,5 +88,5 @@ class SampleBuffer:
         Pending samples are discarded, not replayed; callers must only
         invalidate when the underlying distribution genuinely changed.
         """
-        self._buffer = np.empty(0)
+        self._buffer = []
         self._position = 0

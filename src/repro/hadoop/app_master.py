@@ -14,6 +14,7 @@ small and free of simulator plumbing.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 import numpy as np
@@ -24,7 +25,7 @@ from repro.hadoop.node_manager import NodeManager
 from repro.hadoop.resource_manager import ContainerRequest, ResourceManager
 from repro.simulator.cluster import Container
 from repro.simulator.engine import Event, SimulationEngine
-from repro.simulator.entities import Attempt, Job, Task
+from repro.simulator.entities import Attempt, AttemptStatus, Job, Task
 from repro.simulator.metrics import JobRecord, MetricsCollector
 from repro.simulator.progress import (
     CompletionTimeEstimator,
@@ -68,10 +69,10 @@ class ApplicationMaster:
         # One buffer per AM: the AM's RNG serves exactly one purpose
         # (attempt durations), so block draws see the same stream as the
         # historical one-sample-per-attempt calls.  Sized to roughly one
-        # wave of attempts per RNG round-trip.
-        distribution = job.spec.attempt_distribution
+        # wave of attempts per RNG round-trip.  The draw holds the RNG,
+        # not the AM, so the buffer forms no reference cycle.
         self._duration_samples = SampleBuffer(
-            lambda n: distribution.sample(n, rng=self._rng),
+            partial(job.spec.attempt_distribution.sample, rng=self._rng),
             vectorized_batch_size(min(512, max(8, job.spec.num_tasks))),
         )
 
@@ -142,14 +143,13 @@ class ApplicationMaster:
         """Schedule a strategy callback; skipped automatically once the job ends."""
         if self._finished:
             return None
-
-        def guarded() -> None:
-            if not self._finished:
-                callback(*args)
-
-        event = self._engine.schedule_after(delay, guarded)
+        event = self._engine.schedule_after(delay, self._run_unless_finished, callback, args)
         self._scheduled_events.append(event)
         return event
+
+    def _run_unless_finished(self, callback: Callable[..., None], args: tuple) -> None:
+        if not self._finished:
+            callback(*args)
 
     # ------------------------------------------------------------------
     # Attempt management
@@ -160,23 +160,16 @@ class ApplicationMaster:
         """Create an attempt for ``task`` and request a container for it."""
         if task.is_complete or self._finished:
             return None
-        attempt = Attempt(
-            task=task,
-            created_time=self._engine.now,
-            start_offset=start_offset,
-            is_original=is_original,
-        )
+        attempt = Attempt(task, self._engine.now, start_offset, is_original)
         task.add_attempt(attempt)
-        request = self._rm.request_container(
-            lambda container, a=attempt: self._on_container_granted(a, container)
-        )
+        request = self._rm.request_container(self._on_container_granted, attempt)
         self._pending_requests[attempt.attempt_id] = request
         return attempt
 
     def kill_attempt(self, attempt: Attempt) -> None:
         """Kill an attempt, cancelling its container request if still queued."""
         request = self._pending_requests.pop(attempt.attempt_id, None)
-        if request is not None and attempt.status.value == "waiting":
+        if request is not None and attempt.status is AttemptStatus.WAITING:
             request.cancel()
             attempt.mark_killed(self._engine.now)
             return
@@ -188,7 +181,7 @@ class ApplicationMaster:
     def kill_all_but(self, task: Task, survivor: Attempt) -> int:
         """Kill every live attempt of ``task`` except ``survivor``; return count."""
         killed = 0
-        for attempt in list(task.live_attempts):
+        for attempt in task.live_attempts:
             if attempt is survivor:
                 continue
             self.kill_attempt(attempt)
@@ -266,13 +259,30 @@ class ApplicationMaster:
         task = attempt.task
         if task.is_complete:
             return
-        task.mark_complete(self._engine.now)
+        now = self._engine.now
+        task.mark_complete(now)
         # Redundant attempts are killed as soon as one attempt succeeds.
-        for other in list(task.live_attempts):
+        for other in task.live_attempts:
             self.kill_attempt(other)
         self._strategy.on_task_complete(self, task, attempt)
-        if self._job.try_finish(self._engine.now):
+        if self._job.try_finish(now):
             self._finalize()
+
+    def release(self) -> None:
+        """Unlink the finished job's object graph so refcounting can free it.
+
+        A job holds its tasks and each task its attempts, and both link
+        back; a cluster's completion callback closes over the simulation
+        that holds this AM.  Left linked, a finished run is one big cycle
+        that waits for the cyclic collector, so a process's peak memory
+        depends on when that collector happens to run.  Call this once the
+        report is built: the AM and its job are unusable afterwards.
+        """
+        job = self._job
+        for task in job.tasks:
+            task.attempts.clear()
+        job.tasks.clear()
+        self._on_job_complete = None
 
     def _finalize(self) -> None:
         if self._finished:

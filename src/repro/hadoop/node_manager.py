@@ -9,7 +9,8 @@ and releases the container immediately.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from functools import partial
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -36,32 +37,32 @@ class NodeManager:
     ):
         self._engine = engine
         self._rm = resource_manager
-        self._config = config
         self._rng = rng if rng is not None else engine.spawn_rng()
-        self._completion_events: Dict[int, Event] = {}
-        self._containers: Dict[int, Container] = {}
+        # Running attempts by id: the pending completion event and the
+        # container the attempt occupies.
+        self._running: Dict[int, Tuple[Event, Container]] = {}
         # The NM's RNG serves exactly one purpose (JVM launch delays), so
         # block draws reproduce the per-launch call stream bit-for-bit.
-        # The bounds are read per block from the (immutable) config.
-        self._jvm_samples = SampleBuffer(self._draw_jvm_delays, vectorized_batch_size(128))
+        # The config is frozen, so its bounds are read once; the draw
+        # holds the RNG but not the NM, so a finished run leaves no cycle.
+        mean, jitter = config.jvm_startup_mean, config.jvm_startup_jitter
+        self._jvm_fixed = 0.0 if mean <= 0 else mean if jitter <= 0 else None
+        self._jvm_samples = SampleBuffer(
+            partial(self._rng.uniform, mean - jitter, mean + jitter),
+            vectorized_batch_size(128),
+        )
 
     @property
     def running_attempts(self) -> int:
         """Number of attempts currently executing on this NM."""
-        return len(self._completion_events)
+        return len(self._running)
 
     def sample_jvm_delay(self) -> float:
         """Draw a JVM launch delay from the configured distribution."""
-        mean, jitter = self._config.jvm_startup_mean, self._config.jvm_startup_jitter
-        if mean <= 0:
-            return 0.0
-        if jitter <= 0:
-            return mean
+        fixed = self._jvm_fixed
+        if fixed is not None:
+            return fixed
         return self._jvm_samples.next()
-
-    def _draw_jvm_delays(self, size: int) -> np.ndarray:
-        mean, jitter = self._config.jvm_startup_mean, self._config.jvm_startup_jitter
-        return self._rng.uniform(mean - jitter, mean + jitter, size=size)
 
     def launch(
         self,
@@ -74,33 +75,23 @@ class NodeManager:
         if processing_time < 0:
             raise ValueError("processing_time must be non-negative")
         jvm_delay = self.sample_jvm_delay()
-        attempt.mark_running(
-            launch_time=self._engine.now,
-            jvm_delay=jvm_delay,
-            processing_time=processing_time,
-            container_id=container.container_id,
+        attempt.mark_running(self._engine.now, jvm_delay, processing_time, container.container_id)
+        event = self._engine.schedule_after(
+            jvm_delay + processing_time, self._complete, attempt, on_complete
         )
-        self._containers[attempt.attempt_id] = container
-
-        def complete() -> None:
-            self._completion_events.pop(attempt.attempt_id, None)
-            attempt.mark_completed(self._engine.now)
-            self._release(attempt)
-            on_complete(attempt)
-
-        event = self._engine.schedule_after(jvm_delay + processing_time, complete)
-        self._completion_events[attempt.attempt_id] = event
+        self._running[attempt.attempt_id] = (event, container)
 
     def kill(self, attempt: Attempt) -> None:
         """Kill a running attempt: cancel completion and free the container."""
-        event = self._completion_events.pop(attempt.attempt_id, None)
-        if event is not None:
-            event.cancel()
-        if not attempt.is_finished:
-            attempt.mark_killed(self._engine.now)
-        self._release(attempt)
+        running = self._running.pop(attempt.attempt_id, None)
+        if running is not None:
+            running[0].cancel()
+        attempt.mark_killed(self._engine.now)  # a no-op for a finished attempt
+        if running is not None:
+            self._rm.release_container(running[1])
 
-    def _release(self, attempt: Attempt) -> None:
-        container = self._containers.pop(attempt.attempt_id, None)
-        if container is not None:
-            self._rm.release_container(container)
+    def _complete(self, attempt: Attempt, on_complete: CompletionCallback) -> None:
+        _, container = self._running.pop(attempt.attempt_id)
+        attempt.mark_completed(self._engine.now)
+        self._rm.release_container(container)
+        on_complete(attempt)

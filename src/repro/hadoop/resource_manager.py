@@ -5,20 +5,26 @@ slots the request is granted after a small heartbeat delay, otherwise the
 request joins a FIFO queue and is granted as soon as a container is
 released.  Requests can be cancelled (e.g. when the attempt they were for
 is killed before a container was ever granted).
+
+A request carries a callback and its leading arguments:
+``request_container(callback, *args)`` ends in ``callback(*args,
+container)``.  Callers pass a bound method and the attempt instead of
+building a closure per request.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque
+from typing import Any, Callable, Deque, Tuple
 
 from repro.hadoop.config import HadoopConfig
 from repro.simulator.cluster import Cluster, Container
 from repro.simulator.engine import SimulationEngine
 
-# Callback invoked when a container is granted for a request.
-GrantCallback = Callable[[Container], None]
+# Callback invoked as ``callback(*args, container)`` when a container is
+# granted for a request.
+GrantCallback = Callable[..., None]
 
 
 @dataclass(slots=True)
@@ -26,6 +32,7 @@ class ContainerRequest:
     """A pending request for one container."""
 
     callback: GrantCallback = field(repr=False)
+    args: Tuple[Any, ...] = field(default=(), repr=False)
     cancelled: bool = False
 
     def cancel(self) -> None:
@@ -40,6 +47,7 @@ class ResourceManager:
         self._engine = engine
         self._cluster = cluster
         self._config = config
+        self._grant_delay = config.container_grant_delay
         self._pending: Deque[ContainerRequest] = deque()
         self._granted = 0
 
@@ -66,9 +74,9 @@ class ResourceManager:
         """
         return self._cluster.has_capacity() and self.pending_requests == 0
 
-    def request_container(self, callback: GrantCallback) -> ContainerRequest:
-        """Request one container; ``callback`` runs when it is granted."""
-        request = ContainerRequest(callback=callback)
+    def request_container(self, callback: GrantCallback, *args: Any) -> ContainerRequest:
+        """Request one container; ``callback(*args, container)`` runs when it is granted."""
+        request = ContainerRequest(callback, args)
         container = self._cluster.allocate()
         if container is not None:
             self._schedule_grant(request, container)
@@ -79,7 +87,8 @@ class ResourceManager:
     def release_container(self, container: Container) -> None:
         """Release a container and hand the slot to the next queued request."""
         self._cluster.release(container)
-        self._drain_queue()
+        if self._pending:
+            self._drain_queue()
 
     # ------------------------------------------------------------------
     # Internals
@@ -98,15 +107,15 @@ class ResourceManager:
             self._schedule_grant(pending.popleft(), container)
 
     def _schedule_grant(self, request: ContainerRequest, container: Container) -> None:
-        def deliver() -> None:
-            if request.cancelled:
-                # The requester no longer needs the container; return it.
-                self.release_container(container)
-                return
-            self._granted += 1
-            request.callback(container)
-
-        if self._config.container_grant_delay > 0:
-            self._engine.schedule_after(self._config.container_grant_delay, deliver)
+        if self._grant_delay > 0:
+            self._engine.schedule_after(self._grant_delay, self._deliver, request, container)
         else:
-            deliver()
+            self._deliver(request, container)
+
+    def _deliver(self, request: ContainerRequest, container: Container) -> None:
+        if request.cancelled:
+            # The requester no longer needs the container; return it.
+            self.release_container(container)
+            return
+        self._granted += 1
+        request.callback(*request.args, container)

@@ -65,19 +65,21 @@ class _Node:
     capacity: int
     in_use: int = 0
 
-    @property
-    def free_slots(self) -> int:
-        return self.capacity - self.in_use
-
 
 class Cluster:
     """Tracks per-node slot usage and hands out containers."""
 
     def __init__(self, config: ClusterConfig):
         self._config = config
+        # Read on every allocation and release; the config is frozen.
+        self._unbounded = config.unbounded
+        self._total_slots = config.total_slots
         self._nodes: List[_Node] = [
             _Node(node_id=i, capacity=config.slots_per_node) for i in range(config.num_nodes)
         ]
+        # Sum of ``in_use`` over the nodes: a full cluster answers
+        # ``allocate`` without scanning them.
+        self._in_use = 0
         self._container_ids = itertools.count()
         self._active: Dict[int, Container] = {}
         self._peak_usage = 0
@@ -100,15 +102,13 @@ class Cluster:
     @property
     def free_slots(self) -> Optional[int]:
         """Free slots across the cluster, or ``None`` when unbounded."""
-        if self._config.unbounded:
+        if self._unbounded:
             return None
-        return sum(node.free_slots for node in self._nodes)
+        return self._total_slots - self._in_use
 
     def has_capacity(self) -> bool:
         """Whether at least one container can be allocated right now."""
-        if self._config.unbounded:
-            return True
-        return any(node.free_slots > 0 for node in self._nodes)
+        return self._unbounded or self._in_use < self._total_slots
 
     def allocate(self) -> Optional[Container]:
         """Allocate one container, preferring the least-loaded node.
@@ -116,10 +116,12 @@ class Cluster:
         Returns ``None`` when the cluster is full (never for an unbounded
         cluster).
         """
-        if self._config.unbounded:
-            container = Container(container_id=next(self._container_ids), node_id=-1)
+        if self._unbounded:
+            container = Container(next(self._container_ids), -1)
             self._register(container)
             return container
+        if self._in_use >= self._total_slots:
+            return None
         # Single pass, keeping the first node with the most free slots —
         # the same node ``max`` over the non-full candidates would pick.
         node = None
@@ -128,10 +130,9 @@ class Cluster:
             free = candidate.capacity - candidate.in_use
             if free > node_free:
                 node, node_free = candidate, free
-        if node is None:
-            return None
         node.in_use += 1
-        container = Container(container_id=next(self._container_ids), node_id=node.node_id)
+        self._in_use += 1
+        container = Container(next(self._container_ids), node.node_id)
         self._register(container)
         return container
 
@@ -141,7 +142,7 @@ class Cluster:
             return
         container.released = True
         self._active.pop(container.container_id, None)
-        if not self._config.unbounded and container.node_id >= 0:
+        if not self._unbounded and container.node_id >= 0:
             node = self._nodes[container.node_id]
             if node.in_use <= 0:
                 raise RuntimeError(
@@ -149,13 +150,16 @@ class Cluster:
                     f"{container.node_id} which has no allocations"
                 )
             node.in_use -= 1
+            self._in_use -= 1
 
     def utilisation(self) -> float:
         """Fraction of slots currently in use (``0.0`` for unbounded)."""
-        if self._config.unbounded or self._config.total_slots == 0:
+        if self._unbounded or self._total_slots == 0:
             return 0.0
-        return self.containers_in_use / self._config.total_slots
+        return self.containers_in_use / self._total_slots
 
     def _register(self, container: Container) -> None:
-        self._active[container.container_id] = container
-        self._peak_usage = max(self._peak_usage, len(self._active))
+        active = self._active
+        active[container.container_id] = container
+        if len(active) > self._peak_usage:
+            self._peak_usage = len(active)

@@ -14,25 +14,25 @@ import heapq
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Tuple
 
 import numpy as np
 
 
-@dataclass(order=True, slots=True)
+@dataclass(slots=True)
 class Event:
     """A scheduled callback.
 
-    Events are ordered by ``(time, sequence)``; the callback and its
-    arguments do not participate in the ordering.
+    The heap orders events by their ``(time, sequence)`` key; two
+    ``Event`` objects are never compared with each other.
     """
 
     time: float
     sequence: int
-    callback: Callable[..., None] = field(compare=False)
-    args: tuple = field(compare=False, default=())
-    cancelled: bool = field(compare=False, default=False)
+    callback: Callable[..., None]
+    args: tuple = ()
+    cancelled: bool = False
 
     def cancel(self) -> None:
         """Mark the event so it is skipped when popped."""
@@ -91,24 +91,36 @@ class SimulationEngine:
     # ------------------------------------------------------------------
     def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> Event:
         """Schedule ``callback(*args)`` at absolute simulation time ``time``."""
-        if math.isnan(time):
-            raise ValueError("cannot schedule an event at NaN time")
-        if time < self._now:
+        if not time >= self._now:
+            if math.isnan(time):
+                raise ValueError("cannot schedule an event at NaN time")
             raise ValueError(
                 f"cannot schedule an event in the past (now={self._now}, requested={time})"
             )
-        event = Event(time=time, sequence=next(self._sequence), callback=callback, args=args)
+        sequence = next(self._sequence)
+        event = Event(time, sequence, callback, args)
         # The heap entry is an immutable (time, sequence, event) triple:
         # even if callers mutate the Event after scheduling, the queue
         # order stays fixed at what it was on insertion.
-        heapq.heappush(self._queue, (event.time, event.sequence, event))
+        heapq.heappush(self._queue, (time, sequence, event))
         return event
 
     def schedule_after(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
-        """Schedule ``callback(*args)`` after ``delay`` seconds."""
-        if delay < 0:
-            raise ValueError(f"delay must be non-negative, got {delay}")
-        return self.schedule_at(self._now + delay, callback, *args)
+        """Schedule ``callback(*args)`` after ``delay`` seconds.
+
+        The body repeats :meth:`schedule_at` instead of calling it: every
+        attempt schedules through here, and one check (``delay >= 0``,
+        false for NaN too) replaces the two that the absolute time needs.
+        """
+        if not delay >= 0:
+            if delay < 0:
+                raise ValueError(f"delay must be non-negative, got {delay}")
+            raise ValueError("cannot schedule an event at NaN time")
+        time = self._now + delay
+        sequence = next(self._sequence)
+        event = Event(time, sequence, callback, args)
+        heapq.heappush(self._queue, (time, sequence, event))
+        return event
 
     # ------------------------------------------------------------------
     # Execution

@@ -36,6 +36,10 @@ class AttemptStatus(enum.Enum):
     KILLED = "killed"
 
 
+#: The states of an attempt that has not finished.
+_LIVE_STATES = (AttemptStatus.WAITING, AttemptStatus.RUNNING)
+
+
 @dataclass(frozen=True)
 class JobSpec:
     """Static description of a submitted MapReduce job.
@@ -130,7 +134,7 @@ class Attempt:
     created_time: float
     start_offset: float = 0.0  # fraction of the task's data already processed
     is_original: bool = True
-    attempt_id: int = field(default_factory=lambda: next(_attempt_counter))
+    attempt_id: int = field(default_factory=_attempt_counter.__next__)
     status: AttemptStatus = AttemptStatus.WAITING
     launch_time: Optional[float] = None  # container granted / JVM launch starts
     jvm_delay: float = 0.0
@@ -263,7 +267,7 @@ class Task:
     @property
     def live_attempts(self) -> List[Attempt]:
         """Attempts that are waiting or running (not finished)."""
-        return [a for a in self.attempts if not a.is_finished]
+        return [a for a in self.attempts if a.status in _LIVE_STATES]
 
     def add_attempt(self, attempt: Attempt) -> None:
         """Register a newly created attempt."""
@@ -296,6 +300,10 @@ class Job:
     completion_time: Optional[float] = None
     extra_attempts: int = 0  # the optimized r used for this job
     metadata: Dict[str, float] = field(default_factory=dict)
+    #: ``tasks[:_complete_prefix]`` are known to be complete.  A task never
+    #: becomes incomplete again, so :meth:`try_finish` resumes its scan here
+    #: instead of re-checking every task on every task completion.
+    _complete_prefix: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.tasks:
@@ -335,6 +343,12 @@ class Job:
 
     def try_finish(self, now: float) -> bool:
         """Mark the job complete if all tasks are done; return the new state."""
-        if self.completion_time is None and self.is_complete:
-            self.completion_time = now
+        if self.completion_time is None:
+            tasks = self.tasks
+            index = self._complete_prefix
+            while index < len(tasks) and tasks[index].completion_time is not None:
+                index += 1
+            self._complete_prefix = index
+            if index == len(tasks):
+                self.completion_time = now
         return self.completion_time is not None

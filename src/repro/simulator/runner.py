@@ -206,6 +206,8 @@ class SimulationRunner:
             report = metrics.build_report()
 
         self._flush_engine_metrics(engine, masters)
+        for master in masters:
+            master.release()
         return report
 
     @staticmethod

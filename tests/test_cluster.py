@@ -7,6 +7,7 @@ byte, on the inline, pool and distributed executors alike.
 
 from __future__ import annotations
 
+import gc
 import json
 
 import pytest
@@ -325,6 +326,44 @@ class TestLifecycle:
         result = run_cluster(small_cluster_spec(max_events=10))
         assert result.report.num_jobs == 4  # nothing silently dropped
         assert result.report.miss_rate == 1.0
+
+
+class TestTeardown:
+    """A finished cluster run frees its object graph by reference counting."""
+
+    @pytest.mark.parametrize("strategy", ["clone", "s-resume"])
+    @pytest.mark.parametrize("scheduler", ["fifo", "deadline_edf", "spec_budget"])
+    def test_run_cluster_leaves_no_cyclic_garbage(self, scheduler, strategy):
+        # The shape of the benchmark's cluster grid: 200 contended jobs.
+        # Before the teardown, each run left about 12.4k objects in cycles.
+        spec = small_cluster_spec(
+            arrival=ArrivalSpec(
+                "poisson", {"benchmark": "sort", "num_jobs": 200, "inter_arrival": 8.0}
+            ),
+            strategy=strategy,
+            scheduler=scheduler,
+            cluster=ClusterConfig(num_nodes=8, slots_per_node=4),
+        )
+        run_cluster(spec)  # warm process-wide caches (Algorithm 1, registries)
+        gc.collect()
+        gc.disable()
+        try:
+            run_cluster(spec)
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        assert garbage < 100
+
+    def test_simulation_object_keeps_its_graph_until_released(self):
+        simulation = ClusterSimulation(small_cluster_spec())
+        simulation.run()
+        master = simulation.jobs[0].master
+        tasks = list(master.job.tasks)
+        assert len(tasks) == master.job.spec.num_tasks
+        assert all(task.attempts for task in tasks)
+        master.release()
+        assert master.job.tasks == []
+        assert all(task.attempts == [] for task in tasks)
 
 
 # ----------------------------------------------------------------------

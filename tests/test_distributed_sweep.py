@@ -257,6 +257,27 @@ class TestResultsFromHeldSpecs:
         assert rerun.cache_hits == 4 and rows(rerun) == rows(inline)
 
 
+def _kill_first_leaseholder(db, driver_pid: int, report) -> None:
+    """Watch the queue; SIGKILL the first worker seen holding a lease.
+
+    Runs in its own process.  ``driver_pid`` is the test process, which is
+    never killed; the killed lease is sent through the ``report`` pipe.
+    """
+    with Broker(db) as watcher:
+        deadline = time.monotonic() + 30.0
+        while time.monotonic() < deadline:
+            leased = watcher.tasks("leased")
+            pids = {w["worker_id"]: w["pid"] for w in watcher.workers()}
+            for record in leased:
+                pid = pids.get(record.lease_owner)
+                if pid and pid != driver_pid:
+                    report.send({"fingerprint": record.fingerprint, "worker_id": record.lease_owner})
+                    os.kill(pid, signal.SIGKILL)
+                    return
+            time.sleep(0.005)
+    report.send({})
+
+
 @pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
     reason="worker-kill recovery relies on fork-inherited test workload plugins",
@@ -272,32 +293,30 @@ class TestWorkerCrashRecovery:
         )
         sweep = twelve_scenario_sweep(base)
         db = tmp_path / "queue.sqlite"
-        killed = {}
 
-        def kill_first_leaseholder():
-            """Watch the queue; SIGKILL the first worker seen holding a lease."""
-            with Broker(db) as watcher:
-                deadline = time.monotonic() + 30.0
-                while time.monotonic() < deadline:
-                    leased = watcher.tasks("leased")
-                    pids = {w["worker_id"]: w["pid"] for w in watcher.workers()}
-                    for record in leased:
-                        pid = pids.get(record.lease_owner)
-                        if pid and pid != os.getpid():
-                            killed["fingerprint"] = record.fingerprint
-                            killed["worker_id"] = record.lease_owner
-                            os.kill(pid, signal.SIGKILL)
-                            return
-                    time.sleep(0.005)
-
-        assassin = threading.Thread(target=kill_first_leaseholder)
+        # The assassin is a process, not a thread: a thread inside sqlite
+        # while the worker pool forks can leave a lock held in a worker.
+        context = multiprocessing.get_context("fork")
+        receiver, sender = context.Pipe(duplex=False)
+        assassin = context.Process(
+            target=_kill_first_leaseholder, args=(db, os.getpid(), sender), daemon=True
+        )
         assassin.start()
+        sender.close()
         try:
             distributed = sweep.run(
                 executor="distributed", workers=3, db=db, lease_timeout=2.0
             )
         finally:
-            assassin.join()
+            assassin.join(timeout=60.0)
+            if assassin.is_alive():
+                assassin.kill()
+                assassin.join()
+        try:
+            killed = receiver.recv() if receiver.poll() else {}
+        except EOFError:  # the assassin died without reporting
+            killed = {}
+        receiver.close()
 
         assert killed, "no worker was observed holding a lease"
         assert distributed.executed == 12

@@ -97,6 +97,20 @@ class TestSampleBuffer:
         buffer = SampleBuffer(lambda n: np.full(n, 2.5), batch=4)
         assert type(buffer.next()) is float
 
+    @pytest.mark.parametrize("vectorize", ["1", "0"])
+    def test_yields_builtin_floats_of_the_same_stream(self, monkeypatch, vectorize):
+        """Blocks become Python floats once; the values are the stream's."""
+        monkeypatch.setenv("CHRONOS_VECTORIZE", vectorize)
+        batch = vectorized_batch_size(128)
+        assert batch == (128 if vectorize == "1" else 1)
+        dist = ParetoDistribution(10.0, 1.5)
+        buffered_rng = np.random.default_rng(99)
+        buffer = SampleBuffer(lambda n: dist.sample(n, rng=buffered_rng), batch)
+        values = [buffer.next() for _ in range(300)]
+        assert all(type(value) is float for value in values)
+        expected = dist.sample(300, rng=np.random.default_rng(99))
+        assert values == [float(x) for x in expected]
+
 
 class TestNumpyPartitionInvariance:
     """Document the numpy contract the whole fast path depends on."""

@@ -103,6 +103,37 @@ class TestResourceManager:
         engine.run()
         assert times == [2.0]
 
+    @pytest.mark.parametrize("grant_delay", [0.0, 1.5])
+    def test_request_passes_its_args_before_the_container(self, grant_delay):
+        config = HadoopConfig(
+            jvm_startup_mean=0.0, jvm_startup_jitter=0.0, container_grant_delay=grant_delay
+        )
+        engine, _, _, rm, _ = build_stack(config=config)
+        calls = []
+        rm.request_container(lambda a, b, container: calls.append((a, b, container)), "a", 2)
+        engine.run()
+        assert len(calls) == 1
+        a, b, container = calls[0]
+        assert (a, b) == ("a", 2)
+        assert container.container_id == 0 and not container.released
+        assert rm.granted_containers == 1
+
+    def test_request_cancelled_before_delivery_returns_container_to_the_queue(self):
+        config = HadoopConfig(jvm_startup_mean=0.0, jvm_startup_jitter=0.0, container_grant_delay=1.0)
+        engine, _, cluster, rm, _ = build_stack(num_nodes=1, slots=1, config=config)
+        granted = []
+        first = rm.request_container(lambda tag, c: granted.append((tag, c)), "first")
+        rm.request_container(lambda tag, c: granted.append((tag, c)), "second")
+        assert cluster.containers_in_use == 1 and rm.pending_requests == 1
+        first.cancel()  # granted a container, not yet delivered
+        engine.run()
+        # The cancelled delivery released the slot, which the queue handed on.
+        assert [tag for tag, _ in granted] == ["second"]
+        assert rm.granted_containers == 1
+        assert cluster.containers_in_use == 1
+        rm.release_container(granted[0][1])
+        assert cluster.containers_in_use == 0
+
     def test_has_idle_capacity(self):
         engine, _, _, rm, _ = build_stack(num_nodes=1, slots=1)
         assert rm.has_idle_capacity()

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
+from repro.api import ScenarioSpec, WorkloadSpec, run
 from repro.core.model import StrategyName
 from repro.hadoop.config import HadoopConfig
 from repro.simulator.cluster import ClusterConfig
@@ -108,6 +111,42 @@ class TestClusterContention:
             cluster=ClusterConfig(num_nodes=2, slots_per_node=4), seed=5
         ).run(jobs, build_strategy(StrategyName.HADOOP_NO_SPECULATION, strategy_params))
         assert report.job_records[0].completion_time is not None
+
+
+def _cyclic_garbage_of(simulate) -> int:
+    """Objects the cyclic collector finds after one call of ``simulate``."""
+    simulate()  # warm process-wide caches (Algorithm 1, registries)
+    gc.collect()
+    gc.disable()
+    try:
+        simulate()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+class TestTeardown:
+    """A finished run frees its jobs, tasks and attempts by refcount."""
+
+    @pytest.mark.parametrize("name", ALL_STRATEGIES)
+    def test_runner_leaves_no_cyclic_garbage(self, strategy_params, name):
+        jobs = [
+            JobSpec(job_id=f"job-{i}", num_tasks=10, deadline=100.0, tmin=20.0, beta=1.4,
+                    submit_time=5.0 * i)
+            for i in range(40)
+        ]
+        runner = SimulationRunner(cluster=ClusterConfig(num_nodes=4, slots_per_node=8), seed=6)
+        strategy = build_strategy(name, strategy_params)
+        assert _cyclic_garbage_of(lambda: runner.run(jobs, strategy)) < 100
+
+    def test_run_facade_leaves_no_cyclic_garbage(self):
+        spec = ScenarioSpec(
+            workload=WorkloadSpec("google-trace", {"num_jobs": 100}),
+            strategy="s-resume",
+            strategy_params={"tau_est": 0.3, "tau_kill": 0.8, "timing_relative_to_tmin": True},
+            cluster={"num_nodes": 0},
+        )
+        assert _cyclic_garbage_of(lambda: run(spec)) < 100
 
 
 class TestOverheadSensitivity:

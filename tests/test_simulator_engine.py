@@ -56,6 +56,26 @@ class TestScheduling:
         with pytest.raises(ValueError):
             engine.schedule_at(float("nan"), lambda: None)
 
+    @pytest.mark.parametrize(
+        "delay, message", [(float("nan"), "NaN"), (-1e-9, "non-negative"), (-float("inf"), "non-negative")]
+    )
+    def test_schedule_after_rejects_nan_and_negative_delays(self, delay, message):
+        engine = SimulationEngine()
+        engine.schedule_at(2.0, lambda: None)
+        engine.run()
+        with pytest.raises(ValueError, match=message):
+            engine.schedule_after(delay, lambda: None)
+        assert engine.pending_events == 0
+
+    def test_schedule_after_passes_args_and_keeps_sequence_order(self):
+        engine = SimulationEngine()
+        seen = []
+        engine.schedule_at(1.0, seen.append, "at")
+        engine.schedule_after(1.0, seen.append, "after")
+        engine.schedule_after(0.0, seen.append, "now")
+        engine.run()
+        assert seen == ["now", "at", "after"]
+
     def test_events_can_schedule_new_events(self):
         engine = SimulationEngine()
         seen = []
