@@ -4,7 +4,7 @@
 Mirrors the paper's large-scale simulation (Section VII-B) at laptop
 scale, expressed declaratively: one base ``ScenarioSpec`` with a
 ``google-trace`` workload (priced by a synthetic EC2 spot-price history),
-swept across every strategy by ``Sweep`` over a process pool.
+swept across every strategy by ``Sweep`` over local worker processes.
 
 Run with::
 

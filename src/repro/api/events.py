@@ -1,7 +1,7 @@
 """The sweep event stream: what happens, as it happens.
 
-Every executor backend — inline, process pool, distributed queue, remote
-HTTP service — reports progress through one vocabulary: a small hierarchy
+Every executor backend — inline, local worker pool, distributed queue,
+remote HTTP service — reports progress through one vocabulary: a small hierarchy
 of frozen, JSON-serializable :class:`SweepEvent` dataclasses.  The
 streaming API (:func:`repro.api.stream_specs` / ``Sweep.stream``) yields
 these events as scenarios complete; the blocking API (``run_specs`` /
@@ -98,13 +98,7 @@ class ScenarioQueued(SweepEvent):
 
 @dataclass(frozen=True)
 class ScenarioStarted(SweepEvent):
-    """Execution of a scenario began (distributed: a worker claimed it).
-
-    The pool backend does not emit this event — a process pool cannot
-    observe when a queued task actually begins, and a fake start stamp
-    would corrupt any latency derived from the stream; use the completed
-    result's own ``wall_time_s`` for per-scenario timing there.
-    """
+    """Execution of a scenario began (pool and distributed: a worker claimed it)."""
 
     kind: ClassVar[str] = "scenario-started"
 

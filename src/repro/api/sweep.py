@@ -3,10 +3,10 @@
 :class:`Sweep` expands a base :class:`~repro.api.spec.ScenarioSpec` with a
 list of dotted-path override mappings (or a full cartesian grid via
 :meth:`Sweep.grid`) and runs the resulting scenarios through a pluggable
-executor backend — ``"inline"`` (this process), ``"pool"`` (a
-``concurrent.futures`` process pool; specs are plain serializable data,
-so they pickle cheaply) or ``"distributed"`` (a durable sqlite queue
-shared by worker processes, see :mod:`repro.distributed`) — optionally
+executor backend — ``"inline"`` (this process), ``"pool"`` (local
+worker processes on a throwaway sqlite queue) or ``"distributed"`` (a
+durable sqlite queue, or a sweep service, shared by worker processes;
+both run one driver, :mod:`repro.distributed.executor`) — optionally
 against a fingerprint-keyed result store (:class:`ResultStore`) so
 repeated sweeps only pay for scenarios they have not seen before.
 
@@ -42,7 +42,6 @@ Example::
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import io
 import itertools
@@ -75,8 +74,8 @@ from repro.api.events import (
     SweepFinished,
     SweepStarted,
 )
-from repro.api.facade import ScenarioResult, execute, result_from_dict, spec_from_dict
-from repro.api.registry import Registry, UnknownPluginError
+from repro.api.facade import ScenarioResult, execute, spec_from_dict
+from repro.api.registry import Registry
 from repro.api.spec import ScenarioSpec, SpecValidationError
 from repro.simulator.metrics import SimulationReport
 from repro import telemetry
@@ -112,11 +111,11 @@ class ResultStore(Protocol):
 
 
 def _execute_spec_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Process-pool worker: rebuild the spec, run it, return a plain dict.
+    """Rebuild a spec from its payload, run it, return the result as a dict.
 
-    Trading dicts (rather than live objects) across the pool exercises the
-    same serialization path as the on-disk cache and keeps the contract
-    picklable regardless of what plugins produce.
+    No sweep path calls this: ``"pool"`` runs the worker fleet.  It stays
+    because ``perfbench/tracing.py`` patches it by name, and a missing
+    name would crash every traced benchmark run.
     """
     return execute(spec_from_dict(payload)).to_dict()
 
@@ -157,6 +156,28 @@ def _validate_broker_url(broker: Union[str, Path]) -> str:
     return text
 
 
+def _check_queue_target(
+    executor: Optional[str], db: Optional[Union[str, Path]], broker: Optional[str]
+) -> Optional[str]:
+    """``executor``, or ``"distributed"`` when a queue target implies it.
+
+    ``db`` and ``broker`` name the queue of the distributed executor;
+    neither means anything to ``"inline"`` or ``"pool"`` (whose queue is
+    throwaway), so pairing them raises instead of dropping the target.
+    """
+    if executor is None and (db is not None or broker is not None):
+        executor = "distributed"
+    if executor is not None and executor not in EXECUTORS:
+        raise ValueError(f"unknown executor {executor!r} (available: {', '.join(EXECUTORS)})")
+    if broker is not None and executor != "distributed":
+        raise ValueError("broker= requires the distributed executor")
+    if db is not None and executor != "distributed":
+        raise ValueError("db= requires the distributed executor")
+    if broker is not None and db is not None:
+        raise ValueError("pass either db (sqlite path) or broker (service URL), not both")
+    return executor
+
+
 def set_default_executor(
     executor: Optional[str] = None,
     *,
@@ -174,19 +195,13 @@ def set_default_executor(
     the default once, and every :func:`run_specs` call follows it.
 
     ``executor=None`` restores the automatic choice (``"pool"`` when
-    ``jobs > 1``, else ``"inline"``); a ``broker`` URL implies
-    ``"distributed"``.
+    ``jobs > 1``, else ``"inline"``); a ``db`` path or a ``broker`` URL
+    implies ``"distributed"``, and either one with another executor
+    raises :class:`ValueError`.
     """
     if broker is not None:
         broker = _validate_broker_url(broker)
-        if executor is None:
-            executor = "distributed"
-    if executor is not None and executor not in EXECUTORS:
-        raise ValueError(f"unknown executor {executor!r} (available: {', '.join(EXECUTORS)})")
-    if broker is not None and executor != "distributed":
-        raise ValueError("broker= requires the distributed executor")
-    if broker is not None and db is not None:
-        raise ValueError("pass either db (sqlite path) or broker (service URL), not both")
+    executor = _check_queue_target(executor, db, broker)
     if workers is not None and workers < 1:
         raise ValueError("workers must be a positive integer")
     _executor_defaults["executor"] = executor
@@ -226,10 +241,10 @@ class CancelToken:
 
     Thread safe: trip it from a signal handler, another thread, or an
     ``on_event`` callback.  Executors poll it between scenarios (and on
-    every supervision pass, for the distributed backend), finish what is
-    in flight, release unclaimed work and return — so a cancelled
-    ``run_specs`` yields a *partial* :class:`SweepResult` instead of
-    discarding everything.
+    every supervision pass, for the pool and distributed backends),
+    finish what is in flight, release unclaimed work and return — so a
+    cancelled ``run_specs`` yields a *partial* :class:`SweepResult`
+    instead of discarding everything.
     """
 
     def __init__(self) -> None:
@@ -467,16 +482,9 @@ def _resolve_plan(
         broker = _executor_defaults["broker"]
     if broker is not None:
         broker = _validate_broker_url(broker)
-        if executor is None:
-            executor = "distributed"
+    executor = _check_queue_target(executor, db, broker)
     if executor is None:
         executor = "pool" if jobs > 1 else "inline"
-    if executor not in EXECUTORS:
-        raise ValueError(f"unknown executor {executor!r} (available: {', '.join(EXECUTORS)})")
-    if broker is not None and executor != "distributed":
-        raise ValueError("broker= requires the distributed executor")
-    if broker is not None and db is not None:
-        raise ValueError("pass either db (sqlite path) or broker (service URL), not both")
     if workers is None:
         workers = _executor_defaults["workers"]
     if workers is not None and workers < 1:
@@ -692,39 +700,42 @@ def _open_backend(
     clock: Callable[[], float],
     span: Optional[Dict[str, Any]] = None,
 ) -> Iterator[SweepEvent]:
-    """The per-backend event generator for the deduplicated work list."""
-    if executor == "distributed":
-        # Imported lazily: repro.distributed depends on repro.api.
-        from repro.distributed import executor as _distributed
+    """The per-backend event generator for the deduplicated work list.
 
-        if broker is not None:
-            # None means "the service's attached fleets do the work".
-            fleet = workers
-        else:
-            # A local db defaults to a local worker pool.
-            fleet = workers if workers is not None else (jobs if jobs > 1 else 3)
-        policy = None
-        if lease_timeout is not None:
-            from repro.distributed import LeasePolicy
+    ``"pool"`` is the distributed driver on a throwaway queue with one
+    local worker per job; one scenario, or one worker, runs inline.
+    """
+    if executor == "pool":
+        fleet = workers if workers is not None else jobs
+        if fleet < 2 or len(todo) < 2:
+            return _stream_inline(todo, token, on_failure, clock)
+    elif executor == "inline":
+        return _stream_inline(todo, token, on_failure, clock)
+    elif broker is not None:
+        # None means "the service's attached fleets do the work".
+        fleet = workers
+    else:
+        # A local db defaults to a local worker pool.
+        fleet = workers if workers is not None else (jobs if jobs > 1 else 3)
+    # Imported lazily: repro.distributed depends on repro.api.
+    from repro.distributed import executor as _distributed
 
-            policy = LeasePolicy(
-                timeout=lease_timeout, heartbeat_interval=lease_timeout / 4.0
-            )
-        return _distributed.execute_stream(
-            todo,
-            workers=fleet,
-            db=db,
-            broker=broker,
-            policy=policy,
-            cancel=token,
-            on_failure=on_failure,
-            clock=clock,
-            span=span,
-        )
-    pool_workers = workers if workers is not None else jobs
-    if executor == "pool" and pool_workers > 1 and len(todo) > 1:
-        return _stream_pool(todo, pool_workers, token, on_failure, clock)
-    return _stream_inline(todo, token, on_failure, clock)
+    policy = None
+    if lease_timeout is not None:
+        from repro.distributed import LeasePolicy
+
+        policy = LeasePolicy(timeout=lease_timeout, heartbeat_interval=lease_timeout / 4.0)
+    return _distributed.execute_stream(
+        todo,
+        workers=fleet,
+        db=db,
+        broker=broker,
+        policy=policy,
+        cancel=token,
+        on_failure=on_failure,
+        clock=clock,
+        span=span,
+    )
 
 
 def _stream_inline(
@@ -755,91 +766,6 @@ def _stream_inline(
         )
 
 
-def _stream_pool(
-    todo: Sequence[Tuple[str, ScenarioSpec, int]],
-    pool_workers: int,
-    token: CancelToken,
-    on_failure: str,
-    clock: Callable[[], float],
-) -> Iterator[SweepEvent]:
-    """Fan scenarios over a process pool, yielding in completion order."""
-    settled: set = set()  # fingerprints completed or failed via the pool
-    try:
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(pool_workers, len(todo))
-        ) as pool:
-            try:
-                # No ScenarioStarted here: a process pool does not expose
-                # when a queued task actually begins, and stamping all N
-                # at submission time would fake per-scenario latency.
-                # ScenarioResult.wall_time_s (measured in the child)
-                # carries the true execution time of each completion.
-                futures = {
-                    pool.submit(_execute_spec_payload, spec.to_dict()): (fingerprint, index)
-                    for fingerprint, spec, index in todo
-                }
-                outstanding = set(futures)
-                draining = False
-                while outstanding:
-                    if token.cancelled() and not draining:
-                        # Withdraw the queued futures (Future.cancel is
-                        # synchronous and race-free, unlike shutting the
-                        # executor down mid-wait) but harvest what is
-                        # already running: those scenarios cost real
-                        # compute and are seconds from finishing —
-                        # discarding them would force the follow-up run
-                        # to pay for them again.
-                        draining = True
-                        for future in outstanding:
-                            future.cancel()
-                    finished, outstanding = concurrent.futures.wait(
-                        outstanding,
-                        timeout=0.1,
-                        return_when=concurrent.futures.FIRST_COMPLETED,
-                    )
-                    for future in finished:
-                        if future.cancelled():
-                            continue
-                        fingerprint, index = futures[future]
-                        try:
-                            outcome = result_from_dict(future.result())
-                        except (SpecValidationError, UnknownPluginError):
-                            # Plugins registered only in this process are
-                            # invisible to spawn/forkserver workers (children
-                            # re-import only the builtins); leave the scenario
-                            # for the inline pass below, which can see them.
-                            continue
-                        except concurrent.futures.process.BrokenProcessPool:
-                            raise
-                        except Exception as error:
-                            settled.add(fingerprint)
-                            yield ScenarioFailed(
-                                fingerprint=fingerprint,
-                                index=index,
-                                error=f"{type(error).__name__}: {error}",
-                                elapsed_s=clock(),
-                            )
-                            if on_failure == "raise":
-                                raise
-                            continue
-                        settled.add(fingerprint)
-                        yield ScenarioCompleted(
-                            fingerprint=fingerprint,
-                            index=index,
-                            result=outcome,
-                            elapsed_s=clock(),
-                        )
-            except (GeneratorExit, KeyboardInterrupt):
-                # The consumer bailed (Ctrl-C, early break): do not sit in
-                # the pool's __exit__ waiting for scenarios nobody wants.
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise
-    except concurrent.futures.process.BrokenProcessPool:
-        pass  # completed scenarios are already streamed; the rest run inline
-    leftovers = [item for item in todo if item[0] not in settled]
-    yield from _stream_inline(leftovers, token, on_failure, clock)
-
-
 def run_specs(
     specs: Sequence[ScenarioSpec],
     *,
@@ -867,8 +793,9 @@ def run_specs(
     specs:
         Scenarios to run; results come back in the same order.
     jobs:
-        Worker processes.  ``1`` runs inline (no pickling); ``>1`` fans
-        the uncached scenarios out over a process pool.
+        Worker processes.  ``1`` runs inline; ``>1`` fans the uncached
+        scenarios out over a local worker fleet on a throwaway queue
+        (the ``"pool"`` executor).
     cache:
         Optional :class:`ResultStore` — e.g.
         :class:`repro.distributed.SqliteResultStore` — probed once with
@@ -876,9 +803,13 @@ def run_specs(
         results arrive.
     executor:
         Backend: ``"inline"``, ``"pool"`` or ``"distributed"``.  ``None``
-        follows :func:`set_default_executor` (and a ``broker`` URL
-        implies ``"distributed"``), falling back to ``"pool"`` when
-        ``jobs > 1`` and ``"inline"`` otherwise.
+        follows :func:`set_default_executor` (and a ``db`` path or a
+        ``broker`` URL implies ``"distributed"``), falling back to
+        ``"pool"`` when ``jobs > 1`` and ``"inline"`` otherwise.
+        ``"pool"`` and ``"distributed"`` run the same driver and
+        workers, so a scenario that fails under ``on_failure="raise"``
+        raises :class:`~repro.distributed.TaskFailedError` on both (its
+        ``__cause__`` is the scenario's own error).
     workers:
         Worker count for the pool/distributed backends (defaults to
         ``jobs``, or 3 for ``"distributed"`` when ``jobs`` is 1).  With a
@@ -890,7 +821,8 @@ def run_specs(
         or ``"sqlite:queue.sqlite"``).  ``None`` uses a throwaway per-run
         database; pass a real path to make the queue durable — scenarios
         already in its result store are *not* re-executed (they count as
-        cache hits).
+        cache hits).  A path implies ``"distributed"``; with
+        ``"inline"`` or ``"pool"`` it raises :class:`ValueError`.
     broker:
         ``http(s)://host:port`` URL of a ``chronos-experiments serve``
         sweep service.  Mutually exclusive with ``db``: the service owns
@@ -909,7 +841,9 @@ def run_specs(
         returns a *partial* result (``cancelled=True``) whose
         ``pending`` partition lists the unfinished specs, with queue
         tasks and leases released so a follow-up run completes exactly
-        the remainder.
+        the remainder.  A tripped token first lets a local fleet finish
+        the scenarios it is running (they join the result); Ctrl-C
+        stops at once.
     stop:
         Early-stopping condition (callable or registered name); see
         :func:`stream_specs`.  A tripped condition returns a partial

@@ -156,8 +156,14 @@ class ClusterSimulation:
             if job.master is not None:
                 self._metrics.record_job(job.master.job, self._engine.now)
             else:
-                self._metrics.record_job(Job(spec=job.spec), self._engine.now)
+                unstarted = Job(spec=job.spec)
+                self._metrics.record_job(unstarted, self._engine.now)
+                unstarted.tasks.clear()  # each task links back to its job
 
+        # A run cut short by max_events leaves callbacks into the masters.
+        self._engine.clear()
+        self._resource_manager.clear()
+        self._node_manager.clear()
         simulation = self._metrics.build_report()
         first = self._first_arrival if self._first_arrival is not None else 0.0
         return build_cluster_report(

@@ -1,6 +1,6 @@
 """Distributed sweep execution: durable queue, lease-based workers, sqlite results.
 
-This package scales :class:`repro.api.Sweep` beyond one process pool: a
+This package runs :class:`repro.api.Sweep` on worker processes: a
 :class:`Broker` persists a content-addressed work queue of scenario
 fingerprints in a WAL-mode sqlite database, :class:`Worker` processes
 claim tasks under expiring, heartbeat-renewed leases (crashed workers

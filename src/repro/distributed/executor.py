@@ -1,7 +1,8 @@
 """The distributed sweep driver: enqueue, then reconcile until settled.
 
 :func:`execute_stream` is the backend behind ``run_specs(...,
-executor="distributed")`` and ``Sweep.stream``.  It enqueues the
+executor="distributed")`` and ``executor="pool"`` (a local fleet on a
+throwaway queue), and so of ``Sweep.stream`` too.  It enqueues the
 uncached scenarios on a queue *target* — a sqlite database path or the
 ``http(s)://`` URL of a :mod:`repro.service` broker front-end — spins up a
 :class:`~repro.distributed.worker.WorkerPool` (unless the caller relies
@@ -39,15 +40,19 @@ read, and one last store diff collects anything whose log row was
 pruned.  Tasks a fleet worker *failed* then get one retry in the
 driver; a scenario that fails inside the driver is final.
 
-Cleanup has one path — normal end, cancellation (a tripped
-:class:`~repro.api.sweep.CancelToken`), the consumer closing the stream
-(Ctrl-C, an early ``break``) and errors alike: the local pool is
-terminated and its leases released, and — on a locally owned queue
-database — tasks nobody claimed yet are withdrawn, so a follow-up run
-completes exactly the remaining scenarios.  A shared ``broker`` URL's
-pending tasks are deliberately left in place: the queue is
-content-addressed infrastructure other sweeps and attached fleets may be
-counting on, and leftovers simply land in the result store.
+A tripped :class:`~repro.api.sweep.CancelToken` on a locally owned
+queue with a local pool first *harvests*: the tasks nobody claimed are
+withdrawn, and the driver keeps observing until the tasks the pool holds
+commit or their workers die, so work already running is not thrown away.
+Cleanup then has one path — normal end, cancellation, the consumer
+closing the stream (Ctrl-C, an early ``break``, which stops at once) and
+errors alike: the local pool is terminated and its leases released, and
+— on a locally owned queue database — tasks nobody claimed yet are
+withdrawn, so a follow-up run completes exactly the remaining
+scenarios.  A shared ``broker`` URL's pending tasks are deliberately
+left in place: the queue is content-addressed infrastructure other
+sweeps and attached fleets may be counting on, and leftovers simply
+land in the result store.
 """
 
 from __future__ import annotations
@@ -207,11 +212,13 @@ def execute_stream(
     case the stream records the failure and keeps going.
 
     ``cancel`` is a :class:`~repro.api.sweep.CancelToken` checked every
-    pass; tripping it (or closing the generator) ends the stream, and
-    the one cleanup path terminates the local pool and releases its
-    leases.  On a local ``db`` target the run's unclaimed tasks are also
-    withdrawn from the queue; on a shared ``broker`` URL they are left
-    for the attached fleets (and any concurrent sweeps) to finish.
+    pass.  Tripping it on a local ``db`` target withdraws the run's
+    unclaimed tasks and yields the local pool's in-flight scenarios as
+    they commit before the stream ends; closing the generator ends it at
+    once.  Either way the one cleanup path terminates the local pool and
+    releases its leases.  On a shared ``broker`` URL the unclaimed tasks
+    are left for the attached fleets (and any concurrent sweeps) to
+    finish, and a tripped token ends the stream at once.
     """
     if broker is not None and db is not None:
         raise ValueError("pass either db (sqlite path) or broker (service URL), not both")
@@ -402,6 +409,23 @@ def _stream(
         if index is not None and fingerprint not in resolved:
             yield completed(fingerprint, result, DRIVER_ID)
 
+    def harvest() -> Iterator[SweepEvent]:
+        """Collect the local fleet's in-flight work once the token trips.
+
+        A leased task costs real compute and is seconds from done, so the
+        driver withdraws the unclaimed tasks (again on every pass: a dead
+        worker's leases return to pending) and keeps observing until no
+        live pool worker holds a lease.
+        """
+        while True:
+            broker_client.release_pending(unresolved())
+            members = set(pool.worker_ids)
+            in_flight = any(row["worker_id"] in members for row in broker_client.leased())
+            yield from observe(SUPERVISE_INTERVAL if in_flight else 0.0)
+            if not in_flight:
+                return
+            pool.supervise(broker_client)
+
     try:
         # One fingerprint-set query up front instead of a point read per
         # scenario: over HTTP that is one round trip, and on sqlite it
@@ -447,6 +471,8 @@ def _stream(
         last_done, last_progress = -1, time.monotonic()
         while True:
             if cancelled():
+                if pool is not None and not remote:
+                    yield from harvest()
                 return
             settled = broker_client.settled()
             yield from observe(0.0 if settled else wait_s)

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
 import time
 import uuid
 from dataclasses import asdict, dataclass, field
@@ -47,6 +48,7 @@ from repro import telemetry
 from repro.api.facade import execute, spec_from_dict
 from repro.distributed.broker import Task
 from repro.distributed.leases import LeaseKeeper, LeasePolicy
+from repro.telemetry.profiler import _exit_on_sigterm
 
 # Worker-loop instrumentation: per-process totals and the latency of the
 # claim round trip (the queue's contention signal under batch claims).
@@ -332,10 +334,13 @@ def worker_main(
     """Process entry point: run one worker to completion.
 
     ``config`` is a :meth:`WorkerConfig.to_dict` payload so the argument
-    list stays picklable under the ``spawn`` start method.  Under
+    list stays picklable under the ``spawn`` start method.  SIGTERM (how a
+    sweep driver stops its fleet) raises :class:`SystemExit`, so the
+    worker's ``finally`` blocks run and it exits with status 143.  Under
     ``CHRONOS_PROFILE=path`` the worker writes its phases to
     ``<stem>.<pid><suffix>`` (see :func:`repro.telemetry.profile_worker`).
     """
+    signal.signal(signal.SIGTERM, _exit_on_sigterm)
     with telemetry.profile_worker():
         worker = Worker(
             target,

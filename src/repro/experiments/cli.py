@@ -308,21 +308,25 @@ def build_parser() -> argparse.ArgumentParser:
         "--executor",
         choices=list(EXECUTORS),
         help=(
-            "sweep backend: inline, pool, or distributed (sqlite queue + worker "
-            "processes); applies to 'sweep' and to the experiment harnesses"
+            "sweep backend: inline, pool (local workers on a throwaway queue), or "
+            "distributed (a --db or --broker queue + worker processes); applies to "
+            "'sweep' and to the experiment harnesses"
         ),
     )
     parser.add_argument(
         "--workers",
         type=int,
-        help="worker processes for the distributed executor / 'workers start' (default: 3)",
+        help=(
+            "worker processes for the pool (default: --jobs) and distributed "
+            "(default: 3) executors and 'workers start'"
+        ),
     )
     parser.add_argument(
         "--db",
         help=(
-            "queue database path for the distributed executor and the 'workers', "
-            "'serve' and 'export' commands; omitting it gives 'sweep' a throwaway "
-            "per-run queue"
+            "queue database path; for 'sweep' and the harnesses it implies the "
+            "distributed executor, and 'workers', 'serve' and 'export' read it; "
+            "omitting it gives 'sweep' a throwaway per-run queue"
         ),
     )
     parser.add_argument(
@@ -688,7 +692,7 @@ def run_sweep_command(args: argparse.Namespace) -> int:
         print(f"{path}: {error}", file=sys.stderr)
         return 2
     cache = open_cache(args.cache_dir)
-    distributed = args.executor == "distributed" or args.broker
+    distributed = args.executor == "distributed" or args.broker or args.db
     from repro.service import ServiceAuthError, ServiceError
 
     progress = ProgressLine() if progress_enabled(args) else None
@@ -812,7 +816,7 @@ def run_search_command(args: argparse.Namespace) -> int:
         print(f"search: {error}", file=sys.stderr)
         return 2
     cache = open_cache(args.cache_dir)
-    distributed = args.executor == "distributed" or args.broker
+    distributed = args.executor == "distributed" or args.broker or args.db
     from repro.adaptive import run_search
     from repro.service import ServiceAuthError, ServiceError
 
@@ -1283,7 +1287,7 @@ def run_multijob_command(args: argparse.Namespace) -> int:
     started = time.time()
     progress = ProgressLine() if progress_enabled(args) else None
     try:
-        if args.executor or args.broker:
+        if args.executor or args.db or args.broker:
             set_default_executor(
                 args.executor, workers=args.workers, db=args.db, broker=args.broker
             )
@@ -1317,7 +1321,7 @@ def run_multijob_command(args: argparse.Namespace) -> int:
             return 2
         raise
     finally:
-        if args.executor or args.broker:
+        if args.executor or args.db or args.broker:
             set_default_executor(None)
         if progress is not None:
             set_default_on_event(None)
@@ -1364,14 +1368,18 @@ def run_harness_commands(args: argparse.Namespace) -> int:
     """Run the named experiment harnesses (the default command path)."""
     scale = ExperimentScale(args.scale)
     started = time.time()
-    progress = ProgressLine() if progress_enabled(args) else None
-    try:
-        if args.executor or args.broker:
-            # Reroute every run_specs call in the harnesses without
-            # threading a parameter through each experiment.
+    if args.executor or args.db or args.broker:
+        # Reroute every run_specs call in the harnesses without
+        # threading a parameter through each experiment.
+        try:
             set_default_executor(
                 args.executor, workers=args.workers, db=args.db, broker=args.broker
             )
+        except ValueError as error:  # e.g. --executor pool with --db
+            print(error, file=sys.stderr)
+            return 2
+    progress = ProgressLine() if progress_enabled(args) else None
+    try:
         if progress is not None:
             # Same trick for the event stream: every harness sweep feeds
             # one progress line without any experiment knowing about it.
@@ -1403,7 +1411,7 @@ def run_harness_commands(args: argparse.Namespace) -> int:
             return 2
         raise
     finally:
-        if args.executor or args.broker:
+        if args.executor or args.db or args.broker:
             # main() may run in-process (tests, embedding callers): do not
             # leak the default onto unrelated later run_specs calls.
             set_default_executor(None)

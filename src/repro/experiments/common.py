@@ -182,8 +182,9 @@ def run_strategy_suite(
     ``per_strategy_params`` overrides the common parameters for individual
     strategies (Tables I/II give Clone a different ``tau_est`` than the
     speculative strategies).  ``parallel_jobs > 1`` fans the per-strategy
-    simulations out over a process pool (each strategy's run is
-    independent: fresh engine, same seed).  ``executor`` picks the sweep
+    simulations out over that many local workers, the ``"pool"``
+    executor (each strategy's run is independent: fresh engine, same
+    seed).  ``executor`` picks the sweep
     backend explicitly (``"inline"``/``"pool"``/``"distributed"``); when
     ``None``, the process-wide default set by
     :func:`repro.api.set_default_executor` applies — which is how

@@ -282,6 +282,9 @@ class ApplicationMaster:
         for task in job.tasks:
             task.attempts.clear()
         job.tasks.clear()
+        # A run cut short by max_events leaves callbacks into this AM.
+        self._pending_requests.clear()
+        self._scheduled_events.clear()
         self._on_job_complete = None
 
     def _finalize(self) -> None:

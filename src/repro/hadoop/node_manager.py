@@ -90,6 +90,10 @@ class NodeManager:
         if running is not None:
             self._rm.release_container(running[1])
 
+    def clear(self) -> None:
+        """Forget every running attempt (the teardown of a capped run)."""
+        self._running.clear()
+
     def _complete(self, attempt: Attempt, on_complete: CompletionCallback) -> None:
         _, container = self._running.pop(attempt.attempt_id)
         attempt.mark_completed(self._engine.now)

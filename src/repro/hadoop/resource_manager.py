@@ -90,6 +90,10 @@ class ResourceManager:
         if self._pending:
             self._drain_queue()
 
+    def clear(self) -> None:
+        """Drop every queued request (the teardown of a capped run)."""
+        self._pending.clear()
+
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------

@@ -122,6 +122,10 @@ class SimulationEngine:
         heapq.heappush(self._queue, (time, sequence, event))
         return event
 
+    def clear(self) -> None:
+        """Drop every pending event (the teardown of a capped run)."""
+        self._queue.clear()
+
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------

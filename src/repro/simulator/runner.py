@@ -208,6 +208,10 @@ class SimulationRunner:
         self._flush_engine_metrics(engine, masters)
         for master in masters:
             master.release()
+        # A run cut short by max_events leaves callbacks into the masters.
+        engine.clear()
+        resource_manager.clear()
+        node_manager.clear()
         return report
 
     @staticmethod

@@ -18,12 +18,13 @@ or environmental: ``CHRONOS_PROFILE=1`` enables profiling at import
 time, and ``CHRONOS_PROFILE=/path/profile.json`` additionally dumps the
 accumulated phases as JSON, one file per process.  The process that
 imported :mod:`repro` first (the sweep driver, or a single-process run)
-writes ``/path/profile.json`` at interpreter exit.  Each distributed
-fleet worker writes ``/path/profile.<pid>.json`` when its
-``worker_main`` returns or the worker is stopped with SIGTERM
-(:func:`profile_worker`): forked children leave through ``os._exit``,
-which skips ``atexit``, and a worker starts from a fresh profiler, so
-its file holds only the scenarios it ran.  Pool children write nothing.
+writes ``/path/profile.json`` at interpreter exit.  Each fleet worker
+(the ``"pool"`` and ``"distributed"`` executors alike) writes
+``/path/profile.<pid>.json`` when its ``worker_main`` returns or the
+worker is stopped with SIGTERM (:func:`profile_worker`): forked
+children leave through ``os._exit``, which skips ``atexit``, and a
+worker starts from a fresh profiler, so its file holds only the
+scenarios it ran.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from __future__ import annotations
 import atexit
 import json
 import os
-import signal
 import threading
 from contextlib import contextmanager
 from pathlib import Path
@@ -147,6 +147,7 @@ def process_dump_path(path: str, pid: Optional[int] = None) -> str:
 
 
 def _exit_on_sigterm(signum: int, frame: Any) -> None:
+    """A SIGTERM handler that exits normally, running ``finally`` blocks."""
     raise SystemExit(128 + signum)
 
 
@@ -158,27 +159,20 @@ def profile_worker() -> Iterator[None]:
     the parent; on exit its phases go to :func:`process_dump_path` of
     the ``CHRONOS_PROFILE`` path (when one is set), and profiling stops,
     so an inherited ``atexit`` dump, should it run, writes nothing.
-    While a dump path is set, SIGTERM exits through this block too: a
-    sweep driver stops its fleet with SIGTERM as soon as the queue
-    settles, often while a worker waits for work.
+    A worker stopped with SIGTERM exits through this block too, because
+    ``worker_main`` turns SIGTERM into :class:`SystemExit`
+    (:func:`_exit_on_sigterm`).
     """
     if _active is None:
         yield
         return
     enable_profiling()
-    previous = None
-    if _dump_path is not None and threading.current_thread() is threading.main_thread():
-        previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
     try:
         yield
     finally:
-        if previous is not None:
-            signal.signal(signal.SIGTERM, signal.SIG_IGN)  # never cut the dump short
         if _dump_path is not None:
             _dump_profile(process_dump_path(_dump_path))
         disable_profiling()
-        if previous is not None:
-            signal.signal(signal.SIGTERM, previous)
 
 
 def _activate_from_environment() -> None:

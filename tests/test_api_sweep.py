@@ -1,4 +1,4 @@
-"""Tests of Sweep expansion, the process-pool path and result caching."""
+"""Tests of Sweep expansion, the pool executor and result caching."""
 
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from repro.simulator.entities import JobSpec
 
 
 def _raise_like_spawn_worker(payload):
-    """Stand-in pool worker: what a spawn child raises for a parent-only plugin."""
+    """Stand-in spec rebuild: what a spawn child raises for a parent-only plugin."""
     raise SpecValidationError("strategy", "unknown strategy (not registered in this process)")
 
 
@@ -120,13 +120,13 @@ class TestProcessPoolExecution:
         """A spec whose plugins only exist in the parent still completes.
 
         Simulates the spawn/forkserver situation where worker processes
-        cannot resolve a parent-registered plugin: every pool task raises
-        SpecValidationError, and run_specs must recover by executing the
-        scenarios inline in the parent process.
+        cannot resolve a parent-registered plugin: every fleet worker's
+        spec rebuild raises SpecValidationError, and run_specs must
+        recover by executing the scenarios inline in the parent process.
         """
-        import repro.api.sweep as sweep_module
+        import repro.distributed.worker as worker_module
 
-        monkeypatch.setattr(sweep_module, "_execute_spec_payload", _raise_like_spawn_worker)
+        monkeypatch.setattr(worker_module, "spec_from_dict", _raise_like_spawn_worker)
         specs = [base.with_overrides(seed=s) for s in (0, 1)]
         outcome = run_specs(specs, jobs=2)
         assert outcome.executed == 2

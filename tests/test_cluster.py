@@ -331,11 +331,15 @@ class TestLifecycle:
 class TestTeardown:
     """A finished cluster run frees its object graph by reference counting."""
 
+    @pytest.mark.parametrize("max_events", [None, 2000])
     @pytest.mark.parametrize("strategy", ["clone", "s-resume"])
     @pytest.mark.parametrize("scheduler", ["fifo", "deadline_edf", "spec_budget"])
-    def test_run_cluster_leaves_no_cyclic_garbage(self, scheduler, strategy):
+    def test_run_cluster_leaves_no_cyclic_garbage(self, scheduler, strategy, max_events):
         # The shape of the benchmark's cluster grid: 200 contended jobs.
         # Before the teardown, each run left about 12.4k objects in cycles.
+        # A run cut short by max_events leaves pending events, queued
+        # container requests and running attempts behind (about 4.4k
+        # objects before those were dropped too).
         spec = small_cluster_spec(
             arrival=ArrivalSpec(
                 "poisson", {"benchmark": "sort", "num_jobs": 200, "inter_arrival": 8.0}
@@ -343,6 +347,7 @@ class TestTeardown:
             strategy=strategy,
             scheduler=scheduler,
             cluster=ClusterConfig(num_nodes=8, slots_per_node=4),
+            max_events=max_events,
         )
         run_cluster(spec)  # warm process-wide caches (Algorithm 1, registries)
         gc.collect()

@@ -578,6 +578,27 @@ class TestSupervisedPool:
         finally:
             pool.terminate()
 
+    def test_terminated_idle_member_exits_through_system_exit(self, db, broker):
+        """SIGTERM ends a member normally (its finally blocks run), profiling off."""
+        import signal
+
+        from repro import telemetry
+        from repro.distributed import WorkerPool
+
+        assert telemetry.active_profiler() is None
+        config = WorkerConfig(policy=FAST, exit_when_idle=False, poll_interval=0.02)
+        pool = WorkerPool(db, workers=1, config=config).start()
+        try:
+            # A registered member is inside worker_main, polling an empty queue.
+            deadline = time.monotonic() + 30.0
+            while not broker.workers() and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert broker.workers(), "the member never registered"
+        finally:
+            pool.terminate()
+        exitcode = pool.processes[0].exitcode
+        assert exitcode == 128 + signal.SIGTERM, exitcode  # a signal death reads -15
+
     def test_restart_policy_validated(self):
         from repro.distributed import RestartPolicy
 

@@ -34,6 +34,7 @@ from repro.api import (
     run,
     run_specs,
     set_default_executor,
+    stream_specs,
 )
 from repro.api.registry import WORKLOADS, register_workload
 from repro.distributed import Broker, SqliteResultStore, TaskFailedError, execute_stream
@@ -479,6 +480,32 @@ class TestExecutorSelection:
             set_default_executor("bogus")
         with pytest.raises(ValueError):
             set_default_executor("pool", workers=0)
+
+    @pytest.mark.parametrize("executor", ["pool", "inline"])
+    def test_db_with_another_executor_is_rejected(self, base, tmp_path, executor):
+        db = tmp_path / "q.sqlite"
+        with pytest.raises(ValueError, match="db= requires the distributed executor"):
+            set_default_executor(executor, db=db)
+        assert default_executor() is None
+        with pytest.raises(ValueError, match="db= requires the distributed executor"):
+            run_specs([base], jobs=2, executor=executor, db=db)
+        assert not db.exists()
+
+    def test_db_implies_the_distributed_executor(self, base, tmp_path):
+        db = tmp_path / "q.sqlite"
+        specs = [base.with_overrides(seed=seed) for seed in (0, 1)]
+        stream = stream_specs(specs, jobs=2, db=db)
+        assert next(stream).executor == "distributed"
+        stream.close()
+        set_default_executor(db=db)
+        try:
+            assert default_executor() == "distributed"
+            outcome = run_specs(specs, jobs=2)
+        finally:
+            set_default_executor(None)
+        assert outcome.executed == 2
+        with Broker(db) as broker:
+            assert broker.counts()["done"] == 2
 
     def test_non_positive_workers_rejected_for_every_executor(self, base):
         for executor in ("pool", "distributed"):

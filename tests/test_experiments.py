@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import default_executor
 from repro.experiments import (
     ExperimentScale,
     ExperimentTable,
@@ -289,6 +290,18 @@ class TestDistributedCli:
         assert "4 scenarios: 4 executed" in capsys.readouterr().out
         assert main(argv) == 0
         assert "0 executed, 4 cache hits" in capsys.readouterr().out
+
+    def test_db_with_the_pool_is_a_usage_error(self, tmp_path, capsys):
+        path = self._sweep_file(tmp_path)
+        db = tmp_path / "queue.sqlite"
+        for argv in (
+            ["sweep", "--spec", str(path), "--jobs", "2", "--executor", "pool", "--db", str(db)],
+            ["figure2", "--scale", "smoke", "--executor", "pool", "--db", str(db)],
+        ):
+            assert main(argv) == 2
+            assert "db= requires the distributed executor" in capsys.readouterr().err
+        assert not db.exists()
+        assert default_executor() is None
 
     def test_workers_requires_action_and_db(self, capsys):
         assert main(["workers"]) == 2

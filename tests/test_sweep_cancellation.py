@@ -26,6 +26,7 @@ from repro.api import (
     CancelToken,
     ScenarioCompleted,
     ScenarioSpec,
+    ScenarioStarted,
     Sweep,
     WorkloadSpec,
     clear_template_cache,
@@ -197,6 +198,28 @@ class TestCancelToken:
         for result in follow_up.results:
             assert _stripped(result) == reference[result.fingerprint]
         assert "queued" in kinds and "started" in kinds
+
+    @fork_only
+    @pytest.mark.parametrize("executor", ["pool", "distributed"])
+    def test_in_flight_scenarios_are_harvested(self, slow_workload, executor, tmp_path):
+        """A tripped token keeps every scenario a worker already started."""
+        sweep = eight_slow_scenarios()
+        token = CancelToken()
+        started_before_trip = set()
+
+        def on_event(event):
+            # Trip once both workers run a scenario, none of them finished.
+            if isinstance(event, ScenarioStarted) and not token.cancelled():
+                started_before_trip.add(event.fingerprint)
+                if len(started_before_trip) == 2:
+                    token.cancel()
+
+        kwargs = {"db": tmp_path / "queue.sqlite"} if executor == "distributed" else {}
+        partial = sweep.run(executor=executor, workers=2, cancel=token, on_event=on_event, **kwargs)
+        assert partial.cancelled and started_before_trip
+        done = {result.fingerprint for result in partial.results}
+        assert started_before_trip <= done
+        assert len(partial.results) + len(partial.pending) == len(sweep)
 
     def test_pre_cancelled_token_runs_nothing(self, slow_workload):
         sweep = eight_slow_scenarios(delay_s=0.01)
