@@ -18,6 +18,7 @@ from repro.api.spec import SpecValidationError
 from repro.cluster.metrics import ClusterReport, cluster_report_from_dict, cluster_report_to_dict
 from repro.cluster.simulation import ClusterJob, ClusterSimulation
 from repro.cluster.spec import CLUSTER_KIND, ClusterSpec
+from repro.telemetry.profiler import active_profiler, null_phase
 
 
 @dataclass(frozen=True)
@@ -95,12 +96,20 @@ def run_cluster(
     surface :class:`~repro.api.events.JobArrived` /
     :class:`~repro.api.events.JobStarted` /
     :class:`~repro.api.events.JobFinished` events.
+
+    With a profiler active (:func:`repro.telemetry.enable_profiling`),
+    the construction is timed as the ``build`` phase and the event loop
+    as ``simulate``, like the single-job runner's phases.
     """
     if not isinstance(spec, ClusterSpec):
         raise SpecValidationError("spec", f"expected ClusterSpec, got {type(spec).__name__}")
-    simulation = ClusterSimulation(spec, on_job_event=on_job_event)
+    profiler = active_profiler()
+    phase = null_phase if profiler is None else profiler.phase
+    with phase("build"):
+        simulation = ClusterSimulation(spec, on_job_event=on_job_event)
     started = time.perf_counter()
-    report = simulation.run()
+    with phase("simulate"):
+        report = simulation.run()
     for job in simulation.jobs:
         if job.master is not None:
             job.master.release()

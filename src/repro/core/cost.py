@@ -206,35 +206,6 @@ def _restart_tail_integral(
     return d_after * ratio**exponent * tail
 
 
-def _restart_min_after_detection(
-    beta: float, tmin: float, d_after: float, ratio: float, x: float, r: float
-) -> float:
-    """``E[W_all | straggler]`` from hoisted scalars, for ``d_after > tmin``.
-
-    ``ratio = tmin / d_after`` and ``x = tau_est / D``.  Shared by
-    :func:`expected_machine_time_restart` and the specialized utility
-    closure, so the two stay bit-identical.
-    """
-    exponent = beta * r
-    # First integral over [tmin, D - tau_est]; finite range, handle the
-    # exponent == 1 case analytically to avoid division by zero.
-    if abs(exponent - 1.0) < 1e-12:
-        first = tmin * math.log(d_after / tmin)
-    elif exponent == 0.0:
-        first = d_after - tmin
-    else:
-        # Equivalent to tmin**e * (tmin**(1-e) - d**(1-e)) / (e - 1), written
-        # with the bounded ratio (tmin/d)**(e-1) so large exponents (probed by
-        # the continuous line search) cannot overflow.
-        first = tmin * (1.0 - ratio ** (exponent - 1.0)) / (exponent - 1.0)
-
-    # Second integral over [D - tau_est, inf).  The integrand decays like
-    # w**(-beta*(r+1)) which is integrable for beta*(r+1) > 1.
-    if beta * (r + 1.0) <= 1.0:
-        return math.inf
-    return tmin + first + _restart_tail_integral(beta, exponent, d_after, ratio, x)
-
-
 def _restart_expected_min_after_detection(model: StragglerModel, r: float) -> float:
     """``E[W_all | straggler]`` of Theorem 4.
 
@@ -266,8 +237,27 @@ def _restart_expected_min_after_detection(model: StragglerModel, r: float) -> fl
         # no reason to launch extra attempts).  Fall back to the conditional
         # mean of the surviving original attempt measured after tau_est.
         return model.attempt_distribution.conditional_mean_above(deadline) - tau_est
-    return _restart_min_after_detection(
-        model.beta, tmin, d_after, tmin / d_after, tau_est / deadline, r
+    beta = model.beta
+    ratio = tmin / d_after
+    exponent = beta * r
+    # First integral over [tmin, D - tau_est]; finite range, handle the
+    # exponent == 1 case analytically to avoid division by zero.
+    if abs(exponent - 1.0) < 1e-12:
+        first = tmin * math.log(d_after / tmin)
+    elif exponent == 0.0:
+        first = d_after - tmin
+    else:
+        # Equivalent to tmin**e * (tmin**(1-e) - d**(1-e)) / (e - 1), written
+        # with the bounded ratio (tmin/d)**(e-1) so large exponents cannot
+        # overflow.
+        first = tmin * (1.0 - ratio ** (exponent - 1.0)) / (exponent - 1.0)
+
+    # Second integral over [D - tau_est, inf).  The integrand decays like
+    # w**(-beta*(r+1)) which is integrable for beta*(r+1) > 1.
+    if beta * (r + 1.0) <= 1.0:
+        return math.inf
+    return tmin + first + _restart_tail_integral(
+        beta, exponent, d_after, ratio, tau_est / deadline
     )
 
 

@@ -171,12 +171,12 @@ class StragglerModel:
     # ------------------------------------------------------------------
     # Derived quantities
     # ------------------------------------------------------------------
-    # Cached: the optimizer's line search evaluates the net utility
-    # hundreds of times per job, and every evaluation reads several of
-    # these.  The model is frozen, so each value is computed once per
-    # instance (``cached_property`` writes the instance ``__dict__``
-    # directly, which bypasses the frozen ``__setattr__``); equality and
-    # hashing stay field-based.
+    # Cached: Algorithm 1 evaluates the net utility at several r per
+    # job, and every evaluation reads several of these.  The model is
+    # frozen, so each value is computed once per instance
+    # (``cached_property`` writes the instance ``__dict__`` directly,
+    # which bypasses the frozen ``__setattr__``); equality and hashing
+    # stay field-based.
     @cached_property
     def attempt_distribution(self) -> ParetoDistribution:
         """Pareto distribution of a single attempt's execution time."""

@@ -1,16 +1,21 @@
 """Algorithm 1: hybrid optimizer for the joint PoCD/cost problem.
 
-The paper's Algorithm 1 combines (i) a gradient-based line search over the
+The paper's Algorithm 1 combines (i) a gradient-based search over the
 concave region ``r >= ceil(Gamma_strategy)`` with (ii) an exhaustive scan
 of the (small) non-concave region ``0 <= r < ceil(Gamma_strategy)``, and
 returns the integer ``r`` that maximises the net utility.
+
+Phase (i) here is an integer ascent rather than the paper's continuous
+search.  By Theorem 8 the utility is concave on the reals above
+``Gamma``, so its restriction to the integers there is discretely
+concave: the first step ``r -> r + 1`` that does not improve it stops at
+the integer optimum of that region, the point Theorem 9 proves optimal,
+without a continuous iterate to round.
 
 This module provides:
 
 * :class:`ChronosOptimizer` — the production optimizer used by the
   per-job Application Master (and the experiment harness),
-* :func:`gradient_line_search` — the continuous Phase-1 search used inside
-  the optimizer,
 * :func:`brute_force_optimum` — a slow but obviously correct reference
   optimizer used by the test suite to verify Theorem 9 (optimality).
 """
@@ -19,33 +24,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.core.cost import expected_machine_time
 from repro.core.model import StragglerModel, StrategyName
 from repro.core.pocd import log_miss_probability_slope, pocd, task_miss_probability
-from repro.core.utility import (
-    UtilityParameters,
-    concavity_threshold,
-    make_net_utility_fn,
-    net_utility,
-)
+from repro.core.utility import UtilityParameters, concavity_threshold, net_utility
 
 # Hard cap on the number of extra attempts ever considered.  The paper's
 # optimal r values are tiny (Figure 5 shows r in 1..6); 64 gives a wide
 # safety margin while keeping the exhaustive fallback cheap.
 DEFAULT_R_MAX = 64
-
-# Line-search iteration budget used inside :meth:`ChronosOptimizer.optimize`.
-# The continuous search only needs to land within ~1 of the true optimum:
-# the rounded candidates are refined by an integer hill climb, and the
-# objective is concave (hence unimodal) over the searched region, so the
-# final integer r is insensitive to the exact continuous iterate.  40
-# iterations keep the drift well under one integer step (measured max
-# |r_40 - r_200| ≈ 0.78 across a 972-point model/strategy/theta grid, with
-# identical integer optima throughout); standalone calls of
-# :func:`gradient_line_search` keep the historical 200-iteration default.
-OPTIMIZE_LINE_SEARCH_ITERATIONS = 40
 
 
 @dataclass(frozen=True)
@@ -66,81 +55,6 @@ class OptimizationResult:
     def feasible(self) -> bool:
         """Whether any ``r`` achieved a finite utility (PoCD above Rmin)."""
         return math.isfinite(self.utility)
-
-
-def gradient_line_search(
-    model: StragglerModel,
-    strategy: StrategyName,
-    params: UtilityParameters,
-    r_start: float,
-    gradient_tolerance: float = 1e-6,
-    backtrack_alpha: float = 0.3,
-    backtrack_xi: float = 0.5,
-    max_iterations: int = 200,
-    eps: float = 1e-4,
-    utility_fn: Optional[Callable[[float], float]] = None,
-) -> float:
-    """Phase 1 of Algorithm 1: gradient ascent with backtracking line search.
-
-    Operates on the continuous relaxation of ``r`` over the concave region
-    starting at ``r_start``.  Returns the (real-valued) maximiser; the
-    caller rounds to neighbouring integers.
-
-    Parameters mirror the paper's ``eta`` (gradient tolerance), ``alpha``
-    and ``xi`` backtracking constants.  ``utility_fn`` optionally supplies
-    a pre-specialized ``r -> U(r)`` evaluator (see
-    :func:`repro.core.utility.make_net_utility_fn`); when omitted the
-    generic :func:`net_utility` is used.
-    """
-    r = max(0.0, r_start)
-    if utility_fn is None:
-        utility_fn = make_net_utility_fn(model, strategy, params)
-
-    # Hot loop: ~800 utility evaluations per job.  Every call site below
-    # guarantees a non-negative argument, so the evaluator is called
-    # directly (no clamping wrapper), and the utility of an accepted
-    # Armijo candidate is carried into the next iteration instead of
-    # being recomputed.  The evaluation *values* are identical to the
-    # straightforward formulation — only redundant calls are elided.
-    isfinite = math.isfinite
-    current: Optional[float] = None  # U(r), when known from the last iteration
-    for _ in range(max_iterations):
-        lo = r - eps
-        if lo < 0.0:
-            lo = 0.0
-        hi = r + eps
-        u_lo = utility_fn(lo)
-        u_hi = utility_fn(hi)
-        if isfinite(u_lo) and isfinite(u_hi):
-            grad = (u_hi - u_lo) / (hi - lo)
-        else:
-            grad = 0.0
-        if abs(grad) <= gradient_tolerance:
-            break
-        # Ascent direction in one dimension; clamp so a steep utility cannot
-        # propose absurdly large candidate r values in a single step.
-        direction = max(-16.0, min(16.0, grad))
-        step = 1.0
-        if current is None:
-            current = utility_fn(r)
-        # Backtracking (Armijo) line search.
-        accepted_r = accepted_u = None
-        while step > 1e-8:
-            candidate = r + step * direction
-            if candidate < 0:
-                step *= backtrack_xi
-                continue
-            candidate_u = utility_fn(candidate)
-            if candidate_u >= current + backtrack_alpha * step * grad * direction:
-                accepted_r, accepted_u = candidate, candidate_u
-                break
-            step *= backtrack_xi
-        new_r = max(0.0, r + step * direction)
-        if abs(new_r - r) < 1e-9:
-            break
-        r = new_r
-        current = accepted_u if accepted_r == new_r else None
-    return r
 
 
 def brute_force_optimum(
@@ -213,44 +127,39 @@ class ChronosOptimizer:
         return net_utility(self._model, strategy, r, self._params)
 
     def optimize(self, strategy: StrategyName) -> OptimizationResult:
-        """Run Algorithm 1 for one strategy and return the optimal ``r``."""
-        gamma = concavity_threshold(self._model, strategy)
+        """Run Algorithm 1 for one strategy and return the optimal ``r``.
+
+        Ties go to the smallest ``r``.  When no ``r`` has a finite utility
+        (Rmin cannot be met within ``r_max``, or the expected machine time
+        is infinite, as with ``beta <= 1`` under the speculative
+        strategies), the result is the smallest ``r`` whose PoCD exceeds
+        Rmin, or 0 when none does.
+        """
+        model, params = self._model, self._params
         evaluations: Dict[int, float] = {}
-        utility_fn = make_net_utility_fn(self._model, strategy, self._params)
 
         def record(r: int) -> float:
             if r not in evaluations:
-                evaluations[r] = utility_fn(r)
+                evaluations[r] = net_utility(model, strategy, r, params)
             return evaluations[r]
 
         # Below r_feasible the PoCD does not exceed Rmin (utility -inf),
         # so neither phase searches there.
         r_feasible = self._smallest_feasible_r(strategy)
-        candidates = set()
+        gamma = concavity_threshold(model, strategy)
         if r_feasible > self._r_max:
             # No r meets Rmin: report the infeasible r = 0, as
             # brute_force_optimum does, without searching.
-            candidates.add(0)
+            record(0)
             non_concave_upper = 0
         elif math.isfinite(gamma):
-            # Phase 1: gradient-based search over the concave region.
-            start = max(0, math.ceil(gamma), r_feasible)
-            start = min(start, self._r_max)
-            r_continuous = gradient_line_search(
-                self._model,
-                strategy,
-                self._params,
-                start,
-                max_iterations=OPTIMIZE_LINE_SEARCH_ITERATIONS,
-                utility_fn=utility_fn,
-            )
-            for candidate in (math.floor(r_continuous), math.ceil(r_continuous)):
-                candidate = int(min(max(candidate, 0), self._r_max))
-                candidates.add(candidate)
-            # Integer hill-climb around the rounded optimum guards against
-            # line-search inaccuracy on flat objectives.
-            candidates.update(self._hill_climb(strategy, min(candidates), record))
-            non_concave_upper = min(start, self._r_max + 1)
+            # Phase 1: integer ascent over the concave region, which stops
+            # at the first step that does not improve the utility.
+            start = min(max(0, math.ceil(gamma), r_feasible), self._r_max)
+            r = start
+            while r < self._r_max and record(r + 1) > record(r):
+                r += 1
+            non_concave_upper = start
         else:
             # Concavity threshold unavailable (degenerate model) - fall back
             # to a full exhaustive scan.
@@ -259,9 +168,6 @@ class ChronosOptimizer:
         # Phase 2: exhaustive scan over the non-concave region
         # [r_feasible, ceil(Gamma)).
         for r in range(r_feasible, non_concave_upper):
-            candidates.add(r)
-
-        for r in sorted(candidates):
             record(r)
 
         best_r = max(evaluations, key=lambda r: (evaluations[r], -r))
@@ -321,23 +227,3 @@ class ChronosOptimizer:
         while r > 0 and pocd(model, strategy, r - 1) > r_min:
             r -= 1
         return r
-
-    def _hill_climb(self, strategy, start: int, record) -> set:
-        """Integer hill climb from ``start`` within the concave region."""
-        visited = {start}
-        current = start
-        current_value = record(current)
-        # Walk upward while the utility improves.
-        r = current + 1
-        while r <= self._r_max and record(r) > current_value:
-            current, current_value = r, record(r)
-            visited.add(r)
-            r += 1
-        # Walk downward while the utility improves (and stay non-negative).
-        r = start - 1
-        current, current_value = start, record(start)
-        while r >= 0 and record(r) > current_value:
-            current, current_value = r, record(r)
-            visited.add(r)
-            r -= 1
-        return visited

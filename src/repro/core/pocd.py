@@ -170,8 +170,7 @@ def required_attempts_for_target(
 def pocd_gradient(model: StragglerModel, strategy: StrategyName, r: float, eps: float = 1e-6) -> float:
     """Central-difference derivative of PoCD with respect to ``r``.
 
-    The optimizer uses gradients of the net utility; PoCD gradients are also
-    useful for sensitivity analysis and are validated against analytical
+    Useful for sensitivity analysis; validated against analytical
     expressions in the test suite.
     """
     lo = max(0.0, r - eps)

@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
-from repro.core.cost import _restart_min_after_detection, expected_machine_time
+from repro.core.cost import expected_machine_time
 from repro.core.model import StragglerModel, StrategyName
 from repro.core.pocd import pocd, task_miss_probability
 
@@ -83,133 +82,6 @@ def net_utility(
     if not math.isfinite(machine_time):
         return -math.inf
     return utility - params.theta * params.unit_price * machine_time
-
-
-def make_net_utility_fn(
-    model: StragglerModel,
-    strategy: StrategyName,
-    params: UtilityParameters,
-) -> Callable[[float], float]:
-    """Specialized ``r -> U(r)`` evaluator for one (model, strategy, params).
-
-    The optimizer's line search evaluates the net utility hundreds of
-    times per job with everything fixed except ``r``.  This factory hoists
-    every model/strategy/params-derived constant out of the per-call path
-    and returns a closure that performs **bit-identical** floating-point
-    operations to :func:`net_utility` — the parity suite asserts exact
-    equality over a grid of models and ``r`` values.  Strategies without a
-    specialized closure (the baselines and plugin strategies) fall back to
-    the generic functions.
-    """
-    theta_price = params.theta * params.unit_price
-    r_min = params.r_min_pocd
-    n = model.num_tasks
-    tmin = model.tmin
-    beta = model.beta
-
-    if strategy is StrategyName.CLONE:
-        p_single = model.straggler_probability
-        tau_kill = model.tau_kill
-
-        def utility_clone(r: float) -> float:
-            if r < 0:
-                raise ValueError(f"number of extra attempts r must be non-negative, got {r}")
-            p_miss = p_single ** (r + 1.0)
-            margin = (1.0 - p_miss) ** n - r_min
-            if margin <= 0.0:
-                return -math.inf
-            denom = beta * (r + 1.0) - 1.0
-            if denom <= 0:
-                return -math.inf  # infinite expected machine time
-            machine_time = n * (r * tau_kill + (tmin + tmin / denom))
-            if not math.isfinite(machine_time):
-                return -math.inf
-            return math.log10(margin) - theta_price * machine_time
-
-        return utility_clone
-
-    if strategy is StrategyName.SPECULATIVE_RESUME:
-        p_original = model.straggler_probability
-        remaining = model.remaining_work_fraction
-        d_after = model.time_after_detection
-        tau_est, tau_kill = model.tau_est, model.tau_kill
-        scaled_tmin = remaining * tmin
-        if remaining <= 0 or d_after <= scaled_tmin:
-            p_extra = 1.0
-        else:
-            p_extra = (scaled_tmin / d_after) ** beta
-        degenerate_miss = remaining <= 0  # resumed attempts finish instantly
-        cost_infeasible = beta <= 1.0
-        below = (
-            model.attempt_distribution.conditional_mean_below(model.deadline)
-            if not cost_infeasible
-            else math.inf
-        )
-
-        def utility_resume(r: float) -> float:
-            if r < 0:
-                raise ValueError(f"number of extra attempts r must be non-negative, got {r}")
-            p_miss = 0.0 if degenerate_miss else p_original * p_extra ** (r + 1.0)
-            margin = (1.0 - p_miss) ** n - r_min
-            if margin <= 0.0:
-                return -math.inf
-            if cost_infeasible:
-                return -math.inf
-            exponent = beta * (r + 1.0)
-            if exponent <= 1.0:
-                return -math.inf
-            above = tau_est + r * (tau_kill - tau_est) + (
-                tmin + tmin * remaining**exponent / (exponent - 1.0)
-            )
-            machine_time = n * (below * (1.0 - p_original) + above * p_original)
-            if not math.isfinite(machine_time):
-                return -math.inf
-            return math.log10(margin) - theta_price * machine_time
-
-        return utility_resume
-
-    if strategy is StrategyName.SPECULATIVE_RESTART:
-        p_original = model.straggler_probability
-        tau_est, tau_kill, deadline = model.tau_est, model.tau_kill, model.deadline
-        d_after = model.time_after_detection
-        ratio = tmin / d_after
-        p_extra = 1.0 if d_after <= tmin else ratio**beta
-        cost_infeasible = beta <= 1.0
-        attempts = model.attempt_distribution
-        below = attempts.conditional_mean_below(deadline) if not cost_infeasible else math.inf
-        above_r0 = attempts.conditional_mean_above(deadline)
-        # With D - tau_est <= tmin no restart can help; the straggler branch
-        # is the surviving original attempt measured after tau_est.
-        min_after_fixed = above_r0 - tau_est if d_after <= tmin else None
-        x = tau_est / deadline
-
-        def utility_restart(r: float) -> float:
-            if r < 0:
-                raise ValueError(f"number of extra attempts r must be non-negative, got {r}")
-            p_miss = p_original * p_extra**r
-            margin = (1.0 - p_miss) ** n - r_min
-            if margin <= 0.0:
-                return -math.inf
-            if cost_infeasible:
-                return -math.inf
-            if r == 0:
-                above = above_r0
-            else:
-                min_after = min_after_fixed
-                if min_after is None:
-                    min_after = _restart_min_after_detection(beta, tmin, d_after, ratio, x, r)
-                above = tau_est + r * (tau_kill - tau_est) + min_after
-            machine_time = n * (below * (1.0 - p_original) + above * p_original)
-            if not math.isfinite(machine_time):
-                return -math.inf
-            return math.log10(margin) - theta_price * machine_time
-
-        return utility_restart
-
-    def utility_generic(r: float) -> float:
-        return net_utility(model, strategy, r, params)
-
-    return utility_generic
 
 
 def net_utility_gradient(

@@ -13,7 +13,6 @@ parameters without hidden coupling.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, Optional, Protocol, Sequence, runtime_checkable
 
@@ -32,6 +31,7 @@ from repro.simulator.progress import (
     chronos_estimate_completion,
     hadoop_estimate_completion,
 )
+from repro.telemetry.profiler import null_phase
 
 
 if TYPE_CHECKING:  # pragma: no cover - imports for type checking only
@@ -87,14 +87,6 @@ class SpeculationStrategyProtocol(Protocol):
     def on_task_complete(self, am, task: "Task", attempt: "Attempt") -> None:
         """Hook invoked when a task finishes."""
         ...
-
-
-_NULL_CONTEXT = nullcontext()
-
-
-def _null_phase(name: str):
-    """The disabled-profiler phase: one reusable no-op context manager."""
-    return _NULL_CONTEXT
 
 
 @dataclass(frozen=True)
@@ -168,7 +160,7 @@ class SimulationRunner:
         # profiler is attached, a reused no-op context when not — the
         # per-event hot loop inside engine.run is never touched.
         profiler = self._config.profiler
-        phase = _null_phase if profiler is None else profiler.phase
+        phase = null_phase if profiler is None else profiler.phase
 
         with phase("build"):
             engine = SimulationEngine(seed=self._config.seed)

@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING, Dict, Optional, Type
 
 from repro.core.model import StragglerModel, StrategyName
 from repro.core.optimizer import ChronosOptimizer
+from repro.telemetry.profiler import active_profiler
 
 if TYPE_CHECKING:  # pragma: no cover - import for type checking only
     from repro.hadoop.app_master import ApplicationMaster
@@ -191,12 +192,17 @@ def _optimized_r_cached(
     identical cluster arrivals) pay for Algorithm 1 exactly once per
     process instead of once per job.  Only the integer ``r_opt`` is
     cached — :class:`~repro.core.optimizer.OptimizationResult` carries a
-    mutable dict, which must not be shared between callers.
+    mutable dict, which must not be shared between callers.  With a
+    profiler active, each miss is timed as the ``optimize`` phase.
     """
     optimizer = ChronosOptimizer(
         model, theta=theta, unit_price=unit_price, r_min_pocd=r_min_pocd
     )
-    return optimizer.optimize(strategy).r_opt
+    profiler = active_profiler()
+    if profiler is None:
+        return optimizer.optimize(strategy).r_opt
+    with profiler.phase("optimize"):
+        return optimizer.optimize(strategy).r_opt
 
 
 _REGISTRY: Dict[StrategyName, Type[SpeculationStrategy]] = {}

@@ -3,9 +3,13 @@
 A :class:`Profiler` accumulates ``(calls, seconds)`` per named phase.
 The simulator runner wraps its three coarse phases (``build`` the
 engine/cluster/masters, ``simulate`` the event loop, ``report`` the
-metric aggregation) in :meth:`Profiler.phase` blocks — but only when a
-profiler is attached, so the disabled path costs one ``is None`` check
-per run (the bench gate's "instrumentation overhead ≤ noise" criterion).
+metric aggregation) in :meth:`Profiler.phase` blocks; the multi-job
+cluster façade records ``build`` and ``simulate`` the same way, and
+each Algorithm 1 cache miss records an ``optimize`` phase, which runs
+inside ``simulate``.  Every site times itself only when a profiler is
+active, so the disabled path costs one ``is None`` check per run (or per
+cache miss) — the bench gate's "instrumentation overhead ≤ noise"
+criterion.
 
 Activation is either programmatic::
 
@@ -33,16 +37,28 @@ import atexit
 import json
 import os
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, ContextManager, Dict, Iterator, Optional
 
 #: Environment variable that switches profiling on process-wide.
 PROFILE_ENV = "CHRONOS_PROFILE"
 
 _FALSEY = ("", "0", "false", "no", "off")
 _TRUTHY = ("1", "true", "yes", "on")
+
+
+_NULL_CONTEXT = nullcontext()
+
+
+def null_phase(name: str) -> ContextManager[None]:
+    """The disabled-profiler phase: one reusable no-op context manager.
+
+    ``phase = null_phase if profiler is None else profiler.phase`` lets a
+    site write its ``with phase(...)`` blocks once.
+    """
+    return _NULL_CONTEXT
 
 
 class _Phase:

@@ -7,11 +7,7 @@ import math
 import pytest
 
 from repro.core.model import StragglerModel, StrategyName
-from repro.core.optimizer import (
-    ChronosOptimizer,
-    brute_force_optimum,
-    gradient_line_search,
-)
+from repro.core.optimizer import ChronosOptimizer, brute_force_optimum
 from repro.core.pocd import pocd
 from repro.core.utility import (
     UtilityParameters,
@@ -19,7 +15,6 @@ from repro.core.utility import (
     concavity_threshold_clone,
     concavity_threshold_restart,
     concavity_threshold_resume,
-    make_net_utility_fn,
     net_utility,
     net_utility_gradient,
     pocd_utility,
@@ -208,6 +203,23 @@ class TestAlgorithm1:
         assert best_r == 7 and best_u == pytest.approx(-2.2872, abs=1e-4)
         assert pocd(model, StrategyName.CLONE, 5) <= 0.9 < pocd(model, StrategyName.CLONE, 6)
 
+    @pytest.mark.parametrize(
+        ("strategy", "r_expected"),
+        [(StrategyName.SPECULATIVE_RESTART, 5), (StrategyName.SPECULATIVE_RESUME, 4)],
+    )
+    def test_infinite_cost_returns_the_smallest_r_meeting_r_min(self, strategy, r_expected):
+        """Regression: beta = 1 makes the speculative strategies' expected
+        machine time infinite, so every utility is -inf.  The result must
+        still meet Rmin: an integer hill climb used to step below the
+        feasible r and keep it on the (U, -r) tie-break."""
+        model = StragglerModel(
+            tmin=15, beta=1.0, num_tasks=10, deadline=45, tau_est=13.5, tau_kill=36
+        )
+        result = ChronosOptimizer(model, theta=1e-4, r_min_pocd=0.9).optimize(strategy)
+        assert not result.feasible
+        assert result.r_opt == r_expected
+        assert pocd(model, strategy, r_expected - 1) <= 0.9 < result.pocd
+
     def test_unreachable_r_min_is_infeasible_without_search(self, model):
         optimizer = ChronosOptimizer(model, theta=1e-4, r_min_pocd=0.9, r_max=0)
         result = optimizer.optimize(StrategyName.CLONE)
@@ -232,100 +244,52 @@ class TestAlgorithm1:
             ChronosOptimizer(model, r_max=-1)
 
 
-class TestGradientLineSearch:
-    def test_converges_to_continuous_optimum(self, model):
-        params = UtilityParameters(theta=1e-4)
-        gamma = concavity_threshold(model, StrategyName.SPECULATIVE_RESUME)
-        start = max(0.0, math.ceil(gamma))
-        r_cont = gradient_line_search(
-            model, StrategyName.SPECULATIVE_RESUME, params, r_start=start
-        )
-        r_int, _ = brute_force_optimum(model, StrategyName.SPECULATIVE_RESUME, params)
-        assert abs(r_cont - r_int) <= 1.5
+class TestAlgorithm1Grid:
+    """Algorithm 1 against the brute-force reference over a slice of the
+    (t_min, beta, N, D/t_min, timing, theta, Rmin) space, including
+    infinite-cost tails (beta <= 1) and 300-task jobs.
 
-    def test_does_not_go_negative(self, loose_model):
-        params = UtilityParameters(theta=1.0)
-        r = gradient_line_search(loose_model, StrategyName.CLONE, params, r_start=0.0)
-        assert r >= 0.0
-
-
-class TestNetUtilityClosure:
-    """make_net_utility_fn must be *exactly* equal to net_utility.
-
-    The optimizer's line search runs on the specialized closures; if
-    they drift from the reference implementation by even one ULP, the
-    selected r* can differ and every downstream fingerprint changes.
-    Hence `==`, not pytest.approx.
+    Where the utility is finite the optimum matches exactly, except on
+    plateaus where U keeps rising by an ulp or two (one task, theta =
+    1e-6): there the ascent stops at the first step that does not improve
+    U in floating point, and the scan may find a larger r a few ulps
+    higher.  Where every utility is -inf, the result is the smallest r
+    that meets Rmin, or 0 when none does.
     """
 
     MODELS = [
-        StragglerModel(tmin=10.0, beta=1.5, num_tasks=50, deadline=60.0,
-                       tau_est=12.0, tau_kill=20.0),
-        StragglerModel(tmin=15.0, beta=1.2, num_tasks=300, deadline=120.0,
-                       tau_est=30.0, tau_kill=60.0),
-        StragglerModel(tmin=5.0, beta=2.5, num_tasks=10, deadline=25.0,
-                       tau_est=6.0, tau_kill=6.0, phi_est=0.4),
-        # beta <= 1: infinite mean attempt time, cost side infeasible.
-        StragglerModel(tmin=10.0, beta=0.9, num_tasks=20, deadline=80.0,
-                       tau_est=15.0, tau_kill=30.0),
+        pytest.param(tmin, beta, n, span, timing, id=f"t{tmin}-b{beta}-n{n}-d{span}-{timing}")
+        for tmin, beta, n, span, timing in [
+            (5.0, 0.8, 10, 3.0, (0.3, 0.8)),
+            (15.0, 1.0, 10, 3.0, (0.3, 0.8)),
+            (15.0, 1.0, 300, 6.0, (0.2, 0.5)),
+            (15.0, 1.2, 300, 6.0, (0.3, 0.8)),
+            (30.0, 1.5, 100, 3.0, (0.2, 0.5)),
+            (5.0, 1.5, 300, 1.5, (0.2, 0.5)),
+            (15.0, 2.5, 1, 6.0, (0.5, 0.5)),
+            (30.0, 2.5, 300, 3.0, (0.3, 0.8)),
+        ]
     ]
 
-    R_GRID = [0.0, 0.25, 0.5, 1.0, 1.7, 2.0, 3.0, 5.25, 10.0, 40.0]
-
-    @pytest.mark.parametrize("strategy", ALL_CHRONOS)
-    @pytest.mark.parametrize("model_idx", range(len(MODELS)))
-    def test_closure_bit_identical_to_reference(self, model_idx, strategy):
-        model = self.MODELS[model_idx]
-        for params in (
-            UtilityParameters(),
-            UtilityParameters(theta=1e-6, unit_price=2.0),
-            UtilityParameters(theta=1e-3, unit_price=0.5, r_min_pocd=0.9),
-        ):
-            fn = make_net_utility_fn(model, strategy, params)
-            for r in self.R_GRID:
-                expected = net_utility(model, strategy, r, params)
-                actual = fn(r)
-                # Exact float equality on purpose; -inf == -inf holds too.
-                assert actual == expected, (
-                    f"closure diverged for {strategy} r={r}: {actual!r} != {expected!r}"
-                )
-
-    RESTART_MODELS = {
-        # beta <= 1 with beta*(r+1) <= 1 at small r: the tail diverges.
-        "heavy-tail": StragglerModel(tmin=10.0, beta=0.6, num_tasks=20, deadline=80.0,
-                                     tau_est=15.0, tau_kill=30.0),
-        # beta just above 1: the tail decays like w**-(beta*(r+1)).
-        "near-one": StragglerModel(tmin=10.0, beta=1.01, num_tasks=40, deadline=300.0,
-                                   tau_est=30.0, tau_kill=45.0),
-        # D - tau_est <= tmin: restarts cannot finish in time.
-        "short-window": StragglerModel(tmin=20.0, beta=1.5, num_tasks=8, deadline=60.0,
-                                       tau_est=45.0, tau_kill=50.0),
-        # tau_est / D > RESTART_SERIES_MAX_X: the quadrature form.
-        "late-detection": StragglerModel(tmin=2.0, beta=2.0, num_tasks=30, deadline=100.0,
-                                         tau_est=95.0, tau_kill=96.0),
-        # tau_est = 0: a one-term series.
-        "immediate": StragglerModel(tmin=10.0, beta=3.0, num_tasks=5, deadline=40.0,
-                                    tau_est=0.0, tau_kill=5.0),
-    }
-
-    #: Continuous r the line search probes (1e-4 is its first gradient
-    #: step), beta*r == 1 for the beta=2 and beta=3 models, and the r cap.
-    RESTART_R = [1e-4, 1e-3, 0.1, 0.25, 0.5, 1 / 3, 0.999, 1.0, 2.5, 7.0, 20.0, 64.0]
-
-    @pytest.mark.parametrize("name", sorted(RESTART_MODELS))
-    def test_restart_closure_bit_identical_across_regimes(self, name):
-        model = self.RESTART_MODELS[name]
-        strategy = StrategyName.SPECULATIVE_RESTART
-        for params in (UtilityParameters(theta=1e-6), UtilityParameters(theta=1e-3)):
-            fn = make_net_utility_fn(model, strategy, params)
-            for r in self.RESTART_R:
-                expected = net_utility(model, strategy, r, params)
-                assert fn(r) == expected, f"{name} r={r}: {fn(r)!r} != {expected!r}"
-
-    @pytest.mark.parametrize("strategy", ALL_CHRONOS)
-    def test_closure_rejects_negative_r(self, model, strategy):
-        fn = make_net_utility_fn(model, strategy, UtilityParameters())
-        with pytest.raises(ValueError):
-            fn(-1.0)
-        with pytest.raises(ValueError):
-            net_utility(model, strategy, -1.0, UtilityParameters())
+    @pytest.mark.parametrize(("tmin", "beta", "n", "span", "timing"), MODELS)
+    @pytest.mark.parametrize("r_min", [0.0, 0.5, 0.9, 0.99])
+    def test_matches_brute_force(self, tmin, beta, n, span, timing, r_min):
+        deadline = tmin * span
+        model = StragglerModel(
+            tmin=tmin, beta=beta, num_tasks=n, deadline=deadline,
+            tau_est=timing[0] * deadline, tau_kill=timing[1] * deadline,
+        )
+        for strategy in ALL_CHRONOS:
+            for theta in (1e-6, 1e-4, 1e-2):
+                optimizer = ChronosOptimizer(model, theta=theta, r_min_pocd=r_min)
+                result = optimizer.optimize(strategy)
+                r_star, u_star = brute_force_optimum(model, strategy, optimizer.parameters)
+                case = (strategy.value, theta)
+                if math.isfinite(u_star):
+                    assert result.utility == pytest.approx(u_star, rel=1e-14), case
+                    if result.utility == u_star:
+                        assert result.r_opt == r_star, case
+                    continue
+                assert not result.feasible, case
+                meets = [r for r in range(65) if pocd(model, strategy, r) > r_min]
+                assert result.r_opt == (meets[0] if meets else 0), case

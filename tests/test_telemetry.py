@@ -9,6 +9,7 @@ private :class:`MetricsRegistry`) instead of assuming zero counters.
 from __future__ import annotations
 
 import json
+from typing import Optional
 
 import pytest
 
@@ -32,7 +33,7 @@ from repro.telemetry import (
 )
 
 
-def _tiny_spec(seed: int = 0) -> ScenarioSpec:
+def _tiny_spec(seed: int = 0, fixed_r: Optional[int] = 1) -> ScenarioSpec:
     jobs = [
         job_spec_to_dict(
             JobSpec(
@@ -45,7 +46,7 @@ def _tiny_spec(seed: int = 0) -> ScenarioSpec:
     return ScenarioSpec(
         workload=WorkloadSpec("explicit", {"jobs": jobs}),
         strategy="s-resume",
-        strategy_params={"tau_est": 30.0, "tau_kill": 60.0, "fixed_r": 1},
+        strategy_params={"tau_est": 30.0, "tau_kill": 60.0, "fixed_r": fixed_r},
         cluster={"num_nodes": 0},
         seed=seed,
     )
@@ -190,15 +191,45 @@ class TestProfiler:
 
     def test_runner_records_phases_when_enabled(self):
         from repro.api import run
+        from repro.strategies.base import _optimized_r_cached
 
+        # Cold Algorithm 1 cache, no fixed_r: the two jobs share one
+        # straggler model, so exactly one miss is timed as "optimize",
+        # inside "simulate".
+        _optimized_r_cached.cache_clear()
         profiler = enable_profiling()
         try:
-            run(_tiny_spec())
+            run(_tiny_spec(fixed_r=None))
         finally:
             disable_profiling()
         phases = profiler.to_dict()["phases"]
-        assert {"build", "simulate", "report"} <= set(phases)
+        assert {"build", "simulate", "report", "optimize"} <= set(phases)
         assert all(entry["calls"] == 1 for entry in phases.values())
+        assert phases["optimize"]["seconds"] <= phases["simulate"]["seconds"]
+
+    def test_run_cluster_records_phases_when_enabled(self):
+        from repro.cluster import ArrivalSpec, ClusterSpec, run_cluster
+        from repro.strategies.base import _optimized_r_cached
+
+        spec = ClusterSpec(
+            arrival=ArrivalSpec(
+                "poisson", {"benchmark": "sort", "num_jobs": 3, "inter_arrival": 60.0}
+            ),
+            strategy="s-resume",
+            scheduler="fifo",
+            cluster={"num_nodes": 4, "slots_per_node": 4},
+        )
+        _optimized_r_cached.cache_clear()
+        profiler = enable_profiling()
+        try:
+            run_cluster(spec)
+        finally:
+            disable_profiling()
+        phases = profiler.to_dict()["phases"]
+        assert phases["build"]["calls"] == 1
+        assert phases["simulate"]["calls"] == 1
+        assert phases["optimize"]["calls"] >= 1
+        assert phases["optimize"]["seconds"] <= phases["simulate"]["seconds"]
 
     def test_process_dump_path_puts_the_pid_before_the_suffix(self):
         from repro.telemetry.profiler import process_dump_path
