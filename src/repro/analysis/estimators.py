@@ -110,9 +110,7 @@ def estimation_errors(
         task = Task(job=job, index=index % spec.num_tasks)
         attempt = Attempt(task=task, created_time=0.0, is_original=True)
         processing = spec.attempt_distribution.sample_one(rng=rng)
-        attempt.mark_running(
-            launch_time=0.0, jvm_delay=jvm_delay, processing_time=processing, container_id=0
-        )
+        attempt.mark_running(launch_time=0.0, jvm_delay=jvm_delay, processing_time=processing)
         truth = jvm_delay + processing
         observe_at = jvm_delay + observation_fraction * processing
         estimate = estimator(attempt, observe_at)

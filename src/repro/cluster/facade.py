@@ -106,7 +106,7 @@ def run_cluster(
     profiler = active_profiler()
     phase = null_phase if profiler is None else profiler.phase
     with phase("build"):
-        simulation = ClusterSimulation(spec, on_job_event=on_job_event)
+        simulation = ClusterSimulation(spec, on_job_event=on_job_event, profiler=profiler)
     started = time.perf_counter()
     with phase("simulate"):
         report = simulation.run()

@@ -40,6 +40,7 @@ from repro.simulator.metrics import MetricsCollector
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.spec import ClusterSpec
+    from repro.telemetry import Profiler
 
 
 class JobState(enum.Enum):
@@ -104,9 +105,15 @@ JobObserver = Callable[[str, ClusterJob, float, int], None]
 class ClusterSimulation:
     """Run one :class:`ClusterSpec` end to end."""
 
-    def __init__(self, spec: "ClusterSpec", on_job_event: Optional[JobObserver] = None):
+    def __init__(
+        self,
+        spec: "ClusterSpec",
+        on_job_event: Optional[JobObserver] = None,
+        profiler: Optional["Profiler"] = None,
+    ):
         self._spec = spec
         self._observer = on_job_event
+        self._profiler = profiler
         self._engine = SimulationEngine(seed=spec.seed)
         self._cluster = Cluster(spec.cluster)
         self._resource_manager = ResourceManager(self._engine, self._cluster, spec.hadoop)
@@ -224,6 +231,7 @@ class ClusterSimulation:
             metrics=self._metrics,
             estimator=self._estimator,
             on_job_complete=lambda _sim_job, record, cj=job: self._on_job_complete(cj, record),
+            profiler=self._profiler,
         )
         job.master = master
         self._running.append(job)

@@ -167,17 +167,6 @@ def required_attempts_for_target(
     )
 
 
-def pocd_gradient(model: StragglerModel, strategy: StrategyName, r: float, eps: float = 1e-6) -> float:
-    """Central-difference derivative of PoCD with respect to ``r``.
-
-    Useful for sensitivity analysis; validated against analytical
-    expressions in the test suite.
-    """
-    lo = max(0.0, r - eps)
-    hi = r + eps
-    return (pocd(model, strategy, hi) - pocd(model, strategy, lo)) / (hi - lo)
-
-
 def log_miss_probability_slope(model: StragglerModel, strategy: StrategyName) -> float:
     """Slope of ``ln P_miss(r)`` in ``r`` (a negative constant for each strategy).
 

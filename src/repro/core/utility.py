@@ -84,23 +84,6 @@ def net_utility(
     return utility - params.theta * params.unit_price * machine_time
 
 
-def net_utility_gradient(
-    model: StragglerModel,
-    strategy: StrategyName,
-    r: float,
-    params: UtilityParameters,
-    eps: float = 1e-4,
-) -> float:
-    """Central-difference gradient of ``U`` with respect to (continuous) ``r``."""
-    lo = max(0.0, r - eps)
-    hi = r + eps
-    u_lo = net_utility(model, strategy, lo, params)
-    u_hi = net_utility(model, strategy, hi, params)
-    if not (math.isfinite(u_lo) and math.isfinite(u_hi)):
-        return math.nan
-    return (u_hi - u_lo) / (hi - lo)
-
-
 def concavity_threshold(model: StragglerModel, strategy: StrategyName) -> float:
     """Theorem 8 threshold ``Gamma_strategy`` above which ``U(r)`` is concave.
 

@@ -23,7 +23,6 @@ from repro.distributions import SampleBuffer, vectorized_batch_size
 from repro.hadoop.config import HadoopConfig
 from repro.hadoop.node_manager import NodeManager
 from repro.hadoop.resource_manager import ContainerRequest, ResourceManager
-from repro.simulator.cluster import Container
 from repro.simulator.engine import Event, SimulationEngine
 from repro.simulator.entities import Attempt, AttemptStatus, Job, Task
 from repro.simulator.metrics import JobRecord, MetricsCollector
@@ -35,6 +34,10 @@ from repro.simulator.progress import (
 
 if TYPE_CHECKING:  # pragma: no cover - imports for type checking only
     from repro.simulator.runner import SpeculationStrategyProtocol
+    from repro.telemetry import Profiler
+
+_WAITING = AttemptStatus.WAITING
+_RUNNING = AttemptStatus.RUNNING
 
 
 class ApplicationMaster:
@@ -52,6 +55,7 @@ class ApplicationMaster:
         estimator: CompletionTimeEstimator = chronos_estimate_completion,
         rng: Optional[np.random.Generator] = None,
         on_job_complete: Optional[Callable[[Job, JobRecord], None]] = None,
+        profiler: Optional["Profiler"] = None,
     ):
         self._engine = engine
         self._job = job
@@ -63,6 +67,8 @@ class ApplicationMaster:
         self._estimator = estimator
         self._rng = rng if rng is not None else engine.spawn_rng()
         self._on_job_complete = on_job_complete
+        #: The run's profiler: Algorithm 1 cache misses are timed into it.
+        self.profiler = profiler
         self._pending_requests: Dict[int, ContainerRequest] = {}
         self._scheduled_events: List[Event] = []
         self._finished = False
@@ -158,24 +164,24 @@ class ApplicationMaster:
         self, task: Task, start_offset: float = 0.0, is_original: bool = False
     ) -> Optional[Attempt]:
         """Create an attempt for ``task`` and request a container for it."""
-        if task.is_complete or self._finished:
+        if task.completion_time is not None or self._finished:
             return None
         attempt = Attempt(task, self._engine.now, start_offset, is_original)
-        task.add_attempt(attempt)
-        request = self._rm.request_container(self._on_container_granted, attempt)
-        self._pending_requests[attempt.attempt_id] = request
+        task.attempts.append(attempt)
+        self._pending_requests[attempt.attempt_id] = self._rm.request_container(
+            self._on_container_granted, attempt
+        )
         return attempt
 
     def kill_attempt(self, attempt: Attempt) -> None:
         """Kill an attempt, cancelling its container request if still queued."""
         request = self._pending_requests.pop(attempt.attempt_id, None)
-        if request is not None and attempt.status is AttemptStatus.WAITING:
-            request.cancel()
-            attempt.mark_killed(self._engine.now)
-            return
-        if attempt.is_active:
+        status = attempt.status
+        if status is _RUNNING:
             self._nm.kill(attempt)
-        elif not attempt.is_finished:
+        elif status is _WAITING:
+            if request is not None:
+                request.cancelled = True
             attempt.mark_killed(self._engine.now)
 
     def kill_all_but(self, task: Task, survivor: Attempt) -> int:
@@ -235,32 +241,30 @@ class ApplicationMaster:
             durations.append(task.completion_time - self._job.start_time)
         return durations
 
-    def sample_processing_time(self, work_fraction: float) -> float:
-        """Sample the processing time for an attempt covering ``work_fraction``."""
-        if not 0.0 < work_fraction <= 1.0:
-            raise ValueError("work_fraction must lie in (0, 1]")
-        return self._duration_samples.next() * work_fraction
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _on_container_granted(self, attempt: Attempt, container: Container) -> None:
+    def _on_container_granted(self, attempt: Attempt) -> None:
         self._pending_requests.pop(attempt.attempt_id, None)
-        if attempt.is_finished or attempt.task.is_complete or self._finished:
+        if (
+            attempt.status is not _WAITING
+            or attempt.task.completion_time is not None
+            or self._finished
+        ):
             # The attempt became irrelevant while the request was queued.
-            self._rm.release_container(container)
-            if not attempt.is_finished:
-                attempt.mark_killed(self._engine.now)
+            self._rm.release_container()
+            attempt.mark_killed(self._engine.now)  # a no-op for a finished attempt
             return
-        processing_time = self.sample_processing_time(attempt.work_fraction)
-        self._nm.launch(attempt, container, processing_time, self._on_attempt_complete)
+        # ``start_offset`` lies in [0, 1), so the work fraction is in (0, 1].
+        processing_time = self._duration_samples.next() * (1.0 - attempt.start_offset)
+        self._nm.launch(attempt, processing_time, self._on_attempt_complete)
 
     def _on_attempt_complete(self, attempt: Attempt) -> None:
         task = attempt.task
-        if task.is_complete:
+        if task.completion_time is not None:
             return
         now = self._engine.now
-        task.mark_complete(now)
+        task.completion_time = now
         # Redundant attempts are killed as soon as one attempt succeeds.
         for other in task.live_attempts:
             self.kill_attempt(other)

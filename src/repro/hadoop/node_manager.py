@@ -1,23 +1,24 @@
 """Node Manager: runs attempts inside granted containers.
 
-The NM models what happens on a worker node once a container is granted:
-the attempt's JVM is launched (a random startup delay), the attempt
-processes its share of the input split (the sampled processing time), and
-a completion event fires.  Killing an attempt cancels its completion event
-and releases the container immediately.
+The NM models what happens in a container once it is granted: the
+attempt's JVM is launched (a random startup delay), the attempt processes
+its share of the input split (the sampled processing time), and a
+completion event fires.  Killing an attempt cancels its completion event
+and releases the container immediately.  The cluster is a count of
+identical slots, so the NM tracks attempts, not containers: a finished or
+killed attempt gives its slot back with ``release_container()``.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
 from repro.distributions import SampleBuffer, vectorized_batch_size
 from repro.hadoop.config import HadoopConfig
 from repro.hadoop.resource_manager import ResourceManager
-from repro.simulator.cluster import Container
 from repro.simulator.engine import Event, SimulationEngine
 from repro.simulator.entities import Attempt
 
@@ -38,9 +39,8 @@ class NodeManager:
         self._engine = engine
         self._rm = resource_manager
         self._rng = rng if rng is not None else engine.spawn_rng()
-        # Running attempts by id: the pending completion event and the
-        # container the attempt occupies.
-        self._running: Dict[int, Tuple[Event, Container]] = {}
+        # Running attempts by id -> their pending completion event.
+        self._running: Dict[int, Event] = {}
         # The NM's RNG serves exactly one purpose (JVM launch delays), so
         # block draws reproduce the per-launch call stream bit-for-bit.
         # The config is frozen, so its bounds are read once; the draw
@@ -65,37 +65,33 @@ class NodeManager:
         return self._jvm_samples.next()
 
     def launch(
-        self,
-        attempt: Attempt,
-        container: Container,
-        processing_time: float,
-        on_complete: CompletionCallback,
+        self, attempt: Attempt, processing_time: float, on_complete: CompletionCallback
     ) -> None:
-        """Start an attempt in a container and schedule its completion."""
-        if processing_time < 0:
-            raise ValueError("processing_time must be non-negative")
+        """Start an attempt in its granted container and schedule its completion.
+
+        ``mark_running`` rejects a negative ``processing_time``.
+        """
+        engine = self._engine
         jvm_delay = self.sample_jvm_delay()
-        attempt.mark_running(self._engine.now, jvm_delay, processing_time, container.container_id)
-        event = self._engine.schedule_after(
+        attempt.mark_running(engine.now, jvm_delay, processing_time)
+        self._running[attempt.attempt_id] = engine.schedule_after(
             jvm_delay + processing_time, self._complete, attempt, on_complete
         )
-        self._running[attempt.attempt_id] = (event, container)
 
     def kill(self, attempt: Attempt) -> None:
         """Kill a running attempt: cancel completion and free the container."""
-        running = self._running.pop(attempt.attempt_id, None)
-        if running is not None:
-            running[0].cancel()
+        event = self._running.pop(attempt.attempt_id, None)
         attempt.mark_killed(self._engine.now)  # a no-op for a finished attempt
-        if running is not None:
-            self._rm.release_container(running[1])
+        if event is not None:
+            event.cancelled = True
+            self._rm.release_container()
 
     def clear(self) -> None:
         """Forget every running attempt (the teardown of a capped run)."""
         self._running.clear()
 
     def _complete(self, attempt: Attempt, on_complete: CompletionCallback) -> None:
-        _, container = self._running.pop(attempt.attempt_id)
+        del self._running[attempt.attempt_id]
         attempt.mark_completed(self._engine.now)
-        self._rm.release_container(container)
+        self._rm.release_container()
         on_complete(attempt)

@@ -6,10 +6,12 @@ request joins a FIFO queue and is granted as soon as a container is
 released.  Requests can be cancelled (e.g. when the attempt they were for
 is killed before a container was ever granted).
 
-A request carries a callback and its leading arguments:
-``request_container(callback, *args)`` ends in ``callback(*args,
-container)``.  Callers pass a bound method and the attempt instead of
-building a closure per request.
+A request carries a callback and its arguments:
+``request_container(callback, *args)`` ends in ``callback(*args)`` once
+a slot is granted.  Callers pass a bound method and the attempt instead
+of building a closure per request.  A grant hands over no container
+object: the cluster is a count of identical slots, and whoever holds a
+slot gives it back with ``release_container()``.
 """
 
 from __future__ import annotations
@@ -19,11 +21,11 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Tuple
 
 from repro.hadoop.config import HadoopConfig
-from repro.simulator.cluster import Cluster, Container
+from repro.simulator.cluster import Cluster
 from repro.simulator.engine import SimulationEngine
 
-# Callback invoked as ``callback(*args, container)`` when a container is
-# granted for a request.
+# Callback invoked as ``callback(*args)`` when a container is granted for
+# a request.
 GrantCallback = Callable[..., None]
 
 
@@ -75,18 +77,17 @@ class ResourceManager:
         return self._cluster.has_capacity() and self.pending_requests == 0
 
     def request_container(self, callback: GrantCallback, *args: Any) -> ContainerRequest:
-        """Request one container; ``callback(*args, container)`` runs when it is granted."""
+        """Request one container; ``callback(*args)`` runs when it is granted."""
         request = ContainerRequest(callback, args)
-        container = self._cluster.allocate()
-        if container is not None:
-            self._schedule_grant(request, container)
+        if self._cluster.allocate():
+            self._schedule_grant(request)
         else:
             self._pending.append(request)
         return request
 
-    def release_container(self, container: Container) -> None:
+    def release_container(self) -> None:
         """Release a container and hand the slot to the next queued request."""
-        self._cluster.release(container)
+        self._cluster.release()
         if self._pending:
             self._drain_queue()
 
@@ -98,28 +99,25 @@ class ResourceManager:
     # Internals
     # ------------------------------------------------------------------
     def _drain_queue(self) -> None:
-        # ``allocate`` already performs the capacity check, so attempting
-        # the allocation directly avoids a second scan over the nodes.
         pending = self._pending
         while pending:
             if pending[0].cancelled:
                 pending.popleft()
                 continue
-            container = self._cluster.allocate()
-            if container is None:
+            if not self._cluster.allocate():
                 return
-            self._schedule_grant(pending.popleft(), container)
+            self._schedule_grant(pending.popleft())
 
-    def _schedule_grant(self, request: ContainerRequest, container: Container) -> None:
+    def _schedule_grant(self, request: ContainerRequest) -> None:
         if self._grant_delay > 0:
-            self._engine.schedule_after(self._grant_delay, self._deliver, request, container)
+            self._engine.schedule_after(self._grant_delay, self._deliver, request)
         else:
-            self._deliver(request, container)
+            self._deliver(request)
 
-    def _deliver(self, request: ContainerRequest, container: Container) -> None:
+    def _deliver(self, request: ContainerRequest) -> None:
         if request.cancelled:
             # The requester no longer needs the container; return it.
-            self.release_container(container)
+            self.release_container()
             return
         self._granted += 1
-        request.callback(*request.args, container)
+        request.callback(*request.args)

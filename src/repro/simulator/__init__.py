@@ -22,7 +22,7 @@ low-level entry point remains available for custom setups::
     print(report.pocd, report.total_cost)
 """
 
-from repro.simulator.cluster import Cluster, ClusterConfig, Container
+from repro.simulator.cluster import Cluster, ClusterConfig
 from repro.simulator.engine import Event, SimulationEngine
 from repro.simulator.entities import (
     Attempt,
@@ -45,7 +45,6 @@ __all__ = [
     "Event",
     "Cluster",
     "ClusterConfig",
-    "Container",
     "JobSpec",
     "Job",
     "Task",

@@ -1,20 +1,23 @@
-"""Cluster model: nodes, container slots and allocation accounting.
+"""Cluster model: a pool of identical container slots.
 
-A cluster is a set of nodes, each offering a fixed number of container
-slots (the paper's testbed had 40 nodes x 8 vCPUs).  The Resource Manager
-(:mod:`repro.hadoop.resource_manager`) allocates containers from the
-cluster; this module only tracks capacity and placement.
+A cluster is configured as nodes, each offering a fixed number of
+container slots (the paper's testbed had 40 nodes x 8 vCPUs).  Neither
+the paper's model nor this simulator has data locality or heterogeneous
+nodes, so the cluster is simulated as ``num_nodes * slots_per_node``
+interchangeable slots: :class:`Cluster` only counts the busy ones.  The
+Resource Manager (:mod:`repro.hadoop.resource_manager`) takes and returns
+slots through it.
 
 The cluster can also be configured as *unbounded* (``num_nodes=0``) for
 analytical-style simulations where container contention is not being
-studied — every allocation then succeeds immediately on a virtual node.
+studied — every allocation then succeeds immediately.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -50,38 +53,20 @@ class ClusterConfig:
         return self.num_nodes * self.slots_per_node
 
 
-@dataclass(slots=True)
-class Container:
-    """A granted container: one slot on one node running one attempt."""
-
-    container_id: int
-    node_id: int
-    released: bool = False
-
-
-@dataclass(slots=True)
-class _Node:
-    node_id: int
-    capacity: int
-    in_use: int = 0
-
-
 class Cluster:
-    """Tracks per-node slot usage and hands out containers."""
+    """Counts the busy container slots of the cluster.
+
+    Every slot is identical, so the number of slots in use is the only
+    cluster state that anything can observe: which node a container sits
+    on changes nothing in the model.  ``allocate`` takes a slot and
+    ``release`` hands one back.
+    """
 
     def __init__(self, config: ClusterConfig):
         self._config = config
-        # Read on every allocation and release; the config is frozen.
-        self._unbounded = config.unbounded
-        self._total_slots = config.total_slots
-        self._nodes: List[_Node] = [
-            _Node(node_id=i, capacity=config.slots_per_node) for i in range(config.num_nodes)
-        ]
-        # Sum of ``in_use`` over the nodes: a full cluster answers
-        # ``allocate`` without scanning them.
+        # Read on every allocation; the config is frozen.
+        self._capacity = math.inf if config.unbounded else config.total_slots
         self._in_use = 0
-        self._container_ids = itertools.count()
-        self._active: Dict[int, Container] = {}
         self._peak_usage = 0
 
     @property
@@ -92,7 +77,7 @@ class Cluster:
     @property
     def containers_in_use(self) -> int:
         """Number of containers currently allocated."""
-        return len(self._active)
+        return self._in_use
 
     @property
     def peak_containers_in_use(self) -> int:
@@ -102,64 +87,36 @@ class Cluster:
     @property
     def free_slots(self) -> Optional[int]:
         """Free slots across the cluster, or ``None`` when unbounded."""
-        if self._unbounded:
+        if self._config.unbounded:
             return None
-        return self._total_slots - self._in_use
+        return self._config.total_slots - self._in_use
 
     def has_capacity(self) -> bool:
         """Whether at least one container can be allocated right now."""
-        return self._unbounded or self._in_use < self._total_slots
+        return self._in_use < self._capacity
 
-    def allocate(self) -> Optional[Container]:
-        """Allocate one container, preferring the least-loaded node.
+    def allocate(self) -> bool:
+        """Take one slot; ``False`` when the cluster is full.
 
-        Returns ``None`` when the cluster is full (never for an unbounded
-        cluster).
+        An unbounded cluster always answers ``True``.
         """
-        if self._unbounded:
-            container = Container(next(self._container_ids), -1)
-            self._register(container)
-            return container
-        if self._in_use >= self._total_slots:
-            return None
-        # Single pass, keeping the first node with the most free slots —
-        # the same node ``max`` over the non-full candidates would pick.
-        node = None
-        node_free = 0
-        for candidate in self._nodes:
-            free = candidate.capacity - candidate.in_use
-            if free > node_free:
-                node, node_free = candidate, free
-        node.in_use += 1
-        self._in_use += 1
-        container = Container(next(self._container_ids), node.node_id)
-        self._register(container)
-        return container
+        in_use = self._in_use + 1
+        if in_use > self._capacity:
+            return False
+        self._in_use = in_use
+        if in_use > self._peak_usage:
+            self._peak_usage = in_use
+        return True
 
-    def release(self, container: Container) -> None:
-        """Return a container's slot to the pool.  Idempotent."""
-        if container.released:
-            return
-        container.released = True
-        self._active.pop(container.container_id, None)
-        if not self._unbounded and container.node_id >= 0:
-            node = self._nodes[container.node_id]
-            if node.in_use <= 0:
-                raise RuntimeError(
-                    f"release of container {container.container_id} on node "
-                    f"{container.node_id} which has no allocations"
-                )
-            node.in_use -= 1
-            self._in_use -= 1
+    def release(self) -> None:
+        """Return one slot to the pool."""
+        if self._in_use <= 0:
+            raise RuntimeError("release of a container slot while none is in use")
+        self._in_use -= 1
 
     def utilisation(self) -> float:
         """Fraction of slots currently in use (``0.0`` for unbounded)."""
-        if self._unbounded or self._total_slots == 0:
+        total = self._config.total_slots
+        if total == 0:
             return 0.0
-        return self.containers_in_use / self._total_slots
-
-    def _register(self, container: Container) -> None:
-        active = self._active
-        active[container.container_id] = container
-        if len(active) > self._peak_usage:
-            self._peak_usage = len(active)
+        return self._in_use / total

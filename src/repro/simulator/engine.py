@@ -51,7 +51,9 @@ class SimulationEngine:
     """
 
     def __init__(self, seed: Optional[int] = 0):
-        self._now = 0.0
+        #: Current simulation time (seconds).  A plain attribute, not a
+        #: property: the hadoop layer reads it several times per attempt.
+        self.now = 0.0
         self._queue: List[Tuple[float, int, Event]] = []
         self._sequence = itertools.count()
         self._processed = 0
@@ -61,11 +63,6 @@ class SimulationEngine:
     # ------------------------------------------------------------------
     # Clock and RNG
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulation time (seconds)."""
-        return self._now
-
     @property
     def processed_events(self) -> int:
         """Number of events executed so far."""
@@ -91,11 +88,11 @@ class SimulationEngine:
     # ------------------------------------------------------------------
     def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> Event:
         """Schedule ``callback(*args)`` at absolute simulation time ``time``."""
-        if not time >= self._now:
+        if not time >= self.now:
             if math.isnan(time):
                 raise ValueError("cannot schedule an event at NaN time")
             raise ValueError(
-                f"cannot schedule an event in the past (now={self._now}, requested={time})"
+                f"cannot schedule an event in the past (now={self.now}, requested={time})"
             )
         sequence = next(self._sequence)
         event = Event(time, sequence, callback, args)
@@ -116,7 +113,7 @@ class SimulationEngine:
             if delay < 0:
                 raise ValueError(f"delay must be non-negative, got {delay}")
             raise ValueError("cannot schedule an event at NaN time")
-        time = self._now + delay
+        time = self.now + delay
         sequence = next(self._sequence)
         event = Event(time, sequence, callback, args)
         heapq.heappush(self._queue, (time, sequence, event))
@@ -135,7 +132,7 @@ class SimulationEngine:
             _, _, event = heapq.heappop(self._queue)
             if event.cancelled:
                 continue
-            self._now = event.time
+            self.now = event.time
             event.callback(*event.args)
             self._processed += 1
             return True
@@ -177,19 +174,19 @@ class SimulationEngine:
                     pop(queue)
                     continue
                 if until is not None and head_time > until:
-                    self._now = until
+                    self.now = until
                     return
                 pop(queue)
                 batch.append(event)
                 while queue and queue[0][0] == head_time and len(batch) < room:
                     batch.append(pop(queue)[2])
-                self._now = head_time
+                self.now = head_time
                 for member in batch:
                     if not member.cancelled:
                         member.callback(*member.args)
                         processed += 1
                 batch.clear()
-            if until is not None and until > self._now:
-                self._now = until
+            if until is not None and until > self.now:
+                self.now = until
         finally:
             self._processed += processed

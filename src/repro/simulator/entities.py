@@ -140,7 +140,6 @@ class Attempt:
     jvm_delay: float = 0.0
     processing_time: Optional[float] = None  # time to process its work fraction
     end_time: Optional[float] = None
-    container_id: Optional[int] = None
     #: Time of the first progress report (end of JVM launch); precomputed
     #: in :meth:`mark_running` because the progress estimators read it on
     #: every invocation.
@@ -202,9 +201,7 @@ class Attempt:
     # ------------------------------------------------------------------
     # State transitions
     # ------------------------------------------------------------------
-    def mark_running(
-        self, launch_time: float, jvm_delay: float, processing_time: float, container_id: int
-    ) -> None:
+    def mark_running(self, launch_time: float, jvm_delay: float, processing_time: float) -> None:
         """Transition WAITING -> RUNNING when a container is granted."""
         if self.status is not AttemptStatus.WAITING:
             raise RuntimeError(f"attempt {self.attempt_id} cannot start from {self.status}")
@@ -214,7 +211,6 @@ class Attempt:
         self.launch_time = launch_time
         self.jvm_delay = jvm_delay
         self.processing_time = processing_time
-        self.container_id = container_id
         self.first_progress_time = launch_time + jvm_delay
 
     def mark_completed(self, now: float) -> None:

@@ -94,7 +94,8 @@ class RunnerConfig:
     """Configuration of a simulation run.
 
     ``profiler`` is an optional :class:`repro.telemetry.Profiler` that
-    receives coarse per-phase timings (build/simulate/report).  It is
+    receives coarse per-phase timings (build/simulate/report, and
+    ``optimize`` for each Algorithm 1 cache miss).  It is
     excluded from comparison and repr on purpose: attaching one must not
     change a config's identity (scenario fingerprints never include the
     runner config, and that stays true).
@@ -181,6 +182,7 @@ class SimulationRunner:
                     config=self._config.hadoop,
                     metrics=metrics,
                     estimator=estimator,
+                    profiler=profiler,
                 )
                 masters.append(master)
                 engine.schedule_at(spec.submit_time, master.start)

@@ -21,15 +21,16 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from time import perf_counter
 from typing import TYPE_CHECKING, Dict, Optional, Type
 
 from repro.core.model import StragglerModel, StrategyName
 from repro.core.optimizer import ChronosOptimizer
-from repro.telemetry.profiler import active_profiler
 
 if TYPE_CHECKING:  # pragma: no cover - import for type checking only
     from repro.hadoop.app_master import ApplicationMaster
     from repro.simulator.entities import Attempt, Task
+    from repro.telemetry import Profiler
 
 
 @dataclass(frozen=True)
@@ -153,7 +154,8 @@ class SpeculationStrategy(abc.ABC):
 
         Honours ``fixed_r`` when set (ablations / tests), and never lets an
         optimizer failure crash the AM: degenerate jobs fall back to
-        ``r = 1``.
+        ``r = 1``.  A cache miss is timed as the ``optimize`` phase of the
+        AM's profiler, when it has one.
         """
         if self.params.fixed_r is not None:
             return self.params.fixed_r
@@ -161,7 +163,8 @@ class SpeculationStrategy(abc.ABC):
         spec = am.job.spec
         try:
             model = spec.to_straggler_model(tau_est, tau_kill, self.params.phi_est)
-            return _optimized_r_cached(
+            return _optimized_r(
+                am.profiler,
                 model,
                 strategy,
                 self.params.theta,
@@ -192,17 +195,29 @@ def _optimized_r_cached(
     identical cluster arrivals) pay for Algorithm 1 exactly once per
     process instead of once per job.  Only the integer ``r_opt`` is
     cached — :class:`~repro.core.optimizer.OptimizationResult` carries a
-    mutable dict, which must not be shared between callers.  With a
-    profiler active, each miss is timed as the ``optimize`` phase.
+    mutable dict, which must not be shared between callers.
     """
     optimizer = ChronosOptimizer(
         model, theta=theta, unit_price=unit_price, r_min_pocd=r_min_pocd
     )
-    profiler = active_profiler()
+    return optimizer.optimize(strategy).r_opt
+
+
+def _optimized_r(profiler: Optional["Profiler"], *key) -> int:
+    """:func:`_optimized_r_cached` of ``key``, a miss timed into ``profiler``.
+
+    The profiler stays out of the cache key: runs with and without one
+    share the cached answers.
+    """
     if profiler is None:
-        return optimizer.optimize(strategy).r_opt
-    with profiler.phase("optimize"):
-        return optimizer.optimize(strategy).r_opt
+        return _optimized_r_cached(*key)
+    misses = _optimized_r_cached.cache_info().misses
+    started = perf_counter()
+    try:
+        return _optimized_r_cached(*key)
+    finally:
+        if _optimized_r_cached.cache_info().misses != misses:
+            profiler.record("optimize", perf_counter() - started)
 
 
 _REGISTRY: Dict[StrategyName, Type[SpeculationStrategy]] = {}

@@ -6,10 +6,10 @@ engine/cluster/masters, ``simulate`` the event loop, ``report`` the
 metric aggregation) in :meth:`Profiler.phase` blocks; the multi-job
 cluster façade records ``build`` and ``simulate`` the same way, and
 each Algorithm 1 cache miss records an ``optimize`` phase, which runs
-inside ``simulate``.  Every site times itself only when a profiler is
-active, so the disabled path costs one ``is None`` check per run (or per
-cache miss) — the bench gate's "instrumentation overhead ≤ noise"
-criterion.
+inside ``simulate``, in the profiler of the run that planned the job.
+Every site times itself only when a profiler is attached, so the
+disabled path costs one ``is None`` check per run (or per planned job)
+— the bench gate's "instrumentation overhead ≤ noise" criterion.
 
 Activation is either programmatic::
 

@@ -13,7 +13,6 @@ from repro.core.pocd import (
     pocd_no_speculation,
     pocd_restart,
     pocd_resume,
-    pocd_gradient,
     required_attempts_for_target,
     task_miss_probability,
     task_miss_probability_clone,
@@ -158,8 +157,8 @@ class TestPoCDHelpers:
         with pytest.raises(ValueError):
             required_attempts_for_target(m, StrategyName.CLONE, 0.999999, r_max=1)
 
-    def test_gradient_positive(self, model):
-        assert pocd_gradient(model, StrategyName.CLONE, 1.0) > 0.0
+    def test_one_more_attempt_raises_pocd(self, model):
+        assert pocd(model, StrategyName.CLONE, 2) - pocd(model, StrategyName.CLONE, 1) > 0.0
 
     def test_log_miss_slope_negative(self, model):
         for strategy in ALL_CHRONOS:

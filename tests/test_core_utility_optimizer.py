@@ -16,7 +16,6 @@ from repro.core.utility import (
     concavity_threshold_restart,
     concavity_threshold_resume,
     net_utility,
-    net_utility_gradient,
     pocd_utility,
 )
 
@@ -71,16 +70,20 @@ class TestNetUtility:
         with pytest.raises(ValueError):
             net_utility(model, StrategyName.CLONE, -1, UtilityParameters())
 
-    def test_gradient_sign_changes_around_optimum(self, model):
+    def test_difference_sign_changes_around_optimum(self, model):
         params = UtilityParameters(theta=1e-4)
-        r_opt, _ = brute_force_optimum(model, StrategyName.SPECULATIVE_RESUME, params)
-        grad_before = net_utility_gradient(
-            model, StrategyName.SPECULATIVE_RESUME, max(r_opt - 1, 0) + 0.2, params
-        )
-        grad_after = net_utility_gradient(
-            model, StrategyName.SPECULATIVE_RESUME, r_opt + 1.0, params
-        )
-        assert grad_after < grad_before
+        strategy = StrategyName.SPECULATIVE_RESUME
+        r_opt, _ = brute_force_optimum(model, strategy, params)
+
+        def step(r):  # U(r + 1) - U(r)
+            return net_utility(model, strategy, r + 1, params) - net_utility(
+                model, strategy, r, params
+            )
+
+        assert step(r_opt) <= 0.0
+        if r_opt > 0:
+            assert step(r_opt - 1) >= 0.0
+        assert step(r_opt + 1) < step(max(r_opt - 1, 0))
 
 
 class TestConcavityThresholds:

@@ -64,10 +64,13 @@ def test_inline_execution_matches_golden_payload(fingerprint, entry):
 
 
 def test_golden_file_covers_the_contract():
-    """The golden set stays representative: 8 specs, one of them a cluster."""
+    """The golden set stays representative: 9 specs, one of them a cluster
+    and one on an unbounded (``num_nodes: 0``) cluster."""
     kinds = [entry["spec"].get("kind", "scenario") for entry in GOLDEN.values()]
-    assert len(GOLDEN) == 8
+    assert len(GOLDEN) == 9
     assert kinds.count("cluster") == 1
+    unbounded = [e for e in GOLDEN.values() if e["spec"]["cluster"]["num_nodes"] == 0]
+    assert len(unbounded) == 1
     strategies = {entry["spec"]["strategy"] for entry in GOLDEN.values()}
     assert {"clone", "s-restart", "s-resume", "hadoop-s", "mantri"} <= strategies
 

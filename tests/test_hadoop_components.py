@@ -57,39 +57,45 @@ class TestResourceManager:
     def test_grants_when_capacity(self):
         engine, _, _, rm, _ = build_stack()
         granted = []
-        rm.request_container(granted.append)
+        rm.request_container(granted.append, "a")
         engine.run()
-        assert len(granted) == 1
+        assert granted == ["a"]
         assert rm.granted_containers == 1
 
     def test_queues_when_full(self):
         engine, _, _, rm, _ = build_stack(num_nodes=1, slots=1)
         granted = []
-        rm.request_container(granted.append)
-        rm.request_container(granted.append)
+        rm.request_container(granted.append, "first")
+        rm.request_container(granted.append, "second")
         engine.run()
-        assert len(granted) == 1
+        assert granted == ["first"]
         assert rm.pending_requests == 1
-        rm.release_container(granted[0])
+        rm.release_container()
         engine.run()
-        assert len(granted) == 2
+        assert granted == ["first", "second"]
 
     def test_cancelled_request_skipped(self):
         engine, _, _, rm, _ = build_stack(num_nodes=1, slots=1)
         granted = []
-        first = rm.request_container(granted.append)
-        second = rm.request_container(granted.append)
+        rm.request_container(granted.append, "first")
+        second = rm.request_container(granted.append, "second")
         second.cancel()
         engine.run()
-        rm.release_container(granted[0])
+        rm.release_container()
         engine.run()
-        assert len(granted) == 1
+        assert granted == ["first"]
+
+    def test_release_with_nothing_granted_raises(self):
+        _, _, cluster, rm, _ = build_stack()
+        with pytest.raises(RuntimeError):
+            rm.release_container()
+        assert cluster.containers_in_use == 0
 
     def test_cancelled_request_with_granted_container_returns_it(self):
         config = HadoopConfig(jvm_startup_mean=0.0, jvm_startup_jitter=0.0, container_grant_delay=1.0)
         engine, _, cluster, rm, _ = build_stack(num_nodes=1, slots=1, config=config)
         granted = []
-        request = rm.request_container(granted.append)
+        request = rm.request_container(granted.append, "a")
         request.cancel()
         engine.run()
         assert granted == []
@@ -99,47 +105,45 @@ class TestResourceManager:
         config = HadoopConfig(container_grant_delay=2.0, jvm_startup_mean=0.0, jvm_startup_jitter=0.0)
         engine, _, _, rm, _ = build_stack(config=config)
         times = []
-        rm.request_container(lambda c: times.append(engine.now))
+        rm.request_container(lambda: times.append(engine.now))
         engine.run()
         assert times == [2.0]
 
     @pytest.mark.parametrize("grant_delay", [0.0, 1.5])
-    def test_request_passes_its_args_before_the_container(self, grant_delay):
+    def test_grant_calls_back_with_the_request_args(self, grant_delay):
         config = HadoopConfig(
             jvm_startup_mean=0.0, jvm_startup_jitter=0.0, container_grant_delay=grant_delay
         )
-        engine, _, _, rm, _ = build_stack(config=config)
+        engine, _, cluster, rm, _ = build_stack(config=config)
         calls = []
-        rm.request_container(lambda a, b, container: calls.append((a, b, container)), "a", 2)
+        rm.request_container(lambda a, b: calls.append((a, b)), "a", 2)
         engine.run()
-        assert len(calls) == 1
-        a, b, container = calls[0]
-        assert (a, b) == ("a", 2)
-        assert container.container_id == 0 and not container.released
+        assert calls == [("a", 2)]
         assert rm.granted_containers == 1
+        assert cluster.containers_in_use == 1
 
     def test_request_cancelled_before_delivery_returns_container_to_the_queue(self):
         config = HadoopConfig(jvm_startup_mean=0.0, jvm_startup_jitter=0.0, container_grant_delay=1.0)
         engine, _, cluster, rm, _ = build_stack(num_nodes=1, slots=1, config=config)
         granted = []
-        first = rm.request_container(lambda tag, c: granted.append((tag, c)), "first")
-        rm.request_container(lambda tag, c: granted.append((tag, c)), "second")
+        first = rm.request_container(granted.append, "first")
+        rm.request_container(granted.append, "second")
         assert cluster.containers_in_use == 1 and rm.pending_requests == 1
         first.cancel()  # granted a container, not yet delivered
         engine.run()
         # The cancelled delivery released the slot, which the queue handed on.
-        assert [tag for tag, _ in granted] == ["second"]
+        assert granted == ["second"]
         assert rm.granted_containers == 1
         assert cluster.containers_in_use == 1
-        rm.release_container(granted[0][1])
+        rm.release_container()
         assert cluster.containers_in_use == 0
 
     def test_has_idle_capacity(self):
         engine, _, _, rm, _ = build_stack(num_nodes=1, slots=1)
         assert rm.has_idle_capacity()
         granted = []
-        rm.request_container(granted.append)
-        rm.request_container(granted.append)
+        rm.request_container(granted.append, "first")
+        rm.request_container(granted.append, "second")
         engine.run()
         assert not rm.has_idle_capacity()
 
@@ -153,7 +157,7 @@ class TestNodeManager:
 
         attempt = Attempt(task=job.tasks[0], created_time=0.0)
         done = []
-        rm.request_container(lambda c: nm.launch(attempt, c, 10.0, done.append))
+        rm.request_container(nm.launch, attempt, 10.0, done.append)
         engine.run()
         assert done == [attempt]
         assert attempt.status is AttemptStatus.COMPLETED
@@ -167,7 +171,7 @@ class TestNodeManager:
 
         attempt = Attempt(task=job.tasks[0], created_time=0.0)
         done = []
-        rm.request_container(lambda c: nm.launch(attempt, c, 10.0, done.append))
+        rm.request_container(nm.launch, attempt, 10.0, done.append)
         engine.run(until=5.0)
         nm.kill(attempt)
         engine.run()
@@ -188,9 +192,9 @@ class TestNodeManager:
         from repro.simulator.entities import Attempt
 
         attempt = Attempt(task=job.tasks[0], created_time=0.0)
-        container = rm.cluster.allocate()
+        assert rm.cluster.allocate()
         with pytest.raises(ValueError):
-            nm.launch(attempt, container, -1.0, lambda a: None)
+            nm.launch(attempt, -1.0, lambda a: None)
 
 
 class TestApplicationMaster:

@@ -1,4 +1,4 @@
-"""Unit tests for the cluster / container model."""
+"""Unit tests for the cluster model: a count of identical container slots."""
 
 from __future__ import annotations
 
@@ -32,33 +32,29 @@ class TestClusterConfig:
 class TestBoundedCluster:
     def test_allocate_until_full(self):
         cluster = Cluster(ClusterConfig(num_nodes=2, slots_per_node=2))
-        containers = [cluster.allocate() for _ in range(4)]
-        assert all(c is not None for c in containers)
-        assert cluster.allocate() is None
+        assert [cluster.allocate() for _ in range(4)] == [True] * 4
+        assert cluster.allocate() is False
         assert cluster.containers_in_use == 4
         assert cluster.free_slots == 0
         assert not cluster.has_capacity()
 
     def test_release_restores_capacity(self):
         cluster = Cluster(ClusterConfig(num_nodes=1, slots_per_node=1))
-        container = cluster.allocate()
-        assert cluster.allocate() is None
-        cluster.release(container)
+        assert cluster.allocate()
+        assert cluster.allocate() is False
+        cluster.release()
         assert cluster.has_capacity()
-        assert cluster.allocate() is not None
+        assert cluster.allocate()
 
-    def test_release_is_idempotent(self):
+    def test_release_with_nothing_in_use_raises(self):
         cluster = Cluster(ClusterConfig(num_nodes=1, slots_per_node=2))
-        container = cluster.allocate()
-        cluster.release(container)
-        cluster.release(container)
+        with pytest.raises(RuntimeError):
+            cluster.release()
+        cluster.allocate()
+        cluster.release()
+        with pytest.raises(RuntimeError):
+            cluster.release()
         assert cluster.containers_in_use == 0
-
-    def test_allocation_prefers_least_loaded_node(self):
-        cluster = Cluster(ClusterConfig(num_nodes=2, slots_per_node=2))
-        first = cluster.allocate()
-        second = cluster.allocate()
-        assert first.node_id != second.node_id
 
     def test_utilisation(self):
         cluster = Cluster(ClusterConfig(num_nodes=2, slots_per_node=2))
@@ -68,29 +64,28 @@ class TestBoundedCluster:
 
     def test_peak_usage_tracked(self):
         cluster = Cluster(ClusterConfig(num_nodes=1, slots_per_node=3))
-        containers = [cluster.allocate() for _ in range(3)]
-        for container in containers:
-            cluster.release(container)
+        for _ in range(3):
+            cluster.allocate()
+        for _ in range(3):
+            cluster.release()
         assert cluster.peak_containers_in_use == 3
         assert cluster.containers_in_use == 0
-
-    def test_container_ids_unique(self):
-        cluster = Cluster(ClusterConfig(num_nodes=2, slots_per_node=2))
-        ids = {cluster.allocate().container_id for _ in range(4)}
-        assert len(ids) == 4
 
 
 class TestUnboundedCluster:
     def test_always_has_capacity(self):
         cluster = Cluster(ClusterConfig(num_nodes=0))
-        containers = [cluster.allocate() for _ in range(100)]
-        assert all(c is not None for c in containers)
+        assert all(cluster.allocate() for _ in range(100))
         assert cluster.has_capacity()
         assert cluster.free_slots is None
         assert cluster.utilisation() == 0.0
+        assert cluster.containers_in_use == 100
+        assert cluster.peak_containers_in_use == 100
 
     def test_release_works(self):
         cluster = Cluster(ClusterConfig(num_nodes=0))
-        container = cluster.allocate()
-        cluster.release(container)
+        cluster.allocate()
+        cluster.release()
         assert cluster.containers_in_use == 0
+        with pytest.raises(RuntimeError):
+            cluster.release()

@@ -73,7 +73,7 @@ class TestAttempt:
 
     def test_run_and_complete(self):
         attempt = self.make_attempt()
-        attempt.mark_running(launch_time=5.0, jvm_delay=2.0, processing_time=10.0, container_id=1)
+        attempt.mark_running(launch_time=5.0, jvm_delay=2.0, processing_time=10.0)
         assert attempt.is_active
         assert attempt.first_progress_time == 7.0
         assert attempt.expected_finish_time == 17.0
@@ -84,9 +84,9 @@ class TestAttempt:
 
     def test_cannot_start_twice(self):
         attempt = self.make_attempt()
-        attempt.mark_running(0.0, 1.0, 10.0, container_id=1)
+        attempt.mark_running(0.0, 1.0, 10.0)
         with pytest.raises(RuntimeError):
-            attempt.mark_running(1.0, 1.0, 10.0, container_id=2)
+            attempt.mark_running(1.0, 1.0, 10.0)
 
     def test_cannot_complete_from_waiting(self):
         attempt = self.make_attempt()
@@ -101,27 +101,27 @@ class TestAttempt:
 
     def test_kill_running_attempt_counts_machine_time(self):
         attempt = self.make_attempt()
-        attempt.mark_running(2.0, 1.0, 100.0, container_id=1)
+        attempt.mark_running(2.0, 1.0, 100.0)
         attempt.mark_killed(12.0)
         assert attempt.machine_time(50.0) == pytest.approx(10.0)
 
     def test_kill_after_completion_is_noop(self):
         attempt = self.make_attempt()
-        attempt.mark_running(0.0, 1.0, 5.0, container_id=1)
+        attempt.mark_running(0.0, 1.0, 5.0)
         attempt.mark_completed(6.0)
         attempt.mark_killed(8.0)
         assert attempt.status is AttemptStatus.COMPLETED
 
     def test_progress_accounts_for_jvm_delay(self):
         attempt = self.make_attempt()
-        attempt.mark_running(0.0, 4.0, 10.0, container_id=1)
+        attempt.mark_running(0.0, 4.0, 10.0)
         assert attempt.progress(2.0) == 0.0
         assert attempt.progress(9.0) == pytest.approx(0.5)
         assert attempt.progress(100.0) == pytest.approx(1.0)
 
     def test_progress_with_offset(self):
         attempt = self.make_attempt(offset=0.4)
-        attempt.mark_running(0.0, 0.0, 10.0, container_id=1)
+        attempt.mark_running(0.0, 0.0, 10.0)
         assert attempt.progress(0.0) == pytest.approx(0.4)
         assert attempt.progress(5.0) == pytest.approx(0.4 + 0.5 * 0.6)
         assert attempt.work_fraction == pytest.approx(0.6)
@@ -148,7 +148,7 @@ class TestTaskAndJob:
         for task in job.tasks:
             attempt = Attempt(task=task, created_time=0.0)
             task.add_attempt(attempt)
-            attempt.mark_running(0.0, 0.0, 10.0, container_id=0)
+            attempt.mark_running(0.0, 0.0, 10.0)
             attempt.mark_completed(10.0)
             task.mark_complete(10.0)
         assert job.try_finish(10.0)
@@ -175,8 +175,8 @@ class TestTaskAndJob:
         fast = Attempt(task=task, created_time=0.0, is_original=False)
         task.add_attempt(slow)
         task.add_attempt(fast)
-        slow.mark_running(0.0, 0.0, 100.0, container_id=0)
-        fast.mark_running(0.0, 0.0, 10.0, container_id=1)
+        slow.mark_running(0.0, 0.0, 100.0)
+        fast.mark_running(0.0, 0.0, 10.0)
         assert task.best_progress_attempt(5.0) is fast
 
     def test_original_attempt_lookup(self):
@@ -193,7 +193,7 @@ class TestTaskAndJob:
         for task in job.tasks:
             attempt = Attempt(task=task, created_time=0.0)
             task.add_attempt(attempt)
-            attempt.mark_running(0.0, 0.0, 10.0, container_id=0)
+            attempt.mark_running(0.0, 0.0, 10.0)
             attempt.mark_completed(10.0)
         assert job.machine_time(now=20.0) == pytest.approx(20.0)
 

@@ -25,7 +25,6 @@ def running_attempt(jvm_delay=4.0, processing_time=20.0, launch_time=0.0, offset
         launch_time=launch_time,
         jvm_delay=jvm_delay,
         processing_time=processing_time,
-        container_id=0,
     )
     return attempt
 

@@ -207,6 +207,28 @@ class TestProfiler:
         assert all(entry["calls"] == 1 for entry in phases.values())
         assert phases["optimize"]["seconds"] <= phases["simulate"]["seconds"]
 
+    def test_runner_profiler_records_the_optimize_phase(self):
+        """A profiler handed to ``SimulationRunner`` gets every phase of its
+        run, Algorithm 1's ``optimize`` included, with none enabled
+        process-wide."""
+        from repro.simulator import ClusterConfig, SimulationRunner
+        from repro.strategies.base import _optimized_r_cached
+
+        _optimized_r_cached.cache_clear()
+        spec = _tiny_spec(fixed_r=None)
+        profiler = Profiler()
+        assert active_profiler() is None
+        runner = SimulationRunner(cluster=ClusterConfig(num_nodes=0), profiler=profiler)
+        runner.run(spec.build_jobs(), spec.build_strategy())
+        phases = profiler.to_dict()["phases"]
+        assert set(phases) == {"build", "simulate", "report", "optimize"}
+        assert phases["optimize"]["calls"] == 1
+        assert phases["optimize"]["seconds"] <= phases["simulate"]["seconds"]
+        # A warm cache times nothing: only misses are the optimize phase.
+        profiler.reset()
+        runner.run(spec.build_jobs(), spec.build_strategy())
+        assert "optimize" not in profiler.to_dict()["phases"]
+
     def test_run_cluster_records_phases_when_enabled(self):
         from repro.cluster import ArrivalSpec, ClusterSpec, run_cluster
         from repro.strategies.base import _optimized_r_cached
