@@ -14,23 +14,23 @@ The pieces:
 
 * :mod:`~repro.adaptive.algorithms` — the :class:`AlgorithmAdapter` ABC,
   a string-keyed registry (:func:`register_algorithm`, mirroring the
-  strategy/estimator registries) and four built-ins: ``random``,
-  ``grid`` (compat wrapper), ``successive_halving`` (prune configs on
-  intermediate PoCD/score across seed rungs) and ``frontier_bisect``
-  (minimize cost subject to PoCD ≥ target — the paper's Fig. 4/5
-  question, answered in ~log₂ N scenarios).
+  strategy/estimator registries) and two built-ins, each kept for a
+  measured win over the grid (PERFORMANCE.md): ``successive_halving``
+  (the best mean score, pruning configs on intermediate PoCD/score
+  across seed rungs) and ``frontier_bisect`` (minimize cost subject to
+  PoCD ≥ target — the paper's Fig. 4/5 question, answered in ~log₂ N
+  scenarios).
 * :mod:`~repro.adaptive.ledger` — a persisted :class:`TrialLedger`
   (sqlite, same WAL idiom as the distributed broker) recording every
-  trial's PENDING → LEASED → COMPLETED/FAILED/PRUNED lifecycle, so a
-  killed search resumes with zero re-executed trials.
+  trial's LEASED → COMPLETED/FAILED/PRUNED lifecycle, so a killed
+  search resumes with zero re-executed trials.
 * :mod:`~repro.adaptive.objectives` — named objective functions
   (``utility``, ``cost``, ``pocd``, ...) with a max/min direction, plus
   their own registry (:func:`register_objective`).
 * :mod:`~repro.adaptive.search` — the driver: :func:`stream_search`
   yields the same :class:`~repro.api.events.SweepEvent` stream as a grid
-  sweep (plus ``TrialProposed``/``TrialPruned``/``SearchFinished``),
-  :func:`run_search` blocks and returns a :class:`SearchResult`, and
-  :class:`Search` mirrors :class:`~repro.api.Sweep`.
+  sweep (plus ``TrialProposed``/``TrialPruned``/``SearchFinished``), and
+  :func:`run_search` blocks and returns a :class:`SearchResult`.
 
 Everything here is re-exported from :mod:`repro.api`, and the CLI grows
 ``chronos-experiments search --algorithm ... --objective ...``.
@@ -40,9 +40,7 @@ from repro.adaptive.algorithms import (
     ALGORITHMS,
     AlgorithmAdapter,
     FrontierBisect,
-    GridAlgorithm,
     Proposal,
-    RandomSearch,
     SuccessiveHalving,
     available_algorithms,
     make_algorithm,
@@ -58,18 +56,15 @@ from repro.adaptive.objectives import (
     register_objective,
     summary_metrics,
 )
-from repro.adaptive.search import Search, SearchResult, run_search, stream_search
+from repro.adaptive.search import SearchResult, run_search, stream_search
 
 __all__ = [
     "ALGORITHMS",
     "AlgorithmAdapter",
     "FrontierBisect",
-    "GridAlgorithm",
     "OBJECTIVES",
     "Objective",
     "Proposal",
-    "RandomSearch",
-    "Search",
     "SearchResult",
     "SuccessiveHalving",
     "TRIAL_STATES",

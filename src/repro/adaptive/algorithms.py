@@ -14,22 +14,18 @@ truncated SHA-256 of the canonical JSON of its override mapping (the
 same construction as :meth:`ScenarioSpec.fingerprint`), so two searches
 — or a search killed and resumed — agree on ids without coordination.
 
-Built-ins, registered under the same string-keyed
+Two built-ins, registered under the same string-keyed
 :class:`~repro.api.registry.Registry` idiom as strategies and
-estimators:
+estimators.  They answer different questions, so a search names one:
 
-``grid``
-    Compat wrapper: proposes the full cartesian product in row-major
-    order, exactly like :meth:`repro.api.Sweep.grid`.
-``random``
-    A seeded shuffle of the grid, optionally truncated to
-    ``num_samples`` — the classic strong baseline.
 ``successive_halving``
-    Treats one axis (default ``"seed"``) as the *resource*: every config
-    is evaluated on a slice of seeds per rung, the worst half (by mean
-    score, with ``min_pocd`` infeasibility trumping score) is eliminated
-    at each rung boundary, and survivors graduate to more seeds.  The
-    eliminated configs' remaining evaluations surface as pruned trials.
+    The configuration with the best *mean* score.  Treats one axis
+    (default ``"seed"``) as the *resource*: every config is evaluated on
+    a slice of seeds per rung, the worst half (by mean score, with
+    ``min_pocd`` infeasibility trumping score) is eliminated at each
+    rung boundary, and survivors graduate to more seeds.  The eliminated
+    configs' remaining evaluations surface as pruned trials.  Without a
+    resource axis every config runs once, at the base spec's seed.
 ``frontier_bisect``
     The paper's Fig. 4/5 question — the cheapest configuration with
     PoCD ≥ target — answered by bisecting a single monotone axis
@@ -40,7 +36,6 @@ estimators:
 from __future__ import annotations
 
 import hashlib
-import random as _random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -118,7 +113,7 @@ class AlgorithmAdapter(ABC):
         return None
 
 
-#: Algorithm name -> factory ``(axes, *, seed, **params) -> AlgorithmAdapter``.
+#: Algorithm name -> factory ``(axes, **params) -> AlgorithmAdapter``.
 ALGORITHMS: Registry[Callable[..., AlgorithmAdapter]] = Registry("algorithm")
 
 
@@ -130,14 +125,12 @@ def register_algorithm(name: str, factory: Optional[Callable[..., AlgorithmAdapt
 def make_algorithm(
     name: str,
     axes: Mapping[str, Sequence[Any]],
-    *,
-    seed: int = 0,
     **params: Any,
 ) -> AlgorithmAdapter:
     """Instantiate a registered algorithm over the given search axes."""
     factory = ALGORITHMS.get(name)
     try:
-        algorithm = factory(axes, seed=seed, **params)
+        algorithm = factory(axes, **params)
     except TypeError as error:
         raise ValueError(f"invalid parameters for algorithm {name!r}: {error}") from error
     algorithm.name = ALGORITHMS._normalize(name)
@@ -147,77 +140,6 @@ def make_algorithm(
 def available_algorithms() -> tuple:
     """Names of every registered algorithm."""
     return ALGORITHMS.names()
-
-
-def _grid_proposals(axes: Mapping[str, Sequence[Any]]) -> List[Proposal]:
-    """The full cartesian product as proposals, in row-major order."""
-    return [make_proposal(override) for override in Sweep.grid_overrides(axes)]
-
-
-class _ListAlgorithm(AlgorithmAdapter):
-    """Shared machinery for algorithms with a precomputed proposal list."""
-
-    def __init__(self, proposals: Sequence[Proposal]):
-        self._proposals = list(proposals)
-        self._cursor = 0
-        self._told: Dict[str, Optional[float]] = {}
-
-    def ask(self, n: int) -> List[Proposal]:
-        """The next ``n`` proposals from the precomputed list."""
-        if n < 1:
-            raise ValueError("ask count must be a positive integer")
-        batch = self._proposals[self._cursor : self._cursor + n]
-        self._cursor += len(batch)
-        return batch
-
-    def tell(
-        self,
-        trial_id: str,
-        score: Optional[float],
-        metrics: Optional[Mapping[str, float]] = None,
-    ) -> None:
-        """Record a trial outcome (list algorithms only count arrivals)."""
-        self._told.setdefault(trial_id, score)
-
-    def finished(self) -> bool:
-        """Whether every proposal has been issued and reported back."""
-        return self._cursor >= len(self._proposals) and len(self._told) >= len(
-            self._proposals
-        )
-
-
-@register_algorithm("grid")
-class GridAlgorithm(_ListAlgorithm):
-    """The compat wrapper: a grid sweep expressed as an ask/tell search."""
-
-    def __init__(self, axes: Mapping[str, Sequence[Any]], *, seed: int = 0):
-        del seed  # the grid is deterministic; accepted for interface symmetry
-        super().__init__(_grid_proposals(axes))
-
-
-@register_algorithm("random")
-class RandomSearch(_ListAlgorithm):
-    """Random search: a seeded shuffle of the grid, optionally truncated.
-
-    ``num_samples`` bounds how many configurations are ever proposed;
-    ``None`` proposes the whole (shuffled) grid, which makes ``random``
-    with a ``max_trials`` budget the usual way to subsample a lattice.
-    """
-
-    def __init__(
-        self,
-        axes: Mapping[str, Sequence[Any]],
-        *,
-        seed: int = 0,
-        num_samples: Optional[int] = None,
-    ):
-        proposals = _grid_proposals(axes)
-        _random.Random(seed).shuffle(proposals)
-        if num_samples is not None:
-            if num_samples < 1:
-                raise ValueError("num_samples must be a positive integer")
-            proposals = proposals[:num_samples]
-        super().__init__(proposals)
 
 
 class SuccessiveHalving(AlgorithmAdapter):
@@ -233,6 +155,9 @@ class SuccessiveHalving(AlgorithmAdapter):
     "prune on intermediate PoCD" rule: a configuration that misses
     deadlines on its first seed will not be saved by seven more.
 
+    Without a resource axis the proposals carry no resource override:
+    every config runs once, at the base spec's seed.
+
     Eliminated configs' never-run evaluations (their remaining seeds)
     are reported through :meth:`drain_pruned` — those are exactly the
     scenarios a full grid would have paid for.
@@ -242,36 +167,31 @@ class SuccessiveHalving(AlgorithmAdapter):
         self,
         axes: Mapping[str, Sequence[Any]],
         *,
-        seed: int = 0,
         eta: int = 2,
         resource_axis: str = "seed",
         min_pocd: Optional[float] = None,
     ):
-        del seed  # rung schedule is deterministic; accepted for symmetry
         if eta < 2:
             raise ValueError("eta must be an integer >= 2")
         axes = dict(axes)
-        if resource_axis in axes:
-            resources = list(axes.pop(resource_axis))
-        else:
-            resources = [0]
+        # No resource axis: one evaluation per config, with no override.
+        self._resource_axis: Optional[str] = resource_axis if resource_axis in axes else None
+        self._resources: List[Any] = list(axes.pop(resource_axis, [None]))
         if not axes:
             raise ValueError(
                 "successive_halving needs at least one config axis besides "
                 f"the resource axis {resource_axis!r}"
             )
         self._eta = int(eta)
-        self._resource_axis = resource_axis
-        self._resources = resources
         self._min_pocd = min_pocd
         self._configs: List[Dict[str, Any]] = Sweep.grid_overrides(axes)
+        # Survivors, best mean first once a rung has been ranked.
         self._survivors: List[int] = list(range(len(self._configs)))
         # Per config: trial_id -> oriented score (None until told).
         self._scores: List[Dict[str, Optional[float]]] = [{} for _ in self._configs]
         self._infeasible: set = set()
         self._rung = 0
         self._rung_trials: Dict[str, int] = {}  # trial_id -> config index
-        self._asked: set = set()
         self._pruned: List[Tuple[Proposal, str]] = []
         self._queue: List[Proposal] = []
         self._done = False
@@ -291,7 +211,8 @@ class SuccessiveHalving(AlgorithmAdapter):
 
     def _config_proposal(self, config_index: int, resource: Any) -> Proposal:
         params = dict(self._configs[config_index])
-        params[self._resource_axis] = resource
+        if self._resource_axis is not None:
+            params[self._resource_axis] = resource
         return make_proposal(params)
 
     def _build_rung(self) -> None:
@@ -307,7 +228,6 @@ class SuccessiveHalving(AlgorithmAdapter):
                 self._rung_trials[proposal.trial_id] = config_index
                 queue.append(proposal)
         self._queue = queue
-        self._asked = set()
 
     def _advance_if_ready(self) -> None:
         while not self._done and not self._queue and self._rung_told():
@@ -330,19 +250,20 @@ class SuccessiveHalving(AlgorithmAdapter):
         return sum(scores) / len(scores) if scores else float("-inf")
 
     def _eliminate(self) -> None:
-        """Rank the rung's survivors and cut to the next rung's quota."""
-        viable = [
-            index for index in self._survivors if index not in self._infeasible
-        ]
-        dropped_infeasible = [
-            index for index in self._survivors if index in self._infeasible
-        ]
-        viable.sort(key=self._mean_score, reverse=True)
-        keep = max(1, -(-len(self._survivors) // self._eta))  # ceil division
-        keep = min(keep, len(viable)) if viable else 0
-        kept, cut = viable[:keep], viable[keep:]
+        """Rank the rung's survivors and cut to the next rung's quota.
+
+        When every survivor is infeasible none is kept, which ends the
+        search: nothing is worth more seeds.
+        """
+        viable = sorted(
+            (index for index in self._survivors if index not in self._infeasible),
+            key=self._mean_score,
+            reverse=True,
+        )
+        keep = min(len(viable), -(-len(self._survivors) // self._eta))  # ceil division
+        infeasible = [index for index in self._survivors if index in self._infeasible]
         _, high = self._resource_bounds(self._rung)
-        for config_index in cut + dropped_infeasible:
+        for config_index in viable[keep:] + infeasible:
             reason = (
                 f"pocd below {self._min_pocd} at rung {self._rung}"
                 if config_index in self._infeasible
@@ -352,21 +273,14 @@ class SuccessiveHalving(AlgorithmAdapter):
             for resource in self._resources[high:]:
                 proposal = self._config_proposal(config_index, resource)
                 self._pruned.append((proposal, reason))
-        self._survivors = kept if kept else viable[:1] or self._survivors[:1]
-        if not viable:
-            # Every survivor infeasible: nothing is worth more seeds.
-            self._done = True
+        self._survivors = viable[:keep]
 
     def ask(self, n: int) -> List[Proposal]:
         """Up to ``n`` proposals from the current rung's queue."""
         if n < 1:
             raise ValueError("ask count must be a positive integer")
         self._advance_if_ready()
-        batch: List[Proposal] = []
-        while self._queue and len(batch) < n:
-            proposal = self._queue.pop(0)
-            self._asked.add(proposal.trial_id)
-            batch.append(proposal)
+        batch, self._queue = self._queue[:n], self._queue[n:]
         return batch
 
     def tell(
@@ -401,8 +315,16 @@ class SuccessiveHalving(AlgorithmAdapter):
         return pruned
 
     def best_trial_id(self) -> Optional[str]:
-        """``None``: the ledger's best completed score is halving's answer."""
-        return None
+        """The best-scoring trial of the config that survived every rung.
+
+        ``None`` while rungs remain, or when every config was eliminated
+        as infeasible: the driver then falls back to the ledger's best
+        completed score.
+        """
+        if not self._done or not self._survivors:
+            return None
+        scores = self._scores[self._survivors[0]]
+        return max(scores, key=scores.__getitem__, default=None)
 
 
 register_algorithm("successive_halving", SuccessiveHalving)
@@ -429,11 +351,9 @@ class FrontierBisect(AlgorithmAdapter):
         self,
         axes: Mapping[str, Sequence[Any]],
         *,
-        seed: int = 0,
         min_pocd: float = 0.99,
         axis: Optional[str] = None,
     ):
-        del seed  # bisection is deterministic; accepted for symmetry
         axes = dict(axes)
         multi = [key for key, values in axes.items() if len(list(values)) > 1]
         if axis is None:
@@ -466,7 +386,6 @@ class FrontierBisect(AlgorithmAdapter):
         self._feasible: Dict[int, bool] = {}
         self._outstanding: Optional[Tuple[str, int]] = None
         self._pruned: List[Tuple[Proposal, str]] = []
-        self._trials: Dict[str, int] = {}
 
     def _proposal_for(self, value_index: int) -> Proposal:
         params = dict(self._constants)
@@ -482,7 +401,6 @@ class FrontierBisect(AlgorithmAdapter):
         mid = (self._lo + self._hi) // 2
         proposal = self._proposal_for(mid)
         self._outstanding = (proposal.trial_id, mid)
-        self._trials[proposal.trial_id] = mid
         return [proposal]
 
     def tell(

@@ -14,9 +14,15 @@ execute **zero** repeated scenarios.
 
 Trial lifecycle::
 
-    pending --lease--> leased --complete--> completed
-                          \\------fail-----> failed
-    (never executed) ------prune----------> pruned
+    propose --> leased --complete--> completed
+                   \\------fail-----> failed
+    (never executed) ----prune----> pruned
+
+``propose`` records a trial and the fingerprint of the scenario it runs
+in one statement, so a ledger row is ``leased`` from the moment it
+exists.  Completed rows stay: :attr:`SearchResult.trials` lists them,
+and a resume over the default in-memory result cache has no other
+record of their objectives.
 
 The ledger deliberately has its own schema — ``trials`` plus a
 ``search_meta`` key/value table — rather than piggybacking on the queue
@@ -39,14 +45,14 @@ from typing import Any, Dict, List, Mapping, Optional, Union
 from repro.distributed.store import BUSY_TIMEOUT_MS, normalize_db_path
 
 #: Trial states, in roughly the order of the lifecycle.
-TRIAL_STATES = ("pending", "leased", "completed", "failed", "pruned")
+TRIAL_STATES = ("leased", "completed", "failed", "pruned")
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS trials (
     trial_id    TEXT PRIMARY KEY,
     params      TEXT NOT NULL,
     fingerprint TEXT,
-    state       TEXT NOT NULL DEFAULT 'pending',
+    state       TEXT NOT NULL,
     objective   REAL,
     score       REAL,
     metrics     TEXT,
@@ -139,21 +145,6 @@ class TrialLedger:
     # ------------------------------------------------------------------
     # Search identity
     # ------------------------------------------------------------------
-    def set_meta(self, key: str, value: str) -> None:
-        """Record one search identity fact (algorithm, objective, base)."""
-        with self._conn:
-            self._conn.execute(
-                "INSERT OR REPLACE INTO search_meta (key, value) VALUES (?, ?)",
-                (str(key), str(value)),
-            )
-
-    def get_meta(self, key: str) -> Optional[str]:
-        """A previously recorded identity fact, or ``None``."""
-        row = self._conn.execute(
-            "SELECT value FROM search_meta WHERE key = ?", (str(key),)
-        ).fetchone()
-        return row["value"] if row is not None else None
-
     def claim_meta(self, key: str, value: str) -> None:
         """Set ``key`` to ``value``, refusing a conflicting existing value.
 
@@ -161,42 +152,35 @@ class TrialLedger:
         ledger written by ``successive_halving`` (or at a different base
         spec) raises instead of silently interleaving two searches.
         """
-        existing = self.get_meta(key)
-        if existing is not None and existing != str(value):
+        self._conn.execute(
+            "INSERT OR IGNORE INTO search_meta (key, value) VALUES (?, ?)", (key, value)
+        )
+        existing = self._conn.execute(
+            "SELECT value FROM search_meta WHERE key = ?", (key,)
+        ).fetchone()["value"]
+        if existing != value:
             raise ValueError(
                 f"ledger {self._path or ':memory:'} was created with {key}="
                 f"{existing!r}; refusing to resume it with {key}={value!r}"
             )
-        if existing is None:
-            self.set_meta(key, value)
 
     # ------------------------------------------------------------------
     # Lifecycle transitions
     # ------------------------------------------------------------------
-    def propose(self, trial_id: str, params: Mapping[str, Any]) -> bool:
-        """Record a proposed trial; returns ``False`` if already known."""
-        now = time.time()
-        with self._conn:
-            cursor = self._conn.execute(
-                "INSERT OR IGNORE INTO trials (trial_id, params, proposed_at, updated_at) "
-                "VALUES (?, ?, ?, ?)",
-                (trial_id, json.dumps(dict(params), sort_keys=True), now, now),
-            )
-        return bool(cursor.rowcount)
+    def propose(self, trial_id: str, params: Mapping[str, Any], fingerprint: str) -> bool:
+        """Record a trial as ``leased`` to its scenario's fingerprint.
 
-    def lease(self, trial_id: str, fingerprint: str) -> None:
-        """Mark a trial as handed to an executor, pinning its fingerprint.
-
-        Only ``pending``/``leased`` rows move — a settled trial cannot be
-        dragged back into execution by a replayed lease.
+        Returns ``False`` if the trial is already known (a resumed search
+        re-running an unsettled row); the existing row is left as it is.
         """
         now = time.time()
-        with self._conn:
-            self._conn.execute(
-                "UPDATE trials SET state = 'leased', fingerprint = ?, updated_at = ? "
-                "WHERE trial_id = ? AND state IN ('pending', 'leased')",
-                (fingerprint, now, trial_id),
-            )
+        cursor = self._conn.execute(
+            "INSERT OR IGNORE INTO trials "
+            "(trial_id, params, fingerprint, state, proposed_at, updated_at) "
+            "VALUES (?, ?, ?, 'leased', ?, ?)",
+            (trial_id, json.dumps(dict(params), sort_keys=True), fingerprint, now, now),
+        )
+        return bool(cursor.rowcount)
 
     def complete(
         self,
@@ -206,31 +190,26 @@ class TrialLedger:
         metrics: Optional[Mapping[str, Any]] = None,
     ) -> None:
         """Record a trial's objective (idempotent; completed rows win)."""
-        now = time.time()
-        with self._conn:
-            self._conn.execute("BEGIN IMMEDIATE")
-            self._conn.execute(
-                "UPDATE trials SET state = 'completed', objective = ?, score = ?, "
-                "metrics = ?, detail = NULL, updated_at = ? "
-                "WHERE trial_id = ? AND state != 'completed'",
-                (
-                    objective,
-                    score,
-                    json.dumps(dict(metrics)) if metrics is not None else None,
-                    now,
-                    trial_id,
-                ),
-            )
+        self._conn.execute(
+            "UPDATE trials SET state = 'completed', objective = ?, score = ?, "
+            "metrics = ?, detail = NULL, updated_at = ? "
+            "WHERE trial_id = ? AND state != 'completed'",
+            (
+                objective,
+                score,
+                json.dumps(dict(metrics)) if metrics is not None else None,
+                time.time(),
+                trial_id,
+            ),
+        )
 
     def fail(self, trial_id: str, detail: str = "") -> None:
         """Mark a trial failed (its scenario raised); completed rows win."""
-        now = time.time()
-        with self._conn:
-            self._conn.execute(
-                "UPDATE trials SET state = 'failed', detail = ?, updated_at = ? "
-                "WHERE trial_id = ? AND state NOT IN ('completed', 'failed')",
-                (str(detail), now, trial_id),
-            )
+        self._conn.execute(
+            "UPDATE trials SET state = 'failed', detail = ?, updated_at = ? "
+            "WHERE trial_id = ? AND state NOT IN ('completed', 'failed')",
+            (str(detail), time.time(), trial_id),
+        )
 
     def prune(self, trial_id: str, params: Mapping[str, Any], reason: str = "") -> None:
         """Record a trial the algorithm ruled out without executing it.
@@ -239,20 +218,14 @@ class TrialLedger:
         this is an upsert; a trial that already ran keeps its state.
         """
         now = time.time()
-        with self._conn:
-            self._conn.execute("BEGIN IMMEDIATE")
-            cursor = self._conn.execute(
-                "INSERT OR IGNORE INTO trials "
-                "(trial_id, params, state, detail, proposed_at, updated_at) "
-                "VALUES (?, ?, 'pruned', ?, ?, ?)",
-                (trial_id, json.dumps(dict(params), sort_keys=True), str(reason), now, now),
-            )
-            if not cursor.rowcount:
-                self._conn.execute(
-                    "UPDATE trials SET state = 'pruned', detail = ?, updated_at = ? "
-                    "WHERE trial_id = ? AND state IN ('pending', 'leased')",
-                    (str(reason), now, trial_id),
-                )
+        self._conn.execute(
+            "INSERT INTO trials (trial_id, params, state, detail, proposed_at, updated_at) "
+            "VALUES (?, ?, 'pruned', ?, ?, ?) "
+            "ON CONFLICT (trial_id) DO UPDATE SET state = 'pruned', "
+            "detail = excluded.detail, updated_at = excluded.updated_at "
+            "WHERE trials.state = 'leased'",
+            (trial_id, json.dumps(dict(params), sort_keys=True), str(reason), now, now),
+        )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -278,16 +251,6 @@ class TrialLedger:
         query += " ORDER BY proposed_at, trial_id"
         return [_row_to_record(row) for row in self._conn.execute(query, args).fetchall()]
 
-    def counts(self) -> Dict[str, int]:
-        """Trial counts by state (all states present, zero-filled)."""
-        rows = self._conn.execute(
-            "SELECT state, COUNT(*) AS n FROM trials GROUP BY state"
-        ).fetchall()
-        counts = {state: 0 for state in TRIAL_STATES}
-        for row in rows:
-            counts[row["state"]] = int(row["n"])
-        return counts
-
     def best(self) -> Optional[TrialRecord]:
         """The completed trial with the highest oriented score, if any."""
         row = self._conn.execute(
@@ -295,15 +258,6 @@ class TrialLedger:
             "ORDER BY score DESC, proposed_at, trial_id LIMIT 1"
         ).fetchone()
         return _row_to_record(row) if row is not None else None
-
-    def executed_fingerprints(self) -> List[str]:
-        """Fingerprints of completed trials (the resumability invariant)."""
-        rows = self._conn.execute(
-            "SELECT fingerprint FROM trials "
-            "WHERE state = 'completed' AND fingerprint IS NOT NULL "
-            "ORDER BY proposed_at, trial_id"
-        ).fetchall()
-        return [row["fingerprint"] for row in rows]
 
     def close(self) -> None:
         """Close the underlying connection (further calls will fail)."""

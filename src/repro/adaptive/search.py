@@ -111,12 +111,11 @@ def stream_search(
     base: ScenarioSpec,
     axes: Mapping[str, Sequence[Any]],
     *,
-    algorithm: str = "random",
+    algorithm: str,
     objective: Union[str, Objective] = "utility",
     algorithm_params: Optional[Mapping[str, Any]] = None,
     max_trials: Optional[int] = None,
     batch: int = 8,
-    seed: int = 0,
     ledger: Optional[Union[str, Path, TrialLedger]] = None,
     jobs: int = 1,
     cache: Optional[ResultStore] = None,
@@ -140,9 +139,10 @@ def stream_search(
         2]}``) — the same shape :meth:`repro.api.Sweep.grid` takes;
         algorithms decide how to explore them.
     algorithm:
-        Registered algorithm name (``random``, ``grid``,
-        ``successive_halving``, ``frontier_bisect``, or anything added
-        via :func:`~repro.adaptive.algorithms.register_algorithm`).
+        Registered algorithm name, required: ``successive_halving``
+        (best mean score), ``frontier_bisect`` (cheapest PoCD-feasible
+        value of one axis), or anything added via
+        :func:`~repro.adaptive.algorithms.register_algorithm`.
     objective:
         Registered objective name (or an
         :class:`~repro.adaptive.objectives.Objective`); the driver
@@ -157,8 +157,6 @@ def stream_search(
     batch:
         How many proposals to request and execute per round; with a
         parallel executor this is the fan-out unit.
-    seed:
-        Seed for stochastic algorithms (``random``).
     ledger:
         Path of the trial ledger (or an open :class:`TrialLedger`).
         ``None`` keeps trials in memory — the search works but cannot
@@ -191,7 +189,7 @@ def stream_search(
     if on_failure not in ("raise", "continue"):
         raise ValueError(f"on_failure must be 'raise' or 'continue', got {on_failure!r}")
     objective_obj = make_objective(objective)
-    algo = make_algorithm(algorithm, axes, seed=seed, **dict(algorithm_params or {}))
+    algo = make_algorithm(algorithm, axes, **dict(algorithm_params or {}))
     own_ledger = not isinstance(ledger, TrialLedger)
     book = ledger if isinstance(ledger, TrialLedger) else TrialLedger(ledger)
     try:
@@ -300,8 +298,7 @@ def _search_stream(
                     continue
                 spec = base.with_overrides(proposal.params)
                 fingerprint = spec.fingerprint()
-                book.propose(proposal.trial_id, proposal.params)
-                book.lease(proposal.trial_id, fingerprint)
+                book.propose(proposal.trial_id, proposal.params, fingerprint)
                 _TRIALS.labels(decision="proposed").inc()
                 event = TrialProposed(
                     trial_id=proposal.trial_id,
@@ -420,8 +417,9 @@ class SearchResult:
     ``trials`` holds every ledger row in proposal order — completed,
     failed, pruned and (after a cancellation) still-leased ones — so the
     full decision trail survives into analysis.  ``best`` is the
-    search's answer: the algorithm's own pick when it has one
-    (``frontier_bisect``), otherwise the completed trial with the best
+    search's answer: the algorithm's own pick (the cheapest feasible
+    value for ``frontier_bisect``, a trial of the surviving config for
+    ``successive_halving``), otherwise the completed trial with the best
     oriented score.
     """
 
@@ -547,12 +545,11 @@ def run_search(
     base: ScenarioSpec,
     axes: Mapping[str, Sequence[Any]],
     *,
-    algorithm: str = "random",
+    algorithm: str,
     objective: Union[str, Objective] = "utility",
     algorithm_params: Optional[Mapping[str, Any]] = None,
     max_trials: Optional[int] = None,
     batch: int = 8,
-    seed: int = 0,
     ledger: Optional[Union[str, Path, TrialLedger]] = None,
     jobs: int = 1,
     cache: Optional[ResultStore] = None,
@@ -594,7 +591,6 @@ def run_search(
             algorithm_params=algorithm_params,
             max_trials=max_trials,
             batch=batch,
-            seed=seed,
             ledger=book,
             jobs=jobs,
             cache=cache,
@@ -657,84 +653,3 @@ def run_search(
     finally:
         if own_ledger:
             book.close()
-
-
-class Search:
-    """An adaptive search bound to one base spec and axis set.
-
-    The search-shaped sibling of :class:`repro.api.Sweep`::
-
-        search = Search(
-            base,
-            {"strategy_params.fixed_r": [0, 1, 2, 3]},
-            algorithm="frontier_bisect",
-            objective="cost",
-            algorithm_params={"min_pocd": 0.99},
-        )
-        result = search.run(executor="distributed", workers=4)
-        print(result.to_text())
-    """
-
-    def __init__(
-        self,
-        base: ScenarioSpec,
-        axes: Mapping[str, Sequence[Any]],
-        *,
-        algorithm: str = "random",
-        objective: Union[str, Objective] = "utility",
-        algorithm_params: Optional[Mapping[str, Any]] = None,
-        seed: int = 0,
-    ):
-        if not _is_sweepable_spec(base):
-            raise SpecValidationError(
-                "base", f"expected ScenarioSpec or ClusterSpec, got {type(base).__name__}"
-            )
-        if not isinstance(axes, Mapping) or not axes:
-            raise SpecValidationError(
-                "axes", "must be a non-empty mapping of dotted paths to value lists"
-            )
-        self._base = base
-        self._axes = {key: list(values) for key, values in axes.items()}
-        self._algorithm = algorithm
-        self._objective = objective
-        self._algorithm_params = dict(algorithm_params or {})
-        self._seed = seed
-
-    @property
-    def base(self) -> ScenarioSpec:
-        """The spec proposals are applied to."""
-        return self._base
-
-    @property
-    def axes(self) -> Dict[str, List[Any]]:
-        """The search axes (a copy)."""
-        return {key: list(values) for key, values in self._axes.items()}
-
-    @property
-    def algorithm(self) -> str:
-        """The configured algorithm name."""
-        return self._algorithm
-
-    def run(self, **options: Any) -> SearchResult:
-        """Execute the search (see :func:`run_search` for options)."""
-        return run_search(
-            self._base,
-            self._axes,
-            algorithm=self._algorithm,
-            objective=self._objective,
-            algorithm_params=self._algorithm_params,
-            seed=self._seed,
-            **options,
-        )
-
-    def stream(self, **options: Any) -> Iterator[SweepEvent]:
-        """Execute the search as an event stream (see :func:`stream_search`)."""
-        return stream_search(
-            self._base,
-            self._axes,
-            algorithm=self._algorithm,
-            objective=self._objective,
-            algorithm_params=self._algorithm_params,
-            seed=self._seed,
-            **options,
-        )

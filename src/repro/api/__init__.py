@@ -41,10 +41,10 @@ or any callable over the incoming events)::
             print(event.index, event.result.report.pocd)
 
 Beyond grids, :mod:`repro.adaptive` searches the scenario space with
-ask/tell algorithms — :class:`Search` / :func:`run_search` /
-:func:`stream_search` (plus :func:`register_algorithm` and
-:func:`register_objective`) are re-exported here and speak the same
-event stream, executors and control surface as sweeps.
+ask/tell algorithms — :func:`run_search` / :func:`stream_search` (plus
+:func:`register_algorithm` and :func:`register_objective`) are
+re-exported here and speak the same event stream, executors and
+control surface as sweeps.
 """
 
 from repro.api.events import (
@@ -187,7 +187,6 @@ __all__ = [
     "available_workloads",
     "create_strategy",
     # adaptive search (lazy — see __getattr__ below)
-    "Search",
     "SearchResult",
     "run_search",
     "stream_search",
@@ -217,11 +216,10 @@ __all__ = [
 
 # repro.adaptive builds on the sweep layer, so importing it eagerly here
 # would recurse back into this module while it is still initialising.
-# PEP 562 lazy attributes keep ``from repro.api import Search`` working
+# PEP 562 lazy attributes keep ``from repro.api import run_search`` working
 # without paying for (or racing) the adaptive import on plain sweeps.
 _ADAPTIVE_NAMES = frozenset(
     {
-        "Search",
         "SearchResult",
         "run_search",
         "stream_search",

@@ -49,11 +49,13 @@ to) ``grid``.
 
 The ``search`` command explores the same space *adaptively* instead of
 exhaustively: its JSON file carries the same ``base`` plus ``axes``
-(``grid`` is accepted as an alias), and ``--algorithm``/``--objective``
-pick an ask/tell algorithm and target metric from the
-:mod:`repro.adaptive` registries (``--algo-param KEY=VALUE`` configures
-the algorithm; ``--ledger FILE`` persists the trial ledger so an
-interrupted search resumes with zero re-executed scenarios).  Searches
+(``grid`` is accepted as an alias), and ``--algorithm`` (required:
+``successive_halving`` for the best mean score, ``frontier_bisect`` for
+the cheapest PoCD-feasible value) and ``--objective`` pick an ask/tell
+algorithm and target metric from the :mod:`repro.adaptive` registries
+(``--algo-param KEY=VALUE`` configures the algorithm; ``--ledger FILE``
+persists the trial ledger so an interrupted search resumes with zero
+re-executed scenarios).  Searches
 run on every sweep backend — ``--jobs``, ``--executor``, ``--db``,
 ``--broker`` and the security flags behave exactly as for ``sweep``.
 
@@ -236,11 +238,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--algorithm",
-        default="random",
         help=(
-            "ask/tell algorithm for the 'search' command: random, grid, "
-            "successive_halving, frontier_bisect, or anything registered via "
-            "repro.adaptive.register_algorithm (default: random)"
+            "ask/tell algorithm the 'search' command requires: "
+            "successive_halving (best mean score), frontier_bisect (cheapest "
+            "value of one axis with PoCD >= min_pocd), or anything registered "
+            "via repro.adaptive.register_algorithm"
         ),
     )
     parser.add_argument(
@@ -782,9 +784,20 @@ def run_search_command(args: argparse.Namespace) -> int:
     search runs on the same executors and security machinery as
     ``sweep``; Ctrl-C prints the partial trial table and, with a
     ``--ledger``, re-running resumes with zero re-executed scenarios.
+    ``--algorithm`` has no default: the two built-ins answer different
+    questions, and ``--seed`` does not apply (seeds are a search axis).
     """
     if not args.spec:
         print("search requires --spec FILE (a search specification JSON)", file=sys.stderr)
+        return 2
+    if not args.algorithm:
+        from repro.adaptive import available_algorithms
+
+        print(
+            "search requires --algorithm NAME (available: "
+            f"{', '.join(available_algorithms())})",
+            file=sys.stderr,
+        )
         return 2
     path = Path(args.spec)
     try:
@@ -830,7 +843,6 @@ def run_search_command(args: argparse.Namespace) -> int:
             algorithm_params=algorithm_params or None,
             max_trials=args.max_trials,
             batch=max(1, args.trial_batch),
-            seed=args.seed,
             ledger=args.ledger,
             jobs=max(1, args.jobs),
             cache=cache,

@@ -67,7 +67,6 @@ class Cluster:
         # Read on every allocation; the config is frozen.
         self._capacity = math.inf if config.unbounded else config.total_slots
         self._in_use = 0
-        self._peak_usage = 0
 
     @property
     def config(self) -> ClusterConfig:
@@ -78,11 +77,6 @@ class Cluster:
     def containers_in_use(self) -> int:
         """Number of containers currently allocated."""
         return self._in_use
-
-    @property
-    def peak_containers_in_use(self) -> int:
-        """High-water mark of simultaneously allocated containers."""
-        return self._peak_usage
 
     @property
     def free_slots(self) -> Optional[int]:
@@ -104,8 +98,6 @@ class Cluster:
         if in_use > self._capacity:
             return False
         self._in_use = in_use
-        if in_use > self._peak_usage:
-            self._peak_usage = in_use
         return True
 
     def release(self) -> None:
@@ -113,10 +105,3 @@ class Cluster:
         if self._in_use <= 0:
             raise RuntimeError("release of a container slot while none is in use")
         self._in_use -= 1
-
-    def utilisation(self) -> float:
-        """Fraction of slots currently in use (``0.0`` for unbounded)."""
-        total = self._config.total_slots
-        if total == 0:
-            return 0.0
-        return self._in_use / total

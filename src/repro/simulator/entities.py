@@ -265,21 +265,12 @@ class Task:
         """Attempts that are waiting or running (not finished)."""
         return [a for a in self.attempts if a.status in _LIVE_STATES]
 
-    def add_attempt(self, attempt: Attempt) -> None:
-        """Register a newly created attempt."""
-        self.attempts.append(attempt)
-
     def best_progress_attempt(self, now: float) -> Optional[Attempt]:
         """The live attempt with the highest progress score at ``now``."""
         live = self.live_attempts
         if not live:
             return None
         return max(live, key=lambda a: a.progress(now))
-
-    def mark_complete(self, now: float) -> None:
-        """Record the first successful completion."""
-        if self.completion_time is None:
-            self.completion_time = now
 
     def machine_time(self, now: float) -> float:
         """Total VM time consumed by all attempts of this task."""

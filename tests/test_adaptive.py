@@ -19,9 +19,6 @@ from repro.adaptive import (
     ALGORITHMS,
     AlgorithmAdapter,
     FrontierBisect,
-    GridAlgorithm,
-    RandomSearch,
-    Search,
     SuccessiveHalving,
     TrialLedger,
     available_algorithms,
@@ -78,7 +75,8 @@ def _frontier_spec() -> ScenarioSpec:
     )
 
 
-AXES = {"seed": [0, 1, 2, 3]}
+#: Four configs and no seed axis: ``successive_halving`` runs each once.
+AXES = {"strategy_params.fixed_r": [0, 1, 2, 3]}
 
 
 class TestProposal:
@@ -97,21 +95,20 @@ class TestTrialLedger:
     def test_lifecycle_round_trip(self, tmp_path):
         proposal = make_proposal({"seed": 0})
         with TrialLedger(tmp_path / "trials.sqlite") as book:
-            assert book.propose(proposal.trial_id, proposal.params) is True
-            assert book.propose(proposal.trial_id, proposal.params) is False
-            book.lease(proposal.trial_id, "fp0")
-            assert book.get(proposal.trial_id).state == "leased"
+            assert book.propose(proposal.trial_id, proposal.params, "fp0") is True
+            assert book.propose(proposal.trial_id, proposal.params, "fp1") is False
+            record = book.get(proposal.trial_id)
+            assert record.state == "leased" and record.fingerprint == "fp0"
             book.complete(proposal.trial_id, 1.25, 1.25, {"pocd": 0.99})
             record = book.get(proposal.trial_id)
             assert record.state == "completed"
             assert record.objective == 1.25 and record.metrics == {"pocd": 0.99}
-            assert book.executed_fingerprints() == ["fp0"]
+            assert [r.fingerprint for r in book.records("completed")] == ["fp0"]
 
     def test_complete_is_idempotent_first_report_wins(self):
         proposal = make_proposal({"seed": 0})
         with TrialLedger() as book:
-            book.propose(proposal.trial_id, proposal.params)
-            book.lease(proposal.trial_id, "fp0")
+            book.propose(proposal.trial_id, proposal.params, "fp0")
             book.complete(proposal.trial_id, 1.0, 1.0)
             book.complete(proposal.trial_id, 9.0, 9.0)  # replay: ignored
             assert book.get(proposal.trial_id).objective == 1.0
@@ -119,47 +116,51 @@ class TestTrialLedger:
     def test_fail_cannot_clobber_completed(self):
         proposal = make_proposal({"seed": 0})
         with TrialLedger() as book:
-            book.propose(proposal.trial_id, proposal.params)
+            book.propose(proposal.trial_id, proposal.params, "fp0")
             book.complete(proposal.trial_id, 1.0, 1.0)
             book.fail(proposal.trial_id, "late failure report")
             assert book.get(proposal.trial_id).state == "completed"
 
-    def test_lease_cannot_drag_back_a_settled_trial(self):
+    def test_propose_cannot_drag_back_a_settled_trial(self):
         proposal = make_proposal({"seed": 0})
         with TrialLedger() as book:
-            book.propose(proposal.trial_id, proposal.params)
+            book.propose(proposal.trial_id, proposal.params, "fp0")
             book.complete(proposal.trial_id, 1.0, 1.0)
-            book.lease(proposal.trial_id, "fp-replay")
-            assert book.get(proposal.trial_id).state == "completed"
+            assert book.propose(proposal.trial_id, proposal.params, "fp-replay") is False
+            record = book.get(proposal.trial_id)
+            assert record.state == "completed" and record.fingerprint == "fp0"
 
     def test_prune_upserts_but_never_overwrites_executions(self):
         ran = make_proposal({"seed": 0})
-        never_ran = make_proposal({"seed": 1})
+        unsettled = make_proposal({"seed": 1})
+        never_ran = make_proposal({"seed": 2})
         with TrialLedger() as book:
-            book.propose(ran.trial_id, ran.params)
+            book.propose(ran.trial_id, ran.params, "fp0")
             book.complete(ran.trial_id, 1.0, 1.0)
+            book.propose(unsettled.trial_id, unsettled.params, "fp1")
             book.prune(ran.trial_id, ran.params, "too late")
+            book.prune(unsettled.trial_id, unsettled.params, "cut")
             book.prune(never_ran.trial_id, never_ran.params, "eliminated")
             assert book.get(ran.trial_id).state == "completed"
+            assert book.get(unsettled.trial_id).state == "pruned"
             pruned = book.get(never_ran.trial_id)
             assert pruned.state == "pruned" and pruned.detail == "eliminated"
 
-    def test_counts_are_zero_filled_and_best_is_max_score(self):
+    def test_best_is_max_score(self):
         with TrialLedger() as book:
             for seed, score in ((0, -2.0), (1, -1.0), (2, -3.0)):
                 proposal = make_proposal({"seed": seed})
-                book.propose(proposal.trial_id, proposal.params)
+                book.propose(proposal.trial_id, proposal.params, f"fp{seed}")
                 book.complete(proposal.trial_id, score, score)
-            counts = book.counts()
-            assert counts == {
-                "pending": 0, "leased": 0, "completed": 3, "failed": 0, "pruned": 0,
-            }
+            assert len(book.records("completed")) == 3
             assert book.best().params == {"seed": 1}
 
     def test_records_filter_validates_state(self):
         with TrialLedger() as book:
             with pytest.raises(ValueError, match="unknown trial state"):
                 book.records("running")
+            with pytest.raises(ValueError, match="unknown trial state"):
+                book.records("pending")  # proposals are leased from the start
 
     def test_meta_guard_refuses_a_conflicting_resume(self, tmp_path):
         path = tmp_path / "trials.sqlite"
@@ -174,12 +175,57 @@ class TestTrialLedger:
         path = tmp_path / "trials.sqlite"
         proposal = make_proposal({"seed": 0})
         with TrialLedger(path) as book:
-            book.propose(proposal.trial_id, proposal.params)
-            book.lease(proposal.trial_id, "fp0")
+            book.propose(proposal.trial_id, proposal.params, "fp0")
             book.complete(proposal.trial_id, 0.5, 0.5)
         with TrialLedger(path) as book:
             record = book.get(proposal.trial_id)
             assert record.state == "completed" and record.fingerprint == "fp0"
+
+    def test_a_ledger_with_the_old_pending_default_still_resumes(self, tmp_path):
+        """A ledger created before ``propose`` leased in one statement.
+
+        Its ``trials.state`` column defaults to ``'pending'`` and its
+        unsettled rows are ``leased``; a resume replays the completed row
+        and re-executes only the leased one.
+        """
+        import sqlite3
+
+        path = tmp_path / "trials.sqlite"
+        spec = _tiny_spec()
+        axes = {"strategy_params.fixed_r": [0, 1]}
+        reference = run_search(spec, axes, algorithm="successive_halving")
+        done, unsettled = (make_proposal({"strategy_params.fixed_r": r}) for r in (0, 1))
+        row = next(r for r in reference.trials if r.trial_id == done.trial_id)
+        conn = sqlite3.connect(path)
+        conn.executescript(
+            "CREATE TABLE trials (trial_id TEXT PRIMARY KEY, params TEXT NOT NULL, "
+            "fingerprint TEXT, state TEXT NOT NULL DEFAULT 'pending', objective REAL, "
+            "score REAL, metrics TEXT, detail TEXT, proposed_at REAL NOT NULL, "
+            "updated_at REAL NOT NULL);"
+            "CREATE TABLE search_meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);"
+        )
+        conn.executemany(
+            "INSERT INTO search_meta VALUES (?, ?)",
+            [("algorithm", "successive_halving"), ("objective", "utility"),
+             ("base_fingerprint", spec.fingerprint())],
+        )
+        conn.execute(
+            "INSERT INTO trials VALUES (?, ?, ?, 'completed', ?, ?, ?, NULL, 1.0, 1.0)",
+            (done.trial_id, json.dumps(done.params), row.fingerprint, row.objective,
+             row.score, json.dumps(row.metrics)),
+        )
+        conn.execute(
+            "INSERT INTO trials VALUES (?, ?, ?, 'leased', NULL, NULL, NULL, NULL, 2.0, 2.0)",
+            (unsettled.trial_id, json.dumps(unsettled.params),
+             spec.with_overrides(unsettled.params).fingerprint()),
+        )
+        conn.commit()
+        conn.close()
+
+        resumed = run_search(spec, axes, algorithm="successive_halving", ledger=path)
+        assert resumed.executed == 1
+        assert {r.trial_id for r in resumed.completed} == {done.trial_id, unsettled.trial_id}
+        assert resumed.best.trial_id == reference.best.trial_id
 
 
 class TestObjectives:
@@ -211,10 +257,8 @@ class TestObjectives:
 
 
 class TestAlgorithmRegistry:
-    def test_builtins_present(self):
-        assert set(available_algorithms()) >= {
-            "grid", "random", "successive_halving", "frontier_bisect",
-        }
+    def test_builtins_are_exactly_the_two_measured_algorithms(self):
+        assert available_algorithms() == ("frontier_bisect", "successive_halving")
 
     def test_unknown_algorithm_lists_available(self):
         with pytest.raises(UnknownPluginError, match="available"):
@@ -222,62 +266,21 @@ class TestAlgorithmRegistry:
 
     def test_bad_factory_params_become_value_error(self):
         with pytest.raises(ValueError, match="invalid parameters"):
-            make_algorithm("grid", AXES, eta=3)
+            make_algorithm("frontier_bisect", AXES, eta=3)
+        with pytest.raises(ValueError, match="invalid parameters"):
+            make_algorithm("successive_halving", AXES, seed=0)  # no seed parameter
 
     def test_custom_algorithm_registers_and_resolves(self):
-        class Fixed(GridAlgorithm):
+        class Fixed(FrontierBisect):
             pass
 
-        register_algorithm("test-fixed", lambda axes, *, seed=0, **kw: Fixed(axes))
+        register_algorithm("test-fixed", lambda axes, **kw: Fixed(axes))
         try:
             algorithm = make_algorithm("Test-Fixed", AXES)  # case-insensitive
             assert algorithm.name == "test-fixed"
             assert isinstance(algorithm, Fixed)
         finally:
             ALGORITHMS.unregister("test-fixed")
-
-
-class TestGridAndRandom:
-    def test_grid_covers_the_product_without_repeats(self):
-        axes = {"seed": [0, 1], "strategy_params.fixed_r": [1, 2, 3]}
-        algorithm = GridAlgorithm(axes)
-        seen = []
-        while True:
-            batch = algorithm.ask(4)
-            if not batch:
-                break
-            seen.extend(batch)
-            for proposal in batch:
-                algorithm.tell(proposal.trial_id, 0.0)
-        assert len(seen) == 6
-        assert len({p.trial_id for p in seen}) == 6
-        assert [p.params for p in seen] == Sweep.grid_overrides(axes)
-        assert algorithm.finished()
-
-    def test_random_is_a_seeded_permutation(self):
-        axes = {"seed": list(range(8))}
-        first = [p.trial_id for p in RandomSearch(axes, seed=7).ask(8)]
-        again = [p.trial_id for p in RandomSearch(axes, seed=7).ask(8)]
-        other = [p.trial_id for p in RandomSearch(axes, seed=8).ask(8)]
-        grid = [p.trial_id for p in GridAlgorithm(axes).ask(8)]
-        assert first == again
-        assert sorted(first) == sorted(grid)
-        assert first != other
-
-    def test_random_num_samples_truncates(self):
-        algorithm = RandomSearch({"seed": list(range(10))}, num_samples=3)
-        batch = algorithm.ask(10)
-        assert len(batch) == 3
-        for proposal in batch:
-            algorithm.tell(proposal.trial_id, 0.0)
-        assert algorithm.finished()
-
-    def test_not_finished_until_told(self):
-        algorithm = GridAlgorithm({"seed": [0]})
-        (proposal,) = algorithm.ask(1)
-        assert not algorithm.finished()  # proposed but unresolved
-        algorithm.tell(proposal.trial_id, 1.0)
-        assert algorithm.finished()
 
 
 def _drive(algorithm: AlgorithmAdapter, score_fn, batch: int = 64):
@@ -343,6 +346,58 @@ class TestSuccessiveHalving:
 
         executed = _drive(algorithm, score)
         assert {p.params["strategy_params.fixed_r"] for p in executed[-1:]} == {0}
+
+    def test_last_survivor_is_the_answer_not_the_luckiest_trial(self):
+        algorithm = SuccessiveHalving(
+            {"strategy_params.fixed_r": [0, 1, 2, 3], "seed": [0, 1, 2, 3]}
+        )
+
+        def score(params):
+            r, seed = params["strategy_params.fixed_r"], params["seed"]
+            if r == 0:  # config A: the best seed-0 score, a poor mean
+                return (10.0 if seed == 0 else 0.0), {"pocd": 1.0}
+            if r == 1:  # config B: the best mean
+                return 8.0, {"pocd": 1.0}
+            return 1.0, {"pocd": 1.0}
+
+        executed = _drive(algorithm, score)
+        assert algorithm.finished()
+        assert {p.params["strategy_params.fixed_r"] for p in executed[-2:]} == {1}
+        b_trials = {
+            make_proposal({"strategy_params.fixed_r": 1, "seed": seed}).trial_id
+            for seed in range(4)
+        }
+        assert algorithm.best_trial_id() in b_trials
+
+    def test_no_answer_until_the_last_rung_or_when_all_infeasible(self):
+        algorithm = SuccessiveHalving(
+            {"strategy_params.fixed_r": [0, 1], "seed": [0, 1, 2, 3]}, min_pocd=0.9
+        )
+        (first,) = algorithm.ask(1)
+        algorithm.tell(first.trial_id, 1.0, {"pocd": 0.5})
+        assert algorithm.best_trial_id() is None  # rung 0 still open
+        executed = [first] + _drive(algorithm, lambda params: (1.0, {"pocd": 0.5}))
+        assert algorithm.finished()
+        assert algorithm.best_trial_id() is None  # the driver falls back
+        pruned = {p.trial_id for p, _ in algorithm.drain_pruned()}
+        assert len(executed) == 2 and len(pruned) == 6
+        assert not pruned & {p.trial_id for p in executed}
+
+    def test_without_a_resource_axis_every_config_runs_once_at_the_base_seed(self):
+        axes = {"strategy_params.fixed_r": [1, 2, 3], "strategy_params.tau_est": [10.0, 30.0]}
+        algorithm = SuccessiveHalving(axes)
+        executed = _drive(algorithm, lambda params: (0.0, {"pocd": 1.0}), batch=4)
+        assert [p.params for p in executed] == Sweep.grid_overrides(axes)  # no seed key
+        assert algorithm.drain_pruned() == []
+        assert algorithm.finished()
+
+    def test_not_finished_until_told(self):
+        algorithm = SuccessiveHalving({"strategy_params.fixed_r": [0]})
+        (proposal,) = algorithm.ask(1)
+        assert not algorithm.finished()  # proposed but unresolved
+        algorithm.tell(proposal.trial_id, 1.0)
+        assert algorithm.finished()
+        assert algorithm.best_trial_id() == proposal.trial_id
 
     def test_requires_a_config_axis(self):
         with pytest.raises(ValueError, match="config axis"):
@@ -432,10 +487,10 @@ class TestSearchEvents:
     def test_new_events_round_trip_through_dicts(self):
         events = [
             TrialProposed(trial_id="t1", params={"seed": 1}, fingerprint="fp",
-                          algorithm="random", elapsed_s=0.5),
+                          algorithm="successive_halving", elapsed_s=0.5),
             TrialPruned(trial_id="t2", params={"seed": 2}, reason="dominated",
                         algorithm="frontier_bisect", elapsed_s=1.0),
-            SearchFinished(algorithm="grid", objective="utility", trials=4,
+            SearchFinished(algorithm="successive_halving", objective="utility", trials=4,
                            executed=3, cache_hits=1, pruned=0, failures=0,
                            best_trial_id="t1", best_objective=0.5, elapsed_s=2.0),
         ]
@@ -444,13 +499,13 @@ class TestSearchEvents:
             assert clone == event
 
     def test_stream_speaks_the_search_vocabulary(self):
-        events = list(stream_search(_tiny_spec(), AXES, algorithm="grid", batch=2))
+        events = list(stream_search(_tiny_spec(), AXES, algorithm="successive_halving", batch=2))
         kinds = [event.kind for event in events]
         assert "sweep-started" not in kinds  # inner batch frames are absorbed
         assert kinds[-1] == "search-finished"
         proposed = [e for e in events if isinstance(e, TrialProposed)]
         assert len(proposed) == 4
-        assert all(e.algorithm == "grid" and e.fingerprint for e in proposed)
+        assert all(e.algorithm == "successive_halving" and e.fingerprint for e in proposed)
         completed = [e for e in events if e.kind == "scenario-completed"]
         assert {e.fingerprint for e in completed} == {e.fingerprint for e in proposed}
         finished = events[-1]
@@ -466,7 +521,9 @@ class TestSearchEvents:
                 return len(stopped_on) >= 2
             return False
 
-        events = list(stream_search(_tiny_spec(), AXES, algorithm="grid", batch=1, stop=stop))
+        events = list(
+            stream_search(_tiny_spec(), AXES, algorithm="successive_halving", batch=1, stop=stop)
+        )
         finished = events[-1]
         assert isinstance(finished, SearchFinished)
         assert finished.stopped and not finished.cancelled
@@ -474,8 +531,8 @@ class TestSearchEvents:
 
 
 class TestRunSearch:
-    def test_grid_search_matches_the_sweep(self):
-        result = run_search(_tiny_spec(), AXES, algorithm="grid", objective="utility")
+    def test_halving_without_a_seed_axis_matches_the_sweep(self):
+        result = run_search(_tiny_spec(), AXES, algorithm="successive_halving", objective="utility")
         sweep = Sweep.grid(_tiny_spec(), AXES).run()
         assert len(result.completed) == 4
         assert result.executed == 4 and result.failures == 0
@@ -483,19 +540,33 @@ class TestRunSearch:
             r_min_pocd=r.spec.strategy_params.r_min_pocd, theta=r.spec.strategy_params.theta
         ))
         assert result.best.fingerprint == by_utility.fingerprint
-        assert result.best_params == {"seed": by_utility.spec.seed}
+        assert result.best_params == {
+            "strategy_params.fixed_r": by_utility.spec.strategy_params.fixed_r
+        }
+
+    def test_halving_keeps_the_base_seed_without_a_seed_axis(self):
+        base = _tiny_spec(seed=5)
+        result = run_search(
+            base, {"strategy_params.fixed_r": [0, 1]}, algorithm="successive_halving"
+        )
+        assert [record.params for record in result.completed] == [
+            {"strategy_params.fixed_r": 0}, {"strategy_params.fixed_r": 1},
+        ]
+        assert [record.fingerprint for record in result.completed] == [
+            base.with_overrides({"strategy_params.fixed_r": r}).fingerprint() for r in (0, 1)
+        ]
 
     def test_max_trials_bounds_the_search(self):
-        result = run_search(_tiny_spec(), AXES, algorithm="grid", max_trials=2)
+        result = run_search(_tiny_spec(), AXES, algorithm="successive_halving", max_trials=2)
         assert len(result.completed) == 2 and result.executed == 2
 
     def test_shared_cache_turns_reruns_into_cache_hits(self, tmp_path):
         from repro.distributed import SqliteResultStore
 
         cache = SqliteResultStore(tmp_path / "cache.sqlite")
-        first = run_search(_tiny_spec(), AXES, algorithm="grid", cache=cache)
+        first = run_search(_tiny_spec(), AXES, algorithm="successive_halving", cache=cache)
         assert first.executed == 4 and first.cache_hits == 0
-        second = run_search(_tiny_spec(), AXES, algorithm="grid", cache=cache)
+        second = run_search(_tiny_spec(), AXES, algorithm="successive_halving", cache=cache)
         assert second.executed == 0 and second.cache_hits == 4
         assert second.best.trial_id == first.best.trial_id
 
@@ -505,7 +576,9 @@ class TestRunSearch:
             strategy="s-resume",
             cluster={"num_nodes": 0},
         )
-        result = run_search(bad, {"seed": [0, 1]}, algorithm="grid")
+        result = run_search(
+            bad, {"strategy_params.fixed_r": [0, 1]}, algorithm="successive_halving"
+        )
         assert result.failures == 2
         assert result.best is None
         states = {record.state for record in result.trials}
@@ -518,17 +591,19 @@ class TestRunSearch:
             cluster={"num_nodes": 0},
         )
         with pytest.raises(Exception):
-            run_search(bad, {"seed": [0]}, algorithm="grid", on_failure="raise")
+            run_search(
+                bad, {"strategy_params.fixed_r": [0]}, algorithm="successive_halving",
+                on_failure="raise",
+            )
 
     def test_resume_executes_zero_scenarios(self, tmp_path):
         ledger = tmp_path / "trials.sqlite"
         first = run_search(
-            _tiny_spec(), AXES, algorithm="grid", objective="utility", ledger=ledger
+            _tiny_spec(), AXES, algorithm="successive_halving", objective="utility", ledger=ledger
         )
         assert first.executed == 4
-        executed_before = set()
         with TrialLedger(ledger) as book:
-            executed_before = set(book.executed_fingerprints())
+            executed_before = {r.fingerprint for r in book.records("completed")}
 
         re_executed = []
 
@@ -537,56 +612,51 @@ class TestRunSearch:
                 re_executed.append(event.fingerprint)
 
         second = run_search(
-            _tiny_spec(), AXES, algorithm="grid", objective="utility",
+            _tiny_spec(), AXES, algorithm="successive_halving", objective="utility",
             ledger=ledger, on_event=watch,
         )
         assert second.executed == 0 and re_executed == []
         assert len(second.completed) == 4
         assert second.best.trial_id == first.best.trial_id
         with TrialLedger(ledger) as book:
-            assert set(book.executed_fingerprints()) == executed_before
+            assert {r.fingerprint for r in book.records("completed")} == executed_before
 
     def test_resume_with_another_algorithm_is_refused(self, tmp_path):
         ledger = tmp_path / "trials.sqlite"
-        run_search(_tiny_spec(), AXES, algorithm="grid", ledger=ledger)
+        run_search(_tiny_spec(), AXES, algorithm="successive_halving", ledger=ledger)
         with pytest.raises(ValueError, match="refusing to resume"):
-            run_search(_tiny_spec(), AXES, algorithm="random", ledger=ledger)
+            run_search(_tiny_spec(), AXES, algorithm="frontier_bisect", ledger=ledger)
 
     def test_resume_with_another_base_spec_is_refused(self, tmp_path):
         ledger = tmp_path / "trials.sqlite"
-        run_search(_tiny_spec(), AXES, algorithm="grid", ledger=ledger)
+        run_search(_tiny_spec(), AXES, algorithm="successive_halving", ledger=ledger)
         with pytest.raises(ValueError, match="refusing to resume"):
-            run_search(_tiny_spec(seed=9), AXES, algorithm="grid", ledger=ledger)
+            run_search(_tiny_spec(seed=9), AXES, algorithm="successive_halving", ledger=ledger)
 
     def test_validation_errors_are_eager(self):
+        with pytest.raises(TypeError, match="algorithm"):
+            run_search(_tiny_spec(), AXES)  # no default: the algorithms answer different questions
+        with pytest.raises(TypeError, match="seed"):
+            run_search(_tiny_spec(), AXES, algorithm="successive_halving", seed=0)
         with pytest.raises(SpecValidationError):
-            run_search("not a spec", AXES)
+            run_search("not a spec", AXES, algorithm="successive_halving")
         with pytest.raises(SpecValidationError):
-            run_search(_tiny_spec(), {})
+            run_search(_tiny_spec(), {}, algorithm="successive_halving")
         with pytest.raises(ValueError, match="batch"):
-            run_search(_tiny_spec(), AXES, batch=0)
+            run_search(_tiny_spec(), AXES, algorithm="successive_halving", batch=0)
         with pytest.raises(ValueError, match="max_trials"):
-            run_search(_tiny_spec(), AXES, max_trials=0)
+            run_search(_tiny_spec(), AXES, algorithm="successive_halving", max_trials=0)
         with pytest.raises(ValueError, match="on_failure"):
-            run_search(_tiny_spec(), AXES, on_failure="retry")
+            run_search(_tiny_spec(), AXES, algorithm="successive_halving", on_failure="retry")
 
     def test_search_result_renders_text_and_csv(self):
-        result = run_search(_tiny_spec(), AXES, algorithm="grid")
+        result = run_search(_tiny_spec(), AXES, algorithm="successive_halving")
         text = result.to_text()
-        assert "grid search over utility" in text
+        assert "successive_halving search over utility" in text
         assert "best:" in text
         rows = result.to_csv().strip().splitlines()
         assert rows[0] == "trial_id,state,objective,score,fingerprint,params"
         assert len(rows) == 1 + len(result)
-
-    def test_search_class_wraps_run_and_stream(self):
-        search = Search(_tiny_spec(), AXES, algorithm="grid")
-        assert search.algorithm == "grid"
-        assert search.axes == {"seed": [0, 1, 2, 3]}
-        result = search.run(max_trials=2)
-        assert len(result.completed) == 2
-        events = list(search.stream(max_trials=1))
-        assert isinstance(events[-1], SearchFinished)
 
     def test_frontier_bisect_end_to_end(self):
         result = run_search(
@@ -605,11 +675,11 @@ class TestSearchDistributed:
     def test_search_runs_on_the_distributed_executor(self, tmp_path):
         db = tmp_path / "queue.sqlite"
         result = run_search(
-            _tiny_spec(), AXES, algorithm="grid", objective="utility",
+            _tiny_spec(), AXES, algorithm="successive_halving", objective="utility",
             executor="distributed", workers=2, db=db,
         )
         assert result.executed == 4 and len(result.completed) == 4
-        inline = run_search(_tiny_spec(), AXES, algorithm="grid", objective="utility")
+        inline = run_search(_tiny_spec(), AXES, algorithm="successive_halving", objective="utility")
         assert result.best.fingerprint == inline.best.fingerprint
 
     def test_trial_decisions_mirror_into_the_broker_event_log(self, tmp_path):
@@ -636,7 +706,7 @@ class TestSearchCli:
         spec_file = tmp_path / "search.json"
         spec_file.write_text(json.dumps({
             "base": _tiny_spec().to_dict(),
-            "axes": axes or {"seed": [0, 1, 2, 3]},
+            "axes": axes or AXES,
         }))
         return spec_file
 
@@ -645,11 +715,12 @@ class TestSearchCli:
 
         spec_file = self._write_spec(tmp_path)
         code = cli.main([
-            "search", "--spec", str(spec_file), "--algorithm", "grid", "--quiet",
+            "search", "--spec", str(spec_file), "--algorithm", "successive_halving",
+            "--quiet",
         ])
         out = capsys.readouterr().out
         assert code == 0
-        assert "grid search over utility" in out
+        assert "successive_halving search over utility" in out
         assert "best:" in out
 
     def test_search_command_resumes_from_the_ledger(self, tmp_path, capsys):
@@ -658,7 +729,7 @@ class TestSearchCli:
         spec_file = self._write_spec(tmp_path)
         ledger = tmp_path / "trials.sqlite"
         base_args = [
-            "search", "--spec", str(spec_file), "--algorithm", "grid",
+            "search", "--spec", str(spec_file), "--algorithm", "successive_halving",
             "--ledger", str(ledger), "--quiet",
         ]
         assert cli.main(base_args) == 0
@@ -697,16 +768,28 @@ class TestSearchCli:
         assert code == 2
         assert "unknown algorithm" in capsys.readouterr().err
 
+    def test_search_command_requires_an_algorithm(self, tmp_path, capsys):
+        from repro.experiments import cli
+
+        spec_file = self._write_spec(tmp_path)
+        assert cli.main(["search", "--spec", str(spec_file), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "requires --algorithm" in err
+        assert "frontier_bisect, successive_halving" in err
+
     def test_search_command_rejects_bad_inputs(self, tmp_path, capsys):
         from repro.experiments import cli
 
         assert cli.main(["search", "--quiet"]) == 2  # no --spec
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"base": _tiny_spec().to_dict()}))  # no axes
-        assert cli.main(["search", "--spec", str(bad), "--quiet"]) == 2
+        assert cli.main([
+            "search", "--spec", str(bad), "--algorithm", "successive_halving", "--quiet",
+        ]) == 2
         spec_file = self._write_spec(tmp_path)
         code = cli.main([
-            "search", "--spec", str(spec_file), "--algo-param", "min_pocd", "--quiet",
+            "search", "--spec", str(spec_file), "--algorithm", "successive_halving",
+            "--algo-param", "min_pocd", "--quiet",
         ])
         assert code == 2
         assert "KEY=VALUE" in capsys.readouterr().err
@@ -727,7 +810,7 @@ class TestPublicSurface:
         import repro.api as api
 
         for name in (
-            "Search", "SearchResult", "run_search", "stream_search",
+            "SearchResult", "run_search", "stream_search",
             "AlgorithmAdapter", "Proposal", "TrialLedger", "TrialRecord",
             "register_algorithm", "available_algorithms", "make_algorithm",
             "Objective", "register_objective", "available_objectives",
@@ -735,6 +818,7 @@ class TestPublicSurface:
             assert getattr(api, name) is not None
             assert name in api.__all__
             assert name in dir(api)
+        assert not hasattr(api, "Search")  # run_search/stream_search are the API
 
     def test_progress_line_renders_search_counters(self):
         import io
@@ -743,7 +827,7 @@ class TestPublicSurface:
 
         stream = io.StringIO()
         line = ProgressLine(stream=stream, min_interval=0.0)
-        for event in stream_search(_tiny_spec(), AXES, algorithm="grid", batch=2):
+        for event in stream_search(_tiny_spec(), AXES, algorithm="successive_halving", batch=2):
             line(event)
         output = stream.getvalue()
         assert "search" in output and "trials" in output

@@ -1,7 +1,8 @@
 """Crash-resumability of adaptive searches (the ledger's reason to exist).
 
-A child process runs a grid search against a ledger file with
-``batch=1`` and prints one line per executed scenario.  The parent
+A child process runs a ``successive_halving`` search over six configs
+(no seed axis, so every config runs once, as a grid would) against a
+ledger file with ``batch=1`` and prints one line per executed scenario.  The parent
 SIGKILLs it mid-search — no atexit handlers, no context-manager
 unwinding, exactly like an OOM kill or a lost spot instance — then
 re-runs the same search in-process and asserts the remainder executes
@@ -25,7 +26,7 @@ from repro.adaptive import TrialLedger, run_search
 from repro.api import ScenarioSpec, WorkloadSpec, job_spec_to_dict
 from repro.simulator.entities import JobSpec
 
-AXES = {"seed": [0, 1, 2, 3, 4, 5]}
+AXES = {"strategy_params.fixed_r": [0, 1, 2, 3, 4, 5]}
 
 
 def _spec() -> ScenarioSpec:
@@ -54,7 +55,7 @@ CHILD = textwrap.dedent(
         if event.kind == "scenario-completed":
             print(event.fingerprint, flush=True)
 
-    run_search(spec, axes, algorithm="grid", objective="utility",
+    run_search(spec, axes, algorithm="successive_halving", objective="utility",
                batch=1, ledger=sys.argv[3], on_event=report)
     print("FINISHED", flush=True)
     """
@@ -111,7 +112,7 @@ def _run_child_and_kill_after(ledger: Path, trials: int) -> bool:
 
 def test_sigkill_mid_search_resumes_without_re_execution(tmp_path):
     killed_after = 3
-    total = len(AXES["seed"])
+    total = len(AXES["strategy_params.fixed_r"])
 
     # The kill must land mid-search to mean anything: the child commits a
     # trial *after* printing its scenario event, so on a loaded machine
@@ -122,9 +123,8 @@ def test_sigkill_mid_search_resumes_without_re_execution(tmp_path):
         if not _run_child_and_kill_after(ledger, trials=killed_after):
             continue
         with TrialLedger(ledger) as book:
-            counts = book.counts()
-            settled = set(book.executed_fingerprints())
-        if killed_after - 1 <= counts["completed"] < total:
+            settled = {record.fingerprint for record in book.records("completed")}
+        if killed_after - 1 <= len(settled) < total:
             break
     else:
         pytest.fail("could not land a mid-search SIGKILL in 5 attempts")
@@ -137,17 +137,17 @@ def test_sigkill_mid_search_resumes_without_re_execution(tmp_path):
             re_executed.append(event.fingerprint)
 
     resumed = run_search(
-        _spec(), AXES, algorithm="grid", objective="utility",
+        _spec(), AXES, algorithm="successive_halving", objective="utility",
         batch=1, ledger=ledger, on_event=watch,
     )
 
     assert not (set(re_executed) & settled), (
         f"resume re-executed settled fingerprints: {set(re_executed) & settled}"
     )
-    assert resumed.executed == len(AXES["seed"]) - len(settled)
-    assert len(resumed.completed) == len(AXES["seed"])
+    assert resumed.executed == total - len(settled)
+    assert len(resumed.completed) == total
 
     # And the interrupted-then-resumed search agrees with a clean one.
-    reference = run_search(_spec(), AXES, algorithm="grid", objective="utility")
+    reference = run_search(_spec(), AXES, algorithm="successive_halving", objective="utility")
     assert resumed.best.trial_id == reference.best.trial_id
     assert resumed.best.objective == pytest.approx(reference.best.objective)

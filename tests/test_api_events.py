@@ -111,14 +111,14 @@ class TestSerialization:
             ),
             TrialProposed(
                 trial_id="t0", params={"seed": 1}, fingerprint="f0",
-                algorithm="random", elapsed_s=0.9,
+                algorithm="successive_halving", elapsed_s=0.9,
             ),
             TrialPruned(
                 trial_id="t1", params={"seed": 2}, reason="dominated",
                 algorithm="frontier_bisect", elapsed_s=1.0,
             ),
             SearchFinished(
-                algorithm="grid", objective="utility", trials=4, executed=3,
+                algorithm="successive_halving", objective="utility", trials=4, executed=3,
                 cache_hits=1, pruned=0, failures=0, best_trial_id="t0",
                 best_objective=0.5, cancelled=False, stopped=False, elapsed_s=1.1,
             ),

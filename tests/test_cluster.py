@@ -529,7 +529,7 @@ class TestAdaptiveIntegration:
         result = run_search(
             small_cluster_spec(),
             {"scheduler": ["fifo", "deadline_edf"], "seed": [0, 1]},
-            algorithm="grid",
+            algorithm="successive_halving",
             objective="miss_rate",
             max_trials=4,
         )

@@ -56,20 +56,16 @@ class TestBoundedCluster:
             cluster.release()
         assert cluster.containers_in_use == 0
 
-    def test_utilisation(self):
+    def test_containers_in_use_and_free_slots_track_allocations(self):
         cluster = Cluster(ClusterConfig(num_nodes=2, slots_per_node=2))
-        assert cluster.utilisation() == 0.0
+        assert cluster.containers_in_use == 0 and cluster.free_slots == 4
         cluster.allocate()
-        assert cluster.utilisation() == pytest.approx(0.25)
-
-    def test_peak_usage_tracked(self):
-        cluster = Cluster(ClusterConfig(num_nodes=1, slots_per_node=3))
+        assert cluster.containers_in_use == 1 and cluster.free_slots == 3
         for _ in range(3):
             cluster.allocate()
-        for _ in range(3):
+        for _ in range(4):
             cluster.release()
-        assert cluster.peak_containers_in_use == 3
-        assert cluster.containers_in_use == 0
+        assert cluster.containers_in_use == 0 and cluster.free_slots == 4
 
 
 class TestUnboundedCluster:
@@ -78,9 +74,7 @@ class TestUnboundedCluster:
         assert all(cluster.allocate() for _ in range(100))
         assert cluster.has_capacity()
         assert cluster.free_slots is None
-        assert cluster.utilisation() == 0.0
         assert cluster.containers_in_use == 100
-        assert cluster.peak_containers_in_use == 100
 
     def test_release_works(self):
         cluster = Cluster(ClusterConfig(num_nodes=0))

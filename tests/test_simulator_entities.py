@@ -147,10 +147,10 @@ class TestTaskAndJob:
         job = make_job(num_tasks=2)
         for task in job.tasks:
             attempt = Attempt(task=task, created_time=0.0)
-            task.add_attempt(attempt)
+            task.attempts.append(attempt)
             attempt.mark_running(0.0, 0.0, 10.0)
             attempt.mark_completed(10.0)
-            task.mark_complete(10.0)
+            task.completion_time = 10.0
         assert job.try_finish(10.0)
         assert job.is_complete
         assert job.met_deadline is True
@@ -159,13 +159,13 @@ class TestTaskAndJob:
     def test_job_misses_deadline(self):
         job = make_job(num_tasks=1, deadline=5.0)
         task = job.tasks[0]
-        task.mark_complete(50.0)
+        task.completion_time = 50.0
         job.try_finish(50.0)
         assert job.met_deadline is False
 
     def test_incomplete_tasks(self):
         job = make_job(num_tasks=3)
-        job.tasks[0].mark_complete(5.0)
+        job.tasks[0].completion_time = 5.0
         assert len(job.incomplete_tasks()) == 2
 
     def test_best_progress_attempt(self):
@@ -173,8 +173,8 @@ class TestTaskAndJob:
         task = job.tasks[0]
         slow = Attempt(task=task, created_time=0.0)
         fast = Attempt(task=task, created_time=0.0, is_original=False)
-        task.add_attempt(slow)
-        task.add_attempt(fast)
+        task.attempts.append(slow)
+        task.attempts.append(fast)
         slow.mark_running(0.0, 0.0, 100.0)
         fast.mark_running(0.0, 0.0, 10.0)
         assert task.best_progress_attempt(5.0) is fast
@@ -184,22 +184,15 @@ class TestTaskAndJob:
         task = job.tasks[0]
         extra = Attempt(task=task, created_time=0.0, is_original=False)
         original = Attempt(task=task, created_time=0.0, is_original=True)
-        task.add_attempt(extra)
-        task.add_attempt(original)
+        task.attempts.append(extra)
+        task.attempts.append(original)
         assert task.original_attempt is original
 
     def test_job_machine_time_sums_attempts(self):
         job = make_job(num_tasks=2)
         for task in job.tasks:
             attempt = Attempt(task=task, created_time=0.0)
-            task.add_attempt(attempt)
+            task.attempts.append(attempt)
             attempt.mark_running(0.0, 0.0, 10.0)
             attempt.mark_completed(10.0)
         assert job.machine_time(now=20.0) == pytest.approx(20.0)
-
-    def test_mark_complete_is_first_wins(self):
-        job = make_job(num_tasks=1)
-        task = job.tasks[0]
-        task.mark_complete(10.0)
-        task.mark_complete(20.0)
-        assert task.completion_time == 10.0

@@ -23,10 +23,10 @@ def finished_job(job_id="j", num_tasks=2, deadline=100.0, duration=50.0, price=2
     job = Job(spec=spec)
     for task in job.tasks:
         attempt = Attempt(task=task, created_time=0.0)
-        task.add_attempt(attempt)
+        task.attempts.append(attempt)
         attempt.mark_running(0.0, 0.0, duration)
         attempt.mark_completed(duration)
-        task.mark_complete(duration)
+        task.completion_time = duration
     job.try_finish(duration)
     return job
 
