@@ -21,7 +21,8 @@ doesn't need a lockstep baseline commit.  Stdlib only.
 
 Besides gating, every run appends one line to
 ``benchmarks/BENCH_trend.jsonl`` — ``{"recorded_at", "commit",
-"benchmarks"}`` — so the repository accumulates a visible performance
+"benchmarks"}``, the commit being ``GITHUB_SHA`` or else ``git rev-parse
+HEAD`` — so the repository accumulates a visible performance
 trajectory instead of a single mutable baseline; disable with
 ``--no-trend`` or redirect with ``--trend PATH``.
 """
@@ -31,10 +32,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import subprocess
 import sys
 import time
 from pathlib import Path
-from typing import Dict
+from typing import Dict, Optional
 
 #: Fraction below baseline that fails the gate.
 DEFAULT_TOLERANCE = 0.30
@@ -95,17 +97,39 @@ def compare(
     return regressions
 
 
+def current_commit() -> Optional[str]:
+    """The commit being measured: ``GITHUB_SHA``, else ``git rev-parse HEAD``.
+
+    ``None`` when neither answers (no git, or not a checkout).
+    """
+    sha = os.environ.get("GITHUB_SHA")
+    if sha:
+        return sha
+    try:
+        completed = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=Path(__file__).resolve().parent,
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    sha = completed.stdout.strip()
+    return sha if completed.returncode == 0 and sha else None
+
+
 def append_trend(path: Path, current: Dict[str, Dict[str, float]]) -> None:
     """Append one run's throughputs to the JSONL trajectory (best effort).
 
-    The commit comes from ``GITHUB_SHA`` when CI sets it; a missing or
+    The commit comes from :func:`current_commit`; a missing or
     unwritable trend file never fails the gate — the trajectory is an
     observability aid, not a correctness check.
     """
     line = json.dumps(
         {
             "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            "commit": os.environ.get("GITHUB_SHA"),
+            "commit": current_commit(),
             "benchmarks": current,
         },
         sort_keys=True,

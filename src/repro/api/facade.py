@@ -155,10 +155,7 @@ class RunnerTemplate:
     amortization without touching this class.
     """
 
-    __slots__ = ("_spec", "_strategy", "_estimator", "_jobs")
-
-    #: Per-template cap on memoized per-seed workloads.
-    _JOBS_CACHE_SIZE = 16
+    __slots__ = ("_spec", "_strategy", "_estimator", "_workload")
 
     def __init__(self, spec: ScenarioSpec):
         if not isinstance(spec, ScenarioSpec):
@@ -171,7 +168,7 @@ class RunnerTemplate:
             self._estimator = _registry.ESTIMATORS.get(spec.estimator)
         else:
             self._estimator = default_estimator_for(self._strategy.name)
-        self._jobs: "OrderedDict[int, List[JobSpec]]" = OrderedDict()
+        self._workload = _dump_canonical(_normalize_json(spec.workload.to_dict(), "workload"))
 
     @property
     def spec(self) -> ScenarioSpec:
@@ -201,18 +198,23 @@ class RunnerTemplate:
         return template
 
     def jobs_for(self, seed: int) -> List[JobSpec]:
-        """The family's workload materialized for ``seed`` (memoized)."""
-        jobs = self._jobs.get(seed)
+        """The family's workload materialized for ``seed`` (memoized).
+
+        The memo is shared by every template: the strategies of one
+        sweep run the same workload, and it is built once per seed.
+        """
+        key = (_registry.registry_epoch(), self._workload, seed)
+        jobs = _JOBS.get(key)
         if jobs is None:
             if seed == self._spec.seed:
                 jobs = self._spec.build_jobs()
             else:
                 jobs = dataclasses.replace(self._spec, seed=seed).build_jobs()
-            self._jobs[seed] = jobs
-            while len(self._jobs) > self._JOBS_CACHE_SIZE:
-                self._jobs.popitem(last=False)
+            _JOBS[key] = jobs
+            while len(_JOBS) > _JOBS_CACHE_SIZE:
+                _JOBS.popitem(last=False)
         else:
-            self._jobs.move_to_end(seed)
+            _JOBS.move_to_end(key)
         return jobs
 
     def run(self, seed: Optional[int] = None) -> ScenarioResult:
@@ -249,10 +251,22 @@ class RunnerTemplate:
 _TEMPLATE_CACHE_SIZE = 8
 _TEMPLATES: "OrderedDict[Tuple[int, str], RunnerTemplate]" = OrderedDict()
 
+# LRU of materialized workloads keyed by (registry epoch, canonical
+# workload JSON, seed), shared by all templates.  ``JobSpec`` is frozen
+# and a job list is a function of (workload, seed), so the templates of
+# one workload's strategies can share a list; the epoch drops it when a
+# workload is re-registered.
+_JOBS_CACHE_SIZE = 32
+_JOBS: "OrderedDict[Tuple[int, str, int], List[JobSpec]]" = OrderedDict()
+
 
 def clear_template_cache() -> None:
-    """Drop all cached :class:`RunnerTemplate` instances (mainly for tests)."""
+    """Drop all cached :class:`RunnerTemplate` instances and their workloads.
+
+    Mainly for tests.
+    """
     _TEMPLATES.clear()
+    _JOBS.clear()
 
 
 def run(spec: ScenarioSpec) -> ScenarioResult:

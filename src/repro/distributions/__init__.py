@@ -18,7 +18,7 @@ tail index ``beta``.  This subpackage provides:
 """
 
 from repro.distributions.base import Distribution
-from repro.distributions.batching import SampleBuffer, vectorized_batch_size
+from repro.distributions.batching import sample_stream, vectorized_batch_size
 from repro.distributions.empirical import EmpiricalDistribution
 from repro.distributions.pareto import (
     ParetoDistribution,
@@ -31,9 +31,9 @@ __all__ = [
     "Distribution",
     "EmpiricalDistribution",
     "ParetoDistribution",
-    "SampleBuffer",
     "TruncatedParetoDistribution",
     "ShiftedDistribution",
     "fit_pareto_mle",
+    "sample_stream",
     "vectorized_batch_size",
 ]

@@ -5,7 +5,7 @@ The simulator's hot loops used to make one RNG round-trip per attempt
 ``Generator`` the partition of draws into calls does not change the
 stream: ``uniform(size=n)`` returns bit-for-bit the same values as ``n``
 successive ``uniform(size=1)`` calls, and the same holds for the
-inverse-transform samplers built on top of it.  :class:`SampleBuffer`
+inverse-transform samplers built on top of it.  :func:`sample_stream`
 exploits this: it draws a block of samples per RNG round-trip and hands
 them out one at a time, so consumers observe **exactly** the sequence
 they would have seen with per-draw calls, at a fraction of the overhead.
@@ -19,7 +19,8 @@ asserts identical results.
 from __future__ import annotations
 
 import os
-from typing import Callable, List
+from itertools import chain, repeat
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -40,53 +41,28 @@ def vectorized_batch_size(default: int) -> int:
     return max(1, default)
 
 
-class SampleBuffer:
-    """Hands out scalar samples from block draws, preserving draw order.
+def sample_stream(draw: Callable[[int], np.ndarray], batch: int) -> Iterator[float]:
+    """An endless iterator of scalar samples drawn in blocks, in draw order.
 
     Parameters
     ----------
     draw:
         Callable mapping a block size to a numpy array of that many
         samples (e.g. ``lambda n: distribution.sample(n, rng)``).  It is
-        invoked lazily, only when the buffer is empty.
+        invoked lazily, only when the previous block is used up.
     batch:
         Block size per ``draw`` call; pass the result of
         :func:`vectorized_batch_size` to honour the environment toggle.
 
     Because each underlying RNG must serve exactly one purpose for the
-    partition invariance to apply, create one buffer per (RNG, purpose)
-    pair — never share an RNG between a buffer and direct draws.
+    partition invariance to apply, create one stream per (RNG, purpose)
+    pair — never share an RNG between a stream and direct draws.
 
     Each block is converted to a list of Python floats once, when it is
-    drawn, so :meth:`next` is a list read rather than a numpy scalar
-    conversion per sample.
+    drawn, and :func:`itertools.chain.from_iterable` hands them out, so
+    ``next(stream)`` is one C-level call per sample.
     """
-
-    __slots__ = ("_draw", "_batch", "_buffer", "_position")
-
-    def __init__(self, draw: Callable[[int], np.ndarray], batch: int):
-        if batch < 1:
-            raise ValueError("batch size must be at least 1")
-        self._draw = draw
-        self._batch = batch
-        self._buffer: List[float] = []
-        self._position = 0
-
-    def next(self) -> float:
-        """The next sample in the stream, as a Python float."""
-        position = self._position
-        buffer = self._buffer
-        if position >= len(buffer):
-            buffer = self._buffer = np.asarray(self._draw(self._batch), dtype=float).tolist()
-            position = 0
-        self._position = position + 1
-        return buffer[position]
-
-    def invalidate(self) -> None:
-        """Drop buffered samples (e.g. when the draw parameters change).
-
-        Pending samples are discarded, not replayed; callers must only
-        invalidate when the underlying distribution genuinely changed.
-        """
-        self._buffer = []
-        self._position = 0
+    if batch < 1:
+        raise ValueError("batch size must be at least 1")
+    blocks = (np.asarray(draw(batch), dtype=float).tolist() for _ in repeat(None))
+    return chain.from_iterable(blocks)

@@ -200,7 +200,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=ExperimentScale.SMALL.value,
         help="experiment scale (smoke: seconds, small: default, full: paper scale)",
     )
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
+    parser.add_argument(
+        "--seed",
+        type=int,
+        help=(
+            "random seed (default: 0); 'search' rejects it, because its seeds "
+            "are a search axis or the base spec's seed"
+        ),
+    )
     parser.add_argument(
         "--jobs",
         type=int,
@@ -785,8 +792,16 @@ def run_search_command(args: argparse.Namespace) -> int:
     ``sweep``; Ctrl-C prints the partial trial table and, with a
     ``--ledger``, re-running resumes with zero re-executed scenarios.
     ``--algorithm`` has no default: the two built-ins answer different
-    questions, and ``--seed`` does not apply (seeds are a search axis).
+    questions.  ``--seed`` is an error (exit 2): the seeds are a search
+    axis or the base spec's ``seed``.
     """
+    if args.seed is not None:
+        print(
+            "search does not take --seed: put the seeds in 'axes' (\"seed\": [...]) "
+            "or set the base spec's \"seed\"",
+            file=sys.stderr,
+        )
+        return 2
     if not args.spec:
         print("search requires --spec FILE (a search specification JSON)", file=sys.stderr)
         return 2
@@ -1353,6 +1368,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         for name in EXPERIMENTS:
             print(name)
         return 0
+    if args.seed is None and not (args.experiments and args.experiments[0] == "search"):
+        args.seed = 0
     previous_env = apply_security_args(args)
     try:
         if args.experiments and args.experiments[0] == "sweep":

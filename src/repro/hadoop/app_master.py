@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.distributions import SampleBuffer, vectorized_batch_size
+from repro.distributions import sample_stream, vectorized_batch_size
 from repro.hadoop.config import HadoopConfig
 from repro.hadoop.node_manager import NodeManager
 from repro.hadoop.resource_manager import ContainerRequest, ResourceManager
@@ -72,12 +72,15 @@ class ApplicationMaster:
         self._pending_requests: Dict[int, ContainerRequest] = {}
         self._scheduled_events: List[Event] = []
         self._finished = False
-        # One buffer per AM: the AM's RNG serves exactly one purpose
+        #: Speculative (non-original) attempts this AM has killed; the
+        #: runner folds it into its telemetry after the run.
+        self.speculative_killed = 0
+        # One stream per AM: the AM's RNG serves exactly one purpose
         # (attempt durations), so block draws see the same stream as the
         # historical one-sample-per-attempt calls.  Sized to roughly one
         # wave of attempts per RNG round-trip.  The draw holds the RNG,
-        # not the AM, so the buffer forms no reference cycle.
-        self._duration_samples = SampleBuffer(
+        # not the AM, so the stream forms no reference cycle.
+        self._duration_samples = sample_stream(
             partial(job.spec.attempt_distribution.sample, rng=self._rng),
             vectorized_batch_size(min(512, max(8, job.spec.num_tasks))),
         )
@@ -183,6 +186,10 @@ class ApplicationMaster:
             if request is not None:
                 request.cancelled = True
             attempt.mark_killed(self._engine.now)
+        else:
+            return
+        if not attempt.is_original:
+            self.speculative_killed += 1
 
     def kill_all_but(self, task: Task, survivor: Attempt) -> int:
         """Kill every live attempt of ``task`` except ``survivor``; return count."""
@@ -256,7 +263,7 @@ class ApplicationMaster:
             attempt.mark_killed(self._engine.now)  # a no-op for a finished attempt
             return
         # ``start_offset`` lies in [0, 1), so the work fraction is in (0, 1].
-        processing_time = self._duration_samples.next() * (1.0 - attempt.start_offset)
+        processing_time = next(self._duration_samples) * (1.0 - attempt.start_offset)
         self._nm.launch(attempt, processing_time, self._on_attempt_complete)
 
     def _on_attempt_complete(self, attempt: Attempt) -> None:
@@ -266,8 +273,9 @@ class ApplicationMaster:
         now = self._engine.now
         task.completion_time = now
         # Redundant attempts are killed as soon as one attempt succeeds.
-        for other in task.live_attempts:
-            self.kill_attempt(other)
+        if task.live:
+            for other in task.live_attempts:
+                self.kill_attempt(other)
         self._strategy.on_task_complete(self, task, attempt)
         if self._job.try_finish(now):
             self._finalize()

@@ -16,7 +16,7 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from repro.distributions import SampleBuffer, vectorized_batch_size
+from repro.distributions import sample_stream, vectorized_batch_size
 from repro.hadoop.config import HadoopConfig
 from repro.hadoop.resource_manager import ResourceManager
 from repro.simulator.engine import Event, SimulationEngine
@@ -47,7 +47,7 @@ class NodeManager:
         # holds the RNG but not the NM, so a finished run leaves no cycle.
         mean, jitter = config.jvm_startup_mean, config.jvm_startup_jitter
         self._jvm_fixed = 0.0 if mean <= 0 else mean if jitter <= 0 else None
-        self._jvm_samples = SampleBuffer(
+        self._jvm_samples = sample_stream(
             partial(self._rng.uniform, mean - jitter, mean + jitter),
             vectorized_batch_size(128),
         )
@@ -57,13 +57,6 @@ class NodeManager:
         """Number of attempts currently executing on this NM."""
         return len(self._running)
 
-    def sample_jvm_delay(self) -> float:
-        """Draw a JVM launch delay from the configured distribution."""
-        fixed = self._jvm_fixed
-        if fixed is not None:
-            return fixed
-        return self._jvm_samples.next()
-
     def launch(
         self, attempt: Attempt, processing_time: float, on_complete: CompletionCallback
     ) -> None:
@@ -72,7 +65,9 @@ class NodeManager:
         ``mark_running`` rejects a negative ``processing_time``.
         """
         engine = self._engine
-        jvm_delay = self.sample_jvm_delay()
+        jvm_delay = self._jvm_fixed
+        if jvm_delay is None:
+            jvm_delay = next(self._jvm_samples)
         attempt.mark_running(engine.now, jvm_delay, processing_time)
         self._running[attempt.attempt_id] = engine.schedule_after(
             jvm_delay + processing_time, self._complete, attempt, on_complete

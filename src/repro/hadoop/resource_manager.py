@@ -79,10 +79,12 @@ class ResourceManager:
     def request_container(self, callback: GrantCallback, *args: Any) -> ContainerRequest:
         """Request one container; ``callback(*args)`` runs when it is granted."""
         request = ContainerRequest(callback, args)
-        if self._cluster.allocate():
-            self._schedule_grant(request)
-        else:
+        if not self._cluster.allocate():
             self._pending.append(request)
+        elif self._grant_delay > 0:
+            self._engine.schedule_after(self._grant_delay, self._deliver, request)
+        else:
+            self._deliver(request)
         return request
 
     def release_container(self) -> None:
@@ -106,13 +108,10 @@ class ResourceManager:
                 continue
             if not self._cluster.allocate():
                 return
-            self._schedule_grant(pending.popleft())
-
-    def _schedule_grant(self, request: ContainerRequest) -> None:
-        if self._grant_delay > 0:
-            self._engine.schedule_after(self._grant_delay, self._deliver, request)
-        else:
-            self._deliver(request)
+            if self._grant_delay > 0:
+                self._engine.schedule_after(self._grant_delay, self._deliver, pending.popleft())
+            else:
+                self._deliver(pending.popleft())
 
     def _deliver(self, request: ContainerRequest) -> None:
         if request.cancelled:

@@ -149,43 +149,30 @@ class SimulationEngine:
         max_events:
             Optional safety cap on the number of events to execute.
         """
-        # Pop the whole run of same-timestamp events in one sweep instead
-        # of re-peeking the heap after every callback.  Events scheduled
-        # *by* a batch member at the same timestamp carry a higher sequence
-        # number, so they form the next sweep — overall execution order is
-        # identical to a one-at-a-time loop.  Cancellation by an earlier
-        # batch member is honoured by re-checking ``cancelled`` immediately
-        # before each callback runs.  Under an event cap a sweep pops at
-        # most the cap's remaining room; members left behind keep their
-        # heap keys, so they still run before anything scheduled later at
-        # the same timestamp, and the cap counts executed callbacks only.
+        # A plain pop loop: the heap's (time, sequence) keys alone fix the
+        # order, and a cancelled event is dropped when it is popped.  The
+        # cap counts executed callbacks and is checked before each pop.
+        # The first event past the horizon goes back on the heap; keys are
+        # unique, so the heap pops in the same order as if it had stayed.
         queue = self._queue
         pop = heapq.heappop
         cap = sys.maxsize if max_events is None else max_events
+        horizon = math.inf if until is None else until
         processed = 0
-        batch: List[Event] = []
         try:
-            while queue:
-                room = cap - processed
-                if room <= 0:
-                    return
-                head_time, _, event = queue[0]
+            while queue and processed < cap:
+                time, sequence, event = pop(queue)
                 if event.cancelled:
-                    pop(queue)
                     continue
-                if until is not None and head_time > until:
+                if time > horizon:
+                    heapq.heappush(queue, (time, sequence, event))
                     self.now = until
                     return
-                pop(queue)
-                batch.append(event)
-                while queue and queue[0][0] == head_time and len(batch) < room:
-                    batch.append(pop(queue)[2])
-                self.now = head_time
-                for member in batch:
-                    if not member.cancelled:
-                        member.callback(*member.args)
-                        processed += 1
-                batch.clear()
+                self.now = time
+                event.callback(*event.args)
+                processed += 1
+            if processed >= cap and queue:
+                return
             if until is not None and until > self.now:
                 self.now = until
         finally:

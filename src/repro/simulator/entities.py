@@ -148,6 +148,7 @@ class Attempt:
     def __post_init__(self) -> None:
         if not 0.0 <= self.start_offset < 1.0:
             raise ValueError("start_offset must lie in [0, 1)")
+        self.task.live += 1
 
     # ------------------------------------------------------------------
     # Derived quantities
@@ -191,13 +192,6 @@ class Attempt:
         fraction_of_own_work = min(1.0, elapsed_processing / processing_time)
         return start_offset + fraction_of_own_work * (1.0 - start_offset)
 
-    def machine_time(self, now: float) -> float:
-        """VM time consumed by this attempt up to ``now`` (or its end)."""
-        if self.launch_time is None:
-            return 0.0
-        end = self.end_time if self.end_time is not None else now
-        return max(0.0, min(end, now) - self.launch_time)
-
     # ------------------------------------------------------------------
     # State transitions
     # ------------------------------------------------------------------
@@ -219,13 +213,15 @@ class Attempt:
             raise RuntimeError(f"attempt {self.attempt_id} cannot complete from {self.status}")
         self.status = AttemptStatus.COMPLETED
         self.end_time = now
+        self.task.live -= 1
 
     def mark_killed(self, now: float) -> None:
         """Transition WAITING/RUNNING -> KILLED.  Idempotent for finished attempts."""
-        if self.is_finished:
+        if self.status not in _LIVE_STATES:
             return
         self.status = AttemptStatus.KILLED
         self.end_time = now if self.launch_time is not None else self.created_time
+        self.task.live -= 1
 
 
 @dataclass(slots=True)
@@ -236,6 +232,10 @@ class Task:
     index: int
     attempts: List[Attempt] = field(default_factory=list)
     completion_time: Optional[float] = None
+    #: Attempts that are waiting or running: ``len(live_attempts)``
+    #: without the scan.  Every :class:`Attempt` adds one when it is
+    #: created and takes it back when it completes or is killed.
+    live: int = field(default=0, init=False, compare=False)
 
     @property
     def task_id(self) -> str:
@@ -271,10 +271,6 @@ class Task:
         if not live:
             return None
         return max(live, key=lambda a: a.progress(now))
-
-    def machine_time(self, now: float) -> float:
-        """Total VM time consumed by all attempts of this task."""
-        return sum(attempt.machine_time(now) for attempt in self.attempts)
 
 
 @dataclass(slots=True)
@@ -322,11 +318,30 @@ class Job:
 
     def incomplete_tasks(self) -> List[Task]:
         """Tasks that have not yet finished."""
-        return [task for task in self.tasks if not task.is_complete]
+        return [task for task in self.tasks if task.completion_time is None]
 
     def machine_time(self, now: float) -> float:
-        """Total VM time consumed by the job's attempts up to ``now``."""
-        return sum(task.machine_time(now) for task in self.tasks)
+        """Total VM time consumed by the job's attempts up to ``now``.
+
+        An attempt's VM time runs from its launch to its end (or ``now``),
+        and one that never launched costs nothing.  Each task's attempts
+        are summed first and the task totals then, the order (and so the
+        floating-point result) of a sum of per-task sums.
+        """
+        total = 0
+        for task in self.tasks:
+            task_total = 0
+            for attempt in task.attempts:
+                launch = attempt.launch_time
+                if launch is None:
+                    task_total += 0.0  # a float zero, as the per-attempt sums gave
+                    continue
+                end = attempt.end_time
+                if end is None or end > now:
+                    end = now
+                task_total += max(0.0, end - launch)
+            total += task_total
+        return total
 
     def try_finish(self, now: float) -> bool:
         """Mark the job complete if all tasks are done; return the new state."""

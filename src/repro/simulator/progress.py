@@ -74,20 +74,21 @@ def chronos_estimate_completion(attempt: Attempt, now: float) -> float:
     extrapolated from the progress accumulated since the first report.
     Returns ``inf`` when no post-launch progress has been observed yet.
     """
-    if attempt.launch_time is None:
-        return math.inf
+    launch_time = attempt.launch_time
     first_report = attempt.first_progress_time
-    if first_report is None or now <= first_report:
+    # ``first_progress_time`` is set together with ``launch_time``, so
+    # past this test the attempt has reported: its observed progress is
+    # its progress score.
+    if launch_time is None or first_report is None or now <= first_report:
         return math.inf
-    current_progress = observed_progress(attempt, now)
     first_progress = attempt.start_offset
-    gained = current_progress - first_progress
+    gained = attempt.progress(now) - first_progress
     if gained <= 0:
         return math.inf
     processing_elapsed = now - first_report
-    processing_total = processing_elapsed * attempt.work_fraction / gained
-    jvm_overhead = first_report - attempt.launch_time
-    return attempt.launch_time + jvm_overhead + processing_total
+    processing_total = processing_elapsed * (1.0 - first_progress) / gained
+    jvm_overhead = first_report - launch_time
+    return launch_time + jvm_overhead + processing_total
 
 
 def estimate_remaining_time(

@@ -24,7 +24,7 @@ from repro.hadoop.node_manager import NodeManager
 from repro.hadoop.resource_manager import ResourceManager
 from repro.simulator.cluster import Cluster, ClusterConfig
 from repro.simulator.engine import SimulationEngine
-from repro.simulator.entities import AttemptStatus, Job, JobSpec
+from repro.simulator.entities import Job, JobSpec
 from repro.simulator.metrics import MetricsCollector, SimulationReport
 from repro.simulator.progress import (
     CompletionTimeEstimator,
@@ -199,7 +199,7 @@ class SimulationRunner:
                     metrics.record_job(master.job, engine.now)
             report = metrics.build_report()
 
-        self._flush_engine_metrics(engine, masters)
+        self._flush_engine_metrics(engine, masters, report)
         for master in masters:
             master.release()
         # A run cut short by max_events leaves callbacks into the masters.
@@ -209,18 +209,22 @@ class SimulationRunner:
         return report
 
     @staticmethod
-    def _flush_engine_metrics(engine: SimulationEngine, masters: Sequence[object]) -> None:
-        """Fold one run's engine totals into the process-wide registry."""
+    def _flush_engine_metrics(
+        engine: SimulationEngine,
+        masters: Sequence[ApplicationMaster],
+        report: SimulationReport,
+    ) -> None:
+        """Fold one run's engine totals into the process-wide registry.
+
+        The speculative copies come from the job records and the masters'
+        kill counts, so nothing walks the attempts again.  A killed copy is
+        one that a master killed: every kill goes through
+        :meth:`ApplicationMaster.kill_attempt`.
+        """
         _ENGINE_EVENTS.inc(engine.processed_events)
         _ENGINE_HEAP.set(engine.pending_events)
-        launched = killed = 0
-        for master in masters:
-            for task in master.job.tasks:
-                for attempt in task.attempts:
-                    if not attempt.is_original:
-                        launched += 1
-                        if attempt.status is AttemptStatus.KILLED:
-                            killed += 1
+        launched = sum(record.num_speculative_attempts for record in report.job_records)
+        killed = sum(master.speculative_killed for master in masters)
         if launched:
             _SPEC_LAUNCHED.inc(launched)
         if killed:

@@ -41,5 +41,5 @@ class CloneStrategy(SpeculationStrategy):
     def _prune_clones(self, am: "ApplicationMaster") -> None:
         """Keep the best-progress attempt of every unfinished task."""
         for task in am.job.incomplete_tasks():
-            if len(task.live_attempts) > 1:
+            if task.live > 1:
                 am.keep_best_attempt(task, by="progress")

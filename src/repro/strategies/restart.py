@@ -68,5 +68,5 @@ class SpeculativeRestartStrategy(SpeculationStrategy):
     # ------------------------------------------------------------------
     def _prune_attempts(self, am: "ApplicationMaster") -> None:
         for task in am.job.incomplete_tasks():
-            if len(task.live_attempts) > 1:
+            if task.live > 1:
                 am.keep_best_attempt(task, by="estimate")

@@ -80,5 +80,5 @@ class SpeculativeResumeStrategy(SpeculationStrategy):
     # ------------------------------------------------------------------
     def _prune_attempts(self, am: "ApplicationMaster") -> None:
         for task in am.job.incomplete_tasks():
-            if len(task.live_attempts) > 1:
+            if task.live > 1:
                 am.keep_best_attempt(task, by="estimate")

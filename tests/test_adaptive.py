@@ -777,6 +777,35 @@ class TestSearchCli:
         assert "requires --algorithm" in err
         assert "frontier_bisect, successive_halving" in err
 
+    def test_search_command_rejects_seed(self, tmp_path, capsys):
+        """``--seed`` would be ignored by a search, so it is an error."""
+        from repro.experiments import cli
+
+        spec_file = self._write_spec(tmp_path)
+        code = cli.main([
+            "search", "--spec", str(spec_file), "--algorithm", "successive_halving",
+            "--seed", "5", "--quiet",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "search does not take --seed" in captured.err
+        assert "base spec's" in captured.err
+        assert captured.out == ""  # nothing ran
+
+    def test_other_commands_keep_seed_zero_by_default(self, monkeypatch):
+        from repro.experiments import cli
+
+        seen = []
+
+        def fake_run_experiments(names, scale, seed, jobs=1):
+            seen.append(seed)
+            return []
+
+        monkeypatch.setattr(cli, "run_experiments", fake_run_experiments)
+        assert cli.main(["figure2", "--scale", "smoke", "--quiet"]) == 0
+        assert cli.main(["figure2", "--scale", "smoke", "--seed", "3", "--quiet"]) == 0
+        assert seen == [0, 3]
+
     def test_search_command_rejects_bad_inputs(self, tmp_path, capsys):
         from repro.experiments import cli
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -58,6 +59,40 @@ class TestAppendTrend:
         record = json.loads(lines[-1])
         assert record["benchmarks"] == {"bench": {"x_per_sec": 2.0}}
         assert "recorded_at" in record and "commit" in record
+
+    def test_commit_comes_from_github_sha_first(self, check_trend, tmp_path, monkeypatch):
+        monkeypatch.setenv("GITHUB_SHA", "abc123")
+        trend = tmp_path / "trend.jsonl"
+        check_trend.append_trend(trend, {"bench": {"x_per_sec": 1.0}})
+        assert json.loads(trend.read_text())["commit"] == "abc123"
+
+    def test_commit_falls_back_to_git_head(self, check_trend, tmp_path, monkeypatch):
+        monkeypatch.delenv("GITHUB_SHA", raising=False)
+        calls = []
+
+        def fake_run(command, **kwargs):
+            calls.append(command)
+            return subprocess.CompletedProcess(command, 0, stdout="f00dfeed\n", stderr="")
+
+        monkeypatch.setattr(check_trend.subprocess, "run", fake_run)
+        trend = tmp_path / "trend.jsonl"
+        check_trend.append_trend(trend, {"bench": {"x_per_sec": 1.0}})
+        assert calls == [["git", "rev-parse", "HEAD"]]
+        assert json.loads(trend.read_text())["commit"] == "f00dfeed"
+
+    @pytest.mark.parametrize("failure", ["missing", "not-a-checkout"])
+    def test_commit_is_null_when_git_fails(self, check_trend, tmp_path, monkeypatch, failure):
+        monkeypatch.delenv("GITHUB_SHA", raising=False)
+
+        def fake_run(command, **kwargs):
+            if failure == "missing":
+                raise FileNotFoundError("git")
+            return subprocess.CompletedProcess(command, 128, stdout="", stderr="fatal")
+
+        monkeypatch.setattr(check_trend.subprocess, "run", fake_run)
+        trend = tmp_path / "trend.jsonl"
+        check_trend.append_trend(trend, {"bench": {"x_per_sec": 1.0}})
+        assert json.loads(trend.read_text())["commit"] is None
 
     def test_unwritable_path_warns_instead_of_raising(self, check_trend, tmp_path, capsys):
         # A directory cannot be opened for append -> OSError inside.

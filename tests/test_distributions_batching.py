@@ -2,7 +2,7 @@
 
 The simulator's byte-identical fast path rests on one numpy fact: the
 partition of ``Generator`` draws into calls does not change the stream.
-These tests pin both the fact itself and the :class:`SampleBuffer`
+These tests pin both the fact itself and the :func:`sample_stream`
 machinery that exploits it, plus the ``CHRONOS_VECTORIZE`` escape hatch.
 """
 
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.distributions import ParetoDistribution
-from repro.distributions.batching import SampleBuffer, vectorized_batch_size
+from repro.distributions.batching import sample_stream, vectorized_batch_size
 
 
 class TestVectorizedBatchSize:
@@ -42,20 +42,20 @@ class TestVectorizedBatchSize:
         assert vectorized_batch_size(8) == 8
 
 
-class TestSampleBuffer:
+class TestSampleStream:
     def test_rejects_non_positive_batch(self):
         with pytest.raises(ValueError):
-            SampleBuffer(lambda n: np.zeros(n), 0)
+            sample_stream(lambda n: np.zeros(n), 0)
 
     def test_stream_identical_to_scalar_draws(self):
         """The load-bearing invariant: block draws == per-draw calls."""
         dist = ParetoDistribution(10.0, 1.5)
         buffered_rng = np.random.default_rng(1234)
         scalar_rng = np.random.default_rng(1234)
-        buffer = SampleBuffer(lambda n: dist.sample(n, rng=buffered_rng), batch=7)
+        stream = sample_stream(lambda n: dist.sample(n, rng=buffered_rng), batch=7)
         for _ in range(100):
             expected = float(dist.sample(1, rng=scalar_rng)[0])
-            assert buffer.next() == expected
+            assert next(stream) == expected
 
     def test_draw_called_once_per_block(self):
         calls = []
@@ -64,23 +64,24 @@ class TestSampleBuffer:
             calls.append(n)
             return np.arange(len(calls) * 100, len(calls) * 100 + n, dtype=float)
 
-        buffer = SampleBuffer(draw, batch=4)
-        values = [buffer.next() for _ in range(10)]
+        stream = sample_stream(draw, batch=4)
+        values = [next(stream) for _ in range(10)]
         assert calls == [4, 4, 4]
         assert values == [100, 101, 102, 103, 200, 201, 202, 203, 300, 301]
 
     def test_draw_is_lazy(self):
         calls = []
-        SampleBuffer(lambda n: calls.append(n) or np.zeros(n), batch=8)
+        sample_stream(lambda n: calls.append(n) or np.zeros(n), batch=8)
         assert calls == []
 
-    def test_invalidate_drops_pending_samples(self):
+    def test_a_new_stream_does_not_replay_pending_samples(self):
+        """Changed draw parameters take a new stream; the old block is dropped."""
         blocks = iter([np.array([1.0, 2.0, 3.0]), np.array([7.0, 8.0, 9.0])])
-        buffer = SampleBuffer(lambda n: next(blocks), batch=3)
-        assert buffer.next() == 1.0
-        buffer.invalidate()
-        # The remaining 2.0 and 3.0 are gone; the next call re-draws.
-        assert buffer.next() == 7.0
+        stream = sample_stream(lambda n: next(blocks), batch=3)
+        assert next(stream) == 1.0
+        stream = sample_stream(lambda n: next(blocks), batch=3)
+        # The remaining 2.0 and 3.0 are gone; the new stream draws afresh.
+        assert next(stream) == 7.0
 
     def test_batch_one_matches_historical_call_pattern(self):
         calls = []
@@ -89,13 +90,13 @@ class TestSampleBuffer:
             calls.append(n)
             return np.array([float(len(calls))])
 
-        buffer = SampleBuffer(draw, batch=1)
-        assert [buffer.next() for _ in range(3)] == [1.0, 2.0, 3.0]
+        stream = sample_stream(draw, batch=1)
+        assert [next(stream) for _ in range(3)] == [1.0, 2.0, 3.0]
         assert calls == [1, 1, 1]
 
     def test_returns_python_floats(self):
-        buffer = SampleBuffer(lambda n: np.full(n, 2.5), batch=4)
-        assert type(buffer.next()) is float
+        stream = sample_stream(lambda n: np.full(n, 2.5), batch=4)
+        assert type(next(stream)) is float
 
     @pytest.mark.parametrize("vectorize", ["1", "0"])
     def test_yields_builtin_floats_of_the_same_stream(self, monkeypatch, vectorize):
@@ -105,8 +106,8 @@ class TestSampleBuffer:
         assert batch == (128 if vectorize == "1" else 1)
         dist = ParetoDistribution(10.0, 1.5)
         buffered_rng = np.random.default_rng(99)
-        buffer = SampleBuffer(lambda n: dist.sample(n, rng=buffered_rng), batch)
-        values = [buffer.next() for _ in range(300)]
+        stream = sample_stream(lambda n: dist.sample(n, rng=buffered_rng), batch)
+        values = [next(stream) for _ in range(300)]
         assert all(type(value) is float for value in values)
         expected = dist.sample(300, rng=np.random.default_rng(99))
         assert values == [float(x) for x in expected]

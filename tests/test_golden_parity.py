@@ -1,7 +1,7 @@
 """Golden-fingerprint parity suite for the simulator hot path.
 
-The optimized simulator (batched event processing, slotted entities,
-block RNG sampling, runner templates, line-search shortcuts) must be
+The optimized simulator (slotted entities, block RNG sampling, live
+attempt counts, runner templates, the integer ascent) must be
 *byte-identical* to the original straightforward implementation — not
 "statistically close".  These tests pin that contract: the SHA-256 of
 every representative scenario's serialized result (minus wall time) is
@@ -153,3 +153,57 @@ def test_template_cache_invalidated_by_registry_mutation():
     finally:
         WORKLOADS.unregister("tiny-parity")
         clear_template_cache()
+
+
+def test_strategies_of_one_workload_and_seed_build_it_once():
+    """The per-seed workload memo is shared by the templates of one workload."""
+    clear_template_cache()
+    builds = []
+
+    def counted(*, seed: int = 0):
+        from repro.simulator.entities import JobSpec
+
+        builds.append(seed)
+        return [JobSpec(job_id="c-0", num_tasks=2, tmin=10.0, beta=1.5, deadline=100.0)]
+
+    register_workload("counted-parity", counted)
+    try:
+        base = ScenarioSpec(workload={"kind": "counted-parity", "params": {}}, strategy="clone")
+        for strategy in ("clone", "s-restart", "s-resume"):
+            run(base.with_overrides(strategy=strategy))
+        assert builds == [0]
+        run(base.with_overrides(seed=4))
+        assert builds == [0, 4]
+        register_workload("counted-parity", counted, overwrite=True)
+        run(base)
+        assert builds == [0, 4, 0]  # the new epoch does not reuse the old list
+    finally:
+        WORKLOADS.unregister("counted-parity")
+        clear_template_cache()
+
+
+#: ``chronos_speculative_copies_{launched,killed}_total`` increments of one
+#: run of each single-job-stream golden spec, as counted (before 6.1) by a
+#: walk over every attempt after the run.
+SPECULATIVE_COPIES = {
+    "16373212622a4cc3": (18, 12),
+    "298f5d0d48cc6b0f": (80, 38),
+    "506406cbef728a6e": (96, 64),
+    "847776bc765eb1fd": (108, 88),
+    "89dc8b734e286e80": (18, 12),
+    "8b74246daa7ab9e7": (43, 25),
+    "90e3e401b95da61a": (100, 80),
+    "d739e3b1d7471981": (36, 27),
+}
+
+
+@pytest.mark.parametrize("fingerprint", sorted(SPECULATIVE_COPIES))
+def test_speculative_copy_counters_match_the_attempt_walk(fingerprint):
+    from repro import telemetry
+
+    launched = telemetry.counter("chronos_speculative_copies_launched_total")
+    killed = telemetry.counter("chronos_speculative_copies_killed_total")
+    before = (launched.value, killed.value)
+    execute(spec_from_dict(GOLDEN[fingerprint]["spec"]))
+    after = (launched.value, killed.value)
+    assert (after[0] - before[0], after[1] - before[1]) == SPECULATIVE_COPIES[fingerprint]

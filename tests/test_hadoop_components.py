@@ -179,11 +179,28 @@ class TestNodeManager:
         assert attempt.status is AttemptStatus.KILLED
         assert cluster.containers_in_use == 0
 
+    @staticmethod
+    def _launched_jvm_delays(config, count):
+        """The JVM delays of ``count`` attempts launched on an unbounded stack."""
+        from repro.simulator.entities import Attempt
+
+        engine, _, _, rm, nm = build_stack(num_nodes=0, config=config)
+        spec = JobSpec(job_id="j", num_tasks=count, deadline=100.0, tmin=10.0, beta=1.5)
+        attempts = [Attempt(task=task, created_time=0.0) for task in Job(spec=spec).tasks]
+        for attempt in attempts:
+            rm.request_container(nm.launch, attempt, 10.0, lambda a: None)
+        engine.run()
+        return [attempt.jvm_delay for attempt in attempts]
+
     def test_jvm_delay_sampling_range(self):
         config = HadoopConfig(jvm_startup_mean=4.0, jvm_startup_jitter=1.0)
-        engine, _, _, rm, nm = build_stack(config=config)
-        delays = [nm.sample_jvm_delay() for _ in range(200)]
+        delays = self._launched_jvm_delays(config, 200)
         assert all(3.0 <= d <= 5.0 for d in delays)
+        assert len(set(delays)) > 100  # drawn per launch, not one fixed value
+
+    def test_jvm_delay_is_fixed_without_jitter(self):
+        config = HadoopConfig(jvm_startup_mean=4.0, jvm_startup_jitter=0.0)
+        assert self._launched_jvm_delays(config, 3) == [4.0, 4.0, 4.0]
 
     def test_rejects_negative_processing_time(self):
         engine, _, _, rm, nm = build_stack()

@@ -168,6 +168,23 @@ class TestRunLimits:
         assert calls == expected
         assert engine.processed_events == len(expected)
 
+    def test_until_and_cap_together(self):
+        """The horizon drops cancelled heads; the cap leaves the clock alone."""
+        engine, calls = SimulationEngine(), []
+        for time in (1.0, 2.0, 3.0, 4.0):
+            engine.schedule_at(time, calls.append, time)
+        engine.schedule_at(2.5, calls.append, "x").cancel()
+        engine.run(until=2.7, max_events=5)
+        assert calls == [1.0, 2.0]
+        assert engine.now == 2.7
+        assert engine.pending_events == 2  # the cancelled 2.5 was dropped
+        engine.run(until=10.0, max_events=1)
+        assert calls == [1.0, 2.0, 3.0]
+        assert engine.now == 3.0  # capped: the clock stays at the last event
+        engine.run(until=10.0, max_events=1)
+        assert calls == [1.0, 2.0, 3.0, 4.0]
+        assert engine.now == 10.0  # a drained queue reaches the horizon, cap or not
+
     def test_step_returns_false_when_idle(self):
         engine = SimulationEngine()
         assert engine.step() is False

@@ -55,8 +55,11 @@ class TestJobSpec:
 
 class TestAttempt:
     def make_attempt(self, offset=0.0):
+        """The only attempt of a fresh job, so the job's VM time is its own."""
         job = make_job()
-        return Attempt(task=job.tasks[0], created_time=0.0, start_offset=offset)
+        attempt = Attempt(task=job.tasks[0], created_time=0.0, start_offset=offset)
+        job.tasks[0].attempts.append(attempt)
+        return attempt
 
     def test_initial_state(self):
         attempt = self.make_attempt()
@@ -80,7 +83,7 @@ class TestAttempt:
         attempt.mark_completed(17.0)
         assert attempt.is_finished
         assert attempt.progress(100.0) == 1.0
-        assert attempt.machine_time(100.0) == pytest.approx(12.0)
+        assert attempt.task.job.machine_time(100.0) == pytest.approx(12.0)
 
     def test_cannot_start_twice(self):
         attempt = self.make_attempt()
@@ -97,13 +100,13 @@ class TestAttempt:
         attempt = self.make_attempt()
         attempt.mark_killed(3.0)
         assert attempt.status is AttemptStatus.KILLED
-        assert attempt.machine_time(10.0) == 0.0
+        assert attempt.task.job.machine_time(10.0) == 0.0
 
     def test_kill_running_attempt_counts_machine_time(self):
         attempt = self.make_attempt()
         attempt.mark_running(2.0, 1.0, 100.0)
         attempt.mark_killed(12.0)
-        assert attempt.machine_time(50.0) == pytest.approx(10.0)
+        assert attempt.task.job.machine_time(50.0) == pytest.approx(10.0)
 
     def test_kill_after_completion_is_noop(self):
         attempt = self.make_attempt()
@@ -125,6 +128,23 @@ class TestAttempt:
         assert attempt.progress(0.0) == pytest.approx(0.4)
         assert attempt.progress(5.0) == pytest.approx(0.4 + 0.5 * 0.6)
         assert attempt.work_fraction == pytest.approx(0.6)
+
+    def test_live_count_follows_the_lifecycle(self):
+        attempt = self.make_attempt()
+        task = attempt.task
+        assert task.live == 1
+        attempt.mark_running(0.0, 1.0, 5.0)
+        assert task.live == 1
+        attempt.mark_completed(6.0)
+        assert task.live == 0
+        attempt.mark_killed(8.0)  # a no-op for a finished attempt
+        assert task.live == 0
+
+    def test_live_count_drops_once_per_kill(self):
+        attempt = self.make_attempt()
+        attempt.mark_killed(1.0)
+        attempt.mark_killed(2.0)
+        assert attempt.task.live == 0 == len(attempt.task.live_attempts)
 
     def test_attempt_ids_unique(self):
         a = self.make_attempt()
@@ -196,3 +216,22 @@ class TestTaskAndJob:
             attempt.mark_running(0.0, 0.0, 10.0)
             attempt.mark_completed(10.0)
         assert job.machine_time(now=20.0) == pytest.approx(20.0)
+
+    def test_job_machine_time_is_a_sum_of_task_sums(self):
+        """VM time runs from launch to end or ``now``; unlaunched attempts cost 0."""
+        job = make_job(num_tasks=2)
+        first, second = job.tasks
+        spans = [(first, 0.0, 3.1), (first, 0.7, None), (second, 1.3, 9.9)]
+        for task, launch, end in spans:
+            attempt = Attempt(task=task, created_time=0.0, is_original=False)
+            task.attempts.append(attempt)
+            attempt.mark_running(launch, 0.5, 100.0)
+            if end is not None:
+                attempt.mark_killed(end)
+        waiting = Attempt(task=second, created_time=0.0)
+        second.attempts.append(waiting)
+        now = 5.2
+        expected = sum(
+            [sum([3.1 - 0.0, now - 0.7]), sum([min(9.9, now) - 1.3, 0.0])]
+        )
+        assert job.machine_time(now) == expected  # bit for bit

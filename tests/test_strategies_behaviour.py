@@ -228,3 +228,59 @@ class TestTimingClipping:
         params = StrategyParameters(tau_est=40.0, tau_kill=80.0, fixed_r=1)
         report = run_single_strategy(StrategyName.SPECULATIVE_RESUME, jobs, params)
         assert report.num_jobs == 1
+
+
+class TestLiveCount:
+    """``Task.live`` equals ``len(task.live_attempts)`` after every event."""
+
+    @pytest.mark.parametrize("num_nodes", [0, 3], ids=["unbounded", "contended"])
+    @pytest.mark.parametrize(
+        "name",
+        [StrategyName.CLONE, StrategyName.SPECULATIVE_RESTART, StrategyName.SPECULATIVE_RESUME],
+    )
+    def test_live_count_matches_the_scan_after_every_event(self, name, num_nodes):
+        from repro.hadoop.app_master import ApplicationMaster
+        from repro.hadoop.node_manager import NodeManager
+        from repro.hadoop.resource_manager import ResourceManager
+        from repro.simulator.cluster import Cluster
+        from repro.simulator.engine import SimulationEngine
+        from repro.simulator.entities import Job
+        from repro.simulator.metrics import MetricsCollector
+
+        engine = SimulationEngine(seed=3)
+        hadoop = HadoopConfig()
+        cluster = Cluster(ClusterConfig(num_nodes=num_nodes, slots_per_node=4))
+        rm = ResourceManager(engine, cluster, hadoop)
+        nm = NodeManager(engine, rm, hadoop)
+        strategy = build_strategy(name, StrategyParameters(tau_est=15.0, tau_kill=35.0, fixed_r=2))
+        metrics = MetricsCollector(strategy.name)
+        jobs = [
+            Job(
+                spec=JobSpec(
+                    job_id=f"job-{i}", num_tasks=6, deadline=45.0, tmin=10.0, beta=1.2,
+                    submit_time=4.0 * i,
+                )
+            )
+            for i in range(8)
+        ]
+        for job in jobs:
+            am = ApplicationMaster(
+                engine=engine,
+                job=job,
+                strategy=strategy,
+                resource_manager=rm,
+                node_manager=nm,
+                config=hadoop,
+                metrics=metrics,
+                estimator=default_estimator_for(strategy.name),
+            )
+            engine.schedule_at(job.spec.submit_time, am.start)
+        tasks = [task for job in jobs for task in job.tasks]
+        most_live = 0
+        while engine.step():
+            for task in tasks:
+                assert task.live == len(task.live_attempts)
+                most_live = max(most_live, task.live)
+        assert most_live > 1  # the strategy ran redundant attempts
+        assert len(metrics.records) == len(jobs)
+        assert all(task.live == 0 for task in tasks)
