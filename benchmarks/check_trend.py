@@ -10,14 +10,17 @@ on a regression beyond the tolerance:
     python -m pytest benchmarks/test_bench_sweep.py benchmarks/test_bench_cluster.py \\
         -q --benchmark-json /tmp/bench.json
     python benchmarks/check_trend.py /tmp/bench.json            # gate (exit 1 on regression)
-    python benchmarks/check_trend.py /tmp/bench.json --update   # re-baseline after a win
+    python benchmarks/check_trend.py /tmp/bench.json --update   # raise the baseline after a win
 
 The default tolerance is generous (30% below baseline fails) because
 shared CI runners are noisy; the point is catching the step-function
 regressions — an accidentally quadratic queue, eager materialization on
 the stream path — not 5% jitter.  Benchmarks present on only one side
 are reported but never fail the gate, so adding or retiring a benchmark
-doesn't need a lockstep baseline commit.  Stdlib only.
+doesn't need a lockstep baseline commit.  ``--update`` only ever raises
+the baseline: it takes the metrics of this run that rose (or are new)
+and keeps every other entry, so a partial or noisy run cannot lower a
+bar or drop the benchmarks it did not run.  Stdlib only.
 
 Besides gating, every run appends one line to
 ``benchmarks/BENCH_trend.jsonl`` — ``{"recorded_at", "commit",
@@ -97,6 +100,23 @@ def compare(
     return regressions
 
 
+def raised(
+    current: Dict[str, Dict[str, float]], baseline: Dict[str, Dict[str, float]]
+) -> Dict[str, Dict[str, float]]:
+    """``baseline`` with each metric of ``current`` that rose or is new.
+
+    Nothing is lowered and nothing is dropped: a metric that fell, and a
+    benchmark this run did not measure, keep their baseline values.
+    """
+    merged = {name: dict(metrics) for name, metrics in baseline.items()}
+    for name, metrics in current.items():
+        entry = merged.setdefault(name, {})
+        for metric, value in metrics.items():
+            if value > entry.get(metric, float("-inf")):
+                entry[metric] = value
+    return merged
+
+
 def current_commit() -> Optional[str]:
     """The commit being measured: ``GITHUB_SHA``, else ``git rev-parse HEAD``.
 
@@ -159,7 +179,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--update",
         action="store_true",
-        help="rewrite the baseline from this run instead of gating against it",
+        help="raise the baseline entries this run beat instead of gating against them",
     )
     parser.add_argument(
         "--trend",
@@ -186,23 +206,30 @@ def main(argv=None) -> int:
     if not args.no_trend:
         append_trend(args.trend, current)
 
-    if args.update:
-        args.baseline.write_text(json.dumps(current, indent=2, sort_keys=True) + "\n")
-        print(f"baseline updated: {args.baseline} ({len(current)} benchmarks)")
-        return 0
-
     try:
         baseline = json.loads(args.baseline.read_text())
     except OSError as error:
-        print(
-            f"cannot read baseline {args.baseline}: {error} "
-            f"(generate one with --update)",
-            file=sys.stderr,
-        )
-        return 2
+        if not args.update:
+            print(
+                f"cannot read baseline {args.baseline}: {error} "
+                f"(generate one with --update)",
+                file=sys.stderr,
+            )
+            return 2
+        baseline = {}
     except ValueError as error:
         print(f"invalid JSON in baseline {args.baseline}: {error}", file=sys.stderr)
         return 2
+
+    if args.update:
+        merged = raised(current, baseline)
+        args.baseline.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
+        changed = sum(merged[name] != baseline.get(name) for name in merged)
+        print(
+            f"baseline updated: {args.baseline} "
+            f"({changed} of {len(merged)} benchmarks raised or added)"
+        )
+        return 0
 
     print(f"benchmark trend vs {args.baseline.name} (tolerance {args.tolerance:.0%}):")
     regressions = compare(current, baseline, args.tolerance)

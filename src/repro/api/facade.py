@@ -35,11 +35,7 @@ from repro.api.spec import (
 from repro.core.model import StrategyName
 from repro.simulator.entities import JobSpec
 from repro.simulator.metrics import JobRecord, SimulationReport
-from repro.simulator.runner import SimulationRunner, default_estimator_for
-
-_SCENARIO_WALL = telemetry.histogram(
-    "chronos_scenario_wall_seconds", "Wall-clock of one scenario simulation"
-)
+from repro.simulator.runner import SimulationRunner
 
 
 @dataclass(frozen=True)
@@ -164,10 +160,10 @@ class RunnerTemplate:
             )
         self._spec = spec
         self._strategy = spec.build_strategy()
-        if spec.estimator is not None:
-            self._estimator = _registry.ESTIMATORS.get(spec.estimator)
-        else:
-            self._estimator = default_estimator_for(self._strategy.name)
+        # ``None`` leaves the strategy's default to the runner.
+        self._estimator = (
+            None if spec.estimator is None else _registry.ESTIMATORS.get(spec.estimator)
+        )
         self._workload = _dump_canonical(_normalize_json(spec.workload.to_dict(), "workload"))
 
     @property
@@ -236,7 +232,6 @@ class RunnerTemplate:
         started = time.perf_counter()
         report = runner.run(jobs, self._strategy, estimator=self._estimator)
         wall_time = time.perf_counter() - started
-        _SCENARIO_WALL.observe(wall_time)
         return ScenarioResult(
             spec=spec,
             report=report,

@@ -12,12 +12,15 @@ The per-job lifecycle is an explicit state machine::
     QUEUED ──▶ ADMITTED ──▶ RUNNING ──▶ COMPLETED
                                    └──▶ MISSED
 
-Parity with the single-job façade is engineered, not accidental: a job
-is admitted *inside* its arrival event (same event sequence the façade
-would give ``master.start``), the Application Master is constructed at
-admission (so ``engine.spawn_rng`` children are handed out in admission
-order, matching the façade's construction order for batch arrivals), and
-the metrics flow through the same :class:`MetricsCollector`.
+The stack, the admission of a job and the teardown are the single-job
+runner's own (``repro.simulator.runner._Simulation``): a job is admitted
+*inside* its arrival event or a later completion, its Application
+Master is built and started there, and jobs that never finished are
+recorded the same way.  What is cluster-specific stays here: the
+arrival stream, the queue, the scheduler's picks, the lifecycle and the
+queue samples.  With trace arrivals, ``fifo`` and an unbounded cluster,
+every job is admitted at its arrival, so the run is the single-job
+runner's run event for event.
 """
 
 from __future__ import annotations
@@ -27,16 +30,11 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.api import registry as _api_registry
-from repro.cluster.arrivals import build_arrivals
 from repro.cluster.metrics import ClusterReport, build_cluster_report
 from repro.cluster.scheduling import ClusterScheduler, SpeculationBudgetScheduler, make_scheduler
 from repro.hadoop.app_master import ApplicationMaster
-from repro.hadoop.node_manager import NodeManager
-from repro.hadoop.resource_manager import ResourceManager
-from repro.simulator.cluster import Cluster
-from repro.simulator.engine import SimulationEngine
-from repro.simulator.entities import Job, JobSpec
-from repro.simulator.metrics import MetricsCollector
+from repro.simulator.entities import JobSpec
+from repro.simulator.runner import _Simulation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.spec import ClusterSpec
@@ -113,30 +111,24 @@ class ClusterSimulation:
     ):
         self._spec = spec
         self._observer = on_job_event
-        self._profiler = profiler
-        self._engine = SimulationEngine(seed=spec.seed)
-        self._cluster = Cluster(spec.cluster)
-        self._resource_manager = ResourceManager(self._engine, self._cluster, spec.hadoop)
-        self._node_manager = NodeManager(self._engine, self._resource_manager, spec.hadoop)
         self._queue: List[ClusterJob] = []
         self._running: List[ClusterJob] = []
         self._jobs: List[ClusterJob] = []
         self._queue_samples: List[Tuple[float, int]] = []
         self._first_arrival: Optional[float] = None
 
-        strategy = spec.build_strategy()
-        self._metrics = MetricsCollector(strategy.name)
         self._scheduler: ClusterScheduler = make_scheduler(spec.scheduler, spec.scheduler_params)
         if isinstance(self._scheduler, SpeculationBudgetScheduler):
             self._scheduler.bind_capacity(spec.cluster.total_slots)
-        self._strategy = self._scheduler.wrap_strategy(strategy)
-        estimator_name = spec.estimator
-        if estimator_name is not None:
-            self._estimator = _api_registry.ESTIMATORS.get(estimator_name)
-        else:
-            from repro.simulator.runner import default_estimator_for
-
-            self._estimator = default_estimator_for(strategy.name)
+        self._simulation = _Simulation(
+            spec.cluster,
+            spec.hadoop,
+            spec.seed,
+            self._scheduler.wrap_strategy(spec.build_strategy()),
+            None if spec.estimator is None else _api_registry.ESTIMATORS.get(spec.estimator),
+            profiler,
+        )
+        self._engine = self._simulation.engine
 
     @property
     def jobs(self) -> List[ClusterJob]:
@@ -146,37 +138,19 @@ class ClusterSimulation:
     def run(self) -> ClusterReport:
         """Execute the simulation and build the cluster report."""
         spec = self._spec
-        arrivals = build_arrivals(spec.arrival.kind, spec.arrival.params, spec.seed)
-        for order, job_spec in enumerate(arrivals):
+        for order, job_spec in enumerate(spec.build_arrivals()):
             cluster_job = ClusterJob(
                 spec=job_spec, arrival_order=order, arrival_time=job_spec.submit_time
             )
             self._jobs.append(cluster_job)
             self._engine.schedule_at(job_spec.submit_time, self._on_arrival, cluster_job)
         self._engine.run(max_events=spec.max_events)
-
-        # Safety net: jobs still in flight when the event cap tripped (or
-        # starved in the queue forever) are recorded as unfinished.
-        for job in self._jobs:
-            if job.finished:
-                continue
-            if job.master is not None:
-                self._metrics.record_job(job.master.job, self._engine.now)
-            else:
-                unstarted = Job(spec=job.spec)
-                self._metrics.record_job(unstarted, self._engine.now)
-                unstarted.tasks.clear()  # each task links back to its job
-
-        # A run cut short by max_events leaves callbacks into the masters.
-        self._engine.clear()
-        self._resource_manager.clear()
-        self._node_manager.clear()
-        simulation = self._metrics.build_report()
+        report = self._simulation.finish((job.spec, job.master) for job in self._jobs)
         first = self._first_arrival if self._first_arrival is not None else 0.0
         return build_cluster_report(
             scheduler=spec.scheduler,
             arrival=spec.arrival.kind,
-            simulation=simulation,
+            simulation=report,
             jobs=self._jobs,
             queue_samples=self._queue_samples,
             total_slots=spec.cluster.total_slots,
@@ -201,14 +175,14 @@ class ClusterSimulation:
     def _sample_queue(self) -> None:
         self._queue_samples.append((self._engine.now, len(self._queue)))
 
-    def _free_slots(self) -> Optional[int]:
-        return self._cluster.free_slots
-
     def _dispatch(self) -> None:
         if not self._queue:
             return
         picks = self._scheduler.select(
-            tuple(self._queue), tuple(self._running), self._free_slots(), self._engine.now
+            tuple(self._queue),
+            tuple(self._running),
+            self._simulation.cluster.free_slots,
+            self._engine.now,
         )
         for job in picks:
             if job not in self._queue:  # defensive: policy returned a stranger
@@ -220,29 +194,19 @@ class ClusterSimulation:
     def _admit(self, job: ClusterJob) -> None:
         self._queue.remove(job)
         job.transition(JobState.ADMITTED, self._engine.now)
-        sim_job = Job(spec=job.spec)
-        master = ApplicationMaster(
-            engine=self._engine,
-            job=sim_job,
-            strategy=self._strategy,
-            resource_manager=self._resource_manager,
-            node_manager=self._node_manager,
-            config=self._spec.hadoop,
-            metrics=self._metrics,
-            estimator=self._estimator,
-            on_job_complete=lambda _sim_job, record, cj=job: self._on_job_complete(cj, record),
-            profiler=self._profiler,
-        )
-        job.master = master
         self._running.append(job)
         job.transition(JobState.RUNNING, self._engine.now)
         self._emit("started", job)
-        master.start()
+        job.master = self._simulation.admit(
+            job.spec,
+            on_job_complete=lambda _sim_job, record, cj=job: self._on_job_complete(cj, record),
+        )
 
     def _on_job_complete(self, job: ClusterJob, record) -> None:
-        met = bool(record.met_deadline) if record is not None else False
-        job.met_deadline = met
-        job.transition(JobState.COMPLETED if met else JobState.MISSED, self._engine.now)
+        job.met_deadline = record.met_deadline
+        job.transition(
+            JobState.COMPLETED if record.met_deadline else JobState.MISSED, self._engine.now
+        )
         if job in self._running:
             self._running.remove(job)
         self._scheduler.on_job_finished(job)

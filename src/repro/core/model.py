@@ -160,13 +160,6 @@ class StragglerModel:
             raise ValueError("tau_kill must not precede tau_est")
         if self.phi_est is not None and not 0.0 <= self.phi_est < 1.0:
             raise ValueError("phi_est must lie in [0, 1)")
-        if self.deadline - self.tau_est < self.tmin * (1.0 - self.effective_phi_est):
-            # The paper requires D - tau_est >= tmin (for S-Restart) and
-            # D - tau_est >= (1 - phi)*tmin (for S-Resume); otherwise there is
-            # no reason to launch extra attempts at all.  We only validate the
-            # weaker condition so that S-Restart-specific checks live in the
-            # corresponding formulas.
-            pass
 
     # ------------------------------------------------------------------
     # Derived quantities

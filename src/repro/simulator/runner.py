@@ -1,20 +1,37 @@
 """High-level simulation driver.
 
-:class:`SimulationRunner` wires the pieces together: it builds the engine,
-cluster, Resource Manager and Node Manager, schedules every job's
-submission, attaches a per-job Application Master running the requested
-strategy, runs the event loop to completion and returns a
-:class:`~repro.simulator.metrics.SimulationReport`.
+Every simulation runs through ``_Simulation``: it builds a run's
+stack (engine, cluster, Resource Manager, Node Manager and metrics
+collector), admits a job by constructing its Application Master and
+starting it, and at the end records the jobs that never finished,
+flushes the engine telemetry and clears the engine, the Resource
+Manager and the Node Manager.  Two callers drive it:
+:class:`SimulationRunner` admits every job at its submission time and
+returns a :class:`~repro.simulator.metrics.SimulationReport`, and
+:class:`repro.cluster.ClusterSimulation` queues arrivals and admits
+them through a cluster scheduler.
 
-The runner is deliberately stateless across calls to :meth:`run`: each call
-creates a fresh engine and cluster so experiments can sweep strategies and
+The runner is deliberately stateless across calls to :meth:`run`: each
+call builds a fresh stack so experiments can sweep strategies and
 parameters without hidden coupling.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, Optional, Protocol, Sequence, runtime_checkable
+import time
+from itertools import zip_longest
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+    runtime_checkable,
+)
 
 from repro import telemetry
 from repro.core.model import StrategyName
@@ -25,7 +42,7 @@ from repro.hadoop.resource_manager import ResourceManager
 from repro.simulator.cluster import Cluster, ClusterConfig
 from repro.simulator.engine import SimulationEngine
 from repro.simulator.entities import Job, JobSpec
-from repro.simulator.metrics import MetricsCollector, SimulationReport
+from repro.simulator.metrics import JobRecord, MetricsCollector, SimulationReport
 from repro.simulator.progress import (
     CompletionTimeEstimator,
     chronos_estimate_completion,
@@ -40,8 +57,11 @@ if TYPE_CHECKING:  # pragma: no cover - imports for type checking only
     from repro.telemetry import Profiler
 
 
-# Per-run engine totals, flushed once after the event loop (never from
-# inside it — the per-event path stays uninstrumented by design).
+# Per-run totals, flushed once after the event loop (never from inside
+# it — the per-event path stays uninstrumented by design).
+_SCENARIO_WALL = telemetry.histogram(
+    "chronos_scenario_wall_seconds", "Wall-clock of one scenario simulation"
+)
 _ENGINE_EVENTS = telemetry.counter(
     "chronos_engine_events_total", "Discrete events processed by simulation engines"
 )
@@ -89,27 +109,102 @@ class SpeculationStrategyProtocol(Protocol):
         ...
 
 
-@dataclass(frozen=True)
-class RunnerConfig:
-    """Configuration of a simulation run.
+class _Simulation:
+    """One run's stack, and the admit and finish steps both callers share.
 
-    ``profiler`` is an optional :class:`repro.telemetry.Profiler` that
-    receives coarse per-phase timings (build/simulate/report, and
-    ``optimize`` for each Algorithm 1 cache miss).  It is
-    excluded from comparison and repr on purpose: attaching one must not
-    change a config's identity (scenario fingerprints never include the
-    runner config, and that stays true).
+    Only the Node Manager's and the masters' constructors call
+    ``engine.spawn_rng``, and a master is built when its job is
+    admitted, so both callers hand out the RNG children in admission
+    order.
     """
 
-    cluster: ClusterConfig = field(default_factory=ClusterConfig)
-    hadoop: HadoopConfig = field(default_factory=HadoopConfig)
-    seed: int = 0
-    max_events: Optional[int] = None
-    profiler: Optional["Profiler"] = field(default=None, compare=False, repr=False)
+    def __init__(
+        self,
+        cluster: ClusterConfig,
+        hadoop: HadoopConfig,
+        seed: int,
+        strategy: SpeculationStrategyProtocol,
+        estimator: Optional[CompletionTimeEstimator] = None,
+        profiler: Optional["Profiler"] = None,
+    ):
+        self._started = time.perf_counter()
+        self.engine = SimulationEngine(seed=seed)
+        self.cluster = Cluster(cluster)
+        self._hadoop = hadoop
+        self._resource_manager = ResourceManager(self.engine, self.cluster, hadoop)
+        self._node_manager = NodeManager(self.engine, self._resource_manager, hadoop)
+        self._metrics = MetricsCollector(strategy.name)
+        self._strategy = strategy
+        self._estimator = (
+            estimator if estimator is not None else default_estimator_for(strategy.name)
+        )
+        self._profiler = profiler
+        #: Every admitted job's master, in admission order.
+        self.masters: List[ApplicationMaster] = []
+
+    def admit(
+        self,
+        spec: JobSpec,
+        on_job_complete: Optional[Callable[[Job, JobRecord], None]] = None,
+    ) -> ApplicationMaster:
+        """Construct the job's Application Master and start it."""
+        master = ApplicationMaster(
+            engine=self.engine,
+            job=Job(spec=spec),
+            strategy=self._strategy,
+            resource_manager=self._resource_manager,
+            node_manager=self._node_manager,
+            config=self._hadoop,
+            metrics=self._metrics,
+            estimator=self._estimator,
+            on_job_complete=on_job_complete,
+            profiler=self._profiler,
+        )
+        self.masters.append(master)
+        master.start()
+        return master
+
+    def finish(
+        self, jobs: Iterable[Tuple[JobSpec, Optional[ApplicationMaster]]]
+    ) -> SimulationReport:
+        """Record the unfinished jobs, build the report and tear down.
+
+        ``jobs`` pairs every arrival, in arrival order, with its master
+        (``None`` for a job never admitted).  A ``max_events`` cap or a
+        starving queue leaves jobs unfinished; each is recorded as it
+        stands.  The masters keep their graphs: callers release them.
+        """
+        engine = self.engine
+        for spec, master in jobs:
+            if master is None:
+                unstarted = Job(spec=spec)
+                self._metrics.record_job(unstarted, engine.now)
+                unstarted.tasks.clear()  # each task links back to its job
+            elif not master.finished:
+                self._metrics.record_job(master.job, engine.now)
+        report = self._metrics.build_report()
+
+        # Every kill of a speculative copy goes through
+        # ApplicationMaster.kill_attempt, so nothing walks the attempts.
+        _SCENARIO_WALL.observe(time.perf_counter() - self._started)
+        _ENGINE_EVENTS.inc(engine.processed_events)
+        _ENGINE_HEAP.set(engine.pending_events)
+        _SPEC_LAUNCHED.inc(sum(record.num_speculative_attempts for record in report.job_records))
+        _SPEC_KILLED.inc(sum(master.speculative_killed for master in self.masters))
+
+        # A run cut short by max_events leaves callbacks into the masters.
+        engine.clear()
+        self._resource_manager.clear()
+        self._node_manager.clear()
+        return report
 
 
 class SimulationRunner:
-    """Runs a set of jobs under one strategy and reports aggregate metrics."""
+    """Runs a set of jobs under one strategy and reports aggregate metrics.
+
+    A ``profiler`` receives the run's build/simulate/report phases and
+    an ``optimize`` phase per Algorithm 1 cache miss.
+    """
 
     def __init__(
         self,
@@ -119,18 +214,11 @@ class SimulationRunner:
         max_events: Optional[int] = None,
         profiler: Optional["Profiler"] = None,
     ):
-        self._config = RunnerConfig(
-            cluster=cluster if cluster is not None else ClusterConfig(),
-            hadoop=hadoop if hadoop is not None else HadoopConfig(),
-            seed=seed,
-            max_events=max_events,
-            profiler=profiler,
-        )
-
-    @property
-    def config(self) -> RunnerConfig:
-        """The runner configuration."""
-        return self._config
+        self._cluster = cluster if cluster is not None else ClusterConfig()
+        self._hadoop = hadoop if hadoop is not None else HadoopConfig()
+        self._seed = seed
+        self._max_events = max_events
+        self._profiler = profiler
 
     def run(
         self,
@@ -155,80 +243,32 @@ class SimulationRunner:
         specs = sorted(jobs, key=lambda spec: spec.submit_time)
         if not specs:
             raise ValueError("at least one job is required")
-        estimator = estimator if estimator is not None else default_estimator_for(strategy.name)
 
         # Coarse-phase profiling: three `with` blocks per run when a
         # profiler is attached, a reused no-op context when not — the
         # per-event hot loop inside engine.run is never touched.
-        profiler = self._config.profiler
+        profiler = self._profiler
         phase = null_phase if profiler is None else profiler.phase
 
         with phase("build"):
-            engine = SimulationEngine(seed=self._config.seed)
-            cluster = Cluster(self._config.cluster)
-            resource_manager = ResourceManager(engine, cluster, self._config.hadoop)
-            node_manager = NodeManager(engine, resource_manager, self._config.hadoop)
-            metrics = MetricsCollector(strategy.name)
-
-            masters = []
+            simulation = _Simulation(
+                self._cluster, self._hadoop, self._seed, strategy, estimator, profiler
+            )
+            engine = simulation.engine
             for spec in specs:
-                job = Job(spec=spec)
-                master = ApplicationMaster(
-                    engine=engine,
-                    job=job,
-                    strategy=strategy,
-                    resource_manager=resource_manager,
-                    node_manager=node_manager,
-                    config=self._config.hadoop,
-                    metrics=metrics,
-                    estimator=estimator,
-                    profiler=profiler,
-                )
-                masters.append(master)
-                engine.schedule_at(spec.submit_time, master.start)
+                engine.schedule_at(spec.submit_time, simulation.admit, spec)
 
         with phase("simulate"):
-            engine.run(max_events=self._config.max_events)
+            engine.run(max_events=self._max_events)
 
         with phase("report"):
-            # Safety net: record any job that never finished (should not
-            # happen because every attempt eventually completes, but a
-            # max_events cap can truncate the run).
-            for master in masters:
-                if not master.finished:
-                    metrics.record_job(master.job, engine.now)
-            report = metrics.build_report()
+            # Arrivals fire in submission order, so the admitted jobs
+            # are a prefix of ``specs``.
+            report = simulation.finish(zip_longest(specs, simulation.masters))
 
-        self._flush_engine_metrics(engine, masters, report)
-        for master in masters:
+        for master in simulation.masters:
             master.release()
-        # A run cut short by max_events leaves callbacks into the masters.
-        engine.clear()
-        resource_manager.clear()
-        node_manager.clear()
         return report
-
-    @staticmethod
-    def _flush_engine_metrics(
-        engine: SimulationEngine,
-        masters: Sequence[ApplicationMaster],
-        report: SimulationReport,
-    ) -> None:
-        """Fold one run's engine totals into the process-wide registry.
-
-        The speculative copies come from the job records and the masters'
-        kill counts, so nothing walks the attempts again.  A killed copy is
-        one that a master killed: every kill goes through
-        :meth:`ApplicationMaster.kill_attempt`.
-        """
-        _ENGINE_EVENTS.inc(engine.processed_events)
-        _ENGINE_HEAP.set(engine.pending_events)
-        launched = sum(record.num_speculative_attempts for record in report.job_records)
-        killed = sum(master.speculative_killed for master in masters)
-        if launched:
-            _SPEC_LAUNCHED.inc(launched)
-        if killed:
-            _SPEC_KILLED.inc(killed)
 
     def run_strategies(
         self,

@@ -171,6 +171,45 @@ class TestGate:
         assert code == 0
         assert json.loads(baseline.read_text()) == {"bench": {"x_per_sec": 42.0}}
 
+    def test_update_raises_only_the_metrics_that_rose(self, check_trend, tmp_path):
+        code = self.run_main(
+            check_trend,
+            tmp_path,
+            {"bench": {"x_per_sec": 12.0, "y_per_sec": 4.0}},
+            {"bench": {"x_per_sec": 10.0, "y_per_sec": 5.0}},
+            extra_args=["--update"],
+        )
+        assert code == 0
+        baseline = json.loads((tmp_path / "baseline.json").read_text())
+        assert baseline == {"bench": {"x_per_sec": 12.0, "y_per_sec": 5.0}}
+
+    def test_update_keeps_benchmarks_missing_from_the_run(self, check_trend, tmp_path, capsys):
+        code = self.run_main(
+            check_trend,
+            tmp_path,
+            {"new": {"x_per_sec": 1.0}, "slower": {"x_per_sec": 2.0}},
+            {"absent": {"x_per_sec": 7.0, "z_per_sec": 3.0}, "slower": {"x_per_sec": 9.0}},
+            extra_args=["--update"],
+        )
+        assert code == 0
+        assert json.loads((tmp_path / "baseline.json").read_text()) == {
+            "absent": {"x_per_sec": 7.0, "z_per_sec": 3.0},
+            "new": {"x_per_sec": 1.0},
+            "slower": {"x_per_sec": 9.0},
+        }
+        assert "1 of 3 benchmarks raised or added" in capsys.readouterr().out
+
+    def test_update_leaves_an_invalid_baseline_alone(self, check_trend, tmp_path):
+        bench = tmp_path / "bench.json"
+        bench.write_text(json.dumps(bench_json({"bench": {"x_per_sec": 42.0}})))
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text("{not json")
+        code = check_trend.main(
+            [str(bench), "--baseline", str(baseline), "--no-trend", "--update"]
+        )
+        assert code == 2
+        assert baseline.read_text() == "{not json"
+
     def test_unreadable_bench_json_returns_2(self, check_trend, tmp_path):
         code = check_trend.main([str(tmp_path / "missing.json"), "--no-trend"])
         assert code == 2

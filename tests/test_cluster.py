@@ -1,8 +1,9 @@
 """Tests of repro.cluster: specs, arrivals, scheduling, lifecycle, metrics.
 
-Includes the single-job reduction parity test: a batch-arrival cluster
-with one job must reproduce the single-job façade's report byte for
-byte, on the inline, pool and distributed executors alike.
+Includes the reduction parity tests: a batch-arrival cluster with one
+job must reproduce the single-job façade's report byte for byte, on the
+inline, pool and distributed executors alike, and so must a trace-driven
+stream of jobs under ``fifo`` on an unbounded cluster.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from repro.cluster.scheduling import ClusterScheduler, SpeculationBudgetSchedule
 from repro.cluster.simulation import ClusterJob
 from repro.distributed.store import summary_from_payload
 from repro.simulator.cluster import ClusterConfig
-from repro.simulator.entities import JobSpec
+from repro.simulator.entities import AttemptStatus, JobSpec
 
 
 def small_cluster_spec(**overrides) -> ClusterSpec:
@@ -410,18 +411,23 @@ class TestMetrics:
 
 
 # ----------------------------------------------------------------------
-# Single-job reduction parity (satellite: cluster == façade)
+# Reduction parity: cluster == façade
 # ----------------------------------------------------------------------
-def _parity_pair(seed=3):
-    workload = {"kind": "benchmark", "params": {"name": "sort", "num_jobs": 1}}
+def _parity_pair(seed=3, workload=None, strategy="s-resume", arrival="batch", **shared):
+    """A scenario and the ``fifo`` cluster run of the same workload.
+
+    ``shared`` holds the fields both specs take (``cluster``,
+    ``max_events``)."""
+    workload = workload or {"kind": "benchmark", "params": {"name": "sort", "num_jobs": 1}}
     scenario = ScenarioSpec(
-        workload=WorkloadSpec(**workload), strategy="s-resume", seed=seed
+        workload=WorkloadSpec(**workload), strategy=strategy, seed=seed, **shared
     )
     cluster = ClusterSpec(
-        arrival=ArrivalSpec("batch", {"workload": workload}),
-        strategy="s-resume",
+        arrival=ArrivalSpec(arrival, {"workload": workload}),
+        strategy=strategy,
         scheduler="fifo",
         seed=seed,
+        **shared,
     )
     return scenario, cluster
 
@@ -444,6 +450,89 @@ class TestSingleJobParity:
         sweep = run_specs([cluster], **kwargs)
         embedded = report_to_dict(sweep.results[0].report.simulation)
         assert embedded == report_to_dict(run(scenario).report)
+
+    @pytest.mark.parametrize(
+        "workload,strategy,seed,max_events",
+        [
+            ({"kind": "google-trace", "params": {"num_jobs": 30}}, "s-restart", 0, None),
+            ({"kind": "google-trace", "params": {"num_jobs": 30}}, "mantri", 3, None),
+            ({"kind": "mixed", "params": {"num_jobs_per_benchmark": 5}}, "clone", 3, None),
+            ({"kind": "mixed", "params": {"num_jobs_per_benchmark": 5}}, "hadoop-s", 0, None),
+            ({"kind": "google-trace", "params": {"num_jobs": 30}}, "s-resume", 3, 400),
+        ],
+        ids=["trace-s-restart", "trace-mantri", "mixed-clone", "mixed-hadoop-s", "capped"],
+    )
+    def test_trace_stream_on_unbounded_fifo_matches_facade(
+        self, workload, strategy, seed, max_events
+    ):
+        """Trace arrivals under ``fifo`` on an unbounded cluster admit every
+        job at its arrival, so a multi-job stream, cut short or not, runs
+        exactly as the single-job façade runs it."""
+        scenario, cluster = _parity_pair(
+            seed, workload, strategy, "trace", cluster={"num_nodes": 0}, max_events=max_events
+        )
+        single = report_to_dict(run(scenario).report)
+        embedded = report_to_dict(run_cluster(cluster).report.simulation)
+        assert embedded == single
+        assert len(single["job_records"]) > 1
+        if max_events is not None:
+            assert any(record["completion_time"] is None for record in single["job_records"])
+
+
+class TestEngineTelemetry:
+    """A cluster run flushes the engine totals into ``/metrics``."""
+
+    def test_run_cluster_moves_the_engine_counters(self):
+        from repro import telemetry
+
+        counters = [
+            telemetry.counter("chronos_engine_events_total"),
+            telemetry.counter("chronos_speculative_copies_launched_total"),
+            telemetry.counter("chronos_speculative_copies_killed_total"),
+        ]
+        wall = telemetry.REGISTRY.get("chronos_scenario_wall_seconds")
+
+        def totals():
+            count = wall.snapshot()["samples"][0]["count"]
+            return [counter.value for counter in counters] + [count]
+
+        scenario, cluster = _parity_pair(
+            0,
+            {"kind": "benchmark", "params": {"name": "sort", "num_jobs": 5}},
+            "clone",
+            "trace",
+            cluster={"num_nodes": 0},
+        )
+        # The attempt walk needs the masters' graphs, which a
+        # ClusterSimulation driven directly keeps.
+        walked = ClusterSimulation(cluster)
+        walked.run()
+        attempts = [
+            attempt
+            for job in walked.jobs
+            for task in job.master.job.tasks
+            for attempt in task.attempts
+        ]
+        killed = sum(
+            1
+            for attempt in attempts
+            if not attempt.is_original and attempt.status is AttemptStatus.KILLED
+        )
+
+        before = totals()
+        result = run_cluster(cluster)
+        middle = totals()
+        run(scenario)
+        after = totals()
+        moved = [b - a for a, b in zip(before, middle)]
+        events, launched, killed_total, walls = moved
+        records = result.report.simulation.job_records
+        assert events > 0
+        assert launched == sum(record.num_speculative_attempts for record in records) > 0
+        assert killed_total == killed > 0
+        assert walls == 1
+        # The same stream run as a scenario moves them by the same amounts.
+        assert [b - a for a, b in zip(middle, after)] == moved
 
 
 # ----------------------------------------------------------------------

@@ -90,10 +90,13 @@ def test_pool_executor_matches_golden_payloads():
         assert payload_sha256(result) == entry["payload_sha256"]
 
 
-def test_scalar_sampling_fallback_matches_golden_payload(monkeypatch):
-    """CHRONOS_VECTORIZE=0 (scalar draws) is byte-identical to block draws."""
+@pytest.mark.parametrize(
+    "fingerprint,entry", golden_items(), ids=[fp for fp, _ in golden_items()]
+)
+def test_scalar_sampling_fallback_matches_golden_payload(monkeypatch, fingerprint, entry):
+    """CHRONOS_VECTORIZE=0 (scalar draws) is byte-identical to block draws,
+    on every golden spec: the cluster and the unbounded one included."""
     monkeypatch.setenv("CHRONOS_VECTORIZE", "0")
-    fingerprint, entry = golden_items()[0]
     result = execute(spec_from_dict(entry["spec"]))
     assert result.fingerprint == fingerprint
     assert payload_sha256(result) == entry["payload_sha256"]
