@@ -97,22 +97,18 @@ def available_objectives() -> tuple:
 def summary_metrics(result: ScenarioResult) -> Dict[str, float]:
     """The scalar metrics of one result, as stored in ledgers and events.
 
-    Mirrors one row of :meth:`repro.api.SweepResult.to_rows` (minus the
-    identity columns), so algorithms that steer on a metric other than
-    the scalar objective — ``frontier_bisect`` reads ``pocd`` and
-    ``mean_cost`` — see the same numbers every other surface reports.
+    A projection of :meth:`ScenarioResult.summary_row` (its identity
+    columns dropped, the rest as floats), so algorithms that steer on a
+    metric other than the scalar objective — ``frontier_bisect`` reads
+    ``pocd`` and ``mean_cost`` — see the same numbers every other
+    surface reports.
     """
-    spec, report = result.spec, result.report
-    params = spec.strategy_params
+    row = result.summary_row()
     return {
-        "pocd": float(report.pocd),
-        "mean_cost": float(report.mean_cost),
-        "mean_machine_time": float(report.mean_machine_time),
-        "mean_response_time": float(report.mean_response_time),
-        "utility": float(
-            report.net_utility(r_min_pocd=params.r_min_pocd, theta=params.theta)
-        ),
-        "num_jobs": float(report.num_jobs),
+        key: float(row[key])
+        for key in (
+            "pocd", "mean_cost", "mean_machine_time", "mean_response_time", "utility", "num_jobs"
+        )
     }
 
 

@@ -29,8 +29,6 @@ task lifecycle.
 
 from __future__ import annotations
 
-import csv
-import io
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -56,6 +54,9 @@ from repro.api.sweep import (
     CancelToken,
     ResultStore,
     StopCondition,
+    _aligned,
+    _cell,
+    _csv_text,
     _is_sweepable_spec,
     _resolve_stop,
     default_on_event,
@@ -486,34 +487,12 @@ class SearchResult:
 
     def to_csv(self) -> str:
         """The trial rows as CSV text."""
-        buffer = io.StringIO()
-        writer = csv.DictWriter(buffer, fieldnames=list(self.COLUMNS))
-        writer.writeheader()
-        for row in self.to_rows():
-            writer.writerow(row)
-        return buffer.getvalue()
+        return _csv_text(self.COLUMNS, self.to_rows())
 
-    def to_text(self, float_format: str = "{:.4g}") -> str:
+    def to_text(self) -> str:
         """The trial table plus a one-line summary, aligned for a terminal."""
-        header = list(self.COLUMNS)
-        body = []
-        for row in self.to_rows():
-            rendered = []
-            for column in header:
-                value = row[column]
-                if isinstance(value, float):
-                    rendered.append(float_format.format(value))
-                else:
-                    rendered.append("" if value is None else str(value))
-            body.append(rendered)
-        widths = [
-            max(len(header[i]), *(len(line[i]) for line in body)) if body else len(header[i])
-            for i in range(len(header))
-        ]
-        lines = ["  ".join(header[i].ljust(widths[i]) for i in range(len(header)))]
-        lines.append("  ".join("-" * widths[i] for i in range(len(header))))
-        for line in body:
-            lines.append("  ".join(line[i].ljust(widths[i]) for i in range(len(header))))
+        body = [[_cell(row[column]) for column in self.COLUMNS] for row in self.to_rows()]
+        lines = _aligned(self.COLUMNS, body)
         resolved = sum(1 for r in self.trials if r.state in ("completed", "failed"))
         summary = (
             f"{self.algorithm} search over {self.objective}: {resolved} trials "
@@ -523,7 +502,7 @@ class SearchResult:
         if self.best is not None:
             summary += (
                 f"\nbest: {self.best.trial_id} {self.objective}="
-                + float_format.format(self.best.objective)
+                + "{:.4g}".format(self.best.objective)
                 + (
                     " ("
                     + ", ".join(

@@ -73,22 +73,31 @@ class ScenarioResult:
 
     def summary_row(self) -> Dict[str, Any]:
         """Flat sweep-summary row (the columns of ``SweepResult.COLUMNS``)."""
-        params = self.spec.strategy_params
-        report = self.report
-        return {
-            "fingerprint": self.fingerprint,
-            "workload": self.spec.workload.kind,
-            "strategy": self.spec.strategy,
-            "estimator": self.spec.estimator or "default",
-            "seed": self.spec.seed,
-            "num_jobs": report.num_jobs,
-            "pocd": report.pocd,
-            "mean_cost": report.mean_cost,
-            "mean_machine_time": report.mean_machine_time,
-            "mean_response_time": report.mean_response_time,
-            "utility": report.net_utility(r_min_pocd=params.r_min_pocd, theta=params.theta),
-            "wall_time_s": self.wall_time_s,
-        }
+        return _summary_row(self, self.spec.workload.kind, self.spec.strategy)
+
+
+def _summary_row(result: Any, workload: str, strategy: str) -> Dict[str, Any]:
+    """The ``SweepResult.COLUMNS`` row of a scenario or cluster result.
+
+    Every result table and export is built from this row; only the
+    ``workload`` and ``strategy`` labels depend on the result's kind.
+    """
+    spec, report = result.spec, result.report
+    params = spec.strategy_params
+    return {
+        "fingerprint": result.fingerprint,
+        "workload": workload,
+        "strategy": strategy,
+        "estimator": spec.estimator or "default",
+        "seed": spec.seed,
+        "num_jobs": report.num_jobs,
+        "pocd": report.pocd,
+        "mean_cost": report.mean_cost,
+        "mean_machine_time": report.mean_machine_time,
+        "mean_response_time": report.mean_response_time,
+        "utility": report.net_utility(r_min_pocd=params.r_min_pocd, theta=params.theta),
+        "wall_time_s": result.wall_time_s,
+    }
 
 
 def report_to_dict(report: SimulationReport) -> Dict[str, Any]:

@@ -340,6 +340,36 @@ def _resolve_stop(stop: Union[None, str, StopCondition]) -> Optional[StopConditi
     )
 
 
+# ----------------------------------------------------------------------
+# Table rendering, shared by every result table and export
+# ----------------------------------------------------------------------
+def _cell(value: Any) -> str:
+    """One table cell: a float as ``{:.4g}``, ``None`` empty, else ``str``."""
+    if isinstance(value, float):
+        return "{:.4g}".format(value)
+    return "" if value is None else str(value)
+
+
+def _aligned(header: Sequence[str], body: Sequence[Sequence[str]]) -> List[str]:
+    """Header, rule and body lines of a left-aligned plain-text table."""
+    widths = [
+        max([len(column)] + [len(line[i]) for line in body]) for i, column in enumerate(header)
+    ]
+    lines = ["  ".join(column.ljust(width) for column, width in zip(header, widths))]
+    lines.append("  ".join("-" * width for width in widths))
+    lines.extend("  ".join(cell.ljust(width) for cell, width in zip(line, widths)) for line in body)
+    return lines
+
+
+def _csv_text(columns: Sequence[str], rows: Iterable[Mapping[str, Any]]) -> str:
+    """``rows`` as CSV text under a ``columns`` header."""
+    buffer = io.StringIO()
+    writer = csv.DictWriter(buffer, fieldnames=list(columns))
+    writer.writeheader()
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
 @dataclass(frozen=True)
 class SweepResult:
     """Outcome of running a batch of scenarios.
@@ -417,33 +447,12 @@ class SweepResult:
 
     def to_csv(self) -> str:
         """The summary rows as CSV text."""
-        buffer = io.StringIO()
-        writer = csv.DictWriter(buffer, fieldnames=list(self.COLUMNS))
-        writer.writeheader()
-        for row in self.to_rows():
-            writer.writerow(row)
-        return buffer.getvalue()
+        return _csv_text(self.COLUMNS, self.to_rows())
 
-    def to_text(self, float_format: str = "{:.4g}") -> str:
+    def to_text(self) -> str:
         """The summary rows as an aligned plain-text table."""
-        header = list(self.COLUMNS)
-        body = []
-        for row in self.to_rows():
-            rendered = []
-            for column in header:
-                value = row[column]
-                rendered.append(
-                    float_format.format(value) if isinstance(value, float) else str(value)
-                )
-            body.append(rendered)
-        widths = [
-            max(len(header[i]), *(len(line[i]) for line in body)) if body else len(header[i])
-            for i in range(len(header))
-        ]
-        lines = ["  ".join(header[i].ljust(widths[i]) for i in range(len(header)))]
-        lines.append("  ".join("-" * widths[i] for i in range(len(header))))
-        for line in body:
-            lines.append("  ".join(line[i].ljust(widths[i]) for i in range(len(header))))
+        body = [[_cell(row[column]) for column in self.COLUMNS] for row in self.to_rows()]
+        lines = _aligned(self.COLUMNS, body)
         summary = (
             f"{len(self.results)} scenarios: {self.executed} executed, "
             f"{self.cache_hits} cache hits, {self.wall_time_s:.1f}s"

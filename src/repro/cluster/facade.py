@@ -14,6 +14,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Optional
 
+from repro.api.facade import _summary_row
 from repro.api.spec import SpecValidationError
 from repro.cluster.metrics import ClusterReport, cluster_report_from_dict, cluster_report_to_dict
 from repro.cluster.simulation import ClusterJob, ClusterSimulation
@@ -64,22 +65,7 @@ class ClusterResult:
         the ``strategy`` column the cluster scheduler, so mixed sweeps
         stay readable in one table.
         """
-        params = self.spec.strategy_params
-        report = self.report
-        return {
-            "fingerprint": self.fingerprint,
-            "workload": f"cluster:{self.spec.arrival.kind}",
-            "strategy": self.spec.scheduler,
-            "estimator": self.spec.estimator or "default",
-            "seed": self.spec.seed,
-            "num_jobs": report.num_jobs,
-            "pocd": report.pocd,
-            "mean_cost": report.mean_cost,
-            "mean_machine_time": report.mean_machine_time,
-            "mean_response_time": report.mean_response_time,
-            "utility": report.net_utility(r_min_pocd=params.r_min_pocd, theta=params.theta),
-            "wall_time_s": self.wall_time_s,
-        }
+        return _summary_row(self, f"cluster:{self.spec.arrival.kind}", self.spec.scheduler)
 
 
 #: Lifecycle observer: (phase, job, simulation-time, queue-length).

@@ -105,23 +105,6 @@ class ClusterReport:
         """The paper's net-utility objective over the per-job records."""
         return self.simulation.net_utility(r_min_pocd=r_min_pocd, theta=theta)
 
-    def summary_row(self) -> Dict[str, Any]:
-        """Flat dict of the cluster-level aggregates."""
-        return {
-            "scheduler": self.scheduler,
-            "arrival": self.arrival,
-            "num_jobs": self.num_jobs,
-            "pocd": self.pocd,
-            "miss_rate": self.miss_rate,
-            "mean_sojourn_s": self.mean_sojourn_s,
-            "mean_queue_wait_s": self.mean_queue_wait_s,
-            "slot_utilization": self.slot_utilization,
-            "queue_growth_rate": self.queue_growth_rate,
-            "queue_stable": self.queue_stable,
-            "peak_queue_length": self.peak_queue_length,
-            "makespan_s": self.makespan_s,
-        }
-
 
 def cluster_report_to_dict(report: ClusterReport) -> Dict[str, Any]:
     """JSON-ready representation; inverse of :func:`cluster_report_from_dict`."""

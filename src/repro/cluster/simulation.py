@@ -213,12 +213,6 @@ class ClusterSimulation:
         self._emit("finished", job)
         self._dispatch()
 
-    # Exposed for tests / diagnostics.
-    @property
-    def queue_samples(self) -> List[Tuple[float, int]]:
-        """Sampled (time, queue-length) path."""
-        return self._queue_samples
-
     @property
     def state_counts(self) -> Dict[str, int]:
         """Current count of jobs per lifecycle state."""

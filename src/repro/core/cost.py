@@ -51,11 +51,7 @@ import math
 from typing import Callable, Dict, List, Tuple
 
 from repro.core.model import StragglerModel, StrategyName
-
-
-def _validate_r(r: float) -> None:
-    if r < 0:
-        raise ValueError(f"number of extra attempts r must be non-negative, got {r}")
+from repro.core.pocd import _validate_r
 
 
 # ----------------------------------------------------------------------

@@ -42,11 +42,9 @@ from repro.distributed.broker import (
 from repro.distributed.executor import default_db_path, execute_stream
 from repro.distributed.leases import Lease, LeaseKeeper, LeasePolicy
 from repro.distributed.store import (
-    SUMMARY_COLUMNS,
     SqliteResultStore,
     connect,
     normalize_db_path,
-    summary_from_payload,
 )
 from repro.distributed.targets import is_service_url, open_broker, open_store
 from repro.distributed.worker import (
@@ -81,8 +79,6 @@ __all__ = [
     "make_worker_id",
     # results
     "SqliteResultStore",
-    "SUMMARY_COLUMNS",
-    "summary_from_payload",
     "connect",
     # targets
     "normalize_db_path",

@@ -12,12 +12,12 @@ the sweep layer's result cache (``cache=`` of :func:`repro.api.run_specs`,
 ``--cache-dir`` of the CLI).  It keeps every scenario result as one row,
 in a file or — with ``":memory:"`` — for the life of the process only.
 
-Alongside the full JSON blobs, the store maintains a *columnar*
-``summaries`` table — one flat row of scalar metrics per fingerprint,
-written on :meth:`SqliteResultStore.put_payload` and backfilled lazily
-for rows that predate it (or that the broker wrote directly) — so
-``chronos-experiments export --columns ...`` and analysis queries are
-plain SQL column selects instead of a parse of every result blob.
+Its export reads (:meth:`SqliteResultStore.results`,
+:meth:`SqliteResultStore.summary_rows`) parse the stored rows one at a
+time, in insertion order; a summary row is always
+:meth:`ScenarioResult.summary_row` of the parsed result, so
+``chronos-experiments export --columns ...`` prints the same cells as
+the full export.
 """
 
 from __future__ import annotations
@@ -26,11 +26,10 @@ import json
 import sqlite3
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.api.facade import ScenarioResult, result_from_dict
-from repro.simulator.metrics import net_utility
-from repro.strategies import StrategyParameters
+from repro.api.sweep import SweepResult
 
 #: Milliseconds a connection waits on a locked database before failing.
 BUSY_TIMEOUT_MS = 10_000
@@ -96,44 +95,7 @@ CREATE TABLE IF NOT EXISTS events (
     worker_id   TEXT,
     detail      TEXT
 );
-CREATE TABLE IF NOT EXISTS summaries (
-    fingerprint        TEXT PRIMARY KEY,
-    workload           TEXT,
-    strategy           TEXT,
-    estimator          TEXT,
-    seed               INTEGER,
-    num_jobs           INTEGER,
-    pocd               REAL,
-    mean_cost          REAL,
-    mean_machine_time  REAL,
-    mean_response_time REAL,
-    utility            REAL,
-    wall_time_s        REAL
-);
 """
-
-
-#: Columns of the ``summaries`` table, in order — kept identical to
-#: :attr:`repro.api.SweepResult.COLUMNS` so CSV exports line up whether
-#: they came from a live sweep or a SQL column select.
-SUMMARY_COLUMNS = (
-    "fingerprint",
-    "workload",
-    "strategy",
-    "estimator",
-    "seed",
-    "num_jobs",
-    "pocd",
-    "mean_cost",
-    "mean_machine_time",
-    "mean_response_time",
-    "utility",
-    "wall_time_s",
-)
-
-#: Default strategy parameters: the utility column needs r_min_pocd and
-#: theta even for payloads that omit them.
-_DEFAULT_PARAMS = StrategyParameters()
 
 
 def payload_from_text(text: Any) -> Optional[Dict[str, Any]]:
@@ -151,69 +113,20 @@ def payload_from_text(text: Any) -> Optional[Dict[str, Any]]:
     return payload if isinstance(payload, dict) else None
 
 
-def summary_from_payload(
-    payload: Mapping[str, Any], fingerprint: Optional[str] = None
-) -> Optional[Dict[str, Any]]:
-    """Flatten a result payload into one :data:`SUMMARY_COLUMNS` row.
-
-    Works on the raw JSON dict — no :class:`ScenarioResult` parse, so the
-    write path stays cheap — and mirrors
-    :meth:`repro.api.SweepResult.to_rows` (the utility column shares
-    :func:`repro.simulator.metrics.net_utility`).  Returns ``None`` for a
-    payload missing the required structure; corrupt rows stay summary-
-    less rather than raising.
-    """
-    try:
-        spec = payload["spec"]
-        report = payload["report"]
-        if spec.get("kind") == "cluster":
-            # Cluster payloads nest the flat metrics one level down and
-            # label rows by arrival model + admission scheduler.
-            workload = f"cluster:{spec['arrival']['kind']}"
-            strategy = str(spec["scheduler"])
-            report = report["simulation"]
-        else:
-            workload = str(spec["workload"]["kind"])
-            strategy = str(spec["strategy"])
-        params = spec.get("strategy_params") or {}
-        r_min_pocd = float(params.get("r_min_pocd", _DEFAULT_PARAMS.r_min_pocd))
-        theta = float(params.get("theta", _DEFAULT_PARAMS.theta))
-        pocd = float(report["pocd"])
-        mean_cost = float(report["mean_cost"])
-        return {
-            "fingerprint": str(
-                payload["fingerprint"] if fingerprint is None else fingerprint
-            ),
-            "workload": workload,
-            "strategy": strategy,
-            "estimator": str(spec.get("estimator") or "default"),
-            "seed": int(spec.get("seed", 0)),
-            "num_jobs": int(report["num_jobs"]),
-            "pocd": pocd,
-            "mean_cost": mean_cost,
-            "mean_machine_time": float(report["mean_machine_time"]),
-            "mean_response_time": float(report["mean_response_time"]),
-            "utility": net_utility(pocd, mean_cost, r_min_pocd=r_min_pocd, theta=theta),
-            "wall_time_s": float(payload.get("wall_time_s", 0.0)),
-        }
-    except (AttributeError, KeyError, TypeError, ValueError):
-        return None
-
-
 def summary_columns(columns: Optional[Iterable[str]] = None) -> List[str]:
-    """The :data:`SUMMARY_COLUMNS` a ``summary_rows(columns)`` call selects.
+    """The :attr:`SweepResult.COLUMNS` a ``summary_rows(columns)`` call selects.
 
     ``None`` selects every column.  Unknown names, or an empty
     selection, raise :class:`ValueError` on every result-store backend.
     """
     if columns is None:
-        return list(SUMMARY_COLUMNS)
+        return list(SweepResult.COLUMNS)
     selected = list(columns)
-    unknown = [column for column in selected if column not in SUMMARY_COLUMNS]
+    unknown = [column for column in selected if column not in SweepResult.COLUMNS]
     if unknown:
         raise ValueError(
             f"unknown summary column(s) {', '.join(unknown)} "
-            f"(available: {', '.join(SUMMARY_COLUMNS)})"
+            f"(available: {', '.join(SweepResult.COLUMNS)})"
         )
     if not selected:
         raise ValueError("columns must name at least one summary column")
@@ -362,13 +275,7 @@ class SqliteResultStore:
         worker_id: Optional[str] = None,
         fingerprint: Optional[str] = None,
     ) -> None:
-        """Store an already-serialized result dict (the HTTP server's path).
-
-        Also writes the row's columnar summary (see :data:`SUMMARY_COLUMNS`)
-        in the same statement batch; rows written by other paths — the
-        broker's ``complete``, or databases from before the summaries
-        table existed — are backfilled lazily by :meth:`summary_rows`.
-        """
+        """Store an already-serialized result dict (the HTTP server's path)."""
         if fingerprint is None:
             fingerprint = str(payload["fingerprint"])
         self._conn.execute(
@@ -376,65 +283,25 @@ class SqliteResultStore:
             "VALUES (?, ?, ?, ?)",
             (fingerprint, json.dumps(payload), worker_id, time.time()),
         )
-        summary = summary_from_payload(payload, fingerprint=fingerprint)
-        if summary is not None:
-            self._write_summary(summary)
         self._conn.commit()
-
-    def _write_summary(self, summary: Mapping[str, Any]) -> None:
-        placeholders = ", ".join("?" for _ in SUMMARY_COLUMNS)
-        self._conn.execute(
-            f"INSERT OR REPLACE INTO summaries ({', '.join(SUMMARY_COLUMNS)}) "
-            f"VALUES ({placeholders})",
-            tuple(summary[column] for column in SUMMARY_COLUMNS),
-        )
-
-    def backfill_summaries(self) -> int:
-        """Compute summaries for result rows that do not have one yet.
-
-        Covers rows written by the broker's ``complete`` (which stores the
-        raw payload without parsing it) and databases that predate the
-        summaries table.  Returns how many rows were backfilled; corrupt
-        payloads are skipped, exactly like :meth:`results` skips them.
-        """
-        rows = self._conn.execute(
-            "SELECT r.fingerprint, r.payload FROM results r "
-            "LEFT JOIN summaries s ON s.fingerprint = r.fingerprint "
-            "WHERE s.fingerprint IS NULL"
-        ).fetchall()
-        written = 0
-        for row in rows:
-            payload = payload_from_text(row["payload"])
-            if payload is None:
-                continue
-            summary = summary_from_payload(payload, fingerprint=row["fingerprint"])
-            if summary is None:
-                continue
-            self._write_summary(summary)
-            written += 1
-        if written:
-            self._conn.commit()
-        return written
 
     def summary_rows(
         self, columns: Optional[Iterable[str]] = None
     ) -> List[Dict[str, Any]]:
-        """Columnar summaries, one dict per stored result (insertion order).
+        """:meth:`ScenarioResult.summary_row` of every stored result, in insertion order.
 
-        ``columns`` selects a subset of :data:`SUMMARY_COLUMNS` — the
-        selection is pushed down to SQL, so asking for two columns of a
-        10⁵-row store reads two columns, not 10⁵ JSON blobs.  Unknown
-        column names raise :class:`ValueError`.  Old rows are backfilled
-        first, so the answer is complete regardless of who wrote them.
+        ``columns`` selects a subset of :attr:`SweepResult.COLUMNS`;
+        unknown names raise :class:`ValueError`.  Corrupt rows are
+        skipped, as :meth:`results` skips them.  Results are parsed one
+        at a time and not kept, so exporting a large store does not hold
+        every result in memory.
         """
         selected = summary_columns(columns)
-        self.backfill_summaries()
-        rows = self._conn.execute(
-            "SELECT " + ", ".join(f"s.{column}" for column in selected) + " "
-            "FROM summaries s JOIN results r ON r.fingerprint = s.fingerprint "
-            "ORDER BY r.created_at, s.fingerprint"
-        ).fetchall()
-        return [{column: row[column] for column in selected} for row in rows]
+        rows = []
+        for result in self._scan():
+            row = result.summary_row()
+            rows.append({column: row[column] for column in selected})
+        return rows
 
     def fingerprints(self) -> Set[str]:
         """All stored fingerprints in one query (cheap presence check)."""
@@ -444,26 +311,31 @@ class SqliteResultStore:
     def results(self) -> List[ScenarioResult]:
         """Every stored result, in insertion order (skipping corrupt rows).
 
-        This is the export path (``chronos-experiments export``): a full
-        scan parsed into :class:`ScenarioResult` objects, ready to wrap in
-        a :class:`repro.api.SweepResult` for tabular output.
+        A full scan parsed into :class:`ScenarioResult` objects (kept in
+        the in-memory layer), ready to wrap in a
+        :class:`repro.api.SweepResult` for tabular output.
         """
-        rows = self._conn.execute(
-            "SELECT fingerprint, payload FROM results ORDER BY created_at, fingerprint"
-        ).fetchall()
-        parsed: List[ScenarioResult] = []
-        for row in rows:
-            cached = self._memory.get(row["fingerprint"])
-            if cached is not None:
-                parsed.append(cached)
-                continue
-            try:
-                result = result_from_dict(json.loads(row["payload"]))
-            except (ValueError, TypeError, KeyError):
-                continue
+        parsed = list(self._scan())
+        for result in parsed:
             self._memory[result.fingerprint] = result
-            parsed.append(result)
         return parsed
+
+    def _scan(self) -> Iterator[ScenarioResult]:
+        """Every stored result in insertion order, parsed one row at a time.
+
+        The in-memory layer answers rows it holds; corrupt rows are
+        skipped, never an error.
+        """
+        for row in self._conn.execute(
+            "SELECT fingerprint, payload FROM results ORDER BY created_at, fingerprint"
+        ):
+            result = self._memory.get(row["fingerprint"])
+            if result is None:
+                try:
+                    result = result_from_dict(json.loads(row["payload"]))
+                except (ValueError, TypeError, KeyError):
+                    continue
+            yield result
 
     def clear(self) -> None:
         """Drop the in-memory layer (database rows are left alone)."""

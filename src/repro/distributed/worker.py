@@ -342,6 +342,10 @@ def worker_main(
     """
     signal.signal(signal.SIGTERM, _exit_on_sigterm)
     with telemetry.profile_worker():
+        # WorkerPool starts members with SIGTERM blocked: a stop sent before
+        # the handler above was installed is delivered here, inside the
+        # profiled block, instead of killing the process outright.
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
         worker = Worker(
             target,
             worker_id=worker_id,
@@ -522,7 +526,13 @@ class WorkerPool:
             name=worker_id,
             daemon=True,
         )
-        process.start()
+        # The child inherits the blocked SIGTERM and unblocks it in
+        # worker_main once its handler is in place.
+        blocked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+        try:
+            process.start()
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
         self._spawned_at[worker_id] = time.monotonic()
         return process
 

@@ -69,7 +69,7 @@ automatically), ``status`` prints queue/lease/worker state, and
 
 ``serve`` runs the HTTP broker front-end that makes multi-host fleets
 possible, and ``export`` dumps a queue database's result store as CSV
-(``--columns`` selects straight from the columnar summaries table).
+(``--columns`` keeps just the named summary columns).
 
 Sweeps are event driven end to end: ``sweep`` and every harness render a
 live progress line (done/total, cache hits, failures, ETA) when stderr
@@ -94,7 +94,6 @@ Rejected credentials are an exit-2 diagnostic, never a retry loop.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import sys
@@ -123,6 +122,7 @@ from repro.api import (
     set_default_on_event,
     spec_from_dict,
 )
+from repro.api.sweep import _csv_text
 from repro.experiments.common import ExperimentScale, ExperimentTable
 from repro.experiments.figure2 import run_figure2
 from repro.experiments.figure3 import run_figure3
@@ -445,8 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="COL,COL,...",
         help=(
             "comma-separated summary columns for 'export' (e.g. fingerprint,pocd,utility); "
-            "served from the store's columnar summaries table via SQL column select "
-            "instead of parsing result JSON"
+            "the same cells as the full export"
         ),
     )
     parser.add_argument(
@@ -921,13 +920,10 @@ def run_export_command(args: argparse.Namespace) -> int:
     """Handle ``chronos-experiments export --db FILE --csv OUT``.
 
     Dumps every result in a queue database's store as the same summary
-    rows ``sweep`` prints (``SweepResult.to_rows``).  With ``--columns
-    COL,COL,...`` the select is pushed down to the store's columnar
-    ``summaries`` table — a SQL column read, no result-JSON parsing —
-    which is the cheap path for analysis over 10⁵-scenario stores.
+    rows ``sweep`` prints (``SweepResult.to_rows``), read one stored
+    result at a time.  ``--columns COL,COL,...`` keeps just those
+    columns of the same rows.
     """
-    import csv as _csv
-
     from repro.distributed import SqliteResultStore, normalize_db_path
 
     if not args.db:
@@ -936,36 +932,22 @@ def run_export_command(args: argparse.Namespace) -> int:
     if not normalize_db_path(args.db).is_file():
         print(f"export: no queue database at {args.db}", file=sys.stderr)
         return 2
+    columns = None
     if args.columns:
         columns = [column.strip() for column in args.columns.split(",") if column.strip()]
-        try:
-            with SqliteResultStore(args.db) as store:
-                # Broker-written rows store raw payloads without summaries;
-                # backfill before the column pushdown so a store populated
-                # entirely by remote workers never exports empty.
-                store.backfill_summaries()
-                rows = store.summary_rows(columns)
-        except ValueError as error:
-            print(f"export: {error}", file=sys.stderr)
-            return 2
-        buffer = io.StringIO()
-        writer = _csv.DictWriter(buffer, fieldnames=columns)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-        if isinstance(args.csv, str):
-            Path(args.csv).write_text(buffer.getvalue())
-            print(f"wrote {len(rows)} result row(s) to {args.csv}")
-        else:
-            print(buffer.getvalue(), end="")
-        return 0
-    with SqliteResultStore(args.db) as store:
-        results = store.results()
-    outcome = SweepResult(
-        results=tuple(results), executed=0, cache_hits=len(results), wall_time_s=0.0
-    )
-    # export is tabular by definition: CSV to stdout unless a file was given
-    _emit_result(outcome, args.csv if isinstance(args.csv, str) else True)
+    try:
+        with SqliteResultStore(args.db) as store:
+            rows = store.summary_rows(columns)
+    except ValueError as error:
+        print(f"export: {error}", file=sys.stderr)
+        return 2
+    text = _csv_text(columns or SweepResult.COLUMNS, rows)
+    if isinstance(args.csv, str):
+        Path(args.csv).write_text(text)
+        print(f"wrote {len(rows)} result row(s) to {args.csv}")
+    else:
+        # both forms keep the stdout of earlier releases byte for byte
+        print(text, end="" if columns else "\n")
     return 0
 
 

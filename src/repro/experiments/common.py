@@ -9,11 +9,11 @@ benchmark suite without re-parsing.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.api import ScenarioSpec, WorkloadSpec, job_spec_to_dict, run_specs
+from repro.api.sweep import _aligned, _cell
 from repro.core.model import StrategyName
 from repro.hadoop.config import HadoopConfig
 from repro.simulator.cluster import ClusterConfig
@@ -86,28 +86,14 @@ class ExperimentTable:
         """All values of one column, keyed by row label."""
         return {row.label: row.values[column] for row in self.rows}
 
-    def to_text(self, float_format: str = "{:.4g}") -> str:
+    def to_text(self) -> str:
         """Render the table as aligned plain text."""
         header = ["row"] + list(self.columns)
-        body = []
-        for row in self.rows:
-            rendered = [row.label]
-            for column in self.columns:
-                value = row.values[column]
-                if isinstance(value, float):
-                    rendered.append("-inf" if value == -math.inf else float_format.format(value))
-                else:
-                    rendered.append(str(value))
-            body.append(rendered)
-        widths = [
-            max(len(header[i]), *(len(line[i]) for line in body)) if body else len(header[i])
-            for i in range(len(header))
+        body = [
+            [row.label] + [_cell(row.values[column]) for column in self.columns]
+            for row in self.rows
         ]
-        lines = [f"== {self.experiment_id}: {self.title} =="]
-        lines.append("  ".join(h.ljust(widths[i]) for i, h in enumerate(header)))
-        lines.append("  ".join("-" * widths[i] for i in range(len(header))))
-        for line in body:
-            lines.append("  ".join(line[i].ljust(widths[i]) for i in range(len(header))))
+        lines = [f"== {self.experiment_id}: {self.title} =="] + _aligned(header, body)
         if self.notes:
             lines.append(f"note: {self.notes}")
         return "\n".join(lines)

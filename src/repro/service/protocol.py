@@ -326,6 +326,5 @@ WIRE_METHODS: Dict[str, WireMethod] = {
             to_wire=_each(lambda result: result.to_dict()), from_wire=_each(result_from_dict),
         ),
         WireMethod("summary_rows", STORE, {"columns": summary_columns}),
-        WireMethod("backfill_summaries", STORE),
     )
 }

@@ -46,23 +46,6 @@ class JobRecord:
         return self.completion_time - self.submit_time
 
 
-def net_utility(
-    pocd: float, mean_cost: float, r_min_pocd: float = 0.0, theta: float = 1e-4
-) -> float:
-    """Net utility ``lg(PoCD - Rmin) - theta * mean cost`` (paper eq.).
-
-    Module-level so consumers holding only the scalar metrics — e.g. the
-    columnar summary writer of
-    :class:`repro.distributed.SqliteResultStore`, which works from raw
-    JSON payloads — share one formula with
-    :meth:`SimulationReport.net_utility`.
-    """
-    margin = pocd - r_min_pocd
-    if margin <= 0:
-        return -math.inf
-    return math.log10(margin) - theta * mean_cost
-
-
 @dataclass(frozen=True)
 class SimulationReport:
     """Aggregate outcome of simulating a set of jobs under one strategy."""
@@ -82,18 +65,10 @@ class SimulationReport:
 
     def net_utility(self, r_min_pocd: float = 0.0, theta: float = 1e-4) -> float:
         """Paper-style net utility ``lg(PoCD - Rmin) - theta * mean cost``."""
-        return net_utility(self.pocd, self.mean_cost, r_min_pocd=r_min_pocd, theta=theta)
-
-    def summary_row(self) -> Dict[str, float]:
-        """Compact dictionary used by the experiment tables."""
-        return {
-            "strategy": self.strategy.display_name,
-            "jobs": self.num_jobs,
-            "pocd": self.pocd,
-            "mean_cost": self.mean_cost,
-            "mean_machine_time": self.mean_machine_time,
-            "mean_response_time": self.mean_response_time,
-        }
+        margin = self.pocd - r_min_pocd
+        if margin <= 0:
+            return -math.inf
+        return math.log10(margin) - theta * self.mean_cost
 
 
 class MetricsCollector:

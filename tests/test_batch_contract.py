@@ -20,6 +20,7 @@ service with a bearer token:
 - the completing worker's ``tasks_done`` grows by the batch size;
 - ``leased(now)`` reports lease expiry against the caller's clock;
 - ``results()`` and ``summary_rows(columns)`` return every stored row,
+  the rows being the results' ``summary_row()`` cells (NaN included),
   and an unknown summary column is a ``ValueError``;
 - ``events_since(..., wait_s)`` is a long poll that returns when the
   queue settles, when ``wait_s`` passes, or at once when ``limit`` rows
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import math
 import sqlite3
 import threading
 import time
@@ -46,7 +48,6 @@ from repro.distributed import (
     SqliteResultStore,
     open_broker,
     open_store,
-    summary_from_payload,
 )
 from repro.service import HttpBroker, HttpResultStore, ServiceError, make_server
 from repro.simulator.entities import JobSpec
@@ -70,6 +71,16 @@ def _spec(seed: int) -> ScenarioSpec:
         strategy_params={"tau_est": 30.0, "tau_kill": 60.0, "fixed_r": 1},
         cluster={"num_nodes": 0},
         seed=seed,
+    )
+
+
+def _nan_spec() -> ScenarioSpec:
+    """A run cut off before any job finishes: its ``mean_response_time`` is NaN."""
+    return ScenarioSpec(
+        workload=WorkloadSpec("benchmark", {"name": "sort", "num_jobs": 3}),
+        strategy="s-resume",
+        cluster={"num_nodes": 0},
+        max_events=5,
     )
 
 
@@ -289,7 +300,7 @@ class TestCompleteMany:
 #: the server-side telemetry snapshot, and the store's raw-payload and
 #: maintenance methods.
 TRANSPORT_SPECIFIC = {
-    "url", "credentials", "path", "metrics", "put_payload", "backfill_summaries",
+    "url", "credentials", "path", "metrics", "put_payload",
 }
 
 
@@ -346,22 +357,24 @@ class TestSurfaceBehaviour:
 
     def test_results_and_summary_rows_agree(self, backend):
         results = sorted(
-            _complete(backend, [_spec(seed) for seed in range(4)]),
+            _complete(backend, [_spec(seed) for seed in range(4)] + [_nan_spec()]),
             key=lambda result: result.fingerprint,
         )
+        columns = ["fingerprint", "pocd", "mean_response_time"]
         store = backend.store()
         try:
             stored = sorted(store.results(), key=lambda result: result.fingerprint)
-            rows = sorted(
-                store.summary_rows(["fingerprint", "pocd"]), key=lambda row: row["fingerprint"]
-            )
+            rows = sorted(store.summary_rows(columns), key=lambda row: row["fingerprint"])
         finally:
             store.close()
-        assert [result.to_dict() for result in stored] == [r.to_dict() for r in results]
-        assert rows == [
-            {"fingerprint": r.fingerprint, "pocd": summary_from_payload(r.to_dict())["pocd"]}
-            for r in results
-        ]
+        assert any(math.isnan(row["mean_response_time"]) for row in rows)
+        # json.dumps spells NaN as NaN on both sides (and None as null)
+        assert json.dumps([r.to_dict() for r in stored]) == json.dumps(
+            [r.to_dict() for r in results]
+        )
+        assert json.dumps(rows) == json.dumps(
+            [{column: r.summary_row()[column] for column in columns} for r in results]
+        )
 
     def test_unknown_summary_column_is_a_value_error(self, backend):
         store = backend.store()

@@ -48,7 +48,7 @@ from repro.cluster import (
 from repro.cluster.metrics import cluster_report_from_dict, cluster_report_to_dict
 from repro.cluster.scheduling import ClusterScheduler, SpeculationBudgetScheduler
 from repro.cluster.simulation import ClusterJob
-from repro.distributed.store import summary_from_payload
+from repro.distributed.store import SqliteResultStore
 from repro.simulator.cluster import ClusterConfig
 from repro.simulator.entities import AttemptStatus, JobSpec
 
@@ -598,14 +598,17 @@ class TestSweepIntegration:
 
     def test_store_summary_for_cluster_payload(self):
         payload = run_cluster(small_cluster_spec()).to_dict()
-        row = summary_from_payload(payload)
-        assert row is not None
+        with SqliteResultStore(":memory:") as store:
+            store.put_payload(payload)
+            (row,) = store.summary_rows()
         assert row["workload"] == "cluster:poisson"
         assert row["strategy"] == "fifo"
         assert row["num_jobs"] == 4
 
     def test_store_summary_tolerates_malformed_payload(self):
-        assert summary_from_payload({"spec": {"kind": "cluster"}}) is None
+        with SqliteResultStore(":memory:") as store:
+            store.put_payload({"spec": {"kind": "cluster"}}, fingerprint="malformed")
+            assert store.summary_rows() == []
 
 
 # ----------------------------------------------------------------------

@@ -599,6 +599,18 @@ class TestSupervisedPool:
         exitcode = pool.processes[0].exitcode
         assert exitcode == 128 + signal.SIGTERM, exitcode  # a signal death reads -15
 
+    def test_member_terminated_at_start_exits_through_system_exit(self, db):
+        """A SIGTERM sent before worker_main installs its handler waits for it."""
+        import signal
+
+        from repro.distributed import WorkerPool
+
+        config = WorkerConfig(policy=FAST, exit_when_idle=False, poll_interval=0.02)
+        pool = WorkerPool(db, workers=1, config=config).start()
+        pool.terminate()  # at once: the child has not reached worker_main yet
+        exitcode = pool.processes[0].exitcode
+        assert exitcode == 128 + signal.SIGTERM, exitcode  # a signal death reads -15
+
     def test_restart_policy_validated(self):
         from repro.distributed import RestartPolicy
 

@@ -78,13 +78,6 @@ class TestMetricsCollector:
         report = collector.build_report()
         assert report.net_utility(r_min_pocd=0.5) == -math.inf
 
-    def test_summary_row_keys(self):
-        collector = MetricsCollector(StrategyName.CLONE)
-        collector.record_job(finished_job(), now=50.0)
-        row = collector.build_report().summary_row()
-        assert row["strategy"] == "Clone"
-        assert row["jobs"] == 1
-
     def test_records_are_immutable_snapshot(self):
         collector = MetricsCollector(StrategyName.CLONE)
         collector.record_job(finished_job(), now=50.0)

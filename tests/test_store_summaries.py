@@ -1,25 +1,23 @@
-"""Tests of the columnar ``summaries`` table and ``export --columns``.
+"""Tests of ``SqliteResultStore.summary_rows`` and ``export --columns``.
 
-The result store keeps full ``ScenarioResult`` JSON blobs; the summaries
-table is the flat, queryable companion: written on ``put_payload``,
-backfilled lazily for rows written by other paths (the broker's
-``complete``), and served to the CLI's ``export --columns`` as a SQL
-column select — no JSON parsing on the read path.
+The result store keeps full ``ScenarioResult`` JSON blobs; a summary row
+is always ``summary_row()`` of the parsed result, whoever wrote the row
+(``put_payload`` or the broker's ``complete``), so ``export --columns``
+prints the same cells as the full export.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import math
+import sqlite3
 
 import pytest
 
 from repro.api import ScenarioSpec, SweepResult, WorkloadSpec, job_spec_to_dict, run, run_specs
-from repro.distributed import (
-    SUMMARY_COLUMNS,
-    Broker,
-    SqliteResultStore,
-    summary_from_payload,
-)
+from repro.distributed import Broker, SqliteResultStore
 from repro.simulator.entities import JobSpec
 
 
@@ -42,29 +40,54 @@ def _spec(seed: int = 0) -> ScenarioSpec:
     )
 
 
-class TestSummaryFromPayload:
+def _nan_spec() -> ScenarioSpec:
+    """A run cut off before any job finishes: its ``mean_response_time`` is NaN."""
+    return ScenarioSpec(
+        workload=WorkloadSpec("benchmark", {"name": "sort", "num_jobs": 3}),
+        strategy="s-resume",
+        cluster={"num_nodes": 0},
+        max_events=5,
+    )
+
+
+def _insert(store: SqliteResultStore, fingerprint: str, text: str) -> None:
+    store._conn.execute(
+        "INSERT INTO results (fingerprint, payload, created_at) VALUES (?, ?, 0.0)",
+        (fingerprint, text),
+    )
+    store._conn.commit()
+
+
+class TestSummaryRows:
     def test_matches_sweep_result_rows(self):
-        """One formula, two paths: payload flattening == SweepResult.to_rows."""
+        """The store's rows equal SweepResult.to_rows of the same results."""
         outcome = run_specs([_spec()])
-        expected = outcome.to_rows()[0]
-        summary = summary_from_payload(outcome.results[0].to_dict())
-        assert summary == expected
+        with SqliteResultStore(":memory:") as store:
+            store.put_payload(outcome.results[0].to_dict())
+            assert store.summary_rows() == outcome.to_rows()
 
-    def test_columns_stay_in_lockstep_with_sweep_result(self):
-        assert SUMMARY_COLUMNS == SweepResult.COLUMNS
+    def test_columns_are_the_sweep_result_columns(self):
+        with SqliteResultStore(":memory:") as store:
+            store.put(run(_spec()))
+            (row,) = store.summary_rows()
+        assert tuple(row) == SweepResult.COLUMNS
 
-    def test_corrupt_payload_is_none_not_an_error(self):
-        assert summary_from_payload({}) is None
-        assert summary_from_payload({"spec": {}, "report": {}}) is None
-        assert summary_from_payload({"spec": None, "report": None, "fingerprint": "f"}) is None
+    def test_corrupt_payloads_are_skipped_not_an_error(self):
+        with SqliteResultStore(":memory:") as store:
+            for index, payload in enumerate(
+                ({}, {"spec": {}, "report": {}}, {"spec": None, "report": None, "fingerprint": "f"})
+            ):
+                _insert(store, f"corrupt-{index}", json.dumps(payload))
+            assert store.summary_rows() == []
 
     def test_infinite_utility_is_representable(self):
-        result = run(_spec())
-        payload = result.to_dict()
-        # PoCD at or below the SLA floor drives utility to -inf
-        payload["spec"]["strategy_params"]["r_min_pocd"] = payload["report"]["pocd"]
-        summary = summary_from_payload(payload)
-        assert summary["utility"] == -math.inf
+        result = run(_nan_spec())
+        # no job finishes: PoCD at the SLA floor drives utility to -inf
+        assert result.report.pocd == 0.0
+        with SqliteResultStore(":memory:") as store:
+            store.put_payload(result.to_dict())
+            (row,) = store.summary_rows(["utility"])
+        assert row["utility"] == -math.inf
 
 
 class TestStoreSummaries:
@@ -77,9 +100,8 @@ class TestStoreSummaries:
             assert rows[0]["fingerprint"] == result.fingerprint
             assert rows[0]["strategy"] == "s-resume"
             assert rows[0]["pocd"] == result.report.pocd
-            assert store.backfill_summaries() == 0  # nothing left to do
 
-    def test_broker_written_rows_are_backfilled_lazily(self, tmp_path):
+    def test_broker_written_rows_are_summarized(self, tmp_path):
         """The broker's ``complete`` bypasses ``put_payload`` on purpose."""
         db = tmp_path / "q.sqlite"
         results = [run(_spec(seed)) for seed in (0, 1)]
@@ -92,14 +114,33 @@ class TestStoreSummaries:
                 task = broker.claim("w-1")
                 broker.complete(task.fingerprint, "w-1", result.to_dict())
         with SqliteResultStore(db) as store:
-            raw = store._conn.execute("SELECT COUNT(*) AS n FROM summaries").fetchone()
-            assert raw["n"] == 0  # nothing written eagerly
             rows = store.summary_rows(["fingerprint", "seed"])
-            assert {row["fingerprint"] for row in rows} == {r.fingerprint for r in results}
-            assert sorted(row["seed"] for row in rows) == [0, 1]
-            raw = store._conn.execute("SELECT COUNT(*) AS n FROM summaries").fetchone()
-            assert raw["n"] == 2  # backfilled exactly once
-            assert store.backfill_summaries() == 0
+        assert {row["fingerprint"] for row in rows} == {r.fingerprint for r in results}
+        assert sorted(row["seed"] for row in rows) == [0, 1]
+
+    def test_summary_rows_do_not_fill_the_memory_layer(self, tmp_path):
+        db = tmp_path / "q.sqlite"
+        with SqliteResultStore(db) as store:
+            store.put(run(_spec()))
+        with SqliteResultStore(db) as store:
+            assert len(store.summary_rows()) == 1
+            assert store._memory == {}
+            assert len(store.results()) == 1
+            assert len(store._memory) == 1
+
+    def test_old_summaries_table_is_ignored(self, tmp_path):
+        """Databases written before 7.0 keep their dead ``summaries`` table."""
+        db = tmp_path / "q.sqlite"
+        result = run(_spec())
+        with SqliteResultStore(db) as store:
+            store.put(result)
+        with sqlite3.connect(str(db)) as conn:
+            conn.execute("CREATE TABLE summaries (fingerprint TEXT PRIMARY KEY, pocd REAL)")
+            conn.execute("INSERT INTO summaries VALUES ('stale', 0.5)")
+        with SqliteResultStore(db) as store:
+            assert store.summary_rows(["fingerprint"]) == [{"fingerprint": result.fingerprint}]
+        with sqlite3.connect(str(db)) as conn:
+            assert conn.execute("SELECT fingerprint FROM summaries").fetchall() == [("stale",)]
 
     def test_column_pushdown_validates_names(self, tmp_path):
         with SqliteResultStore(tmp_path / "q.sqlite") as store:
@@ -116,13 +157,9 @@ class TestStoreSummaries:
         db = tmp_path / "q.sqlite"
         with SqliteResultStore(db) as store:
             store.put(run(_spec()))
-            store._conn.execute(
-                "INSERT INTO results (fingerprint, payload, created_at) "
-                "VALUES ('broken', '{not json', 0.0)"
-            )
-            store._conn.commit()
+            _insert(store, "broken", "{not json")
             rows = store.summary_rows()
-            assert len(rows) == 1  # the corrupt row stays summary-less
+            assert len(rows) == 1  # the corrupt row has no summary
 
 
 class TestExportColumnsCli:
@@ -142,14 +179,26 @@ class TestExportColumnsCli:
         assert main(["export", "--db", str(db), "--columns", "nope"]) == 2
         assert "unknown summary column" in capsys.readouterr().err
 
-    def test_export_backfills_broker_written_rows(self, tmp_path, capsys):
-        """Rows written by ``Broker.complete`` export without a prior sweep.
+    def test_export_columns_are_cut_from_the_full_export(self, tmp_path, capsys):
+        """NaN cells included: ``--columns`` prints the full export's cells."""
+        from repro.experiments.cli import main
 
-        The broker stores raw payloads only — no summary row — so a
-        database filled entirely by remote workers used to export an
-        empty table unless something else had touched it first.  The
-        export command now backfills before the column pushdown.
-        """
+        db = tmp_path / "q.sqlite"
+        with SqliteResultStore(db) as store:
+            store.put(run(_spec()))
+            store.put(run(_nan_spec()))
+        assert main(["export", "--db", str(db)]) == 0
+        full = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        columns = ["fingerprint", "mean_response_time"]
+        assert main(["export", "--db", str(db), "--columns", ",".join(columns)]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == ",".join(columns)
+        selected = list(csv.DictReader(io.StringIO(out)))
+        assert selected == [{column: row[column] for column in columns} for row in full]
+        assert "nan" in {row["mean_response_time"] for row in selected}
+
+    def test_export_reads_broker_written_rows(self, tmp_path, capsys):
+        """Rows written by ``Broker.complete`` export without a prior sweep."""
         from repro.experiments.cli import main
 
         db = tmp_path / "q.sqlite"
@@ -162,9 +211,6 @@ class TestExportColumnsCli:
             for result in results:
                 task = broker.claim("w-1")
                 broker.complete(task.fingerprint, "w-1", result.to_dict())
-        with SqliteResultStore(db) as store:
-            raw = store._conn.execute("SELECT COUNT(*) AS n FROM summaries").fetchone()
-            assert raw["n"] == 0  # broker wrote payloads only
 
         assert main(["export", "--db", str(db), "--columns", "fingerprint,seed,pocd"]) == 0
         out = capsys.readouterr().out
