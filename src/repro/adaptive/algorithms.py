@@ -112,6 +112,17 @@ class AlgorithmAdapter(ABC):
         """
         return None
 
+    def best_trial_ids(self) -> Tuple[str, ...]:
+        """The trials whose mean objective is the answer's objective.
+
+        Algorithms that rank a configuration by its mean over several
+        trials (``successive_halving`` over seeds) report that mean, not
+        the single :meth:`best_trial_id`'s value.  The default is just
+        :meth:`best_trial_id`.
+        """
+        best = self.best_trial_id()
+        return () if best is None else (best,)
+
 
 #: Algorithm name -> factory ``(axes, **params) -> AlgorithmAdapter``.
 ALGORITHMS: Registry[Callable[..., AlgorithmAdapter]] = Registry("algorithm")
@@ -325,6 +336,12 @@ class SuccessiveHalving(AlgorithmAdapter):
             return None
         scores = self._scores[self._survivors[0]]
         return max(scores, key=scores.__getitem__, default=None)
+
+    def best_trial_ids(self) -> Tuple[str, ...]:
+        """Every trial of the surviving config: it was ranked by their mean."""
+        if not self._done or not self._survivors:
+            return ()
+        return tuple(self._scores[self._survivors[0]])
 
 
 register_algorithm("successive_halving", SuccessiveHalving)

@@ -370,7 +370,7 @@ def _search_stream(
                 note(event)
                 mirror.log("trial-pruned", None, detail=f"{proposal.trial_id}: {reason}")
 
-        best = _resolve_best(algo, book)
+        best, best_objective = _resolve_best(algo, book)
         finished = SearchFinished(
             algorithm=algo.name,
             objective=objective.name,
@@ -380,7 +380,7 @@ def _search_stream(
             pruned=pruned_total,
             failures=failures,
             best_trial_id=best.trial_id if best is not None else None,
-            best_objective=best.objective if best is not None else None,
+            best_objective=best_objective,
             cancelled=token.cancelled() and not stopped,
             stopped=stopped,
             elapsed_s=clock(),
@@ -401,14 +401,27 @@ def _search_stream(
             book.close()
 
 
-def _resolve_best(algo: AlgorithmAdapter, book: TrialLedger) -> Optional[TrialRecord]:
-    """The search's answer: the algorithm's pick, else the best score."""
+def _resolve_best(
+    algo: AlgorithmAdapter, book: TrialLedger
+) -> Tuple[Optional[TrialRecord], Optional[float]]:
+    """The search's answer and its objective.
+
+    The algorithm's pick, reported with the mean objective of the trials
+    it was ranked by (:meth:`AlgorithmAdapter.best_trial_ids`); else the
+    ledger's best completed score.
+    """
     best_id = algo.best_trial_id()
     if best_id is not None:
         record = book.get(best_id)
         if record is not None and record.state == "completed":
-            return record
-    return book.best()
+            values = [
+                peer.objective
+                for peer in map(book.get, algo.best_trial_ids())
+                if peer is not None and peer.state == "completed" and peer.objective is not None
+            ]
+            return record, sum(values) / len(values) if values else record.objective
+    best = book.best()
+    return best, best.objective if best is not None else None
 
 
 @dataclass(frozen=True)
@@ -421,13 +434,16 @@ class SearchResult:
     search's answer: the algorithm's own pick (the cheapest feasible
     value for ``frontier_bisect``, a trial of the surviving config for
     ``successive_halving``), otherwise the completed trial with the best
-    oriented score.
+    oriented score.  ``best_objective`` is the answer's raw objective
+    value: for ``successive_halving`` the surviving config's mean over
+    its completed trials, the value it was ranked by.
     """
 
     algorithm: str
     objective: str
     trials: Tuple[TrialRecord, ...]
     best: Optional[TrialRecord]
+    best_objective: Optional[float]
     executed: int
     cache_hits: int
     pruned: int
@@ -453,11 +469,6 @@ class SearchResult:
     def best_params(self) -> Optional[Dict[str, Any]]:
         """The winning override mapping, or ``None``."""
         return dict(self.best.params) if self.best is not None else None
-
-    @property
-    def best_objective(self) -> Optional[float]:
-        """The winning trial's raw objective value, or ``None``."""
-        return self.best.objective if self.best is not None else None
 
     @property
     def completed(self) -> Tuple[TrialRecord, ...]:
@@ -502,7 +513,7 @@ class SearchResult:
         if self.best is not None:
             summary += (
                 f"\nbest: {self.best.trial_id} {self.objective}="
-                + "{:.4g}".format(self.best.objective)
+                + "{:.4g}".format(self.best_objective)
                 + (
                     " ("
                     + ", ".join(
@@ -603,10 +614,13 @@ def run_search(
 
         records = tuple(book.records())
         best: Optional[TrialRecord] = None
+        best_objective: Optional[float] = None
         if finished is not None and finished.best_trial_id is not None:
             best = book.get(finished.best_trial_id)
+            best_objective = finished.best_objective
         if best is None:
             best = book.best()
+            best_objective = best.objective if best is not None else None
         cancelled = interrupted or bool(finished and finished.cancelled)
         if not cancelled and finished is None and cancel is not None:
             cancelled = cancel.cancelled()
@@ -619,6 +633,7 @@ def run_search(
             ),
             trials=records,
             best=best,
+            best_objective=best_objective,
             executed=finished.executed if finished is not None else executed,
             cache_hits=finished.cache_hits if finished is not None else cache_hits,
             pruned=finished.pruned if finished is not None else pruned,

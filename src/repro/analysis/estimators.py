@@ -19,7 +19,6 @@ from repro.api import ScenarioSpec, WorkloadSpec, job_spec_to_dict, run as run_s
 from repro.core.model import StrategyName
 from repro.hadoop.config import HadoopConfig
 from repro.simulator.cluster import ClusterConfig
-from repro.simulator.engine import SimulationEngine
 from repro.simulator.entities import Attempt, JobSpec, Task, Job
 from repro.simulator.metrics import SimulationReport
 from repro.simulator.progress import CompletionTimeEstimator
@@ -103,7 +102,6 @@ def estimation_errors(
     if not 0.0 < observation_fraction < 1.0:
         raise ValueError("observation_fraction must lie in (0, 1)")
     rng = np.random.default_rng(seed)
-    engine = SimulationEngine(seed=seed)
     job = Job(spec=spec)
     errors: List[float] = []
     for index in range(samples):
@@ -117,5 +115,4 @@ def estimation_errors(
         if not np.isfinite(estimate):
             continue
         errors.append((estimate - truth) / truth)
-    del engine  # engine only needed to satisfy entity invariants in future extensions
     return errors

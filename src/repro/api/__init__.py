@@ -49,9 +49,6 @@ control surface as sweeps.
 
 from repro.api.events import (
     EVENT_TYPES,
-    JobArrived,
-    JobFinished,
-    JobStarted,
     ScenarioCacheHit,
     ScenarioCompleted,
     ScenarioFailed,
@@ -168,9 +165,6 @@ __all__ = [
     "TrialProposed",
     "TrialPruned",
     "SearchFinished",
-    "JobArrived",
-    "JobStarted",
-    "JobFinished",
     "EVENT_TYPES",
     "event_from_dict",
     # registries

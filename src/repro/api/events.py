@@ -247,59 +247,6 @@ class SearchFinished(SweepEvent):
     sweep_id: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class JobArrived(SweepEvent):
-    """A job entered a cluster simulation's admission queue.
-
-    Emitted by :func:`repro.cluster.run_cluster` (and the ``multijob``
-    CLI) for multi-job scenarios; ``time_s`` is *simulation* time,
-    ``queue_length`` the queue depth just after the arrival.
-    """
-
-    kind: ClassVar[str] = "job-arrived"
-
-    job_id: str = ""
-    workload: str = ""
-    fingerprint: str = ""
-    time_s: float = 0.0
-    queue_length: int = 0
-    elapsed_s: float = 0.0
-    sweep_id: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class JobStarted(SweepEvent):
-    """A queued job was admitted and its Application Master started."""
-
-    kind: ClassVar[str] = "job-started"
-
-    job_id: str = ""
-    workload: str = ""
-    fingerprint: str = ""
-    time_s: float = 0.0
-    queue_wait_s: float = 0.0
-    queue_length: int = 0
-    elapsed_s: float = 0.0
-    sweep_id: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class JobFinished(SweepEvent):
-    """A running job reached a terminal state (completed or missed)."""
-
-    kind: ClassVar[str] = "job-finished"
-
-    job_id: str = ""
-    workload: str = ""
-    fingerprint: str = ""
-    state: str = ""
-    met_deadline: bool = False
-    time_s: float = 0.0
-    sojourn_s: float = 0.0
-    elapsed_s: float = 0.0
-    sweep_id: Optional[str] = None
-
-
 #: Every concrete event type, keyed by wire name.
 EVENT_TYPES: Dict[str, Type[SweepEvent]] = {
     cls.kind: cls
@@ -315,9 +262,6 @@ EVENT_TYPES: Dict[str, Type[SweepEvent]] = {
         TrialProposed,
         TrialPruned,
         SearchFinished,
-        JobArrived,
-        JobStarted,
-        JobFinished,
     )
 }
 
@@ -369,9 +313,6 @@ __all__: Tuple[str, ...] = (
     "TrialProposed",
     "TrialPruned",
     "SearchFinished",
-    "JobArrived",
-    "JobStarted",
-    "JobFinished",
     "EVENT_TYPES",
     "event_from_dict",
 )

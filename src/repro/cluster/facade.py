@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping
 
 from repro.api.facade import _summary_row
 from repro.api.spec import SpecValidationError
 from repro.cluster.metrics import ClusterReport, cluster_report_from_dict, cluster_report_to_dict
-from repro.cluster.simulation import ClusterJob, ClusterSimulation
+from repro.cluster.simulation import ClusterSimulation
 from repro.cluster.spec import CLUSTER_KIND, ClusterSpec
 from repro.telemetry.profiler import active_profiler, null_phase
 
@@ -68,20 +68,8 @@ class ClusterResult:
         return _summary_row(self, f"cluster:{self.spec.arrival.kind}", self.spec.scheduler)
 
 
-#: Lifecycle observer: (phase, job, simulation-time, queue-length).
-JobEventObserver = Callable[[str, ClusterJob, float, int], None]
-
-
-def run_cluster(
-    spec: ClusterSpec, on_job_event: Optional[JobEventObserver] = None
-) -> ClusterResult:
+def run_cluster(spec: ClusterSpec) -> ClusterResult:
     """Execute one cluster scenario end to end and return its result.
-
-    ``on_job_event`` observes the job lifecycle live (phases
-    ``"arrived"``, ``"started"``, ``"finished"``) — the CLI uses it to
-    surface :class:`~repro.api.events.JobArrived` /
-    :class:`~repro.api.events.JobStarted` /
-    :class:`~repro.api.events.JobFinished` events.
 
     With a profiler active (:func:`repro.telemetry.enable_profiling`),
     the construction is timed as the ``build`` phase and the event loop
@@ -92,7 +80,7 @@ def run_cluster(
     profiler = active_profiler()
     phase = null_phase if profiler is None else profiler.phase
     with phase("build"):
-        simulation = ClusterSimulation(spec, on_job_event=on_job_event, profiler=profiler)
+        simulation = ClusterSimulation(spec, profiler=profiler)
     started = time.perf_counter()
     with phase("simulate"):
         report = simulation.run()

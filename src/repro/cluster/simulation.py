@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.api import registry as _api_registry
 from repro.cluster.metrics import ClusterReport, build_cluster_report
@@ -96,21 +96,15 @@ class ClusterJob:
         return self.state in (JobState.COMPLETED, JobState.MISSED)
 
 
-#: Lifecycle callback: (phase, job, simulation-time, queue-length).
-JobObserver = Callable[[str, ClusterJob, float, int], None]
-
-
 class ClusterSimulation:
     """Run one :class:`ClusterSpec` end to end."""
 
     def __init__(
         self,
         spec: "ClusterSpec",
-        on_job_event: Optional[JobObserver] = None,
         profiler: Optional["Profiler"] = None,
     ):
         self._spec = spec
-        self._observer = on_job_event
         self._queue: List[ClusterJob] = []
         self._running: List[ClusterJob] = []
         self._jobs: List[ClusterJob] = []
@@ -160,16 +154,11 @@ class ClusterSimulation:
     # ------------------------------------------------------------------
     # Lifecycle plumbing
     # ------------------------------------------------------------------
-    def _emit(self, phase: str, job: ClusterJob) -> None:
-        if self._observer is not None:
-            self._observer(phase, job, self._engine.now, len(self._queue))
-
     def _on_arrival(self, job: ClusterJob) -> None:
         if self._first_arrival is None:
             self._first_arrival = self._engine.now
         self._queue.append(job)
         self._sample_queue()
-        self._emit("arrived", job)
         self._dispatch()
 
     def _sample_queue(self) -> None:
@@ -196,7 +185,6 @@ class ClusterSimulation:
         job.transition(JobState.ADMITTED, self._engine.now)
         self._running.append(job)
         job.transition(JobState.RUNNING, self._engine.now)
-        self._emit("started", job)
         job.master = self._simulation.admit(
             job.spec,
             on_job_complete=lambda _sim_job, record, cj=job: self._on_job_complete(cj, record),
@@ -210,13 +198,4 @@ class ClusterSimulation:
         if job in self._running:
             self._running.remove(job)
         self._scheduler.on_job_finished(job)
-        self._emit("finished", job)
         self._dispatch()
-
-    @property
-    def state_counts(self) -> Dict[str, int]:
-        """Current count of jobs per lifecycle state."""
-        counts: Dict[str, int] = {}
-        for job in self._jobs:
-            counts[job.state.value] = counts.get(job.state.value, 0) + 1
-        return counts

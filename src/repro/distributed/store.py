@@ -311,14 +311,13 @@ class SqliteResultStore:
     def results(self) -> List[ScenarioResult]:
         """Every stored result, in insertion order (skipping corrupt rows).
 
-        A full scan parsed into :class:`ScenarioResult` objects (kept in
-        the in-memory layer), ready to wrap in a
-        :class:`repro.api.SweepResult` for tabular output.
+        A full scan parsed into :class:`ScenarioResult` objects, ready to
+        wrap in a :class:`repro.api.SweepResult` for tabular output.  Like
+        :meth:`summary_rows`, it leaves the in-memory layer alone, so a
+        long-lived owner (the HTTP service) does not keep every result it
+        once listed.
         """
-        parsed = list(self._scan())
-        for result in parsed:
-            self._memory[result.fingerprint] = result
-        return parsed
+        return list(self._scan())
 
     def _scan(self) -> Iterator[ScenarioResult]:
         """Every stored result in insertion order, parsed one row at a time.

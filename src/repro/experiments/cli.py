@@ -94,12 +94,13 @@ Rejected credentials are an exit-2 diagnostic, never a retry loop.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.api import (
     EXECUTORS,
@@ -668,23 +669,57 @@ def restore_environment(previous: Dict[str, Optional[str]]) -> None:
             os.environ[key] = value
 
 
-def run_sweep_command(args: argparse.Namespace) -> int:
-    """Handle ``chronos-experiments sweep --spec FILE``."""
+class _UsageError(Exception):
+    """A command's exit-2 diagnostic; :func:`main` prints the message."""
+
+
+def _load_spec_file(args: argparse.Namespace, command: str) -> Tuple[Path, Dict[str, Any]]:
+    """Read ``--spec FILE`` for ``sweep``/``search``: a JSON object with a ``base``."""
     if not args.spec:
-        print("sweep requires --spec FILE (a sweep specification JSON)", file=sys.stderr)
-        return 2
+        raise _UsageError(f"{command} requires --spec FILE (a {command} specification JSON)")
     path = Path(args.spec)
     try:
         payload = json.loads(path.read_text())
     except OSError as error:
-        print(f"cannot read sweep spec {path}: {error}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"cannot read {command} spec {path}: {error}") from None
     except json.JSONDecodeError as error:
-        print(f"invalid JSON in {path}: {error}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"invalid JSON in {path}: {error}") from None
     if not isinstance(payload, dict) or "base" not in payload:
-        print(f"{path}: sweep spec must be an object with a 'base' scenario", file=sys.stderr)
-        return 2
+        raise _UsageError(f"{path}: {command} spec must be an object with a 'base' scenario")
+    return path, payload
+
+
+def _run_with_backend(args: argparse.Namespace, run: Callable[..., Any]) -> Any:
+    """Call ``Sweep.run`` or ``run_search`` with the shared backend flags.
+
+    ``--jobs``, ``--cache-dir``, ``--executor``, ``--workers``, ``--db``,
+    ``--broker`` and ``--lease-timeout`` mean the same for both commands,
+    and both render the live progress line.
+    """
+    cache = open_cache(args.cache_dir)
+    distributed = args.executor == "distributed" or args.broker or args.db
+    progress = ProgressLine() if progress_enabled(args) else None
+    try:
+        return run(
+            jobs=max(1, args.jobs),
+            cache=cache,
+            executor=args.executor,
+            workers=args.workers,
+            db=args.db,
+            broker=args.broker,
+            lease_timeout=args.lease_timeout if distributed else None,
+            on_event=progress,
+        )
+    finally:
+        if progress is not None:
+            # a run that died mid-stream left the tty cursor on the
+            # progress line; diagnostics must not be glued onto it
+            progress.abort()
+
+
+def run_sweep_command(args: argparse.Namespace) -> int:
+    """Handle ``chronos-experiments sweep --spec FILE``."""
+    path, payload = _load_spec_file(args, "sweep")
     try:
         # Polymorphic: a plain scenario, or {"kind": "cluster", ...}.
         base = spec_from_dict(payload["base"])
@@ -697,39 +732,12 @@ def run_sweep_command(args: argparse.Namespace) -> int:
             overrides.extend(Sweep.grid_overrides(grid))
         sweep = Sweep(base, overrides or None)
     except SpecValidationError as error:
-        print(f"{path}: {error}", file=sys.stderr)
-        return 2
-    cache = open_cache(args.cache_dir)
-    distributed = args.executor == "distributed" or args.broker or args.db
-    from repro.service import ServiceAuthError, ServiceError
-
-    progress = ProgressLine() if progress_enabled(args) else None
+        raise _UsageError(f"{path}: {error}") from None
     try:
-        result = sweep.run(
-            jobs=max(1, args.jobs),
-            cache=cache,
-            executor=args.executor,
-            workers=args.workers,
-            db=args.db,
-            broker=args.broker,
-            lease_timeout=args.lease_timeout if distributed else None,
-            on_event=progress,
-        )
-    except ServiceAuthError as error:
-        print(f"sweep service authentication failed: {error}", file=sys.stderr)
-        return 2
-    except ServiceError as error:
-        print(f"sweep service error: {error}", file=sys.stderr)
-        return 2
+        result = _run_with_backend(args, sweep.run)
     except ValueError as error:
         # e.g. a malformed --broker URL or conflicting --db/--broker
-        print(f"sweep: {error}", file=sys.stderr)
-        return 2
-    finally:
-        if progress is not None:
-            # a sweep that died mid-stream left the tty cursor on the
-            # progress line; diagnostics must not be glued onto it
-            progress.abort()
+        raise _UsageError(f"sweep: {error}") from None
     _emit_result(result, args.csv)
     if result.cancelled:
         # Ctrl-C: the completed partition was printed above; say what is
@@ -795,96 +803,52 @@ def run_search_command(args: argparse.Namespace) -> int:
     axis or the base spec's ``seed``.
     """
     if args.seed is not None:
-        print(
+        raise _UsageError(
             "search does not take --seed: put the seeds in 'axes' (\"seed\": [...]) "
-            "or set the base spec's \"seed\"",
-            file=sys.stderr,
+            "or set the base spec's \"seed\""
         )
-        return 2
-    if not args.spec:
-        print("search requires --spec FILE (a search specification JSON)", file=sys.stderr)
-        return 2
-    if not args.algorithm:
+    if args.spec and not args.algorithm:
+        # checked before the spec file is read; a missing --spec is
+        # reported first, by the loader
         from repro.adaptive import available_algorithms
 
-        print(
-            "search requires --algorithm NAME (available: "
-            f"{', '.join(available_algorithms())})",
-            file=sys.stderr,
+        raise _UsageError(
+            f"search requires --algorithm NAME (available: {', '.join(available_algorithms())})"
         )
-        return 2
-    path = Path(args.spec)
-    try:
-        payload = json.loads(path.read_text())
-    except OSError as error:
-        print(f"cannot read search spec {path}: {error}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as error:
-        print(f"invalid JSON in {path}: {error}", file=sys.stderr)
-        return 2
-    if not isinstance(payload, dict) or "base" not in payload:
-        print(f"{path}: search spec must be an object with a 'base' scenario", file=sys.stderr)
-        return 2
+    path, payload = _load_spec_file(args, "search")
     axes = payload.get("axes", payload.get("grid"))
     if not isinstance(axes, dict) or not axes:
-        print(
-            f"{path}: search spec must map 'axes' (or 'grid') to non-empty value lists",
-            file=sys.stderr,
+        raise _UsageError(
+            f"{path}: search spec must map 'axes' (or 'grid') to non-empty value lists"
         )
-        return 2
     try:
         base = spec_from_dict(payload["base"])
     except SpecValidationError as error:
-        print(f"{path}: {error}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"{path}: {error}") from None
+    from repro.adaptive import run_search
+
     try:
         algorithm_params = parse_algo_params(args.algo_param)
-    except ValueError as error:
-        print(f"search: {error}", file=sys.stderr)
-        return 2
-    cache = open_cache(args.cache_dir)
-    distributed = args.executor == "distributed" or args.broker or args.db
-    from repro.adaptive import run_search
-    from repro.service import ServiceAuthError, ServiceError
-
-    progress = ProgressLine() if progress_enabled(args) else None
-    try:
-        result = run_search(
-            base,
-            axes,
-            algorithm=args.algorithm,
-            objective=args.objective,
-            algorithm_params=algorithm_params or None,
-            max_trials=args.max_trials,
-            batch=max(1, args.trial_batch),
-            ledger=args.ledger,
-            jobs=max(1, args.jobs),
-            cache=cache,
-            executor=args.executor,
-            workers=args.workers,
-            db=args.db,
-            broker=args.broker,
-            lease_timeout=args.lease_timeout if distributed else None,
-            on_event=progress,
+        result = _run_with_backend(
+            args,
+            functools.partial(
+                run_search,
+                base,
+                axes,
+                algorithm=args.algorithm,
+                objective=args.objective,
+                algorithm_params=algorithm_params or None,
+                max_trials=args.max_trials,
+                batch=max(1, args.trial_batch),
+                ledger=args.ledger,
+            ),
         )
-    except ServiceAuthError as error:
-        print(f"sweep service authentication failed: {error}", file=sys.stderr)
-        return 2
-    except ServiceError as error:
-        print(f"sweep service error: {error}", file=sys.stderr)
-        return 2
-    except UnknownPluginError as error:
-        # an unknown --algorithm or --objective name, listing what exists
-        print(f"search: {error}", file=sys.stderr)
-        return 2
-    except (SpecValidationError, ValueError) as error:
-        # e.g. axes an algorithm refuses (frontier_bisect needs exactly one
-        # multi-valued axis), a mismatched --ledger, or a bad --broker URL
-        print(f"search: {error}", file=sys.stderr)
-        return 2
-    finally:
-        if progress is not None:
-            progress.abort()
+    except (UnknownPluginError, SpecValidationError, ValueError) as error:
+        # an unknown --algorithm or --objective name (listing what exists),
+        # a malformed --algo-param, axes an algorithm refuses (frontier_bisect
+        # needs exactly one multi-valued axis), a mismatched --ledger, or a
+        # bad --broker URL
+        raise _UsageError(f"search: {error}") from None
     _emit_result(result, args.csv)
     if result.cancelled:
         # Ctrl-C: the settled trials were printed above.  Resumability
@@ -927,11 +891,9 @@ def run_export_command(args: argparse.Namespace) -> int:
     from repro.distributed import SqliteResultStore, normalize_db_path
 
     if not args.db:
-        print("export requires --db FILE (the queue database to read)", file=sys.stderr)
-        return 2
+        raise _UsageError("export requires --db FILE (the queue database to read)")
     if not normalize_db_path(args.db).is_file():
-        print(f"export: no queue database at {args.db}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"export: no queue database at {args.db}")
     columns = None
     if args.columns:
         columns = [column.strip() for column in args.columns.split(",") if column.strip()]
@@ -939,8 +901,7 @@ def run_export_command(args: argparse.Namespace) -> int:
         with SqliteResultStore(args.db) as store:
             rows = store.summary_rows(columns)
     except ValueError as error:
-        print(f"export: {error}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"export: {error}") from None
     text = _csv_text(columns or SweepResult.COLUMNS, rows)
     if isinstance(args.csv, str):
         Path(args.csv).write_text(text)
@@ -966,11 +927,9 @@ def run_serve_command(args: argparse.Namespace) -> int:
     from repro.service import TOKEN_ENV, make_server
 
     if not args.db:
-        print("serve requires --db FILE (the queue database to serve)", file=sys.stderr)
-        return 2
+        raise _UsageError("serve requires --db FILE (the queue database to serve)")
     if args.keyfile and not args.certfile:
-        print("serve: --keyfile requires --certfile (the certificate to serve)", file=sys.stderr)
-        return 2
+        raise _UsageError("serve: --keyfile requires --certfile (the certificate to serve)")
     policy = LeasePolicy(
         timeout=args.lease_timeout, heartbeat_interval=args.lease_timeout / 4.0
     )
@@ -986,8 +945,7 @@ def run_serve_command(args: argparse.Namespace) -> int:
             keyfile=args.keyfile,
         )
     except (OSError, ValueError) as error:  # ssl.SSLError is an OSError
-        print(f"serve: cannot start service: {error}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"serve: cannot start service: {error}") from None
     host, port = server.server_address[:2]
     scheme = "https" if args.certfile else "http"
     guard = " (token required)" if token else ""
@@ -1002,6 +960,16 @@ def run_serve_command(args: argparse.Namespace) -> int:
     finally:
         server.server_close()
     return 0
+
+
+def _queue_target(args: argparse.Namespace, command: str) -> str:
+    """The ``--broker URL`` or ``--db FILE`` a queue command reads."""
+    target = args.broker or args.db
+    if not target:
+        raise _UsageError(
+            f"{command} requires --db FILE (queue database) or --broker URL (sweep service)"
+        )
+    return target
 
 
 def run_workers_command(args: argparse.Namespace) -> int:
@@ -1022,21 +990,11 @@ def run_workers_command(args: argparse.Namespace) -> int:
     actions = ("start", "status", "drain")
     action = args.experiments[1] if len(args.experiments) > 1 else None
     if action not in actions:
-        print(
+        raise _UsageError(
             f"workers requires an action: {', '.join(actions)} "
-            "(e.g. 'chronos-experiments workers status --db queue.sqlite')",
-            file=sys.stderr,
+            "(e.g. 'chronos-experiments workers status --db queue.sqlite')"
         )
-        return 2
-    target = args.broker or args.db
-    if not target:
-        print(
-            "workers requires --db FILE (queue database) or --broker URL (sweep service)",
-            file=sys.stderr,
-        )
-        return 2
-    from repro.service import ServiceAuthError, ServiceError
-
+    target = _queue_target(args, "workers")
     policy = LeasePolicy(
         timeout=args.lease_timeout, heartbeat_interval=args.lease_timeout / 4.0
     )
@@ -1044,8 +1002,7 @@ def run_workers_command(args: argparse.Namespace) -> int:
         broker = open_broker(target, policy=policy)
     except ValueError as error:
         # e.g. an unrecognized target scheme
-        print(f"workers: {error}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"workers: {error}") from None
     try:
         if action == "drain":
             broker.drain()
@@ -1096,12 +1053,6 @@ def run_workers_command(args: argparse.Namespace) -> int:
             print(f"supervision: replaced {pool.restarts_used} crashed worker(s)")
         print(format_worker_status(broker.stats()))
         return 0
-    except ServiceAuthError as error:
-        print(f"sweep service authentication failed: {error}", file=sys.stderr)
-        return 2
-    except ServiceError as error:
-        print(f"sweep service error: {error}", file=sys.stderr)
-        return 2
     finally:
         broker.close()
 
@@ -1114,29 +1065,20 @@ def run_metrics_command(args: argparse.Namespace) -> int:
     ``--json``.  Credentials resolve like every other client command
     (``--token``/``--cafile`` or the ``CHRONOS_*`` environment).
     """
-    from repro.service import HttpBroker, ServiceAuthError, ServiceError, fetch_metrics
+    from repro.service import HttpBroker, fetch_metrics
 
     if not args.broker:
-        print(
-            "metrics requires --broker URL (a running 'chronos-experiments serve' service)",
-            file=sys.stderr,
+        raise _UsageError(
+            "metrics requires --broker URL (a running 'chronos-experiments serve' service)"
         )
-        return 2
-    try:
-        if args.json:
-            broker = HttpBroker(args.broker)
-            try:
-                print(json.dumps(broker.metrics(), indent=2, sort_keys=True))
-            finally:
-                broker.close()
-        else:
-            sys.stdout.write(fetch_metrics(args.broker))
-    except ServiceAuthError as error:
-        print(f"sweep service authentication failed: {error}", file=sys.stderr)
-        return 2
-    except ServiceError as error:
-        print(f"sweep service error: {error}", file=sys.stderr)
-        return 2
+    if args.json:
+        broker = HttpBroker(args.broker)
+        try:
+            print(json.dumps(broker.metrics(), indent=2, sort_keys=True))
+        finally:
+            broker.close()
+    else:
+        sys.stdout.write(fetch_metrics(args.broker))
     return 0
 
 
@@ -1148,23 +1090,14 @@ def run_trace_command(args: argparse.Namespace) -> int:
     retried why, completed or failed — with relative timestamps.
     """
     from repro.distributed import open_broker
-    from repro.service import ServiceAuthError, ServiceError
 
     fingerprint = args.experiments[1] if len(args.experiments) > 1 else None
     if not fingerprint:
-        print(
+        raise _UsageError(
             "trace requires a fingerprint "
-            "(e.g. 'chronos-experiments trace <fingerprint> --db queue.sqlite')",
-            file=sys.stderr,
+            "(e.g. 'chronos-experiments trace <fingerprint> --db queue.sqlite')"
         )
-        return 2
-    target = args.broker or args.db
-    if not target:
-        print(
-            "trace requires --db FILE (queue database) or --broker URL (sweep service)",
-            file=sys.stderr,
-        )
-        return 2
+    target = _queue_target(args, "trace")
     try:
         broker = open_broker(target)
         try:
@@ -1173,14 +1106,7 @@ def run_trace_command(args: argparse.Namespace) -> int:
             broker.close()
     except ValueError as error:
         # e.g. an unrecognized target scheme
-        print(f"trace: {error}", file=sys.stderr)
-        return 2
-    except ServiceAuthError as error:
-        print(f"sweep service authentication failed: {error}", file=sys.stderr)
-        return 2
-    except ServiceError as error:
-        print(f"sweep service error: {error}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"trace: {error}") from None
     print(format_trace(fingerprint, rows))
     return 0 if rows else 1
 
@@ -1284,145 +1210,47 @@ def parse_scheduler_args(items: Optional[Sequence[str]]) -> Optional[List[str]]:
     return [name for name in names if name] or None
 
 
-def run_multijob_command(args: argparse.Namespace) -> int:
-    """Handle ``chronos-experiments multijob --arrival … --load … --scheduler …``.
 
-    Runs the multi-job cluster experiment (scheduler comparison at the
-    given load plus the miss-rate-vs-load stability curve) through the
-    same executor rerouting, progress line and security environment as
-    the paper harnesses.
+def _run_tables(
+    args: argparse.Namespace,
+    produce: Callable[[], List[ExperimentTable]],
+    label: str,
+    usage_errors: Tuple[type, ...],
+    prefix: str,
+) -> int:
+    """Produce and print experiment tables: the harnesses and ``multijob``.
+
+    ``--executor``/``--db``/``--broker`` and the progress line become the
+    process-wide defaults while ``produce`` runs, so every ``run_specs``
+    call inside the experiments follows them without any experiment
+    knowing.  ``usage_errors`` (and a rejected executor choice) become
+    ``prefix``-ed exit-2 diagnostics.
     """
-    scale = ExperimentScale(args.scale)
     started = time.time()
-    progress = ProgressLine() if progress_enabled(args) else None
-    try:
-        if args.executor or args.db or args.broker:
-            set_default_executor(
-                args.executor, workers=args.workers, db=args.db, broker=args.broker
-            )
-        if progress is not None:
-            set_default_on_event(progress)
-        tables = _tables_of(
-            run_multijob(
-                scale,
-                seed=args.seed,
-                jobs=max(1, args.jobs),
-                arrival=args.arrival,
-                load=args.load,
-                schedulers=parse_scheduler_args(args.scheduler),
-            )
-        )
-    except (SpecValidationError, UnknownPluginError, ValueError) as error:
-        # e.g. an unknown --scheduler name or a non-positive --load
-        print(f"multijob: {error}", file=sys.stderr)
-        return 2
-    except KeyboardInterrupt:
-        print("interrupted: multijob experiment stopped mid-sweep", file=sys.stderr)
-        return 130
-    except Exception as error:
-        from repro.service import ServiceAuthError, ServiceError
-
-        if isinstance(error, ServiceAuthError):
-            print(f"sweep service authentication failed: {error}", file=sys.stderr)
-            return 2
-        if isinstance(error, ServiceError):
-            print(f"sweep service error: {error}", file=sys.stderr)
-            return 2
-        raise
-    finally:
-        if args.executor or args.db or args.broker:
-            set_default_executor(None)
-        if progress is not None:
-            set_default_on_event(None)
-            progress.abort()
-    for table in tables:
-        print(table.to_text())
-        print()
-    print(f"completed {len(tables)} tables in {time.time() - started:.1f}s")
-    return 0
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.list:
-        for name in EXPERIMENTS:
-            print(name)
-        return 0
-    if args.seed is None and not (args.experiments and args.experiments[0] == "search"):
-        args.seed = 0
-    previous_env = apply_security_args(args)
-    try:
-        if args.experiments and args.experiments[0] == "sweep":
-            return run_sweep_command(args)
-        if args.experiments and args.experiments[0] == "search":
-            return run_search_command(args)
-        if args.experiments and args.experiments[0] == "workers":
-            return run_workers_command(args)
-        if args.experiments and args.experiments[0] == "serve":
-            return run_serve_command(args)
-        if args.experiments and args.experiments[0] == "metrics":
-            return run_metrics_command(args)
-        if args.experiments and args.experiments[0] == "trace":
-            return run_trace_command(args)
-        if args.experiments and args.experiments[0] == "export":
-            return run_export_command(args)
-        if args.experiments and args.experiments[0] == "multijob":
-            return run_multijob_command(args)
-        return run_harness_commands(args)
-    finally:
-        restore_environment(previous_env)
-
-
-def run_harness_commands(args: argparse.Namespace) -> int:
-    """Run the named experiment harnesses (the default command path)."""
-    scale = ExperimentScale(args.scale)
-    started = time.time()
-    if args.executor or args.db or args.broker:
-        # Reroute every run_specs call in the harnesses without
-        # threading a parameter through each experiment.
+    reroute = bool(args.executor or args.db or args.broker)
+    if reroute:
         try:
             set_default_executor(
                 args.executor, workers=args.workers, db=args.db, broker=args.broker
             )
         except ValueError as error:  # e.g. --executor pool with --db
-            print(error, file=sys.stderr)
-            return 2
+            raise _UsageError(f"{prefix}{error}") from None
     progress = ProgressLine() if progress_enabled(args) else None
     try:
         if progress is not None:
-            # Same trick for the event stream: every harness sweep feeds
-            # one progress line without any experiment knowing about it.
             set_default_on_event(progress)
-        tables = run_experiments(
-            args.experiments, scale=scale, seed=args.seed, jobs=max(1, args.jobs)
-        )
-    except UnknownExperimentError as error:
-        print(error, file=sys.stderr)
-        return 2
+        tables = produce()
+    except usage_errors as error:
+        raise _UsageError(f"{prefix}{error}") from None
     except KeyboardInterrupt:
-        # Harness tables need every scenario, so there is no partial
-        # table to print — but the interruption exits cleanly (130, the
-        # conventional SIGINT status), not as a traceback.  The sweep
-        # layer already returned/kept whatever work had finished.
-        print("interrupted: experiment harness stopped mid-sweep", file=sys.stderr)
+        # The tables need every scenario, so there is no partial table to
+        # print — but the interruption exits cleanly (130, the conventional
+        # SIGINT status), not as a traceback.  The sweep layer already
+        # returned/kept whatever work had finished.
+        print(f"interrupted: {label} stopped mid-sweep", file=sys.stderr)
         return 130
-    except Exception as error:
-        # Service errors can only have been raised if repro.service is
-        # already loaded, so importing it here costs sqlite-only (and
-        # plain harness) invocations nothing.
-        from repro.service import ServiceAuthError, ServiceError
-
-        if isinstance(error, ServiceAuthError):
-            print(f"sweep service authentication failed: {error}", file=sys.stderr)
-            return 2
-        if isinstance(error, ServiceError):
-            print(f"sweep service error: {error}", file=sys.stderr)
-            return 2
-        raise
     finally:
-        if args.executor or args.db or args.broker:
+        if reroute:
             # main() may run in-process (tests, embedding callers): do not
             # leak the default onto unrelated later run_specs calls.
             set_default_executor(None)
@@ -1434,6 +1262,103 @@ def run_harness_commands(args: argparse.Namespace) -> int:
         print()
     print(f"completed {len(tables)} tables in {time.time() - started:.1f}s")
     return 0
+
+
+def run_multijob_command(args: argparse.Namespace) -> int:
+    """Handle ``chronos-experiments multijob --arrival … --load … --scheduler …``.
+
+    Runs the multi-job cluster experiment (scheduler comparison at the
+    given load plus the miss-rate-vs-load stability curve) through the
+    same executor rerouting, progress line and security environment as
+    the paper harnesses.
+    """
+    return _run_tables(
+        args,
+        lambda: _tables_of(
+            run_multijob(
+                ExperimentScale(args.scale),
+                seed=args.seed,
+                jobs=max(1, args.jobs),
+                arrival=args.arrival,
+                load=args.load,
+                schedulers=parse_scheduler_args(args.scheduler),
+            )
+        ),
+        label="multijob experiment",
+        # e.g. an unknown --scheduler name or a non-positive --load
+        usage_errors=(SpecValidationError, UnknownPluginError, ValueError),
+        prefix="multijob: ",
+    )
+
+
+def run_harness_commands(args: argparse.Namespace) -> int:
+    """Run the named experiment harnesses (the default command path)."""
+    return _run_tables(
+        args,
+        lambda: run_experiments(
+            args.experiments,
+            scale=ExperimentScale(args.scale),
+            seed=args.seed,
+            jobs=max(1, args.jobs),
+        ),
+        label="experiment harness",
+        usage_errors=(UnknownExperimentError,),
+        prefix="",
+    )
+
+
+#: Subcommand -> handler; any other first word names experiment harnesses.
+_COMMANDS: Dict[str, Callable[[argparse.Namespace], int]] = {
+    "sweep": run_sweep_command,
+    "search": run_search_command,
+    "workers": run_workers_command,
+    "serve": run_serve_command,
+    "metrics": run_metrics_command,
+    "trace": run_trace_command,
+    "export": run_export_command,
+    "multijob": run_multijob_command,
+}
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    """CLI entry point: one dispatch and one error boundary for every command.
+
+    Usage errors, rejected or failing sweep services and queue files that
+    are not sqlite databases are one-line diagnostics with exit status 2.
+    """
+    args = build_parser().parse_args(argv)
+    if args.list:
+        for name in EXPERIMENTS:
+            print(name)
+        return 0
+    command = args.experiments[0] if args.experiments else "all"
+    if args.seed is None and command != "search":
+        args.seed = 0
+    previous_env = apply_security_args(args)
+    try:
+        return _COMMANDS.get(command, run_harness_commands)(args)
+    except _UsageError as error:
+        print(error, file=sys.stderr)
+        return 2
+    except Exception as error:
+        # Each module is already loaded whenever one of its errors was
+        # raised, so importing them only here keeps sqlite-only and inline
+        # commands clear of the HTTP/TLS layer.
+        import sqlite3
+
+        from repro.service import ServiceAuthError, ServiceError
+
+        if isinstance(error, ServiceAuthError):
+            print(f"sweep service authentication failed: {error}", file=sys.stderr)
+        elif isinstance(error, ServiceError):
+            print(f"sweep service error: {error}", file=sys.stderr)
+        elif isinstance(error, sqlite3.DatabaseError):
+            print(f"{command}: {error}", file=sys.stderr)
+        else:
+            raise
+        return 2
+    finally:
+        restore_environment(previous_env)
 
 
 if __name__ == "__main__":  # pragma: no cover - manual invocation

@@ -191,13 +191,6 @@ def run_strategy_suite(
     return {name: result.report for name, result in zip(names, sweep.results)}
 
 
-def utility_of(
-    report: SimulationReport, r_min_pocd: float, theta: float
-) -> float:
-    """Net utility of a simulation report (paper's evaluation metric)."""
-    return report.net_utility(r_min_pocd=r_min_pocd, theta=theta)
-
-
 def reference_pocd(reports: Mapping[StrategyName, SimulationReport]) -> float:
     """The ``Rmin`` used in the testbed evaluation: Hadoop-NS's PoCD."""
     baseline = reports.get(StrategyName.HADOOP_NO_SPECULATION)

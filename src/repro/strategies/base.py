@@ -174,11 +174,6 @@ class SpeculationStrategy(abc.ABC):
         except (ValueError, ArithmeticError):
             return 1
 
-    def straggler_model(self, am: "ApplicationMaster") -> StragglerModel:
-        """The analytical model of this job under the strategy's timing."""
-        tau_est, tau_kill = self.clipped_timing(am)
-        return am.job.spec.to_straggler_model(tau_est, tau_kill, self.params.phi_est)
-
 
 @lru_cache(maxsize=4096)
 def _optimized_r_cached(

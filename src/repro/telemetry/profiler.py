@@ -36,6 +36,7 @@ from __future__ import annotations
 import atexit
 import json
 import os
+import signal
 import threading
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
@@ -186,9 +187,16 @@ def profile_worker() -> Iterator[None]:
     try:
         yield
     finally:
-        if _dump_path is not None:
-            _dump_profile(process_dump_path(_dump_path))
-        disable_profiling()
+        # A worker that exits on its own can still get the driver's stop
+        # SIGTERM; raised mid-write, it would leave a truncated file, so
+        # the signal waits until the dump is complete.
+        held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+        try:
+            if _dump_path is not None:
+                _dump_profile(process_dump_path(_dump_path))
+            disable_profiling()
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, held)
 
 
 def _activate_from_environment() -> None:

@@ -556,6 +556,29 @@ class TestRunSearch:
             base.with_overrides({"strategy_params.fixed_r": r}).fingerprint() for r in (0, 1)
         ]
 
+    def test_halving_reports_the_winning_configs_mean_objective(self):
+        """The answer's objective is the mean halving ranked it by, not one seed's."""
+        base = ScenarioSpec(
+            workload=WorkloadSpec("benchmark", {"name": "sort", "num_jobs": 5}),
+            strategy="s-resume",
+            cluster={"num_nodes": 0},
+        )
+        axes = {"strategy_params.fixed_r": [0, 2], "seed": [0, 1, 2, 3]}
+        events = []
+        result = run_search(base, axes, algorithm="successive_halving", on_event=events.append)
+        config = {k: v for k, v in result.best.params.items() if k != "seed"}
+        values = [
+            record.objective
+            for record in result.completed
+            if {k: v for k, v in record.params.items() if k != "seed"} == config
+        ]
+        assert len(values) == 4 and len(set(values)) > 1  # seeds disagree
+        mean = sum(values) / len(values)
+        assert result.best_objective == pytest.approx(mean)
+        finished = [event for event in events if isinstance(event, SearchFinished)]
+        assert finished[-1].best_objective == pytest.approx(mean)
+        assert f"utility={mean:.4g}" in result.to_text().splitlines()[-1]
+
     def test_max_trials_bounds_the_search(self):
         result = run_search(_tiny_spec(), AXES, algorithm="successive_halving", max_trials=2)
         assert len(result.completed) == 2 and result.executed == 2

@@ -16,9 +16,6 @@ import pytest
 
 from repro.api import (
     EVENT_TYPES,
-    JobArrived,
-    JobFinished,
-    JobStarted,
     ScenarioCacheHit,
     ScenarioCompleted,
     ScenarioFailed,
@@ -121,18 +118,6 @@ class TestSerialization:
                 algorithm="successive_halving", objective="utility", trials=4, executed=3,
                 cache_hits=1, pruned=0, failures=0, best_trial_id="t0",
                 best_objective=0.5, cancelled=False, stopped=False, elapsed_s=1.1,
-            ),
-            JobArrived(
-                job_id="sort-0", workload="sort", fingerprint="f2",
-                time_s=12.5, queue_length=3, elapsed_s=1.2,
-            ),
-            JobStarted(
-                job_id="sort-0", workload="sort", fingerprint="f2",
-                time_s=20.0, queue_wait_s=7.5, queue_length=2, elapsed_s=1.3,
-            ),
-            JobFinished(
-                job_id="sort-0", workload="sort", fingerprint="f2", state="completed",
-                met_deadline=True, time_s=95.0, sojourn_s=82.5, elapsed_s=1.4,
             ),
         ]
         assert {type(sample) for sample in samples} == set(EVENT_TYPES.values())

@@ -613,3 +613,117 @@ class TestMultijobCommand:
         out = capsys.readouterr().out
         assert "cluster:poisson" in out
         assert "2 scenarios: 2 executed" in out
+
+
+class TestCliContract:
+    """Exit code and first stderr line of every usage-error path."""
+
+    NOT_A_DATABASE = "file is not a database"
+
+    @pytest.mark.parametrize(
+        "argv, first_line",
+        [
+            (["sweep"], "sweep requires --spec FILE (a sweep specification JSON)"),
+            (["search"], "search requires --spec FILE (a search specification JSON)"),
+            (
+                ["search", "--spec", "{spec}"],
+                "search requires --algorithm NAME (available: "
+                "frontier_bisect, successive_halving)",
+            ),
+            (
+                ["search", "--spec", "{spec}", "--seed", "1"],
+                "search does not take --seed: put the seeds in 'axes' "
+                "(\"seed\": [...]) or set the base spec's \"seed\"",
+            ),
+            (
+                ["workers"],
+                "workers requires an action: start, status, drain "
+                "(e.g. 'chronos-experiments workers status --db queue.sqlite')",
+            ),
+            (
+                ["workers", "status"],
+                "workers requires --db FILE (queue database) or --broker URL (sweep service)",
+            ),
+            (
+                ["trace"],
+                "trace requires a fingerprint "
+                "(e.g. 'chronos-experiments trace <fingerprint> --db queue.sqlite')",
+            ),
+            (
+                ["trace", "abc"],
+                "trace requires --db FILE (queue database) or --broker URL (sweep service)",
+            ),
+            (["serve"], "serve requires --db FILE (the queue database to serve)"),
+            (["export"], "export requires --db FILE (the queue database to read)"),
+            (
+                ["metrics"],
+                "metrics requires --broker URL (a running 'chronos-experiments serve' service)",
+            ),
+            (
+                ["nope"],
+                "unknown experiments: nope (available: figure2, table1, table2, "
+                "figure3, figure4, figure5, all)",
+            ),
+            # A queue or cache file that is not a sqlite database is a
+            # one-line diagnostic, not a sqlite3.DatabaseError traceback.
+            (["sweep", "--spec", "{spec}", "--db", "{bad}"], f"sweep: {NOT_A_DATABASE}"),
+            (["sweep", "--spec", "{spec}", "--cache-dir", "{cache}"], f"sweep: {NOT_A_DATABASE}"),
+            (["export", "--db", "{bad}"], f"export: {NOT_A_DATABASE}"),
+            (["workers", "status", "--db", "{bad}"], f"workers: {NOT_A_DATABASE}"),
+            (["trace", "abc", "--db", "{bad}"], f"trace: {NOT_A_DATABASE}"),
+            (["serve", "--db", "{bad}", "--port", "0"], f"serve: {NOT_A_DATABASE}"),
+        ],
+    )
+    def test_usage_error_exit_code_and_message(self, tmp_path, capsys, argv, first_line):
+        import json
+
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "base": {
+                "workload": {"kind": "benchmark", "params": {"name": "sort", "num_jobs": 3}},
+                "strategy": "s-resume",
+                "cluster": {"num_nodes": 0},
+            },
+            "grid": {"seed": [0, 1]},
+        }))
+        bad = tmp_path / "queue.sqlite"
+        bad.write_text("this is a text file, not a sqlite database\n" * 20)
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        (cache / "results.sqlite").write_text(bad.read_text())
+        paths = {"{spec}": str(spec), "{bad}": str(bad), "{cache}": str(cache)}
+        argv = [paths.get(arg, arg) for arg in argv] + ["--quiet"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[0] == first_line
+        assert "Traceback" not in err
+
+    def test_sqlite_only_commands_leave_the_service_layer_unloaded(self, tmp_path):
+        """``sweep`` and ``search`` import the HTTP/TLS layer only for a --broker."""
+        import json
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        base = {
+            "workload": {"kind": "benchmark", "params": {"name": "sort", "num_jobs": 3}},
+            "strategy": "s-resume",
+            "cluster": {"num_nodes": 0},
+        }
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"base": base, "grid": {"strategy_params.fixed_r": [0, 1]}}))
+        program = (
+            "import sys; from repro.experiments.cli import main; "
+            f"assert main(['sweep', '--spec', {str(spec)!r}, '--quiet']) == 0; "
+            f"assert main(['search', '--spec', {str(spec)!r}, "
+            "'--algorithm', 'successive_halving', '--quiet']) == 0; "
+            "print(sorted({'repro.service', 'ssl'} & set(sys.modules)))"
+        )
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        child = subprocess.run(
+            [sys.executable, "-c", program], capture_output=True, text=True, check=True, env=env
+        )
+        assert child.stdout.strip().splitlines()[-1] == "[]"

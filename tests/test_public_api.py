@@ -29,7 +29,7 @@ from repro import (
 
 class TestPackageSurface:
     def test_version_string(self):
-        assert repro.__version__ == "7.0.0"
+        assert repro.__version__ == "8.0.0"
 
     def test_declared_dependencies_suffice(self):
         """A fresh interpreter imports ``repro.api`` and runs S-Restart without scipy.
@@ -131,6 +131,15 @@ class TestDeprecatedShims:
         assert name not in repro.__all__ and name not in repro.api.__all__
         with pytest.raises(AttributeError):
             getattr(repro, name)
+        with pytest.raises(AttributeError):
+            getattr(repro.api, name)
+
+    @pytest.mark.parametrize("name", ["JobArrived", "JobStarted", "JobFinished"])
+    def test_cluster_job_events_are_gone_in_8_0(self, name):
+        """Nothing emitted them; a cluster run is one scenario to the stream."""
+        import repro.api
+
+        assert name not in repro.api.__all__ and name not in repro.api.EVENT_TYPES.values()
         with pytest.raises(AttributeError):
             getattr(repro.api, name)
 

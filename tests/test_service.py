@@ -385,6 +385,16 @@ class TestHttpResultStore:
         assert fetched.to_dict() == result.to_dict()
 
 
+    def test_results_rpc_does_not_pin_the_store_in_service_memory(self, service):
+        """A full read over the wire leaves the long-lived service's store empty."""
+        from repro.distributed import SqliteResultStore
+
+        with SqliteResultStore(service.db) as local:
+            for seed in range(5):
+                local.put(run(_tiny_spec(seed)))
+        assert len(HttpResultStore(service.url).results()) == 5
+        assert service.server.service._store._memory == {}
+
     def test_payload_reads_take_one_round_trip_per_result_batch(self, service, monkeypatch):
         import math
 

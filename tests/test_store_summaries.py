@@ -118,7 +118,7 @@ class TestStoreSummaries:
         assert {row["fingerprint"] for row in rows} == {r.fingerprint for r in results}
         assert sorted(row["seed"] for row in rows) == [0, 1]
 
-    def test_summary_rows_do_not_fill_the_memory_layer(self, tmp_path):
+    def test_full_scans_do_not_fill_the_memory_layer(self, tmp_path):
         db = tmp_path / "q.sqlite"
         with SqliteResultStore(db) as store:
             store.put(run(_spec()))
@@ -126,7 +126,7 @@ class TestStoreSummaries:
             assert len(store.summary_rows()) == 1
             assert store._memory == {}
             assert len(store.results()) == 1
-            assert len(store._memory) == 1
+            assert store._memory == {}
 
     def test_old_summaries_table_is_ignored(self, tmp_path):
         """Databases written before 7.0 keep their dead ``summaries`` table."""
