@@ -27,7 +27,12 @@ Besides gating, every run appends one line to
 "benchmarks"}``, the commit being ``GITHUB_SHA`` or else ``git rev-parse
 HEAD`` — so the repository accumulates a visible performance
 trajectory instead of a single mutable baseline; disable with
-``--no-trend`` or redirect with ``--trend PATH``.
+``--no-trend`` or redirect with ``--trend PATH``.  The line also carries
+a ``"counters"`` entry with every ``extra_info`` key ending in
+``_per_attempt`` (Python calls per simulated attempt): deterministic
+work counts, recorded but never gated, that read the same on a fast or
+a slow host, so the trajectory shows a cost change that host noise
+hides in the throughputs.
 """
 
 from __future__ import annotations
@@ -51,6 +56,20 @@ DEFAULT_BASELINE = Path(__file__).resolve().parent / "BENCH_baseline.json"
 DEFAULT_TREND = Path(__file__).resolve().parent / "BENCH_trend.jsonl"
 
 
+def _extra_info(bench_json: dict, suffix: str) -> Dict[str, Dict[str, float]]:
+    """``{benchmark name: {key: value}}`` for the numeric keys ending in ``suffix``."""
+    out: Dict[str, Dict[str, float]] = {}
+    for bench in bench_json.get("benchmarks", []):
+        metrics = {
+            key: float(value)
+            for key, value in (bench.get("extra_info") or {}).items()
+            if key.endswith(suffix) and isinstance(value, (int, float))
+        }
+        if metrics:
+            out[bench["name"]] = metrics
+    return out
+
+
 def throughputs(bench_json: dict) -> Dict[str, Dict[str, float]]:
     """Extract ``{benchmark name: {metric: value}}`` throughput numbers.
 
@@ -58,16 +77,12 @@ def throughputs(bench_json: dict) -> Dict[str, Dict[str, float]]:
     benchmark chose to publish; anything else (labels, counts) is
     context, not a gated metric.
     """
-    out: Dict[str, Dict[str, float]] = {}
-    for bench in bench_json.get("benchmarks", []):
-        metrics = {
-            key: float(value)
-            for key, value in (bench.get("extra_info") or {}).items()
-            if key.endswith("_per_sec") and isinstance(value, (int, float))
-        }
-        if metrics:
-            out[bench["name"]] = metrics
-    return out
+    return _extra_info(bench_json, "_per_sec")
+
+
+def counters(bench_json: dict) -> Dict[str, Dict[str, float]]:
+    """Extract the ``_per_attempt`` work counters: recorded, never gated."""
+    return _extra_info(bench_json, "_per_attempt")
 
 
 def compare(
@@ -139,21 +154,26 @@ def current_commit() -> Optional[str]:
     return sha if completed.returncode == 0 and sha else None
 
 
-def append_trend(path: Path, current: Dict[str, Dict[str, float]]) -> None:
-    """Append one run's throughputs to the JSONL trajectory (best effort).
+def append_trend(
+    path: Path,
+    current: Dict[str, Dict[str, float]],
+    counted: Optional[Dict[str, Dict[str, float]]] = None,
+) -> None:
+    """Append one run's throughputs and counters to the JSONL trajectory.
 
-    The commit comes from :func:`current_commit`; a missing or
-    unwritable trend file never fails the gate — the trajectory is an
-    observability aid, not a correctness check.
+    Best effort: the commit comes from :func:`current_commit`; a missing
+    or unwritable trend file never fails the gate — the trajectory is an
+    observability aid, not a correctness check.  ``counted`` (the
+    :func:`counters` of the run) is written only when there are some.
     """
-    line = json.dumps(
-        {
-            "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            "commit": current_commit(),
-            "benchmarks": current,
-        },
-        sort_keys=True,
-    )
+    record = {
+        "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "commit": current_commit(),
+        "benchmarks": current,
+    }
+    if counted:
+        record["counters"] = counted
+    line = json.dumps(record, sort_keys=True)
     try:
         with path.open("a", encoding="utf-8") as handle:
             handle.write(line + "\n")
@@ -195,7 +215,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        current = throughputs(json.loads(args.bench_json.read_text()))
+        data = json.loads(args.bench_json.read_text())
+        current = throughputs(data)
     except (OSError, ValueError) as error:
         print(f"cannot read benchmark JSON {args.bench_json}: {error}", file=sys.stderr)
         return 2
@@ -204,7 +225,7 @@ def main(argv=None) -> int:
         return 2
 
     if not args.no_trend:
-        append_trend(args.trend, current)
+        append_trend(args.trend, current, counters(data))
 
     try:
         baseline = json.loads(args.baseline.read_text())

@@ -11,6 +11,7 @@ micro-second timing stability.
 from __future__ import annotations
 
 import gc
+import sys
 
 import pytest
 
@@ -43,6 +44,28 @@ def run_once(benchmark, func, *args, **kwargs):
     """
     gc.collect()
     return benchmark.pedantic(func, args=args, kwargs=kwargs, rounds=1, iterations=1)
+
+
+def count_calls(func, *args, **kwargs):
+    """Run ``func`` once; return its result and the Python calls it made.
+
+    The count comes from ``sys.setprofile`` (``tests/test_simulator_cost.py``
+    counts the same way).  It does not depend on the host's speed, so it
+    pins a cost relation exactly where a wall-clock ratio is noisy.
+    """
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        result = func(*args, **kwargs)
+    finally:
+        sys.setprofile(None)
+    return result, calls
 
 
 def attach_tables(benchmark, tables) -> None:

@@ -3,17 +3,28 @@
 Not tied to a specific table/figure: these measure how fast the
 discrete-event simulator processes a trace, which is what determines how
 close to the paper's full 2700-job / 1M-task scale the harness can run.
+Each also records ``python_calls_per_attempt`` from a separate, untimed
+run under a ``sys.setprofile`` counter: a work count that does not
+depend on the host's speed, which ``check_trend.py`` writes into the
+trend line without gating it.
 """
 
 from __future__ import annotations
 
-from conftest import run_once
+from conftest import count_calls, run_once
 
 from repro.core.model import StrategyName
 from repro.simulator.cluster import ClusterConfig
 from repro.simulator.runner import SimulationRunner
 from repro.strategies import StrategyParameters, build_strategy
 from repro.traces.google_trace import GoogleTraceConfig, SyntheticGoogleTrace
+
+
+def record_calls_per_attempt(benchmark, run, *args) -> None:
+    """Count one more, untimed ``run(*args)`` into ``extra_info``."""
+    report, calls = count_calls(run, *args)
+    attempts = sum(record.num_attempts for record in report.job_records)
+    benchmark.extra_info["python_calls_per_attempt"] = calls / attempts
 
 
 def test_bench_trace_simulation_throughput(benchmark):
@@ -24,9 +35,9 @@ def test_bench_trace_simulation_throughput(benchmark):
     )
     runner = SimulationRunner(cluster=ClusterConfig(num_nodes=0), seed=3)
 
-    report = run_once(
-        benchmark, runner.run, jobs, build_strategy(StrategyName.SPECULATIVE_RESUME, params)
-    )
+    strategy = build_strategy(StrategyName.SPECULATIVE_RESUME, params)
+    report = run_once(benchmark, runner.run, jobs, strategy)
+    record_calls_per_attempt(benchmark, runner.run, jobs, strategy)
     mean_s = max(benchmark.stats.stats.mean, 1e-9)
     benchmark.extra_info["jobs"] = report.num_jobs
     benchmark.extra_info["pocd"] = report.pocd
@@ -43,7 +54,9 @@ def test_bench_contended_cluster_simulation(benchmark):
     params = StrategyParameters(tau_est=40.0, tau_kill=80.0, theta=1e-4)
     runner = SimulationRunner(cluster=ClusterConfig(num_nodes=40, slots_per_node=8), seed=4)
 
-    report = run_once(benchmark, runner.run, jobs, build_strategy(StrategyName.CLONE, params))
+    strategy = build_strategy(StrategyName.CLONE, params)
+    report = run_once(benchmark, runner.run, jobs, strategy)
+    record_calls_per_attempt(benchmark, runner.run, jobs, strategy)
     mean_s = max(benchmark.stats.stats.mean, 1e-9)
     benchmark.extra_info["pocd"] = report.pocd
     benchmark.extra_info["scenarios_per_sec"] = 1.0 / mean_s

@@ -23,6 +23,8 @@ import time
 
 import pytest
 
+from conftest import count_calls
+
 from repro.api import ScenarioSpec, WorkloadSpec, job_spec_to_dict, run_specs, stream_specs
 from repro.simulator.entities import JobSpec
 
@@ -163,7 +165,7 @@ OVERHEAD_ROUNDS = 9
 
 
 def test_event_stream_overhead(benchmark):
-    """Streaming a sweep must cost within 5% of the blocking call.
+    """Streaming a sweep must cost within 5% of the blocking call, and no more calls.
 
     ``run_specs`` *is* a consumer of ``stream_specs``, so draining the
     stream by hand does strictly less work (no result assembly); this
@@ -197,6 +199,14 @@ def test_event_stream_overhead(benchmark):
     benchmark.extra_info["overhead_ratio"] = stream_min / max(blocking_min, 1e-9)
     assert stream_min <= blocking_min * 1.05, (
         f"event stream added {stream_min / blocking_min - 1:.1%} over the blocking drain"
+    )
+    # The same relation in Python calls, which no host noise moves.
+    _, stream_calls = count_calls(drain_stream)
+    _, blocking_calls = count_calls(run_specs, specs, executor="inline")
+    benchmark.extra_info["stream_calls"] = stream_calls
+    benchmark.extra_info["blocking_calls"] = blocking_calls
+    assert stream_calls <= blocking_calls, (
+        f"event stream made {stream_calls} Python calls, the blocking drain {blocking_calls}"
     )
 
 

@@ -98,7 +98,7 @@ from repro.distributions import ParetoDistribution
 from repro.simulator import ClusterConfig, JobSpec, SimulationReport
 from repro.strategies import StrategyParameters
 
-__version__ = "8.0.0"
+__version__ = "9.0.0"
 
 __all__ = [
     "__version__",

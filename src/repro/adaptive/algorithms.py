@@ -123,6 +123,16 @@ class AlgorithmAdapter(ABC):
         best = self.best_trial_id()
         return () if best is None else (best,)
 
+    def config_params(self, params: Mapping[str, Any]) -> Dict[str, Any]:
+        """The configuration a trial's ``params`` evaluate.
+
+        An algorithm that spends a resource axis on each config
+        (``successive_halving`` over seeds) leaves that axis out: its
+        answer is the config, ranked by the mean of
+        :meth:`best_trial_ids`.  The default is every param.
+        """
+        return dict(params)
+
 
 #: Algorithm name -> factory ``(axes, **params) -> AlgorithmAdapter``.
 ALGORITHMS: Registry[Callable[..., AlgorithmAdapter]] = Registry("algorithm")
@@ -342,6 +352,10 @@ class SuccessiveHalving(AlgorithmAdapter):
         if not self._done or not self._survivors:
             return ()
         return tuple(self._scores[self._survivors[0]])
+
+    def config_params(self, params: Mapping[str, Any]) -> Dict[str, Any]:
+        """``params`` without the resource axis."""
+        return {key: value for key, value in params.items() if key != self._resource_axis}
 
 
 register_algorithm("successive_halving", SuccessiveHalving)

@@ -126,7 +126,7 @@ def stream_search(
     broker: Optional[str] = None,
     lease_timeout: Optional[float] = None,
     cancel: Optional[CancelToken] = None,
-    stop: Union[None, str, StopCondition] = None,
+    stop: Optional[StopCondition] = None,
     on_failure: str = "continue",
 ) -> Iterator[SweepEvent]:
     """Run an adaptive search, yielding events as they happen.
@@ -370,7 +370,7 @@ def _search_stream(
                 note(event)
                 mirror.log("trial-pruned", None, detail=f"{proposal.trial_id}: {reason}")
 
-        best, best_objective = _resolve_best(algo, book)
+        best, best_objective, best_config = _resolve_best(algo, book)
         finished = SearchFinished(
             algorithm=algo.name,
             objective=objective.name,
@@ -381,6 +381,7 @@ def _search_stream(
             failures=failures,
             best_trial_id=best.trial_id if best is not None else None,
             best_objective=best_objective,
+            best_config=best_config,
             cancelled=token.cancelled() and not stopped,
             stopped=stopped,
             elapsed_s=clock(),
@@ -403,12 +404,13 @@ def _search_stream(
 
 def _resolve_best(
     algo: AlgorithmAdapter, book: TrialLedger
-) -> Tuple[Optional[TrialRecord], Optional[float]]:
-    """The search's answer and its objective.
+) -> Tuple[Optional[TrialRecord], Optional[float], Optional[Dict[str, Any]]]:
+    """The search's answer, its objective and the config it names.
 
     The algorithm's pick, reported with the mean objective of the trials
-    it was ranked by (:meth:`AlgorithmAdapter.best_trial_ids`); else the
-    ledger's best completed score.
+    it was ranked by (:meth:`AlgorithmAdapter.best_trial_ids`) and the
+    algorithm's config of it (:meth:`AlgorithmAdapter.config_params`);
+    else the ledger's best completed trial, whole.
     """
     best_id = algo.best_trial_id()
     if best_id is not None:
@@ -419,9 +421,12 @@ def _resolve_best(
                 for peer in map(book.get, algo.best_trial_ids())
                 if peer is not None and peer.state == "completed" and peer.objective is not None
             ]
-            return record, sum(values) / len(values) if values else record.objective
+            objective = sum(values) / len(values) if values else record.objective
+            return record, objective, algo.config_params(record.params)
     best = book.best()
-    return best, best.objective if best is not None else None
+    if best is None:
+        return None, None, None
+    return best, best.objective, dict(best.params)
 
 
 @dataclass(frozen=True)
@@ -436,7 +441,9 @@ class SearchResult:
     ``successive_halving``), otherwise the completed trial with the best
     oriented score.  ``best_objective`` is the answer's raw objective
     value: for ``successive_halving`` the surviving config's mean over
-    its completed trials, the value it was ranked by.
+    its completed trials, the value it was ranked by.  ``best_config``
+    is the config that value belongs to: ``best``'s params without the
+    algorithm's resource axis (``successive_halving``'s seeds).
     """
 
     algorithm: str
@@ -451,6 +458,7 @@ class SearchResult:
     wall_time_s: float
     cancelled: bool = False
     stopped: bool = False
+    best_config: Optional[Dict[str, Any]] = None
 
     def __len__(self) -> int:
         """Number of recorded trials."""
@@ -467,8 +475,8 @@ class SearchResult:
 
     @property
     def best_params(self) -> Optional[Dict[str, Any]]:
-        """The winning override mapping, or ``None``."""
-        return dict(self.best.params) if self.best is not None else None
+        """The winning config's override mapping, or ``None``."""
+        return dict(self.best_config) if self.best_config is not None else None
 
     @property
     def completed(self) -> Tuple[TrialRecord, ...]:
@@ -511,16 +519,17 @@ class SearchResult:
             f"{self.pruned} pruned, {self.failures} failed), {self.wall_time_s:.1f}s"
         )
         if self.best is not None:
+            config = self.best_params or {}
+            # A trial id names the answer only when the answer is one trial.
+            label = "" if config != self.best.params else f" {self.best.trial_id}"
             summary += (
-                f"\nbest: {self.best.trial_id} {self.objective}="
+                f"\nbest:{label} {self.objective}="
                 + "{:.4g}".format(self.best_objective)
                 + (
                     " ("
-                    + ", ".join(
-                        f"{key}={value}" for key, value in sorted(self.best.params.items())
-                    )
+                    + ", ".join(f"{key}={value}" for key, value in sorted(config.items()))
                     + ")"
-                    if self.best.params
+                    if config
                     else ""
                 )
             )
@@ -550,7 +559,7 @@ def run_search(
     lease_timeout: Optional[float] = None,
     on_event: Optional[Callable[[SweepEvent], None]] = None,
     cancel: Optional[CancelToken] = None,
-    stop: Union[None, str, StopCondition] = None,
+    stop: Optional[StopCondition] = None,
     on_failure: str = "continue",
 ) -> SearchResult:
     """Run an adaptive search to completion (or interruption).
@@ -615,12 +624,15 @@ def run_search(
         records = tuple(book.records())
         best: Optional[TrialRecord] = None
         best_objective: Optional[float] = None
+        best_config: Optional[Dict[str, Any]] = None
         if finished is not None and finished.best_trial_id is not None:
             best = book.get(finished.best_trial_id)
             best_objective = finished.best_objective
+            best_config = finished.best_config
         if best is None:
             best = book.best()
             best_objective = best.objective if best is not None else None
+            best_config = dict(best.params) if best is not None else None
         cancelled = interrupted or bool(finished and finished.cancelled)
         if not cancelled and finished is None and cancel is not None:
             cancelled = cancel.cancelled()
@@ -643,6 +655,7 @@ def run_search(
             ),
             cancelled=cancelled,
             stopped=bool(finished and finished.stopped),
+            best_config=best_config,
         )
     finally:
         if own_ledger:

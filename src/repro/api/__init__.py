@@ -32,9 +32,8 @@ Execution is event driven: :meth:`Sweep.stream` / :func:`stream_specs`
 yield :mod:`repro.api.events` objects as scenarios complete (the
 blocking calls above are thin consumers of the same stream), a
 :class:`CancelToken` turns Ctrl-C into a *partial* result instead of
-lost work, and :func:`register_stop_condition` plugs in early-stopping
-predicates (``stop="max_failures"``, ``stop="first_deadline_miss"``,
-or any callable over the incoming events)::
+lost work, and ``stop=`` takes any early-stopping callable over the
+incoming events (``stop=max_failures()``, ``stop=first_deadline_miss()``)::
 
     for event in sweep.stream(jobs=4):
         if isinstance(event, ScenarioCompleted):
@@ -98,17 +97,15 @@ from repro.api.spec import (
 )
 from repro.api.sweep import (
     EXECUTORS,
-    STOP_CONDITIONS,
     CancelToken,
     ResultStore,
     StopCondition,
     Sweep,
     SweepResult,
-    available_stop_conditions,
     default_executor,
     default_on_event,
-    make_stop_condition,
-    register_stop_condition,
+    first_deadline_miss,
+    max_failures,
     run_specs,
     set_default_executor,
     set_default_on_event,
@@ -148,10 +145,8 @@ __all__ = [
     # streaming control
     "CancelToken",
     "StopCondition",
-    "STOP_CONDITIONS",
-    "register_stop_condition",
-    "make_stop_condition",
-    "available_stop_conditions",
+    "max_failures",
+    "first_deadline_miss",
     # events
     "SweepEvent",
     "SweepStarted",

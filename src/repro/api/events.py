@@ -241,6 +241,8 @@ class SearchFinished(SweepEvent):
     failures: int = 0
     best_trial_id: Optional[str] = None
     best_objective: Optional[float] = None
+    #: The answer's config: its params without the algorithm's resource axis.
+    best_config: Optional[Dict[str, Any]] = None
     cancelled: bool = False
     stopped: bool = False
     elapsed_s: float = 0.0

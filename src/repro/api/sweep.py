@@ -17,12 +17,13 @@ scenarios complete; the blocking :func:`run_specs` / :meth:`Sweep.run`
 are thin consumers of the same stream that assemble a
 :class:`SweepResult`.  On top of the stream sit cooperative cancellation
 (:class:`CancelToken`; Ctrl-C returns a *partial* result instead of
-losing finished work) and registry-pluggable early stopping
-(:func:`register_stop_condition`).
+losing finished work) and early stopping on any callable over the
+events (:func:`max_failures` and :func:`first_deadline_miss` build the
+two common ones).
 
 Example::
 
-    from repro.api import CancelToken, ScenarioSpec, Sweep, WorkloadSpec
+    from repro.api import CancelToken, ScenarioSpec, Sweep, WorkloadSpec, max_failures
 
     base = ScenarioSpec(
         workload=WorkloadSpec("google-trace", {"num_jobs": 50}),
@@ -36,7 +37,7 @@ Example::
         print(event.kind, getattr(event, "fingerprint", ""))
 
     token = CancelToken()                        # cancellable blocking run
-    result = sweep.run(jobs=4, cancel=token, stop="max_failures")
+    result = sweep.run(jobs=4, cancel=token, stop=max_failures())
     print(result.to_text())
 """
 
@@ -75,7 +76,6 @@ from repro.api.events import (
     SweepStarted,
 )
 from repro.api.facade import ScenarioResult, execute, spec_from_dict
-from repro.api.registry import Registry
 from repro.api.spec import ScenarioSpec, SpecValidationError
 from repro.simulator.metrics import SimulationReport
 from repro import telemetry
@@ -262,40 +262,12 @@ class CancelToken:
 #: A stop condition: called with every sweep event, returns True to stop.
 StopCondition = Callable[[SweepEvent], bool]
 
-#: Registry of stop-condition *factories*: each call builds a fresh,
-#: possibly stateful condition (counters must not leak across sweeps).
-STOP_CONDITIONS: Registry[Callable[..., StopCondition]] = Registry("stop condition")
-
-
-def register_stop_condition(name: str, factory: Optional[Callable[..., StopCondition]] = None):
-    """Register a stop-condition factory (usable as a decorator).
-
-    A factory takes keyword configuration and returns a fresh callable
-    ``condition(event) -> bool``; the sweep stops early (returning a
-    partial result with ``stopped=True``) the first time the condition
-    answers ``True``.  Factories registered here can be named by string
-    in ``run_specs(..., stop="max_failures")``.
-    """
-    return STOP_CONDITIONS.register(name, factory)
-
-
-def make_stop_condition(name: str, **kwargs: Any) -> StopCondition:
-    """Instantiate a registered stop condition by name."""
-    return STOP_CONDITIONS.get(name)(**kwargs)
-
-
-def available_stop_conditions() -> tuple:
-    """Names of the registered stop-condition factories."""
-    return STOP_CONDITIONS.names()
-
-
-@register_stop_condition("max_failures")
-def _max_failures(limit: int = 1) -> StopCondition:
-    """Stop once ``limit`` scenarios have failed.
+def max_failures(limit: int = 1) -> StopCondition:
+    """A fresh stop condition: stop once ``limit`` scenarios have failed.
 
     Pair with ``on_failure="continue"`` — under the default
     ``on_failure="raise"`` the first failure raises before a second one
-    can ever be counted.
+    can ever be counted.  The condition counts, so build one per sweep.
     """
     if limit < 1:
         raise ValueError("limit must be a positive integer")
@@ -310,9 +282,8 @@ def _max_failures(limit: int = 1) -> StopCondition:
     return condition
 
 
-@register_stop_condition("first_deadline_miss")
-def _first_deadline_miss() -> StopCondition:
-    """Stop at the first scenario whose report shows a missed deadline.
+def first_deadline_miss() -> StopCondition:
+    """A stop condition: stop at the first scenario that missed a deadline.
 
     The Chronos question is often binary — "does this configuration keep
     PoCD at 1.0?" — and a 10⁴-scenario sweep can stop the moment the
@@ -327,17 +298,11 @@ def _first_deadline_miss() -> StopCondition:
     return condition
 
 
-def _resolve_stop(stop: Union[None, str, StopCondition]) -> Optional[StopCondition]:
-    """A ready stop condition from a name, a callable, or ``None``."""
-    if stop is None:
-        return None
-    if isinstance(stop, str):
-        return make_stop_condition(stop)
-    if callable(stop):
+def _resolve_stop(stop: Optional[StopCondition]) -> Optional[StopCondition]:
+    """``stop`` itself, once it is known to be a callable or ``None``."""
+    if stop is None or callable(stop):
         return stop
-    raise ValueError(
-        f"stop must be a callable, a registered name or None, got {type(stop).__name__}"
-    )
+    raise ValueError(f"stop must be a callable or None, got {type(stop).__name__}")
 
 
 # ----------------------------------------------------------------------
@@ -512,7 +477,7 @@ def stream_specs(
     broker: Optional[str] = None,
     lease_timeout: Optional[float] = None,
     cancel: Optional[CancelToken] = None,
-    stop: Union[None, str, StopCondition] = None,
+    stop: Optional[StopCondition] = None,
     on_failure: str = "raise",
 ) -> Iterator[SweepEvent]:
     """Run a batch of scenarios, yielding events as they happen.
@@ -532,11 +497,10 @@ def stream_specs(
         the work in flight, release unclaimed queue tasks and leases,
         and end the stream early (``SweepFinished.cancelled``).
     stop:
-        A stop condition — a callable ``condition(event) -> bool`` or
-        the name of a factory registered via
-        :func:`register_stop_condition` (``"max_failures"``,
-        ``"first_deadline_miss"``, ...).  Evaluated against every event;
-        the first ``True`` ends the sweep (``SweepFinished.stopped``).
+        A stop condition, a callable ``condition(event) -> bool`` such
+        as ``max_failures()`` or ``first_deadline_miss()``.  Evaluated
+        against every event; the first ``True`` ends the sweep
+        (``SweepFinished.stopped``).
     on_failure:
         ``"raise"`` (default) re-raises a scenario's error out of the
         stream after emitting ``ScenarioFailed`` — the pre-streaming
@@ -787,7 +751,7 @@ def run_specs(
     lease_timeout: Optional[float] = None,
     on_event: Optional[Callable[[SweepEvent], None]] = None,
     cancel: Optional[CancelToken] = None,
-    stop: Union[None, str, StopCondition] = None,
+    stop: Optional[StopCondition] = None,
     on_failure: str = "raise",
 ) -> SweepResult:
     """Run a batch of scenarios, deduplicated by fingerprint.
@@ -854,7 +818,7 @@ def run_specs(
         the scenarios it is running (they join the result); Ctrl-C
         stops at once.
     stop:
-        Early-stopping condition (callable or registered name); see
+        Early-stopping condition (a callable); see
         :func:`stream_specs`.  A tripped condition returns a partial
         result with ``stopped=True``.
     on_failure:
@@ -1021,7 +985,7 @@ class Sweep:
         lease_timeout: Optional[float] = None,
         on_event: Optional[Callable[[SweepEvent], None]] = None,
         cancel: Optional[CancelToken] = None,
-        stop: Union[None, str, StopCondition] = None,
+        stop: Optional[StopCondition] = None,
         on_failure: str = "raise",
     ) -> SweepResult:
         """Execute the sweep (see :func:`run_specs`)."""
@@ -1051,7 +1015,7 @@ class Sweep:
         broker: Optional[str] = None,
         lease_timeout: Optional[float] = None,
         cancel: Optional[CancelToken] = None,
-        stop: Union[None, str, StopCondition] = None,
+        stop: Optional[StopCondition] = None,
         on_failure: str = "raise",
     ) -> Iterator[SweepEvent]:
         """Execute the sweep as an event stream (see :func:`stream_specs`)."""

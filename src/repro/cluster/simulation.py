@@ -3,9 +3,9 @@
 The controller layers a job-arrival process and a cluster-level
 admission scheduler over the existing single-job machinery.  Each
 admitted job gets its own Application Master, but *all* jobs share one
-engine, one :class:`~repro.simulator.cluster.Cluster` and one Resource
-Manager — so running jobs contend for container slots exactly the way
-concurrent applications do on a real YARN cluster.
+engine and one Resource Manager, which counts the cluster's busy slots —
+so running jobs contend for container slots exactly the way concurrent
+applications do on a real YARN cluster.
 
 The per-job lifecycle is an explicit state machine::
 
@@ -170,7 +170,7 @@ class ClusterSimulation:
         picks = self._scheduler.select(
             tuple(self._queue),
             tuple(self._running),
-            self._simulation.cluster.free_slots,
+            self._simulation.resource_manager.free_slots,
             self._engine.now,
         )
         for job in picks:

@@ -15,14 +15,14 @@ small and free of simulator plumbing.
 from __future__ import annotations
 
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 import numpy as np
 
 from repro.distributions import sample_stream, vectorized_batch_size
 from repro.hadoop.config import HadoopConfig
 from repro.hadoop.node_manager import NodeManager
-from repro.hadoop.resource_manager import ContainerRequest, ResourceManager
+from repro.hadoop.resource_manager import ResourceManager
 from repro.simulator.engine import Event, SimulationEngine
 from repro.simulator.entities import Attempt, AttemptStatus, Job, Task
 from repro.simulator.metrics import JobRecord, MetricsCollector
@@ -69,7 +69,6 @@ class ApplicationMaster:
         self._on_job_complete = on_job_complete
         #: The run's profiler: Algorithm 1 cache misses are timed into it.
         self.profiler = profiler
-        self._pending_requests: Dict[int, ContainerRequest] = {}
         self._scheduled_events: List[Event] = []
         self._finished = False
         #: Speculative (non-original) attempts this AM has killed; the
@@ -171,20 +170,15 @@ class ApplicationMaster:
             return None
         attempt = Attempt(task, self._engine.now, start_offset, is_original)
         task.attempts.append(attempt)
-        self._pending_requests[attempt.attempt_id] = self._rm.request_container(
-            self._on_container_granted, attempt
-        )
+        self._rm.request_container(attempt, self._on_container_granted)
         return attempt
 
     def kill_attempt(self, attempt: Attempt) -> None:
-        """Kill an attempt, cancelling its container request if still queued."""
-        request = self._pending_requests.pop(attempt.attempt_id, None)
+        """Kill an attempt; a queued one is skipped when the RM reaches it."""
         status = attempt.status
         if status is _RUNNING:
             self._nm.kill(attempt)
         elif status is _WAITING:
-            if request is not None:
-                request.cancelled = True
             attempt.mark_killed(self._engine.now)
         else:
             return
@@ -194,11 +188,11 @@ class ApplicationMaster:
     def kill_all_but(self, task: Task, survivor: Attempt) -> int:
         """Kill every live attempt of ``task`` except ``survivor``; return count."""
         killed = 0
-        for attempt in task.live_attempts:
-            if attempt is survivor:
-                continue
-            self.kill_attempt(attempt)
-            killed += 1
+        for attempt in task.attempts:
+            status = attempt.status
+            if attempt is not survivor and (status is _RUNNING or status is _WAITING):
+                self.kill_attempt(attempt)
+                killed += 1
         return killed
 
     def keep_best_attempt(self, task: Task, by: str = "progress") -> Optional[Attempt]:
@@ -216,9 +210,9 @@ class ApplicationMaster:
         if not live:
             return None
         if by == "progress":
-            best = max(live, key=lambda a: observed_progress(a, self._engine.now))
+            best = max(live, key=partial(observed_progress, now=self._engine.now))
         elif by == "estimate":
-            best = min(live, key=lambda a: self.estimate_completion(a))
+            best = min(live, key=self.estimate_completion)
         else:
             raise ValueError(f"unknown selection criterion: {by!r}")
         self.kill_all_but(task, best)
@@ -252,15 +246,12 @@ class ApplicationMaster:
     # Internals
     # ------------------------------------------------------------------
     def _on_container_granted(self, attempt: Attempt) -> None:
-        self._pending_requests.pop(attempt.attempt_id, None)
-        if (
-            attempt.status is not _WAITING
-            or attempt.task.completion_time is not None
-            or self._finished
-        ):
-            # The attempt became irrelevant while the request was queued.
+        if attempt.status is not _WAITING:
+            # Killed during the grant delay.  A waiting attempt belongs to
+            # an incomplete task of an unfinished job: a task's completion
+            # kills its waiting attempts, and no attempt is launched for a
+            # complete task or a finished job.
             self._rm.release_container()
-            attempt.mark_killed(self._engine.now)  # a no-op for a finished attempt
             return
         # ``start_offset`` lies in [0, 1), so the work fraction is in (0, 1].
         processing_time = next(self._duration_samples) * (1.0 - attempt.start_offset)
@@ -272,12 +263,17 @@ class ApplicationMaster:
             return
         now = self._engine.now
         task.completion_time = now
+        job = self._job
+        job.remaining_tasks -= 1
         # Redundant attempts are killed as soon as one attempt succeeds.
         if task.live:
-            for other in task.live_attempts:
-                self.kill_attempt(other)
+            for other in task.attempts:
+                status = other.status
+                if status is _RUNNING or status is _WAITING:
+                    self.kill_attempt(other)
         self._strategy.on_task_complete(self, task, attempt)
-        if self._job.try_finish(now):
+        if not job.remaining_tasks:
+            job.completion_time = now
             self._finalize()
 
     def release(self) -> None:
@@ -295,7 +291,6 @@ class ApplicationMaster:
             task.attempts.clear()
         job.tasks.clear()
         # A run cut short by max_events leaves callbacks into this AM.
-        self._pending_requests.clear()
         self._scheduled_events.clear()
         self._on_job_complete = None
 
@@ -304,7 +299,7 @@ class ApplicationMaster:
             return
         self._finished = True
         for event in self._scheduled_events:
-            event.cancel()
+            event.cancelled = True
         self._scheduled_events.clear()
         record = None
         if self._metrics is not None:

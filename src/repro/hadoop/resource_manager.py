@@ -3,70 +3,69 @@
 Application Masters ask the RM for containers; when the cluster has free
 slots the request is granted after a small heartbeat delay, otherwise the
 request joins a FIFO queue and is granted as soon as a container is
-released.  Requests can be cancelled (e.g. when the attempt they were for
-is killed before a container was ever granted).
+released.
 
-A request carries a callback and its arguments:
-``request_container(callback, *args)`` ends in ``callback(*args)`` once
-a slot is granted.  Callers pass a bound method and the attempt instead
-of building a closure per request.  A grant hands over no container
-object: the cluster is a count of identical slots, and whoever holds a
-slot gives it back with ``release_container()``.
+An attempt is its own request: ``request_container(attempt, on_grant)``
+ends in ``on_grant(attempt)`` once a slot is granted.  An attempt killed
+while it waits in the queue is skipped when it reaches the head, so no
+request object needs cancelling.  An attempt killed during the grant
+delay still receives the grant, and the receiver hands the slot back
+with ``release_container()``.
+
+The cluster is a count of identical slots (neither the paper's model nor
+this simulator has data locality or heterogeneous nodes), and the RM is
+what counts the busy ones.  A grant hands over no container object:
+whoever holds a slot gives it back with ``release_container()``.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Tuple
+from typing import Callable, Deque, Optional, Tuple
 
 from repro.hadoop.config import HadoopConfig
-from repro.simulator.cluster import Cluster
+from repro.simulator.cluster import ClusterConfig
 from repro.simulator.engine import SimulationEngine
+from repro.simulator.entities import Attempt, AttemptStatus
 
-# Callback invoked as ``callback(*args)`` when a container is granted for
-# a request.
-GrantCallback = Callable[..., None]
+# Called as ``on_grant(attempt)`` when a container is granted for it.
+GrantCallback = Callable[[Attempt], None]
 
-
-@dataclass(slots=True)
-class ContainerRequest:
-    """A pending request for one container."""
-
-    callback: GrantCallback = field(repr=False)
-    args: Tuple[Any, ...] = field(default=(), repr=False)
-    cancelled: bool = False
-
-    def cancel(self) -> None:
-        """Withdraw the request; a queued request will simply be skipped."""
-        self.cancelled = True
+_WAITING = AttemptStatus.WAITING
 
 
 class ResourceManager:
-    """Grants containers from the cluster, queueing requests when full."""
+    """Grants containers from the cluster's slots, queueing attempts when full.
 
-    def __init__(self, engine: SimulationEngine, cluster: Cluster, config: HadoopConfig):
+    An unbounded cluster (``num_nodes=0``) grants every request.
+    """
+
+    def __init__(self, engine: SimulationEngine, cluster: ClusterConfig, config: HadoopConfig):
         self._engine = engine
         self._cluster = cluster
-        self._config = config
         self._grant_delay = config.container_grant_delay
-        self._pending: Deque[ContainerRequest] = deque()
-        self._granted = 0
+        # Read on every request; the config is frozen.
+        self._capacity = math.inf if cluster.unbounded else cluster.total_slots
+        self._in_use = 0
+        self._pending: Deque[Tuple[Attempt, GrantCallback]] = deque()
 
     @property
-    def cluster(self) -> Cluster:
-        """The underlying cluster."""
-        return self._cluster
+    def containers_in_use(self) -> int:
+        """Number of slots currently granted."""
+        return self._in_use
+
+    @property
+    def free_slots(self) -> Optional[int]:
+        """Free slots across the cluster, or ``None`` when unbounded."""
+        if self._cluster.unbounded:
+            return None
+        return self._cluster.total_slots - self._in_use
 
     @property
     def pending_requests(self) -> int:
-        """Number of container requests waiting for capacity."""
-        return sum(1 for request in self._pending if not request.cancelled)
-
-    @property
-    def granted_containers(self) -> int:
-        """Total number of containers granted so far."""
-        return self._granted
+        """Number of queued attempts still waiting for a container."""
+        return sum(1 for attempt, _ in self._pending if attempt.status is _WAITING)
 
     def has_idle_capacity(self) -> bool:
         """Free slots exist and nothing is waiting for them.
@@ -74,22 +73,24 @@ class ResourceManager:
         Mantri's launch rule ("if there is an available container and no
         task waiting for a container") consults exactly this predicate.
         """
-        return self._cluster.has_capacity() and self.pending_requests == 0
+        return self._in_use < self._capacity and self.pending_requests == 0
 
-    def request_container(self, callback: GrantCallback, *args: Any) -> ContainerRequest:
-        """Request one container; ``callback(*args)`` runs when it is granted."""
-        request = ContainerRequest(callback, args)
-        if not self._cluster.allocate():
-            self._pending.append(request)
-        elif self._grant_delay > 0:
-            self._engine.schedule_after(self._grant_delay, self._deliver, request)
+    def request_container(self, attempt: Attempt, on_grant: GrantCallback) -> None:
+        """Request one container for ``attempt``; ``on_grant(attempt)`` runs when granted."""
+        if self._in_use >= self._capacity:
+            self._pending.append((attempt, on_grant))
+            return
+        self._in_use += 1
+        if self._grant_delay > 0:
+            self._engine.schedule_after(self._grant_delay, on_grant, attempt)
         else:
-            self._deliver(request)
-        return request
+            on_grant(attempt)
 
     def release_container(self) -> None:
-        """Release a container and hand the slot to the next queued request."""
-        self._cluster.release()
+        """Release a container and hand the slot to the next queued attempt."""
+        if self._in_use <= 0:
+            raise RuntimeError("release of a container slot while none is in use")
+        self._in_use -= 1
         if self._pending:
             self._drain_queue()
 
@@ -103,20 +104,15 @@ class ResourceManager:
     def _drain_queue(self) -> None:
         pending = self._pending
         while pending:
-            if pending[0].cancelled:
-                pending.popleft()
+            attempt, on_grant = pending[0]
+            if attempt.status is not _WAITING:
+                pending.popleft()  # killed while it waited
                 continue
-            if not self._cluster.allocate():
+            if self._in_use >= self._capacity:
                 return
+            pending.popleft()
+            self._in_use += 1
             if self._grant_delay > 0:
-                self._engine.schedule_after(self._grant_delay, self._deliver, pending.popleft())
+                self._engine.schedule_after(self._grant_delay, on_grant, attempt)
             else:
-                self._deliver(pending.popleft())
-
-    def _deliver(self, request: ContainerRequest) -> None:
-        if request.cancelled:
-            # The requester no longer needs the container; return it.
-            self.release_container()
-            return
-        self._granted += 1
-        request.callback(*request.args)
+                on_grant(attempt)

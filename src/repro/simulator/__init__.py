@@ -22,7 +22,7 @@ low-level entry point remains available for custom setups::
     print(report.pocd, report.total_cost)
 """
 
-from repro.simulator.cluster import Cluster, ClusterConfig
+from repro.simulator.cluster import ClusterConfig
 from repro.simulator.engine import Event, SimulationEngine
 from repro.simulator.entities import (
     Attempt,
@@ -43,7 +43,6 @@ __all__ = [
     "SpeculationStrategyProtocol",
     "SimulationEngine",
     "Event",
-    "Cluster",
     "ClusterConfig",
     "JobSpec",
     "Job",

@@ -3,36 +3,44 @@
 The engine keeps a priority queue of timestamped events; each event wraps
 a callback.  Ties are broken by insertion order so runs are fully
 deterministic for a given seed, which the test suite relies on.  The heap
-itself stores immutable ``(time, sequence, event)`` triples, so ordering
+stores immutable ``(time, sequence, callback, args)`` tuples, so ordering
 can never be perturbed by mutation of an already-scheduled event — the
 tie-break by insertion sequence is structural, not incidental.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import sys
-from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Tuple
+from functools import cached_property
+from heapq import heappop, heappush
+from operator import itemgetter
+from typing import Any, Callable, List, Optional
 
 import numpy as np
 
 
-@dataclass(slots=True)
-class Event:
-    """A scheduled callback.
+class Event(tuple):
+    """A scheduled callback: the heap entry ``(time, sequence, callback, args)``.
 
-    The heap orders events by their ``(time, sequence)`` key; two
-    ``Event`` objects are never compared with each other.
+    The heap holds the events themselves.  An event is a ``tuple``
+    subclass, built in C with no Python-level ``__init__`` (every attempt
+    schedules two), and its ``(time, sequence)`` key is fixed when it is
+    scheduled: a tuple cannot be mutated, so the order is structural.
+    Sequences are unique, so two events never compare past their key.
+    What may change later lives in the instance dict: :meth:`cancel`
+    sets ``cancelled``, and the engine drops a cancelled event when it
+    pops it.
     """
 
-    time: float
-    sequence: int
-    callback: Callable[..., None]
-    args: tuple = ()
-    cancelled: bool = False
+    #: Set on the instance by :meth:`cancel`.
+    cancelled = False
+
+    sequence = property(itemgetter(1))
+    #: A non-data descriptor: assigning ``time`` stores a value on the
+    #: instance and leaves the heap key as it was scheduled.
+    time = cached_property(itemgetter(0))
 
     def cancel(self) -> None:
         """Mark the event so it is skipped when popped."""
@@ -54,7 +62,7 @@ class SimulationEngine:
         #: Current simulation time (seconds).  A plain attribute, not a
         #: property: the hadoop layer reads it several times per attempt.
         self.now = 0.0
-        self._queue: List[Tuple[float, int, Event]] = []
+        self._queue: List[Event] = []
         self._sequence = itertools.count()
         self._processed = 0
         self._seed_sequence = np.random.SeedSequence(seed)
@@ -94,12 +102,8 @@ class SimulationEngine:
             raise ValueError(
                 f"cannot schedule an event in the past (now={self.now}, requested={time})"
             )
-        sequence = next(self._sequence)
-        event = Event(time, sequence, callback, args)
-        # The heap entry is an immutable (time, sequence, event) triple:
-        # even if callers mutate the Event after scheduling, the queue
-        # order stays fixed at what it was on insertion.
-        heapq.heappush(self._queue, (time, sequence, event))
+        event = Event((time, next(self._sequence), callback, args))
+        heappush(self._queue, event)
         return event
 
     def schedule_after(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
@@ -113,10 +117,8 @@ class SimulationEngine:
             if delay < 0:
                 raise ValueError(f"delay must be non-negative, got {delay}")
             raise ValueError("cannot schedule an event at NaN time")
-        time = self.now + delay
-        sequence = next(self._sequence)
-        event = Event(time, sequence, callback, args)
-        heapq.heappush(self._queue, (time, sequence, event))
+        event = Event((self.now + delay, next(self._sequence), callback, args))
+        heappush(self._queue, event)
         return event
 
     def clear(self) -> None:
@@ -129,11 +131,11 @@ class SimulationEngine:
     def step(self) -> bool:
         """Execute the next non-cancelled event; return False when idle."""
         while self._queue:
-            _, _, event = heapq.heappop(self._queue)
+            event = heappop(self._queue)
             if event.cancelled:
                 continue
-            self.now = event.time
-            event.callback(*event.args)
+            self.now, _, callback, args = event
+            callback(*args)
             self._processed += 1
             return True
         return False
@@ -149,27 +151,27 @@ class SimulationEngine:
         max_events:
             Optional safety cap on the number of events to execute.
         """
-        # A plain pop loop: the heap's (time, sequence) keys alone fix the
+        # A plain pop loop: the events' (time, sequence) keys alone fix the
         # order, and a cancelled event is dropped when it is popped.  The
         # cap counts executed callbacks and is checked before each pop.
         # The first event past the horizon goes back on the heap; keys are
         # unique, so the heap pops in the same order as if it had stayed.
         queue = self._queue
-        pop = heapq.heappop
         cap = sys.maxsize if max_events is None else max_events
         horizon = math.inf if until is None else until
         processed = 0
         try:
             while queue and processed < cap:
-                time, sequence, event = pop(queue)
+                event = heappop(queue)
                 if event.cancelled:
                     continue
+                time, _, callback, args = event
                 if time > horizon:
-                    heapq.heappush(queue, (time, sequence, event))
+                    heappush(queue, event)
                     self.now = until
                     return
                 self.now = time
-                event.callback(*event.args)
+                callback(*args)
                 processed += 1
             if processed >= cap and queue:
                 return

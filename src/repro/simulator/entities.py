@@ -36,8 +36,16 @@ class AttemptStatus(enum.Enum):
     KILLED = "killed"
 
 
+# Module constants: reading a member through the enum class
+# (``AttemptStatus.WAITING``) costs a slow metaclass attribute lookup,
+# and every attempt changes state two or three times.
+_WAITING = AttemptStatus.WAITING
+_RUNNING = AttemptStatus.RUNNING
+_COMPLETED = AttemptStatus.COMPLETED
+_KILLED = AttemptStatus.KILLED
+
 #: The states of an attempt that has not finished.
-_LIVE_STATES = (AttemptStatus.WAITING, AttemptStatus.RUNNING)
+_LIVE_STATES = (_WAITING, _RUNNING)
 
 
 @dataclass(frozen=True)
@@ -121,34 +129,63 @@ class JobSpec:
 _attempt_counter = itertools.count()
 
 
-@dataclass(slots=True)
 class Attempt:
     """A single attempt (original, clone or speculative copy) of a task.
 
-    The class is slotted: simulations create one instance per attempt
-    (tens of thousands per sweep), and progress scoring reads these fields
-    in every estimator call.
+    The class is slotted, with one hand-written ``__init__`` that
+    validates the offset and counts the attempt into ``task.live``:
+    simulations create one instance per attempt (tens of thousands per
+    sweep), and progress scoring reads these fields in every estimator
+    call.  Two attempts are equal only if they are the same object.
     """
 
-    task: "Task"
-    created_time: float
-    start_offset: float = 0.0  # fraction of the task's data already processed
-    is_original: bool = True
-    attempt_id: int = field(default_factory=_attempt_counter.__next__)
-    status: AttemptStatus = AttemptStatus.WAITING
-    launch_time: Optional[float] = None  # container granted / JVM launch starts
-    jvm_delay: float = 0.0
-    processing_time: Optional[float] = None  # time to process its work fraction
-    end_time: Optional[float] = None
-    #: Time of the first progress report (end of JVM launch); precomputed
-    #: in :meth:`mark_running` because the progress estimators read it on
-    #: every invocation.
-    first_progress_time: Optional[float] = field(default=None, init=False)
+    __slots__ = (
+        "task",
+        "created_time",
+        "start_offset",
+        "is_original",
+        "attempt_id",
+        "status",
+        "launch_time",
+        "jvm_delay",
+        "processing_time",
+        "end_time",
+        "first_progress_time",
+    )
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.start_offset < 1.0:
+    def __init__(
+        self,
+        task: "Task",
+        created_time: float,
+        start_offset: float = 0.0,
+        is_original: bool = True,
+    ):
+        if not 0.0 <= start_offset < 1.0:
             raise ValueError("start_offset must lie in [0, 1)")
-        self.task.live += 1
+        self.task = task
+        self.created_time = created_time
+        #: Fraction of the task's data already processed.
+        self.start_offset = start_offset
+        self.is_original = is_original
+        self.attempt_id: int = next(_attempt_counter)
+        self.status = _WAITING
+        #: Container granted / JVM launch starts.
+        self.launch_time: Optional[float] = None
+        self.jvm_delay = 0.0
+        #: Time to process its work fraction.
+        self.processing_time: Optional[float] = None
+        self.end_time: Optional[float] = None
+        #: Time of the first progress report (end of JVM launch); precomputed
+        #: in :meth:`mark_running` because the progress estimators read it on
+        #: every invocation.
+        self.first_progress_time: Optional[float] = None
+        task.live += 1
+
+    def __repr__(self) -> str:
+        return (
+            f"Attempt(attempt_id={self.attempt_id}, status={self.status.name}, "
+            f"is_original={self.is_original})"
+        )
 
     # ------------------------------------------------------------------
     # Derived quantities
@@ -161,12 +198,12 @@ class Attempt:
     @property
     def is_active(self) -> bool:
         """Whether the attempt currently occupies a container."""
-        return self.status is AttemptStatus.RUNNING
+        return self.status is _RUNNING
 
     @property
     def is_finished(self) -> bool:
         """Whether the attempt reached a terminal state."""
-        return self.status in (AttemptStatus.COMPLETED, AttemptStatus.KILLED)
+        return self.status in (_COMPLETED, _KILLED)
 
     @property
     def expected_finish_time(self) -> Optional[float]:
@@ -182,7 +219,7 @@ class Attempt:
         start_offset = self.start_offset
         if launch_time is None or processing_time is None:
             return start_offset
-        if self.status is AttemptStatus.COMPLETED:
+        if self.status is _COMPLETED:
             return 1.0
         end_time = self.end_time
         reference = min(now, end_time) if end_time is not None else now
@@ -197,11 +234,11 @@ class Attempt:
     # ------------------------------------------------------------------
     def mark_running(self, launch_time: float, jvm_delay: float, processing_time: float) -> None:
         """Transition WAITING -> RUNNING when a container is granted."""
-        if self.status is not AttemptStatus.WAITING:
+        if self.status is not _WAITING:
             raise RuntimeError(f"attempt {self.attempt_id} cannot start from {self.status}")
         if processing_time < 0 or jvm_delay < 0:
             raise ValueError("durations must be non-negative")
-        self.status = AttemptStatus.RUNNING
+        self.status = _RUNNING
         self.launch_time = launch_time
         self.jvm_delay = jvm_delay
         self.processing_time = processing_time
@@ -209,9 +246,9 @@ class Attempt:
 
     def mark_completed(self, now: float) -> None:
         """Transition RUNNING -> COMPLETED."""
-        if self.status is not AttemptStatus.RUNNING:
+        if self.status is not _RUNNING:
             raise RuntimeError(f"attempt {self.attempt_id} cannot complete from {self.status}")
-        self.status = AttemptStatus.COMPLETED
+        self.status = _COMPLETED
         self.end_time = now
         self.task.live -= 1
 
@@ -219,7 +256,7 @@ class Attempt:
         """Transition WAITING/RUNNING -> KILLED.  Idempotent for finished attempts."""
         if self.status not in _LIVE_STATES:
             return
-        self.status = AttemptStatus.KILLED
+        self.status = _KILLED
         self.end_time = now if self.launch_time is not None else self.created_time
         self.task.live -= 1
 
@@ -283,14 +320,16 @@ class Job:
     completion_time: Optional[float] = None
     extra_attempts: int = 0  # the optimized r used for this job
     metadata: Dict[str, float] = field(default_factory=dict)
-    #: ``tasks[:_complete_prefix]`` are known to be complete.  A task never
-    #: becomes incomplete again, so :meth:`try_finish` resumes its scan here
-    #: instead of re-checking every task on every task completion.
-    _complete_prefix: int = field(default=0, init=False, repr=False, compare=False)
+    #: Tasks without a ``completion_time``.  Whoever sets a task's
+    #: ``completion_time`` (the Application Master) takes one off, and
+    #: sets the job's ``completion_time`` when none remains: a count, not
+    #: a scan of the tasks on every task completion.
+    remaining_tasks: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.tasks:
             self.tasks = [Task(job=self, index=i) for i in range(self.spec.num_tasks)]
+        self.remaining_tasks = len(self.incomplete_tasks())
 
     @property
     def job_id(self) -> str:
@@ -342,15 +381,3 @@ class Job:
                 task_total += max(0.0, end - launch)
             total += task_total
         return total
-
-    def try_finish(self, now: float) -> bool:
-        """Mark the job complete if all tasks are done; return the new state."""
-        if self.completion_time is None:
-            tasks = self.tasks
-            index = self._complete_prefix
-            while index < len(tasks) and tasks[index].completion_time is not None:
-                index += 1
-            self._complete_prefix = index
-            if index == len(tasks):
-                self.completion_time = now
-        return self.completion_time is not None

@@ -39,7 +39,7 @@ from repro.hadoop.app_master import ApplicationMaster
 from repro.hadoop.config import HadoopConfig
 from repro.hadoop.node_manager import NodeManager
 from repro.hadoop.resource_manager import ResourceManager
-from repro.simulator.cluster import Cluster, ClusterConfig
+from repro.simulator.cluster import ClusterConfig
 from repro.simulator.engine import SimulationEngine
 from repro.simulator.entities import Job, JobSpec
 from repro.simulator.metrics import JobRecord, MetricsCollector, SimulationReport
@@ -129,10 +129,9 @@ class _Simulation:
     ):
         self._started = time.perf_counter()
         self.engine = SimulationEngine(seed=seed)
-        self.cluster = Cluster(cluster)
         self._hadoop = hadoop
-        self._resource_manager = ResourceManager(self.engine, self.cluster, hadoop)
-        self._node_manager = NodeManager(self.engine, self._resource_manager, hadoop)
+        self.resource_manager = ResourceManager(self.engine, cluster, hadoop)
+        self._node_manager = NodeManager(self.engine, self.resource_manager, hadoop)
         self._metrics = MetricsCollector(strategy.name)
         self._strategy = strategy
         self._estimator = (
@@ -152,7 +151,7 @@ class _Simulation:
             engine=self.engine,
             job=Job(spec=spec),
             strategy=self._strategy,
-            resource_manager=self._resource_manager,
+            resource_manager=self.resource_manager,
             node_manager=self._node_manager,
             config=self._hadoop,
             metrics=self._metrics,
@@ -194,7 +193,7 @@ class _Simulation:
 
         # A run cut short by max_events leaves callbacks into the masters.
         engine.clear()
-        self._resource_manager.clear()
+        self.resource_manager.clear()
         self._node_manager.clear()
         return report
 

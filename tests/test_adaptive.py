@@ -579,6 +579,21 @@ class TestRunSearch:
         assert finished[-1].best_objective == pytest.approx(mean)
         assert f"utility={mean:.4g}" in result.to_text().splitlines()[-1]
 
+    def test_halving_best_line_names_the_config_not_a_trial(self):
+        """With a seed axis the ``best:`` line shows the config and its mean, no seed."""
+        base = ScenarioSpec(
+            workload=WorkloadSpec("benchmark", {"name": "sort", "num_jobs": 10}),
+            strategy="s-resume",
+            cluster={"num_nodes": 0},
+        )
+        axes = {"strategy": ["clone", "s-resume"], "seed": [0, 1]}
+        result = run_search(base, axes, algorithm="successive_halving")
+        line = result.to_text().splitlines()[-1]
+        winner = result.best.params["strategy"]
+        assert result.best_params == {"strategy": winner}
+        assert line == f"best: utility={result.best_objective:.4g} (strategy={winner})"
+        assert "seed=" not in line and result.best.trial_id not in line
+
     def test_max_trials_bounds_the_search(self):
         result = run_search(_tiny_spec(), AXES, algorithm="successive_halving", max_trials=2)
         assert len(result.completed) == 2 and result.executed == 2

@@ -4,7 +4,7 @@ Covers the streaming acceptance criteria: every event JSON round-trips,
 the ordered ``ScenarioCompleted`` fingerprint set is identical across the
 inline, pool, distributed and HTTP executors for the same sweep, events
 arrive incrementally (the first event lands before the last scenario has
-run), and stop conditions end sweeps early through the registry.
+run), and stop conditions (plain callables) end sweeps early.
 """
 
 from __future__ import annotations
@@ -30,17 +30,15 @@ from repro.api import (
     TrialProposed,
     TrialPruned,
     WorkloadSpec,
-    available_stop_conditions,
     event_from_dict,
+    first_deadline_miss,
     job_spec_to_dict,
-    make_stop_condition,
-    register_stop_condition,
+    max_failures,
     run,
     run_specs,
     set_default_on_event,
 )
-from repro.api.registry import STRATEGIES, UnknownPluginError, WORKLOADS, register_workload
-from repro.api.sweep import STOP_CONDITIONS
+from repro.api.registry import WORKLOADS, register_workload
 from repro.service import make_server
 from repro.simulator.entities import JobSpec
 
@@ -224,22 +222,17 @@ class TestIncrementalDelivery:
 
 
 class TestStopConditions:
-    def test_builtins_registered(self):
-        assert "max_failures" in available_stop_conditions()
-        assert "first_deadline_miss" in available_stop_conditions()
-
-    def test_unknown_name_rejected(self, base):
-        with pytest.raises(UnknownPluginError):
-            run_specs([base], stop="never_heard_of_it")
-        with pytest.raises(ValueError, match="stop must be"):
-            run_specs([base], stop=3.14)
+    def test_only_a_callable_is_accepted(self, base):
+        for stop in ("max_failures", 3.14):
+            with pytest.raises(ValueError, match="stop must be a callable"):
+                run_specs([base], stop=stop)
 
     def test_max_failures_stops_early(self, base):
         bad = base.with_overrides(
             {"workload": {"kind": "benchmark", "params": {"name": "sort", "num_jobs": 0}}}
         )
         good = [base.with_overrides(seed=s) for s in (1, 2, 3)]
-        outcome = run_specs([bad] + good, stop="max_failures", on_failure="continue")
+        outcome = run_specs([bad] + good, stop=max_failures(), on_failure="continue")
         assert outcome.stopped and outcome.partial
         assert outcome.failures == 1
         assert outcome.executed == 0  # stopped before any good scenario ran
@@ -265,12 +258,12 @@ class TestStopConditions:
             cluster={"num_nodes": 0},
         )
         followers = [missing.with_overrides(seed=s) for s in (1, 2)]
-        outcome = run_specs([missing] + followers, stop="first_deadline_miss")
+        outcome = run_specs([missing] + followers, stop=first_deadline_miss())
         assert outcome.stopped
         assert outcome.executed == 1 and len(outcome.pending) == 2
         assert outcome.results[0].report.pocd < 1.0
 
-    def test_callable_and_registered_custom_conditions(self, base, sweep):
+    def test_custom_callable_conditions(self, base, sweep):
         events_seen = []
 
         def after_two(event):
@@ -279,28 +272,19 @@ class TestStopConditions:
 
         outcome = sweep.run(stop=after_two)
         assert outcome.stopped and outcome.executed == 2
-
-        @register_stop_condition("test-one-and-done")
-        def one_and_done():
-            return lambda event: isinstance(event, ScenarioCompleted)
-
-        try:
-            named = sweep.run(stop="test-one-and-done")
-            assert named.stopped and named.executed == 1
-            assert callable(make_stop_condition("test-one-and-done"))
-        finally:
-            STOP_CONDITIONS.unregister("test-one-and-done")
+        one_and_done = sweep.run(stop=lambda event: isinstance(event, ScenarioCompleted))
+        assert one_and_done.stopped and one_and_done.executed == 1
 
     def test_stateful_conditions_do_not_leak_between_sweeps(self, base):
         bad = base.with_overrides(
             {"workload": {"kind": "benchmark", "params": {"name": "sort", "num_jobs": 0}}}
         )
         for _ in range(2):
-            # a fresh "max_failures" counter each run: the second sweep must
+            # a fresh max_failures counter each run: the second sweep must
             # also need its own failure before stopping, not stop instantly
             outcome = run_specs(
                 [base.with_overrides(seed=7), bad],
-                stop=make_stop_condition("max_failures", limit=1),
+                stop=max_failures(limit=1),
                 on_failure="continue",
             )
             assert outcome.stopped and outcome.failures == 1
@@ -326,12 +310,6 @@ class TestDefaultOnEvent:
         finally:
             set_default_on_event(None)
         assert explicit and len(seen) == len(kinds)
-
-
-class TestStrategiesRegistryUntouched:
-    def test_stop_registry_is_separate(self):
-        # guard against the registries sharing state by accident
-        assert "max_failures" not in STRATEGIES
 
 
 class TestEventTailDegradation:

@@ -49,6 +49,42 @@ class TestThroughputs:
         assert check_trend.throughputs({}) == {}
 
 
+class TestCounters:
+    def test_extracts_only_per_attempt_counters(self, check_trend):
+        data = bench_json(
+            {
+                "bench_a": {"scenarios_per_sec": 10.5, "python_calls_per_attempt": 24.4},
+                "bench_b": {"scenarios_per_sec": 3.0},
+            }
+        )
+        assert check_trend.counters(data) == {"bench_a": {"python_calls_per_attempt": 24.4}}
+        assert check_trend.throughputs(data) == {
+            "bench_a": {"scenarios_per_sec": 10.5},
+            "bench_b": {"scenarios_per_sec": 3.0},
+        }
+
+    def test_counters_are_recorded_in_the_trend_but_never_gated(self, check_trend, tmp_path):
+        bench = tmp_path / "bench.json"
+        info = {"scenarios_per_sec": 10.0, "python_calls_per_attempt": 99.0}
+        bench.write_text(json.dumps(bench_json({"bench": info})))
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps({"bench": {"scenarios_per_sec": 10.0}}))
+        trend = tmp_path / "trend.jsonl"
+        assert check_trend.main([str(bench), "--baseline", str(baseline), "--trend", str(trend)]) == 0
+        record = json.loads(trend.read_text())
+        assert record["benchmarks"] == {"bench": {"scenarios_per_sec": 10.0}}
+        assert record["counters"] == {"bench": {"python_calls_per_attempt": 99.0}}
+        assert check_trend.main(
+            [str(bench), "--baseline", str(baseline), "--no-trend", "--update"]
+        ) == 0
+        assert json.loads(baseline.read_text()) == {"bench": {"scenarios_per_sec": 10.0}}
+
+    def test_a_run_without_counters_writes_no_counters_entry(self, check_trend, tmp_path):
+        trend = tmp_path / "trend.jsonl"
+        check_trend.append_trend(trend, {"bench": {"x_per_sec": 1.0}}, {})
+        assert "counters" not in json.loads(trend.read_text())
+
+
 class TestAppendTrend:
     def test_appends_one_json_line(self, check_trend, tmp_path):
         trend = tmp_path / "trend.jsonl"

@@ -29,7 +29,7 @@ from repro import (
 
 class TestPackageSurface:
     def test_version_string(self):
-        assert repro.__version__ == "8.0.0"
+        assert repro.__version__ == "9.0.0"
 
     def test_declared_dependencies_suffice(self):
         """A fresh interpreter imports ``repro.api`` and runs S-Restart without scipy.
@@ -142,6 +142,26 @@ class TestDeprecatedShims:
         assert name not in repro.api.__all__ and name not in repro.api.EVENT_TYPES.values()
         with pytest.raises(AttributeError):
             getattr(repro.api, name)
+
+    @pytest.mark.parametrize(
+        "module, name",
+        [
+            ("repro.api", "STOP_CONDITIONS"),
+            ("repro.api", "register_stop_condition"),
+            ("repro.api", "make_stop_condition"),
+            ("repro.api", "available_stop_conditions"),
+            ("repro.hadoop.resource_manager", "ContainerRequest"),
+            ("repro.simulator", "Cluster"),
+        ],
+    )
+    def test_names_removed_in_9_0(self, module, name):
+        """Stop conditions are plain callables; an attempt is its own container request."""
+        import importlib
+
+        imported = importlib.import_module(module)
+        assert name not in getattr(imported, "__all__", ())
+        with pytest.raises(AttributeError):
+            getattr(imported, name)
 
     def test_unknown_attribute_still_raises(self):
         with pytest.raises(AttributeError):

@@ -27,7 +27,7 @@ def finished_job(job_id="j", num_tasks=2, deadline=100.0, duration=50.0, price=2
         attempt.mark_running(0.0, 0.0, duration)
         attempt.mark_completed(duration)
         task.completion_time = duration
-    job.try_finish(duration)
+    job.completion_time = duration
     return job
 
 

@@ -231,7 +231,10 @@ class TestTimingClipping:
 
 
 class TestLiveCount:
-    """``Task.live`` equals ``len(task.live_attempts)`` after every event."""
+    """``Task.live`` equals ``len(task.live_attempts)`` after every event.
+
+    So does ``Job.remaining_tasks`` the number of incomplete tasks.
+    """
 
     @pytest.mark.parametrize("num_nodes", [0, 3], ids=["unbounded", "contended"])
     @pytest.mark.parametrize(
@@ -242,15 +245,13 @@ class TestLiveCount:
         from repro.hadoop.app_master import ApplicationMaster
         from repro.hadoop.node_manager import NodeManager
         from repro.hadoop.resource_manager import ResourceManager
-        from repro.simulator.cluster import Cluster
         from repro.simulator.engine import SimulationEngine
         from repro.simulator.entities import Job
         from repro.simulator.metrics import MetricsCollector
 
         engine = SimulationEngine(seed=3)
         hadoop = HadoopConfig()
-        cluster = Cluster(ClusterConfig(num_nodes=num_nodes, slots_per_node=4))
-        rm = ResourceManager(engine, cluster, hadoop)
+        rm = ResourceManager(engine, ClusterConfig(num_nodes=num_nodes, slots_per_node=4), hadoop)
         nm = NodeManager(engine, rm, hadoop)
         strategy = build_strategy(name, StrategyParameters(tau_est=15.0, tau_kill=35.0, fixed_r=2))
         metrics = MetricsCollector(strategy.name)
@@ -281,6 +282,9 @@ class TestLiveCount:
             for task in tasks:
                 assert task.live == len(task.live_attempts)
                 most_live = max(most_live, task.live)
+            for job in jobs:
+                assert job.remaining_tasks == len(job.incomplete_tasks())
+                assert (job.completion_time is None) == (job.remaining_tasks > 0)
         assert most_live > 1  # the strategy ran redundant attempts
         assert len(metrics.records) == len(jobs)
         assert all(task.live == 0 for task in tasks)
