@@ -25,7 +25,7 @@ from __future__ import annotations
 import statistics
 
 from repro import JobSpec, StrategyName, StrategyParameters
-from repro.analysis.estimators import estimation_errors, estimator_ablation
+from repro.experiments.estimators import estimation_errors, estimator_ablation
 from repro.simulator.progress import chronos_estimate_completion, hadoop_estimate_completion
 
 

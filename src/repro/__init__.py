@@ -22,8 +22,14 @@ Lan, Subramaniam; ICDCS 2018).  It contains:
 * :mod:`repro.traces` — synthetic Google-trace-like workloads, benchmark
   profiles and spot-price histories,
 * :mod:`repro.experiments` — one harness per table/figure of the paper,
-* :mod:`repro.analysis` — Monte-Carlo validation, sensitivity sweeps and
-  the estimator ablation.
+  the estimator ablation and the ``chronos-experiments`` command,
+* :mod:`repro.cluster` — open-arrival multi-job cluster simulation,
+* :mod:`repro.adaptive` — adaptive search over scenario space,
+* :mod:`repro.service` — the HTTP sweep service and its remote clients,
+* :mod:`repro.telemetry` — metrics, ``/metrics`` and phase profiling.
+
+``tests/test_conformance.py`` checks the closed forms of Theorems 1–6
+against the simulator in the paper's idealized regime.
 
 Quick start — describe a scenario declaratively and run it::
 
@@ -98,7 +104,7 @@ from repro.distributions import ParetoDistribution
 from repro.simulator import ClusterConfig, JobSpec, SimulationReport
 from repro.strategies import StrategyParameters
 
-__version__ = "9.0.0"
+__version__ = "10.0.0"
 
 __all__ = [
     "__version__",

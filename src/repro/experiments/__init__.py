@@ -13,6 +13,7 @@ benchmark suite) or at a scale closer to the paper's.
 | Figure 3(a-c)  | :func:`repro.experiments.figure3.run_figure3` |
 | Figure 4(a-c)  | :func:`repro.experiments.figure4.run_figure4` |
 | Figure 5       | :func:`repro.experiments.figure5.run_figure5` |
+| Section VI     | :func:`repro.experiments.estimators.estimator_ablation` |
 
 The :mod:`repro.experiments.cli` module provides the
 ``chronos-experiments`` console entry point that runs any subset of the

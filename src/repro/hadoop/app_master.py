@@ -206,7 +206,11 @@ class ApplicationMaster:
             with the smallest estimated completion time (the speculative
             strategies at ``tau_kill``).
         """
-        live = task.live_attempts
+        live = [
+            attempt
+            for attempt in task.attempts
+            if attempt.status is _RUNNING or attempt.status is _WAITING
+        ]
         if not live:
             return None
         if by == "progress":

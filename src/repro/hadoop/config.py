@@ -63,8 +63,9 @@ class HadoopConfig:
     def instantaneous(cls) -> "HadoopConfig":
         """Configuration with zero overheads.
 
-        Useful for validating the simulator against the closed-form
-        analysis, which ignores JVM startup and container grant latency.
+        The closed-form analysis ignores JVM startup and container grant
+        latency; ``tests/test_conformance.py`` runs the simulator with
+        this configuration to check it against Theorems 1-6.
         """
         return cls(
             jvm_startup_mean=0.0,

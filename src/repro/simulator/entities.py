@@ -269,9 +269,9 @@ class Task:
     index: int
     attempts: List[Attempt] = field(default_factory=list)
     completion_time: Optional[float] = None
-    #: Attempts that are waiting or running: ``len(live_attempts)``
-    #: without the scan.  Every :class:`Attempt` adds one when it is
-    #: created and takes it back when it completes or is killed.
+    #: Attempts that are waiting or running, counted without a scan.
+    #: Every :class:`Attempt` adds one when it is created and takes it
+    #: back when it completes or is killed.
     live: int = field(default=0, init=False, compare=False)
 
     @property
@@ -285,29 +285,9 @@ class Task:
         return self.completion_time is not None
 
     @property
-    def original_attempt(self) -> Optional[Attempt]:
-        """The first (original) attempt, if any were created."""
-        for attempt in self.attempts:
-            if attempt.is_original:
-                return attempt
-        return None
-
-    @property
     def running_attempts(self) -> List[Attempt]:
         """Attempts currently occupying containers."""
         return [a for a in self.attempts if a.is_active]
-
-    @property
-    def live_attempts(self) -> List[Attempt]:
-        """Attempts that are waiting or running (not finished)."""
-        return [a for a in self.attempts if a.status in _LIVE_STATES]
-
-    def best_progress_attempt(self, now: float) -> Optional[Attempt]:
-        """The live attempt with the highest progress score at ``now``."""
-        live = self.live_attempts
-        if not live:
-            return None
-        return max(live, key=lambda a: a.progress(now))
 
 
 @dataclass(slots=True)

@@ -21,13 +21,35 @@ Use :func:`build_strategy` to construct a strategy from a
 :class:`~repro.core.model.StrategyName` plus common parameters.
 """
 
-from repro.strategies.base import SpeculationStrategy, StrategyParameters, build_strategy
+from typing import Dict, Optional, Type
+
+from repro.core.model import StrategyName
+from repro.strategies.base import SpeculationStrategy, StrategyParameters
 from repro.strategies.clone import CloneStrategy
 from repro.strategies.hadoop_ns import HadoopNoSpeculationStrategy
 from repro.strategies.hadoop_s import HadoopSpeculationStrategy
 from repro.strategies.mantri import MantriStrategy
 from repro.strategies.restart import SpeculativeRestartStrategy
 from repro.strategies.resume import SpeculativeResumeStrategy
+
+_STRATEGIES: Dict[StrategyName, Type[SpeculationStrategy]] = {
+    StrategyName.CLONE: CloneStrategy,
+    StrategyName.SPECULATIVE_RESTART: SpeculativeRestartStrategy,
+    StrategyName.SPECULATIVE_RESUME: SpeculativeResumeStrategy,
+    StrategyName.HADOOP_NO_SPECULATION: HadoopNoSpeculationStrategy,
+    StrategyName.HADOOP_SPECULATION: HadoopSpeculationStrategy,
+    StrategyName.MANTRI: MantriStrategy,
+}
+
+
+def build_strategy(
+    name: StrategyName, params: Optional[StrategyParameters] = None
+) -> SpeculationStrategy:
+    """Instantiate the strategy named ``name``."""
+    if name not in _STRATEGIES:
+        raise ValueError(f"no strategy named {name!r}")
+    return _STRATEGIES[name](params)
+
 
 __all__ = [
     "SpeculationStrategy",

@@ -12,8 +12,7 @@ consulted at three points:
   their behaviour off finished tasks.
 
 :class:`StrategyParameters` carries the knobs shared by all strategies
-(timing, tradeoff factor, SLA floor); :func:`build_strategy` is the
-factory used by the experiment harness.
+(timing, tradeoff factor, SLA floor).
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import abc
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from time import perf_counter
-from typing import TYPE_CHECKING, Dict, Optional, Type
+from typing import TYPE_CHECKING, Optional
 
 from repro.core.model import StragglerModel, StrategyName
 from repro.core.optimizer import ChronosOptimizer
@@ -213,32 +212,3 @@ def _optimized_r(profiler: Optional["Profiler"], *key) -> int:
     finally:
         if _optimized_r_cached.cache_info().misses != misses:
             profiler.record("optimize", perf_counter() - started)
-
-
-_REGISTRY: Dict[StrategyName, Type[SpeculationStrategy]] = {}
-
-
-def register_strategy(cls: Type[SpeculationStrategy]) -> Type[SpeculationStrategy]:
-    """Class decorator registering a strategy under its canonical name."""
-    if not hasattr(cls, "name") or not isinstance(cls.name, StrategyName):
-        raise TypeError(f"{cls.__name__} must define a StrategyName 'name' attribute")
-    _REGISTRY[cls.name] = cls
-    return cls
-
-
-def available_strategies() -> tuple:
-    """All registered strategy names."""
-    return tuple(_REGISTRY)
-
-
-def build_strategy(
-    name: StrategyName, params: Optional[StrategyParameters] = None
-) -> SpeculationStrategy:
-    """Instantiate a registered strategy by name."""
-    # Importing the concrete modules here keeps the registry populated even
-    # if callers import only this module.
-    from repro.strategies import clone, hadoop_ns, hadoop_s, mantri, restart, resume  # noqa: F401
-
-    if name not in _REGISTRY:
-        raise ValueError(f"no registered strategy for {name!r}")
-    return _REGISTRY[name](params)

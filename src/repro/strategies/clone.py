@@ -12,14 +12,13 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.core.model import StrategyName
-from repro.strategies.base import SpeculationStrategy, register_strategy
+from repro.strategies.base import SpeculationStrategy
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hadoop.app_master import ApplicationMaster
     from repro.simulator.entities import Task
 
 
-@register_strategy
 class CloneStrategy(SpeculationStrategy):
     """Launch ``r + 1`` clones per task; prune to the best at ``tau_kill``."""
 

@@ -10,13 +10,12 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.core.model import StrategyName
-from repro.strategies.base import SpeculationStrategy, register_strategy
+from repro.strategies.base import SpeculationStrategy
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hadoop.app_master import ApplicationMaster
 
 
-@register_strategy
 class HadoopNoSpeculationStrategy(SpeculationStrategy):
     """Run every task exactly once and hope for the best."""
 

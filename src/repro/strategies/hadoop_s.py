@@ -24,14 +24,13 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.core.model import StrategyName
 from repro.simulator.progress import hadoop_estimate_completion
-from repro.strategies.base import SpeculationStrategy, register_strategy
+from repro.strategies.base import SpeculationStrategy
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hadoop.app_master import ApplicationMaster
     from repro.simulator.entities import Task
 
 
-@register_strategy
 class HadoopSpeculationStrategy(SpeculationStrategy):
     """Default Hadoop speculation: one copy for the slowest-looking task."""
 

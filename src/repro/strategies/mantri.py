@@ -20,14 +20,14 @@ import statistics
 from typing import TYPE_CHECKING
 
 from repro.core.model import StrategyName
-from repro.strategies.base import SpeculationStrategy, register_strategy
+from repro.simulator.entities import _LIVE_STATES
+from repro.strategies.base import SpeculationStrategy
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hadoop.app_master import ApplicationMaster
     from repro.simulator.entities import Task
 
 
-@register_strategy
 class MantriStrategy(SpeculationStrategy):
     """Aggressively replicate outlier tasks; keep the best-progress attempt."""
 
@@ -58,7 +58,9 @@ class MantriStrategy(SpeculationStrategy):
             # attempts of the task is larger than 3": top the task back up
             # to the cap of concurrently running extra attempts whenever it
             # still looks like an outlier and the cluster has idle capacity.
-            live_extras = sum(1 for a in task.live_attempts if not a.is_original)
+            live_extras = sum(
+                1 for a in task.attempts if not a.is_original and a.status in _LIVE_STATES
+            )
             while live_extras < am.config.mantri_max_extra_attempts:
                 if not am.resource_manager.has_idle_capacity():
                     # "if there is an available container and there is no

@@ -14,14 +14,14 @@ import math
 from typing import TYPE_CHECKING
 
 from repro.core.model import StrategyName
-from repro.strategies.base import SpeculationStrategy, register_strategy
+from repro.simulator.entities import _LIVE_STATES
+from repro.strategies.base import SpeculationStrategy
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hadoop.app_master import ApplicationMaster
     from repro.simulator.entities import Task
 
 
-@register_strategy
 class SpeculativeRestartStrategy(SpeculationStrategy):
     """Detect stragglers at ``tau_est``; restart ``r`` copies from scratch."""
 
@@ -55,13 +55,13 @@ class SpeculativeRestartStrategy(SpeculationStrategy):
         stragglers: they cannot be estimated and have made no progress by
         ``tau_est``, so speculation is warranted.
         """
-        estimates = []
-        for attempt in task.live_attempts:
-            estimate = am.estimate_completion(attempt)
-            estimates.append(estimate)
-        if not estimates:
-            return math.inf
-        return min(estimates)
+        best = math.inf
+        for attempt in task.attempts:
+            if attempt.status in _LIVE_STATES:
+                estimate = am.estimate_completion(attempt)
+                if estimate < best:
+                    best = estimate
+        return best
 
     # ------------------------------------------------------------------
     # tau_kill: prune to the best attempt

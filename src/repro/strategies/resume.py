@@ -16,14 +16,14 @@ from typing import TYPE_CHECKING
 
 from repro.core.model import StrategyName
 from repro.simulator.progress import predict_resume_offset
-from repro.strategies.base import SpeculationStrategy, register_strategy
+from repro.simulator.entities import _LIVE_STATES
+from repro.strategies.base import SpeculationStrategy
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hadoop.app_master import ApplicationMaster
     from repro.simulator.entities import Attempt, Task
 
 
-@register_strategy
 class SpeculativeResumeStrategy(SpeculationStrategy):
     """Kill detected stragglers and resume ``r + 1`` copies from their offset."""
 
@@ -56,18 +56,22 @@ class SpeculativeResumeStrategy(SpeculationStrategy):
     def _straggling_attempt(
         self, am: "ApplicationMaster", task: "Task", deadline: float
     ) -> "Attempt | None":
-        """The task's live attempt if it is predicted to miss the deadline."""
-        live = task.live_attempts
-        if not live:
-            return None
+        """The task's live attempt if it is predicted to miss the deadline.
+
+        With no finite estimate, that is the first live attempt.
+        """
         best_estimate = math.inf
-        best_attempt = None
-        for attempt in live:
+        best_attempt = first_live = None
+        for attempt in task.attempts:
+            if attempt.status not in _LIVE_STATES:
+                continue
+            if first_live is None:
+                first_live = attempt
             estimate = am.estimate_completion(attempt)
             if estimate < best_estimate:
                 best_estimate, best_attempt = estimate, attempt
         if best_attempt is None:
-            return live[0]
+            return first_live
         return best_attempt if best_estimate > deadline else None
 
     def _resume_offset(self, am: "ApplicationMaster", straggler: "Attempt") -> float:

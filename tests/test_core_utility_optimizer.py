@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from repro.core.cost import expected_machine_time
 from repro.core.model import StragglerModel, StrategyName
 from repro.core.optimizer import ChronosOptimizer, brute_force_optimum
 from repro.core.pocd import pocd
@@ -54,8 +55,6 @@ class TestPoCDUtility:
 class TestNetUtility:
     def test_matches_manual_computation(self, model):
         params = UtilityParameters(theta=1e-4, unit_price=2.0, r_min_pocd=0.1)
-        from repro.core.cost import expected_machine_time
-
         r = 2
         expected = math.log10(pocd(model, StrategyName.CLONE, r) - 0.1) - 1e-4 * 2.0 * (
             expected_machine_time(model, StrategyName.CLONE, r)
@@ -163,8 +162,6 @@ class TestAlgorithm1:
         running out their heavy tail), so we only assert that the chosen r
         minimises the machine time.
         """
-        from repro.core.cost import expected_machine_time
-
         optimizer = ChronosOptimizer(model, theta=10.0, unit_price=1.0)
         assert optimizer.optimize(StrategyName.CLONE).r_opt == 0
         for strategy in ALL_CHRONOS:
@@ -184,6 +181,33 @@ class TestAlgorithm1:
                 for theta in (1e-6, 1e-4, 1e-2)
             ]
             assert all(b <= a for a, b in zip(r_values, r_values[1:]))
+
+    @pytest.mark.parametrize("strategy", ALL_CHRONOS)
+    def test_optimal_r_does_not_rise_with_the_deadline(self, model, strategy):
+        """Section V: a laxer deadline needs no more extra attempts.
+
+        Over deadlines of 1.5 to 10 mean task times, r* never rises and
+        the PoCD at the laxest deadline is at least that at the tightest.
+        Between neighbours the PoCD may dip where r* drops (S-Resume:
+        0.9983 at 1.5, 0.9977 at 2).
+        """
+        results = [
+            ChronosOptimizer(model.with_deadline(factor * model.mean_task_time)).optimize(strategy)
+            for factor in (1.5, 2.0, 4.0, 10.0)
+        ]
+        r_values = [result.r_opt for result in results]
+        assert all(b <= a for a, b in zip(r_values, r_values[1:]))
+        assert r_values[-1] < r_values[0]
+        assert results[-1].pocd >= results[0].pocd
+
+    @pytest.mark.parametrize("strategy", ALL_CHRONOS)
+    def test_lighter_tail_raises_pocd_and_cuts_machine_time(self, model, strategy):
+        """Section V: at r = 1, PoCD rises and machine time falls as beta grows."""
+        models = [model.with_beta(beta) for beta in (1.1, 1.5, 1.9)]
+        pocds = [pocd(swept, strategy, 1) for swept in models]
+        costs = [expected_machine_time(swept, strategy, 1) for swept in models]
+        assert all(a < b for a, b in zip(pocds, pocds[1:]))
+        assert all(a > b for a, b in zip(costs, costs[1:]))
 
     def test_infeasible_r_min(self, model):
         optimizer = ChronosOptimizer(model, theta=1e-4, r_min_pocd=0.999999999)

@@ -29,7 +29,7 @@ from repro import (
 
 class TestPackageSurface:
     def test_version_string(self):
-        assert repro.__version__ == "9.0.0"
+        assert repro.__version__ == "10.0.0"
 
     def test_declared_dependencies_suffice(self):
         """A fresh interpreter imports ``repro.api`` and runs S-Restart without scipy.
@@ -160,6 +160,36 @@ class TestDeprecatedShims:
 
         imported = importlib.import_module(module)
         assert name not in getattr(imported, "__all__", ())
+        with pytest.raises(AttributeError):
+            getattr(imported, name)
+
+    def test_analysis_package_is_gone_in_10_0(self):
+        """``tests/test_conformance.py`` checks Theorems 1-6 against the simulator."""
+        import importlib
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.analysis")
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "repro.strategies.base:register_strategy",
+            "repro.strategies.base:available_strategies",
+            "repro.strategies.base:build_strategy",
+            "repro.simulator.entities:Task.live_attempts",
+            "repro.simulator.entities:Task.best_progress_attempt",
+            "repro.simulator.entities:Task.original_attempt",
+        ],
+    )
+    def test_names_removed_in_10_0(self, path):
+        """One strategy table; callers walk ``task.attempts`` themselves."""
+        import importlib
+
+        module, _, dotted = path.partition(":")
+        *owners, name = dotted.split(".")
+        imported = importlib.import_module(module)
+        for owner in owners:
+            imported = getattr(imported, owner)
         with pytest.raises(AttributeError):
             getattr(imported, name)
 

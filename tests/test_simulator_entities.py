@@ -144,7 +144,7 @@ class TestAttempt:
         attempt = self.make_attempt()
         attempt.mark_killed(1.0)
         attempt.mark_killed(2.0)
-        assert attempt.task.live == 0 == len(attempt.task.live_attempts)
+        assert attempt.task.live == 0 and not attempt.is_active
 
     def test_attempt_ids_unique(self):
         a = self.make_attempt()
@@ -187,26 +187,6 @@ class TestTaskAndJob:
         job = make_job(num_tasks=3)
         job.tasks[0].completion_time = 5.0
         assert len(job.incomplete_tasks()) == 2
-
-    def test_best_progress_attempt(self):
-        job = make_job(num_tasks=1)
-        task = job.tasks[0]
-        slow = Attempt(task=task, created_time=0.0)
-        fast = Attempt(task=task, created_time=0.0, is_original=False)
-        task.attempts.append(slow)
-        task.attempts.append(fast)
-        slow.mark_running(0.0, 0.0, 100.0)
-        fast.mark_running(0.0, 0.0, 10.0)
-        assert task.best_progress_attempt(5.0) is fast
-
-    def test_original_attempt_lookup(self):
-        job = make_job(num_tasks=1)
-        task = job.tasks[0]
-        extra = Attempt(task=task, created_time=0.0, is_original=False)
-        original = Attempt(task=task, created_time=0.0, is_original=True)
-        task.attempts.append(extra)
-        task.attempts.append(original)
-        assert task.original_attempt is original
 
     def test_job_machine_time_sums_attempts(self):
         job = make_job(num_tasks=2)

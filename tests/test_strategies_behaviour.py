@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import available_strategies
 from repro.core.model import StrategyName
 from repro.simulator.cluster import ClusterConfig
-from repro.simulator.entities import JobSpec
+from repro.simulator.entities import AttemptStatus, JobSpec
 from repro.simulator.runner import SimulationRunner, default_estimator_for
 from repro.simulator.progress import chronos_estimate_completion, hadoop_estimate_completion
 from repro.strategies import (
@@ -19,7 +20,6 @@ from repro.strategies import (
     StrategyParameters,
     build_strategy,
 )
-from repro.strategies.base import available_strategies
 from repro.hadoop.config import HadoopConfig
 
 
@@ -50,8 +50,7 @@ def tight_jobs():
 
 class TestStrategyRegistry:
     def test_all_six_registered(self):
-        build_strategy(StrategyName.CLONE)  # force registration imports
-        assert set(available_strategies()) == set(StrategyName)
+        assert set(available_strategies()) == {name.value for name in StrategyName}
 
     def test_build_strategy_types(self):
         mapping = {
@@ -231,7 +230,7 @@ class TestTimingClipping:
 
 
 class TestLiveCount:
-    """``Task.live`` equals ``len(task.live_attempts)`` after every event.
+    """``Task.live`` equals the number of waiting or running attempts after every event.
 
     So does ``Job.remaining_tasks`` the number of incomplete tasks.
     """
@@ -280,7 +279,10 @@ class TestLiveCount:
         most_live = 0
         while engine.step():
             for task in tasks:
-                assert task.live == len(task.live_attempts)
+                assert task.live == sum(
+                    attempt.status in (AttemptStatus.WAITING, AttemptStatus.RUNNING)
+                    for attempt in task.attempts
+                )
                 most_live = max(most_live, task.live)
             for job in jobs:
                 assert job.remaining_tasks == len(job.incomplete_tasks())
