@@ -29,10 +29,10 @@ HEAD`` — so the repository accumulates a visible performance
 trajectory instead of a single mutable baseline; disable with
 ``--no-trend`` or redirect with ``--trend PATH``.  The line also carries
 a ``"counters"`` entry with every ``extra_info`` key ending in
-``_per_attempt`` (Python calls per simulated attempt): deterministic
-work counts, recorded but never gated, that read the same on a fast or
-a slow host, so the trajectory shows a cost change that host noise
-hides in the throughputs.
+``_per_attempt`` (Python calls and collector passes per simulated
+attempt): deterministic work counts, recorded but never gated, that
+read the same on a fast or a slow host, so the trajectory shows a cost
+change that host noise hides in the throughputs.
 """
 
 from __future__ import annotations

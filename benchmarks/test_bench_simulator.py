@@ -4,12 +4,15 @@ Not tied to a specific table/figure: these measure how fast the
 discrete-event simulator processes a trace, which is what determines how
 close to the paper's full 2700-job / 1M-task scale the harness can run.
 Each also records ``python_calls_per_attempt`` from a separate, untimed
-run under a ``sys.setprofile`` counter: a work count that does not
+run under a ``sys.setprofile`` counter, and ``gc_passes_per_attempt``,
+the cyclic collector's passes during that run: work counts that do not
 depend on the host's speed, which ``check_trend.py`` writes into the
-trend line without gating it.
+trend line without gating them.
 """
 
 from __future__ import annotations
+
+import gc
 
 from conftest import count_calls, run_once
 
@@ -20,11 +23,25 @@ from repro.strategies import StrategyParameters, build_strategy
 from repro.traces.google_trace import GoogleTraceConfig, SyntheticGoogleTrace
 
 
+def _collector_passes() -> int:
+    """Passes the cyclic collector has made in this process, all generations."""
+    return sum(generation["collections"] for generation in gc.get_stats())
+
+
 def record_calls_per_attempt(benchmark, run, *args) -> None:
-    """Count one more, untimed ``run(*args)`` into ``extra_info``."""
+    """Count one more, untimed ``run(*args)`` into ``extra_info``.
+
+    A full collection first empties the young generation, so the pass
+    count depends on the run alone, not on what the test allocated
+    before it.
+    """
+    gc.collect()
+    passes = _collector_passes()
     report, calls = count_calls(run, *args)
+    passes = _collector_passes() - passes
     attempts = sum(record.num_attempts for record in report.job_records)
     benchmark.extra_info["python_calls_per_attempt"] = calls / attempts
+    benchmark.extra_info["gc_passes_per_attempt"] = passes / attempts
 
 
 def test_bench_trace_simulation_throughput(benchmark):

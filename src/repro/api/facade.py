@@ -27,6 +27,7 @@ from repro.api import registry as _registry
 from repro.api.spec import (
     ScenarioSpec,
     SpecValidationError,
+    _build_jobs,
     _dump_canonical,
     _normalize_json,
     _scalar_asdict,
@@ -211,10 +212,9 @@ class RunnerTemplate:
         key = (_registry.registry_epoch(), self._workload, seed)
         jobs = _JOBS.get(key)
         if jobs is None:
-            if seed == self._spec.seed:
-                jobs = self._spec.build_jobs()
-            else:
-                jobs = dataclasses.replace(self._spec, seed=seed).build_jobs()
+            # Straight from the workload: a re-seeded spec would be
+            # validated again just to read its seed.
+            jobs = _build_jobs(self._spec.workload, seed)
             _JOBS[key] = jobs
             while len(_JOBS) > _JOBS_CACHE_SIZE:
                 _JOBS.popitem(last=False)

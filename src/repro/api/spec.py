@@ -478,16 +478,21 @@ class ScenarioSpec:
 
     def build_jobs(self) -> List[JobSpec]:
         """Materialize the workload via the workload registry."""
-        try:
-            return _registry.build_jobs(self.workload.kind, self.workload.params, self.seed)
-        except SpecValidationError:
-            raise
-        except ValueError as error:
-            raise SpecValidationError("workload.params", str(error)) from error
+        return _build_jobs(self.workload, self.seed)
 
     def build_strategy(self) -> SpeculationStrategy:
         """Instantiate the strategy via the strategy registry."""
         return _registry.create_strategy(self.strategy, self.strategy_params)
+
+
+def _build_jobs(workload: WorkloadSpec, seed: int) -> List[JobSpec]:
+    """``workload``'s job list for ``seed``; a builder's ``ValueError`` names the params."""
+    try:
+        return _registry.build_jobs(workload.kind, workload.params, seed)
+    except SpecValidationError:
+        raise
+    except ValueError as error:
+        raise SpecValidationError("workload.params", str(error)) from error
 
 
 def _apply_override(data: Dict[str, Any], path: str, value: Any) -> None:

@@ -19,6 +19,7 @@ from repro.api.spec import SpecValidationError
 from repro.cluster.metrics import ClusterReport, cluster_report_from_dict, cluster_report_to_dict
 from repro.cluster.simulation import ClusterSimulation
 from repro.cluster.spec import CLUSTER_KIND, ClusterSpec
+from repro.simulator.runner import _collector_paused
 from repro.telemetry.profiler import active_profiler, null_phase
 
 
@@ -73,20 +74,26 @@ def run_cluster(spec: ClusterSpec) -> ClusterResult:
 
     With a profiler active (:func:`repro.telemetry.enable_profiling`),
     the construction is timed as the ``build`` phase and the event loop
-    as ``simulate``, like the single-job runner's phases.
+    as ``simulate``, like the single-job runner's phases.  The cyclic
+    collector is paused from the build until the masters are released,
+    as in :meth:`SimulationRunner.run`.
     """
     if not isinstance(spec, ClusterSpec):
         raise SpecValidationError("spec", f"expected ClusterSpec, got {type(spec).__name__}")
     profiler = active_profiler()
     phase = null_phase if profiler is None else profiler.phase
-    with phase("build"):
-        simulation = ClusterSimulation(spec, profiler=profiler)
-    started = time.perf_counter()
-    with phase("simulate"):
-        report = simulation.run()
-    for job in simulation.jobs:
-        if job.master is not None:
-            job.master.release()
+    with _collector_paused():
+        with phase("build"):
+            simulation = ClusterSimulation(spec, profiler=profiler)
+        started = time.perf_counter()
+        with phase("simulate"):
+            report = simulation.run()
+        for job in simulation.jobs:
+            if job.master is not None:
+                job.master.release()
+        # Free the stack while the collector is still off, so the pass
+        # that follows the window walks little more than the report.
+        del simulation
     wall_time = time.perf_counter() - started
     return ClusterResult(
         spec=spec,

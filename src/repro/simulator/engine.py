@@ -66,7 +66,6 @@ class SimulationEngine:
         self._sequence = itertools.count()
         self._processed = 0
         self._seed_sequence = np.random.SeedSequence(seed)
-        self._rng = np.random.default_rng(self._seed_sequence)
 
     # ------------------------------------------------------------------
     # Clock and RNG
@@ -81,10 +80,15 @@ class SimulationEngine:
         """Number of events still queued (including cancelled ones)."""
         return len(self._queue)
 
-    @property
+    @cached_property
     def rng(self) -> np.random.Generator:
-        """The engine's root random generator."""
-        return self._rng
+        """The engine's root random generator, built on first access.
+
+        No simulation component draws from it (each spawns its own
+        stream), and ``default_rng`` of the seed sequence spawns no
+        child, so building it late changes no stream.
+        """
+        return np.random.default_rng(self._seed_sequence)
 
     def spawn_rng(self) -> np.random.Generator:
         """Create an independent random stream derived from the engine seed."""

@@ -200,18 +200,6 @@ class Attempt:
         """Whether the attempt currently occupies a container."""
         return self.status is _RUNNING
 
-    @property
-    def is_finished(self) -> bool:
-        """Whether the attempt reached a terminal state."""
-        return self.status in (_COMPLETED, _KILLED)
-
-    @property
-    def expected_finish_time(self) -> Optional[float]:
-        """Ground-truth completion time (not visible to schedulers)."""
-        if self.launch_time is None or self.processing_time is None:
-            return None
-        return self.launch_time + self.jvm_delay + self.processing_time
-
     def progress(self, now: float) -> float:
         """Progress score: fraction of the *task's* data processed by ``now``."""
         launch_time = self.launch_time

@@ -13,18 +13,23 @@ them through a cluster scheduler.
 
 The runner is deliberately stateless across calls to :meth:`run`: each
 call builds a fresh stack so experiments can sweep strategies and
-parameters without hidden coupling.
+parameters without hidden coupling.  Both callers run with CPython's
+cyclic collector paused (:func:`_collector_paused`) from building the
+stack until the masters are released.
 """
 
 from __future__ import annotations
 
+import gc
 import time
+from contextlib import contextmanager
 from itertools import zip_longest
 from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
     Iterable,
+    Iterator,
     List,
     Optional,
     Protocol,
@@ -76,6 +81,35 @@ _SPEC_KILLED = telemetry.counter(
     "chronos_speculative_copies_killed_total",
     "Speculative attempts killed before completing",
 )
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Keep the cyclic garbage collector off for one simulation.
+
+    A run builds and drops objects by the ten thousand, so the
+    collector would walk the live graph dozens of times per run and
+    free nothing: a released run leaves no cycles (``TestTeardown`` in
+    ``tests/test_runner_integration.py`` and ``tests/test_cluster.py``
+    pins that), and reference counting frees all of it.  The window
+    must cover the release too, and the callers drop their stack inside
+    it: the allocation count keeps growing while the collector is off,
+    so the first allocation after it is back on runs a pass over every
+    object the run still holds.
+
+    The flag is process-wide, so it also pauses the collector for any
+    other thread that allocates meanwhile, such as a distributed
+    worker's ``LeaseKeeper``.  Only the call that turned the collector
+    off turns it back on, so nested and concurrent runs never leave it
+    off, and a caller that had it off keeps it off.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 @runtime_checkable
@@ -249,24 +283,28 @@ class SimulationRunner:
         profiler = self._profiler
         phase = null_phase if profiler is None else profiler.phase
 
-        with phase("build"):
-            simulation = _Simulation(
-                self._cluster, self._hadoop, self._seed, strategy, estimator, profiler
-            )
-            engine = simulation.engine
-            for spec in specs:
-                engine.schedule_at(spec.submit_time, simulation.admit, spec)
+        with _collector_paused():
+            with phase("build"):
+                simulation = _Simulation(
+                    self._cluster, self._hadoop, self._seed, strategy, estimator, profiler
+                )
+                engine = simulation.engine
+                for spec in specs:
+                    engine.schedule_at(spec.submit_time, simulation.admit, spec)
 
-        with phase("simulate"):
-            engine.run(max_events=self._max_events)
+            with phase("simulate"):
+                engine.run(max_events=self._max_events)
 
-        with phase("report"):
-            # Arrivals fire in submission order, so the admitted jobs
-            # are a prefix of ``specs``.
-            report = simulation.finish(zip_longest(specs, simulation.masters))
+            with phase("report"):
+                # Arrivals fire in submission order, so the admitted jobs
+                # are a prefix of ``specs``.
+                report = simulation.finish(zip_longest(specs, simulation.masters))
 
-        for master in simulation.masters:
-            master.release()
+            for master in simulation.masters:
+                master.release()
+            # Free the stack while the collector is still off, so the
+            # pass that follows the window walks only the report.
+            del simulation, engine
         return report
 
     def run_strategies(

@@ -9,7 +9,9 @@ from repro.api import (
     STRATEGIES,
     WORKLOADS,
     Registry,
+    RunnerTemplate,
     ScenarioSpec,
+    SpecValidationError,
     UnknownPluginError,
     WorkloadSpec,
     available_estimators,
@@ -104,6 +106,11 @@ class TestBuiltins:
         )
         with pytest.raises(ValueError, match="benchmark"):
             spec.build_jobs()
+        # A template builds another seed's jobs from the workload alone,
+        # and maps the builder's error the same way.
+        with pytest.raises(SpecValidationError, match="benchmark") as excinfo:
+            RunnerTemplate(spec).jobs_for(spec.seed + 1)
+        assert excinfo.value.field == "workload.params"
 
 
 class TestThirdPartyPlugins:

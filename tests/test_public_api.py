@@ -29,7 +29,7 @@ from repro import (
 
 class TestPackageSurface:
     def test_version_string(self):
-        assert repro.__version__ == "10.0.0"
+        assert repro.__version__ == "10.1.0"
 
     def test_declared_dependencies_suffice(self):
         """A fresh interpreter imports ``repro.api`` and runs S-Restart without scipy.

@@ -7,12 +7,15 @@ import gc
 import pytest
 
 from repro.api import ScenarioSpec, WorkloadSpec, run
+from repro.cluster import ArrivalSpec, ClusterSpec, run_cluster
 from repro.core.model import StrategyName
+from repro.hadoop.app_master import ApplicationMaster
 from repro.hadoop.config import HadoopConfig
 from repro.simulator.cluster import ClusterConfig
 from repro.simulator.entities import JobSpec
-from repro.simulator.runner import SimulationRunner
+from repro.simulator.runner import SimulationRunner, _Simulation
 from repro.strategies import build_strategy
+from repro.strategies.resume import SpeculativeResumeStrategy
 
 ALL_STRATEGIES = tuple(StrategyName)
 
@@ -152,6 +155,126 @@ class TestTeardown:
             cluster={"num_nodes": 0},
         )
         assert _cyclic_garbage_of(lambda: run(spec)) < 100
+
+
+def _trace_spec() -> ScenarioSpec:
+    """One ``paper-trace`` scenario: a 100-job Google trace under S-Resume."""
+    return ScenarioSpec(
+        workload=WorkloadSpec("google-trace", {"num_jobs": 100}),
+        strategy="s-resume",
+        strategy_params={"tau_est": 0.3, "tau_kill": 0.8, "timing_relative_to_tmin": True},
+        cluster={"num_nodes": 0},
+    )
+
+
+def _pool_spec() -> ClusterSpec:
+    """One ``cluster-pool`` scenario: 200 contended sort jobs."""
+    return ClusterSpec(
+        arrival=ArrivalSpec(
+            "poisson", {"benchmark": "sort", "num_jobs": 200, "inter_arrival": 8.0}
+        ),
+        strategy="s-resume",
+        scheduler="deadline_edf",
+        cluster={"num_nodes": 8, "slots_per_node": 4},
+    )
+
+
+def _passes_inside_run(monkeypatch, simulate, num_jobs: int) -> int:
+    """Collector passes from building the stack until the last release.
+
+    The window opens when ``_Simulation`` starts building and closes
+    when the ``num_jobs``-th master has been released.
+    """
+    simulate()  # warm process-wide caches (Algorithm 1, registries)
+    window = {"open": False, "released": 0}
+    passes = []
+    build = _Simulation.__init__
+    release = ApplicationMaster.release
+
+    def opening_build(self, *args, **kwargs):
+        window["open"] = True
+        build(self, *args, **kwargs)
+
+    def closing_release(self):
+        release(self)
+        window["released"] += 1
+        window["open"] = window["released"] < num_jobs
+
+    def on_pass(phase, info):
+        if phase == "start" and window["open"]:
+            passes.append(info["generation"])
+
+    monkeypatch.setattr(_Simulation, "__init__", opening_build)
+    monkeypatch.setattr(ApplicationMaster, "release", closing_release)
+    gc.collect()
+    gc.callbacks.append(on_pass)
+    try:
+        simulate()
+    finally:
+        gc.callbacks.remove(on_pass)
+    assert window["released"] == num_jobs
+    return len(passes)
+
+
+class TestCollectorPause:
+    """A run keeps the cyclic collector off from its build to its release."""
+
+    def test_no_collector_pass_inside_a_scenario_run(self, monkeypatch):
+        # Before the pause, this run made 14 passes.
+        spec = _trace_spec()
+        assert _passes_inside_run(monkeypatch, lambda: run(spec), 100) == 0
+
+    def test_no_collector_pass_inside_a_cluster_run(self, monkeypatch):
+        # Before the pause, this run made 23 passes.
+        spec = _pool_spec()
+        assert _passes_inside_run(monkeypatch, lambda: run_cluster(spec), 200) == 0
+
+    @pytest.mark.parametrize("simulate", [run, run_cluster], ids=["run", "run_cluster"])
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_prior_state_is_restored(self, simulate, enabled):
+        spec = _trace_spec() if simulate is run else _pool_spec()
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            simulate(spec)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    @pytest.mark.parametrize("simulate", [run, run_cluster], ids=["run", "run_cluster"])
+    def test_restored_when_a_strategy_callback_raises(self, monkeypatch, simulate):
+        def failing_start(self, am):
+            raise RuntimeError("strategy failed")
+
+        monkeypatch.setattr(SpeculativeResumeStrategy, "on_job_start", failing_start)
+        spec = _trace_spec() if simulate is run else _pool_spec()
+        assert gc.isenabled()
+        with pytest.raises(RuntimeError, match="strategy failed"):
+            simulate(spec)
+        assert gc.isenabled()
+
+    def test_only_the_outermost_run_turns_the_collector_back_on(self, monkeypatch):
+        # A run nested in another's callback finds the collector off and
+        # leaves it off; the outer run turns it back on.
+        inner = ScenarioSpec(
+            workload=WorkloadSpec("benchmark", {"name": "sort", "num_jobs": 2}),
+            strategy="clone",
+            cluster={"num_nodes": 0},
+        )
+        seen = []
+        start = SpeculativeResumeStrategy.on_job_start
+
+        def nesting_start(self, am):
+            if not seen:
+                run(inner)
+                seen.append(gc.isenabled())
+            start(self, am)
+
+        monkeypatch.setattr(SpeculativeResumeStrategy, "on_job_start", nesting_start)
+        assert gc.isenabled()
+        run(_trace_spec())
+        assert seen == [False]
+        assert gc.isenabled()
 
 
 class TestOverheadSensitivity:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.simulator.engine import SimulationEngine
@@ -198,6 +199,16 @@ class TestRandomStreams:
         b = SimulationEngine(seed=3)
         assert a.spawn_rng().uniform() == b.spawn_rng().uniform()
         assert a.spawn_rng().uniform() != a.rng.uniform() or True
+
+    def test_root_rng_reads_the_seed_and_spawns_nothing(self):
+        read = SimulationEngine(seed=3)
+        unread = SimulationEngine(seed=3)
+        read.spawn_rng()
+        unread.spawn_rng()
+        assert read.rng is read.rng
+        assert read.rng.uniform() == np.random.default_rng(3).uniform()
+        # Reading the root generator spawns no child, so later streams match.
+        assert read.spawn_rng().uniform() == unread.spawn_rng().uniform()
 
     def test_different_seeds_differ(self):
         a = SimulationEngine(seed=1).spawn_rng().uniform()

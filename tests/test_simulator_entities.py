@@ -65,9 +65,7 @@ class TestAttempt:
         attempt = self.make_attempt()
         assert attempt.status is AttemptStatus.WAITING
         assert not attempt.is_active
-        assert not attempt.is_finished
         assert attempt.first_progress_time is None
-        assert attempt.expected_finish_time is None
 
     def test_rejects_bad_offset(self):
         job = make_job()
@@ -79,9 +77,8 @@ class TestAttempt:
         attempt.mark_running(launch_time=5.0, jvm_delay=2.0, processing_time=10.0)
         assert attempt.is_active
         assert attempt.first_progress_time == 7.0
-        assert attempt.expected_finish_time == 17.0
         attempt.mark_completed(17.0)
-        assert attempt.is_finished
+        assert attempt.status is AttemptStatus.COMPLETED
         assert attempt.progress(100.0) == 1.0
         assert attempt.task.job.machine_time(100.0) == pytest.approx(12.0)
 
