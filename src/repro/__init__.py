@@ -104,7 +104,7 @@ from repro.distributions import ParetoDistribution
 from repro.simulator import ClusterConfig, JobSpec, SimulationReport
 from repro.strategies import StrategyParameters
 
-__version__ = "10.1.0"
+__version__ = "11.0.0"
 
 __all__ = [
     "__version__",

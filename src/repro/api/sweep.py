@@ -188,9 +188,10 @@ def set_default_executor(
     """Set the process-wide executor backend used when callers pass none.
 
     This is how whole call trees that predate the distributed backend —
-    the six experiment harnesses, ``run_strategy_suite``, user scripts —
-    can be pointed at a worker fleet without changing a line of them:
-    the CLI (``--executor distributed --workers 4``, or ``--broker
+    the experiment harnesses (each one sweep, through
+    ``repro.experiments.common.run_rows``), user scripts — can be
+    pointed at a worker fleet without changing a line of them: the CLI
+    (``--executor distributed --workers 4``, or ``--broker
     http://host:8176`` for a remote sweep service) or a conftest sets
     the default once, and every :func:`run_specs` call follows it.
 

@@ -9,10 +9,7 @@ with minimum execution time ``tmin`` and tail index ``beta``.  Prior work
 observes ``beta < 2`` on contended clusters, i.e. a heavy tail with
 infinite variance, which is what makes stragglers so damaging.
 
-This module also provides a truncated Pareto variant (used when the
-synthetic trace generator needs bounded task durations) and a simple
-maximum-likelihood fitter used by the trace tooling and the analysis
-subpackage.
+This module also provides a simple maximum-likelihood fitter.
 """
 
 from __future__ import annotations
@@ -173,60 +170,6 @@ class ParetoDistribution(Distribution):
         if factor <= 0:
             raise ValueError("factor must be positive")
         return ParetoDistribution(self.tmin * factor, self.beta)
-
-
-@dataclass(frozen=True)
-class TruncatedParetoDistribution(Distribution):
-    """Pareto distribution truncated (renormalised) to ``[tmin, tmax]``.
-
-    The synthetic trace generator uses this to bound task durations when
-    matching the per-job execution-time ranges reported in traces while
-    keeping the Pareto body shape.
-    """
-
-    tmin: float
-    beta: float
-    tmax: float
-
-    def __post_init__(self) -> None:
-        if self.tmin <= 0:
-            raise ValueError(f"tmin must be positive, got {self.tmin}")
-        if self.beta <= 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if self.tmax <= self.tmin:
-            raise ValueError("tmax must exceed tmin")
-
-    @property
-    def _mass(self) -> float:
-        """Probability mass of the untruncated Pareto on [tmin, tmax]."""
-        return 1.0 - (self.tmin / self.tmax) ** self.beta
-
-    def sample(self, size: int = 1, rng: Optional[np.random.Generator] = None) -> np.ndarray:
-        rng = self._resolve_rng(rng)
-        u = rng.uniform(size=size) * self._mass
-        return self.tmin / np.power(1.0 - u, 1.0 / self.beta)
-
-    def cdf(self, t: ArrayLike) -> np.ndarray:
-        t = np.atleast_1d(self._as_array(t))
-        base = ParetoDistribution(self.tmin, self.beta)
-        out = base.cdf(np.clip(t, self.tmin, self.tmax)) / self._mass
-        out = np.where(t < self.tmin, 0.0, out)
-        out = np.where(t >= self.tmax, 1.0, out)
-        return out
-
-    def quantile(self, q: ArrayLike) -> np.ndarray:
-        q = self._as_array(q)
-        if np.any((q < 0) | (q > 1)):
-            raise ValueError("quantile argument must lie in [0, 1]")
-        return self.tmin / np.power(1.0 - q * self._mass, 1.0 / self.beta)
-
-    def mean(self) -> float:
-        b, lo, hi = self.beta, self.tmin, self.tmax
-        if abs(b - 1.0) < 1e-12:
-            raw = lo * math.log(hi / lo)
-        else:
-            raw = b * lo**b / (b - 1.0) * (lo ** (1.0 - b) - hi ** (1.0 - b))
-        return raw / self._mass
 
 
 def fit_pareto_mle(samples: np.ndarray) -> Tuple[float, float]:

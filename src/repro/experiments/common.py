@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.api import ScenarioSpec, WorkloadSpec, job_spec_to_dict, run_specs
 from repro.api.sweep import _aligned, _cell
@@ -18,7 +18,6 @@ from repro.core.model import StrategyName
 from repro.hadoop.config import HadoopConfig
 from repro.simulator.cluster import ClusterConfig
 from repro.simulator.entities import JobSpec
-from repro.simulator.metrics import SimulationReport
 from repro.strategies import StrategyParameters
 
 
@@ -100,8 +99,19 @@ class ExperimentTable:
 
 
 # ----------------------------------------------------------------------
-# Simulation helpers shared by the experiments
+# The strategy comparison every simulation harness runs
 # ----------------------------------------------------------------------
+#: The three numbers each run of a strategy comparison reports.
+METRICS = ("pocd", "cost", "utility")
+
+#: Full-scale number of trace jobs (the paper replays 2700).
+FULL_TRACE_JOBS = 400
+
+#: A harness's rows: each row label maps to the scenarios it compares,
+#: one per strategy.
+Rows = Mapping[str, Sequence[ScenarioSpec]]
+
+
 def require_complete(sweep) -> "object":
     """Re-raise interruption for callers that need every scenario.
 
@@ -121,82 +131,130 @@ def explicit_workload(jobs: Sequence[JobSpec]) -> WorkloadSpec:
     return WorkloadSpec("explicit", {"jobs": [job_spec_to_dict(job) for job in jobs]})
 
 
-def suite_specs(
-    jobs: Sequence[JobSpec],
-    strategy_names: Iterable[StrategyName],
-    params: StrategyParameters,
-    cluster: Optional[ClusterConfig] = None,
+def trace_workload(scale: ExperimentScale, beta_override: Optional[float] = None) -> WorkloadSpec:
+    """The Google-trace workload of Tables I–II and Figures 3–5 at ``scale``."""
+    params: Dict[str, float] = {"num_jobs": scale.scaled_jobs(FULL_TRACE_JOBS, minimum=30)}
+    if beta_override is not None:
+        params["beta_override"] = beta_override
+    return WorkloadSpec("google-trace", params)
+
+
+def trace_scenario(
+    workload: WorkloadSpec,
+    strategy: StrategyName,
+    tau_est: float,
+    tau_kill: float,
+    theta: float,
+    seed: int,
     hadoop: Optional[HadoopConfig] = None,
-    seed: int = 0,
-    per_strategy_params: Optional[Mapping[StrategyName, StrategyParameters]] = None,
-) -> List[ScenarioSpec]:
-    """Declarative scenario specs for simulating ``jobs`` under each strategy."""
-    workload = explicit_workload(jobs)
-    cluster = cluster if cluster is not None else ClusterConfig()
-    hadoop = hadoop if hadoop is not None else HadoopConfig()
-    specs: List[ScenarioSpec] = []
-    for name in strategy_names:
-        strategy_params = params
-        if per_strategy_params and name in per_strategy_params:
-            strategy_params = per_strategy_params[name]
-        specs.append(
-            ScenarioSpec(
-                workload=workload,
-                strategy=name.value,
-                strategy_params=strategy_params,
-                cluster=cluster,
-                hadoop=hadoop,
-                seed=seed,
-            )
-        )
-    return specs
+) -> ScenarioSpec:
+    """One trace-driven scenario, as Tables I–II and Figures 3–4 run it.
 
-
-def run_strategy_suite(
-    jobs: Sequence[JobSpec],
-    strategy_names: Iterable[StrategyName],
-    params: StrategyParameters,
-    cluster: Optional[ClusterConfig] = None,
-    hadoop: Optional[HadoopConfig] = None,
-    seed: int = 0,
-    per_strategy_params: Optional[Mapping[StrategyName, StrategyParameters]] = None,
-    parallel_jobs: int = 1,
-    executor: Optional[str] = None,
-) -> Dict[StrategyName, SimulationReport]:
-    """Simulate the same jobs under several strategies via the façade.
-
-    ``per_strategy_params`` overrides the common parameters for individual
-    strategies (Tables I/II give Clone a different ``tau_est`` than the
-    speculative strategies).  ``parallel_jobs > 1`` fans the per-strategy
-    simulations out over that many local workers, the ``"pool"``
-    executor (each strategy's run is independent: fresh engine, same
-    seed).  ``executor`` picks the sweep
-    backend explicitly (``"inline"``/``"pool"``/``"distributed"``); when
-    ``None``, the process-wide default set by
-    :func:`repro.api.set_default_executor` applies — which is how
-    ``chronos-experiments --executor distributed`` reroutes every harness
-    without changing any of them.
+    ``tau_est`` and ``tau_kill`` are multiples of each job's tmin, every
+    job's unit price is 1, and the cluster is unbounded (the paper's
+    datacenter is large).
     """
-    names = list(strategy_names)
-    specs = suite_specs(
-        jobs,
-        names,
-        params,
-        cluster=cluster,
-        hadoop=hadoop,
-        seed=seed,
-        per_strategy_params=per_strategy_params,
+    params = StrategyParameters(
+        tau_est=tau_est,
+        tau_kill=tau_kill,
+        theta=theta,
+        unit_price=1.0,
+        timing_relative_to_tmin=True,
     )
-    sweep = require_complete(run_specs(specs, jobs=parallel_jobs, executor=executor))
-    return {name: result.report for name, result in zip(names, sweep.results)}
+    return ScenarioSpec(
+        workload,
+        strategy.value,
+        params,
+        cluster=ClusterConfig(num_nodes=0),
+        hadoop=hadoop or HadoopConfig(),
+        seed=seed,
+    )
 
 
-def reference_pocd(reports: Mapping[StrategyName, SimulationReport]) -> float:
-    """The ``Rmin`` used in the testbed evaluation: Hadoop-NS's PoCD."""
-    baseline = reports.get(StrategyName.HADOOP_NO_SPECULATION)
-    if baseline is None:
-        return 0.0
-    # Rmin must stay strictly below any achievable PoCD for the logarithmic
-    # utility to be finite; subtract a small margin exactly like an SLA
-    # floor slightly below the baseline.
-    return max(0.0, baseline.pocd - 1e-6)
+def run_rows(rows: Rows, jobs: int = 1) -> Dict[str, Dict[str, Dict[str, float]]]:
+    """Run every row's scenarios as one sweep and score each run.
+
+    Returns, per row label, ``{strategy display name: {metric: value}}``
+    over :data:`METRICS`, in the row's order.  A run's utility uses its
+    own spec's theta, and Rmin is the row's Hadoop-NS PoCD, as in the
+    testbed evaluation, or 0 in a row without Hadoop-NS.  The sweep
+    follows the process-wide default executor and event callback (see
+    :func:`repro.api.set_default_executor`), which is how
+    ``chronos-experiments --executor``/``--progress`` reach every harness.
+    """
+    specs = [spec for row in rows.values() for spec in row]
+    results = iter(require_complete(run_specs(specs, jobs=jobs)).results)
+    scored: Dict[str, Dict[str, Dict[str, float]]] = {}
+    for label, row in rows.items():
+        reports = {StrategyName(spec.strategy): next(results).report for spec in row}
+        baseline = reports.get(StrategyName.HADOOP_NO_SPECULATION)
+        # Rmin must stay strictly below any achievable PoCD for the
+        # logarithmic utility to be finite: an SLA floor just below the
+        # baseline.
+        r_min = max(0.0, baseline.pocd - 1e-6) if baseline else 0.0
+        scored[label] = {
+            name.display_name: {
+                "pocd": report.pocd,
+                "cost": report.mean_cost,
+                "utility": report.net_utility(r_min_pocd=r_min, theta=spec.strategy_params.theta),
+            }
+            for spec, (name, report) in zip(row, reports.items())
+        }
+    return scored
+
+
+def strategy_tables(
+    experiment_id: str, titles: Sequence[str], rows: Rows, notes: str, jobs: int = 1
+) -> Dict[str, ExperimentTable]:
+    """Run ``rows`` as one sweep and lay it out as PoCD, cost and utility tables.
+
+    ``titles`` are the three tables' titles in :data:`METRICS` order;
+    their ids are ``experiment_id`` suffixed ``a``, ``b`` and ``c``.  Each
+    table has one row per label and one column per strategy (Figures 2–4).
+    """
+    scored = run_rows(rows, jobs)
+    columns = list(next(iter(scored.values()), {}))
+    tables = {
+        metric: ExperimentTable(f"{experiment_id}{part}", title, columns, notes=notes)
+        for metric, part, title in zip(METRICS, "abc", titles)
+    }
+    for label, runs in scored.items():
+        for metric, table in tables.items():
+            table.add_row(label, {column: values[metric] for column, values in runs.items()})
+    return tables
+
+
+def timing_table(
+    experiment_id: str,
+    title: str,
+    timings: Sequence[Tuple[StrategyName, float, float]],
+    scale: ExperimentScale,
+    seed: int,
+    theta: float,
+    jobs: int = 1,
+) -> ExperimentTable:
+    """Run each ``(strategy, tau_est, tau_kill)`` on the trace, as Tables I–II.
+
+    All rows run as one sweep.  Each table row shows its timing (in
+    multiples of tmin) beside the run's PoCD, cost and utility.
+    """
+    workload = trace_workload(scale)
+    rows = {
+        f"{name.display_name} @ tau_est={tau_est:.1f}tmin, tau_kill={tau_kill:.1f}tmin": [
+            trace_scenario(workload, name, tau_est, tau_kill, theta, seed)
+        ]
+        for name, tau_est, tau_kill in timings
+    }
+    table = ExperimentTable(
+        experiment_id,
+        title,
+        ["tau_est", "tau_kill", *METRICS],
+        notes=(
+            f"{workload.params['num_jobs']} trace jobs, timing expressed as multiples "
+            f"of each job's tmin, theta={theta}"
+        ),
+    )
+    for (_, tau_est, tau_kill), (label, runs) in zip(timings, run_rows(rows, jobs).items()):
+        (values,) = runs.values()
+        table.add_row(label, {"tau_est": tau_est, "tau_kill": tau_kill, **values})
+    return table

@@ -23,14 +23,14 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from repro.api import ScenarioSpec
 from repro.core.model import StrategyName
 from repro.experiments.common import (
     ExperimentScale,
     ExperimentTable,
-    reference_pocd,
-    run_strategy_suite,
+    explicit_workload,
+    strategy_tables,
 )
-from repro.hadoop.config import HadoopConfig
 from repro.simulator.cluster import ClusterConfig
 from repro.strategies import StrategyParameters
 from repro.traces.spot_price import SpotPriceConfig, SpotPriceHistory
@@ -62,8 +62,8 @@ def run_figure2(
 
     Returns a mapping with keys ``"pocd"``, ``"cost"`` and ``"utility"``,
     each an :class:`ExperimentTable` with one row per benchmark and one
-    column per strategy.  ``jobs > 1`` runs the per-strategy simulations
-    of each benchmark in parallel worker processes.
+    column per strategy.  ``jobs > 1`` runs every row in one sweep over
+    that many worker processes.
     """
     num_jobs = scale.scaled_jobs(JOBS_PER_BENCHMARK, minimum=20)
     spot_price = spot_price if spot_price is not None else SpotPriceHistory(
@@ -74,51 +74,28 @@ def run_figure2(
         tau_est=TAU_EST, tau_kill=TAU_KILL, theta=THETA, unit_price=unit_price
     )
     cluster = ClusterConfig(num_nodes=40, slots_per_node=8)
-    hadoop = HadoopConfig()
 
-    columns = [name.display_name for name in FIGURE2_STRATEGIES]
-    tables = {
-        "pocd": ExperimentTable("figure2a", "PoCD per benchmark", columns),
-        "cost": ExperimentTable("figure2b", "Cost per benchmark", columns),
-        "utility": ExperimentTable("figure2c", "Net utility per benchmark", columns),
-    }
-
+    # The four benchmarks draw their job streams from one RNG, so each
+    # row's jobs are materialized here and shipped as an explicit workload.
     rng = np.random.default_rng(seed)
+    rows = {}
     for benchmark in sorted(BENCHMARKS):
-        benchmark_job_stream = benchmark_jobs(
-            benchmark,
-            num_jobs=num_jobs,
-            inter_arrival=5.0,
-            unit_price=unit_price,
-            rng=rng,
+        workload = explicit_workload(
+            benchmark_jobs(
+                benchmark, num_jobs=num_jobs, inter_arrival=5.0, unit_price=unit_price, rng=rng
+            )
         )
-        reports = run_strategy_suite(
-            benchmark_job_stream,
-            FIGURE2_STRATEGIES,
-            params,
-            cluster=cluster,
-            hadoop=hadoop,
-            seed=seed,
-            parallel_jobs=jobs,
-        )
-        r_min = reference_pocd(reports)
-        tables["pocd"].add_row(
-            benchmark, {name.display_name: reports[name].pocd for name in FIGURE2_STRATEGIES}
-        )
-        tables["cost"].add_row(
-            benchmark,
-            {name.display_name: reports[name].mean_cost for name in FIGURE2_STRATEGIES},
-        )
-        tables["utility"].add_row(
-            benchmark,
-            {
-                name.display_name: reports[name].net_utility(r_min_pocd=r_min, theta=THETA)
-                for name in FIGURE2_STRATEGIES
-            },
-        )
-    for table in tables.values():
-        table.notes = (
+        rows[benchmark] = [
+            ScenarioSpec(workload, name.value, params, cluster=cluster, seed=seed)
+            for name in FIGURE2_STRATEGIES
+        ]
+    return strategy_tables(
+        "figure2",
+        ("PoCD per benchmark", "Cost per benchmark", "Net utility per benchmark"),
+        rows,
+        notes=(
             f"{num_jobs} jobs/benchmark, 10 tasks/job, tau_est={TAU_EST}s, "
             f"tau_kill={TAU_KILL}s, theta={THETA}, Rmin=PoCD(Hadoop-NS)"
-        )
-    return tables
+        ),
+        jobs=jobs,
+    )

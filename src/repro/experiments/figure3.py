@@ -18,11 +18,14 @@ from __future__ import annotations
 from typing import Dict, Sequence
 
 from repro.core.model import StrategyName
-from repro.experiments.common import ExperimentScale, ExperimentTable, run_strategy_suite
-from repro.experiments.table1 import trace_jobs
+from repro.experiments.common import (
+    ExperimentScale,
+    ExperimentTable,
+    strategy_tables,
+    trace_scenario,
+    trace_workload,
+)
 from repro.hadoop.config import HadoopConfig
-from repro.simulator.cluster import ClusterConfig
-from repro.strategies import StrategyParameters
 
 #: theta sweep (paper's Figure 3 x-axis).
 THETA_VALUES = (1e-6, 1e-5, 1e-4, 1e-3)
@@ -51,53 +54,25 @@ def run_figure3(
 
     Returns tables keyed by ``"pocd"``, ``"cost"`` and ``"utility"``; each
     has one row per theta value and one column per strategy.  ``jobs > 1``
-    runs each theta's strategy suite in parallel worker processes.
+    runs every row in one sweep over that many worker processes.
     """
-    trace = trace_jobs(scale, seed)
-    columns = [name.display_name for name in FIGURE3_STRATEGIES]
-    tables = {
-        "pocd": ExperimentTable("figure3a", "PoCD vs theta", columns),
-        "cost": ExperimentTable("figure3b", "Cost vs theta", columns),
-        "utility": ExperimentTable("figure3c", "Utility vs theta", columns),
-    }
-    cluster = ClusterConfig(num_nodes=0)
+    workload = trace_workload(scale)
     # The paper's Mantri threshold (30 s) is calibrated to Google-trace task
     # durations of several hundred seconds; the synthetic trace uses much
     # shorter tasks, so the threshold is scaled down proportionally to keep
     # Mantri's aggressiveness comparable.
     hadoop = HadoopConfig(mantri_threshold=10.0)
-
-    for theta in theta_values:
-        params = StrategyParameters(
-            tau_est=TAU_EST_FACTOR,
-            tau_kill=TAU_KILL_FACTOR,
-            theta=theta,
-            unit_price=1.0,
-            timing_relative_to_tmin=True,
-        )
-        reports = run_strategy_suite(
-            trace,
-            FIGURE3_STRATEGIES,
-            params,
-            cluster=cluster,
-            hadoop=hadoop,
-            seed=seed,
-            parallel_jobs=jobs,
-        )
-        label = f"theta={theta:g}"
-        tables["pocd"].add_row(
-            label, {name.display_name: reports[name].pocd for name in FIGURE3_STRATEGIES}
-        )
-        tables["cost"].add_row(
-            label, {name.display_name: reports[name].mean_cost for name in FIGURE3_STRATEGIES}
-        )
-        tables["utility"].add_row(
-            label,
-            {
-                name.display_name: reports[name].net_utility(r_min_pocd=0.0, theta=theta)
-                for name in FIGURE3_STRATEGIES
-            },
-        )
-    for table in tables.values():
-        table.notes = f"{len(trace)} trace jobs, tau_est=0.3 tmin, tau_kill=0.8 tmin"
-    return tables
+    rows = {
+        f"theta={theta:g}": [
+            trace_scenario(workload, name, TAU_EST_FACTOR, TAU_KILL_FACTOR, theta, seed, hadoop)
+            for name in FIGURE3_STRATEGIES
+        ]
+        for theta in theta_values
+    }
+    return strategy_tables(
+        "figure3",
+        ("PoCD vs theta", "Cost vs theta", "Utility vs theta"),
+        rows,
+        notes=f"{workload.params['num_jobs']} trace jobs, tau_est=0.3 tmin, tau_kill=0.8 tmin",
+        jobs=jobs,
+    )

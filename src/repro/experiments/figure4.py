@@ -16,11 +16,13 @@ from __future__ import annotations
 from typing import Dict, Sequence
 
 from repro.core.model import StrategyName
-from repro.experiments.common import ExperimentScale, ExperimentTable, reference_pocd, run_strategy_suite
-from repro.experiments.table1 import trace_jobs
-from repro.hadoop.config import HadoopConfig
-from repro.simulator.cluster import ClusterConfig
-from repro.strategies import StrategyParameters
+from repro.experiments.common import (
+    ExperimentScale,
+    ExperimentTable,
+    strategy_tables,
+    trace_scenario,
+    trace_workload,
+)
 
 #: beta sweep (paper's Figure 4 x-axis).
 BETA_VALUES = (1.1, 1.3, 1.5, 1.7, 1.9)
@@ -48,54 +50,23 @@ def run_figure4(
     """Reproduce Figure 4(a)-(c).
 
     Returns tables keyed by ``"pocd"``, ``"cost"`` and ``"utility"``; one
-    row per beta, one column per strategy.  ``jobs > 1`` runs each beta's
-    strategy suite in parallel worker processes.
+    row per beta, one column per strategy.  ``jobs > 1`` runs every row
+    in one sweep over that many worker processes.
     """
-    columns = [name.display_name for name in FIGURE4_STRATEGIES]
-    tables = {
-        "pocd": ExperimentTable("figure4a", "PoCD vs beta", columns),
-        "cost": ExperimentTable("figure4b", "Cost vs beta", columns),
-        "utility": ExperimentTable("figure4c", "Utility vs beta", columns),
-    }
-    cluster = ClusterConfig(num_nodes=0)
-    hadoop = HadoopConfig()
-    params = StrategyParameters(
-        tau_est=TAU_EST_FACTOR,
-        tau_kill=TAU_KILL_FACTOR,
-        theta=THETA,
-        unit_price=1.0,
-        timing_relative_to_tmin=True,
-    )
-
+    rows = {}
     for beta in beta_values:
-        trace = trace_jobs(scale, seed, beta_override=beta)
-        reports = run_strategy_suite(
-            trace,
-            FIGURE4_STRATEGIES,
-            params,
-            cluster=cluster,
-            hadoop=hadoop,
-            seed=seed,
-            parallel_jobs=jobs,
-        )
-        r_min = reference_pocd(reports)
-        label = f"beta={beta:.1f}"
-        tables["pocd"].add_row(
-            label, {name.display_name: reports[name].pocd for name in FIGURE4_STRATEGIES}
-        )
-        tables["cost"].add_row(
-            label, {name.display_name: reports[name].mean_cost for name in FIGURE4_STRATEGIES}
-        )
-        tables["utility"].add_row(
-            label,
-            {
-                name.display_name: reports[name].net_utility(r_min_pocd=r_min, theta=THETA)
-                for name in FIGURE4_STRATEGIES
-            },
-        )
-    for table in tables.values():
-        table.notes = (
+        workload = trace_workload(scale, beta_override=beta)
+        rows[f"beta={beta:.1f}"] = [
+            trace_scenario(workload, name, TAU_EST_FACTOR, TAU_KILL_FACTOR, THETA, seed)
+            for name in FIGURE4_STRATEGIES
+        ]
+    return strategy_tables(
+        "figure4",
+        ("PoCD vs beta", "Cost vs beta", "Utility vs beta"),
+        rows,
+        notes=(
             "deadline = 2 x mean task time per job (deadline_factor=2 in the trace config), "
             f"theta={THETA}"
-        )
-    return tables
+        ),
+        jobs=jobs,
+    )

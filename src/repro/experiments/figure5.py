@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from typing import Dict, Sequence
 
+from repro.api.registry import build_jobs
 from repro.core.model import StrategyName
 from repro.core.optimizer import ChronosOptimizer
-from repro.experiments.common import ExperimentScale, ExperimentTable
-from repro.experiments.table1 import trace_jobs
+from repro.experiments.common import ExperimentScale, ExperimentTable, trace_workload
 
 #: Tradeoff factors shown in the paper's histogram.
 THETA_VALUES = (1e-5, 1e-4)
@@ -45,7 +45,8 @@ def run_figure5(
     the closed-form optimizer, which is cheap enough to stay inline.
     """
     del jobs
-    trace = trace_jobs(scale, seed)
+    workload = trace_workload(scale)
+    trace = build_jobs(workload.kind, workload.params, seed)
     columns = [f"r={r}" for r in R_BINS] + ["r>=7"]
     table = ExperimentTable("figure5", "Histogram of the optimal r", columns)
 

@@ -16,21 +16,8 @@ value (0.3 * tmin in the paper).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
-
-from repro.api import ScenarioSpec, run_specs
 from repro.core.model import StrategyName
-from repro.experiments.common import (
-    ExperimentScale,
-    ExperimentTable,
-    explicit_workload,
-    require_complete,
-)
-from repro.hadoop.config import HadoopConfig
-from repro.simulator.cluster import ClusterConfig
-from repro.simulator.entities import JobSpec
-from repro.strategies import StrategyParameters
-from repro.traces.google_trace import GoogleTraceConfig, SyntheticGoogleTrace
+from repro.experiments.common import ExperimentScale, ExperimentTable, timing_table
 
 #: tau_est sweep values, as multiples of tmin (paper's Table I).
 TAU_EST_FACTORS = (0.1, 0.3, 0.5)
@@ -38,17 +25,6 @@ TAU_EST_FACTORS = (0.1, 0.3, 0.5)
 WINDOW_FACTOR = 0.5
 #: Tradeoff factor used for the utility column.
 THETA = 1e-4
-#: Full-scale number of trace jobs (the paper replays 2700).
-FULL_TRACE_JOBS = 400
-
-
-def trace_jobs(
-    scale: ExperimentScale, seed: int, beta_override: Optional[float] = None
-) -> List[JobSpec]:
-    """Google-trace-like jobs at the requested scale."""
-    num_jobs = scale.scaled_jobs(FULL_TRACE_JOBS, minimum=30)
-    config = GoogleTraceConfig.small(num_jobs=num_jobs, seed=seed)
-    return SyntheticGoogleTrace(config).job_specs(beta_override=beta_override)
 
 
 def run_table1(
@@ -59,78 +35,18 @@ def run_table1(
 ) -> ExperimentTable:
     """Reproduce Table I (PoCD / cost / utility vs ``tau_est``).
 
-    ``jobs > 1`` runs the independent (strategy, timing) rows in parallel
-    worker processes.
+    ``jobs > 1`` runs every row in one sweep over that many worker
+    processes.
     """
-    trace = trace_jobs(scale, seed)
-    table = ExperimentTable(
+    timings = [(StrategyName.CLONE, 0.0, WINDOW_FACTOR)]
+    for name in (StrategyName.SPECULATIVE_RESTART, StrategyName.SPECULATIVE_RESUME):
+        timings += [(name, factor, factor + WINDOW_FACTOR) for factor in TAU_EST_FACTORS]
+    return timing_table(
         "table1",
         "Performance with varying tau_est (tau_kill - tau_est = 0.5 tmin)",
-        ["tau_est", "tau_kill", "pocd", "cost", "utility"],
+        timings,
+        scale,
+        seed,
+        theta,
+        jobs,
     )
-
-    rows: List[tuple] = [(StrategyName.CLONE, 0.0, WINDOW_FACTOR)]
-    for factor in TAU_EST_FACTORS:
-        rows.append((StrategyName.SPECULATIVE_RESTART, factor, factor + WINDOW_FACTOR))
-    for factor in TAU_EST_FACTORS:
-        rows.append((StrategyName.SPECULATIVE_RESUME, factor, factor + WINDOW_FACTOR))
-
-    _fill_rows(table, trace, rows, seed=seed, theta=theta, parallel_jobs=jobs)
-    table.notes = (
-        f"{len(trace)} trace jobs, timing expressed as multiples of each job's tmin, "
-        f"theta={theta}"
-    )
-    return table
-
-
-def _fill_rows(
-    table: ExperimentTable,
-    jobs: Sequence[JobSpec],
-    rows: Sequence[tuple],
-    seed: int,
-    theta: float,
-    parallel_jobs: int = 1,
-) -> None:
-    """Simulate each (strategy, tau_est, tau_kill) row and add it to the table.
-
-    The rows are independent simulations, so they are expressed as one
-    batch of scenario specs and executed together — in worker processes
-    when ``parallel_jobs > 1``.
-    """
-    cluster = ClusterConfig(num_nodes=0)  # unbounded: the paper's datacenter is large
-    hadoop = HadoopConfig()
-    workload = explicit_workload(jobs)
-    specs = [
-        ScenarioSpec(
-            workload=workload,
-            strategy=strategy_name.value,
-            strategy_params=StrategyParameters(
-                tau_est=tau_est_factor,
-                tau_kill=tau_kill_factor,
-                theta=theta,
-                unit_price=1.0,
-                timing_relative_to_tmin=True,
-            ),
-            cluster=cluster,
-            hadoop=hadoop,
-            seed=seed,
-        )
-        for strategy_name, tau_est_factor, tau_kill_factor in rows
-    ]
-    sweep = require_complete(run_specs(specs, jobs=parallel_jobs))
-    for (strategy_name, tau_est_factor, tau_kill_factor), result in zip(rows, sweep.results):
-        report = result.report
-        label = (
-            f"{strategy_name.display_name} @ tau_est={tau_est_factor:.1f}tmin, "
-            f"tau_kill={tau_kill_factor:.1f}tmin"
-        )
-        table.add_row(
-            label,
-            {
-                "tau_est": tau_est_factor,
-                "tau_kill": tau_kill_factor,
-                "pocd": report.pocd,
-                "cost": report.mean_cost,
-                "utility": report.net_utility(r_min_pocd=0.0, theta=theta),
-            },
-        )

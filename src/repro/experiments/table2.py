@@ -12,11 +12,9 @@ for the higher per-attempt cost.
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.core.model import StrategyName
-from repro.experiments.common import ExperimentScale, ExperimentTable
-from repro.experiments.table1 import THETA, _fill_rows, trace_jobs
+from repro.experiments.common import ExperimentScale, ExperimentTable, timing_table
+from repro.experiments.table1 import THETA
 
 #: tau_kill sweep values, as multiples of tmin (paper's Table II).
 TAU_KILL_FACTORS = (0.4, 0.6, 0.8)
@@ -32,27 +30,18 @@ def run_table2(
 ) -> ExperimentTable:
     """Reproduce Table II (PoCD / cost / utility vs ``tau_kill``).
 
-    ``jobs > 1`` runs the independent (strategy, timing) rows in parallel
-    worker processes.
+    ``jobs > 1`` runs every row in one sweep over that many worker
+    processes.
     """
-    trace = trace_jobs(scale, seed)
-    table = ExperimentTable(
+    timings = [(StrategyName.CLONE, 0.0, factor) for factor in TAU_KILL_FACTORS]
+    for name in (StrategyName.SPECULATIVE_RESTART, StrategyName.SPECULATIVE_RESUME):
+        timings += [(name, TAU_EST_FACTOR, factor) for factor in TAU_KILL_FACTORS]
+    return timing_table(
         "table2",
         "Performance with varying tau_kill (tau_est fixed)",
-        ["tau_est", "tau_kill", "pocd", "cost", "utility"],
+        timings,
+        scale,
+        seed,
+        theta,
+        jobs,
     )
-
-    rows: List[tuple] = []
-    for factor in TAU_KILL_FACTORS:
-        rows.append((StrategyName.CLONE, 0.0, factor))
-    for factor in TAU_KILL_FACTORS:
-        rows.append((StrategyName.SPECULATIVE_RESTART, TAU_EST_FACTOR, factor))
-    for factor in TAU_KILL_FACTORS:
-        rows.append((StrategyName.SPECULATIVE_RESUME, TAU_EST_FACTOR, factor))
-
-    _fill_rows(table, trace, rows, seed=seed, theta=theta, parallel_jobs=jobs)
-    table.notes = (
-        f"{len(trace)} trace jobs, timing expressed as multiples of each job's tmin, "
-        f"theta={theta}"
-    )
-    return table

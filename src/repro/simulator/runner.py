@@ -27,13 +27,11 @@ from itertools import zip_longest
 from typing import (
     TYPE_CHECKING,
     Callable,
-    Dict,
     Iterable,
     Iterator,
     List,
     Optional,
     Protocol,
-    Sequence,
     Tuple,
     runtime_checkable,
 )
@@ -306,18 +304,6 @@ class SimulationRunner:
             # pass that follows the window walks only the report.
             del simulation, engine
         return report
-
-    def run_strategies(
-        self,
-        jobs: Sequence[JobSpec],
-        strategies: Iterable[SpeculationStrategyProtocol],
-        estimator: Optional[CompletionTimeEstimator] = None,
-    ) -> Dict[StrategyName, SimulationReport]:
-        """Run the same jobs under several strategies (fresh engine each time)."""
-        reports: Dict[StrategyName, SimulationReport] = {}
-        for strategy in strategies:
-            reports[strategy.name] = self.run(jobs, strategy, estimator=estimator)
-        return reports
 
 
 def default_estimator_for(name: StrategyName) -> CompletionTimeEstimator:

@@ -91,10 +91,6 @@ class StrategyParameters:
         """Copy with different detection/kill times."""
         return replace(self, tau_est=tau_est, tau_kill=tau_kill)
 
-    def with_theta(self, theta: float) -> "StrategyParameters":
-        """Copy with a different tradeoff factor."""
-        return replace(self, theta=theta)
-
 
 class SpeculationStrategy(abc.ABC):
     """Base class for all speculation strategies."""

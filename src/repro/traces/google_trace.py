@@ -24,7 +24,7 @@ The generator is deterministic for a given seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -184,16 +184,8 @@ class SyntheticGoogleTrace:
         """Generate jobs directly as simulator :class:`JobSpec` objects."""
         return [job.to_job_spec() for job in self.generate(beta_override=beta_override)]
 
-    def iter_batches(self, batch_size: int) -> Iterator[List[TracedJob]]:
-        """Iterate over the trace in submission-ordered batches."""
-        if batch_size < 1:
-            raise ValueError("batch_size must be positive")
-        jobs = self.generate()
-        for start in range(0, len(jobs), batch_size):
-            yield jobs[start : start + batch_size]
-
     # ------------------------------------------------------------------
-    # Statistics helpers (used by tests and the analysis subpackage)
+    # Statistics helpers
     # ------------------------------------------------------------------
     def summary(self) -> dict:
         """Aggregate statistics of the generated trace."""

@@ -103,16 +103,6 @@ class SpotPriceHistory:
         """Time-average price over the whole history."""
         return float(np.mean(self._prices))
 
-    def cost_of(self, machine_time: float, start_time: float = 0.0) -> float:
-        """Cost of ``machine_time`` VM-seconds starting at ``start_time``.
-
-        Uses the price in effect at the start time, matching how the paper
-        prices each job with the spot price at its submission.
-        """
-        if machine_time < 0:
-            raise ValueError("machine_time must be non-negative")
-        return machine_time * self.price_at(start_time)
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------

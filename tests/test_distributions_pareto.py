@@ -1,4 +1,4 @@
-"""Unit tests for the Pareto and truncated-Pareto distributions."""
+"""Unit tests for the Pareto distribution and its maximum-likelihood fit."""
 
 from __future__ import annotations
 
@@ -7,11 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.distributions import (
-    ParetoDistribution,
-    TruncatedParetoDistribution,
-    fit_pareto_mle,
-)
+from repro.distributions import ParetoDistribution, fit_pareto_mle
 
 
 class TestParetoConstruction:
@@ -192,41 +188,6 @@ class TestParetoConditionalMeans:
     def test_scaled_rejects_non_positive(self):
         with pytest.raises(ValueError):
             ParetoDistribution(20.0, 1.5).scaled(0.0)
-
-
-class TestTruncatedPareto:
-    def test_samples_within_bounds(self, rng):
-        dist = TruncatedParetoDistribution(tmin=20.0, beta=1.5, tmax=200.0)
-        samples = dist.sample(5000, rng=rng)
-        assert np.all(samples >= 20.0)
-        assert np.all(samples <= 200.0)
-
-    def test_rejects_inverted_bounds(self):
-        with pytest.raises(ValueError):
-            TruncatedParetoDistribution(tmin=20.0, beta=1.5, tmax=10.0)
-
-    def test_cdf_limits(self):
-        dist = TruncatedParetoDistribution(20.0, 1.5, 200.0)
-        assert dist.cdf(10.0) == 0.0
-        assert dist.cdf(200.0) == pytest.approx(1.0)
-
-    def test_quantile_inverts_cdf(self):
-        dist = TruncatedParetoDistribution(20.0, 1.5, 200.0)
-        q = np.array([0.05, 0.5, 0.95])
-        np.testing.assert_allclose(dist.cdf(dist.quantile(q)), q, rtol=1e-9)
-
-    def test_mean_between_bounds(self):
-        dist = TruncatedParetoDistribution(20.0, 1.5, 200.0)
-        assert 20.0 < dist.mean() < 200.0
-
-    def test_mean_matches_sampling(self, rng):
-        dist = TruncatedParetoDistribution(20.0, 1.3, 500.0)
-        samples = dist.sample(200000, rng=rng)
-        assert samples.mean() == pytest.approx(dist.mean(), rel=0.03)
-
-    def test_mean_beta_one_limit(self):
-        dist = TruncatedParetoDistribution(20.0, 1.0, 200.0)
-        assert 20.0 < dist.mean() < 200.0
 
 
 class TestFitParetoMLE:

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 from pathlib import Path
 
 import pytest
 
-from repro.api import default_executor
+from repro.api import SweepStarted, default_executor, set_default_on_event
 from repro.experiments import (
     ExperimentScale,
     ExperimentTable,
@@ -18,6 +20,7 @@ from repro.experiments import (
 from repro.experiments.cli import (
     EXPERIMENTS,
     UnknownExperimentError,
+    _tables_of,
     build_parser,
     main,
     run_experiments,
@@ -103,13 +106,6 @@ class TestTable1:
     def test_has_seven_rows(self, table1):
         assert len(table1.rows) == 7
 
-    def test_parallel_jobs_match_inline(self, table1):
-        """The process-pool path reproduces the inline results exactly."""
-        parallel = run_table1(scale=ExperimentScale.SMOKE, seed=0, jobs=2)
-        assert [row.label for row in parallel.rows] == [row.label for row in table1.rows]
-        assert parallel.column("pocd") == table1.column("pocd")
-        assert parallel.column("cost") == table1.column("cost")
-
     def test_pocd_and_cost_positive(self, table1):
         for row in table1.rows:
             assert 0.0 <= row.value("pocd") <= 1.0
@@ -132,6 +128,50 @@ class TestTable2:
         ]
         # Larger tau_kill lets speculative attempts run longer before pruning.
         assert resume_costs[0] <= resume_costs[-1] * 1.05
+
+
+HARNESS_TABLES = json.loads(
+    (Path(__file__).parent / "data" / "harness_tables.json").read_text()
+)
+
+#: The harnesses that simulate (Figure 5 only runs the closed-form optimizer).
+SIMULATION_HARNESSES = ("figure2", "figure3", "figure4", "table1", "table2")
+
+
+def _harness_texts(name, **kwargs):
+    """``{experiment_id: to_text()}`` of one harness at smoke scale."""
+    kwargs.setdefault("seed", 0)
+    result = EXPERIMENTS[name](scale=ExperimentScale.SMOKE, **kwargs)
+    return {table.experiment_id: table.to_text() for table in _tables_of(result)}
+
+
+class TestHarnessTables:
+    @pytest.mark.parametrize("name", sorted(HARNESS_TABLES["to_text_sha256"]))
+    def test_tables_match_pinned_digests(self, name):
+        """Every table's text is byte-identical to the pinned capture."""
+        assert HARNESS_TABLES["scale"] == ExperimentScale.SMOKE.value
+        texts = _harness_texts(name, seed=HARNESS_TABLES["seed"])
+        digests = {
+            table_id: hashlib.sha256(text.encode()).hexdigest()
+            for table_id, text in texts.items()
+        }
+        assert digests == HARNESS_TABLES["to_text_sha256"][name]
+
+    @pytest.mark.parametrize("name", SIMULATION_HARNESSES)
+    def test_each_harness_runs_one_sweep(self, name):
+        """All of a harness's rows are one ``run_specs`` call."""
+        events = []
+        set_default_on_event(events.append)
+        try:
+            _harness_texts(name)
+        finally:
+            set_default_on_event(None)
+        assert sum(isinstance(event, SweepStarted) for event in events) == 1
+
+    @pytest.mark.parametrize("name", SIMULATION_HARNESSES)
+    def test_parallel_jobs_match_inline(self, name):
+        """The worker-fleet path reproduces the inline tables exactly."""
+        assert _harness_texts(name, jobs=2) == _harness_texts(name, jobs=1)
 
 
 class TestCLI:

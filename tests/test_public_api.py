@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import os
 import subprocess
 import sys
@@ -29,7 +30,7 @@ from repro import (
 
 class TestPackageSurface:
     def test_version_string(self):
-        assert repro.__version__ == "10.1.0"
+        assert repro.__version__ == "11.0.0"
 
     def test_declared_dependencies_suffice(self):
         """A fresh interpreter imports ``repro.api`` and runs S-Restart without scipy.
@@ -121,6 +122,16 @@ class TestPackageSurface:
         assert ParetoDistribution(10.0, 1.5).mean() == pytest.approx(30.0)
 
 
+def _owner_of(path):
+    """``"module:Owner.name"`` -> (the imported owner object, ``"name"``)."""
+    module, _, dotted = path.partition(":")
+    *owners, name = dotted.split(".")
+    owner = importlib.import_module(module)
+    for attribute in owners:
+        owner = getattr(owner, attribute)
+    return owner, name
+
+
 class TestDeprecatedShims:
     """The 1.x top-level shims and the in-memory ``ResultCache`` are gone in 2.0."""
 
@@ -156,8 +167,6 @@ class TestDeprecatedShims:
     )
     def test_names_removed_in_9_0(self, module, name):
         """Stop conditions are plain callables; an attempt is its own container request."""
-        import importlib
-
         imported = importlib.import_module(module)
         assert name not in getattr(imported, "__all__", ())
         with pytest.raises(AttributeError):
@@ -165,8 +174,6 @@ class TestDeprecatedShims:
 
     def test_analysis_package_is_gone_in_10_0(self):
         """``tests/test_conformance.py`` checks Theorems 1-6 against the simulator."""
-        import importlib
-
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module("repro.analysis")
 
@@ -183,15 +190,40 @@ class TestDeprecatedShims:
     )
     def test_names_removed_in_10_0(self, path):
         """One strategy table; callers walk ``task.attempts`` themselves."""
-        import importlib
-
-        module, _, dotted = path.partition(":")
-        *owners, name = dotted.split(".")
-        imported = importlib.import_module(module)
-        for owner in owners:
-            imported = getattr(imported, owner)
+        owner, name = _owner_of(path)
         with pytest.raises(AttributeError):
-            getattr(imported, name)
+            getattr(owner, name)
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "repro.distributions:EmpiricalDistribution",
+            "repro.distributions:ShiftedDistribution",
+            "repro.distributions:TruncatedParetoDistribution",
+            "repro.distributions.pareto:TruncatedParetoDistribution",
+            "repro.traces.google_trace:SyntheticGoogleTrace.iter_batches",
+            "repro.traces.spot_price:SpotPriceHistory.cost_of",
+            "repro.strategies:StrategyParameters.with_theta",
+            "repro.simulator.runner:SimulationRunner.run_strategies",
+            "repro.experiments.common:run_strategy_suite",
+            "repro.experiments.common:suite_specs",
+            "repro.experiments.table1:_fill_rows",
+            "repro.experiments.table1:trace_jobs",
+        ],
+    )
+    def test_names_removed_in_11_0(self, path):
+        """Nothing but tests called them; every harness is rows run as one sweep."""
+        owner, name = _owner_of(path)
+        assert name not in getattr(owner, "__all__", ())
+        with pytest.raises(AttributeError):
+            getattr(owner, name)
+
+    @pytest.mark.parametrize(
+        "module", ["repro.distributions.empirical", "repro.distributions.shifted"]
+    )
+    def test_modules_removed_in_11_0(self, module):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
 
     def test_unknown_attribute_still_raises(self):
         with pytest.raises(AttributeError):

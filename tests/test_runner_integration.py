@@ -59,18 +59,6 @@ class TestRunnerBasics:
         )
         assert a.mean_machine_time != pytest.approx(b.mean_machine_time)
 
-    def test_run_strategies_helper(self, job_stream, strategy_params):
-        runner = SimulationRunner(cluster=ClusterConfig(num_nodes=0), seed=3)
-        strategies = [
-            build_strategy(StrategyName.HADOOP_NO_SPECULATION, strategy_params),
-            build_strategy(StrategyName.SPECULATIVE_RESUME, strategy_params),
-        ]
-        reports = runner.run_strategies(job_stream, strategies)
-        assert set(reports) == {
-            StrategyName.HADOOP_NO_SPECULATION,
-            StrategyName.SPECULATIVE_RESUME,
-        }
-
     def test_max_events_truncation_still_reports(self, job_stream, strategy_params):
         runner = SimulationRunner(cluster=ClusterConfig(num_nodes=0), seed=3, max_events=10)
         report = runner.run(job_stream, build_strategy(StrategyName.HADOOP_NO_SPECULATION, strategy_params))

@@ -92,7 +92,6 @@ class TestStrategyParameters:
     def test_with_helpers(self):
         params = StrategyParameters(tau_est=10.0, tau_kill=20.0, theta=1e-4)
         assert params.with_timing(5.0, 15.0).tau_est == 5.0
-        assert params.with_theta(1e-2).theta == 1e-2
         # Original unchanged (frozen dataclass semantics).
         assert params.tau_est == 10.0
 

@@ -160,13 +160,6 @@ class TestGoogleTrace:
         assert summary["total_tasks"] >= 25
         assert summary["mean_beta"] > 1.0
 
-    def test_iter_batches(self):
-        trace = SyntheticGoogleTrace(GoogleTraceConfig.small(num_jobs=25))
-        batches = list(trace.iter_batches(10))
-        assert [len(b) for b in batches] == [10, 10, 5]
-        with pytest.raises(ValueError):
-            list(trace.iter_batches(0))
-
 
 class TestSpotPrices:
     def test_config_validation(self):
@@ -191,14 +184,6 @@ class TestSpotPrices:
         assert history.price_at(150.0) == history.prices[1]
         assert history.price_at(-5.0) == history.prices[0]
         assert history.price_at(1e12) == history.prices[-1]
-
-    def test_cost_of(self):
-        history = SpotPriceHistory(SpotPriceConfig(seed=3))
-        assert history.cost_of(100.0, start_time=0.0) == pytest.approx(
-            100.0 * history.price_at(0.0)
-        )
-        with pytest.raises(ValueError):
-            history.cost_of(-1.0)
 
     def test_deterministic_for_seed(self):
         a = SpotPriceHistory(SpotPriceConfig(seed=9)).prices
