@@ -87,7 +87,6 @@ from repro.api import (
     register_workload,
     run,
     run_specs,
-    set_default_executor,
 )
 from repro.core import (
     ChronosOptimizer,
@@ -104,7 +103,7 @@ from repro.distributions import ParetoDistribution
 from repro.simulator import ClusterConfig, JobSpec, SimulationReport
 from repro.strategies import StrategyParameters
 
-__version__ = "11.0.0"
+__version__ = "12.0.0"
 
 __all__ = [
     "__version__",
@@ -117,7 +116,6 @@ __all__ = [
     "run_specs",
     "Sweep",
     "SweepResult",
-    "set_default_executor",
     "register_strategy",
     "register_estimator",
     "register_workload",

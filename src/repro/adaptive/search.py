@@ -30,9 +30,10 @@ task lifecycle.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.adaptive.algorithms import AlgorithmAdapter, Proposal, make_algorithm
 from repro.adaptive.ledger import TrialLedger, TrialRecord
@@ -51,16 +52,14 @@ from repro.api.events import (
 from repro.api.facade import ScenarioResult
 from repro.api.spec import ScenarioSpec, SpecValidationError
 from repro.api.sweep import (
-    CancelToken,
-    ResultStore,
-    StopCondition,
     _aligned,
     _cell,
     _csv_text,
+    _drain,
+    _event_stream,
     _is_sweepable_spec,
-    _resolve_stop,
-    default_on_event,
-    stream_specs,
+    _Plan,
+    _resolve_plan,
 )
 from repro import telemetry
 
@@ -118,16 +117,7 @@ def stream_search(
     max_trials: Optional[int] = None,
     batch: int = 8,
     ledger: Optional[Union[str, Path, TrialLedger]] = None,
-    jobs: int = 1,
-    cache: Optional[ResultStore] = None,
-    executor: Optional[str] = None,
-    workers: Optional[int] = None,
-    db: Optional[Union[str, Path]] = None,
-    broker: Optional[str] = None,
-    lease_timeout: Optional[float] = None,
-    cancel: Optional[CancelToken] = None,
-    stop: Optional[StopCondition] = None,
-    on_failure: str = "continue",
+    **options: Any,
 ) -> Iterator[SweepEvent]:
     """Run an adaptive search, yielding events as they happen.
 
@@ -163,17 +153,16 @@ def stream_search(
         ``None`` keeps trials in memory — the search works but cannot
         resume.  A ledger written by a different algorithm, objective or
         base spec is refused.
-    jobs / cache / executor / workers / db / broker / lease_timeout:
-        Executor options, passed to :func:`repro.api.stream_specs`
-        unchanged — a search runs anywhere a sweep does.  ``cache``
-        defaults to a fresh in-memory
-        :class:`~repro.distributed.SqliteResultStore` so duplicate
-        fingerprints across batches never re-execute.
-    cancel / stop / on_failure:
-        Control surface, as in :func:`stream_specs` — the stop condition
-        sees every forwarded scenario event *and* the search events.
-        ``on_failure`` defaults to ``"continue"`` (a failed trial is an
-        infeasible data point, not a reason to abort the search).
+    options:
+        The sweep options of :func:`repro.api.stream_specs`, validated
+        up front and used for every batch — a search runs anywhere a
+        sweep does.  Two defaults differ: ``cache`` is a fresh in-memory
+        :class:`~repro.distributed.SqliteResultStore`, so duplicate
+        fingerprints across batches never re-execute, and
+        ``on_failure`` is ``"continue"`` (a failed trial is an
+        infeasible data point, not a reason to abort the search).  The
+        ``stop`` condition sees every forwarded scenario event *and*
+        the search events.
     """
     if not _is_sweepable_spec(base):
         raise SpecValidationError(
@@ -187,8 +176,8 @@ def stream_search(
         raise ValueError("batch must be a positive integer")
     if max_trials is not None and max_trials < 1:
         raise ValueError("max_trials must be a positive integer or None")
-    if on_failure not in ("raise", "continue"):
-        raise ValueError(f"on_failure must be 'raise' or 'continue', got {on_failure!r}")
+    options.setdefault("on_failure", "continue")
+    plan = _resolve_plan(**options)
     objective_obj = make_objective(objective)
     algo = make_algorithm(algorithm, axes, **dict(algorithm_params or {}))
     own_ledger = not isinstance(ledger, TrialLedger)
@@ -201,34 +190,12 @@ def stream_search(
         if own_ledger:
             book.close()
         raise
-    token = cancel if cancel is not None else CancelToken()
-    stop_condition = _resolve_stop(stop)
-    if cache is None:
+    if plan.cache is None:
         from repro.distributed import SqliteResultStore
 
-        cache = SqliteResultStore(":memory:")
-    exec_opts = dict(
-        jobs=jobs,
-        cache=cache,
-        executor=executor,
-        workers=workers,
-        db=db,
-        broker=broker,
-        lease_timeout=lease_timeout,
-        on_failure=on_failure,
-    )
+        plan = replace(plan, cache=SqliteResultStore(":memory:"))
     return _search_stream(
-        base,
-        algo,
-        objective_obj,
-        book,
-        own_ledger,
-        max_trials=max_trials,
-        batch=batch,
-        token=token,
-        stop_condition=stop_condition,
-        exec_opts=exec_opts,
-        log_target=broker if broker is not None else db,
+        base, algo, objective_obj, book, own_ledger, plan, max_trials=max_trials, batch=batch
     )
 
 
@@ -238,15 +205,18 @@ def _search_stream(
     objective: Objective,
     book: TrialLedger,
     own_ledger: bool,
+    plan: _Plan,
     *,
     max_trials: Optional[int],
     batch: int,
-    token: CancelToken,
-    stop_condition: Optional[StopCondition],
-    exec_opts: Dict[str, Any],
-    log_target: Optional[Union[str, Path]],
 ) -> Iterator[SweepEvent]:
-    """The generator behind :func:`stream_search` (options pre-validated)."""
+    """The generator behind :func:`stream_search` (options pre-validated).
+
+    Each batch runs on ``plan`` without its stop condition: the search,
+    not each batch, evaluates ``stop``, and one token cancels both.
+    """
+    token, stop_condition = plan.cancel, plan.stop
+    batch_plan = replace(plan, stop=None)
     started = time.perf_counter()
 
     def clock() -> float:
@@ -261,7 +231,7 @@ def _search_stream(
             stopped = True
             token.cancel()
 
-    mirror = _TrialEventLog(log_target)
+    mirror = _TrialEventLog(plan.broker if plan.broker is not None else plan.db)
     try:
         while not token.cancelled():
             if max_trials is not None and trials >= max_trials:
@@ -316,9 +286,7 @@ def _search_stream(
             outcome: Dict[str, ScenarioResult] = {}
             failed_fingerprints: set = set()
             if fresh and not token.cancelled():
-                inner = stream_specs(
-                    [spec for _, spec, _ in fresh], cancel=token, stop=None, **exec_opts
-                )
+                inner = _event_stream([spec for _, spec, _ in fresh], batch_plan)
                 try:
                     for event in inner:
                         if isinstance(event, SweepStarted):
@@ -550,37 +518,25 @@ def run_search(
     max_trials: Optional[int] = None,
     batch: int = 8,
     ledger: Optional[Union[str, Path, TrialLedger]] = None,
-    jobs: int = 1,
-    cache: Optional[ResultStore] = None,
-    executor: Optional[str] = None,
-    workers: Optional[int] = None,
-    db: Optional[Union[str, Path]] = None,
-    broker: Optional[str] = None,
-    lease_timeout: Optional[float] = None,
-    on_event: Optional[Callable[[SweepEvent], None]] = None,
-    cancel: Optional[CancelToken] = None,
-    stop: Optional[StopCondition] = None,
-    on_failure: str = "continue",
+    **options: Any,
 ) -> SearchResult:
     """Run an adaptive search to completion (or interruption).
 
     A thin consumer of :func:`stream_search`, exactly as
-    :func:`repro.api.run_specs` consumes :func:`stream_specs`: it drains
-    the event stream (feeding ``on_event``, falling back to the
-    process-wide default callback) and assembles a :class:`SearchResult`
-    from the trial ledger.  Ctrl-C returns a *partial* result — settled
-    trials, current best — instead of losing paid-for work; re-running
-    with the same ``ledger`` path resumes with zero re-executed
-    scenarios.
+    :func:`repro.api.run_specs` consumes :func:`stream_specs`, and
+    through the same drain: it feeds every event to ``on_event`` and
+    assembles a :class:`SearchResult` from the trial ledger.  Ctrl-C
+    returns a *partial* result — settled trials, current best — instead
+    of losing paid-for work; re-running with the same ``ledger`` path
+    resumes with zero re-executed scenarios.  ``options`` are
+    :func:`stream_search`'s sweep options plus ``on_event``, as for
+    :func:`repro.api.run_specs`.
     """
-    if on_event is None:
-        on_event = default_on_event()
+    on_event = options.pop("on_event", None)
     own_ledger = not isinstance(ledger, TrialLedger)
     book = ledger if isinstance(ledger, TrialLedger) else TrialLedger(ledger)
     started = time.perf_counter()
-    finished: Optional[SearchFinished] = None
-    executed = cache_hits = failures = pruned = 0
-    interrupted = False
+    counts: Counter = Counter()
     try:
         stream = stream_search(
             base,
@@ -591,36 +547,15 @@ def run_search(
             max_trials=max_trials,
             batch=batch,
             ledger=book,
-            jobs=jobs,
-            cache=cache,
-            executor=executor,
-            workers=workers,
-            db=db,
-            broker=broker,
-            lease_timeout=lease_timeout,
-            cancel=cancel,
-            stop=stop,
-            on_failure=on_failure,
+            **options,
         )
-        try:
-            for event in stream:
-                if isinstance(event, ScenarioCompleted):
-                    executed += 1
-                elif isinstance(event, ScenarioCacheHit):
-                    cache_hits += 1
-                elif isinstance(event, ScenarioFailed):
-                    failures += 1
-                elif isinstance(event, TrialPruned):
-                    pruned += 1
-                elif isinstance(event, SearchFinished):
-                    finished = event
-                if on_event is not None:
-                    on_event(event)
-        except KeyboardInterrupt:
-            interrupted = True
-        finally:
-            stream.close()
-
+        finished, cancelled = _drain(
+            stream,
+            lambda event: counts.update((type(event),)),
+            on_event,
+            options.get("cancel"),
+            SearchFinished,
+        )
         records = tuple(book.records())
         best: Optional[TrialRecord] = None
         best_objective: Optional[float] = None
@@ -633,9 +568,6 @@ def run_search(
             best = book.best()
             best_objective = best.objective if best is not None else None
             best_config = dict(best.params) if best is not None else None
-        cancelled = interrupted or bool(finished and finished.cancelled)
-        if not cancelled and finished is None and cancel is not None:
-            cancelled = cancel.cancelled()
         return SearchResult(
             algorithm=finished.algorithm if finished is not None else str(algorithm),
             objective=(
@@ -646,10 +578,12 @@ def run_search(
             trials=records,
             best=best,
             best_objective=best_objective,
-            executed=finished.executed if finished is not None else executed,
-            cache_hits=finished.cache_hits if finished is not None else cache_hits,
-            pruned=finished.pruned if finished is not None else pruned,
-            failures=finished.failures if finished is not None else failures,
+            executed=finished.executed if finished is not None else counts[ScenarioCompleted],
+            cache_hits=(
+                finished.cache_hits if finished is not None else counts[ScenarioCacheHit]
+            ),
+            pruned=finished.pruned if finished is not None else counts[TrialPruned],
+            failures=finished.failures if finished is not None else counts[ScenarioFailed],
             wall_time_s=(
                 finished.elapsed_s if finished is not None else time.perf_counter() - started
             ),

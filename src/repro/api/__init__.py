@@ -47,7 +47,6 @@ control surface as sweeps.
 """
 
 from repro.api.events import (
-    EVENT_TYPES,
     ScenarioCacheHit,
     ScenarioCompleted,
     ScenarioFailed,
@@ -60,7 +59,6 @@ from repro.api.events import (
     SweepStarted,
     TrialProposed,
     TrialPruned,
-    event_from_dict,
 )
 from repro.api.facade import (
     RunnerTemplate,
@@ -102,13 +100,9 @@ from repro.api.sweep import (
     StopCondition,
     Sweep,
     SweepResult,
-    default_executor,
-    default_on_event,
     first_deadline_miss,
     max_failures,
     run_specs,
-    set_default_executor,
-    set_default_on_event,
     stream_specs,
 )
 
@@ -138,10 +132,6 @@ __all__ = [
     "run_specs",
     "stream_specs",
     "EXECUTORS",
-    "set_default_executor",
-    "default_executor",
-    "set_default_on_event",
-    "default_on_event",
     # streaming control
     "CancelToken",
     "StopCondition",
@@ -160,8 +150,6 @@ __all__ = [
     "TrialProposed",
     "TrialPruned",
     "SearchFinished",
-    "EVENT_TYPES",
-    "event_from_dict",
     # registries
     "Registry",
     "UnknownPluginError",

@@ -2,7 +2,7 @@
 
 Every executor backend — inline, local worker pool, distributed queue,
 remote HTTP service — reports progress through one vocabulary: a small hierarchy
-of frozen, JSON-serializable :class:`SweepEvent` dataclasses.  The
+of frozen :class:`SweepEvent` dataclasses.  The
 streaming API (:func:`repro.api.stream_specs` / ``Sweep.stream``) yields
 these events as scenarios complete; the blocking API (``run_specs`` /
 ``Sweep.run``) is a thin consumer that assembles the same events into a
@@ -27,49 +27,34 @@ without paying for it) and a final ``SearchFinished`` — so progress
 rendering, stop conditions and Ctrl-C partial-result semantics work for
 searches exactly as they do for grids.
 
-Events serialize to JSON (:meth:`SweepEvent.to_dict` /
-:func:`event_from_dict`), so they can cross process and host boundaries
-exactly like specs and results do — the distributed broker keeps a
-monotonic event log in sqlite, and the HTTP service relays it via the
-``events_since`` RPC.  ``index`` is the scenario's position in the
-submitted spec list (duplicates share the first position); ``elapsed_s``
-is wall time since the sweep began.
+Events live in the process that drives the sweep; they are not a wire
+format.  Workers report through the broker, whose event log (sqlite, or
+the HTTP service's ``events_since`` RPC) has rows of its own, and the
+sweep driver turns those rows into events.  ``index`` is the scenario's
+position in the submitted spec list (duplicates share the first
+position); ``elapsed_s`` is wall time since the sweep began.
 
 Every event also carries an optional ``sweep_id`` — the correlation id
 :func:`repro.telemetry.new_sweep_id` mints once per sweep and
 ``stream_specs`` stamps onto the stream (and into the broker's
 ``queued`` rows), so one sweep's events are joinable across hosts; see
-``chronos-experiments trace``.  Pre-telemetry payloads without the field
-still deserialize (it defaults to ``None``).
+``chronos-experiments trace``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, ClassVar, Dict, Mapping, Optional, Tuple, Type
+from typing import Any, ClassVar, Dict, Optional, Tuple
 
-from repro.api.facade import ScenarioResult, result_from_dict
+from repro.api.facade import ScenarioResult
 
 
 @dataclass(frozen=True)
 class SweepEvent:
     """Base class of every sweep event (no fields of its own)."""
 
-    #: Wire name of the event, set by each subclass.
+    #: Name of the event, set by each subclass.
     kind: ClassVar[str] = "event"
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready representation; inverse of :func:`event_from_dict`."""
-        data: Dict[str, Any] = {"event": self.kind}
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            if field.name in _RESULT_FIELDS and value is not None:
-                # ScenarioResult or ClusterResult — both serialize the
-                # same way and round-trip via result_from_dict.
-                value = value.to_dict()
-            data[field.name] = value
-        return data
 
 
 @dataclass(frozen=True)
@@ -249,59 +234,6 @@ class SearchFinished(SweepEvent):
     sweep_id: Optional[str] = None
 
 
-#: Every concrete event type, keyed by wire name.
-EVENT_TYPES: Dict[str, Type[SweepEvent]] = {
-    cls.kind: cls
-    for cls in (
-        SweepStarted,
-        ScenarioQueued,
-        ScenarioStarted,
-        ScenarioCacheHit,
-        ScenarioCompleted,
-        ScenarioFailed,
-        ScenarioRetried,
-        SweepFinished,
-        TrialProposed,
-        TrialPruned,
-        SearchFinished,
-    )
-}
-
-#: Fields that deserialize into a :class:`ScenarioResult`.
-_RESULT_FIELDS = ("result",)
-
-
-def event_from_dict(data: Mapping[str, Any]) -> SweepEvent:
-    """Rebuild an event from :meth:`SweepEvent.to_dict` output.
-
-    Raises :class:`ValueError` on an unknown event name or a payload that
-    does not match the event's fields, so a corrupt log line is an error
-    at the boundary rather than a latent surprise.
-    """
-    if not isinstance(data, Mapping):
-        raise ValueError(f"expected an event mapping, got {type(data).__name__}")
-    name = data.get("event")
-    cls = EVENT_TYPES.get(name)
-    if cls is None:
-        raise ValueError(
-            f"unknown sweep event {name!r}; known: {', '.join(sorted(EVENT_TYPES))}"
-        )
-    allowed = {field.name for field in dataclasses.fields(cls)}
-    kwargs: Dict[str, Any] = {}
-    for key, value in data.items():
-        if key == "event":
-            continue
-        if key not in allowed:
-            raise ValueError(f"{name}: unknown field {key!r}")
-        if key in _RESULT_FIELDS and value is not None:
-            value = result_from_dict(value)
-        kwargs[key] = value
-    try:
-        return cls(**kwargs)
-    except TypeError as error:
-        raise ValueError(f"{name}: {error}") from error
-
-
 __all__: Tuple[str, ...] = (
     "SweepEvent",
     "SweepStarted",
@@ -315,6 +247,4 @@ __all__: Tuple[str, ...] = (
     "TrialProposed",
     "TrialPruned",
     "SearchFinished",
-    "EVENT_TYPES",
-    "event_from_dict",
 )

@@ -48,6 +48,7 @@ import io
 import itertools
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import (
@@ -137,24 +138,6 @@ def _is_sweepable_spec(spec: Any) -> bool:
 #: Names of the pluggable executor backends.
 EXECUTORS = ("inline", "pool", "distributed")
 
-#: Process-wide executor defaults, set by :func:`set_default_executor`.
-_executor_defaults: Dict[str, Any] = {
-    "executor": None,
-    "workers": None,
-    "db": None,
-    "broker": None,
-}
-
-#: Process-wide event callback, set by :func:`set_default_on_event`.
-_default_on_event: Optional[Callable[[SweepEvent], None]] = None
-
-
-def _validate_broker_url(broker: Union[str, Path]) -> str:
-    text = str(broker)
-    if not text.startswith(("http://", "https://")):
-        raise ValueError(f"broker must be an http(s):// sweep-service URL, got {broker!r}")
-    return text
-
 
 def _check_queue_target(
     executor: Optional[str], db: Optional[Union[str, Path]], broker: Optional[str]
@@ -176,62 +159,6 @@ def _check_queue_target(
     if broker is not None and db is not None:
         raise ValueError("pass either db (sqlite path) or broker (service URL), not both")
     return executor
-
-
-def set_default_executor(
-    executor: Optional[str] = None,
-    *,
-    workers: Optional[int] = None,
-    db: Optional[Union[str, Path]] = None,
-    broker: Optional[str] = None,
-) -> None:
-    """Set the process-wide executor backend used when callers pass none.
-
-    This is how whole call trees that predate the distributed backend —
-    the experiment harnesses (each one sweep, through
-    ``repro.experiments.common.run_rows``), user scripts — can be
-    pointed at a worker fleet without changing a line of them: the CLI
-    (``--executor distributed --workers 4``, or ``--broker
-    http://host:8176`` for a remote sweep service) or a conftest sets
-    the default once, and every :func:`run_specs` call follows it.
-
-    ``executor=None`` restores the automatic choice (``"pool"`` when
-    ``jobs > 1``, else ``"inline"``); a ``db`` path or a ``broker`` URL
-    implies ``"distributed"``, and either one with another executor
-    raises :class:`ValueError`.
-    """
-    if broker is not None:
-        broker = _validate_broker_url(broker)
-    executor = _check_queue_target(executor, db, broker)
-    if workers is not None and workers < 1:
-        raise ValueError("workers must be a positive integer")
-    _executor_defaults["executor"] = executor
-    _executor_defaults["workers"] = workers
-    _executor_defaults["db"] = db
-    _executor_defaults["broker"] = broker
-
-
-def default_executor() -> Optional[str]:
-    """The process-wide default backend, or ``None`` for automatic."""
-    return _executor_defaults["executor"]
-
-
-def set_default_on_event(callback: Optional[Callable[[SweepEvent], None]]) -> None:
-    """Set a process-wide event callback for blocking sweeps.
-
-    Every :func:`run_specs` call that does not pass its own ``on_event``
-    feeds its event stream through ``callback`` — which is how the CLI's
-    ``--progress`` renders a live progress line for the experiment
-    harnesses without threading a parameter through each of them.
-    ``None`` clears the default.
-    """
-    global _default_on_event
-    _default_on_event = callback
-
-
-def default_on_event() -> Optional[Callable[[SweepEvent], None]]:
-    """The process-wide event callback, or ``None``."""
-    return _default_on_event
 
 
 # ----------------------------------------------------------------------
@@ -297,13 +224,6 @@ def first_deadline_miss() -> StopCondition:
         return False
 
     return condition
-
-
-def _resolve_stop(stop: Optional[StopCondition]) -> Optional[StopCondition]:
-    """``stop`` itself, once it is known to be a callable or ``None``."""
-    if stop is None or callable(stop):
-        return stop
-    raise ValueError(f"stop must be a callable or None, got {type(stop).__name__}")
 
 
 # ----------------------------------------------------------------------
@@ -438,49 +358,76 @@ class SweepResult:
 # ----------------------------------------------------------------------
 # The event stream (all executors) and its blocking consumer
 # ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class _Plan:
+    """The validated sweep options of one :func:`stream_specs` call."""
+
+    jobs: int
+    cache: Optional[ResultStore]
+    executor: str
+    workers: Optional[int]
+    db: Optional[Union[str, Path]]
+    broker: Optional[str]
+    lease_timeout: Optional[float]
+    cancel: CancelToken
+    stop: Optional[StopCondition]
+    on_failure: str
+
+
 def _resolve_plan(
-    jobs: int,
-    executor: Optional[str],
-    workers: Optional[int],
-    db: Optional[Union[str, Path]],
-    broker: Optional[str],
-) -> Tuple[str, Optional[int], Optional[Union[str, Path]], Optional[str]]:
-    """Validate and resolve the executor/workers/db/broker choice."""
-    if jobs < 1:
-        raise ValueError("jobs must be a positive integer")
-    if executor is None:
-        executor = _executor_defaults["executor"]
-    if broker is None and db is None:
-        # Defaults are one queue-target setting: only consult them when the
-        # caller pinned neither target explicitly.
-        db = _executor_defaults["db"]
-        broker = _executor_defaults["broker"]
-    if broker is not None:
-        broker = _validate_broker_url(broker)
-    executor = _check_queue_target(executor, db, broker)
-    if executor is None:
-        executor = "pool" if jobs > 1 else "inline"
-    if workers is None:
-        workers = _executor_defaults["workers"]
-    if workers is not None and workers < 1:
-        raise ValueError("workers must be a positive integer")
-    return executor, workers, db, broker
-
-
-def stream_specs(
-    specs: Sequence[ScenarioSpec],
     *,
     jobs: int = 1,
     cache: Optional[ResultStore] = None,
     executor: Optional[str] = None,
     workers: Optional[int] = None,
     db: Optional[Union[str, Path]] = None,
-    broker: Optional[str] = None,
+    broker: Optional[Union[str, Path]] = None,
     lease_timeout: Optional[float] = None,
     cancel: Optional[CancelToken] = None,
     stop: Optional[StopCondition] = None,
     on_failure: str = "raise",
-) -> Iterator[SweepEvent]:
+) -> _Plan:
+    """Validate the sweep options; the one place they and their defaults live.
+
+    Every sweep entry point (:func:`stream_specs`, :func:`run_specs`,
+    :class:`Sweep`, ``repro.adaptive``'s searches, the experiment
+    harnesses) passes its keyword options through to here unchanged, so
+    an unknown option name is a :class:`TypeError` and a bad value a
+    :class:`ValueError`, raised before anything runs.  Their meaning is
+    documented on :func:`stream_specs`.
+    """
+    if jobs < 1:
+        raise ValueError("jobs must be a positive integer")
+    if broker is not None:
+        if not str(broker).startswith(("http://", "https://")):
+            raise ValueError(f"broker must be an http(s):// sweep-service URL, got {broker!r}")
+        broker = str(broker)
+    executor = _check_queue_target(executor, db, broker)
+    if executor is None:
+        executor = "pool" if jobs > 1 else "inline"
+    if workers is not None and workers < 1:
+        raise ValueError("workers must be a positive integer")
+    if lease_timeout is not None and lease_timeout <= 0:
+        raise ValueError("lease timeout must be positive")
+    if stop is not None and not callable(stop):
+        raise ValueError(f"stop must be a callable or None, got {type(stop).__name__}")
+    if on_failure not in ("raise", "continue"):
+        raise ValueError(f"on_failure must be 'raise' or 'continue', got {on_failure!r}")
+    return _Plan(
+        jobs=jobs,
+        cache=cache,
+        executor=executor,
+        workers=workers,
+        db=db,
+        broker=broker,
+        lease_timeout=lease_timeout,
+        cancel=cancel if cancel is not None else CancelToken(),
+        stop=stop,
+        on_failure=on_failure,
+    )
+
+
+def stream_specs(specs: Sequence[ScenarioSpec], **options: Any) -> Iterator[SweepEvent]:
     """Run a batch of scenarios, yielding events as they happen.
 
     This is the one execution path of the sweep layer: the generator
@@ -491,8 +438,50 @@ def stream_specs(
     ``SweepFinished`` — identically for the inline, pool and distributed
     backends, including sweeps against a remote ``https://`` broker.
 
-    Parameters mirror :func:`run_specs`, plus:
+    The keyword options, all optional, are the *sweep options* every
+    sweep entry point passes through (validated up front, before any
+    scenario runs):
 
+    jobs:
+        Worker processes (default 1).  ``1`` runs inline; ``>1`` fans
+        the uncached scenarios out over a local worker fleet on a
+        throwaway queue (the ``"pool"`` executor).
+    cache:
+        Optional :class:`ResultStore` — e.g.
+        :class:`repro.distributed.SqliteResultStore` — probed once with
+        ``get_many`` before executing and updated with ``put`` as
+        results arrive.
+    executor:
+        Backend: ``"inline"``, ``"pool"`` or ``"distributed"``.  ``None``
+        (the default) means ``"distributed"`` when a ``db`` path or a
+        ``broker`` URL is given, else ``"pool"`` when ``jobs > 1`` and
+        ``"inline"`` otherwise.  ``"pool"`` and ``"distributed"`` run
+        the same driver and workers, so a scenario that fails under
+        ``on_failure="raise"`` raises
+        :class:`~repro.distributed.TaskFailedError` on both (its
+        ``__cause__`` is the scenario's own error).
+    workers:
+        Worker count for the pool/distributed backends (defaults to
+        ``jobs``, or 3 for ``"distributed"`` when ``jobs`` is 1).  With a
+        ``broker`` URL the default is *no* local workers — the fleets
+        attached to the service do the work; pass a count to also spawn
+        a local fleet speaking HTTP.
+    db:
+        Queue database path for the distributed backend (``"queue.sqlite"``
+        or ``"sqlite:queue.sqlite"``).  ``None`` uses a throwaway per-run
+        database; pass a real path to make the queue durable — scenarios
+        already in its result store are *not* re-executed (they count as
+        cache hits).  A path implies ``"distributed"``; with
+        ``"inline"`` or ``"pool"`` it raises :class:`ValueError`.
+    broker:
+        ``http(s)://host:port`` URL of a ``chronos-experiments serve``
+        sweep service.  Mutually exclusive with ``db``: the service owns
+        the queue database, and this process (plus any worker fleets
+        pointed at the same URL, on any host) talks to it over HTTP.
+    lease_timeout:
+        Seconds a distributed worker's task lease survives without a
+        heartbeat before the task is requeued (default 30).  With a
+        ``broker`` URL the server's policy governs actual lease expiry.
     cancel:
         A :class:`CancelToken`; tripping it makes every backend finish
         the work in flight, release unclaimed queue tasks and leases,
@@ -511,41 +500,12 @@ def stream_specs(
     Closing the generator early (``break``/``close()``/Ctrl-C) performs
     the same cleanup as cancellation.
     """
-    executor, workers, db, broker = _resolve_plan(jobs, executor, workers, db, broker)
-    if on_failure not in ("raise", "continue"):
-        raise ValueError(f"on_failure must be 'raise' or 'continue', got {on_failure!r}")
-    stop_condition = _resolve_stop(stop)
-    token = cancel if cancel is not None else CancelToken()
-    return _event_stream(
-        list(specs),
-        jobs=jobs,
-        cache=cache,
-        executor=executor,
-        workers=workers,
-        db=db,
-        broker=broker,
-        lease_timeout=lease_timeout,
-        token=token,
-        stop_condition=stop_condition,
-        on_failure=on_failure,
-    )
+    return _event_stream(list(specs), _resolve_plan(**options))
 
 
-def _event_stream(
-    specs: List[ScenarioSpec],
-    *,
-    jobs: int,
-    cache: Optional[ResultStore],
-    executor: str,
-    workers: Optional[int],
-    db: Optional[Union[str, Path]],
-    broker: Optional[str],
-    lease_timeout: Optional[float],
-    token: CancelToken,
-    stop_condition: Optional[StopCondition],
-    on_failure: str,
-) -> Iterator[SweepEvent]:
+def _event_stream(specs: List[ScenarioSpec], plan: _Plan) -> Iterator[SweepEvent]:
     """The generator behind :func:`stream_specs` (options pre-validated)."""
+    cache, token, stop_condition = plan.cache, plan.cancel, plan.stop
     started = time.perf_counter()
     sweep_id = new_sweep_id()
 
@@ -571,7 +531,7 @@ def _event_stream(
             token.cancel()
 
     event: SweepEvent = SweepStarted(
-        total=len(specs), executor=executor, elapsed_s=clock(), sweep_id=sweep_id
+        total=len(specs), executor=plan.executor, elapsed_s=clock(), sweep_id=sweep_id
     )
     yield event
     note(event)
@@ -606,19 +566,7 @@ def _event_stream(
             (fingerprint, specs[indices[0]], indices[0])
             for fingerprint, indices in pending_by_fp.items()
         ]
-        backend = _open_backend(
-            todo,
-            jobs=jobs,
-            executor=executor,
-            workers=workers,
-            db=db,
-            broker=broker,
-            lease_timeout=lease_timeout,
-            token=token,
-            on_failure=on_failure,
-            clock=clock,
-            span={"sweep_id": sweep_id},
-        )
+        backend = _open_backend(todo, plan, clock, span={"sweep_id": sweep_id})
         try:
             for event in backend:
                 if isinstance(event, ScenarioCompleted):
@@ -662,15 +610,7 @@ def _event_stream(
 
 def _open_backend(
     todo: List[Tuple[str, ScenarioSpec, int]],
-    *,
-    jobs: int,
-    executor: str,
-    workers: Optional[int],
-    db: Optional[Union[str, Path]],
-    broker: Optional[str],
-    lease_timeout: Optional[float],
-    token: CancelToken,
-    on_failure: str,
+    plan: _Plan,
     clock: Callable[[], float],
     span: Optional[Dict[str, Any]] = None,
 ) -> Iterator[SweepEvent]:
@@ -679,13 +619,14 @@ def _open_backend(
     ``"pool"`` is the distributed driver on a throwaway queue with one
     local worker per job; one scenario, or one worker, runs inline.
     """
-    if executor == "pool":
+    workers, jobs = plan.workers, plan.jobs
+    if plan.executor == "pool":
         fleet = workers if workers is not None else jobs
         if fleet < 2 or len(todo) < 2:
-            return _stream_inline(todo, token, on_failure, clock)
-    elif executor == "inline":
-        return _stream_inline(todo, token, on_failure, clock)
-    elif broker is not None:
+            return _stream_inline(todo, plan.cancel, plan.on_failure, clock)
+    elif plan.executor == "inline":
+        return _stream_inline(todo, plan.cancel, plan.on_failure, clock)
+    elif plan.broker is not None:
         # None means "the service's attached fleets do the work".
         fleet = workers
     else:
@@ -695,18 +636,20 @@ def _open_backend(
     from repro.distributed import executor as _distributed
 
     policy = None
-    if lease_timeout is not None:
+    if plan.lease_timeout is not None:
         from repro.distributed import LeasePolicy
 
-        policy = LeasePolicy(timeout=lease_timeout, heartbeat_interval=lease_timeout / 4.0)
+        policy = LeasePolicy(
+            timeout=plan.lease_timeout, heartbeat_interval=plan.lease_timeout / 4.0
+        )
     return _distributed.execute_stream(
         todo,
         workers=fleet,
-        db=db,
-        broker=broker,
+        db=plan.db,
+        broker=plan.broker,
         policy=policy,
-        cancel=token,
-        on_failure=on_failure,
+        cancel=plan.cancel,
+        on_failure=plan.on_failure,
         clock=clock,
         span=span,
     )
@@ -740,20 +683,51 @@ def _stream_inline(
         )
 
 
+def _drain(
+    stream: Iterator[SweepEvent],
+    record: Callable[[SweepEvent], None],
+    on_event: Optional[Callable[[SweepEvent], None]],
+    cancel: Optional[CancelToken],
+    final: type,
+) -> Tuple[Any, bool]:
+    """Feed every event of ``stream`` to ``record``, then to ``on_event``.
+
+    The blocking half of :func:`run_specs` and ``repro.adaptive``'s
+    ``run_search``.  Returns the stream's last ``final`` event
+    (``SweepFinished`` or ``SearchFinished``; ``None`` if it never came)
+    and whether the run was cancelled.  Ctrl-C mid-stream ends the drain
+    instead of propagating: closing the stream (always done here)
+    terminates pools, releases unclaimed tasks and drains leases, and
+    the work that did finish is returned as a partial result instead of
+    being lost.
+    """
+    finished = None
+    interrupted = False
+    try:
+        for event in stream:
+            # Record before notifying: if Ctrl-C lands while the callback
+            # runs (or in reaction to what it printed), the completion the
+            # callback announced is already part of the partial result.
+            record(event)
+            if isinstance(event, final):
+                finished = event
+            if on_event is not None:
+                on_event(event)
+    except KeyboardInterrupt:
+        interrupted = True
+    finally:
+        stream.close()
+    cancelled = interrupted or bool(finished and finished.cancelled)
+    if not cancelled and finished is None and cancel is not None:
+        cancelled = cancel.cancelled()
+    return finished, cancelled
+
+
 def run_specs(
     specs: Sequence[ScenarioSpec],
     *,
-    jobs: int = 1,
-    cache: Optional[ResultStore] = None,
-    executor: Optional[str] = None,
-    workers: Optional[int] = None,
-    db: Optional[Union[str, Path]] = None,
-    broker: Optional[str] = None,
-    lease_timeout: Optional[float] = None,
     on_event: Optional[Callable[[SweepEvent], None]] = None,
-    cancel: Optional[CancelToken] = None,
-    stop: Optional[StopCondition] = None,
-    on_failure: str = "raise",
+    **options: Any,
 ) -> SweepResult:
     """Run a batch of scenarios, deduplicated by fingerprint.
 
@@ -762,135 +736,49 @@ def run_specs(
     :class:`SweepResult` — byte-identical (minus wall time) to what the
     pre-streaming implementation returned, on every backend.
 
-    Parameters
-    ----------
-    specs:
-        Scenarios to run; results come back in the same order.
-    jobs:
-        Worker processes.  ``1`` runs inline; ``>1`` fans the uncached
-        scenarios out over a local worker fleet on a throwaway queue
-        (the ``"pool"`` executor).
-    cache:
-        Optional :class:`ResultStore` — e.g.
-        :class:`repro.distributed.SqliteResultStore` — probed once with
-        ``get_many`` before executing and updated with ``put`` as
-        results arrive.
-    executor:
-        Backend: ``"inline"``, ``"pool"`` or ``"distributed"``.  ``None``
-        follows :func:`set_default_executor` (and a ``db`` path or a
-        ``broker`` URL implies ``"distributed"``), falling back to
-        ``"pool"`` when ``jobs > 1`` and ``"inline"`` otherwise.
-        ``"pool"`` and ``"distributed"`` run the same driver and
-        workers, so a scenario that fails under ``on_failure="raise"``
-        raises :class:`~repro.distributed.TaskFailedError` on both (its
-        ``__cause__`` is the scenario's own error).
-    workers:
-        Worker count for the pool/distributed backends (defaults to
-        ``jobs``, or 3 for ``"distributed"`` when ``jobs`` is 1).  With a
-        ``broker`` URL the default is *no* local workers — the fleets
-        attached to the service do the work; pass a count to also spawn
-        a local fleet speaking HTTP.
-    db:
-        Queue database path for the distributed backend (``"queue.sqlite"``
-        or ``"sqlite:queue.sqlite"``).  ``None`` uses a throwaway per-run
-        database; pass a real path to make the queue durable — scenarios
-        already in its result store are *not* re-executed (they count as
-        cache hits).  A path implies ``"distributed"``; with
-        ``"inline"`` or ``"pool"`` it raises :class:`ValueError`.
-    broker:
-        ``http(s)://host:port`` URL of a ``chronos-experiments serve``
-        sweep service.  Mutually exclusive with ``db``: the service owns
-        the queue database, and this process (plus any worker fleets
-        pointed at the same URL, on any host) talks to it over HTTP.
-    lease_timeout:
-        Seconds a distributed worker's task lease survives without a
-        heartbeat before the task is requeued (default 30).  With a
-        ``broker`` URL the server's policy governs actual lease expiry.
+    ``specs`` come back as results in the same order.  The keyword
+    options are the sweep options of :func:`stream_specs` (``jobs``,
+    ``cache``, ``executor``, ``workers``, ``db``, ``broker``,
+    ``lease_timeout``, ``cancel``, ``stop``, ``on_failure``), plus:
+
     on_event:
         Callback fed every :class:`~repro.api.events.SweepEvent` as it
-        happens (progress bars, logging, metrics).  ``None`` falls back
-        to :func:`set_default_on_event`.
-    cancel:
-        A :class:`CancelToken`; tripping it — like pressing Ctrl-C —
-        returns a *partial* result (``cancelled=True``) whose
-        ``pending`` partition lists the unfinished specs, with queue
-        tasks and leases released so a follow-up run completes exactly
-        the remainder.  A tripped token first lets a local fleet finish
-        the scenarios it is running (they join the result); Ctrl-C
-        stops at once.
-    stop:
-        Early-stopping condition (a callable); see
-        :func:`stream_specs`.  A tripped condition returns a partial
-        result with ``stopped=True``.
-    on_failure:
-        ``"raise"`` (default) propagates the first scenario error;
-        ``"continue"`` records failures and keeps sweeping.
+        happens (progress bars, logging, metrics).
+
+    A tripped ``cancel`` token — like pressing Ctrl-C — returns a
+    *partial* result (``cancelled=True``) whose ``pending`` partition
+    lists the unfinished specs, with queue tasks and leases released so
+    a follow-up run completes exactly the remainder.  A tripped token
+    first lets a local fleet finish the scenarios it is running (they
+    join the result); Ctrl-C stops at once.  A tripped ``stop``
+    condition returns a partial result with ``stopped=True``, and
+    ``on_failure="continue"`` records failures and keeps sweeping.
     """
-    if on_event is None:
-        on_event = _default_on_event
     started = time.perf_counter()
     specs = list(specs)
-    stream = stream_specs(
-        specs,
-        jobs=jobs,
-        cache=cache,
-        executor=executor,
-        workers=workers,
-        db=db,
-        broker=broker,
-        lease_timeout=lease_timeout,
-        cancel=cancel,
-        stop=stop,
-        on_failure=on_failure,
-    )
+    stream = stream_specs(specs, **options)
     results: Dict[int, ScenarioResult] = {}
     queued: Dict[str, List[int]] = {}
-    executed = 0
-    cache_hits = 0
-    failures = 0
-    finished: Optional[SweepFinished] = None
-    interrupted = False
-    try:
-        for event in stream:
-            # Record before notifying: if Ctrl-C lands while the callback
-            # runs (or in reaction to what it printed), the completion the
-            # callback announced is already part of the partial result.
-            if isinstance(event, ScenarioQueued):
-                queued.setdefault(event.fingerprint, []).append(event.index)
-            elif isinstance(event, ScenarioCacheHit):
-                cache_hits += 1
-                for index in queued.get(event.fingerprint, (event.index,)):
-                    results[index] = event.result
-            elif isinstance(event, ScenarioCompleted):
-                executed += 1
-                for index in queued.get(event.fingerprint, (event.index,)):
-                    results[index] = event.result
-            elif isinstance(event, ScenarioFailed):
-                failures += 1
-            elif isinstance(event, SweepFinished):
-                finished = event
-            if on_event is not None:
-                on_event(event)
-    except KeyboardInterrupt:
-        # Ctrl-C mid-sweep: closing the stream (below) terminates pools,
-        # releases unclaimed tasks and drains leases; the work that did
-        # finish is returned as a partial result instead of being lost.
-        interrupted = True
-    finally:
-        stream.close()
+    counts: Counter = Counter()
 
-    cancelled = interrupted or bool(finished and finished.cancelled)
-    if not cancelled and finished is None and cancel is not None:
-        cancelled = cancel.cancelled()
+    def record(event: SweepEvent) -> None:
+        counts[type(event)] += 1
+        if isinstance(event, ScenarioQueued):
+            queued.setdefault(event.fingerprint, []).append(event.index)
+        elif isinstance(event, (ScenarioCacheHit, ScenarioCompleted)):
+            for index in queued.get(event.fingerprint, (event.index,)):
+                results[index] = event.result
+
+    finished, cancelled = _drain(stream, record, on_event, options.get("cancel"), SweepFinished)
     return SweepResult(
         results=tuple(results[index] for index in sorted(results)),
-        executed=executed,
-        cache_hits=cache_hits,
+        executed=counts[ScenarioCompleted],
+        cache_hits=counts[ScenarioCacheHit],
         wall_time_s=(
             finished.elapsed_s if finished is not None else time.perf_counter() - started
         ),
         pending=tuple(specs[index] for index in range(len(specs)) if index not in results),
-        failures=failures,
+        failures=counts[ScenarioFailed],
         cancelled=cancelled,
         stopped=bool(finished and finished.stopped),
     )
@@ -974,62 +862,10 @@ class Sweep:
         """Number of scenarios in the sweep."""
         return len(self._specs)
 
-    def run(
-        self,
-        *,
-        jobs: int = 1,
-        cache: Optional[ResultStore] = None,
-        executor: Optional[str] = None,
-        workers: Optional[int] = None,
-        db: Optional[Union[str, Path]] = None,
-        broker: Optional[str] = None,
-        lease_timeout: Optional[float] = None,
-        on_event: Optional[Callable[[SweepEvent], None]] = None,
-        cancel: Optional[CancelToken] = None,
-        stop: Optional[StopCondition] = None,
-        on_failure: str = "raise",
-    ) -> SweepResult:
-        """Execute the sweep (see :func:`run_specs`)."""
-        return run_specs(
-            self._specs,
-            jobs=jobs,
-            cache=cache,
-            executor=executor,
-            workers=workers,
-            db=db,
-            broker=broker,
-            lease_timeout=lease_timeout,
-            on_event=on_event,
-            cancel=cancel,
-            stop=stop,
-            on_failure=on_failure,
-        )
+    def run(self, **options: Any) -> SweepResult:
+        """Execute the sweep; ``options`` as for :func:`run_specs`."""
+        return run_specs(self._specs, **options)
 
-    def stream(
-        self,
-        *,
-        jobs: int = 1,
-        cache: Optional[ResultStore] = None,
-        executor: Optional[str] = None,
-        workers: Optional[int] = None,
-        db: Optional[Union[str, Path]] = None,
-        broker: Optional[str] = None,
-        lease_timeout: Optional[float] = None,
-        cancel: Optional[CancelToken] = None,
-        stop: Optional[StopCondition] = None,
-        on_failure: str = "raise",
-    ) -> Iterator[SweepEvent]:
-        """Execute the sweep as an event stream (see :func:`stream_specs`)."""
-        return stream_specs(
-            self._specs,
-            jobs=jobs,
-            cache=cache,
-            executor=executor,
-            workers=workers,
-            db=db,
-            broker=broker,
-            lease_timeout=lease_timeout,
-            cancel=cancel,
-            stop=stop,
-            on_failure=on_failure,
-        )
+    def stream(self, **options: Any) -> Iterator[SweepEvent]:
+        """Execute the sweep as an event stream; ``options`` as for :func:`stream_specs`."""
+        return stream_specs(self._specs, **options)

@@ -224,10 +224,6 @@ class StragglerModel:
         """Return a copy with a different Pareto tail index."""
         return replace(self, beta=beta)
 
-    def with_timing(self, tau_est: float, tau_kill: float) -> "StragglerModel":
-        """Return a copy with different detection/kill times."""
-        return replace(self, tau_est=tau_est, tau_kill=tau_kill)
-
     def with_num_tasks(self, num_tasks: int) -> "StragglerModel":
         """Return a copy with a different task count."""
         return replace(self, num_tasks=num_tasks)

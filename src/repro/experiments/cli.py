@@ -94,13 +94,13 @@ Rejected credentials are an exit-2 diagnostic, never a retry loop.
 from __future__ import annotations
 
 import argparse
-import functools
+import contextlib
 import json
 import os
 import sys
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.api import (
     EXECUTORS,
@@ -119,11 +119,9 @@ from repro.api import (
     TrialProposed,
     TrialPruned,
     UnknownPluginError,
-    set_default_executor,
-    set_default_on_event,
     spec_from_dict,
 )
-from repro.api.sweep import _csv_text
+from repro.api.sweep import _csv_text, _resolve_plan
 from repro.experiments.common import ExperimentScale, ExperimentTable
 from repro.experiments.figure2 import run_figure2
 from repro.experiments.figure3 import run_figure3
@@ -300,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir",
         help=(
             "directory of the fingerprint-keyed result cache, kept as "
-            "DIR/results.sqlite (used by 'sweep' and 'search')"
+            "DIR/results.sqlite (used by 'sweep', 'search', 'multijob' and the "
+            "experiment harnesses)"
         ),
     )
     parser.add_argument(
@@ -395,7 +394,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--lease-timeout",
         type=float,
         default=30.0,
-        help="seconds a worker's task lease survives without a heartbeat (default: 30)",
+        help=(
+            "seconds a worker's task lease survives without a heartbeat (default: 30); "
+            "used by 'workers start', 'serve', and by 'sweep', 'search', 'multijob' "
+            "and the experiment harnesses when they run distributed"
+        ),
     )
     parser.add_argument(
         "--exit-when-idle",
@@ -488,7 +491,8 @@ class ProgressLine:
     number of consecutive sweeps — each ``SweepStarted`` resets it) and
     writes ``done/total``, cache hits, failures, retries and an ETA to
     stderr.  On a terminal the line redraws in place; elsewhere (CI logs
-    with ``--progress`` forced on) it emits plain, rate-limited lines.
+    with ``--progress`` forced on) it emits plain, rate-limited lines,
+    skipping a line identical to the one before it.
 
     An adaptive search speaks the same stream plus ``TrialProposed`` /
     ``TrialPruned`` / ``SearchFinished``; the first trial event flips the
@@ -519,6 +523,7 @@ class ProgressLine:
         self._failed = 0
         self._retried = 0
         self._queued: Dict[str, int] = {}
+        self._last_line = ""
 
     def __call__(self, event: SweepEvent) -> None:
         if isinstance(event, SweepStarted):
@@ -607,17 +612,24 @@ class ProgressLine:
                 padding = " " * max(0, self._last_width - len(line))
                 self._stream.write("\r" + line + padding + ("\n" if final else ""))
                 self._last_width = 0 if final else len(line)
-            else:
+            elif line != self._last_line:
+                # rate-limited by time, but a line that says nothing new
+                # (a fleet starting its first scenarios) is not repeated
                 self._stream.write(line + "\n")
+            self._last_line = line
             self._stream.flush()
         except (OSError, ValueError):
             pass  # a closed/broken stderr must never kill the sweep
 
 
 def run_experiments(
-    names: Iterable[str], scale: ExperimentScale, seed: int, jobs: int = 1
+    names: Iterable[str], scale: ExperimentScale, seed: int, **options: Any
 ) -> List[ExperimentTable]:
-    """Run the named experiments and return all produced tables."""
+    """Run the named experiments and return all produced tables.
+
+    ``options`` are the sweep options every harness passes to its one
+    sweep (see :func:`repro.api.run_specs`).
+    """
     selected = list(names)
     if not selected or "all" in selected:
         selected = list(EXPERIMENTS)
@@ -626,7 +638,7 @@ def run_experiments(
         raise UnknownExperimentError(unknown, EXPERIMENTS)
     tables: List[ExperimentTable] = []
     for name in selected:
-        tables.extend(_tables_of(EXPERIMENTS[name](scale=scale, seed=seed, jobs=jobs)))
+        tables.extend(_tables_of(EXPERIMENTS[name](scale=scale, seed=seed, **options)))
     return tables
 
 
@@ -689,32 +701,42 @@ def _load_spec_file(args: argparse.Namespace, command: str) -> Tuple[Path, Dict[
     return path, payload
 
 
-def _run_with_backend(args: argparse.Namespace, run: Callable[..., Any]) -> Any:
-    """Call ``Sweep.run`` or ``run_search`` with the shared backend flags.
+@contextlib.contextmanager
+def _sweep_options(args: argparse.Namespace, prefix: str) -> Iterator[Dict[str, Any]]:
+    """The sweep options of ``sweep``, ``search``, ``multijob`` and the harnesses.
 
     ``--jobs``, ``--cache-dir``, ``--executor``, ``--workers``, ``--db``,
-    ``--broker`` and ``--lease-timeout`` mean the same for both commands,
-    and both render the live progress line.
+    ``--broker`` and ``--lease-timeout`` mean the same for every command
+    that runs scenarios, and each renders the live progress line.  The
+    options are validated before anything runs or any file is opened: a
+    bad combination (``--executor pool --db Q``) is a ``prefix``-ed
+    exit-2 diagnostic.  On exit the cache is closed and a progress line
+    left dangling by a failed run is ended.
     """
-    cache = open_cache(args.cache_dir)
     distributed = args.executor == "distributed" or args.broker or args.db
+    options: Dict[str, Any] = dict(
+        jobs=max(1, args.jobs),
+        executor=args.executor,
+        workers=args.workers,
+        db=args.db,
+        broker=args.broker,
+        lease_timeout=args.lease_timeout if distributed else None,
+    )
+    try:
+        _resolve_plan(**options)
+    except ValueError as error:
+        raise _UsageError(f"{prefix}{error}") from None
+    cache = open_cache(args.cache_dir)
     progress = ProgressLine() if progress_enabled(args) else None
     try:
-        return run(
-            jobs=max(1, args.jobs),
-            cache=cache,
-            executor=args.executor,
-            workers=args.workers,
-            db=args.db,
-            broker=args.broker,
-            lease_timeout=args.lease_timeout if distributed else None,
-            on_event=progress,
-        )
+        yield dict(options, cache=cache, on_event=progress)
     finally:
         if progress is not None:
             # a run that died mid-stream left the tty cursor on the
             # progress line; diagnostics must not be glued onto it
             progress.abort()
+        if cache is not None:
+            cache.close()
 
 
 def run_sweep_command(args: argparse.Namespace) -> int:
@@ -733,11 +755,12 @@ def run_sweep_command(args: argparse.Namespace) -> int:
         sweep = Sweep(base, overrides or None)
     except SpecValidationError as error:
         raise _UsageError(f"{path}: {error}") from None
-    try:
-        result = _run_with_backend(args, sweep.run)
-    except ValueError as error:
-        # e.g. a malformed --broker URL or conflicting --db/--broker
-        raise _UsageError(f"sweep: {error}") from None
+    with _sweep_options(args, "sweep: ") as options:
+        try:
+            result = sweep.run(**options)
+        except ValueError as error:
+            # e.g. a --db queue target with an unknown scheme
+            raise _UsageError(f"sweep: {error}") from None
     _emit_result(result, args.csv)
     if result.cancelled:
         # Ctrl-C: the completed partition was printed above; say what is
@@ -827,28 +850,25 @@ def run_search_command(args: argparse.Namespace) -> int:
         raise _UsageError(f"{path}: {error}") from None
     from repro.adaptive import run_search
 
-    try:
-        algorithm_params = parse_algo_params(args.algo_param)
-        result = _run_with_backend(
-            args,
-            functools.partial(
-                run_search,
+    with _sweep_options(args, "search: ") as options:
+        try:
+            result = run_search(
                 base,
                 axes,
                 algorithm=args.algorithm,
                 objective=args.objective,
-                algorithm_params=algorithm_params or None,
+                algorithm_params=parse_algo_params(args.algo_param) or None,
                 max_trials=args.max_trials,
                 batch=max(1, args.trial_batch),
                 ledger=args.ledger,
-            ),
-        )
-    except (UnknownPluginError, SpecValidationError, ValueError) as error:
-        # an unknown --algorithm or --objective name (listing what exists),
-        # a malformed --algo-param, axes an algorithm refuses (frontier_bisect
-        # needs exactly one multi-valued axis), a mismatched --ledger, or a
-        # bad --broker URL
-        raise _UsageError(f"search: {error}") from None
+                **options,
+            )
+        except (UnknownPluginError, SpecValidationError, ValueError) as error:
+            # an unknown --algorithm or --objective name (listing what
+            # exists), a malformed --algo-param, axes an algorithm refuses
+            # (frontier_bisect needs exactly one multi-valued axis) or a
+            # mismatched --ledger
+            raise _UsageError(f"search: {error}") from None
     _emit_result(result, args.csv)
     if result.cancelled:
         # Ctrl-C: the settled trials were printed above.  Resumability
@@ -1213,33 +1233,22 @@ def parse_scheduler_args(items: Optional[Sequence[str]]) -> Optional[List[str]]:
 
 def _run_tables(
     args: argparse.Namespace,
-    produce: Callable[[], List[ExperimentTable]],
+    produce: Callable[..., List[ExperimentTable]],
     label: str,
     usage_errors: Tuple[type, ...],
     prefix: str,
 ) -> int:
     """Produce and print experiment tables: the harnesses and ``multijob``.
 
-    ``--executor``/``--db``/``--broker`` and the progress line become the
-    process-wide defaults while ``produce`` runs, so every ``run_specs``
-    call inside the experiments follows them without any experiment
-    knowing.  ``usage_errors`` (and a rejected executor choice) become
-    ``prefix``-ed exit-2 diagnostics.
+    ``produce`` receives the command's sweep options (see
+    :func:`_sweep_options`) as keyword arguments and passes them to
+    every sweep it runs.  ``usage_errors`` (and a rejected executor
+    choice) become ``prefix``-ed exit-2 diagnostics.
     """
     started = time.time()
-    reroute = bool(args.executor or args.db or args.broker)
-    if reroute:
-        try:
-            set_default_executor(
-                args.executor, workers=args.workers, db=args.db, broker=args.broker
-            )
-        except ValueError as error:  # e.g. --executor pool with --db
-            raise _UsageError(f"{prefix}{error}") from None
-    progress = ProgressLine() if progress_enabled(args) else None
     try:
-        if progress is not None:
-            set_default_on_event(progress)
-        tables = produce()
+        with _sweep_options(args, prefix) as options:
+            tables = produce(**options)
     except usage_errors as error:
         raise _UsageError(f"{prefix}{error}") from None
     except KeyboardInterrupt:
@@ -1249,14 +1258,6 @@ def _run_tables(
         # returned/kept whatever work had finished.
         print(f"interrupted: {label} stopped mid-sweep", file=sys.stderr)
         return 130
-    finally:
-        if reroute:
-            # main() may run in-process (tests, embedding callers): do not
-            # leak the default onto unrelated later run_specs calls.
-            set_default_executor(None)
-        if progress is not None:
-            set_default_on_event(None)
-            progress.abort()
     for table in tables:
         print(table.to_text())
         print()
@@ -1268,20 +1269,20 @@ def run_multijob_command(args: argparse.Namespace) -> int:
     """Handle ``chronos-experiments multijob --arrival … --load … --scheduler …``.
 
     Runs the multi-job cluster experiment (scheduler comparison at the
-    given load plus the miss-rate-vs-load stability curve) through the
-    same executor rerouting, progress line and security environment as
-    the paper harnesses.
+    given load plus the miss-rate-vs-load stability curve) with the
+    same sweep options, progress line and security environment as the
+    paper harnesses.
     """
     return _run_tables(
         args,
-        lambda: _tables_of(
+        lambda **options: _tables_of(
             run_multijob(
                 ExperimentScale(args.scale),
                 seed=args.seed,
-                jobs=max(1, args.jobs),
                 arrival=args.arrival,
                 load=args.load,
                 schedulers=parse_scheduler_args(args.scheduler),
+                **options,
             )
         ),
         label="multijob experiment",
@@ -1295,11 +1296,8 @@ def run_harness_commands(args: argparse.Namespace) -> int:
     """Run the named experiment harnesses (the default command path)."""
     return _run_tables(
         args,
-        lambda: run_experiments(
-            args.experiments,
-            scale=ExperimentScale(args.scale),
-            seed=args.seed,
-            jobs=max(1, args.jobs),
+        lambda **options: run_experiments(
+            args.experiments, scale=ExperimentScale(args.scale), seed=args.seed, **options
         ),
         label="experiment harness",
         usage_errors=(UnknownExperimentError,),

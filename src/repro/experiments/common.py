@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.api import ScenarioSpec, WorkloadSpec, job_spec_to_dict, run_specs
 from repro.api.sweep import _aligned, _cell
@@ -171,19 +171,20 @@ def trace_scenario(
     )
 
 
-def run_rows(rows: Rows, jobs: int = 1) -> Dict[str, Dict[str, Dict[str, float]]]:
+def run_rows(rows: Rows, **options: Any) -> Dict[str, Dict[str, Dict[str, float]]]:
     """Run every row's scenarios as one sweep and score each run.
 
     Returns, per row label, ``{strategy display name: {metric: value}}``
     over :data:`METRICS`, in the row's order.  A run's utility uses its
     own spec's theta, and Rmin is the row's Hadoop-NS PoCD, as in the
-    testbed evaluation, or 0 in a row without Hadoop-NS.  The sweep
-    follows the process-wide default executor and event callback (see
-    :func:`repro.api.set_default_executor`), which is how
-    ``chronos-experiments --executor``/``--progress`` reach every harness.
+    testbed evaluation, or 0 in a row without Hadoop-NS.  ``options``
+    are the sweep options of :func:`repro.api.run_specs` (``jobs``,
+    ``executor``, ``db``, ``cache``, ``on_event``, ...), passed through
+    unchanged: every harness takes them and hands them here, which is
+    how ``chronos-experiments --jobs/--executor/--progress`` reach it.
     """
     specs = [spec for row in rows.values() for spec in row]
-    results = iter(require_complete(run_specs(specs, jobs=jobs)).results)
+    results = iter(require_complete(run_specs(specs, **options)).results)
     scored: Dict[str, Dict[str, Dict[str, float]]] = {}
     for label, row in rows.items():
         reports = {StrategyName(spec.strategy): next(results).report for spec in row}
@@ -204,15 +205,16 @@ def run_rows(rows: Rows, jobs: int = 1) -> Dict[str, Dict[str, Dict[str, float]]
 
 
 def strategy_tables(
-    experiment_id: str, titles: Sequence[str], rows: Rows, notes: str, jobs: int = 1
+    experiment_id: str, titles: Sequence[str], rows: Rows, notes: str, **options: Any
 ) -> Dict[str, ExperimentTable]:
     """Run ``rows`` as one sweep and lay it out as PoCD, cost and utility tables.
 
     ``titles`` are the three tables' titles in :data:`METRICS` order;
     their ids are ``experiment_id`` suffixed ``a``, ``b`` and ``c``.  Each
     table has one row per label and one column per strategy (Figures 2–4).
+    ``options`` go to :func:`run_rows`.
     """
-    scored = run_rows(rows, jobs)
+    scored = run_rows(rows, **options)
     columns = list(next(iter(scored.values()), {}))
     tables = {
         metric: ExperimentTable(f"{experiment_id}{part}", title, columns, notes=notes)
@@ -231,12 +233,13 @@ def timing_table(
     scale: ExperimentScale,
     seed: int,
     theta: float,
-    jobs: int = 1,
+    **options: Any,
 ) -> ExperimentTable:
     """Run each ``(strategy, tau_est, tau_kill)`` on the trace, as Tables I–II.
 
-    All rows run as one sweep.  Each table row shows its timing (in
-    multiples of tmin) beside the run's PoCD, cost and utility.
+    All rows run as one sweep (``options`` go to :func:`run_rows`).
+    Each table row shows its timing (in multiples of tmin) beside the
+    run's PoCD, cost and utility.
     """
     workload = trace_workload(scale)
     rows = {
@@ -254,7 +257,7 @@ def timing_table(
             f"of each job's tmin, theta={theta}"
         ),
     )
-    for (_, tau_est, tau_kill), (label, runs) in zip(timings, run_rows(rows, jobs).items()):
+    for (_, tau_est, tau_kill), (label, runs) in zip(timings, run_rows(rows, **options).items()):
         (values,) = runs.values()
         table.add_row(label, {"tau_est": tau_est, "tau_kill": tau_kill, **values})
     return table

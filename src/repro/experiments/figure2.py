@@ -19,7 +19,7 @@ utility.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -56,14 +56,15 @@ def run_figure2(
     scale: ExperimentScale = ExperimentScale.SMALL,
     seed: int = 0,
     spot_price: Optional[SpotPriceHistory] = None,
-    jobs: int = 1,
+    **options: Any,
 ) -> Dict[str, ExperimentTable]:
     """Reproduce Figure 2(a)-(c).
 
     Returns a mapping with keys ``"pocd"``, ``"cost"`` and ``"utility"``,
     each an :class:`ExperimentTable` with one row per benchmark and one
-    column per strategy.  ``jobs > 1`` runs every row in one sweep over
-    that many worker processes.
+    column per strategy.  All rows run as one sweep; ``options`` are its
+    sweep options (``jobs``, ``executor``, ``on_event``, ...; see
+    :func:`repro.api.run_specs`).
     """
     num_jobs = scale.scaled_jobs(JOBS_PER_BENCHMARK, minimum=20)
     spot_price = spot_price if spot_price is not None else SpotPriceHistory(
@@ -97,5 +98,5 @@ def run_figure2(
             f"{num_jobs} jobs/benchmark, 10 tasks/job, tau_est={TAU_EST}s, "
             f"tau_kill={TAU_KILL}s, theta={THETA}, Rmin=PoCD(Hadoop-NS)"
         ),
-        jobs=jobs,
+        **options,
     )

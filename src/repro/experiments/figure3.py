@@ -15,7 +15,7 @@ for ``theta`` in ``{1e-6, 1e-5, 1e-4, 1e-3}``:
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Any, Dict, Sequence
 
 from repro.core.model import StrategyName
 from repro.experiments.common import (
@@ -48,13 +48,14 @@ def run_figure3(
     scale: ExperimentScale = ExperimentScale.SMALL,
     seed: int = 0,
     theta_values: Sequence[float] = THETA_VALUES,
-    jobs: int = 1,
+    **options: Any,
 ) -> Dict[str, ExperimentTable]:
     """Reproduce Figure 3(a)-(c).
 
     Returns tables keyed by ``"pocd"``, ``"cost"`` and ``"utility"``; each
-    has one row per theta value and one column per strategy.  ``jobs > 1``
-    runs every row in one sweep over that many worker processes.
+    has one row per theta value and one column per strategy.  All rows
+    run as one sweep; ``options`` are its sweep options (see
+    :func:`repro.api.run_specs`).
     """
     workload = trace_workload(scale)
     # The paper's Mantri threshold (30 s) is calibrated to Google-trace task
@@ -74,5 +75,5 @@ def run_figure3(
         ("PoCD vs theta", "Cost vs theta", "Utility vs theta"),
         rows,
         notes=f"{workload.params['num_jobs']} trace jobs, tau_est=0.3 tmin, tau_kill=0.8 tmin",
-        jobs=jobs,
+        **options,
     )

@@ -13,7 +13,7 @@ in utility across the whole range.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Any, Dict, Sequence
 
 from repro.core.model import StrategyName
 from repro.experiments.common import (
@@ -45,13 +45,13 @@ def run_figure4(
     scale: ExperimentScale = ExperimentScale.SMALL,
     seed: int = 0,
     beta_values: Sequence[float] = BETA_VALUES,
-    jobs: int = 1,
+    **options: Any,
 ) -> Dict[str, ExperimentTable]:
     """Reproduce Figure 4(a)-(c).
 
     Returns tables keyed by ``"pocd"``, ``"cost"`` and ``"utility"``; one
-    row per beta, one column per strategy.  ``jobs > 1`` runs every row
-    in one sweep over that many worker processes.
+    row per beta, one column per strategy.  All rows run as one sweep;
+    ``options`` are its sweep options (see :func:`repro.api.run_specs`).
     """
     rows = {}
     for beta in beta_values:
@@ -68,5 +68,5 @@ def run_figure4(
             "deadline = 2 x mean task time per job (deadline_factor=2 in the trace config), "
             f"theta={THETA}"
         ),
-        jobs=jobs,
+        **options,
     )

@@ -13,7 +13,7 @@ only run in the speculation window and only for detected stragglers).
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Any, Dict, Sequence
 
 from repro.api.registry import build_jobs
 from repro.core.model import StrategyName
@@ -35,16 +35,17 @@ def run_figure5(
     scale: ExperimentScale = ExperimentScale.SMALL,
     seed: int = 0,
     theta_values: Sequence[float] = THETA_VALUES,
-    jobs: int = 1,
+    **options: Any,
 ) -> ExperimentTable:
     """Reproduce Figure 5: frequency of each optimal ``r`` value.
 
     Returns a table with one row per (strategy, theta) pair and one column
-    per ``r`` bin (``r=0`` ... ``r=6+``).  ``jobs`` is accepted for CLI
-    uniformity with the simulation harnesses; this experiment only runs
-    the closed-form optimizer, which is cheap enough to stay inline.
+    per ``r`` bin (``r=0`` ... ``r=6+``).  The sweep ``options`` are
+    accepted for CLI uniformity with the simulation harnesses and
+    ignored: this experiment only runs the closed-form optimizer, which
+    is cheap enough to stay inline.
     """
-    del jobs
+    del options
     workload = trace_workload(scale)
     trace = build_jobs(workload.kind, workload.params, seed)
     columns = [f"r={r}" for r in R_BINS] + ["r>=7"]

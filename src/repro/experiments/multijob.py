@@ -12,13 +12,13 @@ Reproduces the two cluster-scale curves of the multi-job formulation:
 Offered load is normalized the queueing-theory way: ``load = (mean job
 slot-seconds) / (inter_arrival * total_slots)``, so ``load=1.0`` is the
 saturation point of the shared slot pool.  All scenarios run through
-:func:`repro.api.run_specs`, so ``--executor``/``--broker`` reroute them
-like any other harness sweep, with fingerprint-keyed caching.
+:func:`repro.api.run_specs` as one sweep, so ``--executor``/``--broker``
+reroute them like any other harness sweep, with fingerprint-keyed caching.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.api import run_specs
 from repro.cluster import ArrivalSpec, ClusterSpec
@@ -118,19 +118,21 @@ def cluster_spec(
 def run_multijob(
     scale: ExperimentScale = ExperimentScale.SMALL,
     seed: int = 0,
-    jobs: int = 1,
     *,
     arrival: str = "poisson",
     load: float = 0.8,
     schedulers: Optional[Sequence[str]] = None,
     loads: Optional[Iterable[float]] = None,
     benchmark: str = "sort",
+    **options: Any,
 ) -> Dict[str, ExperimentTable]:
     """Run the multi-job cluster experiment.
 
     Returns two tables: ``schedulers`` (policy comparison at ``load``)
     and ``load_curve`` (miss rate vs offered load for the first
-    scheduler, with the queue-stability probe).
+    scheduler, with the queue-stability probe).  All scenarios run as
+    one sweep; ``options`` are its sweep options (see
+    :func:`repro.api.run_specs`).
     """
     scheduler_names: List[str] = list(schedulers or DEFAULT_SCHEDULERS)
     load_points = [float(point) for point in (loads or DEFAULT_LOADS)]
@@ -152,7 +154,7 @@ def run_multijob(
 
     # One sweep for everything: duplicates (the curve point at `load`
     # under the first scheduler) collapse onto one fingerprint.
-    sweep = run_specs(comparison_specs + curve_specs, jobs=jobs)
+    sweep = run_specs(comparison_specs + curve_specs, **options)
     require_complete(sweep)
     by_fingerprint = {result.fingerprint: result for result in sweep.results}
 

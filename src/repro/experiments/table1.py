@@ -16,6 +16,8 @@ value (0.3 * tmin in the paper).
 
 from __future__ import annotations
 
+from typing import Any
+
 from repro.core.model import StrategyName
 from repro.experiments.common import ExperimentScale, ExperimentTable, timing_table
 
@@ -31,12 +33,12 @@ def run_table1(
     scale: ExperimentScale = ExperimentScale.SMALL,
     seed: int = 0,
     theta: float = THETA,
-    jobs: int = 1,
+    **options: Any,
 ) -> ExperimentTable:
     """Reproduce Table I (PoCD / cost / utility vs ``tau_est``).
 
-    ``jobs > 1`` runs every row in one sweep over that many worker
-    processes.
+    All rows run as one sweep; ``options`` are its sweep options (see
+    :func:`repro.api.run_specs`).
     """
     timings = [(StrategyName.CLONE, 0.0, WINDOW_FACTOR)]
     for name in (StrategyName.SPECULATIVE_RESTART, StrategyName.SPECULATIVE_RESUME):
@@ -48,5 +50,5 @@ def run_table1(
         scale,
         seed,
         theta,
-        jobs,
+        **options,
     )

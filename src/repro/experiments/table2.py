@@ -12,6 +12,8 @@ for the higher per-attempt cost.
 
 from __future__ import annotations
 
+from typing import Any
+
 from repro.core.model import StrategyName
 from repro.experiments.common import ExperimentScale, ExperimentTable, timing_table
 from repro.experiments.table1 import THETA
@@ -26,12 +28,12 @@ def run_table2(
     scale: ExperimentScale = ExperimentScale.SMALL,
     seed: int = 0,
     theta: float = THETA,
-    jobs: int = 1,
+    **options: Any,
 ) -> ExperimentTable:
     """Reproduce Table II (PoCD / cost / utility vs ``tau_kill``).
 
-    ``jobs > 1`` runs every row in one sweep over that many worker
-    processes.
+    All rows run as one sweep; ``options`` are its sweep options (see
+    :func:`repro.api.run_specs`).
     """
     timings = [(StrategyName.CLONE, 0.0, factor) for factor in TAU_KILL_FACTORS]
     for name in (StrategyName.SPECULATIVE_RESTART, StrategyName.SPECULATIVE_RESUME):
@@ -43,5 +45,5 @@ def run_table2(
         scale,
         seed,
         theta,
-        jobs,
+        **options,
     )

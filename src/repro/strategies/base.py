@@ -18,7 +18,7 @@ consulted at three points:
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from time import perf_counter
 from typing import TYPE_CHECKING, Optional
@@ -86,10 +86,6 @@ class StrategyParameters:
             raise ValueError("r_min_pocd must lie in [0, 1)")
         if self.fixed_r is not None and self.fixed_r < 0:
             raise ValueError("fixed_r must be non-negative")
-
-    def with_timing(self, tau_est: float, tau_kill: float) -> "StrategyParameters":
-        """Copy with different detection/kill times."""
-        return replace(self, tau_est=tau_est, tau_kill=tau_kill)
 
 
 class SpeculationStrategy(abc.ABC):

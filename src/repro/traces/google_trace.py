@@ -185,25 +185,6 @@ class SyntheticGoogleTrace:
         return [job.to_job_spec() for job in self.generate(beta_override=beta_override)]
 
     # ------------------------------------------------------------------
-    # Statistics helpers
-    # ------------------------------------------------------------------
-    def summary(self) -> dict:
-        """Aggregate statistics of the generated trace."""
-        jobs = self.generate()
-        task_counts = np.array([job.num_tasks for job in jobs])
-        betas = np.array([job.beta for job in jobs])
-        tmins = np.array([job.tmin for job in jobs])
-        return {
-            "num_jobs": len(jobs),
-            "total_tasks": int(task_counts.sum()),
-            "mean_tasks_per_job": float(task_counts.mean()),
-            "max_tasks_per_job": int(task_counts.max()),
-            "mean_beta": float(betas.mean()),
-            "mean_tmin": float(tmins.mean()),
-            "duration_seconds": float(max(job.submit_time for job in jobs)),
-        }
-
-    # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
     def _sample_arrivals(self, rng: np.random.Generator) -> Sequence[float]:

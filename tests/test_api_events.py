@@ -1,7 +1,7 @@
-"""Tests of the sweep event stream: serialization, parity, early stopping.
+"""Tests of the sweep event stream: parity, delivery, early stopping.
 
-Covers the streaming acceptance criteria: every event JSON round-trips,
-the ordered ``ScenarioCompleted`` fingerprint set is identical across the
+Covers the streaming acceptance criteria: the ordered
+``ScenarioCompleted`` fingerprint set is identical across the
 inline, pool, distributed and HTTP executors for the same sweep, events
 arrive incrementally (the first event lands before the last scenario has
 run), and stop conditions (plain callables) end sweeps early.
@@ -9,34 +9,23 @@ run), and stop conditions (plain callables) end sweeps early.
 
 from __future__ import annotations
 
-import json
 import threading
 
 import pytest
 
 from repro.api import (
-    EVENT_TYPES,
     ScenarioCacheHit,
     ScenarioCompleted,
-    ScenarioFailed,
     ScenarioQueued,
-    ScenarioRetried,
     ScenarioSpec,
-    ScenarioStarted,
-    SearchFinished,
     Sweep,
     SweepFinished,
     SweepStarted,
-    TrialProposed,
-    TrialPruned,
     WorkloadSpec,
-    event_from_dict,
     first_deadline_miss,
     job_spec_to_dict,
     max_failures,
-    run,
     run_specs,
-    set_default_on_event,
 )
 from repro.api.registry import WORKLOADS, register_workload
 from repro.service import make_server
@@ -83,58 +72,6 @@ def service(tmp_path):
         server.shutdown()
         server.server_close()
         thread.join(timeout=5.0)
-
-
-class TestSerialization:
-    def test_every_event_type_round_trips(self, base):
-        result = run(base)
-        samples = [
-            SweepStarted(total=4, executor="pool", elapsed_s=0.1),
-            ScenarioQueued(fingerprint="f0", index=0, elapsed_s=0.2),
-            ScenarioStarted(fingerprint="f0", index=0, worker_id="w-1", elapsed_s=0.3),
-            ScenarioCacheHit(fingerprint="f0", index=0, result=result, elapsed_s=0.4),
-            ScenarioCompleted(
-                fingerprint="f0", index=0, result=result, worker_id="w-1", elapsed_s=0.5
-            ),
-            ScenarioFailed(fingerprint="f1", index=1, error="ValueError: boom", elapsed_s=0.6),
-            ScenarioRetried(
-                fingerprint="f1", index=1, reason="lease expired", worker_id="w-2", elapsed_s=0.7
-            ),
-            SweepFinished(
-                total=4, executed=2, cache_hits=1, failures=1,
-                cancelled=True, stopped=False, elapsed_s=0.8,
-            ),
-            TrialProposed(
-                trial_id="t0", params={"seed": 1}, fingerprint="f0",
-                algorithm="successive_halving", elapsed_s=0.9,
-            ),
-            TrialPruned(
-                trial_id="t1", params={"seed": 2}, reason="dominated",
-                algorithm="frontier_bisect", elapsed_s=1.0,
-            ),
-            SearchFinished(
-                algorithm="successive_halving", objective="utility", trials=4, executed=3,
-                cache_hits=1, pruned=0, failures=0, best_trial_id="t0",
-                best_objective=0.5, cancelled=False, stopped=False, elapsed_s=1.1,
-            ),
-        ]
-        assert {type(sample) for sample in samples} == set(EVENT_TYPES.values())
-        for sample in samples:
-            wire = json.loads(json.dumps(sample.to_dict()))  # must be JSON-native
-            assert wire["event"] == sample.kind
-            assert event_from_dict(wire) == sample
-
-    def test_unknown_event_and_bad_fields_rejected(self):
-        with pytest.raises(ValueError, match="unknown sweep event"):
-            event_from_dict({"event": "scenario-levitated"})
-        with pytest.raises(ValueError, match="unknown field"):
-            event_from_dict({"event": "scenario-queued", "fingerprint": "f", "bogus": 1})
-        with pytest.raises(ValueError):
-            event_from_dict("not a mapping")
-
-    def test_live_stream_events_round_trip(self, sweep):
-        for event in sweep.stream():
-            assert event_from_dict(json.loads(json.dumps(event.to_dict()))) == event
 
 
 class TestEventParity:
@@ -291,25 +228,16 @@ class TestStopConditions:
             assert outcome.executed == 1
 
 
-class TestDefaultOnEvent:
-    def test_run_specs_feeds_the_default_callback(self, base):
+class TestOnEvent:
+    def test_run_specs_feeds_the_callback(self, base):
         seen = []
-        set_default_on_event(seen.append)
-        try:
-            run_specs([base])
-        finally:
-            set_default_on_event(None)
+        run_specs([base], on_event=seen.append)
         kinds = [event.kind for event in seen]
         assert kinds[0] == "sweep-started" and kinds[-1] == "sweep-finished"
         assert "scenario-completed" in kinds
-        # explicit on_event wins over the default
-        explicit = []
-        set_default_on_event(seen.append)
-        try:
-            run_specs([base], on_event=explicit.append)
-        finally:
-            set_default_on_event(None)
-        assert explicit and len(seen) == len(kinds)
+        # each call has its own callback; nothing carries over to the next
+        run_specs([base.with_overrides(seed=5)])
+        assert len(seen) == len(kinds)
 
 
 class TestEventTailDegradation:

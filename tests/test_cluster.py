@@ -14,12 +14,10 @@ import json
 import pytest
 
 from repro.api import (
-    ScenarioCompleted,
     ScenarioSpec,
     SpecValidationError,
     Sweep,
     WorkloadSpec,
-    event_from_dict,
     execute,
     report_to_dict,
     result_from_dict,
@@ -557,15 +555,6 @@ class TestSweepIntegration:
     def test_sweep_rejects_non_spec_base(self):
         with pytest.raises(SpecValidationError):
             Sweep({"not": "a spec"})
-
-    def test_scenario_completed_event_round_trips_cluster_result(self):
-        result = run_cluster(small_cluster_spec())
-        event = ScenarioCompleted(
-            index=0, fingerprint=result.fingerprint, result=result, elapsed_s=0.1
-        )
-        clone = event_from_dict(json.loads(json.dumps(event.to_dict())))
-        assert isinstance(clone.result, ClusterResult)
-        assert clone.result.to_dict() == result.to_dict()
 
     def test_store_summary_for_cluster_payload(self):
         payload = run_cluster(small_cluster_spec()).to_dict()

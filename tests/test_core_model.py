@@ -134,11 +134,6 @@ class TestStragglerModelTransformers:
     def test_with_beta(self, model):
         assert model.with_beta(1.2).beta == 1.2
 
-    def test_with_timing(self, model):
-        new = model.with_timing(10.0, 30.0)
-        assert new.tau_est == 10.0
-        assert new.tau_kill == 30.0
-
     def test_with_num_tasks(self, model):
         assert model.with_num_tasks(50).num_tasks == 50
 

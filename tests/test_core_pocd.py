@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 
 import pytest
 
@@ -171,6 +172,6 @@ class TestPoCDHelpers:
 
     def test_restart_miss_uses_detection_window(self, model):
         # Larger tau_est shrinks the window and raises the miss probability.
-        early = task_miss_probability_restart(model.with_timing(10.0, 80.0), 2)
-        late = task_miss_probability_restart(model.with_timing(70.0, 80.0), 2)
+        early = task_miss_probability_restart(replace(model, tau_est=10.0, tau_kill=80.0), 2)
+        late = task_miss_probability_restart(replace(model, tau_est=70.0, tau_kill=80.0), 2)
         assert late > early

@@ -29,11 +29,9 @@ from repro.api import (
     Sweep,
     SweepFinished,
     WorkloadSpec,
-    default_executor,
     job_spec_to_dict,
     run,
     run_specs,
-    set_default_executor,
     stream_specs,
 )
 from repro.api.registry import WORKLOADS, register_workload
@@ -462,31 +460,9 @@ class TestExecutorSelection:
         with pytest.raises(ValueError, match="unknown executor"):
             run_specs([base], executor="carrier-pigeon")
 
-    def test_default_executor_round_trip(self, base, tmp_path):
-        assert default_executor() is None
-        set_default_executor("distributed", workers=2, db=tmp_path / "q.sqlite")
-        try:
-            assert default_executor() == "distributed"
-            outcome = run_specs([base])  # no executor argument anywhere
-            assert outcome.executed == 1
-            with Broker(tmp_path / "q.sqlite") as broker:
-                assert broker.counts()["done"] == 1
-        finally:
-            set_default_executor(None)
-        assert default_executor() is None
-
-    def test_set_default_executor_validates(self):
-        with pytest.raises(ValueError):
-            set_default_executor("bogus")
-        with pytest.raises(ValueError):
-            set_default_executor("pool", workers=0)
-
     @pytest.mark.parametrize("executor", ["pool", "inline"])
     def test_db_with_another_executor_is_rejected(self, base, tmp_path, executor):
         db = tmp_path / "q.sqlite"
-        with pytest.raises(ValueError, match="db= requires the distributed executor"):
-            set_default_executor(executor, db=db)
-        assert default_executor() is None
         with pytest.raises(ValueError, match="db= requires the distributed executor"):
             run_specs([base], jobs=2, executor=executor, db=db)
         assert not db.exists()
@@ -497,12 +473,7 @@ class TestExecutorSelection:
         stream = stream_specs(specs, jobs=2, db=db)
         assert next(stream).executor == "distributed"
         stream.close()
-        set_default_executor(db=db)
-        try:
-            assert default_executor() == "distributed"
-            outcome = run_specs(specs, jobs=2)
-        finally:
-            set_default_executor(None)
+        outcome = run_specs(specs, jobs=2, db=db)
         assert outcome.executed == 2
         with Broker(db) as broker:
             assert broker.counts()["done"] == 2
@@ -511,6 +482,28 @@ class TestExecutorSelection:
         for executor in ("pool", "distributed"):
             with pytest.raises(ValueError, match="workers"):
                 run_specs([base], executor=executor, workers=0)
+
+    def test_options_are_checked_before_anything_runs(self, base, tmp_path):
+        """Every entry point hands its sweep options to one validator, up front."""
+        from repro.adaptive import stream_search
+
+        db = tmp_path / "q.sqlite"
+        sweep = Sweep(base)
+        entry_points = [
+            lambda **options: run_specs([base], **options),
+            lambda **options: stream_specs([base], **options),
+            sweep.run,
+            sweep.stream,
+            lambda **options: stream_search(
+                base, {"seed": [0, 1]}, algorithm="successive_halving", **options
+            ),
+        ]
+        for call in entry_points:
+            with pytest.raises(TypeError, match="seed"):
+                call(seed=1)
+            with pytest.raises(ValueError, match="lease timeout must be positive"):
+                call(db=db, lease_timeout=0)
+        assert not db.exists()
 
     def test_explicit_inline_overrides_jobs(self, base):
         # executor="inline" with jobs>1 must not spin up a pool; duplicate

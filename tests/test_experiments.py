@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 from pathlib import Path
 
 import pytest
 
-from repro.api import SweepStarted, default_executor, set_default_on_event
+from repro.api import ScenarioSpec, SweepStarted, stream_specs
 from repro.experiments import (
     ExperimentScale,
     ExperimentTable,
@@ -19,6 +20,7 @@ from repro.experiments import (
 )
 from repro.experiments.cli import (
     EXPERIMENTS,
+    ProgressLine,
     UnknownExperimentError,
     _tables_of,
     build_parser,
@@ -161,11 +163,7 @@ class TestHarnessTables:
     def test_each_harness_runs_one_sweep(self, name):
         """All of a harness's rows are one ``run_specs`` call."""
         events = []
-        set_default_on_event(events.append)
-        try:
-            _harness_texts(name)
-        finally:
-            set_default_on_event(None)
+        _harness_texts(name, on_event=events.append)
         assert sum(isinstance(event, SweepStarted) for event in events) == 1
 
     @pytest.mark.parametrize("name", SIMULATION_HARNESSES)
@@ -221,6 +219,40 @@ class TestCLI:
     def test_parser_accepts_jobs(self):
         args = build_parser().parse_args(["figure5", "--jobs", "3"])
         assert args.jobs == 3
+
+
+class TestProgressLine:
+    SPECS = [
+        ScenarioSpec(
+            workload={"kind": "benchmark", "params": {"name": "sort", "num_jobs": 3}},
+            strategy="s-resume",
+            cluster={"num_nodes": 0},
+            seed=seed,
+        )
+        for seed in range(3)
+    ]
+
+    def test_plain_lines_do_not_repeat(self):
+        """Off a tty, a line that says nothing new is not written again."""
+        stream = io.StringIO()
+        progress = ProgressLine(stream=stream, min_interval=0.0)
+        for event in stream_specs(self.SPECS):
+            progress(event)
+        lines = stream.getvalue().splitlines()
+        assert lines[0] == "sweep 0/3" and lines[-1].startswith("sweep 3/3  done in")
+        assert all(line != previous for previous, line in zip(lines, lines[1:]))
+
+    def test_tty_redraws_on_every_render(self):
+        class Terminal(io.StringIO):
+            def isatty(self):
+                return True
+
+        stream = Terminal()
+        progress = ProgressLine(stream=stream, min_interval=0.0)
+        events = list(stream_specs(self.SPECS))
+        for event in events:
+            progress(event)
+        assert stream.getvalue().count("\r") == len(events)
 
 
 class TestSweepCommand:
@@ -331,7 +363,13 @@ class TestDistributedCli:
         assert main(argv) == 0
         assert "0 executed, 4 cache hits" in capsys.readouterr().out
 
-    def test_db_with_the_pool_is_a_usage_error(self, tmp_path, capsys):
+    def test_db_with_the_pool_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        from repro.experiments import cli
+
+        def no_harness(*args, **kwargs):
+            raise AssertionError("a harness ran despite the usage error")
+
+        monkeypatch.setattr(cli, "run_experiments", no_harness)
         path = self._sweep_file(tmp_path)
         db = tmp_path / "queue.sqlite"
         for argv in (
@@ -341,7 +379,25 @@ class TestDistributedCli:
             assert main(argv) == 2
             assert "db= requires the distributed executor" in capsys.readouterr().err
         assert not db.exists()
-        assert default_executor() is None
+
+    @pytest.mark.parametrize("target", ["db", "cache-dir"])
+    def test_harness_rerun_is_served_from_the_store(self, tmp_path, capsys, target):
+        """A harness re-run against the same queue or cache executes nothing."""
+        queue = str(tmp_path / "q.sqlite")
+        flags = {
+            "db": ["--executor", "distributed", "--workers", "2", "--db", queue],
+            "cache-dir": ["--cache-dir", str(tmp_path / "cache")],
+        }[target]
+        runs = []
+        for _ in range(2):
+            assert main(["table1", "--scale", "smoke", "--progress", *flags]) == 0
+            out, err = capsys.readouterr()
+            (final,) = [line for line in err.splitlines() if "done in" in line]
+            runs.append((out.rsplit("completed 1 tables", 1)[0], final))
+        (first_tables, first), (second_tables, second) = runs
+        assert "table1" in first_tables and second_tables == first_tables
+        assert first.startswith("sweep 7/7  done in")
+        assert second.startswith("sweep 7/7  7 cached  done in")
 
     def test_workers_requires_action_and_db(self, capsys):
         assert main(["workers"]) == 2

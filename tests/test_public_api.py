@@ -30,7 +30,7 @@ from repro import (
 
 class TestPackageSurface:
     def test_version_string(self):
-        assert repro.__version__ == "11.0.0"
+        assert repro.__version__ == "12.0.0"
 
     def test_declared_dependencies_suffice(self):
         """A fresh interpreter imports ``repro.api`` and runs S-Restart without scipy.
@@ -149,10 +149,12 @@ class TestDeprecatedShims:
     def test_cluster_job_events_are_gone_in_8_0(self, name):
         """Nothing emitted them; a cluster run is one scenario to the stream."""
         import repro.api
+        import repro.api.events
 
-        assert name not in repro.api.__all__ and name not in repro.api.EVENT_TYPES.values()
-        with pytest.raises(AttributeError):
-            getattr(repro.api, name)
+        assert name not in repro.api.__all__
+        for module in (repro.api, repro.api.events):
+            with pytest.raises(AttributeError):
+                getattr(module, name)
 
     @pytest.mark.parametrize(
         "module, name",
@@ -224,6 +226,37 @@ class TestDeprecatedShims:
     def test_modules_removed_in_11_0(self, module):
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module(module)
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "repro:set_default_executor",
+            "repro.api:set_default_executor",
+            "repro.api:default_executor",
+            "repro.api:set_default_on_event",
+            "repro.api:default_on_event",
+            "repro.api.sweep:set_default_executor",
+            "repro.api.sweep:default_executor",
+            "repro.api.sweep:set_default_on_event",
+            "repro.api.sweep:default_on_event",
+            "repro.api.sweep:_executor_defaults",
+            "repro.api.sweep:_default_on_event",
+            "repro.api:EVENT_TYPES",
+            "repro.api:event_from_dict",
+            "repro.api.events:EVENT_TYPES",
+            "repro.api.events:event_from_dict",
+            "repro.api.events:SweepEvent.to_dict",
+            "repro.strategies:StrategyParameters.with_timing",
+            "repro.core.model:StragglerModel.with_timing",
+            "repro.traces.google_trace:SyntheticGoogleTrace.summary",
+        ],
+    )
+    def test_names_removed_in_12_0(self, path):
+        """Sweep options are explicit keywords; nothing but tests called the rest."""
+        owner, name = _owner_of(path)
+        assert name not in getattr(owner, "__all__", ())
+        with pytest.raises(AttributeError):
+            getattr(owner, name)
 
     def test_unknown_attribute_still_raises(self):
         with pytest.raises(AttributeError):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.api import available_strategies
@@ -89,9 +91,9 @@ class TestStrategyParameters:
         with pytest.raises(ValueError):
             StrategyParameters(**kwargs)
 
-    def test_with_helpers(self):
+    def test_replace_copies(self):
         params = StrategyParameters(tau_est=10.0, tau_kill=20.0, theta=1e-4)
-        assert params.with_timing(5.0, 15.0).tau_est == 5.0
+        assert dataclasses.replace(params, tau_est=5.0, tau_kill=15.0).tau_est == 5.0
         # Original unchanged (frozen dataclass semantics).
         assert params.tau_est == 10.0
 

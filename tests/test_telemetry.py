@@ -15,7 +15,7 @@ import pytest
 
 from repro import telemetry
 from repro.api import ScenarioSpec, WorkloadSpec, job_spec_to_dict, stream_specs
-from repro.api.events import ScenarioQueued, SweepFinished, SweepStarted, event_from_dict
+from repro.api.events import SweepFinished
 from repro.simulator.entities import JobSpec
 from repro.telemetry import (
     Counter,
@@ -339,17 +339,6 @@ class TestSweepInstrumentation:
         before = events_total.value
         list(stream_specs([_tiny_spec(4)]))
         assert events_total.value > before
-
-    def test_old_event_payloads_still_parse(self):
-        payload = {"event": "scenario-queued", "fingerprint": "abc", "index": 0,
-                   "elapsed_s": 0.5}  # pre-telemetry: no sweep_id field
-        event = event_from_dict(payload)
-        assert isinstance(event, ScenarioQueued)
-        assert event.sweep_id is None
-
-    def test_sweep_id_survives_event_round_trip(self):
-        event = SweepStarted(total=1, executor="inline", sweep_id="sweep-abc123def456")
-        assert event_from_dict(event.to_dict()).sweep_id == "sweep-abc123def456"
 
 
 class TestBrokerTrace:

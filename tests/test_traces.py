@@ -153,13 +153,6 @@ class TestGoogleTrace:
         jobs = trace.generate()
         assert all(job.unit_price > 0 for job in jobs)
 
-    def test_summary_statistics(self):
-        trace = SyntheticGoogleTrace(GoogleTraceConfig.small(num_jobs=25))
-        summary = trace.summary()
-        assert summary["num_jobs"] == 25
-        assert summary["total_tasks"] >= 25
-        assert summary["mean_beta"] > 1.0
-
 
 class TestSpotPrices:
     def test_config_validation(self):
