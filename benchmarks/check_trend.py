@@ -30,9 +30,10 @@ trajectory instead of a single mutable baseline; disable with
 ``--no-trend`` or redirect with ``--trend PATH``.  The line also carries
 a ``"counters"`` entry with every ``extra_info`` key ending in
 ``_per_attempt`` (Python calls and collector passes per simulated
-attempt): deterministic work counts, recorded but never gated, that
-read the same on a fast or a slow host, so the trajectory shows a cost
-change that host noise hides in the throughputs.
+attempt) or ``_modules`` (modules a command loads on a cold start):
+deterministic work counts, recorded but never gated, that read the same
+on a fast or a slow host, so the trajectory shows a cost change that
+host noise hides in the throughputs.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple, Union
 
 #: Fraction below baseline that fails the gate.
 DEFAULT_TOLERANCE = 0.30
@@ -56,7 +57,9 @@ DEFAULT_BASELINE = Path(__file__).resolve().parent / "BENCH_baseline.json"
 DEFAULT_TREND = Path(__file__).resolve().parent / "BENCH_trend.jsonl"
 
 
-def _extra_info(bench_json: dict, suffix: str) -> Dict[str, Dict[str, float]]:
+def _extra_info(
+    bench_json: dict, suffix: Union[str, Tuple[str, ...]]
+) -> Dict[str, Dict[str, float]]:
     """``{benchmark name: {key: value}}`` for the numeric keys ending in ``suffix``."""
     out: Dict[str, Dict[str, float]] = {}
     for bench in bench_json.get("benchmarks", []):
@@ -81,8 +84,8 @@ def throughputs(bench_json: dict) -> Dict[str, Dict[str, float]]:
 
 
 def counters(bench_json: dict) -> Dict[str, Dict[str, float]]:
-    """Extract the ``_per_attempt`` work counters: recorded, never gated."""
-    return _extra_info(bench_json, "_per_attempt")
+    """Extract the ``_per_attempt`` and ``_modules`` counters: recorded, never gated."""
+    return _extra_info(bench_json, ("_per_attempt", "_modules"))
 
 
 def compare(

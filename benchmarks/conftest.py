@@ -11,9 +11,17 @@ micro-second timing stability.
 from __future__ import annotations
 
 import gc
+import os
+import statistics
+import subprocess
 import sys
+import time
+from pathlib import Path
+from typing import Sequence, Tuple
 
 import pytest
+
+import repro
 
 from repro.experiments.common import ExperimentScale
 
@@ -74,3 +82,33 @@ def attach_tables(benchmark, tables) -> None:
         tables = {tables.experiment_id: tables}
     for key, table in tables.items():
         benchmark.extra_info[key] = {row.label: dict(row.values) for row in table.rows}
+
+
+def cold_start(argv: Sequence[str], runs: int = 7, setup: str = "") -> Tuple[float, int, int]:
+    """``chronos-experiments ARGV`` in ``runs`` fresh interpreters.
+
+    Returns the median wall time of one process, from spawn to exit, and
+    the number of modules it had loaded when the command returned: all of
+    them, and those of ``repro``.  ``setup`` is Python run before the
+    command (e.g. to stub out a server loop).  The wall time includes
+    interpreter start-up, as a shell user sees it; the counts do not
+    depend on the host's speed.
+    """
+    program = "\n".join([
+        "import sys",
+        setup,
+        "from repro.experiments.cli import main",
+        f"main({list(argv)!r})",
+        "print(len(sys.modules), sum(name.split('.')[0] == 'repro' for name in sys.modules))",
+    ])
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    times = []
+    for _ in range(runs):
+        started = time.perf_counter()
+        child = subprocess.run(
+            [sys.executable, "-c", program], capture_output=True, text=True, check=True, env=env
+        )
+        times.append(time.perf_counter() - started)
+    loaded, repro_loaded = (int(count) for count in child.stdout.splitlines()[-1].split())
+    return statistics.median(times), loaded, repro_loaded

@@ -72,70 +72,55 @@ and new strategies, estimators and workloads plug in through
 ``register_workload`` — no edits to this package required.
 """
 
-from repro.api import (
-    ScenarioResult,
-    ScenarioSpec,
-    SpecValidationError,
-    Sweep,
-    SweepResult,
-    WorkloadSpec,
-    available_estimators,
-    available_strategies,
-    available_workloads,
-    register_estimator,
-    register_strategy,
-    register_workload,
-    run,
-    run_specs,
-)
-from repro.core import (
-    ChronosOptimizer,
-    OptimizationResult,
-    StragglerModel,
-    StrategyName,
-    expected_cost,
-    expected_machine_time,
-    net_utility,
-    pocd,
-    tradeoff_frontier,
-)
-from repro.distributions import ParetoDistribution
-from repro.simulator import ClusterConfig, JobSpec, SimulationReport
-from repro.strategies import StrategyParameters
+from repro._lazy import lazy_exports
 
-__version__ = "12.0.0"
+__version__ = "12.1.0"
 
-__all__ = [
-    "__version__",
+#: Each public name and the module that defines it.  The package imports
+#: none of them up front (PEP 562): a name's module loads on first
+#: access, so a process that never simulates (the sweep service,
+#: ``workers status``, ``--list``) never loads numpy or the simulator.
+_EXPORTS = {
     # declarative API
-    "ScenarioSpec",
-    "WorkloadSpec",
-    "ScenarioResult",
-    "SpecValidationError",
-    "run",
-    "run_specs",
-    "Sweep",
-    "SweepResult",
-    "register_strategy",
-    "register_estimator",
-    "register_workload",
-    "available_strategies",
-    "available_estimators",
-    "available_workloads",
+    **dict.fromkeys(
+        (
+            "ScenarioSpec",
+            "WorkloadSpec",
+            "ScenarioResult",
+            "SpecValidationError",
+            "run",
+            "run_specs",
+            "Sweep",
+            "SweepResult",
+            "register_strategy",
+            "register_estimator",
+            "register_workload",
+            "available_strategies",
+            "available_estimators",
+            "available_workloads",
+        ),
+        "repro.api",
+    ),
     # closed-form analysis
-    "StragglerModel",
-    "StrategyName",
-    "ChronosOptimizer",
-    "OptimizationResult",
-    "pocd",
-    "expected_machine_time",
-    "expected_cost",
-    "net_utility",
-    "tradeoff_frontier",
-    "ParetoDistribution",
+    **dict.fromkeys(
+        (
+            "StragglerModel",
+            "StrategyName",
+            "ChronosOptimizer",
+            "OptimizationResult",
+            "pocd",
+            "expected_machine_time",
+            "expected_cost",
+            "net_utility",
+            "tradeoff_frontier",
+        ),
+        "repro.core",
+    ),
+    "ParetoDistribution": "repro.distributions",
     # simulation building blocks
-    "SimulationReport",
-    "JobSpec",
-    "ClusterConfig",
-    "StrategyParameters",
-]
+    **dict.fromkeys(("SimulationReport", "JobSpec", "ClusterConfig"), "repro.simulator"),
+    "StrategyParameters": "repro.strategies",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -46,6 +46,7 @@ re-exported here and speak the same event stream, executors and
 control surface as sweeps.
 """
 
+from repro._lazy import lazy_exports
 from repro.api.events import (
     ScenarioCacheHit,
     ScenarioCompleted,
@@ -106,6 +107,48 @@ from repro.api.sweep import (
     stream_specs,
 )
 
+# repro.adaptive and repro.cluster build on this package (the sweep
+# layer, specs, registries, façade), so importing them eagerly here would
+# recurse back into this module while it is still initialising.  PEP 562
+# lazy attributes keep ``from repro.api import run_search`` working
+# without paying for (or racing) those imports on plain sweeps.
+_LAZY_EXPORTS = {
+    **dict.fromkeys(
+        (
+            "SearchResult",
+            "run_search",
+            "stream_search",
+            "AlgorithmAdapter",
+            "Proposal",
+            "TrialLedger",
+            "TrialRecord",
+            "register_algorithm",
+            "available_algorithms",
+            "make_algorithm",
+            "Objective",
+            "register_objective",
+            "available_objectives",
+        ),
+        "repro.adaptive",
+    ),
+    **dict.fromkeys(
+        (
+            "ClusterSpec",
+            "ArrivalSpec",
+            "ClusterResult",
+            "ClusterReport",
+            "run_cluster",
+            "ARRIVALS",
+            "SCHEDULERS",
+            "register_arrival",
+            "register_cluster_scheduler",
+            "available_arrivals",
+            "available_cluster_schedulers",
+        ),
+        "repro.cluster",
+    ),
+}
+
 __all__ = [
     # specs
     "ScenarioSpec",
@@ -163,93 +206,8 @@ __all__ = [
     "available_estimators",
     "available_workloads",
     "create_strategy",
-    # adaptive search (lazy — see __getattr__ below)
-    "SearchResult",
-    "run_search",
-    "stream_search",
-    "AlgorithmAdapter",
-    "Proposal",
-    "TrialLedger",
-    "TrialRecord",
-    "register_algorithm",
-    "available_algorithms",
-    "make_algorithm",
-    "Objective",
-    "register_objective",
-    "available_objectives",
-    # multi-job clusters (lazy — see __getattr__ below)
-    "ClusterSpec",
-    "ArrivalSpec",
-    "ClusterResult",
-    "ClusterReport",
-    "run_cluster",
-    "ARRIVALS",
-    "SCHEDULERS",
-    "register_arrival",
-    "register_cluster_scheduler",
-    "available_arrivals",
-    "available_cluster_schedulers",
+    # adaptive search and multi-job clusters (lazy)
+    *_LAZY_EXPORTS,
 ]
 
-# repro.adaptive builds on the sweep layer, so importing it eagerly here
-# would recurse back into this module while it is still initialising.
-# PEP 562 lazy attributes keep ``from repro.api import run_search`` working
-# without paying for (or racing) the adaptive import on plain sweeps.
-_ADAPTIVE_NAMES = frozenset(
-    {
-        "SearchResult",
-        "run_search",
-        "stream_search",
-        "AlgorithmAdapter",
-        "Proposal",
-        "TrialLedger",
-        "TrialRecord",
-        "register_algorithm",
-        "available_algorithms",
-        "make_algorithm",
-        "Objective",
-        "register_objective",
-        "available_objectives",
-    }
-)
-
-
-# repro.cluster likewise builds on this package (specs, registries,
-# façade), so its re-exports use the same lazy-attribute pattern.
-_CLUSTER_NAMES = frozenset(
-    {
-        "ClusterSpec",
-        "ArrivalSpec",
-        "ClusterResult",
-        "ClusterReport",
-        "run_cluster",
-        "ARRIVALS",
-        "SCHEDULERS",
-        "register_arrival",
-        "register_cluster_scheduler",
-        "available_arrivals",
-        "available_cluster_schedulers",
-    }
-)
-
-
-def __getattr__(name):
-    """Resolve the lazily re-exported adaptive/cluster names (PEP 562)."""
-    if name in _ADAPTIVE_NAMES:
-        import repro.adaptive as _adaptive
-
-        value = getattr(_adaptive, name)
-        globals()[name] = value
-        return value
-    if name in _CLUSTER_NAMES:
-        import repro.cluster as _cluster
-
-        value = getattr(_cluster, name)
-        globals()[name] = value
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    """Advertise the lazy re-exports alongside the eager module globals."""
-    return sorted(set(globals()) | _ADAPTIVE_NAMES | _CLUSTER_NAMES)
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY_EXPORTS)

@@ -63,6 +63,7 @@ import time
 import warnings
 from pathlib import Path
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -76,17 +77,6 @@ from typing import (
     Union,
 )
 
-from repro.api.events import (
-    ScenarioCacheHit,
-    ScenarioCompleted,
-    ScenarioFailed,
-    ScenarioRetried,
-    ScenarioStarted,
-    SweepEvent,
-)
-from repro.api.facade import ScenarioResult, report_from_dict, spec_from_dict
-from repro.api.facade import execute as execute_spec
-from repro.api.spec import ScenarioSpec
 from repro.distributed.broker import TaskFailedError
 from repro.distributed.leases import LeasePolicy
 from repro.distributed.store import RESULT_BATCH
@@ -97,6 +87,14 @@ from repro.distributed.targets import (
     open_store,
 )
 from repro.distributed.worker import WorkerConfig, WorkerPool
+
+# The sweep API is imported by the calls that use it, not here, so that
+# importing the distributed package (the sweep service does) loads
+# neither numpy nor the simulator.
+if TYPE_CHECKING:
+    from repro.api.events import SweepEvent
+    from repro.api.facade import ScenarioResult
+    from repro.api.spec import ScenarioSpec
 
 #: Longest wait of one reconcile pass's event-log long poll (the pass
 #: ends sooner when the queue settles).
@@ -133,6 +131,9 @@ def _result_from_payload(fingerprint: str, spec: Any, payload: Mapping[str, Any]
     name ``spec``, and only the report and the wall time are decoded.  A
     payload of another spec, or a corrupt one, is ``None`` (a miss).
     """
+    from repro.api.facade import ScenarioResult, report_from_dict
+    from repro.api.spec import ScenarioSpec
+
     try:
         if payload["fingerprint"] != fingerprint:
             return None
@@ -268,6 +269,15 @@ def _stream(
     span: Optional[Dict[str, Any]] = None,
 ) -> Iterator[SweepEvent]:
     """The generator behind :func:`execute_stream` (inputs validated)."""
+    from repro.api.events import (
+        ScenarioCacheHit,
+        ScenarioCompleted,
+        ScenarioFailed,
+        ScenarioRetried,
+        ScenarioStarted,
+    )
+    from repro.api.facade import execute as execute_spec
+    from repro.api.facade import spec_from_dict
 
     def cancelled() -> bool:
         return cancel is not None and cancel.cancelled()

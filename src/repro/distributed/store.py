@@ -26,10 +26,13 @@ import json
 import sqlite3
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
-from repro.api.facade import ScenarioResult, result_from_dict
-from repro.api.sweep import SweepResult
+# The sweep API (and with it numpy and the simulator) is imported by the
+# calls that decode a result, not here: the sweep service stores and
+# relays payload texts and never decodes one.
+if TYPE_CHECKING:
+    from repro.api.facade import ScenarioResult
 
 #: Milliseconds a connection waits on a locked database before failing.
 BUSY_TIMEOUT_MS = 10_000
@@ -119,6 +122,8 @@ def summary_columns(columns: Optional[Iterable[str]] = None) -> List[str]:
     ``None`` selects every column.  Unknown names, or an empty
     selection, raise :class:`ValueError` on every result-store backend.
     """
+    from repro.api.sweep import SweepResult
+
     if columns is None:
         return list(SweepResult.COLUMNS)
     selected = list(columns)
@@ -209,6 +214,8 @@ class SqliteResultStore:
         select per :data:`READ_CHUNK` fingerprints — the sweep driver's
         batched replacement for one point read per completion.
         """
+        from repro.api.facade import result_from_dict
+
         wanted = list(dict.fromkeys(fingerprints))
         found = {fp: self._memory[fp] for fp in wanted if fp in self._memory}
         for fingerprint, payload in self._stored_payloads(fp for fp in wanted if fp not in found):
@@ -325,6 +332,8 @@ class SqliteResultStore:
         The in-memory layer answers rows it holds; corrupt rows are
         skipped, never an error.
         """
+        from repro.api.facade import result_from_dict
+
         for row in self._conn.execute(
             "SELECT fingerprint, payload FROM results ORDER BY created_at, fingerprint"
         ):

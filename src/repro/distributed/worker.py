@@ -45,7 +45,6 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro import telemetry
-from repro.api.facade import execute, spec_from_dict
 from repro.distributed.broker import Task
 from repro.distributed.leases import LeaseKeeper, LeasePolicy
 from repro.telemetry.profiler import _exit_on_sigterm
@@ -296,7 +295,7 @@ class Worker:
                 committed_at = _clock()
                 for task in tasks:
                     try:
-                        result = execute(spec_from_dict(task.payload))
+                        result = _run_scenario(task.payload)
                     except Exception as error:  # scenario errors are terminal, not retried
                         self._broker.fail(
                             task.fingerprint, self.worker_id, f"{type(error).__name__}: {error}"
@@ -324,6 +323,17 @@ class Worker:
         if keeper_broker is not None and keeper_broker is not self._broker:
             keeper_broker.close()
         self._broker.close()
+
+
+def _run_scenario(payload: Mapping[str, Any]) -> Any:
+    """Rebuild a queued spec payload and run it to a result.
+
+    The sweep API is imported here, on first use, not at module level:
+    the sweep service imports this package and never runs a scenario.
+    """
+    from repro.api.facade import execute, spec_from_dict
+
+    return execute(spec_from_dict(payload))
 
 
 def worker_main(

@@ -20,22 +20,22 @@ The :mod:`repro.experiments.cli` module provides the
 experiments and prints the tables.
 """
 
-from repro.experiments.common import ExperimentRow, ExperimentScale, ExperimentTable
-from repro.experiments.figure2 import run_figure2
-from repro.experiments.figure3 import run_figure3
-from repro.experiments.figure4 import run_figure4
-from repro.experiments.figure5 import run_figure5
-from repro.experiments.table1 import run_table1
-from repro.experiments.table2 import run_table2
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ExperimentTable",
-    "ExperimentRow",
-    "ExperimentScale",
-    "run_figure2",
-    "run_table1",
-    "run_table2",
-    "run_figure3",
-    "run_figure4",
-    "run_figure5",
-]
+#: Each public name and the module that defines it, imported on first
+#: access (PEP 562), so the ``chronos-experiments`` commands that run no
+#: harness load none.
+_EXPORTS = {
+    **dict.fromkeys(
+        ("ExperimentTable", "ExperimentRow", "ExperimentScale"), "repro.experiments.common"
+    ),
+    "run_figure2": "repro.experiments.figure2",
+    "run_table1": "repro.experiments.table1",
+    "run_table2": "repro.experiments.table2",
+    "run_figure3": "repro.experiments.figure3",
+    "run_figure4": "repro.experiments.figure4",
+    "run_figure5": "repro.experiments.figure5",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -95,41 +95,39 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
 import json
 import os
 import sys
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
-
-from repro.api import (
-    EXECUTORS,
-    ScenarioCacheHit,
-    ScenarioCompleted,
-    ScenarioFailed,
-    ScenarioQueued,
-    ScenarioRetried,
-    SearchFinished,
-    SpecValidationError,
-    Sweep,
-    SweepEvent,
-    SweepFinished,
-    SweepResult,
-    SweepStarted,
-    TrialProposed,
-    TrialPruned,
-    UnknownPluginError,
-    spec_from_dict,
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
 )
-from repro.api.sweep import _csv_text, _resolve_plan
-from repro.experiments.common import ExperimentScale, ExperimentTable
-from repro.experiments.figure2 import run_figure2
-from repro.experiments.figure3 import run_figure3
-from repro.experiments.figure4 import run_figure4
-from repro.experiments.figure5 import run_figure5
-from repro.experiments.multijob import run_multijob
-from repro.experiments.table1 import run_table1
-from repro.experiments.table2 import run_table2
+
+# The sweep API, the harnesses and the layers below them (numpy, the
+# simulator) are imported by the commands that run scenarios, never
+# here: ``--list``, ``serve``, ``workers``, ``metrics`` and ``trace``
+# simulate nothing and load none of them.
+if TYPE_CHECKING:
+    from repro.api import SweepEvent
+    from repro.experiments.common import ExperimentScale, ExperimentTable
+
+#: ``--scale`` choices: the values of
+#: :class:`~repro.experiments.common.ExperimentScale`.
+SCALES = ("smoke", "small", "full")
+
+#: ``--executor`` choices: :data:`repro.api.EXECUTORS`.
+EXECUTORS = ("inline", "pool", "distributed")
 
 
 class UnknownExperimentError(KeyError):
@@ -151,6 +149,8 @@ class UnknownExperimentError(KeyError):
 
 def _tables_of(result) -> List[ExperimentTable]:
     """Normalise an experiment result to a flat list of tables."""
+    from repro.experiments.common import ExperimentTable
+
     if isinstance(result, ExperimentTable):
         return [result]
     if isinstance(result, dict):
@@ -158,14 +158,21 @@ def _tables_of(result) -> List[ExperimentTable]:
     raise TypeError(f"unexpected experiment result type: {type(result)!r}")
 
 
+def _harness(name: str) -> Callable[..., object]:
+    """``repro.experiments.<name>.run_<name>``, imported when first called."""
+
+    def run(**options: Any) -> object:
+        module = importlib.import_module(f"repro.experiments.{name}")
+        return getattr(module, f"run_{name}")(**options)
+
+    run.__name__ = run.__qualname__ = f"run_{name}"
+    return run
+
+
 #: Registry of runnable experiments.
 EXPERIMENTS: Dict[str, Callable[..., object]] = {
-    "figure2": run_figure2,
-    "table1": run_table1,
-    "table2": run_table2,
-    "figure3": run_figure3,
-    "figure4": run_figure4,
-    "figure5": run_figure5,
+    name: _harness(name)
+    for name in ("figure2", "table1", "table2", "figure3", "figure4", "figure5")
 }
 
 
@@ -195,8 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--scale",
-        choices=[scale.value for scale in ExperimentScale],
-        default=ExperimentScale.SMALL.value,
+        choices=SCALES,
+        default="small",
         help="experiment scale (smoke: seconds, small: default, full: paper scale)",
     )
     parser.add_argument(
@@ -315,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--executor",
-        choices=list(EXECUTORS),
+        choices=EXECUTORS,
         help=(
             "sweep backend: inline, pool (local workers on a throwaway queue), or "
             "distributed (a --db or --broker queue + worker processes); applies to "
@@ -526,34 +533,37 @@ class ProgressLine:
         self._last_line = ""
 
     def __call__(self, event: SweepEvent) -> None:
-        if isinstance(event, SweepStarted):
+        # Dispatched on the event's ``kind`` name, so rendering needs no
+        # import of the event classes.
+        kind = event.kind
+        if kind == "sweep-started":
             self._reset(event.total)
-        elif isinstance(event, TrialProposed):
+        elif kind == "trial-proposed":
             self._search = True
             self._trials += 1
-        elif isinstance(event, TrialPruned):
+        elif kind == "trial-pruned":
             self._search = True
             self._pruned += 1
-        elif isinstance(event, SearchFinished):
+        elif kind == "search-finished":
             self._search = True
             self._trials = event.trials
             self._pruned = event.pruned
             self._render(event.elapsed_s, final=True, cancelled=event.cancelled,
                          stopped=event.stopped)
             return
-        elif isinstance(event, ScenarioQueued):
+        elif kind == "scenario-queued":
             # duplicate fingerprints queue once per index but complete
             # once; counting queued indices keeps done/total honest
             self._queued[event.fingerprint] = self._queued.get(event.fingerprint, 0) + 1
-        elif isinstance(event, ScenarioCompleted):
+        elif kind == "scenario-completed":
             self._done += self._queued.pop(event.fingerprint, 1)
-        elif isinstance(event, ScenarioCacheHit):
+        elif kind == "scenario-cache-hit":
             self._hits += self._queued.pop(event.fingerprint, 1)
-        elif isinstance(event, ScenarioFailed):
+        elif kind == "scenario-failed":
             self._failed += 1
-        elif isinstance(event, ScenarioRetried):
+        elif kind == "scenario-retried":
             self._retried += 1
-        if isinstance(event, SweepFinished):
+        elif kind == "sweep-finished":
             self._render(event.elapsed_s, final=True, cancelled=event.cancelled,
                          stopped=event.stopped)
             return
@@ -709,10 +719,14 @@ def _sweep_options(args: argparse.Namespace, prefix: str) -> Iterator[Dict[str, 
     ``--broker`` and ``--lease-timeout`` mean the same for every command
     that runs scenarios, and each renders the live progress line.  The
     options are validated before anything runs or any file is opened: a
-    bad combination (``--executor pool --db Q``) is a ``prefix``-ed
-    exit-2 diagnostic.  On exit the cache is closed and a progress line
-    left dangling by a failed run is ended.
+    bad combination (``--executor pool --db Q``) or a ``--db`` no queue
+    backend opens (``redis://x``) is a ``prefix``-ed exit-2 diagnostic.
+    On exit the cache is closed and a progress line left dangling by a
+    failed run is ended.
     """
+    from repro.api.sweep import _resolve_plan
+    from repro.distributed.targets import _check_sqlite_target, is_service_url
+
     distributed = args.executor == "distributed" or args.broker or args.db
     options: Dict[str, Any] = dict(
         jobs=max(1, args.jobs),
@@ -724,6 +738,8 @@ def _sweep_options(args: argparse.Namespace, prefix: str) -> Iterator[Dict[str, 
     )
     try:
         _resolve_plan(**options)
+        if args.db and not is_service_url(args.db):
+            _check_sqlite_target(args.db)
     except ValueError as error:
         raise _UsageError(f"{prefix}{error}") from None
     cache = open_cache(args.cache_dir)
@@ -741,6 +757,8 @@ def _sweep_options(args: argparse.Namespace, prefix: str) -> Iterator[Dict[str, 
 
 def run_sweep_command(args: argparse.Namespace) -> int:
     """Handle ``chronos-experiments sweep --spec FILE``."""
+    from repro.api import SpecValidationError, Sweep, spec_from_dict
+
     path, payload = _load_spec_file(args, "sweep")
     try:
         # Polymorphic: a plain scenario, or {"kind": "cluster", ...}.
@@ -759,7 +777,7 @@ def run_sweep_command(args: argparse.Namespace) -> int:
         try:
             result = sweep.run(**options)
         except ValueError as error:
-            # e.g. a --db queue target with an unknown scheme
+            # e.g. a scenario's own error under on_failure="raise"
             raise _UsageError(f"sweep: {error}") from None
     _emit_result(result, args.csv)
     if result.cancelled:
@@ -844,11 +862,13 @@ def run_search_command(args: argparse.Namespace) -> int:
         raise _UsageError(
             f"{path}: search spec must map 'axes' (or 'grid') to non-empty value lists"
         )
+    from repro.adaptive import run_search
+    from repro.api import SpecValidationError, UnknownPluginError, spec_from_dict
+
     try:
         base = spec_from_dict(payload["base"])
     except SpecValidationError as error:
         raise _UsageError(f"{path}: {error}") from None
-    from repro.adaptive import run_search
 
     with _sweep_options(args, "search: ") as options:
         try:
@@ -908,6 +928,7 @@ def run_export_command(args: argparse.Namespace) -> int:
     result at a time.  ``--columns COL,COL,...`` keeps just those
     columns of the same rows.
     """
+    from repro.api.sweep import SweepResult, _csv_text
     from repro.distributed import SqliteResultStore, normalize_db_path
 
     if not args.db:
@@ -1048,6 +1069,10 @@ def run_workers_command(args: argparse.Namespace) -> int:
         # drained (or settles, with --exit-when-idle), then report.
         # Crashed members are replaced under a per-member token bucket
         # (--restarts tokens, refilling every --restart-refill seconds).
+        # The fleet simulates, so the sweep API is loaded once here and
+        # every forked member inherits it.
+        import repro.api  # noqa: F401
+
         fleet = max(1, args.workers if args.workers is not None else 3)
         config = WorkerConfig(policy=policy, exit_when_idle=args.exit_when_idle)
         restart_policy = (
@@ -1273,6 +1298,10 @@ def run_multijob_command(args: argparse.Namespace) -> int:
     same sweep options, progress line and security environment as the
     paper harnesses.
     """
+    from repro.api import SpecValidationError, UnknownPluginError
+    from repro.experiments.common import ExperimentScale
+    from repro.experiments.multijob import run_multijob
+
     return _run_tables(
         args,
         lambda **options: _tables_of(
@@ -1294,6 +1323,8 @@ def run_multijob_command(args: argparse.Namespace) -> int:
 
 def run_harness_commands(args: argparse.Namespace) -> int:
     """Run the named experiment harnesses (the default command path)."""
+    from repro.experiments.common import ExperimentScale
+
     return _run_tables(
         args,
         lambda **options: run_experiments(

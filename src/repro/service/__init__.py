@@ -40,63 +40,56 @@ payloads are byte-identical whether a sweep ran inline, on one machine,
 or across a fleet of hosts.
 """
 
-from repro.service.client import HttpBroker, HttpResultStore, fetch_metrics, rpc_call
-from repro.service.protocol import (
-    HEALTH_PATH,
-    METRICS_CONTENT_TYPE,
-    METRICS_PATH,
-    PROTOCOL_VERSION,
-    RPC_PATH,
-    STATUS_PATH,
-    ServiceAuthError,
-    ServiceError,
-)
-from repro.service.security import (
-    CAFILE_ENV,
-    TOKEN_ENV,
-    VERIFY_ENV,
-    Credentials,
-    client_ssl_context,
-    server_ssl_context,
-    token_matches,
-)
-from repro.service.server import (
-    BrokerService,
-    ServiceHTTPServer,
-    ServiceRequestHandler,
-    UnknownMethodError,
-    make_server,
-    serve,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
+#: Each public name and the module that defines it, imported on first
+#: access (PEP 562): the server never loads the clients, and neither
+#: loads the sweep API until a call decodes a result.
+_EXPORTS = {
     # server
-    "BrokerService",
-    "ServiceHTTPServer",
-    "ServiceRequestHandler",
-    "UnknownMethodError",
-    "make_server",
-    "serve",
+    **dict.fromkeys(
+        (
+            "BrokerService",
+            "ServiceHTTPServer",
+            "ServiceRequestHandler",
+            "UnknownMethodError",
+            "make_server",
+            "serve",
+        ),
+        "repro.service.server",
+    ),
     # clients
-    "HttpBroker",
-    "HttpResultStore",
-    "rpc_call",
-    "fetch_metrics",
+    **dict.fromkeys(
+        ("HttpBroker", "HttpResultStore", "rpc_call", "fetch_metrics"), "repro.service.client"
+    ),
     # protocol
-    "ServiceError",
-    "ServiceAuthError",
-    "RPC_PATH",
-    "HEALTH_PATH",
-    "STATUS_PATH",
-    "METRICS_PATH",
-    "METRICS_CONTENT_TYPE",
-    "PROTOCOL_VERSION",
+    **dict.fromkeys(
+        (
+            "ServiceError",
+            "ServiceAuthError",
+            "RPC_PATH",
+            "HEALTH_PATH",
+            "STATUS_PATH",
+            "METRICS_PATH",
+            "METRICS_CONTENT_TYPE",
+            "PROTOCOL_VERSION",
+        ),
+        "repro.service.protocol",
+    ),
     # security
-    "Credentials",
-    "token_matches",
-    "client_ssl_context",
-    "server_ssl_context",
-    "TOKEN_ENV",
-    "CAFILE_ENV",
-    "VERIFY_ENV",
-]
+    **dict.fromkeys(
+        (
+            "Credentials",
+            "token_matches",
+            "client_ssl_context",
+            "server_ssl_context",
+            "TOKEN_ENV",
+            "CAFILE_ENV",
+            "VERIFY_ENV",
+        ),
+        "repro.service.security",
+    ),
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

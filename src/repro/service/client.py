@@ -77,9 +77,19 @@ import threading
 import urllib.error
 import urllib.parse
 import urllib.request
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
-from repro.api.facade import ScenarioResult, result_from_dict
 from repro.distributed.broker import Broker, Task
 from repro.distributed.leases import LeasePolicy
 from repro.distributed.store import RESULT_BATCH, SqliteResultStore, payload_from_text
@@ -93,6 +103,11 @@ from repro.service.protocol import (
     ServiceError,
 )
 from repro.service.security import Credentials, client_ssl_context
+
+# The sweep API is imported by the calls that decode a result, not here:
+# workers and status commands talk to the service without it.
+if TYPE_CHECKING:
+    from repro.api.facade import ScenarioResult
 
 #: Seconds an RPC waits on the socket before failing.
 RPC_TIMEOUT_S = 30.0
@@ -445,6 +460,8 @@ class HttpResultStore(_ServiceClient):
         Memoized fingerprints are answered locally; the rest cost one
         ``result_texts`` round trip per :data:`RESULT_BATCH`.
         """
+        from repro.api.facade import result_from_dict
+
         wanted = list(dict.fromkeys(fingerprints))
         found = {fp: self._memory[fp] for fp in wanted if fp in self._memory}
         for fingerprint, payload in self._stored_payloads(fp for fp in wanted if fp not in found):

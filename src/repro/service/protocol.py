@@ -77,7 +77,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
-from repro.api.facade import result_from_dict
 from repro.distributed.broker import Task, TaskRecord
 from repro.distributed.leases import Lease, LeasePolicy
 from repro.distributed.store import summary_columns
@@ -221,6 +220,13 @@ def _each(convert: Callable[[Any], Any]) -> Callable[[Any], Any]:
 _strings = _each(str)
 
 
+def _result_from_wire(payload: Dict[str, Any]) -> Any:
+    """A listed result, decoded by the sweep API (imported on first use)."""
+    from repro.api.facade import result_from_dict
+
+    return result_from_dict(payload)
+
+
 def _text_pairs(completions: Any) -> Any:
     return [(str(fingerprint), text) for fingerprint, text in completions]
 
@@ -323,7 +329,7 @@ WIRE_METHODS: Dict[str, WireMethod] = {
         WireMethod("result_len", STORE, attr="__len__"),
         WireMethod(
             "results", STORE,
-            to_wire=_each(lambda result: result.to_dict()), from_wire=_each(result_from_dict),
+            to_wire=_each(lambda result: result.to_dict()), from_wire=_each(_result_from_wire),
         ),
         WireMethod("summary_rows", STORE, {"columns": summary_columns}),
     )

@@ -22,38 +22,33 @@ low-level entry point remains available for custom setups::
     print(report.pocd, report.total_cost)
 """
 
-from repro.simulator.cluster import ClusterConfig
-from repro.simulator.engine import Event, SimulationEngine
-from repro.simulator.entities import (
-    Attempt,
-    AttemptStatus,
-    Job,
-    JobSpec,
-    Task,
-)
-from repro.simulator.metrics import JobRecord, MetricsCollector, SimulationReport
-from repro.simulator.progress import (
-    CompletionTimeEstimator,
-    chronos_estimate_completion,
-    hadoop_estimate_completion,
-)
-from repro.simulator.runner import SimulationRunner, SpeculationStrategyProtocol
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SpeculationStrategyProtocol",
-    "SimulationEngine",
-    "Event",
-    "ClusterConfig",
-    "JobSpec",
-    "Job",
-    "Task",
-    "Attempt",
-    "AttemptStatus",
-    "MetricsCollector",
-    "SimulationReport",
-    "JobRecord",
-    "CompletionTimeEstimator",
-    "chronos_estimate_completion",
-    "hadoop_estimate_completion",
-    "SimulationRunner",
-]
+#: Each public name and the module that defines it, imported on first
+#: access (PEP 562).  Besides keeping ``import repro.simulator.cluster``
+#: cheap, this breaks an import cycle: the runner drives the
+#: :mod:`repro.hadoop` control plane, whose modules build on this
+#: package's engine and entities, so an eager import of the runner here
+#: would fail whenever :mod:`repro.hadoop` is imported first.
+_EXPORTS = {
+    **dict.fromkeys(("SimulationRunner", "SpeculationStrategyProtocol"), "repro.simulator.runner"),
+    **dict.fromkeys(("SimulationEngine", "Event"), "repro.simulator.engine"),
+    "ClusterConfig": "repro.simulator.cluster",
+    **dict.fromkeys(
+        ("JobSpec", "Job", "Task", "Attempt", "AttemptStatus"), "repro.simulator.entities"
+    ),
+    **dict.fromkeys(
+        ("MetricsCollector", "SimulationReport", "JobRecord"), "repro.simulator.metrics"
+    ),
+    **dict.fromkeys(
+        (
+            "CompletionTimeEstimator",
+            "chronos_estimate_completion",
+            "hadoop_estimate_completion",
+        ),
+        "repro.simulator.progress",
+    ),
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -126,7 +126,7 @@ class TestProcessPoolExecution:
         """
         import repro.distributed.worker as worker_module
 
-        monkeypatch.setattr(worker_module, "spec_from_dict", _raise_like_spawn_worker)
+        monkeypatch.setattr(worker_module, "_run_scenario", _raise_like_spawn_worker)
         specs = [base.with_overrides(seed=s) for s in (0, 1)]
         outcome = run_specs(specs, jobs=2)
         assert outcome.executed == 2

@@ -63,6 +63,13 @@ class TestCounters:
             "bench_b": {"scenarios_per_sec": 3.0},
         }
 
+    def test_extracts_module_counts_as_counters(self, check_trend):
+        data = bench_json(
+            {"bench": {"starts_per_sec": 9.0, "cold_start_s": 0.11, "repro_modules": 4}}
+        )
+        assert check_trend.counters(data) == {"bench": {"repro_modules": 4.0}}
+        assert check_trend.throughputs(data) == {"bench": {"starts_per_sec": 9.0}}
+
     def test_counters_are_recorded_in_the_trend_but_never_gated(self, check_trend, tmp_path):
         bench = tmp_path / "bench.json"
         info = {"scenarios_per_sec": 10.0, "python_calls_per_attempt": 99.0}

@@ -413,14 +413,15 @@ class TestClaimSizing:
         specs = sorted((_tiny_spec(seed=s) for s in range(count)), key=ScenarioSpec.fingerprint)
         position = {spec.fingerprint(): i for i, spec in enumerate(specs)}
         now = [0.0]
-        real_execute = worker_module.execute
+        real_run = worker_module._run_scenario
 
-        def execute(spec):
-            now[0] += seconds_of(position[spec.fingerprint()])
-            return real_execute(spec)
+        def run_scenario(payload):
+            result = real_run(payload)
+            now[0] += seconds_of(position[result.fingerprint])
+            return result
 
         monkeypatch.setattr(worker_module, "_clock", lambda: now[0])
-        monkeypatch.setattr(worker_module, "execute", execute)
+        monkeypatch.setattr(worker_module, "_run_scenario", run_scenario)
         with Broker(db, policy=FAST) as broker:
             _enqueue(broker, specs)
         worker = Worker(db, config=WorkerConfig(policy=FAST, **config))

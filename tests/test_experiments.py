@@ -183,6 +183,15 @@ class TestCLI:
             "figure5",
         }
 
+    def test_parser_choices_match_their_sources(self):
+        """The parser restates the scale and executor names so that building
+        it imports neither the harnesses nor the sweep API."""
+        from repro.api import EXECUTORS
+        from repro.experiments import cli
+
+        assert cli.SCALES == tuple(scale.value for scale in ExperimentScale)
+        assert cli.EXECUTORS == EXECUTORS
+
     def test_parser_defaults(self):
         args = build_parser().parse_args([])
         assert args.scale == "small"
@@ -711,10 +720,31 @@ class TestMultijobCommand:
         assert "2 scenarios: 2 executed" in out
 
 
+def _python(program: str) -> str:
+    """The stdout of ``program`` run by a fresh interpreter on this source tree."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    child = subprocess.run(
+        [sys.executable, "-c", program], capture_output=True, text=True, check=True, env=env
+    )
+    return child.stdout.strip()
+
+
 class TestCliContract:
     """Exit code and first stderr line of every usage-error path."""
 
     NOT_A_DATABASE = "file is not a database"
+    UNKNOWN_SCHEME = (
+        "unknown queue target scheme 'redis' in 'redis://x'; valid targets are a sqlite "
+        "path ('queue.sqlite' or 'sqlite:queue.sqlite'), an 'http://' or 'https://' "
+        "sweep-service URL"
+    )
 
     @pytest.mark.parametrize(
         "argv, first_line",
@@ -768,6 +798,12 @@ class TestCliContract:
             (["workers", "status", "--db", "{bad}"], f"workers: {NOT_A_DATABASE}"),
             (["trace", "abc", "--db", "{bad}"], f"trace: {NOT_A_DATABASE}"),
             (["serve", "--db", "{bad}", "--port", "0"], f"serve: {NOT_A_DATABASE}"),
+            # A --db no queue backend opens is rejected before anything
+            # runs, with the same diagnostic for every command that sweeps.
+            (["table1", "--scale", "smoke", "--db", "redis://x"], UNKNOWN_SCHEME),
+            (["all", "--scale", "smoke", "--db", "redis://x"], UNKNOWN_SCHEME),
+            (["sweep", "--spec", "{spec}", "--db", "redis://x"], f"sweep: {UNKNOWN_SCHEME}"),
+            (["multijob", "--scale", "smoke", "--db", "redis://x"], f"multijob: {UNKNOWN_SCHEME}"),
         ],
     )
     def test_usage_error_exit_code_and_message(self, tmp_path, capsys, argv, first_line):
@@ -796,13 +832,6 @@ class TestCliContract:
 
     def test_sqlite_only_commands_leave_the_service_layer_unloaded(self, tmp_path):
         """``sweep`` and ``search`` import the HTTP/TLS layer only for a --broker."""
-        import json
-        import os
-        import subprocess
-        import sys
-
-        import repro
-
         base = {
             "workload": {"kind": "benchmark", "params": {"name": "sort", "num_jobs": 3}},
             "strategy": "s-resume",
@@ -817,9 +846,63 @@ class TestCliContract:
             "'--algorithm', 'successive_halving', '--quiet']) == 0; "
             "print(sorted({'repro.service', 'ssl'} & set(sys.modules)))"
         )
-        src = str(Path(repro.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-        child = subprocess.run(
-            [sys.executable, "-c", program], capture_output=True, text=True, check=True, env=env
-        )
-        assert child.stdout.strip().splitlines()[-1] == "[]"
+        assert _python(program).splitlines()[-1] == "[]"
+
+    #: What each command that simulates nothing runs, after the set-up in
+    #: ``test_commands_that_simulate_nothing_load_no_simulator``.
+    NON_SIMULATING = {
+        "import service": "import repro.service.server",
+        "--list": "assert main(['--list']) == 0",
+        "workers status": "assert main(['workers', 'status', '--db', db]) == 0",
+        "trace": "assert main(['trace', 'abc', '--db', db]) == 1",
+        "metrics": "assert main(['metrics', '--broker', url]) == 0",
+        "serve": (
+            "ServiceHTTPServer.serve_forever = lambda self, *args, **kwargs: None; "
+            "assert main(['serve', '--db', db, '--port', '0']) == 0"
+        ),
+    }
+
+    @pytest.mark.parametrize("command", sorted(NON_SIMULATING))
+    def test_commands_that_simulate_nothing_load_no_simulator(self, tmp_path, command):
+        """The service and the queue commands never load numpy or the simulator.
+
+        ``metrics`` scrapes a service running in the same process, so the
+        service's own imports count too.
+        """
+        db = str(tmp_path / "queue.sqlite")
+        program = "\n".join([
+            "import sys, threading",
+            f"db = {db!r}",
+            "from repro.experiments.cli import main",
+            "from repro.service.server import ServiceHTTPServer, make_server",
+            "server = make_server(db, port=0)",
+            "threading.Thread(target=server.serve_forever, daemon=True).start()",
+            "url = 'http://127.0.0.1:%d' % server.server_address[1]",
+            self.NON_SIMULATING[command],
+            "server.shutdown()",
+            "server.server_close()",
+            "print(sorted({'numpy', 'repro.api', 'repro.simulator'} & set(sys.modules)))",
+        ])
+        assert _python(program).splitlines()[-1] == "[]"
+
+    def test_sweeps_import_nothing_once_the_layers_are_loaded(self, tmp_path):
+        """With the api, cluster, distributed and client layers imported, no
+        sweep backend imports a ``repro`` module while it runs: the lazy
+        imports stay outside a sweep's timed window."""
+        program = "\n".join([
+            "import sys",
+            "import repro.api, repro.cluster, repro.distributed, repro.service.client",
+            "from repro.api import ScenarioSpec, WorkloadSpec, run_specs",
+            "def loaded():",
+            "    return {name for name in sys.modules if name.startswith('repro')}",
+            "before = loaded()",
+            "workload = WorkloadSpec('benchmark', {'name': 'sort', 'num_jobs': 3})",
+            "specs = [ScenarioSpec(workload=workload, strategy='s-resume', seed=seed,",
+            "                      cluster={'num_nodes': 0}) for seed in range(4)]",
+            "run_specs(specs, executor='inline')",
+            "run_specs(specs, jobs=2)",
+            f"db = {str(tmp_path / 'q.sqlite')!r}",
+            "run_specs(specs, executor='distributed', workers=2, db=db)",
+            "print(sorted(loaded() - before))",
+        ])
+        assert _python(program).splitlines()[-1] == "[]"

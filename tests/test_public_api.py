@@ -30,7 +30,7 @@ from repro import (
 
 class TestPackageSurface:
     def test_version_string(self):
-        assert repro.__version__ == "12.0.0"
+        assert repro.__version__ == "12.1.0"
 
     def test_declared_dependencies_suffice(self):
         """A fresh interpreter imports ``repro.api`` and runs S-Restart without scipy.
@@ -74,6 +74,20 @@ class TestPackageSurface:
     def test_all_exports_resolve(self):
         for name in repro.__all__:
             assert getattr(repro, name) is not None
+
+    def test_lazy_packages_resolve_exports_and_reject_unknown_names(self):
+        """The PEP 562 package inits load a name on first access and still
+        raise AttributeError for anything they do not export."""
+        import repro.experiments
+        import repro.service
+        import repro.simulator
+
+        for package in (repro, repro.experiments, repro.service, repro.simulator):
+            for name in package.__all__:
+                assert getattr(package, name) is not None
+                assert name in dir(package)
+            with pytest.raises(AttributeError, match="no_such_name"):
+                package.no_such_name
 
     def test_quickstart_flow(self):
         """The exact flow shown in the README quick start."""
