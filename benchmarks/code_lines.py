@@ -13,19 +13,27 @@ Two counts per subpackage (and a total):
     python benchmarks/code_lines.py PACKAGE_DIR
 
 A size claim ("``src/repro`` shrank by N lines") quotes this script.
+
+Run without an argument, the script then lists the names of
+``src/repro`` that nothing uses (:func:`unreferenced_names`) and are not
+on :data:`ALLOWLIST`.  ``tests/test_code_lines.py`` fails while that
+list is not empty, and while an allowlist entry is used or gone.
 Stdlib only.
 """
 
 from __future__ import annotations
 
+import ast
 import io
+import re
 import sys
 import tokenize
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
-_DEFAULT_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
+_REPO = Path(__file__).resolve().parent.parent
+_DEFAULT_ROOT = _REPO / "src" / "repro"
 #: Tokens that never make a line a code line.
 _LAYOUT = {tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
 #: What may precede a string that stands alone as a statement.
@@ -73,6 +81,156 @@ def count_package(root: Path) -> Dict[str, Tuple[int, int, int]]:
     return {name: tuple(values) for name, values in sorted(totals.items())}
 
 
+#: The directories whose ``.py`` files may use a name of ``src/repro``.
+#: ``tests/`` is not one: a name only a test calls is not used.
+REFERENCE_DIRS = ("src", "examples", "benchmarks", "perfbench")
+
+_HTTP_HOOK = "http.server hook: BaseHTTPRequestHandler calls it by name."
+_LISTING = "Plugin API: each registry lists its names through an available_* function."
+_THEOREM_8 = (
+    "Eq. (27)-(29) of Theorem 8: the per-strategy reference that tests "
+    "compare concavity_threshold against."
+)
+_PARETO_CDF = "Eq. (2)'s distribution function; tests check sampling against it."
+
+#: Unreferenced names that stay, each with the reason.
+ALLOWLIST: Dict[str, str] = {
+    "repro.adaptive.objectives.available_objectives": _LISTING,
+    "repro.api.registry.available_strategies": _LISTING,
+    "repro.api.registry.register_estimator": (
+        "Plugin API: user code adds an estimator through it (README, ARCHITECTURE)."
+    ),
+    "repro.cluster.scheduling.register_cluster_scheduler": (
+        "Plugin API: user code adds a cluster scheduler through it (ARCHITECTURE)."
+    ),
+    "repro.api.registry.Registry.unregister": (
+        "Plugin API: the inverse of register, for code that registers a throwaway plugin."
+    ),
+    "repro.api.facade.clear_template_cache": (
+        "Empties the facade's per-process build cache (README); golden-parity "
+        "tests need cold runs."
+    ),
+    "repro.core.comparison.dominance_report": (
+        "Theorem 7, kept for the paper-claims item (ROADMAP item 8)."
+    ),
+    "repro.core.cost.expected_cost": (
+        "Closed form: the expected VM cost of Theorems 2, 4 and 6 at a unit price."
+    ),
+    "repro.core.utility.concavity_threshold_clone": _THEOREM_8,
+    "repro.core.utility.concavity_threshold_restart": _THEOREM_8,
+    "repro.core.utility.concavity_threshold_resume": _THEOREM_8,
+    "repro.distributions.base.Distribution.cdf": _PARETO_CDF,
+    "repro.distributions.pareto.ParetoDistribution.cdf": _PARETO_CDF,
+    "repro.distributions.pareto.ParetoDistribution.expected_min_of": (
+        "Lemma 1: the exact-cost oracle of tests/test_conformance.py (ROADMAP item 2)."
+    ),
+    "repro.distributions.pareto.ParetoDistribution.min_of": (
+        "Lemma 1: the minimum of n attempts is Pareto(tmin, n * beta)."
+    ),
+    "repro.hadoop.config.HadoopConfig.instantaneous": (
+        "The regime tests/test_conformance.py checks Theorems 1-6 in."
+    ),
+    "repro.hadoop.resource_manager.ResourceManager.containers_in_use": (
+        "The occupancy reading README and ARCHITECTURE name."
+    ),
+    "repro.service.server.ServiceRequestHandler.do_GET": _HTTP_HOOK,
+    "repro.service.server.ServiceRequestHandler.do_POST": _HTTP_HOOK,
+    "repro.service.server.ServiceRequestHandler.log_message": _HTTP_HOOK,
+}
+
+
+def _definitions(tree: ast.Module, prefix: str) -> Iterator[Tuple[str, str, bool]]:
+    """``(qualified name, name, is a method)`` of each def and class.
+
+    Covers module-level definitions and, recursively, class bodies;
+    functions nested in functions are local and not listed.  Dunder
+    methods (called by the language) and definitions with a
+    registration decorator (``@register_workload(...)``,
+    ``@WORKLOADS.register``: called through their registry) are left
+    out.
+    """
+
+    def walk(body, prefix: str, in_class: bool) -> Iterator[Tuple[str, str, bool]]:
+        for node in body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            qualified = f"{prefix}.{node.name}"
+            dunder = node.name.startswith("__") and node.name.endswith("__")
+            if not dunder and not any(_registers(decorator) for decorator in node.decorator_list):
+                yield qualified, node.name, in_class
+            if isinstance(node, ast.ClassDef):
+                yield from walk(node.body, qualified, True)
+
+    return walk(tree.body, prefix, False)
+
+
+def _registers(decorator: ast.expr) -> bool:
+    """Whether a decorator's name starts with ``register`` (see :func:`_definitions`)."""
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    name = decorator.attr if isinstance(decorator, ast.Attribute) else getattr(decorator, "id", "")
+    return name.startswith("register")
+
+
+def _reference_text(path: Path) -> str:
+    """The part of a file in which a use of a name counts.
+
+    In an ``__init__.py`` that is everything but its import statements
+    and string literals: a re-export, an ``__all__`` entry or a lazy
+    export does not use the name it lists.
+    """
+    source = path.read_text(encoding="utf-8")
+    if path.name != "__init__.py":
+        return source
+    kept: List[str] = []
+    in_import = False
+    at_start = True
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if at_start:
+            in_import = token.type == tokenize.NAME and token.string in ("import", "from")
+        if token.type not in (tokenize.COMMENT, tokenize.NL):
+            at_start = token.type in (tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT)
+        if not in_import and token.type != tokenize.STRING:
+            kept.append(token.string)
+    return " ".join(kept)
+
+
+def unreferenced_names(root: Path = _REPO) -> List[str]:
+    """Qualified names of the defs and classes of ``src/repro`` nothing uses.
+
+    A name counts as used when a ``.py`` file under one of
+    :data:`REFERENCE_DIRS` of ``root`` (this script aside) mentions it
+    outside its own definition: a module-level name as the word
+    ``name``, a method (or a class nested in a class) as ``.name`` or
+    as the quoted string ``"name"`` (a ``getattr`` target, a patch
+    list).  The match is textual, so a mention in a comment or a
+    docstring counts, and so does a use of another definition of the
+    same name: the scan under-reports, never over-reports.
+    """
+    package = root / "src" / "repro"
+    words: Counter = Counter()
+    attributes: Counter = Counter()
+    definitions: Counter = Counter()
+    for directory in REFERENCE_DIRS:
+        for path in sorted((root / directory).rglob("*.py")):
+            if path.resolve() == Path(__file__).resolve():
+                continue
+            text = _reference_text(path)
+            words.update(re.findall(r"\w+", text))
+            definitions.update(re.findall(r"\b(?:def|class)\s+(\w+)", text))
+            attributes.update(re.findall(r"\.(\w+)", text))
+            attributes.update(re.findall(r"[\"'](\w+)[\"']", text))
+    unused = []
+    for path in sorted(package.rglob("*.py")):
+        module = ".".join(path.relative_to(package.parent).with_suffix("").parts)
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for qualified, name, is_method in _definitions(tree, module.removesuffix(".__init__")):
+            used = attributes[name] if is_method else words[name] - definitions[name]
+            if not used:
+                unused.append(qualified)
+    return sorted(unused)
+
+
 def main(argv: List[str]) -> int:
     root = Path(argv[0]) if argv else _DEFAULT_ROOT
     counts = count_package(root)
@@ -82,6 +240,11 @@ def main(argv: List[str]) -> int:
         print(f"{name:<{width}}  {files:>5}  {physical:>8}  {code:>6}")
     files, physical, code = (sum(column) for column in zip(*counts.values()))
     print(f"{'total':<{width}}  {files:>5}  {physical:>8}  {code:>6}")
+    if not argv:
+        unused = [name for name in unreferenced_names() if name not in ALLOWLIST]
+        print(f"\nunreferenced names ({len(ALLOWLIST)} more allowlisted): {len(unused)}")
+        for name in unused:
+            print(f"  {name}")
     return 0
 
 

@@ -8,7 +8,7 @@ checked against the simulator by ``tests/test_conformance.py``.
 
 from __future__ import annotations
 
-from conftest import run_once
+from bench_support import run_once
 
 from repro.core.model import StragglerModel, StrategyName
 from repro.core.optimizer import ChronosOptimizer, brute_force_optimum

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import cold_start, run_once
+from bench_support import cold_start, run_once
 
 #: How each command runs once, with its expected ``repro`` module count.
 COMMANDS = {

@@ -7,7 +7,7 @@ S-Resume achieves the best net utility on every benchmark.
 
 from __future__ import annotations
 
-from conftest import attach_tables, run_once
+from bench_support import attach_tables, run_once
 
 from repro.experiments.figure2 import run_figure2
 

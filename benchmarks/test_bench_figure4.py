@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from conftest import attach_tables, run_once
+from bench_support import attach_tables, run_once
 
 from repro.experiments.figure4 import BETA_VALUES, run_figure4
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from conftest import attach_tables, run_once
+from bench_support import attach_tables, run_once
 
 from repro.experiments.figure5 import run_figure5
 

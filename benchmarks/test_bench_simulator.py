@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import gc
 
-from conftest import count_calls, run_once
+from bench_support import count_calls, run_once
 
 from repro.core.model import StrategyName
 from repro.simulator.cluster import ClusterConfig

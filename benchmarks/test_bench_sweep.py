@@ -23,7 +23,7 @@ import time
 
 import pytest
 
-from conftest import count_calls
+from bench_support import count_calls
 
 from repro.api import ScenarioSpec, WorkloadSpec, job_spec_to_dict, run_specs, stream_specs
 from repro.simulator.entities import JobSpec

@@ -438,19 +438,6 @@ class ScenarioSpec:
         kwargs = {key: value for key, value in data.items() if key in allowed}
         return cls(**kwargs)
 
-    def to_json(self, indent: Optional[int] = None) -> str:
-        """Serialize to a JSON string."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScenarioSpec":
-        """Parse a spec from a JSON string."""
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise SpecValidationError("spec", f"invalid JSON: {error}") from error
-        return cls.from_dict(data)
-
     def fingerprint(self) -> str:
         """Stable content hash (16 hex chars) of the canonical spec JSON.
 

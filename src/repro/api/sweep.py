@@ -78,7 +78,6 @@ from repro.api.events import (
 )
 from repro.api.facade import ScenarioResult, execute, spec_from_dict
 from repro.api.spec import ScenarioSpec, SpecValidationError
-from repro.simulator.metrics import SimulationReport
 from repro import telemetry
 from repro.telemetry import new_sweep_id
 
@@ -302,11 +301,6 @@ class SweepResult:
     def partial(self) -> bool:
         """Whether the sweep ended before every scenario finished."""
         return bool(self.pending) or self.cancelled or self.stopped
-
-    @property
-    def reports(self) -> Tuple[SimulationReport, ...]:
-        """The simulation reports, in scenario order."""
-        return tuple(result.report for result in self.results)
 
     # ------------------------------------------------------------------
     # Tabular export

@@ -195,11 +195,6 @@ class SpeculationBudgetScheduler(ClusterScheduler):
         """Extra attempts currently charged against the budget."""
         return sum(self._allocated.values())
 
-    @property
-    def capacity(self) -> Optional[int]:
-        """The resolved budget (``None`` = uncapped)."""
-        return self._capacity
-
     def acquire(self, job_id: str, requested: int, num_tasks: int) -> int:
         """Grant as much of a job's ``r`` as the budget allows.
 

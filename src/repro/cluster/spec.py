@@ -10,7 +10,6 @@ single-job specs already use (see :func:`repro.api.spec_from_dict`).
 
 from __future__ import annotations
 
-import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
@@ -190,19 +189,6 @@ class ClusterSpec:
         if "arrival" not in payload:
             raise SpecValidationError("arrival", "is required")
         return cls(**payload)
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        """Serialize to a JSON string."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ClusterSpec":
-        """Parse a spec from a JSON string."""
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise SpecValidationError("spec", f"invalid JSON: {error}") from error
-        return cls.from_dict(data)
 
     def fingerprint(self) -> str:
         """Stable content hash (16 hex chars) of the canonical spec JSON.

@@ -8,7 +8,9 @@ For a fixed number of extra attempts ``r``, Theorem 7 establishes that
    depends on the detection time and the straggler's progress.
 
 This module exposes those relations as predicates and as a structured
-report used by the documentation examples and the analysis benches.
+report.  No harness reads the report yet: the tests check it against
+the closed forms, and checking the paper's claims (ROADMAP item 8) is
+what it is kept for.
 """
 
 from __future__ import annotations

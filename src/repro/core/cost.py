@@ -319,13 +319,6 @@ def expected_machine_time_resume(model: StragglerModel, r: float) -> float:
     return model.num_tasks * per_task
 
 
-def expected_machine_time_no_speculation(model: StragglerModel) -> float:
-    """Expected machine running time with one attempt per task (Hadoop-NS)."""
-    if model.beta <= 1.0:
-        return math.inf
-    return model.num_tasks * model.attempt_distribution.mean()
-
-
 _COST_FUNCTIONS: Dict[StrategyName, Callable[[StragglerModel, float], float]] = {
     StrategyName.CLONE: expected_machine_time_clone,
     StrategyName.SPECULATIVE_RESTART: expected_machine_time_restart,

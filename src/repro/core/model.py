@@ -57,11 +57,6 @@ class StrategyName(str, enum.Enum):
         return tuple(_CHRONOS_STRATEGIES)
 
     @classmethod
-    def baselines(cls) -> tuple["StrategyName", ...]:
-        """The baseline strategies used for comparison in the evaluation."""
-        return (cls.HADOOP_NO_SPECULATION, cls.HADOOP_SPECULATION, cls.MANTRI)
-
-    @classmethod
     def parse(cls, name: str) -> "StrategyName":
         """Parse a strategy from a loosely formatted string."""
         normalized = name.strip().lower().replace("_", "-").replace(" ", "-")
@@ -220,44 +215,6 @@ class StragglerModel:
         """Return a copy with a different deadline."""
         return replace(self, deadline=deadline)
 
-    def with_beta(self, beta: float) -> "StragglerModel":
-        """Return a copy with a different Pareto tail index."""
-        return replace(self, beta=beta)
-
     def with_num_tasks(self, num_tasks: int) -> "StragglerModel":
         """Return a copy with a different task count."""
         return replace(self, num_tasks=num_tasks)
-
-    def with_phi_est(self, phi_est: Optional[float]) -> "StragglerModel":
-        """Return a copy with an explicit (or cleared) progress fraction."""
-        return replace(self, phi_est=phi_est)
-
-    @classmethod
-    def from_relative_deadline(
-        cls,
-        tmin: float,
-        beta: float,
-        num_tasks: int,
-        deadline_factor: float,
-        tau_est_factor: float = 0.3,
-        tau_kill_factor: float = 0.8,
-        phi_est: Optional[float] = None,
-    ) -> "StragglerModel":
-        """Build a model with the deadline as a multiple of the mean task time.
-
-        The paper's simulations (Figure 4) set ``D = 2 x mean task time`` and
-        express ``tau_est`` / ``tau_kill`` as multiples of ``tmin``; this
-        constructor mirrors that parameterisation.
-        """
-        mean_time = ParetoDistribution(tmin, beta).mean()
-        if not math.isfinite(mean_time):
-            raise ValueError("mean task time is infinite for beta <= 1")
-        return cls(
-            tmin=tmin,
-            beta=beta,
-            num_tasks=num_tasks,
-            deadline=deadline_factor * mean_time,
-            tau_est=tau_est_factor * tmin,
-            tau_kill=tau_kill_factor * tmin,
-            phi_est=phi_est,
-        )

@@ -51,11 +51,6 @@ class OptimizationResult:
     evaluations: int
     utility_by_r: Dict[int, float] = field(default_factory=dict)
 
-    @property
-    def feasible(self) -> bool:
-        """Whether any ``r`` achieved a finite utility (PoCD above Rmin)."""
-        return math.isfinite(self.utility)
-
 
 def brute_force_optimum(
     model: StragglerModel,

@@ -106,15 +106,6 @@ def pocd_resume(model: StragglerModel, r: float) -> float:
     return (1.0 - p_miss) ** model.num_tasks
 
 
-def pocd_no_speculation(model: StragglerModel) -> float:
-    """PoCD with a single attempt per task and no speculation (Hadoop-NS).
-
-    This equals the Clone PoCD with ``r = 0`` and is the paper's choice of
-    ``Rmin`` in the testbed experiments.
-    """
-    return pocd_clone(model, 0.0)
-
-
 _POCD_FUNCTIONS: Dict[StrategyName, Callable[[StragglerModel, float], float]] = {
     StrategyName.CLONE: pocd_clone,
     StrategyName.SPECULATIVE_RESTART: pocd_restart,
@@ -146,25 +137,6 @@ def task_miss_probability(model: StragglerModel, strategy: StrategyName, r: floa
     if strategy not in _MISS_FUNCTIONS:
         raise ValueError(f"strategy {strategy} has no closed-form miss probability")
     return _MISS_FUNCTIONS[strategy](model, r)
-
-
-def required_attempts_for_target(
-    model: StragglerModel, strategy: StrategyName, target_pocd: float, r_max: int = 64
-) -> int:
-    """Smallest integer ``r`` whose PoCD meets ``target_pocd``.
-
-    Raises ``ValueError`` if even ``r_max`` extra attempts cannot reach the
-    target (e.g. an infeasible deadline).
-    """
-    if not 0.0 < target_pocd < 1.0:
-        raise ValueError("target_pocd must lie strictly between 0 and 1")
-    for r in range(r_max + 1):
-        if pocd(model, strategy, r) >= target_pocd:
-            return r
-    raise ValueError(
-        f"target PoCD {target_pocd} unreachable with up to {r_max} extra attempts "
-        f"for strategy {strategy.display_name}"
-    )
 
 
 def log_miss_probability_slope(model: StragglerModel, strategy: StrategyName) -> float:

@@ -69,11 +69,9 @@ class LeaseKeeper:
     ``renew`` is called every ``interval`` seconds until :meth:`stop`.
     If a renewal reports the lease is no longer ours (the broker requeued
     the task after an earlier expiry, or the queue was reset underneath
-    us), the keeper flips :attr:`lost` and stops beating.  Note that the
-    sweep worker deliberately commits its result even on a lost lease —
-    scenario execution is deterministic and the result upsert idempotent
-    — so :attr:`lost` is informational there; custom workers with
-    non-idempotent side effects should check it before committing.
+    us), the keeper stops beating.  The sweep worker commits its result
+    even on a lost lease: scenario execution is deterministic and the
+    result upsert idempotent.
     """
 
     def __init__(self, renew: Callable[[], bool], interval: float):
@@ -82,13 +80,7 @@ class LeaseKeeper:
         self._renew = renew
         self._interval = interval
         self._stop = threading.Event()
-        self._lost = threading.Event()
         self._thread: Optional[threading.Thread] = None
-
-    @property
-    def lost(self) -> bool:
-        """True if a renewal discovered the lease is no longer held."""
-        return self._lost.is_set()
 
     def start(self) -> "LeaseKeeper":
         """Start beating (idempotent)."""
@@ -106,7 +98,6 @@ class LeaseKeeper:
                 # beat (well within the timeout) will retry.
                 continue
             if not alive:
-                self._lost.set()
                 return
 
     def stop(self) -> None:

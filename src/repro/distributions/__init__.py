@@ -5,21 +5,18 @@ Pareto random variable with scale ``tmin`` (minimum execution time) and
 tail index ``beta``.  This subpackage provides:
 
 * :class:`~repro.distributions.pareto.ParetoDistribution` — the Type-I
-  Pareto distribution with sampling, moments and order statistics, and
-  :func:`~repro.distributions.pareto.fit_pareto_mle`, its
-  maximum-likelihood fit,
+  Pareto distribution with sampling, moments and order statistics,
 * :func:`~repro.distributions.batching.sample_stream` — block sampling
   for the simulator's per-attempt draws.
 """
 
 from repro.distributions.base import Distribution
 from repro.distributions.batching import sample_stream, vectorized_batch_size
-from repro.distributions.pareto import ParetoDistribution, fit_pareto_mle
+from repro.distributions.pareto import ParetoDistribution
 
 __all__ = [
     "Distribution",
     "ParetoDistribution",
-    "fit_pareto_mle",
     "sample_stream",
     "vectorized_batch_size",
 ]

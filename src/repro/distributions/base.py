@@ -2,7 +2,7 @@
 
 All distributions in the Chronos reproduction expose the same minimal
 interface: sampling (vectorised via numpy), the cumulative distribution
-function, the survival function, the mean, and the quantile function.
+function and the mean.
 Strategies and the simulator only depend on this interface, so any
 distribution can be plugged in as the attempt execution-time model.
 """
@@ -41,14 +41,6 @@ class Distribution(abc.ABC):
     @abc.abstractmethod
     def mean(self) -> float:
         """Expected value of the distribution (may be ``inf``)."""
-
-    @abc.abstractmethod
-    def quantile(self, q: ArrayLike) -> np.ndarray:
-        """Inverse CDF evaluated at probability ``q``."""
-
-    def sf(self, t: ArrayLike) -> np.ndarray:
-        """Survival function ``P(T > t)``."""
-        return 1.0 - self.cdf(t)
 
     def sample_one(self, rng: Optional[np.random.Generator] = None) -> float:
         """Draw a single sample as a Python float."""

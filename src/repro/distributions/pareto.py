@@ -8,15 +8,13 @@ attempt as Pareto distributed::
 with minimum execution time ``tmin`` and tail index ``beta``.  Prior work
 observes ``beta < 2`` on contended clusters, i.e. a heavy tail with
 infinite variance, which is what makes stragglers so damaging.
-
-This module also provides a simple maximum-likelihood fitter.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -55,32 +53,12 @@ class ParetoDistribution(Distribution):
         u = rng.uniform(size=size)
         return self.tmin / np.power(u, 1.0 / self.beta)
 
-    def pdf(self, t: ArrayLike) -> np.ndarray:
-        t = self._as_array(t)
-        out = np.zeros_like(t)
-        mask = t >= self.tmin
-        out[mask] = self.beta * self.tmin**self.beta / np.power(t[mask], self.beta + 1)
-        return out
-
     def cdf(self, t: ArrayLike) -> np.ndarray:
         t = self._as_array(t)
         out = np.zeros_like(t)
         mask = t >= self.tmin
         out[mask] = 1.0 - np.power(self.tmin / t[mask], self.beta)
         return out
-
-    def sf(self, t: ArrayLike) -> np.ndarray:
-        t = self._as_array(t)
-        out = np.ones_like(t)
-        mask = t >= self.tmin
-        out[mask] = np.power(self.tmin / t[mask], self.beta)
-        return out
-
-    def quantile(self, q: ArrayLike) -> np.ndarray:
-        q = self._as_array(q)
-        if np.any((q < 0) | (q > 1)):
-            raise ValueError("quantile argument must lie in [0, 1]")
-        return self.tmin / np.power(1.0 - q, 1.0 / self.beta)
 
     def mean(self) -> float:
         """``E[T] = tmin + tmin / (beta - 1)`` for ``beta > 1`` else ``inf``.
@@ -90,16 +68,6 @@ class ParetoDistribution(Distribution):
         if self.beta <= 1:
             return math.inf
         return self.tmin * self.beta / (self.beta - 1.0)
-
-    def variance(self) -> float:
-        """Variance, infinite for ``beta <= 2``."""
-        if self.beta <= 2:
-            return math.inf
-        b = self.beta
-        return self.tmin**2 * b / ((b - 1.0) ** 2 * (b - 2.0))
-
-    def median(self) -> float:
-        return float(self.quantile(0.5))
 
     # ------------------------------------------------------------------
     # Order statistics (Lemma 1 of the paper)
@@ -126,12 +94,6 @@ class ParetoDistribution(Distribution):
         if nb <= 1:
             return math.inf
         return self.tmin * nb / (nb - 1.0)
-
-    def prob_exceeds(self, t: float) -> float:
-        """``P(T > t)`` as a scalar convenience wrapper."""
-        if t <= self.tmin:
-            return 1.0
-        return float((self.tmin / t) ** self.beta)
 
     def conditional_mean_below(self, d: float) -> float:
         """``E[T | T <= d]`` for ``d > tmin``.
@@ -161,38 +123,3 @@ class ParetoDistribution(Distribution):
         # (memoryless-like scaling property of the Pareto distribution).
         return lower * self.beta / (self.beta - 1.0)
 
-    def scaled(self, factor: float) -> "ParetoDistribution":
-        """Distribution of ``factor * T`` (a Pareto with scaled ``tmin``).
-
-        Used by Speculative-Resume analysis where extra attempts process
-        only the remaining ``(1 - phi)`` fraction of the work.
-        """
-        if factor <= 0:
-            raise ValueError("factor must be positive")
-        return ParetoDistribution(self.tmin * factor, self.beta)
-
-
-def fit_pareto_mle(samples: np.ndarray) -> Tuple[float, float]:
-    """Fit ``(tmin, beta)`` by maximum likelihood from positive samples.
-
-    The MLE of ``tmin`` is the sample minimum; conditioned on that, the MLE
-    of ``beta`` is ``n / sum(log(x_i / tmin))``.
-
-    Returns
-    -------
-    (tmin, beta):
-        The fitted scale and tail index.
-    """
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 1 or samples.size < 2:
-        raise ValueError("need a one-dimensional array of at least two samples")
-    if np.any(samples <= 0):
-        raise ValueError("all samples must be positive")
-    tmin = float(samples.min())
-    log_ratios = np.log(samples / tmin)
-    total = float(log_ratios.sum())
-    if total <= 0:
-        # Degenerate case: all samples identical; report a very heavy scale.
-        return tmin, math.inf
-    beta = samples.size / total
-    return tmin, float(beta)

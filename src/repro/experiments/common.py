@@ -81,10 +81,6 @@ class ExperimentTable:
                 return row
         raise KeyError(f"no row labelled {label!r} in {self.experiment_id}")
 
-    def column(self, column: str) -> Dict[str, float]:
-        """All values of one column, keyed by row label."""
-        return {row.label: row.values[column] for row in self.rows}
-
     def to_text(self) -> str:
         """Render the table as aligned plain text."""
         header = ["row"] + list(self.columns)

@@ -39,13 +39,6 @@ class EstimatorAblationResult:
         return self.chronos_report.pocd - self.hadoop_report.pocd
 
     @property
-    def cost_ratio(self) -> float:
-        """Cost with Hadoop's estimator relative to Chronos' (>1 means savings)."""
-        if self.chronos_report.mean_cost == 0:
-            return float("inf")
-        return self.hadoop_report.mean_cost / self.chronos_report.mean_cost
-
-    @property
     def speculation_ratio(self) -> float:
         """Speculative-attempt volume with Hadoop's estimator vs Chronos'."""
         chronos = self.chronos_report.speculative_attempt_fraction

@@ -113,13 +113,6 @@ class ApplicationMaster:
         return self._rm
 
     @property
-    def elapsed(self) -> float:
-        """Time since the job started (0 before start)."""
-        if self._job.start_time is None:
-            return 0.0
-        return self._engine.now - self._job.start_time
-
-    @property
     def absolute_deadline(self) -> float:
         """The job's deadline as an absolute simulation time."""
         return self._job.spec.absolute_deadline

@@ -15,7 +15,7 @@ and docstring of the sqlite method it mirrors, binds its arguments
 against that signature, and sends them by name through the module-level
 :func:`rpc_call` after the row's parameter coercions; the row's
 ``from_wire`` codec decodes the answer.  Only methods with client-side
-logic are written out: the constructors and ``url``/``credentials``;
+logic are written out: the constructors and ``url``;
 ``HttpBroker.policy`` (cached server policy), ``enqueue`` and
 ``claim_many`` (argument checks before the round trip), ``claim`` (the
 one-task ``claim_many``), ``register_worker`` (defaults to this
@@ -321,11 +321,6 @@ class _ServiceClient:
     def url(self) -> str:
         """Base URL of the sweep service."""
         return self._url
-
-    @property
-    def credentials(self) -> Credentials:
-        """The resolved security settings this client sends with."""
-        return self._credentials
 
     def _call(self, method: str, **params: Any) -> Any:
         """One RPC by wire name, coerced and decoded by its table row."""

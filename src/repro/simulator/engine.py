@@ -80,16 +80,6 @@ class SimulationEngine:
         """Number of events still queued (including cancelled ones)."""
         return len(self._queue)
 
-    @cached_property
-    def rng(self) -> np.random.Generator:
-        """The engine's root random generator, built on first access.
-
-        No simulation component draws from it (each spawns its own
-        stream), and ``default_rng`` of the seed sequence spawns no
-        child, so building it late changes no stream.
-        """
-        return np.random.default_rng(self._seed_sequence)
-
     def spawn_rng(self) -> np.random.Generator:
         """Create an independent random stream derived from the engine seed."""
         child = self._seed_sequence.spawn(1)[0]
@@ -132,18 +122,6 @@ class SimulationEngine:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Execute the next non-cancelled event; return False when idle."""
-        while self._queue:
-            event = heappop(self._queue)
-            if event.cancelled:
-                continue
-            self.now, _, callback, args = event
-            callback(*args)
-            self._processed += 1
-            return True
-        return False
-
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run until the queue drains, time exceeds ``until``, or the event cap.
 

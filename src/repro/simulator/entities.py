@@ -263,11 +263,6 @@ class Task:
     live: int = field(default=0, init=False, compare=False)
 
     @property
-    def task_id(self) -> str:
-        """Human-readable identifier, e.g. ``job-3/task-7``."""
-        return f"{self.job.spec.job_id}/task-{self.index}"
-
-    @property
     def is_complete(self) -> bool:
         """Whether some attempt has finished successfully."""
         return self.completion_time is not None

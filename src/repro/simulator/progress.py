@@ -25,7 +25,7 @@ cluster.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.simulator.entities import Attempt
 
@@ -89,30 +89,6 @@ def chronos_estimate_completion(attempt: Attempt, now: float) -> float:
     processing_total = processing_elapsed * (1.0 - first_progress) / gained
     jvm_overhead = first_report - launch_time
     return launch_time + jvm_overhead + processing_total
-
-
-def estimate_remaining_time(
-    attempt: Attempt, now: float, estimator: CompletionTimeEstimator
-) -> float:
-    """Estimated remaining execution time of an attempt (``inf`` if unknown)."""
-    estimate = estimator(attempt, now)
-    if not math.isfinite(estimate):
-        return math.inf
-    return max(0.0, estimate - now)
-
-
-def estimate_bytes_progress(
-    attempt: Attempt, now: float, split_bytes: float
-) -> Optional[float]:
-    """Bytes of the split processed so far, given the split size.
-
-    Used by Speculative-Resume to compute the byte offset passed to the
-    resumed attempts (the paper's ``b_est``).
-    """
-    if split_bytes <= 0:
-        raise ValueError("split_bytes must be positive")
-    progress = observed_progress(attempt, now)
-    return progress * split_bytes
 
 
 def predict_resume_offset(

@@ -36,7 +36,6 @@ from __future__ import annotations
 import atexit
 import json
 import os
-import signal
 import threading
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
@@ -163,9 +162,19 @@ def process_dump_path(path: str, pid: Optional[int] = None) -> str:
     return str(target.with_name(f"{target.stem}.{pid}{target.suffix}"))
 
 
+#: Set once a worker starts writing its profile on the way out.
+_leaving = False
+
+
 def _exit_on_sigterm(signum: int, frame: Any) -> None:
-    """A SIGTERM handler that exits normally, running ``finally`` blocks."""
-    raise SystemExit(128 + signum)
+    """A SIGTERM handler that exits normally, running ``finally`` blocks.
+
+    Once the worker is leaving (:func:`profile_worker` is writing its
+    dump) the signal is ignored: the worker exits anyway, and a
+    :class:`SystemExit` raised mid-write would truncate the file.
+    """
+    if not _leaving:
+        raise SystemExit(128 + signum)
 
 
 @contextmanager
@@ -180,6 +189,7 @@ def profile_worker() -> Iterator[None]:
     ``worker_main`` turns SIGTERM into :class:`SystemExit`
     (:func:`_exit_on_sigterm`).
     """
+    global _leaving
     if _active is None:
         yield
         return
@@ -188,15 +198,14 @@ def profile_worker() -> Iterator[None]:
         yield
     finally:
         # A worker that exits on its own can still get the driver's stop
-        # SIGTERM; raised mid-write, it would leave a truncated file, so
-        # the signal waits until the dump is complete.
-        held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
-        try:
-            if _dump_path is not None:
-                _dump_profile(process_dump_path(_dump_path))
-            disable_profiling()
-        finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, held)
+        # SIGTERM.  Blocking the signal in this thread would not hold it
+        # off: the kernel then hands it to any other thread, such as a
+        # lease keeper that was joined but has not quite exited, and its
+        # handler still runs here.  So the handler stands down instead.
+        _leaving = True
+        if _dump_path is not None:
+            _dump_profile(process_dump_path(_dump_path))
+        disable_profiling()
 
 
 def _activate_from_environment() -> None:

@@ -1,7 +1,7 @@
 """Thread-safe, stdlib-only metrics primitives with Prometheus exposition.
 
 The model is a small subset of the Prometheus client library:
-:class:`Counter` (monotone), :class:`Gauge` (set/inc/dec) and
+:class:`Counter` (monotone), :class:`Gauge` (set/inc) and
 :class:`Histogram` (fixed buckets, cumulative on render, with a
 ``time()`` context manager), optionally fanned out into labeled children
 via ``metric.labels(outcome="executed")``.  A :class:`MetricsRegistry`
@@ -207,9 +207,6 @@ class Gauge(Metric):
         with self._lock:
             self._value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
     @property
     def value(self) -> float:
         with self._lock:
@@ -365,10 +362,6 @@ class MetricsRegistry:
     def names(self) -> List[str]:
         with self._lock:
             return sorted(self._metrics)
-
-    def unregister(self, name: str) -> None:
-        with self._lock:
-            self._metrics.pop(name, None)
 
     def clear(self) -> None:
         """Forget every metric (tests; never called by instrumentation)."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -80,16 +80,6 @@ class SpotPriceHistory:
     def config(self) -> SpotPriceConfig:
         """The price-process configuration."""
         return self._config
-
-    @property
-    def times(self) -> Sequence[float]:
-        """Sample times (seconds from the start of the history)."""
-        return tuple(self._times)
-
-    @property
-    def prices(self) -> Sequence[float]:
-        """Prices at each sample time."""
-        return tuple(self._prices)
 
     def price_at(self, time: float) -> float:
         """Price in effect at ``time`` (last sample at or before it)."""

@@ -36,9 +36,6 @@ class TestRoundTrip:
     def test_from_dict_of_to_dict_is_equal(self, spec):
         assert ScenarioSpec.from_dict(spec.to_dict()) == spec
 
-    def test_json_string_round_trip(self, spec):
-        assert ScenarioSpec.from_json(spec.to_json()) == spec
-
     def test_round_trip_through_json_dumps(self, spec):
         rebuilt = ScenarioSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert rebuilt == spec
@@ -181,10 +178,6 @@ class TestValidation:
         with pytest.raises(SpecValidationError) as excinfo:
             WorkloadSpec("benchmark", {"name": "sort", "inter_arrival": float("inf")})
         assert "workload.params.inter_arrival" in str(excinfo.value)
-
-    def test_invalid_json_text(self):
-        with pytest.raises(SpecValidationError):
-            ScenarioSpec.from_json("{not json")
 
 
 class TestOverrides:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -60,7 +61,7 @@ class TestTheorem7:
         assert "clone_beats_resume_threshold" in report
 
     def test_threshold_infinite_when_no_work_left(self, model):
-        saturated = model.with_phi_est(0.9999999)
+        saturated = replace(model, phi_est=0.9999999)
         assert clone_beats_resume_threshold(saturated) == math.inf or math.isfinite(
             clone_beats_resume_threshold(saturated)
         )

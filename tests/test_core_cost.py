@@ -16,7 +16,6 @@ from repro.core.cost import (
     expected_cost,
     expected_machine_time,
     expected_machine_time_clone,
-    expected_machine_time_no_speculation,
     expected_machine_time_restart,
     expected_machine_time_resume,
 )
@@ -85,7 +84,7 @@ class TestTheorem4Restart:
     def test_conditional_decomposition_bounds(self, model):
         # The straggler branch adds time, so cost with speculation at small r
         # must stay below the no-speculation cost (stragglers get killed).
-        no_spec = expected_machine_time_no_speculation(model)
+        no_spec = model.num_tasks * model.mean_task_time
         with_spec = expected_machine_time_restart(model, 1)
         assert with_spec < no_spec
 
@@ -217,12 +216,3 @@ class TestGenericDispatch:
     def test_expected_cost_rejects_negative_price(self, model):
         with pytest.raises(ValueError):
             expected_cost(model, StrategyName.CLONE, 1, unit_price=-1.0)
-
-    def test_no_speculation_cost(self, model):
-        assert expected_machine_time_no_speculation(model) == pytest.approx(
-            model.num_tasks * model.mean_task_time
-        )
-
-    def test_no_speculation_cost_infinite_for_beta_below_one(self):
-        m = StragglerModel(tmin=20.0, beta=0.8, num_tasks=10, deadline=100.0)
-        assert math.isinf(expected_machine_time_no_speculation(m))

@@ -16,12 +16,6 @@ class TestStrategyName:
         assert StrategyName.SPECULATIVE_RESUME in chronos
         assert len(chronos) == 3
 
-    def test_baselines(self):
-        baselines = StrategyName.baselines()
-        assert StrategyName.MANTRI in baselines
-        assert StrategyName.HADOOP_NO_SPECULATION in baselines
-        assert StrategyName.HADOOP_SPECULATION in baselines
-
     def test_is_chronos_flag(self):
         assert StrategyName.CLONE.is_chronos
         assert not StrategyName.MANTRI.is_chronos
@@ -131,30 +125,9 @@ class TestStragglerModelTransformers:
         assert new.deadline == 200.0
         assert new.tmin == model.tmin
 
-    def test_with_beta(self, model):
-        assert model.with_beta(1.2).beta == 1.2
-
     def test_with_num_tasks(self, model):
         assert model.with_num_tasks(50).num_tasks == 50
-
-    def test_with_phi_est(self, model):
-        assert model.with_phi_est(0.7).effective_phi_est == 0.7
-        assert model.with_phi_est(None).phi_est is None
 
     def test_original_unchanged(self, model):
         model.with_deadline(500.0)
         assert model.deadline == 100.0
-
-    def test_from_relative_deadline(self):
-        m = StragglerModel.from_relative_deadline(
-            tmin=20.0, beta=1.5, num_tasks=10, deadline_factor=2.0
-        )
-        assert m.deadline == pytest.approx(2.0 * 60.0)
-        assert m.tau_est == pytest.approx(0.3 * 20.0)
-        assert m.tau_kill == pytest.approx(0.8 * 20.0)
-
-    def test_from_relative_deadline_rejects_infinite_mean(self):
-        with pytest.raises(ValueError):
-            StragglerModel.from_relative_deadline(
-                tmin=20.0, beta=0.9, num_tasks=10, deadline_factor=2.0
-            )

@@ -11,10 +11,8 @@ from repro.core.pocd import (
     log_miss_probability_slope,
     pocd,
     pocd_clone,
-    pocd_no_speculation,
     pocd_restart,
     pocd_resume,
-    required_attempts_for_target,
     task_miss_probability,
     task_miss_probability_clone,
     task_miss_probability_restart,
@@ -29,9 +27,6 @@ class TestTheorem1Clone:
         r = 2
         expected = (1.0 - (model.tmin / model.deadline) ** (model.beta * (r + 1))) ** model.num_tasks
         assert pocd_clone(model, r) == pytest.approx(expected)
-
-    def test_r_zero_equals_no_speculation(self, model):
-        assert pocd_clone(model, 0) == pytest.approx(pocd_no_speculation(model))
 
     def test_miss_probability_power_structure(self, model):
         p1 = task_miss_probability_clone(model, 0)
@@ -143,21 +138,6 @@ class TestPoCDGeneric:
 
 
 class TestPoCDHelpers:
-    def test_required_attempts_for_target(self, model):
-        r = required_attempts_for_target(model, StrategyName.CLONE, 0.99)
-        assert pocd(model, StrategyName.CLONE, r) >= 0.99
-        if r > 0:
-            assert pocd(model, StrategyName.CLONE, r - 1) < 0.99
-
-    def test_required_attempts_rejects_bad_target(self, model):
-        with pytest.raises(ValueError):
-            required_attempts_for_target(model, StrategyName.CLONE, 1.5)
-
-    def test_required_attempts_unreachable(self):
-        m = StragglerModel(tmin=20.0, beta=0.2, num_tasks=200, deadline=21.0)
-        with pytest.raises(ValueError):
-            required_attempts_for_target(m, StrategyName.CLONE, 0.999999, r_max=1)
-
     def test_one_more_attempt_raises_pocd(self, model):
         assert pocd(model, StrategyName.CLONE, 2) - pocd(model, StrategyName.CLONE, 1) > 0.0
 
@@ -166,7 +146,7 @@ class TestPoCDHelpers:
             assert log_miss_probability_slope(model, strategy) < 0.0
 
     def test_resume_miss_probability_zero_when_no_work_left(self, model):
-        complete = model.with_phi_est(0.999999999)
+        complete = replace(model, phi_est=0.999999999)
         value = task_miss_probability_resume(complete, 1)
         assert value == pytest.approx(0.0, abs=1e-6)
 

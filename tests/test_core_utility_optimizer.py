@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -149,7 +150,7 @@ class TestAlgorithm1:
         assert result.pocd == pytest.approx(
             pocd(model, StrategyName.SPECULATIVE_RESUME, result.r_opt)
         )
-        assert result.feasible
+        assert math.isfinite(result.utility)
         assert result.evaluations >= 1
         assert result.r_opt in result.utility_by_r
 
@@ -203,7 +204,7 @@ class TestAlgorithm1:
     @pytest.mark.parametrize("strategy", ALL_CHRONOS)
     def test_lighter_tail_raises_pocd_and_cuts_machine_time(self, model, strategy):
         """Section V: at r = 1, PoCD rises and machine time falls as beta grows."""
-        models = [model.with_beta(beta) for beta in (1.1, 1.5, 1.9)]
+        models = [replace(model, beta=beta) for beta in (1.1, 1.5, 1.9)]
         pocds = [pocd(swept, strategy, 1) for swept in models]
         costs = [expected_machine_time(swept, strategy, 1) for swept in models]
         assert all(a < b for a, b in zip(pocds, pocds[1:]))
@@ -212,7 +213,7 @@ class TestAlgorithm1:
     def test_infeasible_r_min(self, model):
         optimizer = ChronosOptimizer(model, theta=1e-4, r_min_pocd=0.999999999)
         result = optimizer.optimize(StrategyName.CLONE)
-        assert not result.feasible or result.pocd > 0.999999999
+        assert not math.isfinite(result.utility) or result.pocd > 0.999999999
 
     def test_r_min_above_the_concavity_threshold(self):
         """Regression: Rmin = 0.9 makes every r below 6 infeasible.
@@ -243,14 +244,14 @@ class TestAlgorithm1:
             tmin=15, beta=1.0, num_tasks=10, deadline=45, tau_est=13.5, tau_kill=36
         )
         result = ChronosOptimizer(model, theta=1e-4, r_min_pocd=0.9).optimize(strategy)
-        assert not result.feasible
+        assert not math.isfinite(result.utility)
         assert result.r_opt == r_expected
         assert pocd(model, strategy, r_expected - 1) <= 0.9 < result.pocd
 
     def test_unreachable_r_min_is_infeasible_without_search(self, model):
         optimizer = ChronosOptimizer(model, theta=1e-4, r_min_pocd=0.9, r_max=0)
         result = optimizer.optimize(StrategyName.CLONE)
-        assert not result.feasible
+        assert not math.isfinite(result.utility)
         assert result.r_opt == 0 and result.evaluations == 1
 
     def test_optimize_all_and_best(self, model):
@@ -317,6 +318,6 @@ class TestAlgorithm1Grid:
                     if result.utility == u_star:
                         assert result.r_opt == r_star, case
                     continue
-                assert not result.feasible, case
+                assert not math.isfinite(result.utility), case
                 meets = [r for r in range(65) if pocd(model, strategy, r) > r_min]
                 assert result.r_opt == (meets[0] if meets else 0), case

@@ -1,4 +1,4 @@
-"""Unit tests for the Pareto distribution and its maximum-likelihood fit."""
+"""Unit tests for the Pareto distribution."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.distributions import ParetoDistribution, fit_pareto_mle
+from repro.distributions import ParetoDistribution
 
 
 class TestParetoConstruction:
@@ -28,14 +28,6 @@ class TestParetoConstruction:
 
 
 class TestParetoBasics:
-    def test_pdf_zero_below_tmin(self):
-        dist = ParetoDistribution(20.0, 1.5)
-        assert dist.pdf(10.0) == 0.0
-
-    def test_pdf_at_tmin(self):
-        dist = ParetoDistribution(20.0, 1.5)
-        assert dist.pdf(20.0) == pytest.approx(1.5 / 20.0)
-
     def test_cdf_zero_below_tmin(self):
         dist = ParetoDistribution(20.0, 1.5)
         assert dist.cdf(5.0) == 0.0
@@ -44,21 +36,6 @@ class TestParetoBasics:
         dist = ParetoDistribution(20.0, 1.5)
         assert dist.cdf(40.0) == pytest.approx(1.0 - (20.0 / 40.0) ** 1.5)
 
-    def test_sf_complements_cdf(self):
-        dist = ParetoDistribution(20.0, 1.3)
-        t = np.array([25.0, 50.0, 200.0])
-        np.testing.assert_allclose(dist.sf(t) + dist.cdf(t), 1.0)
-
-    def test_quantile_inverts_cdf(self):
-        dist = ParetoDistribution(20.0, 1.7)
-        q = np.array([0.1, 0.5, 0.9, 0.99])
-        np.testing.assert_allclose(dist.cdf(dist.quantile(q)), q)
-
-    def test_quantile_rejects_out_of_range(self):
-        dist = ParetoDistribution(20.0, 1.7)
-        with pytest.raises(ValueError):
-            dist.quantile(1.5)
-
     def test_mean_closed_form(self):
         dist = ParetoDistribution(20.0, 1.5)
         assert dist.mean() == pytest.approx(20.0 * 1.5 / 0.5)
@@ -66,21 +43,6 @@ class TestParetoBasics:
     def test_mean_infinite_for_beta_at_most_one(self):
         assert math.isinf(ParetoDistribution(20.0, 1.0).mean())
         assert math.isinf(ParetoDistribution(20.0, 0.7).mean())
-
-    def test_variance_infinite_for_beta_at_most_two(self):
-        assert math.isinf(ParetoDistribution(20.0, 1.9).variance())
-
-    def test_variance_finite_for_beta_above_two(self):
-        assert math.isfinite(ParetoDistribution(20.0, 2.5).variance())
-
-    def test_median_is_half_quantile(self):
-        dist = ParetoDistribution(20.0, 1.5)
-        assert dist.median() == pytest.approx(float(dist.quantile(0.5)))
-
-    def test_prob_exceeds(self):
-        dist = ParetoDistribution(20.0, 1.5)
-        assert dist.prob_exceeds(100.0) == pytest.approx((0.2) ** 1.5)
-        assert dist.prob_exceeds(10.0) == 1.0
 
 
 class TestParetoSampling:
@@ -98,7 +60,7 @@ class TestParetoSampling:
         dist = ParetoDistribution(20.0, 1.5)
         samples = dist.sample(100000, rng=rng)
         empirical = np.mean(samples > 100.0)
-        assert empirical == pytest.approx(dist.prob_exceeds(100.0), rel=0.1)
+        assert empirical == pytest.approx(1.0 - dist.cdf(100.0), rel=0.1)
 
     def test_sample_one_returns_float(self, rng):
         value = ParetoDistribution(20.0, 1.5).sample_one(rng=rng)
@@ -146,7 +108,7 @@ class TestParetoOrderStatistics:
         dist = ParetoDistribution(20.0, 1.5)
         minimum = dist.min_of(4)
         draws = np.minimum.reduce([dist.sample(20000, rng=rng) for _ in range(4)])
-        assert np.mean(draws > 30.0) == pytest.approx(minimum.prob_exceeds(30.0), rel=0.1)
+        assert np.mean(draws > 30.0) == pytest.approx(1.0 - minimum.cdf(30.0), rel=0.1)
 
 
 class TestParetoConditionalMeans:
@@ -180,33 +142,3 @@ class TestParetoConditionalMeans:
         above = samples[samples > 60.0]
         assert above.mean() == pytest.approx(dist.conditional_mean_above(60.0), rel=0.05)
 
-    def test_scaled_distribution(self):
-        dist = ParetoDistribution(20.0, 1.5).scaled(0.5)
-        assert dist.tmin == 10.0
-        assert dist.beta == 1.5
-
-    def test_scaled_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            ParetoDistribution(20.0, 1.5).scaled(0.0)
-
-
-class TestFitParetoMLE:
-    def test_recovers_parameters(self, rng):
-        true = ParetoDistribution(15.0, 1.6)
-        samples = true.sample(100000, rng=rng)
-        tmin, beta = fit_pareto_mle(samples)
-        assert tmin == pytest.approx(15.0, rel=0.01)
-        assert beta == pytest.approx(1.6, rel=0.05)
-
-    def test_rejects_too_few_samples(self):
-        with pytest.raises(ValueError):
-            fit_pareto_mle(np.array([1.0]))
-
-    def test_rejects_non_positive_samples(self):
-        with pytest.raises(ValueError):
-            fit_pareto_mle(np.array([1.0, -2.0, 3.0]))
-
-    def test_identical_samples_yield_infinite_beta(self):
-        tmin, beta = fit_pareto_mle(np.array([5.0, 5.0, 5.0]))
-        assert tmin == 5.0
-        assert math.isinf(beta)

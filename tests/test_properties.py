@@ -187,7 +187,7 @@ class TestOptimizerProperties:
         if math.isfinite(best_utility):
             assert result.utility == pytest.approx(best_utility, abs=1e-9)
         else:
-            assert not result.feasible
+            assert not math.isfinite(result.utility)
 
     @SETTINGS
     @given(model=models, strategy=chronos_strategies, r=r_values)
@@ -197,16 +197,6 @@ class TestOptimizerProperties:
 
 
 class TestParetoProperties:
-    @SETTINGS
-    @given(
-        tmin=st.floats(min_value=0.5, max_value=100.0),
-        beta=st.floats(min_value=0.5, max_value=4.0),
-        q=st.floats(min_value=0.01, max_value=0.99),
-    )
-    def test_quantile_cdf_roundtrip(self, tmin, beta, q):
-        dist = ParetoDistribution(tmin, beta)
-        assert float(dist.cdf(dist.quantile(q))) == pytest.approx(q, abs=1e-9)
-
     @SETTINGS
     @given(
         tmin=st.floats(min_value=0.5, max_value=100.0),

@@ -30,7 +30,7 @@ from repro import (
 
 class TestPackageSurface:
     def test_version_string(self):
-        assert repro.__version__ == "12.1.0"
+        assert repro.__version__ == "13.0.0"
 
     def test_declared_dependencies_suffice(self):
         """A fresh interpreter imports ``repro.api`` and runs S-Restart without scipy.
@@ -267,6 +267,57 @@ class TestDeprecatedShims:
     )
     def test_names_removed_in_12_0(self, path):
         """Sweep options are explicit keywords; nothing but tests called the rest."""
+        owner, name = _owner_of(path)
+        assert name not in getattr(owner, "__all__", ())
+        with pytest.raises(AttributeError):
+            getattr(owner, name)
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "repro.api:ScenarioSpec.to_json",
+            "repro.api:ScenarioSpec.from_json",
+            "repro.cluster:ClusterSpec.to_json",
+            "repro.cluster:ClusterSpec.from_json",
+            "repro.api:SweepResult.reports",
+            "repro.core:StragglerModel.with_beta",
+            "repro.core:StragglerModel.with_phi_est",
+            "repro.core:StragglerModel.from_relative_deadline",
+            "repro.core:StrategyName.baselines",
+            "repro.core:OptimizationResult.feasible",
+            "repro.core.cost:expected_machine_time_no_speculation",
+            "repro.core.pocd:pocd_no_speculation",
+            "repro.core.pocd:required_attempts_for_target",
+            "repro.distributions:fit_pareto_mle",
+            "repro.distributions.pareto:fit_pareto_mle",
+            "repro.distributions:Distribution.sf",
+            "repro.distributions:Distribution.quantile",
+            "repro.distributions:ParetoDistribution.pdf",
+            "repro.distributions:ParetoDistribution.sf",
+            "repro.distributions:ParetoDistribution.quantile",
+            "repro.distributions:ParetoDistribution.variance",
+            "repro.distributions:ParetoDistribution.median",
+            "repro.distributions:ParetoDistribution.prob_exceeds",
+            "repro.distributions:ParetoDistribution.scaled",
+            "repro.experiments.common:ExperimentTable.column",
+            "repro.experiments.estimators:EstimatorAblationResult.cost_ratio",
+            "repro.simulator.progress:estimate_remaining_time",
+            "repro.simulator.progress:estimate_bytes_progress",
+            "repro.simulator.entities:Task.task_id",
+            "repro.simulator.engine:SimulationEngine.step",
+            "repro.simulator.engine:SimulationEngine.rng",
+            "repro.hadoop.app_master:ApplicationMaster.elapsed",
+            "repro.cluster.scheduling:SpeculationBudgetScheduler.capacity",
+            "repro.traces.spot_price:SpotPriceHistory.times",
+            "repro.traces.spot_price:SpotPriceHistory.prices",
+            "repro.distributed.leases:LeaseKeeper.lost",
+            "repro.service.client:HttpBroker.credentials",
+            "repro.telemetry:Gauge.dec",
+            "repro.telemetry:MetricsRegistry.unregister",
+        ],
+    )
+    def test_names_removed_in_13_0(self, path):
+        """Nothing outside tests used them (``benchmarks/code_lines.py`` gates it)."""
         owner, name = _owner_of(path)
         assert name not in getattr(owner, "__all__", ())
         with pytest.raises(AttributeError):

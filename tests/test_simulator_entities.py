@@ -156,10 +156,6 @@ class TestTaskAndJob:
         assert not job.is_complete
         assert job.met_deadline is None
 
-    def test_task_ids(self):
-        job = make_job()
-        assert job.tasks[1].task_id == "j/task-1"
-
     def test_task_completion_marks_job(self):
         job = make_job(num_tasks=2)
         assert job.remaining_tasks == 2

@@ -9,8 +9,6 @@ import pytest
 from repro.simulator.entities import Attempt, Job, JobSpec
 from repro.simulator.progress import (
     chronos_estimate_completion,
-    estimate_bytes_progress,
-    estimate_remaining_time,
     hadoop_estimate_completion,
     observed_progress,
     predict_resume_offset,
@@ -89,26 +87,6 @@ class TestHadoopEstimator:
     def test_infinite_without_progress(self):
         attempt = running_attempt(jvm_delay=5.0)
         assert math.isinf(hadoop_estimate_completion(attempt, 2.0))
-
-
-class TestEstimatorHelpers:
-    def test_estimate_remaining_time(self):
-        attempt = running_attempt(jvm_delay=0.0, processing_time=20.0)
-        remaining = estimate_remaining_time(attempt, 5.0, chronos_estimate_completion)
-        assert remaining == pytest.approx(15.0)
-
-    def test_estimate_remaining_time_infinite(self):
-        attempt = running_attempt(jvm_delay=5.0)
-        assert math.isinf(estimate_remaining_time(attempt, 1.0, chronos_estimate_completion))
-
-    def test_estimate_bytes_progress(self):
-        attempt = running_attempt(jvm_delay=0.0, processing_time=20.0)
-        assert estimate_bytes_progress(attempt, 10.0, split_bytes=1000.0) == pytest.approx(500.0)
-
-    def test_estimate_bytes_rejects_bad_split(self):
-        attempt = running_attempt()
-        with pytest.raises(ValueError):
-            estimate_bytes_progress(attempt, 10.0, split_bytes=0.0)
 
 
 class TestPredictResumeOffset:

@@ -278,7 +278,8 @@ class TestLiveCount:
             engine.schedule_at(job.spec.submit_time, am.start)
         tasks = [task for job in jobs for task in job.tasks]
         most_live = 0
-        while engine.step():
+        while engine.pending_events:
+            engine.run(max_events=1)
             for task in tasks:
                 assert task.live == sum(
                     attempt.status in (AttemptStatus.WAITING, AttemptStatus.RUNNING)

@@ -18,9 +18,6 @@ from repro.api import ScenarioSpec, WorkloadSpec, job_spec_to_dict, stream_specs
 from repro.api.events import SweepFinished
 from repro.simulator.entities import JobSpec
 from repro.telemetry import (
-    Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
     Profiler,
     active_profiler,
@@ -76,11 +73,11 @@ class TestCounter:
 
 
 class TestGauge:
-    def test_set_inc_dec(self):
+    def test_set_and_inc(self):
         gauge = MetricsRegistry().gauge("depth")
         gauge.set(10)
         gauge.inc(2)
-        gauge.dec(5)
+        gauge.inc(-5)
         assert gauge.value == 7
 
 
@@ -159,12 +156,11 @@ class TestRegistry:
         registry.histogram("b_seconds", buckets=(1.0,)).observe(0.5)
         assert json.loads(json.dumps(registry.snapshot()))["a_total"]["type"] == "counter"
 
-    def test_unregister_and_clear(self):
+    def test_clear(self):
         registry = MetricsRegistry()
         registry.counter("a_total")
         registry.counter("b_total")
-        registry.unregister("a_total")
-        assert registry.names() == ["b_total"]
+        assert registry.names() == ["a_total", "b_total"]
         registry.clear()
         assert registry.names() == []
 

@@ -154,6 +154,13 @@ class TestGoogleTrace:
         assert all(job.unit_price > 0 for job in jobs)
 
 
+def _sampled_prices(history):
+    """The history's price at each of its sample times."""
+    config = history.config
+    steps = int(config.duration_hours * 3600.0 / config.interval_seconds) + 1
+    return [history.price_at(step * config.interval_seconds) for step in range(steps)]
+
+
 class TestSpotPrices:
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -165,7 +172,7 @@ class TestSpotPrices:
 
     def test_prices_positive(self):
         history = SpotPriceHistory(SpotPriceConfig(mean_price=1.0, seed=3))
-        assert all(price > 0 for price in history.prices)
+        assert all(price > 0 for price in _sampled_prices(history))
 
     def test_average_near_mean(self):
         history = SpotPriceHistory(SpotPriceConfig(mean_price=1.0, volatility=0.05, seed=3))
@@ -173,12 +180,13 @@ class TestSpotPrices:
 
     def test_price_lookup_piecewise_constant(self):
         history = SpotPriceHistory(SpotPriceConfig(interval_seconds=100.0, seed=3))
-        assert history.price_at(0.0) == history.prices[0]
-        assert history.price_at(150.0) == history.prices[1]
-        assert history.price_at(-5.0) == history.prices[0]
-        assert history.price_at(1e12) == history.prices[-1]
+        prices = _sampled_prices(history)
+        assert history.price_at(50.0) == prices[0]
+        assert history.price_at(150.0) == prices[1]
+        assert history.price_at(-5.0) == prices[0]
+        assert history.price_at(1e12) == prices[-1]
 
     def test_deterministic_for_seed(self):
-        a = SpotPriceHistory(SpotPriceConfig(seed=9)).prices
-        b = SpotPriceHistory(SpotPriceConfig(seed=9)).prices
+        a = _sampled_prices(SpotPriceHistory(SpotPriceConfig(seed=9)))
+        b = _sampled_prices(SpotPriceHistory(SpotPriceConfig(seed=9)))
         assert a == b
