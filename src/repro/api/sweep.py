@@ -633,9 +633,7 @@ def _open_backend(
     if plan.lease_timeout is not None:
         from repro.distributed import LeasePolicy
 
-        policy = LeasePolicy(
-            timeout=plan.lease_timeout, heartbeat_interval=plan.lease_timeout / 4.0
-        )
+        policy = LeasePolicy(timeout=plan.lease_timeout)
     return _distributed.execute_stream(
         todo,
         workers=fleet,

@@ -28,7 +28,7 @@ multi-host fleets — :func:`open_broker` / :func:`open_store` dispatch,
 and :class:`Worker`, :class:`WorkerPool` and :func:`execute_stream`
 accept either.  The pieces are public for
 anyone building a custom topology (remote workers pointed at a shared
-service, worker recycling, etc.).
+service, say).
 """
 
 from repro.distributed.broker import (
@@ -51,7 +51,6 @@ from repro.distributed.worker import (
     RestartPolicy,
     RestartRateLimiter,
     Worker,
-    WorkerConfig,
     WorkerPool,
     make_worker_id,
     worker_main,
@@ -71,7 +70,6 @@ __all__ = [
     "LeaseKeeper",
     # workers
     "Worker",
-    "WorkerConfig",
     "WorkerPool",
     "RestartPolicy",
     "RestartRateLimiter",

@@ -46,7 +46,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import telemetry
 from repro.distributed import store as _store
-from repro.distributed.leases import Lease, LeasePolicy
+from repro.distributed.leases import MAX_ATTEMPTS, Lease, LeasePolicy
 from repro.telemetry.spans import span_detail
 
 #: Task states, in roughly the order of the lifecycle.
@@ -198,7 +198,7 @@ class Broker:
                     "INSERT OR IGNORE INTO tasks "
                     "(fingerprint, payload, status, max_attempts, enqueued_at, updated_at) "
                     "VALUES (?, ?, 'pending', ?, ?, ?)",
-                    (fingerprint, json.dumps(payload), self._policy.max_attempts, now, now),
+                    (fingerprint, json.dumps(payload), MAX_ATTEMPTS, now, now),
                 )
                 if cursor.rowcount:
                     added += 1
@@ -442,39 +442,15 @@ class Broker:
 
     def _sweep_expired_locked(self, now: float) -> Tuple[int, int]:
         """Expire leases inside an already-open transaction."""
-        expired = self._conn.execute(
-            "SELECT fingerprint, lease_owner, attempts, max_attempts FROM tasks "
-            "WHERE status = 'leased' AND lease_expires_at < ?",
+        requeued, exhausted = self._release_locked(
+            "lease_expires_at < ?",
             (now,),
-        ).fetchall()
-        exhausted = self._conn.execute(
-            "UPDATE tasks SET status = 'failed', "
-            "error = 'lease expired after ' || attempts || ' attempts (worker crash?)', "
-            "lease_owner = NULL, lease_expires_at = NULL, updated_at = ? "
-            "WHERE status = 'leased' AND lease_expires_at < ? AND attempts >= max_attempts",
-            (now, now),
-        ).rowcount
-        requeued = self._conn.execute(
-            "UPDATE tasks SET status = 'pending', lease_owner = NULL, "
-            "lease_expires_at = NULL, updated_at = ? "
-            "WHERE status = 'leased' AND lease_expires_at < ?",
-            (now, now),
-        ).rowcount
-        for row in expired:
-            terminal = row["attempts"] >= row["max_attempts"]
-            self._log_event(
-                "failed" if terminal else "retried",
-                row["fingerprint"],
-                worker_id=row["lease_owner"],
-                detail=(
-                    f"lease expired after {row['attempts']} attempts (worker crash?)"
-                    if terminal
-                    else "lease expired; task requeued"
-                ),
-                now=now,
-            )
-        if expired:
-            _EXPIRIES.inc(len(expired))
+            failed="lease expired after {attempts} attempts (worker crash?)",
+            retried="lease expired; task requeued",
+            now=now,
+        )
+        if requeued or exhausted:
+            _EXPIRIES.inc(requeued + exhausted)
         return requeued, exhausted
 
     def release_worker(self, worker_id: str) -> Tuple[int, int]:
@@ -487,38 +463,55 @@ class Broker:
         now = time.time()
         with self._conn:
             self._conn.execute("BEGIN IMMEDIATE")
-            held = self._conn.execute(
-                "SELECT fingerprint, attempts, max_attempts FROM tasks "
-                "WHERE status = 'leased' AND lease_owner = ?",
+            return self._release_locked(
+                "lease_owner = ?",
                 (worker_id,),
-            ).fetchall()
-            exhausted = self._conn.execute(
-                "UPDATE tasks SET status = 'failed', "
-                "error = 'worker ' || lease_owner || ' died after ' || attempts || ' attempts', "
-                "lease_owner = NULL, lease_expires_at = NULL, updated_at = ? "
-                "WHERE status = 'leased' AND lease_owner = ? AND attempts >= max_attempts",
-                (now, worker_id),
-            ).rowcount
-            requeued = self._conn.execute(
-                "UPDATE tasks SET status = 'pending', lease_owner = NULL, "
-                "lease_expires_at = NULL, updated_at = ? "
-                "WHERE status = 'leased' AND lease_owner = ?",
-                (now, worker_id),
-            ).rowcount
-            for row in held:
-                terminal = row["attempts"] >= row["max_attempts"]
-                self._log_event(
-                    "failed" if terminal else "retried",
-                    row["fingerprint"],
-                    worker_id=worker_id,
-                    detail=(
-                        f"worker {worker_id} died after {row['attempts']} attempts"
-                        if terminal
-                        else f"worker {worker_id} died; lease released"
-                    ),
-                    now=now,
-                )
-        return requeued, exhausted
+                failed="worker {owner} died after {attempts} attempts",
+                retried="worker {owner} died; lease released",
+                now=now,
+            )
+
+    def _release_locked(
+        self, where: str, params: Tuple[Any, ...], *, failed: str, retried: str, now: float
+    ) -> Tuple[int, int]:
+        """Release the leased tasks matching ``where``, in an open transaction.
+
+        A task out of attempts fails, with the ``failed`` text (formatted
+        with the lease's ``owner`` and ``attempts``) as its error; the
+        rest go back to ``pending``.  Each released lease logs one
+        ``failed`` or ``retried`` event with its text as the detail.
+        Returns ``(requeued, exhausted)``.
+        """
+        leased = f"WHERE status = 'leased' AND {where}"
+        held = self._conn.execute(
+            f"SELECT fingerprint, lease_owner, attempts, max_attempts FROM tasks {leased}",
+            params,
+        ).fetchall()
+        failures = []
+        for row in held:
+            owner, attempts = row["lease_owner"], row["attempts"]
+            terminal = attempts >= row["max_attempts"]
+            detail = (failed if terminal else retried).format(owner=owner, attempts=attempts)
+            if terminal:
+                failures.append((detail, now, row["fingerprint"]))
+            self._log_event(
+                "failed" if terminal else "retried",
+                row["fingerprint"],
+                worker_id=owner,
+                detail=detail,
+                now=now,
+            )
+        self._conn.executemany(
+            "UPDATE tasks SET status = 'failed', error = ?, lease_owner = NULL, "
+            "lease_expires_at = NULL, updated_at = ? WHERE fingerprint = ?",
+            failures,
+        )
+        requeued = self._conn.execute(
+            "UPDATE tasks SET status = 'pending', lease_owner = NULL, "
+            f"lease_expires_at = NULL, updated_at = ? {leased}",
+            (now, *params),
+        ).rowcount
+        return requeued, len(failures)
 
     def release_pending(self, fingerprints: Sequence[str]) -> int:
         """Remove still-pending tasks from the queue (cancellation path).

@@ -86,7 +86,7 @@ from repro.distributed.targets import (
     open_broker,
     open_store,
 )
-from repro.distributed.worker import WorkerConfig, WorkerPool
+from repro.distributed.worker import WorkerPool
 
 # The sweep API is imported by the calls that use it, not here, so that
 # importing the distributed package (the sweep service does) loads
@@ -472,7 +472,7 @@ def _stream(
             pool = WorkerPool(
                 target,
                 workers=min(workers, len(pending)),
-                config=WorkerConfig(policy=policy, exit_when_idle=True),
+                policy=policy,
             ).start()
 
         interval = REMOTE_SUPERVISE_INTERVAL if remote else SUPERVISE_INTERVAL

@@ -2,11 +2,11 @@
 
 A worker that claims a task does not own it forever: it holds a *lease*
 that expires ``timeout`` seconds into the future unless renewed.  A
-healthy worker renews (heartbeats) every ``heartbeat_interval`` seconds
-from a background :class:`LeaseKeeper` thread; a crashed or wedged worker
-stops renewing, its lease runs out, and the broker hands the task to
-someone else — up to ``max_attempts`` claims, after which the task is
-marked failed rather than ping-ponging between dying workers forever.
+healthy worker renews (heartbeats) every ``timeout / 4`` seconds from a
+background :class:`LeaseKeeper` thread; a crashed or wedged worker stops
+renewing, its lease runs out, and the broker hands the task to someone
+else — up to :data:`MAX_ATTEMPTS` claims, after which the task is marked
+failed rather than ping-ponging between dying workers forever.
 
 Leases are wall-clock timestamps (``time.time()``) because they must be
 comparable across processes and, eventually, across machines.
@@ -19,35 +19,29 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 
+#: Total times a task may be claimed before it is marked failed.
+MAX_ATTEMPTS = 3
+
+
 @dataclass(frozen=True)
 class LeasePolicy:
-    """Timing and retry parameters of the queue's lease protocol.
+    """Timing of the queue's lease protocol.
 
-    Parameters
-    ----------
-    timeout:
-        Seconds a lease lives without renewal.  Must comfortably exceed
-        ``heartbeat_interval`` (a factor of ~4 by default) so one missed
-        beat does not orphan a healthy worker's task.
-    heartbeat_interval:
-        Seconds between renewals while a worker executes a task.
-    max_attempts:
-        Total times a task may be claimed before it is marked failed.
+    ``timeout`` is the seconds a lease lives without renewal.  A worker
+    renews every :attr:`heartbeat_interval`, a quarter of it, so one
+    missed beat does not orphan a healthy worker's task.
     """
 
     timeout: float = 30.0
-    heartbeat_interval: float = 7.5
-    max_attempts: int = 3
 
     def __post_init__(self) -> None:
         if self.timeout <= 0:
             raise ValueError("lease timeout must be positive")
-        if self.heartbeat_interval <= 0:
-            raise ValueError("heartbeat interval must be positive")
-        if self.heartbeat_interval >= self.timeout:
-            raise ValueError("heartbeat interval must be shorter than the lease timeout")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
+
+    @property
+    def heartbeat_interval(self) -> float:
+        """Seconds between renewals while a worker executes a task."""
+        return self.timeout / 4.0
 
 
 @dataclass(frozen=True)

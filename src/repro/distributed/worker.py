@@ -10,7 +10,7 @@ of the batch so slow scenarios are not mistaken for crashes.
 Claims are sized by time, not by count.  The first claim takes one
 task; each later one takes about :data:`CLAIM_TARGET_S` worth of work at
 the last batch's measured seconds per task, at most doubling per claim
-and never more than ``WorkerConfig.claim_batch``.  Sub-millisecond
+and never more than :data:`CLAIM_BATCH`.  Sub-millisecond
 scenarios therefore go a few dozen to a round trip, and long ones go one
 at a time, so a batch never sits on finished results for long.  A batch
 that still runs past :data:`CLAIM_TARGET_S` (one scenario was slower than
@@ -27,10 +27,10 @@ level, so it works under both ``fork`` and ``spawn`` start methods), and
 — the shape the sweep executor and the ``chronos-experiments workers``
 CLI both use.  With a :class:`RestartPolicy` the pool is a *supervised
 fleet*: members that die abnormally are replaced automatically (clean
-exits — drained queue, ``max_tasks`` recycling — are not), but under a
-per-member token bucket with exponential backoff rather than a flat
-budget, so one crash-looping member slows down instead of burning the
-fleet's whole allowance in seconds.
+exits — a drained or settled queue — are not), but under a per-member
+token bucket with exponential backoff rather than a flat budget, so one
+crash-looping member slows down instead of burning the fleet's whole
+allowance in seconds.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import os
 import signal
 import time
 import uuid
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
@@ -69,13 +69,21 @@ _CLAIM_SIZE = telemetry.histogram(
 #: finished results before it commits them.
 CLAIM_TARGET_S = 0.05
 
+#: The most tasks one claim may take (one transaction, one lease each).
+#: Batching amortizes the ~ms/task queue overhead of short scenarios;
+#: recovery is unchanged because every task still has its own lease.
+CLAIM_BATCH = 64
+
+#: Seconds a worker sleeps when a claim comes back empty.
+POLL_INTERVAL = 0.05
+
 #: The worker's clock (module level, so tests can substitute one).
 _clock = time.perf_counter
 
 
-def make_worker_id(prefix: str = "worker") -> str:
-    """A unique worker identity: ``prefix-<pid>-<random>``."""
-    return f"{prefix}-{os.getpid()}-{uuid.uuid4().hex[:6]}"
+def make_worker_id() -> str:
+    """A unique worker identity: ``worker-<pid>-<random>``."""
+    return f"worker-{os.getpid()}-{uuid.uuid4().hex[:6]}"
 
 
 #: Consecutive transient transport failures a worker rides out before
@@ -84,74 +92,31 @@ def make_worker_id(prefix: str = "worker") -> str:
 TRANSIENT_RETRY_LIMIT = 8
 
 
-@dataclass(frozen=True)
-class WorkerConfig:
-    """Behavioural knobs of a worker loop.
-
-    Parameters
-    ----------
-    policy:
-        Lease timing and retry limits (shared with the broker).
-    poll_interval:
-        Seconds to sleep when a claim comes back empty.
-    exit_when_idle:
-        Exit once the queue is settled (nothing pending *or* leased) —
-        the mode the sweep executor uses.  When ``False`` the worker
-        polls forever (service mode) until the queue is drained.
-    max_tasks:
-        Optional cap on tasks executed before exiting (useful in tests
-        and for worker recycling).
-    claim_batch:
-        The most tasks one claim may take (one transaction, one lease
-        each).  Claims are sized by time up to this bound (see the module
-        docstring): batching amortizes the ~ms/task queue overhead for
-        short scenarios, and recovery is unchanged because every task in
-        a batch still has its own lease.
-    """
-
-    policy: LeasePolicy = field(default_factory=LeasePolicy)
-    poll_interval: float = 0.05
-    exit_when_idle: bool = True
-    max_tasks: Optional[int] = None
-    claim_batch: int = 64
-
-    def __post_init__(self) -> None:
-        if self.claim_batch < 1:
-            raise ValueError("claim_batch must be a positive integer")
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON/pickle-friendly representation (crosses the spawn boundary)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "WorkerConfig":
-        """Rebuild from :meth:`to_dict` output."""
-        payload = dict(data)
-        policy = payload.pop("policy", None)
-        if isinstance(policy, Mapping):
-            payload["policy"] = LeasePolicy(**dict(policy))
-        return cls(**payload)
-
-
 class Worker:
     """One claim-execute-commit loop bound to a queue target.
 
     ``target`` is a sqlite path or an ``http://`` service URL (see
     :mod:`repro.distributed.targets`); the loop is identical either way.
+    ``policy`` sets the lease timing (shared with the broker).  With
+    ``exit_when_idle`` (the sweep executor's mode) the worker exits once
+    the queue is settled, nothing pending *or* leased; without it the
+    worker polls until the queue is drained (service mode).
     """
 
     def __init__(
         self,
         target: Union[str, Path],
         worker_id: Optional[str] = None,
-        config: Optional[WorkerConfig] = None,
+        policy: Optional[LeasePolicy] = None,
+        exit_when_idle: bool = True,
     ):
         from repro.distributed.targets import is_service_url, open_broker
 
         self.worker_id = worker_id or make_worker_id()
-        self.config = config if config is not None else WorkerConfig()
+        self.policy = policy if policy is not None else LeasePolicy()
+        self.exit_when_idle = exit_when_idle
         self._target = str(target)
-        self._broker = open_broker(self._target, policy=self.config.policy)
+        self._broker = open_broker(self._target, policy=self.policy)
         # Over HTTP, a dropped request is recoverable (the lease protocol
         # already tolerates gaps); over sqlite any error is a local fault.
         # Rejected credentials are the opposite of transient: a bad token
@@ -177,26 +142,22 @@ class Worker:
         self._last_task_s = 0.0
 
     def _claim_size(self) -> int:
-        """Tasks the next claim asks for (0 once ``max_tasks`` is spent).
+        """Tasks the next claim asks for.
 
         One at first; then at most twice the last batch, and no more than
         :data:`CLAIM_TARGET_S` of work at the last batch's pace; always
-        within ``claim_batch`` and what ``max_tasks`` has left.
+        within :data:`CLAIM_BATCH`.
         """
         size = max(1, 2 * self._last_batch)
         if self._last_task_s > 0:
             size = max(1, min(size, int(CLAIM_TARGET_S / self._last_task_s)))
-        size = min(size, self.config.claim_batch)
-        if self.config.max_tasks is not None:
-            size = min(size, self.config.max_tasks - self.tasks_done)
-        return size
+        return min(size, CLAIM_BATCH)
 
     def run(self) -> int:
         """Process tasks until the exit condition; returns tasks executed.
 
-        Exit conditions: the queue settles (``exit_when_idle``), the
-        queue is draining and has no claimable work, or ``max_tasks`` is
-        reached.  Transient service errors (an HTTP broker restarting, a
+        Exit conditions: the queue settles (``exit_when_idle``), or the
+        queue is draining and has no claimable work.  Transient service errors (an HTTP broker restarting, a
         dropped request) are retried with backoff up to
         :data:`TRANSIENT_RETRY_LIMIT` consecutive failures — a lease lost
         to a failed ``complete`` simply expires and the task is redone.
@@ -207,22 +168,19 @@ class Worker:
         transient_failures = 0
         registered = False
         while True:
-            limit = self._claim_size()
-            if limit <= 0:
-                return self.tasks_done
             try:
                 if not registered:
                     self._broker.register_worker(self.worker_id)
                     registered = True
                 with _CLAIM_LATENCY.time():
-                    tasks = self._broker.claim_many(self.worker_id, limit)
+                    tasks = self._broker.claim_many(self.worker_id, self._claim_size())
                 if not tasks:
                     if self._broker.is_draining() or (
-                        self.config.exit_when_idle and self._broker.settled()
+                        self.exit_when_idle and self._broker.settled()
                     ):
                         return self.tasks_done
                     self._broker.touch_worker(self.worker_id)
-                    time.sleep(self.config.poll_interval)
+                    time.sleep(POLL_INTERVAL)
                     continue
                 _CLAIM_SIZE.observe(len(tasks))
                 started = _clock()
@@ -237,10 +195,7 @@ class Worker:
                 if transient_failures > TRANSIENT_RETRY_LIMIT:
                     raise
                 time.sleep(
-                    min(
-                        self.config.poll_interval * (2 ** transient_failures),
-                        self.config.policy.heartbeat_interval,
-                    )
+                    min(POLL_INTERVAL * (2 ** transient_failures), self.policy.heartbeat_interval)
                 )
 
     def _heartbeat_broker(self):
@@ -251,7 +206,7 @@ class Worker:
             if is_service_url(self._target):
                 self._keeper_broker = self._broker
             else:
-                self._keeper_broker = open_broker(self._target, policy=self.config.policy)
+                self._keeper_broker = open_broker(self._target, policy=self.policy)
         return self._keeper_broker
 
     def _execute_batch(self, tasks: List[Task]) -> None:
@@ -272,11 +227,8 @@ class Worker:
         # server grants the leases under its own timeout, and beating at
         # a locally-configured (possibly much longer) interval would let
         # healthy tasks expire between beats.  For sqlite targets the
-        # broker's policy is the config's, so this changes nothing.
-        interval = min(
-            self.config.policy.heartbeat_interval,
-            self._broker.policy.heartbeat_interval,
-        )
+        # broker's policy is the worker's, so this changes nothing.
+        interval = min(self.policy.heartbeat_interval, self._broker.policy.heartbeat_interval)
         keeper = LeaseKeeper(renew=renew, interval=interval)
         finished: List[Tuple[str, Dict[str, Any]]] = []
 
@@ -339,12 +291,13 @@ def _run_scenario(payload: Mapping[str, Any]) -> Any:
 def worker_main(
     target: str,
     worker_id: Optional[str] = None,
-    config: Optional[Dict[str, Any]] = None,
+    policy: Optional[LeasePolicy] = None,
+    exit_when_idle: bool = True,
 ) -> None:
-    """Process entry point: run one worker to completion.
+    """Process entry point: run one :class:`Worker` to completion.
 
-    ``config`` is a :meth:`WorkerConfig.to_dict` payload so the argument
-    list stays picklable under the ``spawn`` start method.  SIGTERM (how a
+    Every argument pickles, so the entry point works under the ``spawn``
+    start method as well as ``fork``.  SIGTERM (how a
     sweep driver stops its fleet) raises :class:`SystemExit`, so the
     worker's ``finally`` blocks run and it exits with status 143.  Under
     ``CHRONOS_PROFILE=path`` the worker writes its phases to
@@ -356,63 +309,64 @@ def worker_main(
         # the handler above was installed is delivered here, inside the
         # profiled block, instead of killing the process outright.
         signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
-        worker = Worker(
-            target,
-            worker_id=worker_id,
-            config=WorkerConfig.from_dict(config) if config is not None else None,
-        )
+        worker = Worker(target, worker_id=worker_id, policy=policy, exit_when_idle=exit_when_idle)
         try:
             worker.run()
         finally:
             worker.close()
 
 
+#: Seconds the first restart of a crash streak waits; each further
+#: consecutive crash multiplies the wait by :data:`RESTART_BACKOFF_FACTOR`,
+#: up to :data:`RESTART_BACKOFF_MAX_S`.
+RESTART_BACKOFF_S = 0.5
+RESTART_BACKOFF_FACTOR = 2.0
+RESTART_BACKOFF_MAX_S = 30.0
+
+#: Seconds a member must stay up before dying for its crash streak (and
+#: backoff) to reset.
+STABLE_UPTIME_S = 30.0
+
+
+def restart_backoff(streak: int) -> float:
+    """Seconds the ``streak``-th consecutive crash delays the restart."""
+    if streak < 1:
+        return 0.0
+    return min(RESTART_BACKOFF_S * RESTART_BACKOFF_FACTOR ** (streak - 1), RESTART_BACKOFF_MAX_S)
+
+
 @dataclass(frozen=True)
 class RestartPolicy:
     """Rate limits for supervised fleet restarts.
 
-    PR 3's flat per-pool ``restart_budget`` treated one crash-looping
-    member and three independent crashes the same way: both drained the
-    budget and left the fleet unsupervised.  This policy replaces it with
-    a *token bucket per member slot* plus *exponential backoff on crash
-    loops*:
+    A flat per-pool restart budget would treat one crash-looping member
+    and three independent crashes the same way: both drain it and leave
+    the fleet unsupervised.  This policy is a *token bucket per member
+    slot* plus *exponential backoff on crash loops*:
 
     - every member slot starts with ``burst`` restart tokens and regains
       one every ``refill_s`` seconds (capped at ``burst``), so isolated
       crashes are always healed but a slot can never consume more than
       ``burst + elapsed / refill_s`` restarts;
     - consecutive crashes of one slot push its next restart out by
-      ``backoff_s * backoff_factor**(n-1)`` seconds (capped at
-      ``backoff_max_s``), so a scenario that kills its worker on sight
-      turns into a slow, bounded trickle instead of a hot loop;
-    - a member that stays up for ``stable_s`` seconds before dying is
-      considered recovered: its crash streak (and backoff) resets.
+      :func:`restart_backoff` seconds, so a scenario that kills its
+      worker on sight turns into a slow, bounded trickle instead of a
+      hot loop;
+    - a member that stays up for :data:`STABLE_UPTIME_S` seconds before
+      dying is considered recovered: its crash streak (and backoff)
+      resets.
 
-    ``burst=0`` disables supervision restarts entirely.
+    A pool without restarts takes ``restart_policy=None``.
     """
 
     burst: int = 3
     refill_s: float = 30.0
-    backoff_s: float = 0.5
-    backoff_factor: float = 2.0
-    backoff_max_s: float = 30.0
-    stable_s: float = 30.0
 
     def __post_init__(self) -> None:
-        if self.burst < 0:
-            raise ValueError("burst must be non-negative")
-        if self.refill_s <= 0 or self.backoff_s <= 0 or self.stable_s <= 0:
-            raise ValueError("refill_s, backoff_s and stable_s must be positive")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
-        if self.backoff_max_s < self.backoff_s:
-            raise ValueError("backoff_max_s must be >= backoff_s")
-
-    def backoff_for(self, streak: int) -> float:
-        """Seconds the ``streak``-th consecutive crash delays the restart."""
-        if streak < 1:
-            return 0.0
-        return min(self.backoff_s * self.backoff_factor ** (streak - 1), self.backoff_max_s)
+        if self.burst < 1:
+            raise ValueError("burst must be at least 1 (pass no policy for no restarts)")
+        if self.refill_s <= 0:
+            raise ValueError("refill_s must be positive")
 
 
 class RestartRateLimiter:
@@ -446,7 +400,7 @@ class RestartRateLimiter:
     def note_crash(self, slot: int, now: float, uptime: Optional[float] = None) -> None:
         """Record an abnormal exit; a stable run first resets the streak."""
         state = self._slot(slot, now)
-        if uptime is not None and uptime >= self.policy.stable_s:
+        if uptime is not None and uptime >= STABLE_UPTIME_S:
             state.streak = 0
 
     def try_acquire(self, slot: int, now: float) -> bool:
@@ -462,13 +416,18 @@ class RestartRateLimiter:
             return False
         state.tokens -= 1.0
         state.streak += 1
-        state.not_before = now + self.policy.backoff_for(state.streak)
+        state.not_before = now + restart_backoff(state.streak)
         return True
 
     def _refill(self, state: "RestartRateLimiter._Slot", now: float) -> None:
         elapsed = max(0.0, now - state.refilled_at)
         state.tokens = min(float(self.policy.burst), state.tokens + elapsed / self.policy.refill_s)
         state.refilled_at = now
+
+
+def _member_id() -> str:
+    """A fresh identity for a pool member: ``worker-<random>``."""
+    return f"worker-{uuid.uuid4().hex[:8]}"
 
 
 class WorkerPool:
@@ -486,32 +445,28 @@ class WorkerPool:
     rate-limited per member slot by a :class:`RestartPolicy` token
     bucket with exponential backoff, so a long-lived service fleet heals
     itself without operator action and a crash loop cannot spin hot.
-    Clean exits (drained queue, ``max_tasks`` recycling, settled idle
-    queue) are never restarted.
+    Clean exits (a drained or settled queue) are never restarted.
+    ``policy`` and ``exit_when_idle`` are passed to every member's
+    :class:`Worker`.
     """
 
     def __init__(
         self,
         target: Union[str, Path],
         workers: int,
-        config: Optional[WorkerConfig] = None,
-        id_prefix: str = "worker",
+        policy: Optional[LeasePolicy] = None,
+        exit_when_idle: bool = True,
         restart_policy: Optional[RestartPolicy] = None,
     ):
         if workers < 1:
             raise ValueError("workers must be a positive integer")
         self._target = str(target)
-        self._config = config if config is not None else WorkerConfig()
+        self._policy = policy if policy is not None else LeasePolicy()
+        self._exit_when_idle = exit_when_idle
         self._context = multiprocessing.get_context()
-        self._id_prefix = id_prefix
-        self.restart_policy = restart_policy
-        self._limiter = (
-            RestartRateLimiter(restart_policy)
-            if restart_policy is not None and restart_policy.burst > 0
-            else None
-        )
+        self._limiter = RestartRateLimiter(restart_policy) if restart_policy is not None else None
         self.restarts: List[Tuple[str, str]] = []  # (dead worker id, replacement id)
-        self.worker_ids = [f"{id_prefix}-{uuid.uuid4().hex[:8]}" for _ in range(workers)]
+        self.worker_ids = [_member_id() for _ in range(workers)]
         #: Member slot of each worker id: the slot survives replacement,
         #: so rate limiting follows the seat, not the (fresh) identity.
         self._slot_of: Dict[str, int] = {
@@ -532,7 +487,7 @@ class WorkerPool:
     def _spawn(self, worker_id: str) -> multiprocessing.process.BaseProcess:
         process = self._context.Process(
             target=worker_main,
-            args=(self._target, worker_id, self._config.to_dict()),
+            args=(self._target, worker_id, self._policy, self._exit_when_idle),
             name=worker_id,
             daemon=True,
         )
@@ -580,7 +535,7 @@ class WorkerPool:
         """
         if worker_id not in self._processes:
             raise KeyError(f"unknown worker {worker_id!r}")
-        replacement = f"{self._id_prefix}-{uuid.uuid4().hex[:8]}"
+        replacement = _member_id()
         self.worker_ids[self.worker_ids.index(worker_id)] = replacement
         self._slot_of[replacement] = self._slot_of.pop(worker_id)
         del self._processes[worker_id]
@@ -611,7 +566,7 @@ class WorkerPool:
         for worker_id in self.reap(broker):
             process = self._processes[worker_id]
             if process.exitcode == 0:
-                continue  # clean exit: drained, recycled or idle
+                continue  # clean exit: drained or idle
             if self._limiter is None:
                 continue  # supervision restarts disabled
             spawned_at = self._spawned_at.get(worker_id)

@@ -11,12 +11,11 @@ tail index ``beta``.  This subpackage provides:
 """
 
 from repro.distributions.base import Distribution
-from repro.distributions.batching import sample_stream, vectorized_batch_size
+from repro.distributions.batching import sample_stream
 from repro.distributions.pareto import ParetoDistribution
 
 __all__ = [
     "Distribution",
     "ParetoDistribution",
     "sample_stream",
-    "vectorized_batch_size",
 ]

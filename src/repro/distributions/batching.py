@@ -10,35 +10,17 @@ exploits this: it draws a block of samples per RNG round-trip and hands
 them out one at a time, so consumers observe **exactly** the sequence
 they would have seen with per-draw calls, at a fraction of the overhead.
 
-Batching can be disabled (block size forced to 1, i.e. the historical
-call pattern) by setting the environment variable ``CHRONOS_VECTORIZE``
-to ``0``/``off``/``false``/``no``; the parity suite runs both modes and
-asserts identical results.
+Because the values do not depend on the block size, a block size of 1
+(the historical call pattern) gives the same results; the golden-parity
+suite checks that.
 """
 
 from __future__ import annotations
 
-import os
 from itertools import chain, repeat
 from typing import Callable, Iterator
 
 import numpy as np
-
-#: Values of ``CHRONOS_VECTORIZE`` that disable batched sampling.
-_DISABLED_VALUES = frozenset({"0", "off", "false", "no"})
-
-
-def vectorized_batch_size(default: int) -> int:
-    """Effective sample-block size honouring ``CHRONOS_VECTORIZE``.
-
-    Returns ``default`` (clamped to at least 1) normally, and ``1`` when
-    the environment variable disables batching.  The variable is read at
-    call time, not import time, so tests can toggle it per-scenario.
-    """
-    value = os.environ.get("CHRONOS_VECTORIZE", "1").strip().lower()
-    if value in _DISABLED_VALUES:
-        return 1
-    return max(1, default)
 
 
 def sample_stream(draw: Callable[[int], np.ndarray], batch: int) -> Iterator[float]:
@@ -51,8 +33,7 @@ def sample_stream(draw: Callable[[int], np.ndarray], batch: int) -> Iterator[flo
         samples (e.g. ``lambda n: distribution.sample(n, rng)``).  It is
         invoked lazily, only when the previous block is used up.
     batch:
-        Block size per ``draw`` call; pass the result of
-        :func:`vectorized_batch_size` to honour the environment toggle.
+        Block size per ``draw`` call.
 
     Because each underlying RNG must serve exactly one purpose for the
     partition invariance to apply, create one stream per (RNG, purpose)

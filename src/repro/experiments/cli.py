@@ -971,9 +971,7 @@ def run_serve_command(args: argparse.Namespace) -> int:
         raise _UsageError("serve requires --db FILE (the queue database to serve)")
     if args.keyfile and not args.certfile:
         raise _UsageError("serve: --keyfile requires --certfile (the certificate to serve)")
-    policy = LeasePolicy(
-        timeout=args.lease_timeout, heartbeat_interval=args.lease_timeout / 4.0
-    )
+    policy = LeasePolicy(timeout=args.lease_timeout)
     token = args.token or os.environ.get(TOKEN_ENV) or None
     try:
         server = make_server(
@@ -1023,7 +1021,6 @@ def run_workers_command(args: argparse.Namespace) -> int:
     from repro.distributed import (
         LeasePolicy,
         RestartPolicy,
-        WorkerConfig,
         WorkerPool,
         open_broker,
     )
@@ -1036,9 +1033,7 @@ def run_workers_command(args: argparse.Namespace) -> int:
             "(e.g. 'chronos-experiments workers status --db queue.sqlite')"
         )
     target = _queue_target(args, "workers")
-    policy = LeasePolicy(
-        timeout=args.lease_timeout, heartbeat_interval=args.lease_timeout / 4.0
-    )
+    policy = LeasePolicy(timeout=args.lease_timeout)
     try:
         broker = open_broker(target, policy=policy)
     except ValueError as error:
@@ -1074,13 +1069,18 @@ def run_workers_command(args: argparse.Namespace) -> int:
         import repro.api  # noqa: F401
 
         fleet = max(1, args.workers if args.workers is not None else 3)
-        config = WorkerConfig(policy=policy, exit_when_idle=args.exit_when_idle)
         restart_policy = (
             RestartPolicy(burst=args.restarts, refill_s=args.restart_refill)
             if args.restarts > 0
             else None
         )
-        pool = WorkerPool(target, workers=fleet, config=config, restart_policy=restart_policy)
+        pool = WorkerPool(
+            target,
+            workers=fleet,
+            policy=policy,
+            exit_when_idle=args.exit_when_idle,
+            restart_policy=restart_policy,
+        )
         print(f"starting {fleet} worker(s) on {target} (ctrl-c to stop)", flush=True)
         try:
             with pool:

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Callable, List, Optional
 
 import numpy as np
 
-from repro.distributions import sample_stream, vectorized_batch_size
+from repro.distributions import sample_stream
 from repro.hadoop.config import HadoopConfig
 from repro.hadoop.node_manager import NodeManager
 from repro.hadoop.resource_manager import ResourceManager
@@ -81,7 +81,7 @@ class ApplicationMaster:
         # not the AM, so the stream forms no reference cycle.
         self._duration_samples = sample_stream(
             partial(job.spec.attempt_distribution.sample, rng=self._rng),
-            vectorized_batch_size(min(512, max(8, job.spec.num_tasks))),
+            min(512, max(8, job.spec.num_tasks)),
         )
 
     # ------------------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from repro.distributions import sample_stream, vectorized_batch_size
+from repro.distributions import sample_stream
 from repro.hadoop.config import HadoopConfig
 from repro.hadoop.resource_manager import ResourceManager
 from repro.simulator.engine import Event, SimulationEngine
@@ -49,7 +49,7 @@ class NodeManager:
         self._jvm_fixed = 0.0 if mean <= 0 else mean if jitter <= 0 else None
         self._jvm_samples = sample_stream(
             partial(self._rng.uniform, mean - jitter, mean + jitter),
-            vectorized_batch_size(128),
+            128,
         )
 
     @property

@@ -78,7 +78,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.distributed.broker import Task, TaskRecord
-from repro.distributed.leases import Lease, LeasePolicy
+from repro.distributed.leases import MAX_ATTEMPTS, Lease, LeasePolicy
 from repro.distributed.store import summary_columns
 
 #: URL paths of the four endpoints.
@@ -184,21 +184,21 @@ def record_from_wire(data: Optional[Mapping[str, Any]]) -> Optional[TaskRecord]:
 
 
 def policy_to_wire(policy: LeasePolicy) -> Dict[str, Any]:
-    """A lease policy as a JSON-native dict."""
+    """A lease policy as a JSON-native dict.
+
+    The heartbeat interval and attempt limit are derived, not set, but
+    still cross the wire: clients of earlier releases read all three.
+    """
     return {
         "timeout": policy.timeout,
         "heartbeat_interval": policy.heartbeat_interval,
-        "max_attempts": policy.max_attempts,
+        "max_attempts": MAX_ATTEMPTS,
     }
 
 
 def policy_from_wire(data: Mapping[str, Any]) -> LeasePolicy:
     """Rebuild a :class:`LeasePolicy` from :func:`policy_to_wire` output."""
-    return LeasePolicy(
-        timeout=float(data["timeout"]),
-        heartbeat_interval=float(data["heartbeat_interval"]),
-        max_attempts=int(data["max_attempts"]),
-    )
+    return LeasePolicy(timeout=float(data["timeout"]))
 
 
 #: Owners of wire methods on the server side.

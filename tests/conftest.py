@@ -16,6 +16,14 @@ from repro.strategies import StrategyParameters
 
 
 @pytest.fixture
+def quick_poll(monkeypatch):
+    """Workers poll an empty queue, and back off a failed call, from 10 ms."""
+    import repro.distributed.worker as worker_module
+
+    monkeypatch.setattr(worker_module, "POLL_INTERVAL", 0.01)
+
+
+@pytest.fixture
 def rng() -> np.random.Generator:
     """A deterministic random generator."""
     return np.random.default_rng(12345)

@@ -54,7 +54,7 @@ from repro.simulator.entities import JobSpec
 
 TOKEN = "contract-secret-0123456789abcdef"
 
-FAST = LeasePolicy(timeout=5.0, heartbeat_interval=0.5, max_attempts=3)
+FAST = LeasePolicy(timeout=5.0)
 
 
 def _spec(seed: int) -> ScenarioSpec:

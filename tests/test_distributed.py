@@ -13,14 +13,14 @@ from repro.distributed import (
     LeasePolicy,
     SqliteResultStore,
     Worker,
-    WorkerConfig,
     open_broker,
     open_store,
 )
+from repro.distributed.leases import MAX_ATTEMPTS
 from repro.simulator.entities import JobSpec
 
 #: Fast lease timings so expiry tests take fractions of a second.
-FAST = LeasePolicy(timeout=0.4, heartbeat_interval=0.1, max_attempts=3)
+FAST = LeasePolicy(timeout=0.4)
 
 
 def _tiny_spec(seed: int = 0) -> ScenarioSpec:
@@ -69,13 +69,13 @@ class TestTargets:
 
 
 class TestLeasePolicy:
-    def test_rejects_bad_timings(self):
+    def test_rejects_bad_timeout(self):
         with pytest.raises(ValueError):
             LeasePolicy(timeout=0.0)
-        with pytest.raises(ValueError):
-            LeasePolicy(timeout=1.0, heartbeat_interval=1.0)  # beat must be shorter
-        with pytest.raises(ValueError):
-            LeasePolicy(max_attempts=0)
+
+    def test_heartbeat_is_a_quarter_of_the_timeout(self):
+        assert FAST.heartbeat_interval == 0.1
+        assert LeasePolicy().heartbeat_interval == 7.5
 
     def test_lease_expiry_predicate(self):
         from repro.distributed import Lease
@@ -190,7 +190,7 @@ class TestLeaseExpiry:
     def test_attempts_are_bounded(self, broker):
         spec = _tiny_spec()
         _enqueue(broker, [spec])
-        for attempt in range(FAST.max_attempts):
+        for attempt in range(MAX_ATTEMPTS):
             task = broker.claim(f"zombie-{attempt}")
             assert task is not None and task.attempts == attempt + 1
             time.sleep(FAST.timeout + 0.05)
@@ -244,7 +244,7 @@ class TestBatchClaims:
         broker.claim("w1")
         (lease,) = broker.leased()
         assert lease["worker_id"] == "w1"
-        assert lease["attempts"] == 1 and lease["max_attempts"] == FAST.max_attempts
+        assert lease["attempts"] == 1 and lease["max_attempts"] == MAX_ATTEMPTS
         assert 0 < lease["expires_in_s"] <= FAST.timeout
         # stats() carries the same per-lease detail for `workers status`
         (stats_lease,) = broker.stats()["leased"]
@@ -325,23 +325,13 @@ class TestWorkerLoop:
         specs = [_tiny_spec(seed=s) for s in range(3)]
         with Broker(db, policy=FAST) as broker:
             _enqueue(broker, specs)
-            worker = Worker(db, config=WorkerConfig(policy=FAST, exit_when_idle=True))
+            worker = Worker(db, policy=FAST)
             assert worker.run() == 3
             worker.close()
             assert broker.counts()["done"] == 3
             with SqliteResultStore(db) as store:
                 for spec in specs:
                     assert store.get(spec.fingerprint()) is not None
-
-    def test_worker_respects_max_tasks(self, db):
-        specs = [_tiny_spec(seed=s) for s in range(3)]
-        with Broker(db, policy=FAST) as broker:
-            _enqueue(broker, specs)
-            worker = Worker(db, config=WorkerConfig(policy=FAST, max_tasks=1))
-            assert worker.run() == 1
-            worker.close()
-            assert broker.counts()["done"] == 1
-            assert broker.counts()["pending"] == 2
 
     def test_worker_fails_bad_scenario_without_retry(self, db):
         # num_jobs=0 passes spec validation but fails at materialization.
@@ -352,7 +342,7 @@ class TestWorkerLoop:
         )
         with Broker(db, policy=FAST) as broker:
             _enqueue(broker, [bad])
-            worker = Worker(db, config=WorkerConfig(policy=FAST, exit_when_idle=True))
+            worker = Worker(db, policy=FAST)
             assert worker.run() == 0
             worker.close()
             record = broker.task(bad.fingerprint())
@@ -362,43 +352,27 @@ class TestWorkerLoop:
     def test_worker_exits_when_draining(self, db):
         with Broker(db, policy=FAST) as broker:
             broker.drain()
-            worker = Worker(db, config=WorkerConfig(policy=FAST, exit_when_idle=False))
+            worker = Worker(db, policy=FAST, exit_when_idle=False)
             assert worker.run() == 0  # would poll forever without the drain flag
             worker.close()
 
-    def test_worker_batches_claims(self, db):
+    def test_worker_batches_claims(self, db, monkeypatch):
+        import repro.distributed.worker as worker_module
+
+        monkeypatch.setattr(worker_module, "CLAIM_BATCH", 2)
         specs = [_tiny_spec(seed=s) for s in range(5)]
         with Broker(db, policy=FAST) as broker:
             _enqueue(broker, specs)
-            worker = Worker(db, config=WorkerConfig(policy=FAST, claim_batch=2))
+            worker = Worker(db, policy=FAST)
             assert worker.run() == 5
             worker.close()
             assert broker.counts()["done"] == 5
-
-    def test_claim_batch_capped_by_max_tasks(self, db):
-        specs = [_tiny_spec(seed=s) for s in range(4)]
-        with Broker(db, policy=FAST) as broker:
-            _enqueue(broker, specs)
-            worker = Worker(db, config=WorkerConfig(policy=FAST, claim_batch=8, max_tasks=2))
-            assert worker.run() == 2
-            worker.close()
-            # only two tasks were ever claimed: the rest are still pending,
-            # not leased-and-abandoned by an oversized batch
-            assert broker.counts() == {"pending": 2, "leased": 0, "done": 2, "failed": 0}
-
-    def test_claim_batch_validated(self):
-        with pytest.raises(ValueError):
-            WorkerConfig(claim_batch=0)
-
-    def test_worker_config_round_trips_claim_batch(self):
-        config = WorkerConfig(claim_batch=7, max_tasks=3)
-        assert WorkerConfig.from_dict(config.to_dict()) == config
 
 
 class TestClaimSizing:
     """Claims sized by time on a fake clock: each scenario costs what we say."""
 
-    def _drain(self, db, monkeypatch, count, seconds_of, **config):
+    def _drain(self, db, monkeypatch, count, seconds_of):
         """Run one worker over ``count`` specs; returns (asked, committed).
 
         Tasks are claimed in fingerprint order, and ``seconds_of(i)`` is
@@ -422,7 +396,7 @@ class TestClaimSizing:
         monkeypatch.setattr(worker_module, "_run_scenario", run_scenario)
         with Broker(db, policy=FAST) as broker:
             _enqueue(broker, specs)
-        worker = Worker(db, config=WorkerConfig(policy=FAST, **config))
+        worker = Worker(db, policy=FAST)
         asked, committed = [], []
         claim_many, complete_many = worker._broker.claim_many, worker._broker.complete_many
 
@@ -460,14 +434,11 @@ class TestClaimSizing:
         assert committed == [[0], [1], [2], [3]]
 
     def test_claims_never_exceed_claim_batch(self, db, monkeypatch):
-        asked, _ = self._drain(db, monkeypatch, 12, lambda i: 2 ** -10, claim_batch=3)
-        assert asked == [1, 2, 3, 3, 3]
+        import repro.distributed.worker as worker_module
 
-    def test_claims_never_exceed_the_max_tasks_remainder(self, db, monkeypatch):
-        asked, _ = self._drain(db, monkeypatch, 20, lambda i: 2 ** -10, max_tasks=6)
-        assert asked == [1, 2, 3]  # 1 + 2 done, then only 3 left of max_tasks
-        with Broker(db, policy=FAST) as broker:
-            assert broker.counts() == {"pending": 14, "leased": 0, "done": 6, "failed": 0}
+        monkeypatch.setattr(worker_module, "CLAIM_BATCH", 3)
+        asked, _ = self._drain(db, monkeypatch, 12, lambda i: 2 ** -10)
+        assert asked == [1, 2, 3, 3, 3]
 
     def test_one_slow_task_commits_what_the_batch_has(self, db, monkeypatch):
         # batches of 1, 2 and 4; the third batch's second scenario is slow
@@ -483,11 +454,21 @@ class TestClaimSizing:
 class TestSupervisedPool:
     """WorkerPool service mode: crashed members are replaced, clean exits not."""
 
+    @pytest.fixture(autouse=True)
+    def _quick(self, monkeypatch):
+        """Members poll every 20 ms, and a restart waits 10 ms at most."""
+        import repro.distributed.worker as worker_module
+
+        monkeypatch.setattr(worker_module, "POLL_INTERVAL", 0.02)
+        monkeypatch.setattr(worker_module, "RESTART_BACKOFF_S", 0.01)
+        monkeypatch.setattr(worker_module, "RESTART_BACKOFF_MAX_S", 0.01)
+
     def _service_pool(self, db, policy):
         from repro.distributed import WorkerPool
 
-        config = WorkerConfig(policy=FAST, exit_when_idle=False, poll_interval=0.02)
-        return WorkerPool(db, workers=1, config=config, restart_policy=policy)
+        return WorkerPool(
+            db, workers=1, policy=FAST, exit_when_idle=False, restart_policy=policy
+        )
 
     def test_sigkilled_member_is_replaced(self, db, broker):
         import os
@@ -495,9 +476,7 @@ class TestSupervisedPool:
 
         from repro.distributed import RestartPolicy
 
-        pool = self._service_pool(
-            db, RestartPolicy(burst=2, backoff_s=0.01, backoff_max_s=0.01)
-        )
+        pool = self._service_pool(db, RestartPolicy(burst=2))
         pool.start()
         try:
             original = pool.worker_ids[0]
@@ -529,10 +508,7 @@ class TestSupervisedPool:
 
         from repro.distributed import RestartPolicy
 
-        pool = self._service_pool(
-            db,
-            RestartPolicy(burst=1, refill_s=60.0, backoff_s=0.01, backoff_max_s=0.01),
-        )
+        pool = self._service_pool(db, RestartPolicy(burst=1, refill_s=60.0))
         pool.start()
         clock = time.monotonic()
         try:
@@ -566,8 +542,7 @@ class TestSupervisedPool:
         from repro.distributed import RestartPolicy, WorkerPool
 
         # exit_when_idle on an empty queue: the worker exits with code 0
-        config = WorkerConfig(policy=FAST, exit_when_idle=True, poll_interval=0.02)
-        pool = WorkerPool(db, workers=1, config=config, restart_policy=RestartPolicy(burst=5))
+        pool = WorkerPool(db, workers=1, policy=FAST, restart_policy=RestartPolicy(burst=5))
         pool.start()
         try:
             pool.join(timeout=10.0)
@@ -585,8 +560,7 @@ class TestSupervisedPool:
         from repro.distributed import WorkerPool
 
         assert telemetry.active_profiler() is None
-        config = WorkerConfig(policy=FAST, exit_when_idle=False, poll_interval=0.02)
-        pool = WorkerPool(db, workers=1, config=config).start()
+        pool = WorkerPool(db, workers=1, policy=FAST, exit_when_idle=False).start()
         try:
             # A registered member is inside worker_main, polling an empty queue.
             deadline = time.monotonic() + 30.0
@@ -604,8 +578,7 @@ class TestSupervisedPool:
 
         from repro.distributed import WorkerPool
 
-        config = WorkerConfig(policy=FAST, exit_when_idle=False, poll_interval=0.02)
-        pool = WorkerPool(db, workers=1, config=config).start()
+        pool = WorkerPool(db, workers=1, policy=FAST, exit_when_idle=False).start()
         pool.terminate()  # at once: the child has not reached worker_main yet
         exitcode = pool.processes[0].exitcode
         assert exitcode == 128 + signal.SIGTERM, exitcode  # a signal death reads -15
@@ -614,13 +587,11 @@ class TestSupervisedPool:
         from repro.distributed import RestartPolicy
 
         with pytest.raises(ValueError):
+            RestartPolicy(burst=0)  # no restarts is restart_policy=None
+        with pytest.raises(ValueError):
             RestartPolicy(burst=-1)
         with pytest.raises(ValueError):
             RestartPolicy(refill_s=0.0)
-        with pytest.raises(ValueError):
-            RestartPolicy(backoff_factor=0.5)
-        with pytest.raises(ValueError):
-            RestartPolicy(backoff_s=2.0, backoff_max_s=1.0)
 
 
 class TestEventLogRetention:

@@ -112,6 +112,44 @@ class TestDistributedMatchesInline:
         assert rerun.executed == 0 and rerun.cache_hits == 12
         assert [r.fingerprint for r in rerun.results] == [r.fingerprint for r in inline.results]
 
+    def test_pool_runs_under_the_spawn_start_method(self):
+        """worker_main's arguments pickle: a spawned fleet runs every scenario."""
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        script = (
+            "import multiprocessing\n"
+            "from repro.api import ScenarioSpec, WorkloadSpec, run_specs\n"
+            "if __name__ == '__main__':\n"
+            "    multiprocessing.set_start_method('spawn')\n"
+            "    specs = [\n"
+            "        ScenarioSpec(\n"
+            "            workload=WorkloadSpec('benchmark', {'name': 'sort', 'num_jobs': 3}),\n"
+            "            strategy='s-resume', cluster={'num_nodes': 0}, seed=seed,\n"
+            "        )\n"
+            "        for seed in range(4)\n"
+            "    ]\n"
+            "    outcome = run_specs(specs, executor='pool', jobs=2, lease_timeout=5)\n"
+            "    assert [r.fingerprint for r in outcome.results] == [\n"
+            "        s.fingerprint() for s in specs\n"
+            "    ]\n"
+            "    print('executed', outcome.executed)\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = f"{src}{os.pathsep}{env.get('PYTHONPATH', '')}"
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "executed 4"
+        assert "distributed sweep stalled" not in done.stderr
+
     def test_duplicate_fingerprints_execute_once(self, base, tmp_path):
         outcome = run_specs(
             [base, base, base], executor="distributed", workers=2, db=tmp_path / "q.sqlite"
@@ -411,9 +449,9 @@ class TestWorkerCrashRecovery:
 
     def test_unsupervised_recovery_goes_through_lease_expiry(self, tmp_path):
         """Without a reaping parent, an orphaned lease expires and requeues."""
-        from repro.distributed import LeasePolicy, SqliteResultStore, Worker, WorkerConfig
+        from repro.distributed import LeasePolicy, SqliteResultStore, Worker
 
-        fast = LeasePolicy(timeout=0.4, heartbeat_interval=0.1)
+        fast = LeasePolicy(timeout=0.4)
         spec = ScenarioSpec(
             workload=WorkloadSpec("explicit", {"jobs": _job_dicts()}),
             strategy="s-resume",
@@ -428,7 +466,7 @@ class TestWorkerCrashRecovery:
             assert zombie_task is not None
 
             # a healthy worker waits out the lease, requeues, completes
-            worker = Worker(db, config=WorkerConfig(policy=fast, exit_when_idle=True))
+            worker = Worker(db, policy=fast)
             assert worker.run() == 1
             worker.close()
 

@@ -3,7 +3,7 @@
 The simulator's byte-identical fast path rests on one numpy fact: the
 partition of ``Generator`` draws into calls does not change the stream.
 These tests pin both the fact itself and the :func:`sample_stream`
-machinery that exploits it, plus the ``CHRONOS_VECTORIZE`` escape hatch.
+machinery that exploits it.
 """
 
 from __future__ import annotations
@@ -12,34 +12,7 @@ import numpy as np
 import pytest
 
 from repro.distributions import ParetoDistribution
-from repro.distributions.batching import sample_stream, vectorized_batch_size
-
-
-class TestVectorizedBatchSize:
-    def test_returns_default_when_unset(self, monkeypatch):
-        monkeypatch.delenv("CHRONOS_VECTORIZE", raising=False)
-        assert vectorized_batch_size(64) == 64
-
-    def test_clamps_default_to_at_least_one(self, monkeypatch):
-        monkeypatch.delenv("CHRONOS_VECTORIZE", raising=False)
-        assert vectorized_batch_size(0) == 1
-        assert vectorized_batch_size(-5) == 1
-
-    @pytest.mark.parametrize("value", ["0", "off", "false", "no", "OFF", " No "])
-    def test_disabled_values_force_scalar_draws(self, monkeypatch, value):
-        monkeypatch.setenv("CHRONOS_VECTORIZE", value)
-        assert vectorized_batch_size(64) == 1
-
-    @pytest.mark.parametrize("value", ["1", "on", "true", "yes", ""])
-    def test_other_values_keep_batching(self, monkeypatch, value):
-        monkeypatch.setenv("CHRONOS_VECTORIZE", value)
-        assert vectorized_batch_size(64) == 64
-
-    def test_read_at_call_time_not_import_time(self, monkeypatch):
-        monkeypatch.setenv("CHRONOS_VECTORIZE", "0")
-        assert vectorized_batch_size(8) == 1
-        monkeypatch.setenv("CHRONOS_VECTORIZE", "1")
-        assert vectorized_batch_size(8) == 8
+from repro.distributions.batching import sample_stream
 
 
 class TestSampleStream:
@@ -98,12 +71,9 @@ class TestSampleStream:
         stream = sample_stream(lambda n: np.full(n, 2.5), batch=4)
         assert type(next(stream)) is float
 
-    @pytest.mark.parametrize("vectorize", ["1", "0"])
-    def test_yields_builtin_floats_of_the_same_stream(self, monkeypatch, vectorize):
+    @pytest.mark.parametrize("batch", [128, 1])
+    def test_yields_builtin_floats_of_the_same_stream(self, batch):
         """Blocks become Python floats once; the values are the stream's."""
-        monkeypatch.setenv("CHRONOS_VECTORIZE", vectorize)
-        batch = vectorized_batch_size(128)
-        assert batch == (128 if vectorize == "1" else 1)
         dist = ParetoDistribution(10.0, 1.5)
         buffered_rng = np.random.default_rng(99)
         stream = sample_stream(lambda n: dist.sample(n, rng=buffered_rng), batch)

@@ -35,6 +35,8 @@ from repro.api import (
     spec_from_dict,
 )
 from repro.api.registry import WORKLOADS, registry_epoch
+from repro.distributions import sample_stream
+from repro.hadoop import app_master, node_manager
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_parity.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
@@ -94,10 +96,19 @@ def test_pool_executor_matches_golden_payloads():
     "fingerprint,entry", golden_items(), ids=[fp for fp, _ in golden_items()]
 )
 def test_scalar_sampling_fallback_matches_golden_payload(monkeypatch, fingerprint, entry):
-    """CHRONOS_VECTORIZE=0 (scalar draws) is byte-identical to block draws,
-    on every golden spec: the cluster and the unbounded one included."""
-    monkeypatch.setenv("CHRONOS_VECTORIZE", "0")
+    """Scalar draws (blocks of 1) are byte-identical to block draws, on
+    every golden spec: the cluster and the unbounded one included."""
+
+    streams = []
+
+    def scalar_stream(draw, batch):
+        streams.append(batch)
+        return sample_stream(draw, 1)
+
+    monkeypatch.setattr(node_manager, "sample_stream", scalar_stream)
+    monkeypatch.setattr(app_master, "sample_stream", scalar_stream)
     result = execute(spec_from_dict(entry["spec"]))
+    assert streams  # the run drew through the scalar streams
     assert result.fingerprint == fingerprint
     assert payload_sha256(result) == entry["payload_sha256"]
 

@@ -30,7 +30,7 @@ from repro import (
 
 class TestPackageSurface:
     def test_version_string(self):
-        assert repro.__version__ == "13.0.0"
+        assert repro.__version__ == "14.0.0"
 
     def test_declared_dependencies_suffice(self):
         """A fresh interpreter imports ``repro.api`` and runs S-Restart without scipy.
@@ -322,6 +322,55 @@ class TestDeprecatedShims:
         assert name not in getattr(owner, "__all__", ())
         with pytest.raises(AttributeError):
             getattr(owner, name)
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "repro.distributed:WorkerConfig",
+            "repro.distributed.worker:WorkerConfig",
+            "repro.distributed:LeasePolicy.max_attempts",
+            "repro.distributed:RestartPolicy.backoff_s",
+            "repro.distributed:RestartPolicy.backoff_factor",
+            "repro.distributed:RestartPolicy.backoff_max_s",
+            "repro.distributed:RestartPolicy.stable_s",
+            "repro.distributed:RestartPolicy.backoff_for",
+            "repro.distributions:vectorized_batch_size",
+            "repro.distributions.batching:vectorized_batch_size",
+        ],
+    )
+    def test_names_removed_in_14_0(self, path):
+        """Settings no program set are constants; their carriers are gone."""
+        owner, name = _owner_of(path)
+        assert name not in getattr(owner, "__all__", ())
+        with pytest.raises(AttributeError):
+            getattr(owner, name)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda d: d.LeasePolicy(timeout=4.0, heartbeat_interval=1.0),
+            lambda d: d.LeasePolicy(max_attempts=3),
+            lambda d: d.RestartPolicy(backoff_s=0.5),
+            lambda d: d.RestartPolicy(stable_s=30.0),
+            lambda d: d.Worker("queue.sqlite", config=None),
+            lambda d: d.WorkerPool("queue.sqlite", workers=1, config=None),
+            lambda d: d.WorkerPool("queue.sqlite", workers=1, id_prefix="host-a"),
+        ],
+        ids=[
+            "heartbeat_interval",
+            "max_attempts",
+            "backoff_s",
+            "stable_s",
+            "Worker-config",
+            "WorkerPool-config",
+            "id_prefix",
+        ],
+    )
+    def test_keywords_removed_in_14_0(self, call):
+        import repro.distributed
+
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            call(repro.distributed)
 
     def test_unknown_attribute_still_raises(self):
         with pytest.raises(AttributeError):

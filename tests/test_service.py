@@ -28,12 +28,12 @@ from repro.distributed import (
     RestartPolicy,
     TaskFailedError,
     Worker,
-    WorkerConfig,
     WorkerPool,
     is_service_url,
     open_broker,
     open_store,
 )
+from repro.distributed.leases import MAX_ATTEMPTS
 from repro.service import (
     HttpBroker,
     HttpResultStore,
@@ -44,7 +44,7 @@ from repro.service import (
 from repro.simulator.entities import JobSpec
 
 #: Fast lease timings so recovery tests take fractions of a second.
-FAST = LeasePolicy(timeout=2.0, heartbeat_interval=0.25, max_attempts=3)
+FAST = LeasePolicy(timeout=2.0)
 
 SLOW_WORKLOAD = "test-slow-service"
 
@@ -229,7 +229,7 @@ class TestEndpoints:
         broker.enqueue([s.to_dict() for s in specs], [s.fingerprint() for s in specs])
         sizes = telemetry.REGISTRY.get("chronos_claim_batch_tasks")
         count, total = sizes.count, sizes.sum
-        worker = Worker(service.url, config=WorkerConfig(policy=FAST))
+        worker = Worker(service.url, policy=FAST)
         claims = []
         claim_many = worker._broker.claim_many
 
@@ -282,6 +282,14 @@ class TestHttpBrokerParity:
         time.sleep(FAST.timeout + 0.1)
         requeued, exhausted = broker.requeue_expired()
         assert (requeued, exhausted) == (1, 0)
+
+    def test_policy_rpc_answers_the_derived_keys_too(self, service):
+        """Earlier clients read all three keys of the ``policy`` answer."""
+        assert rpc_call(service.url, "policy") == {
+            "timeout": FAST.timeout,
+            "heartbeat_interval": FAST.timeout / 4,
+            "max_attempts": MAX_ATTEMPTS,
+        }
 
     def test_fail_and_failed_payloads(self, service):
         spec = _tiny_spec()
@@ -336,7 +344,7 @@ class TestHttpBrokerParity:
         assert stats["tasks"]["leased"] == 1
         (lease,) = stats["leased"]
         assert lease["worker_id"] == "w1"
-        assert lease["attempts"] == 1 and lease["max_attempts"] == FAST.max_attempts
+        assert lease["attempts"] == 1 and lease["max_attempts"] == MAX_ATTEMPTS
         assert 0 < lease["expires_in_s"] <= FAST.timeout
 
 
@@ -473,7 +481,7 @@ class TestHttpWorker:
         specs = [_tiny_spec(seed=s) for s in range(3)]
         broker = HttpBroker(service.url)
         broker.enqueue([s.to_dict() for s in specs], [s.fingerprint() for s in specs])
-        worker = Worker(service.url, config=WorkerConfig(policy=FAST, exit_when_idle=True))
+        worker = Worker(service.url, policy=FAST)
         assert worker.run() == 3
         worker.close()
         assert broker.counts()["done"] == 3
@@ -483,18 +491,15 @@ class TestHttpWorker:
 
     def test_worker_exits_when_remote_queue_drains(self, service):
         HttpBroker(service.url).drain()
-        worker = Worker(service.url, config=WorkerConfig(policy=FAST, exit_when_idle=False))
+        worker = Worker(service.url, policy=FAST, exit_when_idle=False)
         assert worker.run() == 0
         worker.close()
 
-    def test_worker_rides_out_transient_service_errors(self, service):
+    def test_worker_rides_out_transient_service_errors(self, service, quick_poll):
         """A couple of dropped requests must not kill a fleet member."""
         spec = _tiny_spec()
         HttpBroker(service.url).enqueue([spec.to_dict()], [spec.fingerprint()])
-        worker = Worker(
-            service.url,
-            config=WorkerConfig(policy=FAST, exit_when_idle=True, poll_interval=0.01),
-        )
+        worker = Worker(service.url, policy=FAST)
         real_claim = worker._broker.claim_many
         blips = {"left": 2}
 
@@ -509,12 +514,9 @@ class TestHttpWorker:
         worker.close()
         assert blips["left"] == 0
 
-    def test_worker_gives_up_after_persistent_transport_failure(self):
+    def test_worker_gives_up_after_persistent_transport_failure(self, quick_poll):
         """An unreachable service is not retried forever."""
-        worker = Worker(
-            "http://127.0.0.1:9",
-            config=WorkerConfig(policy=FAST, exit_when_idle=True, poll_interval=0.01),
-        )
+        worker = Worker("http://127.0.0.1:9", policy=FAST)
         with pytest.raises(ServiceError):
             worker.run()
         worker.close()
@@ -527,7 +529,7 @@ class TestHttpWorker:
         and beat at that cadence, or the task would expire mid-run and
         burn an attempt.
         """
-        lazy = LeasePolicy(timeout=240.0, heartbeat_interval=60.0)
+        lazy = LeasePolicy(timeout=240.0)
         spec = ScenarioSpec(
             workload=WorkloadSpec(
                 slow_workload, {"jobs": _job_dicts(), "delay_s": FAST.timeout + 1.0}
@@ -538,7 +540,7 @@ class TestHttpWorker:
         )
         broker = HttpBroker(service.url)
         broker.enqueue([spec.to_dict()], [spec.fingerprint()])
-        worker = Worker(service.url, config=WorkerConfig(policy=lazy, exit_when_idle=True))
+        worker = Worker(service.url, policy=lazy)
         assert worker.run() == 1
         worker.close()
         record = broker.task(spec.fingerprint())
@@ -576,9 +578,8 @@ class TestMultiHostParity:
 
         # two independent fleets (as if on two hosts) attach first, in
         # service mode, then a fleetless sweep is driven over the same URL
-        config = WorkerConfig(policy=FAST, exit_when_idle=False)
-        fleet_a = WorkerPool(service.url, workers=2, config=config, id_prefix="host-a")
-        fleet_b = WorkerPool(service.url, workers=2, config=config, id_prefix="host-b")
+        fleet_a = WorkerPool(service.url, workers=2, policy=FAST, exit_when_idle=False)
+        fleet_b = WorkerPool(service.url, workers=2, policy=FAST, exit_when_idle=False)
         fleet_a.start()
         fleet_b.start()
         try:
@@ -648,7 +649,7 @@ class TestMultiHostParity:
 )
 class TestSupervisedFleetRecovery:
     def test_sigkilled_remote_worker_restarts_and_sweep_completes(
-        self, service, slow_workload
+        self, service, slow_workload, monkeypatch
     ):
         """Acceptance: SIGKILL one fleet member mid-task; the supervised
         pool replaces it without operator action and results still match
@@ -660,13 +661,17 @@ class TestSupervisedFleetRecovery:
             cluster={"num_nodes": 0},
         )
         sweep = twelve_scenario_sweep(base)
-        config = WorkerConfig(policy=FAST, exit_when_idle=False, claim_batch=2)
+        import repro.distributed.worker as worker_module
+
+        monkeypatch.setattr(worker_module, "CLAIM_BATCH", 2)
+        monkeypatch.setattr(worker_module, "RESTART_BACKOFF_S", 0.05)
+        monkeypatch.setattr(worker_module, "RESTART_BACKOFF_MAX_S", 0.05)
         pool = WorkerPool(
             service.url,
             workers=3,
-            config=config,
-            id_prefix="fleet",
-            restart_policy=RestartPolicy(burst=3, backoff_s=0.05, backoff_max_s=0.05),
+            policy=FAST,
+            exit_when_idle=False,
+            restart_policy=RestartPolicy(burst=3),
         )
         pool.start()
         watcher = HttpBroker(service.url)
@@ -996,7 +1001,7 @@ class TestKeepAlive:
         assert len(keepalive.accepted) == 2
 
     def test_worker_and_heartbeat_thread_use_separate_connections(
-        self, keepalive, slow_workload, monkeypatch
+        self, keepalive, slow_workload, monkeypatch, quick_poll
     ):
         # workers take their credentials from the environment
         if keepalive.credentials:
@@ -1009,9 +1014,7 @@ class TestKeepAlive:
             cluster={"num_nodes": 0},
         )
         keepalive.broker().enqueue([spec.to_dict()], [spec.fingerprint()])
-        worker = Worker(
-            keepalive.url, worker_id="w-ka", config=WorkerConfig(policy=FAST, poll_interval=0.01)
-        )
+        worker = Worker(keepalive.url, worker_id="w-ka", policy=FAST)
         assert worker._heartbeat_broker() is worker._broker  # one shared client
         try:
             assert worker.run() == 1

@@ -26,10 +26,11 @@ from repro.distributed import (
     RestartPolicy,
     RestartRateLimiter,
     Worker,
-    WorkerConfig,
     open_broker,
     open_store,
 )
+from repro.distributed.leases import MAX_ATTEMPTS
+from repro.distributed.worker import restart_backoff
 from repro.experiments import cli
 from repro.service import (
     CAFILE_ENV,
@@ -50,7 +51,7 @@ from repro.service.security import bearer_token
 from repro.simulator.entities import JobSpec
 
 #: Fast lease timings so expiry tests take fractions of a second.
-FAST = LeasePolicy(timeout=2.0, heartbeat_interval=0.25, max_attempts=3)
+FAST = LeasePolicy(timeout=2.0)
 
 TOKEN = "sweep-secret-0123456789abcdef"
 
@@ -225,13 +226,10 @@ class TestTokenGuardedService:
         with pytest.raises(ServiceAuthError):
             open_broker(secured, token="wrong").settled()
 
-    def test_worker_fails_fast_on_bad_credentials(self, secured, clean_env):
+    def test_worker_fails_fast_on_bad_credentials(self, secured, clean_env, quick_poll):
         """Auth rejections are fatal, not retried like transport blips."""
         clean_env.setenv(TOKEN_ENV, "wrong-token")
-        worker = Worker(
-            secured,
-            config=WorkerConfig(policy=FAST, exit_when_idle=True, poll_interval=0.01),
-        )
+        worker = Worker(secured, policy=FAST)
         started = time.monotonic()
         with pytest.raises(ServiceAuthError):
             worker.run()
@@ -471,7 +469,7 @@ class TestExpiringDryRun:
             # nothing moved: the dry run is a pure read
             assert broker.counts()["leased"] == 2
             # a task out of attempts shows up in the exhausted column
-            for _ in range(FAST.max_attempts - 1):
+            for _ in range(MAX_ATTEMPTS - 1):
                 assert broker.requeue_expired(now=future) != (0, 0)
                 broker.claim_many("doomed", 2)
                 future += FAST.timeout + 1.0
@@ -497,7 +495,7 @@ class TestExpiringDryRun:
             server.server_close()
 
     def test_workers_status_expiring_flag(self, tmp_path, clean_env, capsys):
-        short = LeasePolicy(timeout=0.1, heartbeat_interval=0.02, max_attempts=3)
+        short = LeasePolicy(timeout=0.1)
         server = make_server(tmp_path / "q.sqlite", host="127.0.0.1", port=0, policy=short)
         threading.Thread(target=server.serve_forever, daemon=True).start()
         url = f"http://127.0.0.1:{server.server_address[1]}"
@@ -520,11 +518,7 @@ class TestRestartRateLimiter:
     """Crash-loop behaviour, driven with a synthetic clock (no processes)."""
 
     def test_crash_loop_restarts_slow_down(self):
-        policy = RestartPolicy(
-            burst=10, refill_s=1000.0, backoff_s=1.0, backoff_factor=2.0,
-            backoff_max_s=60.0, stable_s=30.0,
-        )
-        limiter = RestartRateLimiter(policy)
+        limiter = RestartRateLimiter(RestartPolicy(burst=10, refill_s=1000.0))
         now, grants = 0.0, []
         for _ in range(5):  # the member dies the instant it is restarted
             limiter.note_crash(0, now, uptime=0.0)
@@ -532,26 +526,20 @@ class TestRestartRateLimiter:
                 now += 0.25
             grants.append(now)
         gaps = [b - a for a, b in zip(grants, grants[1:])]
-        assert gaps == [1.0, 2.0, 4.0, 8.0]  # exponential backoff
+        assert gaps == [0.5, 1.0, 2.0, 4.0]  # exponential backoff
 
     def test_backoff_is_capped(self):
-        policy = RestartPolicy(
-            burst=100, refill_s=1000.0, backoff_s=1.0, backoff_factor=10.0,
-            backoff_max_s=5.0,
-        )
-        assert policy.backoff_for(1) == 1.0
-        assert policy.backoff_for(2) == 5.0
-        assert policy.backoff_for(7) == 5.0
+        assert restart_backoff(0) == 0.0
+        assert restart_backoff(1) == 0.5
+        assert restart_backoff(2) == 1.0
+        assert restart_backoff(7) == 30.0  # 32 s, capped
 
     def test_token_bucket_is_not_exhausted_instantly(self):
-        policy = RestartPolicy(
-            burst=2, refill_s=10.0, backoff_s=0.001, backoff_factor=1.0,
-            backoff_max_s=0.001,
-        )
+        policy = RestartPolicy(burst=2, refill_s=10.0)
         limiter = RestartRateLimiter(policy)
         now, granted = 0.0, 0
-        for _ in range(10):
-            now += 0.01
+        for _ in range(10):  # a crash a second: each outlasts the backoff at first
+            now += 1.0
             limiter.note_crash(0, now, uptime=0.0)
             if limiter.try_acquire(0, now):
                 granted += 1
@@ -559,26 +547,21 @@ class TestRestartRateLimiter:
         assert limiter.try_acquire(0, now + policy.refill_s) is True  # refilled
 
     def test_stable_uptime_resets_the_backoff_streak(self):
-        policy = RestartPolicy(
-            burst=10, refill_s=1000.0, backoff_s=1.0, backoff_factor=2.0,
-            backoff_max_s=60.0, stable_s=30.0,
-        )
-        limiter = RestartRateLimiter(policy)
+        limiter = RestartRateLimiter(RestartPolicy(burst=10, refill_s=1000.0))
         limiter.note_crash(0, 0.0, uptime=0.0)
-        assert limiter.try_acquire(0, 0.0)          # streak 1, next at +1s
+        assert limiter.try_acquire(0, 0.0)          # streak 1, next at +0.5s
         limiter.note_crash(0, 0.0, uptime=0.0)
-        assert not limiter.try_acquire(0, 0.5)
-        assert limiter.try_acquire(0, 1.0)          # streak 2, next at +2s
+        assert not limiter.try_acquire(0, 0.25)
+        assert limiter.try_acquire(0, 0.5)          # streak 2, next at +1s
         # a long healthy run later, the crash is treated as fresh again
         limiter.note_crash(0, 100.0, uptime=99.0)
         assert limiter.try_acquire(0, 100.0)        # streak reset to 1
         limiter.note_crash(0, 100.0, uptime=0.0)
-        assert not limiter.try_acquire(0, 100.5)    # backoff is 1s, not 4s
-        assert limiter.try_acquire(0, 101.0)
+        assert not limiter.try_acquire(0, 100.25)   # backoff is 0.5s, not 2s
+        assert limiter.try_acquire(0, 100.5)
 
     def test_slots_are_independent(self):
-        policy = RestartPolicy(burst=1, refill_s=100.0, backoff_s=0.01, backoff_max_s=0.01)
-        limiter = RestartRateLimiter(policy)
+        limiter = RestartRateLimiter(RestartPolicy(burst=1, refill_s=100.0))
         assert limiter.try_acquire(0, 0.0)
         assert not limiter.try_acquire(0, 1.0)  # slot 0 drained
         assert limiter.try_acquire(1, 1.0)      # slot 1 untouched

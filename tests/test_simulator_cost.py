@@ -71,6 +71,5 @@ def calls_per_attempt(run) -> float:
     [(_contended, 23.7), (_unbounded, 26.5)],
     ids=["contended", "unbounded"],
 )
-def test_calls_per_attempt_stay_bounded(monkeypatch, run, bound):
-    monkeypatch.setenv("CHRONOS_VECTORIZE", "1")  # scalar draws cost a call each
+def test_calls_per_attempt_stay_bounded(run, bound):
     assert calls_per_attempt(run) <= bound
