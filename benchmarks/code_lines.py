@@ -92,11 +92,24 @@ _THEOREM_8 = (
     "compare concavity_threshold against."
 )
 _PARETO_CDF = "Eq. (2)'s distribution function; tests check sampling against it."
+_SOCKETSERVER_HOOK = "socketserver hook: the server calls it by name."
+_STOP_CONDITION = "Stop condition for a sweep's stop= option, documented in the README."
 
 #: Unreferenced names that stay, each with the reason.
 ALLOWLIST: Dict[str, str] = {
     "repro.adaptive.objectives.available_objectives": _LISTING,
     "repro.api.registry.available_strategies": _LISTING,
+    "repro.api.registry.register_strategy": (
+        "Plugin API: user code adds a strategy through it (README, ARCHITECTURE)."
+    ),
+    "repro.api.registry.register_workload": (
+        "Plugin API: user code adds a workload through it (README, ARCHITECTURE)."
+    ),
+    "repro.api.sweep.Sweep.stream": (
+        "The streaming form of Sweep.run that the README's live-progress example uses."
+    ),
+    "repro.api.sweep.first_deadline_miss": _STOP_CONDITION,
+    "repro.api.sweep.max_failures": _STOP_CONDITION,
     "repro.api.registry.register_estimator": (
         "Plugin API: user code adds an estimator through it (README, ARCHITECTURE)."
     ),
@@ -133,6 +146,9 @@ ALLOWLIST: Dict[str, str] = {
     "repro.hadoop.resource_manager.ResourceManager.containers_in_use": (
         "The occupancy reading README and ARCHITECTURE name."
     ),
+    "repro.service.server.ServiceHTTPServer.handle_error": _SOCKETSERVER_HOOK,
+    "repro.service.server.ServiceHTTPServer.process_request": _SOCKETSERVER_HOOK,
+    "repro.service.server.ServiceHTTPServer.shutdown_request": _SOCKETSERVER_HOOK,
     "repro.service.server.ServiceRequestHandler.do_GET": _HTTP_HOOK,
     "repro.service.server.ServiceRequestHandler.do_POST": _HTTP_HOOK,
     "repro.service.server.ServiceRequestHandler.log_message": _HTTP_HOOK,
@@ -175,24 +191,62 @@ def _registers(decorator: ast.expr) -> bool:
 def _reference_text(path: Path) -> str:
     """The part of a file in which a use of a name counts.
 
-    In an ``__init__.py`` that is everything but its import statements
+    Comments, docstrings and an override's own ``super().name`` call are
+    blanked out.  So, in an ``__init__.py``, are its import statements
     and string literals: a re-export, an ``__all__`` entry or a lazy
     export does not use the name it lists.
     """
     source = path.read_text(encoding="utf-8")
-    if path.name != "__init__.py":
-        return source
-    kept: List[str] = []
+    lines = source.splitlines(keepends=True)
+    chars = [list(line) for line in lines]
+
+    def blank(start: Tuple[int, int], end: Tuple[int, int]) -> None:
+        for row in range(start[0], end[0] + 1):
+            line = chars[row - 1]
+            first = start[1] if row == start[0] else 0
+            last = end[1] if row == end[0] else len(line)
+            for column in range(first, last):
+                if line[column] not in "\r\n":
+                    line[column] = " "
+
+    init = path.name == "__init__.py"
+    tokens = [
+        token
+        for token in tokenize.generate_tokens(io.StringIO(source).readline)
+        if token.type != tokenize.NL
+    ]
     in_import = False
-    at_start = True
-    for token in tokenize.generate_tokens(io.StringIO(source).readline):
-        if at_start:
-            in_import = token.type == tokenize.NAME and token.string in ("import", "from")
-        if token.type not in (tokenize.COMMENT, tokenize.NL):
-            at_start = token.type in (tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT)
-        if not in_import and token.type != tokenize.STRING:
-            kept.append(token.string)
-    return " ".join(kept)
+    for index, token in enumerate(tokens):
+        before = tokens[index - 1].type if index else None
+        after = tokens[index + 1].type if index + 1 < len(tokens) else None
+        if before in _STATEMENT_START:
+            in_import = init and token.type == tokenize.NAME and token.string in ("import", "from")
+        docstring = (
+            token.type == tokenize.STRING
+            and before in _STATEMENT_START
+            and after in (tokenize.NEWLINE, tokenize.ENDMARKER)
+        )
+        if (
+            token.type == tokenize.COMMENT
+            or docstring
+            or (init and (in_import or token.type == tokenize.STRING))
+        ):
+            blank(token.start, token.end)
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for inner in ast.walk(node):
+            if (
+                isinstance(inner, ast.Attribute)
+                and inner.attr == node.name
+                and isinstance(inner.value, ast.Call)
+                and getattr(inner.value.func, "id", None) == "super"
+            ):
+                # AST columns count UTF-8 bytes; the rows hold characters.
+                row = inner.end_lineno
+                column = len(lines[row - 1].encode("utf-8")[: inner.end_col_offset].decode("utf-8"))
+                blank((row, column - len(inner.attr)), (row, column))
+    return "".join("".join(line) for line in chars)
 
 
 def unreferenced_names(root: Path = _REPO) -> List[str]:
@@ -203,9 +257,10 @@ def unreferenced_names(root: Path = _REPO) -> List[str]:
     outside its own definition: a module-level name as the word
     ``name``, a method (or a class nested in a class) as ``.name`` or
     as the quoted string ``"name"`` (a ``getattr`` target, a patch
-    list).  The match is textual, so a mention in a comment or a
-    docstring counts, and so does a use of another definition of the
-    same name: the scan under-reports, never over-reports.
+    list).  Comments, docstrings and an override's own ``super().name``
+    call are not uses (:func:`_reference_text`).  Otherwise the match is
+    textual, so a use of another definition of the same name counts:
+    the scan under-reports, never over-reports.
     """
     package = root / "src" / "repro"
     words: Counter = Counter()

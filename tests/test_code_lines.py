@@ -100,6 +100,25 @@ def test_unreferenced_names_reads_uses_outside_tests(counter, tmp_path):
     ]
 
 
+@pytest.mark.parametrize(
+    "user",
+    [
+        "# see named() for details\n",
+        'def caller():\n    """Unlike named(), this does nothing."""\n',
+        "class Sub:\n    def named(self):\n        return super().named()\n",
+    ],
+    ids=["comment", "docstring", "super-call"],
+)
+def test_a_mention_that_is_not_a_use_leaves_the_name_unreferenced(counter, tmp_path, user):
+    root = _tree(tmp_path, {
+        "src/repro/mod.py": "class Base:\n    def named(self): pass\ndef named(): pass\n",
+        "examples/user.py": user,
+    })
+    unreferenced = counter.unreferenced_names(root)
+    assert "repro.mod.named" in unreferenced
+    assert "repro.mod.Base.named" in unreferenced
+
+
 def test_every_unreferenced_name_of_the_package_is_allowlisted(counter):
     """The gate: a name only tests use is deleted, or allowlisted with a reason."""
     unreferenced = set(counter.unreferenced_names())
