@@ -74,7 +74,7 @@ and new strategies, estimators and workloads plug in through
 
 from repro._lazy import lazy_exports
 
-__version__ = "14.0.0"
+__version__ = "15.0.0"
 
 #: Each public name and the module that defines it.  The package imports
 #: none of them up front (PEP 562): a name's module loads on first

@@ -101,10 +101,13 @@ class ResultStore(Protocol):
 
     :class:`repro.distributed.SqliteResultStore` (``":memory:"`` or a
     file) and :class:`repro.service.HttpResultStore` both implement it.
+    A sweep reads stored payloads and rebuilds each result from the spec
+    it holds (:func:`repro.distributed.store.stored_results`): a payload
+    that names another fingerprint, or a corrupt one, is a miss.
     """
 
-    def get_many(self, fingerprints: Iterable[str]) -> Dict[str, ScenarioResult]:
-        """Stored results by fingerprint; misses are absent."""
+    def get_payload_many(self, fingerprints: Iterable[str]) -> Dict[str, Dict[str, Any]]:
+        """Stored result payloads by fingerprint; misses are absent."""
 
     def put(self, result: ScenarioResult) -> None:
         """Store a result under its fingerprint."""
@@ -442,9 +445,11 @@ def stream_specs(specs: Sequence[ScenarioSpec], **options: Any) -> Iterator[Swee
         throwaway queue (the ``"pool"`` executor).
     cache:
         Optional :class:`ResultStore` — e.g.
-        :class:`repro.distributed.SqliteResultStore` — probed once with
-        ``get_many`` before executing and updated with ``put`` as
-        results arrive.
+        :class:`repro.distributed.SqliteResultStore` — probed with
+        ``get_payload_many`` before executing (one call per
+        :data:`~repro.distributed.store.RESULT_BATCH` distinct
+        fingerprints) and updated with ``put`` as results arrive.  A stored
+        payload serves only the spec whose fingerprint it names.
     executor:
         Backend: ``"inline"``, ``"pool"`` or ``"distributed"``.  ``None``
         (the default) means ``"distributed"`` when a ``db`` path or a
@@ -531,7 +536,11 @@ def _event_stream(specs: List[ScenarioSpec], plan: _Plan) -> Iterator[SweepEvent
     note(event)
 
     fingerprints = [spec.fingerprint() for spec in specs]
-    stored = cache.get_many(fingerprints) if cache is not None else {}
+    stored: Dict[str, Any] = {}
+    if cache is not None:
+        from repro.distributed.store import stored_results
+
+        stored = stored_results(cache, dict(zip(fingerprints, specs)))
     pending_by_fp: Dict[str, List[int]] = {}
     for index, fingerprint in enumerate(fingerprints):
         if token.cancelled():

@@ -37,7 +37,6 @@ from repro.distributed.broker import (
     Broker,
     Task,
     TaskFailedError,
-    TaskRecord,
 )
 from repro.distributed.executor import default_db_path, execute_stream
 from repro.distributed.leases import Lease, LeaseKeeper, LeasePolicy
@@ -60,7 +59,6 @@ __all__ = [
     # queue
     "Broker",
     "Task",
-    "TaskRecord",
     "TaskFailedError",
     "EVENT_KINDS",
     "TRIAL_EVENT_KINDS",

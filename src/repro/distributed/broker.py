@@ -3,10 +3,12 @@
 The broker owns the ``tasks`` table of a queue database (see
 :mod:`repro.distributed.store`).  Producers :meth:`enqueue` scenario
 specs (deduplicated by fingerprint — the queue is content-addressed just
-like the result store); workers :meth:`claim` one task at a time under a
-:class:`~repro.distributed.leases.LeasePolicy`, renew via
-:meth:`heartbeat`, and finish with :meth:`complete` (or a whole claimed
-batch at once with :meth:`complete_many`) or :meth:`fail`.
+like the result store); workers claim a batch of tasks at a time with
+:meth:`claim_many` under a :class:`~repro.distributed.leases.LeasePolicy`,
+renew each lease via :meth:`heartbeat`, and finish with
+:meth:`complete_many` (the whole claimed batch in one transaction) or
+:meth:`fail`.  :meth:`claim` and :meth:`complete` are the one-task
+cases, which the sweep driver uses when it runs a task itself.
 
 Crash safety comes from leases rather than connections: a worker that
 dies mid-task simply stops heartbeating, and the next
@@ -111,19 +113,6 @@ class Task:
     payload: Dict[str, Any]
     attempts: int
     lease: Lease
-
-
-@dataclass(frozen=True)
-class TaskRecord:
-    """A read-only snapshot of one task row (for status and tests)."""
-
-    fingerprint: str
-    status: str
-    attempts: int
-    max_attempts: int
-    lease_owner: Optional[str]
-    lease_expires_at: Optional[float]
-    error: Optional[str]
 
 
 class Broker:
@@ -750,31 +739,6 @@ class Broker:
         """True when nothing is pending or leased (done/failed only)."""
         counts = self.counts()
         return counts["pending"] == 0 and counts["leased"] == 0
-
-    def task(self, fingerprint: str) -> Optional[TaskRecord]:
-        """A snapshot of one task, or ``None`` if it was never enqueued."""
-        row = self._conn.execute(
-            "SELECT fingerprint, status, attempts, max_attempts, lease_owner, "
-            "lease_expires_at, error FROM tasks WHERE fingerprint = ?",
-            (fingerprint,),
-        ).fetchone()
-        if row is None:
-            return None
-        return TaskRecord(**{key: row[key] for key in row.keys()})
-
-    def tasks(self, status: Optional[str] = None) -> List[TaskRecord]:
-        """Snapshots of all tasks, optionally filtered by state."""
-        query = (
-            "SELECT fingerprint, status, attempts, max_attempts, lease_owner, "
-            "lease_expires_at, error FROM tasks"
-        )
-        params: Tuple[Any, ...] = ()
-        if status is not None:
-            query += " WHERE status = ?"
-            params = (status,)
-        query += " ORDER BY enqueued_at, fingerprint"
-        rows = self._conn.execute(query, params).fetchall()
-        return [TaskRecord(**{key: row[key] for key in row.keys()}) for row in rows]
 
     def failed_payloads(self) -> List[Tuple[str, Dict[str, Any], str]]:
         """``(fingerprint, payload, error)`` for every failed task."""

@@ -14,10 +14,11 @@ idempotent *reconcile pass* over (event log, store, fleet health):
    (:meth:`~repro.distributed.broker.Broker.events_since`, or the
    service's ``events_since`` RPC) and translate queue transitions into
    the :mod:`repro.api.events` vocabulary, reading the payload of every
-   result a log batch completed in :data:`RESULT_BATCH` chunks.  Each
-   result is built from the spec the driver enqueued, not from the
-   payload's copy of it: a payload whose ``fingerprint`` names another
-   spec, or a corrupt one, is a miss.  The pass's first read is a
+   result a log batch completed through
+   :func:`~repro.distributed.store.stored_results`, which builds each
+   result from the spec the driver enqueued, not from the payload's copy
+   of it: a payload whose ``fingerprint`` names another spec, or a
+   corrupt one, is a miss.  The pass's first read is a
    long poll: it waits up to the pass interval (:data:`SUPERVISE_INTERVAL`
    locally, :data:`REMOTE_SUPERVISE_INTERVAL` against a service) unless
    the queue settles first, so the driver paces itself without sleeping
@@ -69,7 +70,6 @@ from typing import (
     Dict,
     Iterator,
     List,
-    Mapping,
     Optional,
     Sequence,
     Set,
@@ -79,7 +79,7 @@ from typing import (
 
 from repro.distributed.broker import TaskFailedError
 from repro.distributed.leases import LeasePolicy
-from repro.distributed.store import RESULT_BATCH
+from repro.distributed.store import stored_results
 from repro.distributed.targets import (
     is_auth_error,
     is_service_url,
@@ -121,48 +121,6 @@ DRIVER_ID = "parent-inline"
 def default_db_path() -> Path:
     """A fresh throwaway queue database (per-call temp directory)."""
     return Path(tempfile.mkdtemp(prefix="chronos-queue-")) / "queue.sqlite"
-
-
-def _result_from_payload(fingerprint: str, spec: Any, payload: Mapping[str, Any]) -> Any:
-    """``spec``'s result rebuilt from its stored payload, or ``None``.
-
-    The driver holds the spec it enqueued, so the payload's copy of it is
-    neither rebuilt nor validated: the payload's ``fingerprint`` must
-    name ``spec``, and only the report and the wall time are decoded.  A
-    payload of another spec, or a corrupt one, is ``None`` (a miss).
-    """
-    from repro.api.facade import ScenarioResult, report_from_dict
-    from repro.api.spec import ScenarioSpec
-
-    try:
-        if payload["fingerprint"] != fingerprint:
-            return None
-        report, wall_time_s = payload["report"], float(payload["wall_time_s"])
-        if isinstance(spec, ScenarioSpec):
-            return ScenarioResult(spec, report_from_dict(report), fingerprint, wall_time_s)
-        from repro.cluster import ClusterResult, cluster_report_from_dict
-
-        return ClusterResult(spec, cluster_report_from_dict(report), fingerprint, wall_time_s)
-    except (AttributeError, KeyError, TypeError, ValueError):
-        return None
-
-
-def _stored_results(store, specs: Mapping[str, Any]) -> Dict[str, Any]:
-    """Stored results of ``specs`` (fingerprint → held spec), by fingerprint.
-
-    Payloads are read :data:`RESULT_BATCH` at a time, so the driver never
-    holds more decoded payloads than one chunk.  Misses, corrupt payloads
-    and payloads of another spec are absent.
-    """
-    wanted = list(specs)
-    found: Dict[str, Any] = {}
-    for start in range(0, len(wanted), RESULT_BATCH):
-        payloads = store.get_payload_many(wanted[start:start + RESULT_BATCH])
-        for fingerprint, payload in payloads.items():
-            result = _result_from_payload(fingerprint, specs[fingerprint], payload)
-            if result is not None:
-                found[fingerprint] = result
-    return found
 
 
 def execute_stream(
@@ -317,7 +275,7 @@ def _stream(
     def store_diff() -> Iterator[SweepEvent]:
         """Collect finished results straight from the store, log or no log."""
         fresh = (store.fingerprints() & position_of.keys()) - resolved
-        results = _stored_results(store, {fp: spec_of[fp] for fp in fresh})
+        results = stored_results(store, {fp: spec_of[fp] for fp in fresh})
         for fingerprint, result in results.items():
             yield completed(fingerprint, result)
 
@@ -349,7 +307,7 @@ def _stream(
                 break
             tail_failures, wait_s = 0, 0.0
             # One batched read for every result this batch completed.
-            results = _stored_results(
+            results = stored_results(
                 store,
                 {
                     row["fingerprint"]: spec_of[row["fingerprint"]]
@@ -441,12 +399,12 @@ def _stream(
         # scenario: over HTTP that is one round trip, and on sqlite it
         # keeps re-run short-circuiting O(stored) rather than O(todo).
         known = store.fingerprints()
-        stored_results = _stored_results(
+        cached = stored_results(
             store, {fingerprint: spec for fingerprint, spec, _ in todo if fingerprint in known}
         )
         pending: List[Tuple[str, ScenarioSpec, int]] = []
         for fingerprint, spec, index in todo:
-            stored = stored_results.get(fingerprint)
+            stored = cached.get(fingerprint)
             if stored is not None:
                 yield ScenarioCacheHit(
                     fingerprint=fingerprint, index=index, result=stored, elapsed_s=clock()

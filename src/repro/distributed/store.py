@@ -12,12 +12,15 @@ the sweep layer's result cache (``cache=`` of :func:`repro.api.run_specs`,
 ``--cache-dir`` of the CLI).  It keeps every scenario result as one row,
 in a file or — with ``":memory:"`` — for the life of the process only.
 
-Its export reads (:meth:`SqliteResultStore.results`,
-:meth:`SqliteResultStore.summary_rows`) parse the stored rows one at a
-time, in insertion order; a summary row is always
-:meth:`ScenarioResult.summary_row` of the parsed result, so
-``chronos-experiments export --columns ...`` prints the same cells as
-the full export.
+Two readers turn stored rows back into results.  :func:`stored_results`
+is the one the sweep cache and the distributed driver share: it rebuilds
+each result from the spec the caller holds, and a row whose payload names
+another fingerprint, or a corrupt one, is a miss.
+:meth:`SqliteResultStore.summary_rows` is the export's full scan: it
+parses each stored row, its spec included, one at a time in insertion
+order, and a summary row is always :meth:`ScenarioResult.summary_row` of
+the parsed result, so ``chronos-experiments export --columns ...`` prints
+the same cells as the full export.
 """
 
 from __future__ import annotations
@@ -26,7 +29,19 @@ import json
 import sqlite3
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+    Union,
+)
 
 # The sweep API (and with it numpy and the simulator) is imported by the
 # calls that decode a result, not here: the sweep service stores and
@@ -116,6 +131,47 @@ def payload_from_text(text: Any) -> Optional[Dict[str, Any]]:
     return payload if isinstance(payload, dict) else None
 
 
+def stored_results(store: Any, specs: Mapping[str, Any]) -> Dict[str, Any]:
+    """Stored results of ``specs`` (fingerprint → held spec), by fingerprint.
+
+    The one way a stored row becomes a result, for the sweep cache and
+    the distributed driver alike.  The caller holds each spec, so the
+    payload's copy of it is neither rebuilt nor validated: the payload's
+    ``fingerprint`` must be the row's, and only the report and the wall
+    time are decoded.  Misses, corrupt payloads and payloads of another
+    spec are absent.  ``store`` is any store with ``get_payload_many``;
+    payloads are read :data:`RESULT_BATCH` at a time, so the caller never
+    holds more decoded payloads than one chunk.
+    """
+    from repro.api.facade import ScenarioResult, report_from_dict
+    from repro.api.spec import ScenarioSpec
+
+    wanted = list(specs)
+    found: Dict[str, Any] = {}
+    for start in range(0, len(wanted), RESULT_BATCH):
+        payloads = store.get_payload_many(wanted[start:start + RESULT_BATCH])
+        for fingerprint, payload in payloads.items():
+            spec = specs[fingerprint]
+            try:
+                if payload["fingerprint"] != fingerprint:
+                    continue
+                report, wall_time_s = payload["report"], float(payload["wall_time_s"])
+                if isinstance(spec, ScenarioSpec):
+                    result = ScenarioResult(
+                        spec, report_from_dict(report), fingerprint, wall_time_s
+                    )
+                else:
+                    from repro.cluster import ClusterResult, cluster_report_from_dict
+
+                    result = ClusterResult(
+                        spec, cluster_report_from_dict(report), fingerprint, wall_time_s
+                    )
+            except (AttributeError, KeyError, TypeError, ValueError):
+                continue
+            found[fingerprint] = result
+    return found
+
+
 def summary_columns(columns: Optional[Iterable[str]] = None) -> List[str]:
     """The :attr:`SweepResult.COLUMNS` a ``summary_rows(columns)`` call selects.
 
@@ -191,12 +247,12 @@ class SqliteResultStore:
     transaction, so readers never see a partial result, and are shared
     with the broker's queue tables, which is what lets a re-run of a
     distributed sweep answer every scenario without executing anything.
+    The store keeps no result in memory: every read decodes stored rows.
     """
 
     def __init__(self, path: Union[str, Path]):
         self._path = normalize_db_path(path)
         self._conn = connect(self._path)
-        self._memory: Dict[str, ScenarioResult] = {}
 
     @property
     def path(self) -> Path:
@@ -204,27 +260,20 @@ class SqliteResultStore:
         return self._path
 
     def get(self, fingerprint: str) -> Optional[ScenarioResult]:
-        """The stored result for a fingerprint, or ``None`` on a miss."""
-        return self.get_many([fingerprint]).get(fingerprint)
+        """The stored result for a fingerprint, its spec parsed from the row.
 
-    def get_many(self, fingerprints: Iterable[str]) -> Dict[str, ScenarioResult]:
-        """Stored results by fingerprint; misses (and corrupt rows) are absent.
-
-        The in-memory layer answers first; the rest is one ``IN (…)``
-        select per :data:`READ_CHUNK` fingerprints — the sweep driver's
-        batched replacement for one point read per completion.
+        ``None`` on a miss or a corrupt row.  No sweep path calls this
+        (they read through :func:`stored_results`); it stays because
+        ``perfbench/tracing.py`` patches it by name, and a missing name
+        would crash every traced benchmark run.
         """
         from repro.api.facade import result_from_dict
 
-        wanted = list(dict.fromkeys(fingerprints))
-        found = {fp: self._memory[fp] for fp in wanted if fp in self._memory}
-        for fingerprint, payload in self._stored_payloads(fp for fp in wanted if fp not in found):
-            try:
-                result = result_from_dict(payload)
-            except (ValueError, TypeError, KeyError):
-                continue  # corrupt row: a miss, never an error
-            self._memory[fingerprint] = found[fingerprint] = result
-        return found
+        payload = self.get_payload_many([fingerprint]).get(fingerprint)
+        try:
+            return None if payload is None else result_from_dict(payload)
+        except (ValueError, TypeError, KeyError):
+            return None  # corrupt row: a miss, never an error
 
     def get_payload(self, fingerprint: str) -> Optional[Dict[str, Any]]:
         """The raw stored result payload (no :class:`ScenarioResult` parse)."""
@@ -233,10 +282,15 @@ class SqliteResultStore:
     def get_payload_many(self, fingerprints: Iterable[str]) -> Dict[str, Dict[str, Any]]:
         """Raw stored payloads by fingerprint (no :class:`ScenarioResult` parse).
 
-        The sweep driver reads these and rebuilds each result from the
-        spec it already holds.  Misses and corrupt rows are absent.
+        :func:`stored_results` reads these and rebuilds each result from
+        the spec its caller holds.  Misses and corrupt rows are absent.
         """
-        return dict(self._stored_payloads(dict.fromkeys(fingerprints)))
+        found = {}
+        for fingerprint, text in self._stored_texts(dict.fromkeys(fingerprints)):
+            payload = payload_from_text(text)
+            if payload is not None:
+                found[fingerprint] = payload
+        return found
 
     def _payload_texts(self, fingerprints: Iterable[str]) -> Dict[str, str]:
         """Stored payload texts by fingerprint, exactly as stored.
@@ -247,17 +301,6 @@ class SqliteResultStore:
         there.  Misses are absent.
         """
         return dict(self._stored_texts(dict.fromkeys(fingerprints)))
-
-    def _stored_payloads(self, fingerprints: Iterable[str]) -> Iterator[Tuple[str, Dict[str, Any]]]:
-        """``(fingerprint, payload dict)`` per stored row, corrupt rows skipped.
-
-        Rows are decoded one at a time, so a caller that parses as it
-        goes never holds a whole chunk of decoded payloads.
-        """
-        for fingerprint, text in self._stored_texts(fingerprints):
-            payload = payload_from_text(text)
-            if payload is not None:
-                yield fingerprint, payload
 
     def _stored_texts(self, fingerprints: Iterable[str]) -> Iterator[Tuple[str, str]]:
         """``(fingerprint, payload text)`` per stored row, read in chunks."""
@@ -273,7 +316,6 @@ class SqliteResultStore:
 
     def put(self, result: ScenarioResult, worker_id: Optional[str] = None) -> None:
         """Store a result under its fingerprint (idempotent upsert)."""
-        self._memory[result.fingerprint] = result
         self.put_payload(result.to_dict(), worker_id=worker_id, fingerprint=result.fingerprint)
 
     def put_payload(
@@ -298,63 +340,30 @@ class SqliteResultStore:
         """:meth:`ScenarioResult.summary_row` of every stored result, in insertion order.
 
         ``columns`` selects a subset of :attr:`SweepResult.COLUMNS`;
-        unknown names raise :class:`ValueError`.  Corrupt rows are
-        skipped, as :meth:`results` skips them.  Results are parsed one
-        at a time and not kept, so exporting a large store does not hold
-        every result in memory.
+        unknown names raise :class:`ValueError`.  Each row is parsed, its
+        stored spec included, and dropped once its summary is taken, so
+        exporting a large store does not hold every result in memory.
+        Corrupt rows are skipped, never an error.
         """
+        from repro.api.facade import result_from_dict
+
         selected = summary_columns(columns)
         rows = []
-        for result in self._scan():
-            row = result.summary_row()
-            rows.append({column: row[column] for column in selected})
+        for row in self._conn.execute(
+            "SELECT payload FROM results ORDER BY created_at, fingerprint"
+        ):
+            try:
+                result = result_from_dict(json.loads(row["payload"]))
+            except (ValueError, TypeError, KeyError):
+                continue
+            summary = result.summary_row()
+            rows.append({column: summary[column] for column in selected})
         return rows
 
     def fingerprints(self) -> Set[str]:
         """All stored fingerprints in one query (cheap presence check)."""
         rows = self._conn.execute("SELECT fingerprint FROM results").fetchall()
         return {row["fingerprint"] for row in rows}
-
-    def results(self) -> List[ScenarioResult]:
-        """Every stored result, in insertion order (skipping corrupt rows).
-
-        A full scan parsed into :class:`ScenarioResult` objects, ready to
-        wrap in a :class:`repro.api.SweepResult` for tabular output.  Like
-        :meth:`summary_rows`, it leaves the in-memory layer alone, so a
-        long-lived owner (the HTTP service) does not keep every result it
-        once listed.
-        """
-        return list(self._scan())
-
-    def _scan(self) -> Iterator[ScenarioResult]:
-        """Every stored result in insertion order, parsed one row at a time.
-
-        The in-memory layer answers rows it holds; corrupt rows are
-        skipped, never an error.
-        """
-        from repro.api.facade import result_from_dict
-
-        for row in self._conn.execute(
-            "SELECT fingerprint, payload FROM results ORDER BY created_at, fingerprint"
-        ):
-            result = self._memory.get(row["fingerprint"])
-            if result is None:
-                try:
-                    result = result_from_dict(json.loads(row["payload"]))
-                except (ValueError, TypeError, KeyError):
-                    continue
-            yield result
-
-    def clear(self) -> None:
-        """Drop the in-memory layer (database rows are left alone)."""
-        self._memory.clear()
-
-    def __len__(self) -> int:
-        row = self._conn.execute("SELECT COUNT(*) AS n FROM results").fetchone()
-        return int(row["n"])
-
-    def __contains__(self, fingerprint: object) -> bool:
-        return isinstance(fingerprint, str) and self.get(fingerprint) is not None
 
     def close(self) -> None:
         """Close the underlying connection (further calls will fail)."""

@@ -21,9 +21,11 @@ logic are written out: the constructors and ``url``;
 one-task ``claim_many``), ``register_worker`` (defaults to this
 process's pid), ``complete_many`` (encodes each result as JSON text),
 ``complete`` (the one-element ``complete_many``), ``stats`` (adds
-``url``) and ``metrics``; the store's chunked payload reads
-``get_payload_many`` and memoizing ``get``/``get_many``, and its
-``put``/``clear``/``__contains__``; and ``close``/``__enter__``/``__exit__``.
+``url``) and ``metrics``; the store's chunked ``get_payload_many``, its
+``put`` (encodes the result) and ``get`` (the sqlite store's own one-row
+decode, reading through ``get_payload_many``); and
+``close``/``__enter__``/``__exit__``.  Neither store keeps a result in
+memory.
 Wire rows whose server-side target is private (the service's text
 paths, such as ``Broker._complete_texts``) get no generated method:
 the written-out methods above reach them.
@@ -45,8 +47,8 @@ reconnects once and resends; a failure on a fresh connection is
 reported, never retried.
 
 Payloads cross as JSON text, decoded once by the receiving client, and
-results move in batches: :meth:`HttpResultStore.get_payload_many` and
-``get_many`` fetch up to :data:`RESULT_BATCH` stored payload texts per
+results move in batches: :meth:`HttpResultStore.get_payload_many`
+fetches up to :data:`RESULT_BATCH` stored payload texts per
 ``result_texts`` round trip, and :meth:`HttpBroker.complete_many`
 commits a worker's whole claimed batch in one ``complete_texts`` call.
 
@@ -83,7 +85,6 @@ from typing import (
     Callable,
     Dict,
     Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -429,76 +430,32 @@ class HttpBroker(_ServiceClient):
 class HttpResultStore(_ServiceClient):
     """The :class:`~repro.distributed.SqliteResultStore` interface over HTTP.
 
-    Parsed results are memoized locally (like the sqlite store's memory
-    layer), so repeated ``get``/``get_many`` calls for collected
-    fingerprints do not re-fetch or re-parse.  Payload reads share one
-    chunked path, :meth:`_stored_payloads`.  Every other method is
-    generated from :data:`~repro.service.protocol.WIRE_METHODS`.
+    Like the sqlite store it keeps no result in memory.  Payload reads
+    cost one ``result_texts`` round trip per :data:`RESULT_BATCH`; every
+    other method without client-side logic is generated from
+    :data:`~repro.service.protocol.WIRE_METHODS`.
     """
 
-    def __init__(
-        self,
-        url: str,
-        token: Optional[str] = None,
-        cafile: Optional[str] = None,
-        verify: Optional[bool] = None,
-    ):
-        super().__init__(url, token=token, cafile=cafile, verify=verify)
-        self._memory: Dict[str, ScenarioResult] = {}
-
-    def get(self, fingerprint: str) -> Optional[ScenarioResult]:
-        return self.get_many([fingerprint]).get(fingerprint)
-
-    def get_many(self, fingerprints: Iterable[str]) -> Dict[str, ScenarioResult]:
-        """Stored results by fingerprint; misses (and corrupt rows) are absent.
-
-        Memoized fingerprints are answered locally; the rest cost one
-        ``result_texts`` round trip per :data:`RESULT_BATCH`.
-        """
-        from repro.api.facade import result_from_dict
-
-        wanted = list(dict.fromkeys(fingerprints))
-        found = {fp: self._memory[fp] for fp in wanted if fp in self._memory}
-        for fingerprint, payload in self._stored_payloads(fp for fp in wanted if fp not in found):
-            try:
-                result = result_from_dict(payload)
-            except (ValueError, TypeError, KeyError):
-                continue  # corrupt row: a miss, never an error
-            self._memory[fingerprint] = found[fingerprint] = result
-        return found
+    get = SqliteResultStore.get  # the one-row decode, over get_payload_many
 
     def get_payload_many(self, fingerprints: Iterable[str]) -> Dict[str, Dict[str, Any]]:
         """Raw stored payloads by fingerprint (no :class:`ScenarioResult` parse).
 
-        One ``result_texts`` round trip per :data:`RESULT_BATCH`; misses
-        and corrupt rows are absent.
+        One ``result_texts`` round trip per :data:`RESULT_BATCH`; each
+        text is decoded once, and misses and corrupt rows are absent.
         """
-        return dict(self._stored_payloads(dict.fromkeys(fingerprints)))
-
-    def _stored_payloads(self, fingerprints: Iterable[str]) -> Iterator[Tuple[str, Dict[str, Any]]]:
-        """``(fingerprint, payload dict)`` per stored row, corrupt rows skipped.
-
-        Fetches :data:`RESULT_BATCH` payload texts per round trip and
-        decodes each one once, as it goes.
-        """
-        wanted = list(fingerprints)
+        wanted = list(dict.fromkeys(fingerprints))
+        found = {}
         for start in range(0, len(wanted), RESULT_BATCH):
             texts = self._call("result_texts", fingerprints=wanted[start:start + RESULT_BATCH])
             for fingerprint, text in texts.items():
                 payload = payload_from_text(text)
                 if payload is not None:
-                    yield fingerprint, payload
+                    found[fingerprint] = payload
+        return found
 
     def put(self, result: ScenarioResult, worker_id: Optional[str] = None) -> None:
-        self._memory[result.fingerprint] = result
         self._call("result_put", payload=result.to_dict(), worker_id=worker_id)
-
-    def clear(self) -> None:
-        """Drop the local memo (server rows are left alone)."""
-        self._memory.clear()
-
-    def __contains__(self, fingerprint: object) -> bool:
-        return isinstance(fingerprint, str) and self.get(fingerprint) is not None
 
 
 def _rpc_method(name: str, mirrored: Callable[..., Any]) -> Callable[..., Any]:
@@ -523,17 +480,16 @@ def _rpc_method(name: str, mirrored: Callable[..., Any]) -> Callable[..., Any]:
 def _derive_rpc_methods(cls: type, owner: str, contract: type) -> None:
     """Give ``cls`` a generated method for each of ``owner``'s wire methods.
 
-    A method ``cls`` writes out itself (client-side checks, memoizing)
+    A method ``cls`` writes out itself (client-side checks, encoding)
     is kept, and so is any row whose target is not a plain method of
     ``contract`` (``policy`` is a property) or is private (a text path
     that a written-out method reaches through ``_call``).
     """
     for wire in WIRE_METHODS.values():
         mirrored = contract.__dict__.get(wire.target)
-        private = wire.target.startswith("_") and not wire.target.endswith("__")
         if (
             wire.owner != owner
-            or private
+            or wire.target.startswith("_")
             or wire.target in cls.__dict__
             or not inspect.isfunction(mirrored)
         ):

@@ -25,16 +25,15 @@ looking the row up, and :mod:`repro.service.client` generates every
 pass-through method of ``HttpBroker``/``HttpResultStore`` from the
 rows, with the signature and docstring of the sqlite method it mirrors
 (the few methods with client-side logic — argument checks, the pid
-default, the memoizing result reads — are written out there).
+default, the chunked result reads — are written out there).
 
 Parameter coercions run on both ends: the client sends canonical JSON
 and reports a bad argument as :class:`ValueError`/:class:`TypeError`
 before the round trip, and the server applies them again against any
 HTTP client, answering a malformed parameter with HTTP 400.
 
-Everything on the wire is JSON-native: :class:`~repro.distributed.Task`,
-:class:`~repro.distributed.TaskRecord` and
-:class:`~repro.distributed.LeasePolicy` cross as plain dicts via the
+Everything on the wire is JSON-native: :class:`~repro.distributed.Task`
+and :class:`~repro.distributed.LeasePolicy` cross as plain dicts via the
 ``*_to_wire`` / ``*_from_wire`` codecs of their rows, so the server
 never pickles and any HTTP client can drive a queue.
 
@@ -60,12 +59,14 @@ is, after checking that it decodes to a JSON object (a completion that
 does not is an HTTP 400: nothing is stored and the leases stay held),
 and each client decodes a payload it receives exactly once, so a
 corrupt stored row is a miss on the client.  There is no one-at-a-time
-result read, completion or claim on the wire.
+result read, completion or claim on the wire, and no task-row or
+whole-store reader either: ``task``, ``tasks``, ``results`` and
+``result_len`` are unknown methods since 15.0 (every remaining row's
+format is unchanged, so the protocol is still 2).
 
 Protocol 2 (version 4.0) introduced the text payloads.  The methods
-whose payloads changed type were renamed (protocol 1's
-``result_get_many`` and ``complete_many`` are unknown methods now, an
-HTTP 400), and a protocol-2 client reading a protocol-1 ``claim_many``
+whose payloads changed type were renamed (protocol 1's batched result
+read and ``complete_many`` are unknown methods now, an HTTP 400), and a protocol-2 client reading a protocol-1 ``claim_many``
 raises instead of guessing, so mixing versions fails loudly rather
 than dropping results.  Upgrade the service, fleets and drivers
 together.
@@ -75,9 +76,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, Tuple
 
-from repro.distributed.broker import Task, TaskRecord
+from repro.distributed.broker import Task
 from repro.distributed.leases import MAX_ATTEMPTS, Lease, LeasePolicy
 from repro.distributed.store import summary_columns
 
@@ -153,36 +154,6 @@ def task_from_wire(data: Mapping[str, Any]) -> Task:
     )
 
 
-def record_to_wire(record: Optional[TaskRecord]) -> Optional[Dict[str, Any]]:
-    """A task snapshot as a JSON-native dict (``None`` passes through)."""
-    if record is None:
-        return None
-    return {
-        "fingerprint": record.fingerprint,
-        "status": record.status,
-        "attempts": record.attempts,
-        "max_attempts": record.max_attempts,
-        "lease_owner": record.lease_owner,
-        "lease_expires_at": record.lease_expires_at,
-        "error": record.error,
-    }
-
-
-def record_from_wire(data: Optional[Mapping[str, Any]]) -> Optional[TaskRecord]:
-    """Rebuild a :class:`TaskRecord` from :func:`record_to_wire` output."""
-    if data is None:
-        return None
-    return TaskRecord(
-        fingerprint=str(data["fingerprint"]),
-        status=str(data["status"]),
-        attempts=int(data["attempts"]),
-        max_attempts=int(data["max_attempts"]),
-        lease_owner=data.get("lease_owner"),
-        lease_expires_at=data.get("lease_expires_at"),
-        error=data.get("error"),
-    )
-
-
 def policy_to_wire(policy: LeasePolicy) -> Dict[str, Any]:
     """A lease policy as a JSON-native dict.
 
@@ -218,13 +189,6 @@ def _each(convert: Callable[[Any], Any]) -> Callable[[Any], Any]:
 
 
 _strings = _each(str)
-
-
-def _result_from_wire(payload: Dict[str, Any]) -> Any:
-    """A listed result, decoded by the sweep API (imported on first use)."""
-    from repro.api.facade import result_from_dict
-
-    return result_from_dict(payload)
 
 
 def _text_pairs(completions: Any) -> Any:
@@ -301,10 +265,6 @@ WIRE_METHODS: Dict[str, WireMethod] = {
         # introspection
         WireMethod("counts", BROKER),
         WireMethod("settled", BROKER),
-        WireMethod("task", BROKER, to_wire=record_to_wire, from_wire=record_from_wire),
-        WireMethod(
-            "tasks", BROKER, to_wire=_each(record_to_wire), from_wire=_each(record_from_wire)
-        ),
         WireMethod("failed_payloads", BROKER, from_wire=_each(tuple)),
         WireMethod("workers", BROKER),
         WireMethod("leased", BROKER, {"now": _optional(float)}),
@@ -325,11 +285,6 @@ WIRE_METHODS: Dict[str, WireMethod] = {
         WireMethod("result_put", STORE, attr="put_payload"),
         WireMethod(
             "result_fingerprints", STORE, to_wire=sorted, from_wire=set, attr="fingerprints"
-        ),
-        WireMethod("result_len", STORE, attr="__len__"),
-        WireMethod(
-            "results", STORE,
-            to_wire=_each(lambda result: result.to_dict()), from_wire=_each(_result_from_wire),
         ),
         WireMethod("summary_rows", STORE, {"columns": summary_columns}),
     )

@@ -166,7 +166,7 @@ class TestCaching:
         good = base.with_overrides(seed=5)
         with pytest.raises(SpecValidationError):
             run_specs([good, bad], cache=cache)
-        assert good.fingerprint() in cache
+        assert good.fingerprint() in cache.fingerprints()
         retry = run_specs([good], cache=cache)
         assert retry.executed == 0 and retry.cache_hits == 1
 
@@ -210,27 +210,26 @@ class TestCaching:
             thread.join()
         assert not misses
 
-    def test_cache_contains_and_len(self, base):
+    def test_a_run_stores_its_result_in_the_cache(self, base):
         cache = SqliteResultStore(":memory:")
-        assert base.fingerprint() not in cache
+        assert cache.fingerprints() == set()
         run_specs([base], cache=cache)
-        assert base.fingerprint() in cache
-        assert len(cache) == 1
+        assert cache.fingerprints() == {base.fingerprint()}
 
-    def test_batch_is_probed_with_one_get_many(self, base):
-        """The sweep asks the cache once per batch, never per spec."""
+    def test_batch_is_probed_with_one_get_payload_many(self, base):
+        """The sweep asks the cache once per batch of distinct fingerprints, never per spec."""
         calls = []
 
         class CountingStore(SqliteResultStore):
-            def get_many(self, fingerprints):
+            def get_payload_many(self, fingerprints):
                 fingerprints = list(fingerprints)
                 calls.append(fingerprints)
-                return super().get_many(fingerprints)
+                return super().get_payload_many(fingerprints)
 
         specs = [base.with_overrides(seed=seed) for seed in (0, 1, 0)]
         with CountingStore(":memory:") as cache:
             run_specs(specs, cache=cache)
-            assert calls == [[spec.fingerprint() for spec in specs]]
+            assert calls == [[spec.fingerprint() for spec in specs[:2]]]
             again = run_specs(specs, cache=cache)
         assert again.executed == 0 and again.cache_hits == 3
         assert len(calls) == 2

@@ -6,10 +6,14 @@ backends expose the same public methods with the same signatures
 target is a sqlite file, an ``http://`` service, or an ``https://``
 service with a bearer token:
 
-- ``get_many`` answers hits, omits misses, and treats a corrupt stored
-  row (unparseable JSON, or JSON that is not a result) as a miss, and
-  so does a distributed sweep driving the backend; ``get_payload_many``
-  keeps the rows that are JSON objects;
+- ``stored_results`` (the one reader of the sweep cache and the
+  distributed driver) answers hits against the specs it is given, omits
+  misses, and treats a corrupt stored row (unparseable JSON, or JSON
+  that is not a result) and a row holding another spec's result as a
+  miss, and so do a sweep whose ``cache=`` is the backend's store and a
+  distributed sweep driving the backend; ``get_payload_many`` keeps the
+  rows that are JSON objects, and ``get`` decodes one row;
+- no store keeps a result in memory;
 - a completed result is stored as the same bytes on every backend,
   ``json.dumps`` of its ``to_dict()`` (what 3.1 stored), and a
   completion whose text is not a JSON object is rejected (``ValueError``
@@ -19,9 +23,9 @@ service with a bearer token:
   input order, and is idempotent when re-completed;
 - the completing worker's ``tasks_done`` grows by the batch size;
 - ``leased(now)`` reports lease expiry against the caller's clock;
-- ``results()`` and ``summary_rows(columns)`` return every stored row,
-  the rows being the results' ``summary_row()`` cells (NaN included),
-  and an unknown summary column is a ``ValueError``;
+- ``summary_rows(columns)`` returns every stored row, the rows being
+  the stored results' ``summary_row()`` cells (NaN included), and an
+  unknown summary column is a ``ValueError``;
 - ``events_since(..., wait_s)`` is a long poll that returns when the
   queue settles, when ``wait_s`` passes, or at once when ``limit`` rows
   are already there, and a parked call blocks no other call.
@@ -29,19 +33,28 @@ service with a bearer token:
 
 from __future__ import annotations
 
+import gc
 import inspect
 import json
 import math
 import sqlite3
 import threading
 import time
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List
 
 import pytest
 
-from repro.api import ScenarioSpec, WorkloadSpec, job_spec_to_dict, run, run_specs
+from repro.api import (
+    ScenarioResult,
+    ScenarioSpec,
+    WorkloadSpec,
+    job_spec_to_dict,
+    run,
+    run_specs,
+)
 from repro.distributed import (
     Broker,
     LeasePolicy,
@@ -49,8 +62,11 @@ from repro.distributed import (
     open_broker,
     open_store,
 )
+from repro.distributed.store import stored_results
 from repro.service import HttpBroker, HttpResultStore, ServiceError, make_server
 from repro.simulator.entities import JobSpec
+
+from queue_rows import task_row
 
 TOKEN = "contract-secret-0123456789abcdef"
 
@@ -155,7 +171,7 @@ def _write_row(db: Path, fingerprint: str, payload: str) -> None:
         )
 
 
-class TestGetMany:
+class TestStoredResults:
     def test_hits_misses_and_corrupt_rows(self, backend):
         results = _complete(backend, [_spec(seed) for seed in range(3)])
         not_json, not_a_result = _spec(10).fingerprint(), _spec(11).fingerprint()
@@ -164,24 +180,65 @@ class TestGetMany:
         _write_row(backend.db, not_a_result, '{"spec": 1}')
         _write_row(backend.db, not_an_object, "[1, 2]")
         missing = _spec(12).fingerprint()
+        held = {result.fingerprint: result.spec for result in results}
+        held.update({fingerprint: _spec(0) for fingerprint in
+                     (missing, not_json, not_a_result, not_an_object)})
         asked = [results[0].fingerprint, missing, not_json, results[1].fingerprint,
                  not_a_result, not_an_object, results[2].fingerprint]
         store = backend.store()
         try:
-            found = store.get_many(asked)
+            found = stored_results(store, {fingerprint: held[fingerprint] for fingerprint in asked})
             assert set(found) == {result.fingerprint for result in results}
             for result in results:
                 assert found[result.fingerprint].to_dict() == result.to_dict()
-            # the point read is the same path: corrupt rows are misses
+            # the one-row decode agrees: corrupt rows are misses
+            assert store.get(results[0].fingerprint).to_dict() == results[0].to_dict()
             assert store.get(not_json) is None and store.get(not_a_result) is None
             assert store.get(missing) is None
-            assert store.get_many([]) == {}
+            assert stored_results(store, {}) == {}
             # raw payload reads keep JSON objects only
             payloads = store.get_payload_many(asked)
             assert payloads == {
                 **{result.fingerprint: result.to_dict() for result in results},
                 not_a_result: {"spec": 1},
             }
+        finally:
+            store.close()
+
+    def test_a_row_holding_another_specs_result_is_a_miss(self, backend):
+        """A payload stored under A's fingerprint but naming B is never served for A."""
+        a, b = _spec(30), _spec(31)
+        store = backend.store()
+        try:
+            store.put_payload(run(b).to_dict(), fingerprint=a.fingerprint())
+            outcome = run_specs([a], cache=store)
+            assert (outcome.executed, outcome.cache_hits) == (1, 0)
+            (result,) = outcome.results
+            assert result.spec == a and result.fingerprint == a.fingerprint()
+            # the sweep cached A's own result over the mismatched row
+            assert store.get_payload_many([a.fingerprint()])[a.fingerprint()] == result.to_dict()
+        finally:
+            store.close()
+
+
+class TestNoResultMemory:
+    def test_no_store_keeps_a_result(self, backend):
+        result = run(_spec(40))
+        fingerprint, alive = result.fingerprint, weakref.ref(result)
+        store = backend.store()
+        try:
+            store.put(result)
+            assert [row["fingerprint"] for row in store.summary_rows(["fingerprint"])] == [
+                fingerprint
+            ]
+            del result
+            gc.collect()
+            assert alive() is None
+            # nor does any result the summary scan parsed survive it
+            assert not [
+                obj for obj in gc.get_objects()
+                if isinstance(obj, ScenarioResult) and obj.fingerprint == fingerprint
+            ]
         finally:
             store.close()
 
@@ -233,7 +290,7 @@ class TestStoredPayloadText:
                     broker._call("complete_texts", worker_id="w1", completions=completions)
             assert backend.rows() == {}
             for fingerprint in (spec.fingerprint(), good.fingerprint):
-                record = broker.task(fingerprint)
+                record = task_row(backend.db, fingerprint)
                 assert (record.status, record.lease_owner) == ("leased", "w1")
             assert broker.counts()["done"] == 0
         finally:
@@ -283,24 +340,22 @@ class TestCompleteMany:
             assert broker.counts() == before == {
                 "pending": 0, "leased": 0, "done": 3, "failed": 0
             }
-            assert len(store) == 3
-            store.clear()
-            found = store.get_many([r.fingerprint for r in results])
+            assert store.fingerprints() == {r.fingerprint for r in results}
+            found = stored_results(store, {r.fingerprint: r.spec for r in results})
             assert [found[r.fingerprint].to_dict() for r in results] == [
                 r.to_dict() for r in results
             ]
-            assert all(broker.task(r.fingerprint).status == "done" for r in results)
+            assert all(task_row(backend.db, r.fingerprint).status == "done" for r in results)
             assert broker.complete_many("w2", []) is None  # empty batch: no-op
         finally:
             broker.close()
             store.close()
 
 
-#: Members only some transports have: endpoint identity, credentials,
-#: the server-side telemetry snapshot, and the store's raw-payload and
-#: maintenance methods.
+#: Members only some transports have: endpoint identity, the
+#: server-side telemetry snapshot, and the store's raw-payload writes.
 TRANSPORT_SPECIFIC = {
-    "url", "credentials", "path", "metrics", "put_payload",
+    "url", "path", "metrics", "put_payload",
 }
 
 
@@ -308,7 +363,7 @@ def _surface(cls) -> dict:
     """Public members of ``cls``: name → signature (or ``"property"``)."""
     surface = {}
     for name in dir(cls):
-        if name.startswith("_") and name not in ("__len__", "__contains__"):
+        if name.startswith("_"):
             continue
         if name in TRANSPORT_SPECIFIC or name.startswith("get_payload"):
             continue
@@ -348,7 +403,7 @@ class TestSurfaceBehaviour:
             assert len(claimed) == len(specs)
             leased = {row["fingerprint"]: row["expires_in_s"] for row in broker.leased(now=fixed)}
             expected = {
-                task.fingerprint: broker.task(task.fingerprint).lease_expires_at - fixed
+                task.fingerprint: task_row(backend.db, task.fingerprint).lease_expires_at - fixed
                 for task in claimed
             }
         finally:
@@ -363,7 +418,8 @@ class TestSurfaceBehaviour:
         columns = ["fingerprint", "pocd", "mean_response_time"]
         store = backend.store()
         try:
-            stored = sorted(store.results(), key=lambda result: result.fingerprint)
+            found = stored_results(store, {r.fingerprint: r.spec for r in results})
+            stored = [found[result.fingerprint] for result in results]
             rows = sorted(store.summary_rows(columns), key=lambda row: row["fingerprint"])
         finally:
             store.close()

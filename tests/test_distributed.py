@@ -19,6 +19,8 @@ from repro.distributed import (
 from repro.distributed.leases import MAX_ATTEMPTS
 from repro.simulator.entities import JobSpec
 
+from queue_rows import task_row
+
 #: Fast lease timings so expiry tests take fractions of a second.
 FAST = LeasePolicy(timeout=0.4)
 
@@ -131,13 +133,13 @@ class TestBrokerLifecycle:
         _enqueue(broker, [spec])
         task = broker.claim("w1")
         broker.fail(task.fingerprint, "w1", "boom")
-        record = broker.task(task.fingerprint)
+        record = task_row(broker.path, task.fingerprint)
         assert record.status == "failed" and record.error == "boom"
         assert broker.claim("w2") is None  # failed tasks are not claimable
         # re-enqueueing a failed fingerprint gives it a fresh round
         assert _enqueue(broker, [spec]) == 1
-        assert broker.task(task.fingerprint).status == "pending"
-        assert broker.task(task.fingerprint).attempts == 0
+        assert task_row(broker.path, task.fingerprint).status == "pending"
+        assert task_row(broker.path, task.fingerprint).attempts == 0
 
     def test_stale_fail_cannot_clobber_done(self, broker):
         """A worker that lost its lease cannot flip a completed task to failed."""
@@ -150,7 +152,7 @@ class TestBrokerLifecycle:
         broker.complete(rescued.fingerprint, "healthy", result.to_dict())
         # the wedged worker resurfaces and reports a failure for its old lease
         assert broker.fail(stale.fingerprint, "wedged", "MemoryError: boom") is False
-        assert broker.task(spec.fingerprint()).status == "done"
+        assert task_row(broker.path, spec.fingerprint()).status == "done"
 
     def test_drain_flag_round_trip(self, broker):
         assert not broker.is_draining()
@@ -195,7 +197,7 @@ class TestLeaseExpiry:
             assert task is not None and task.attempts == attempt + 1
             time.sleep(FAST.timeout + 0.05)
             broker.requeue_expired()
-        record = broker.task(spec.fingerprint())
+        record = task_row(broker.path, spec.fingerprint())
         assert record.status == "failed"
         assert "lease expired" in record.error
         assert broker.claim("w-next") is None
@@ -206,7 +208,7 @@ class TestLeaseExpiry:
         broker.claim("doomed")
         requeued, exhausted = broker.release_worker("doomed")
         assert (requeued, exhausted) == (1, 0)
-        assert broker.task(spec.fingerprint()).status == "pending"
+        assert task_row(broker.path, spec.fingerprint()).status == "pending"
 
 
 class TestBatchClaims:
@@ -284,16 +286,12 @@ class TestSqliteResultStore:
         with SqliteResultStore(db) as fresh:
             assert fresh.get(result.fingerprint).report == result.report
 
-    def test_len_contains_and_clear(self, db):
+    def test_fingerprints_lists_the_stored_rows(self, db):
         result = run(_tiny_spec())
         with SqliteResultStore(db) as store:
             store.put(result)
-            assert len(store) == 1
-            assert result.fingerprint in store
-            assert "not-a-fingerprint" not in store
-            store.clear()  # drops only the memo; rows persist
-            assert len(store) == 1
-            assert result.fingerprint in store
+            store.put(result)  # an upsert: still one row
+            assert store.fingerprints() == {result.fingerprint}
 
     def test_corrupt_row_is_a_miss(self, db):
         from repro.distributed import connect
@@ -345,7 +343,7 @@ class TestWorkerLoop:
             worker = Worker(db, policy=FAST)
             assert worker.run() == 0
             worker.close()
-            record = broker.task(bad.fingerprint())
+            record = task_row(broker.path, bad.fingerprint())
             assert record.status == "failed"
             assert record.attempts == 1  # scenario errors are terminal, not retried
 

@@ -38,6 +38,8 @@ from repro.api.registry import WORKLOADS, register_workload
 from repro.distributed import Broker, SqliteResultStore, TaskFailedError, execute_stream
 from repro.simulator.entities import JobSpec
 
+from queue_rows import task_row
+
 SLOW_WORKLOAD = "test-slow-explicit"
 
 
@@ -303,12 +305,12 @@ def _kill_first_leaseholder(db, driver_pid: int, report) -> None:
     with Broker(db) as watcher:
         deadline = time.monotonic() + 30.0
         while time.monotonic() < deadline:
-            leased = watcher.tasks("leased")
+            leased = watcher.leased()
             pids = {w["worker_id"]: w["pid"] for w in watcher.workers()}
-            for record in leased:
-                pid = pids.get(record.lease_owner)
+            for row in leased:
+                pid = pids.get(row["worker_id"])
                 if pid and pid != driver_pid:
-                    report.send({"fingerprint": record.fingerprint, "worker_id": record.lease_owner})
+                    report.send({"fingerprint": row["fingerprint"], "worker_id": row["worker_id"]})
                     os.kill(pid, signal.SIGKILL)
                     return
             time.sleep(0.005)
@@ -366,10 +368,9 @@ class TestWorkerCrashRecovery:
         assert [r.report for r in distributed.results] == [r.report for r in inline.results]
 
         # the interrupted task was requeued (second claim) and completed
-        with Broker(db) as broker:
-            record = broker.task(killed["fingerprint"])
-            assert record.status == "done"
-            assert record.attempts >= 2
+        record = task_row(db, killed["fingerprint"])
+        assert record.status == "done"
+        assert record.attempts >= 2
 
     def test_dead_pool_is_drained_inline_and_announced(self, slow_workload, tmp_path):
         """Every local worker SIGKILLed mid-sweep: the driver finishes the queue.
@@ -402,7 +403,7 @@ class TestWorkerCrashRecovery:
                 time.sleep(0.005)
             pids = [child.pid for child in multiprocessing.active_children()]
             with Broker(db) as watcher:
-                while not watcher.tasks("leased"):
+                while not watcher.leased():
                     if time.monotonic() > deadline:
                         return
                     time.sleep(0.005)
@@ -470,7 +471,7 @@ class TestWorkerCrashRecovery:
             assert worker.run() == 1
             worker.close()
 
-            record = broker.task(spec.fingerprint())
+            record = task_row(db, spec.fingerprint())
             assert record.status == "done"
             assert record.attempts == 2  # zombie's claim + the recovery claim
             with SqliteResultStore(db) as store:

@@ -30,7 +30,7 @@ from repro import (
 
 class TestPackageSurface:
     def test_version_string(self):
-        assert repro.__version__ == "14.0.0"
+        assert repro.__version__ == "15.0.0"
 
     def test_declared_dependencies_suffice(self):
         """A fresh interpreter imports ``repro.api`` and runs S-Restart without scipy.
@@ -371,6 +371,37 @@ class TestDeprecatedShims:
 
         with pytest.raises(TypeError, match="unexpected keyword"):
             call(repro.distributed)
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "repro.distributed:TaskRecord",
+            "repro.distributed.broker:TaskRecord",
+            "repro.distributed:Broker.task",
+            "repro.distributed:Broker.tasks",
+            "repro.distributed:SqliteResultStore.get_many",
+            "repro.distributed:SqliteResultStore.results",
+            "repro.distributed:SqliteResultStore.clear",
+            "repro.distributed:SqliteResultStore.__len__",
+            "repro.distributed:SqliteResultStore.__contains__",
+            "repro.service:HttpResultStore.get_many",
+            "repro.service:HttpResultStore.results",
+            "repro.service:HttpResultStore.clear",
+            "repro.service:HttpResultStore.__len__",
+            "repro.service:HttpResultStore.__contains__",
+            "repro.service.protocol:record_to_wire",
+            "repro.service.protocol:record_from_wire",
+            "repro.service.protocol:_result_from_wire",
+            "repro.distributed.executor:_result_from_payload",
+            "repro.distributed.executor:_stored_results",
+        ],
+    )
+    def test_names_removed_in_15_0(self, path):
+        """One reader of stored rows is left; the memo and test-only readers are gone."""
+        owner, name = _owner_of(path)
+        assert name not in getattr(owner, "__all__", ())
+        with pytest.raises(AttributeError):
+            getattr(owner, name)
 
     def test_unknown_attribute_still_raises(self):
         with pytest.raises(AttributeError):

@@ -34,6 +34,7 @@ from repro.distributed import (
     open_store,
 )
 from repro.distributed.leases import MAX_ATTEMPTS
+from repro.distributed.store import stored_results
 from repro.service import (
     HttpBroker,
     HttpResultStore,
@@ -42,6 +43,8 @@ from repro.service import (
     rpc_call,
 )
 from repro.simulator.entities import JobSpec
+
+from queue_rows import task_row
 
 #: Fast lease timings so recovery tests take fractions of a second.
 FAST = LeasePolicy(timeout=2.0)
@@ -188,7 +191,7 @@ class TestEndpoints:
         from repro.service import fetch_metrics
 
         rpc_call(service.url, "settled")
-        HttpResultStore(service.url).get_many(["f" * 64])
+        HttpResultStore(service.url).get_payload_many(["f" * 64])
         with pytest.raises(ServiceError, match="unknown method"):
             rpc_call(service.url, "carrier_pigeon")
         body = fetch_metrics(service.url)
@@ -268,7 +271,7 @@ class TestHttpBrokerParity:
         broker.complete(task.fingerprint, "w1", result.to_dict())
         assert broker.counts()["done"] == 1
         assert broker.settled()
-        record = broker.task(spec.fingerprint())
+        record = task_row(service.db, spec.fingerprint())
         assert record.status == "done"
 
     def test_server_policy_governs_leases(self, service):
@@ -308,7 +311,7 @@ class TestHttpBrokerParity:
         broker.enqueue([spec.to_dict()], [spec.fingerprint()])
         broker.claim("doomed")
         assert broker.release_worker("doomed") == (1, 0)
-        assert broker.task(spec.fingerprint()).status == "pending"
+        assert task_row(service.db, spec.fingerprint()).status == "pending"
         assert not broker.is_draining()
         broker.drain()
         assert broker.is_draining()
@@ -358,8 +361,6 @@ class TestHttpResultStore:
         fetched = HttpResultStore(service.url).get(spec.fingerprint())  # no local memo
         assert fetched.fingerprint == result.fingerprint
         assert fetched.report == result.report
-        assert len(store) == 1
-        assert result.fingerprint in store
         assert store.fingerprints() == {result.fingerprint}
 
     def test_shared_with_sqlite_store(self, service):
@@ -393,16 +394,6 @@ class TestHttpResultStore:
         assert fetched.to_dict() == result.to_dict()
 
 
-    def test_results_rpc_does_not_pin_the_store_in_service_memory(self, service):
-        """A full read over the wire leaves the long-lived service's store empty."""
-        from repro.distributed import SqliteResultStore
-
-        with SqliteResultStore(service.db) as local:
-            for seed in range(5):
-                local.put(run(_tiny_spec(seed)))
-        assert len(HttpResultStore(service.url).results()) == 5
-        assert service.server.service._store._memory == {}
-
     def test_payload_reads_take_one_round_trip_per_result_batch(self, service, monkeypatch):
         import math
 
@@ -425,7 +416,9 @@ class TestHttpResultStore:
         rounds = math.ceil(len(fingerprints) / client.RESULT_BATCH)
         assert calls == ["result_texts"] * rounds == ["result_texts"] * 4
         calls.clear()
-        assert set(store.get_many(fingerprints)) == {result.fingerprint}
+        # the sweep cache's read: the same chunks, decoded against held specs
+        held = {fingerprint: result.spec for fingerprint in fingerprints}
+        assert set(stored_results(store, held)) == {result.fingerprint}
         assert calls == ["result_texts"] * rounds
 
 
@@ -450,6 +443,20 @@ class TestProtocolVersion:
         texts = rpc_call(service.url, "result_texts", {"fingerprints": [result.fingerprint]})
         assert texts == {result.fingerprint: json.dumps(result.to_dict())}
 
+    @pytest.mark.parametrize(
+        "method, params",
+        [
+            ("task", {"fingerprint": "f" * 64}),
+            ("tasks", {}),
+            ("results", {}),
+            ("result_len", {}),
+        ],
+    )
+    def test_removed_readers_are_unknown_methods(self, service, method, params):
+        """Task-row and whole-store readers left the wire in 15.0; protocol 2 is unchanged."""
+        with pytest.raises(ServiceError, match=f"HTTP 400 — unknown method '{method}'"):
+            rpc_call(service.url, method, params)
+
     def test_protocol_1_completion_is_an_unknown_method(self, service):
         spec = _tiny_spec()
         broker = HttpBroker(service.url)
@@ -458,8 +465,8 @@ class TestProtocolVersion:
         completions = [[spec.fingerprint(), run(spec).to_dict()]]
         with pytest.raises(ServiceError, match="unknown method 'complete_many'"):
             rpc_call(service.url, "complete_many", {"worker_id": "w1", "completions": completions})
-        assert len(HttpResultStore(service.url)) == 0
-        assert broker.task(spec.fingerprint()).status == "leased"
+        assert HttpResultStore(service.url).fingerprints() == set()
+        assert task_row(service.db, spec.fingerprint()).status == "leased"
 
     def test_protocol_1_claim_answer_is_an_error(self):
         from repro.service.protocol import task_from_wire
@@ -543,7 +550,7 @@ class TestHttpWorker:
         worker = Worker(service.url, policy=lazy)
         assert worker.run() == 1
         worker.close()
-        record = broker.task(spec.fingerprint())
+        record = task_row(service.db, spec.fingerprint())
         assert record.status == "done"
         assert record.attempts == 1  # never expired, never requeued
 
@@ -689,13 +696,13 @@ class TestSupervisedFleetRecovery:
             fleet_pids = {process.pid for process in pool.processes}
             deadline = time.monotonic() + 30.0
             while time.monotonic() < deadline:
-                leased = watcher.tasks("leased")
+                leased = watcher.leased()
                 pids = {w["worker_id"]: w["pid"] for w in watcher.workers()}
-                for record in leased:
-                    pid = pids.get(record.lease_owner)
+                for row in leased:
+                    pid = pids.get(row["worker_id"])
                     if pid in fleet_pids:
-                        killed["fingerprint"] = record.fingerprint
-                        killed["worker_id"] = record.lease_owner
+                        killed["fingerprint"] = row["fingerprint"]
+                        killed["worker_id"] = row["worker_id"]
                         os.kill(pid, signal.SIGKILL)
                         return
                 time.sleep(0.005)
@@ -727,7 +734,7 @@ class TestSupervisedFleetRecovery:
         ]
 
         # the interrupted task was re-claimed (second attempt) and completed
-        record = watcher.task(killed["fingerprint"])
+        record = task_row(service.db, killed["fingerprint"])
         assert record.status == "done"
         assert record.attempts >= 2
 
@@ -809,7 +816,7 @@ class TestEventLogRpc:
         assert released == 2  # the claimed task keeps its lease
         counts = broker.counts()
         assert counts["pending"] == 0 and counts["leased"] == 1
-        assert claimed.fingerprint == broker.tasks("leased")[0].fingerprint
+        assert claimed.fingerprint == broker.leased()[0]["fingerprint"]
 
     def test_lease_expiry_is_logged_as_retried(self, service):
         spec = _tiny_spec()

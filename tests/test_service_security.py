@@ -219,7 +219,7 @@ class TestTokenGuardedService:
     def test_env_token_secures_open_broker_and_store(self, secured, clean_env):
         clean_env.setenv(TOKEN_ENV, TOKEN)
         assert open_broker(secured).settled() is True
-        assert len(open_store(secured)) == 0
+        assert open_store(secured).fingerprints() == set()
 
     def test_open_broker_token_kwarg(self, secured):
         assert open_broker(secured, token=TOKEN).settled() is True

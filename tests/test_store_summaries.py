@@ -118,16 +118,6 @@ class TestStoreSummaries:
         assert {row["fingerprint"] for row in rows} == {r.fingerprint for r in results}
         assert sorted(row["seed"] for row in rows) == [0, 1]
 
-    def test_full_scans_do_not_fill_the_memory_layer(self, tmp_path):
-        db = tmp_path / "q.sqlite"
-        with SqliteResultStore(db) as store:
-            store.put(run(_spec()))
-        with SqliteResultStore(db) as store:
-            assert len(store.summary_rows()) == 1
-            assert store._memory == {}
-            assert len(store.results()) == 1
-            assert store._memory == {}
-
     def test_old_summaries_table_is_ignored(self, tmp_path):
         """Databases written before 7.0 keep their dead ``summaries`` table."""
         db = tmp_path / "q.sqlite"
@@ -143,11 +133,10 @@ class TestStoreSummaries:
             assert conn.execute("SELECT fingerprint FROM summaries").fetchall() == [("stale",)]
 
     def test_column_pushdown_validates_names(self, tmp_path):
+        result = run(_spec())
         with SqliteResultStore(tmp_path / "q.sqlite") as store:
-            store.put(run(_spec()))
-            assert store.summary_rows(["pocd"]) == [
-                {"pocd": pytest.approx(store.results()[0].report.pocd)}
-            ]
+            store.put(result)
+            assert store.summary_rows(["pocd"]) == [{"pocd": pytest.approx(result.report.pocd)}]
             with pytest.raises(ValueError, match="unknown summary column"):
                 store.summary_rows(["pocd", "bogus"])
             with pytest.raises(ValueError, match="at least one"):
